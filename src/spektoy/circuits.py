@@ -15,14 +15,23 @@ expr-many times, where expr is integer arithmetic (+, *, parentheses) over
 previously bound outcome variables, evaluated mod d.
 
 Lines starting with '#' and blank lines are ignored.
+
+The module also holds branch_tree, the one exhaustive walker every
+expand-and-prune computation in the package runs through: dense circuit
+execution, toy-model statistics, injection gadgets and witness circuits.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CircuitParseError
+
+ATOL_CONSTRUCT = 1e-12   # construction-level identities
+ATOL_END2END = 1e-9      # end-to-end / branch-level identities
 
 
 @dataclass(frozen=True)
@@ -211,3 +220,36 @@ def format_circuit(circuit: Circuit) -> str:
         else:
             lines.append(f"CORR {ins.name} {wires} IF {ins.expr}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the branch-tree walker
+
+# A step maps one branch's (outcomes, state) to its children
+# [(outcome or None, probability, state)]; a None outcome records nothing.
+Step = Callable[[tuple, object], list[tuple]]
+
+
+def branch_tree(root, steps: list[Step]) -> list[tuple]:
+    """Exhaustive branch tree: run every step on every surviving branch.
+
+    Returns [(outcomes, probability, state)] in expansion order.  A branch's
+    probability is the product of its children's probabilities, starting
+    from the integer 1, so exact (Fraction) steps stay exact.  Children of
+    probability <= ATOL_CONSTRUCT are dropped.  The leaves must sum to 1:
+    exactly for exact probabilities, within ATOL_END2END for floats.
+    """
+    branches = [((), 1, root)]
+    for step in steps:
+        branches = [
+            (outcomes if k is None else outcomes + (k,), prob * pk, child)
+            for outcomes, prob, state in branches
+            for k, pk, child in step(outcomes, state)
+            if pk > ATOL_CONSTRUCT
+        ]
+    total = sum(prob for _, prob, _ in branches)
+    if isinstance(total, (int, Fraction)):
+        assert total == 1, f"branch probabilities sum to {total}"
+    else:
+        assert abs(total - 1.0) < ATOL_END2END, f"branch probabilities sum to {total}"
+    return branches

@@ -20,16 +20,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Correct, Gate, Measure, eval_expr
+from .circuits import (
+    ATOL_CONSTRUCT,
+    ATOL_END2END,
+    Circuit,
+    Correct,
+    Gate,
+    Measure,
+    Step,
+    branch_tree,
+    eval_expr,
+)
 from .errors import (
     CircuitParseError,
     DimensionMismatch,
     GuardExceeded,
     InvalidGenerators,
 )
-
-ATOL_CONSTRUCT = 1e-12   # construction-level identities
-ATOL_END2END = 1e-9      # end-to-end / branch-level identities
 
 MAX_QUBITS = 6
 MAX_QUDITS = {2: 6, 3: 4, 5: 3}
@@ -209,6 +216,31 @@ def _qudit_gate_matrix(name: str, d: int) -> np.ndarray:
     return out
 
 
+_LETTER_QP = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def pauli_op(word: str) -> np.ndarray:
+    """Hermitian Pauli word on len(word) qubits, e.g. 'XZ': the Kronecker
+    product of its letters I, X, Y, Z."""
+    out = np.array([[1.0 + 0j]])
+    for c in word:
+        if c not in _LETTER_QP:
+            raise CircuitParseError(f"bad Pauli letter {c!r} in {word!r}")
+        out = np.kron(out, np.eye(2, dtype=complex) if c == "I" else _QUBIT_GATES_1[c])
+    return out
+
+
+def basis_label(letters: str, wires, n: int, d: int = 2) -> tuple[int, ...]:
+    """Interleaved (q, p) label of per-wire basis letters on an n-site
+    register: I, X, Z, and for d=2 also Y (X and Z together)."""
+    lam = [0] * (2 * n)
+    for c, w in zip(letters.upper(), wires):
+        if c not in _LETTER_QP or (c == "Y" and d != 2):
+            raise CircuitParseError(f"basis letter {c!r} unsupported for d={d}")
+        lam[2 * w], lam[2 * w + 1] = _LETTER_QP[c]
+    return tuple(lam)
+
+
 def gate_arity(name: str, d: int = 2) -> int:
     return int(round(math.log(len(_qudit_gate_matrix(name, d)), d)))
 
@@ -303,27 +335,6 @@ def num_sites(dim: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # stabilizer-style states
 
-_PAULI_CHARS = {"I": np.eye(2, dtype=complex), **{k: _QUBIT_GATES_1[k] for k in "XYZ"}}
-
-
-def pauli_string(s: str) -> tuple[int, np.ndarray]:
-    """Parse a signed Hermitian Pauli string like '+XZ' or '-YY' (d=2).
-
-    Returns (sign, matrix) with sign in {+1, -1}.
-    """
-    s = s.strip()
-    sign = 1
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    if not s or any(c not in _PAULI_CHARS for c in s):
-        raise CircuitParseError(f"bad Pauli string {s!r}")
-    out = np.array([[1.0 + 0j]])
-    for c in s:
-        out = np.kron(out, _PAULI_CHARS[c])
-    return sign, out
-
-
 def weyl_char_projectors(op: np.ndarray, d: int) -> list[np.ndarray]:
     """Eigenprojectors of a unitary with op^d = I, indexed by the exponent k
     of the eigenvalue chi(k)."""
@@ -354,13 +365,18 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
     labels: list[tuple[int, ...]] = []
     for g in generators:
         if isinstance(g, str):
-            sign, mat = pauli_string(g)
+            # signed Hermitian Pauli string like '+XZ' or '-YY' (d=2)
+            word = g.strip()
+            sign = -1 if word[:1] == "-" else 1
+            word = word[1:] if word[:1] in ("+", "-") else word
+            if not word:
+                raise CircuitParseError(f"bad Pauli string {g!r}")
+            labels.append(basis_label(word, range(len(word)), len(word)))
+            mat = pauli_op(word)
             if n is None:
                 n = num_sites(mat.shape[0], d)
             proj = (np.eye(mat.shape[0]) + sign * mat) / 2
             parsed.append((proj, mat))
-            lab = _pauli_string_label(g)
-            labels.append(lab)
         else:
             label, k = g
             if not isinstance(label, PauliLabel):
@@ -407,17 +423,17 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
     return canonical_phase(state)
 
 
-def _pauli_string_label(s: str) -> tuple[int, ...]:
-    s = s.strip().lstrip("+-")
-    qp = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-    out = []
-    for c in s:
-        out.extend(qp[c])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # measurement
+
+def _renormalized(collapsed: np.ndarray) -> tuple[float, np.ndarray]:
+    """Probability of an unnormalised collapsed state, and the state
+    normalised (left as it is when the probability is negligible)."""
+    prob = float(np.vdot(collapsed, collapsed).real)
+    if prob > ATOL_CONSTRUCT:
+        collapsed = collapsed / math.sqrt(prob)
+    return prob, collapsed
+
 
 def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
     """Probabilities and renormalized collapsed states for a projective
@@ -432,13 +448,7 @@ def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
         total += P
     if not np.allclose(total, np.eye(dim), atol=ATOL_CONSTRUCT * dim):
         raise InvalidGenerators("measurement elements do not sum to identity")
-    out = []
-    for P in projectors:
-        collapsed = P @ state
-        prob = float(np.vdot(collapsed, collapsed).real)
-        if prob > ATOL_CONSTRUCT:
-            collapsed = collapsed / math.sqrt(prob)
-        out.append((prob, collapsed))
+    out = [_renormalized(P @ state) for P in projectors]
     assert abs(sum(p for p, _ in out) - 1.0) < ATOL_CONSTRUCT * dim
     return out
 
@@ -462,11 +472,7 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
     out = []
     for v, idxs in sorted(groups, key=lambda g: -g[0]):
         P = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs)
-        collapsed = P @ state
-        prob = float(np.vdot(collapsed, collapsed).real)
-        if prob > ATOL_CONSTRUCT:
-            collapsed = collapsed / math.sqrt(prob)
-        out.append((v, prob, collapsed))
+        out.append((v, *_renormalized(P @ state)))
     return out
 
 
@@ -481,31 +487,65 @@ def basis_measurement_projectors(basis: str, wires, n: int, d: int = 2):
     basis = basis.upper()
     if len(basis) != len(wires):
         raise CircuitParseError(f"basis {basis!r} does not fit wires {wires}")
-    q = [0] * n
-    p = [0] * n
-    for c, w in zip(basis, wires):
-        if c == "I":
-            continue
-        elif c == "X":
-            q[w] = 1
-        elif c == "Z":
-            p[w] = 1
-        elif c == "Y" and d == 2:
-            q[w] = 1
-            p[w] = 1
-        else:
-            raise CircuitParseError(f"basis letter {c!r} unsupported for d={d}")
+    label = PauliLabel.from_point(basis_label(basis, wires, n, d), d)
     if d == 2:
-        label = PauliLabel(tuple(q), tuple(p), 2)
         herm = label.hermitian_operator()
         eye = np.eye(2**n)
         return [(eye + herm) / 2, (eye - herm) / 2]
-    op = pauli(q, p, d)
-    return weyl_char_projectors(op, d)
+    return weyl_char_projectors(pauli(label.q, label.p, d), d)
 
 
 # ---------------------------------------------------------------------------
 # circuit execution
+
+_READOUT_KETS = {
+    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    "X": (
+        np.full(2, 1 / math.sqrt(2), dtype=complex),
+        np.array([1, -1], dtype=complex) / math.sqrt(2),
+    ),
+}
+
+
+def gate_step(U: np.ndarray) -> Step:
+    """Walker step applying the matrix U to every branch."""
+    return lambda outcomes, state: [(None, 1, U @ state)]
+
+
+def measure_step(projectors) -> Step:
+    """Walker step for a projective measurement that keeps the register;
+    outcome k belongs to projectors[k]."""
+    return lambda outcomes, state: [
+        (k, *_renormalized(P @ state)) for k, P in enumerate(projectors)
+    ]
+
+
+def readout_step(site: int, basis: str) -> Step:
+    """Walker step reading one qubit destructively in the Z or X basis:
+    outcome k contracts the site with the k-th basis ket, which removes the
+    site from the register."""
+    kets = _READOUT_KETS[basis]
+
+    def step(outcomes, state):
+        tensor = state.reshape(2**site, 2, -1)
+        return [
+            (k, *_renormalized(np.tensordot(tensor, ket.conj(), axes=([1], [0])).reshape(-1)))
+            for k, ket in enumerate(kets)
+        ]
+
+    return step
+
+
+def _correct_step(U: np.ndarray, expr: str, names: list[str], d: int) -> Step:
+    """Apply U expr-many times, expr evaluated on the branch's outcomes."""
+
+    def step(outcomes, state):
+        for _ in range(eval_expr(expr, dict(zip(names, outcomes)), d)):
+            state = U @ state
+        return [(None, 1, state)]
+
+    return step
+
 
 @dataclass
 class Branch:
@@ -513,16 +553,9 @@ class Branch:
     prob: float
     state: np.ndarray
 
-    @property
-    def outcome_key(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self.outcomes.items()))
-
 
 def run_circuit(
-    circuit: Circuit,
-    input_state: np.ndarray | None = None,
-    d: int = 2,
-    prune: float = 1e-12,
+    circuit: Circuit, input_state: np.ndarray | None = None, d: int = 2
 ) -> list[Branch]:
     """Exhaustive branch tree for a circuit: no sampling anywhere.
 
@@ -544,45 +577,21 @@ def run_circuit(
         raise DimensionMismatch(
             f"input dim {input_state.shape[0]} != {d**n} for {n} wires"
         )
-    branches = [Branch({}, 1.0, input_state.astype(complex))]
+    names = circuit.measured_vars()
+    steps = []
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
-            U = gate(ins.name, ins.wires, n, d)
-            for br in branches:
-                br.state = U @ br.state
+            steps.append(gate_step(gate(ins.name, ins.wires, n, d)))
         elif isinstance(ins, Measure):
             projs = basis_measurement_projectors(ins.basis, ins.wires, n, d)
-            new_branches = []
-            for br in branches:
-                for k, P in enumerate(projs):
-                    collapsed = P @ br.state
-                    pk = float(np.vdot(collapsed, collapsed).real)
-                    if pk <= prune:
-                        continue
-                    new_branches.append(
-                        Branch(
-                            {**br.outcomes, ins.var: k},
-                            br.prob * pk,
-                            collapsed / math.sqrt(pk),
-                        )
-                    )
-            branches = new_branches
+            steps.append(measure_step(projs))
         elif isinstance(ins, Correct):
             U = gate(ins.name, ins.wires, n, d)
-            for br in branches:
-                times = eval_expr(ins.expr, br.outcomes, d)
-                for _ in range(times):
-                    br.state = U @ br.state
-    total = sum(br.prob for br in branches)
-    assert abs(total - 1.0) < ATOL_END2END, f"branch probabilities sum to {total}"
-    return branches
-
-
-def branch_distribution(branches: list[Branch]) -> dict[tuple[tuple[str, int], ...], float]:
-    out: dict[tuple[tuple[str, int], ...], float] = {}
-    for br in branches:
-        out[br.outcome_key] = out.get(br.outcome_key, 0.0) + br.prob
-    return out
+            steps.append(_correct_step(U, ins.expr, names, d))
+    return [
+        Branch(dict(zip(names, outcomes)), float(prob), state)
+        for outcomes, prob, state in branch_tree(input_state.astype(complex), steps)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from . import phase_algebra as pa
 from . import subtheory as stt
 from . import toy_model as toy
 from . import wigner as wg
-from .circuits import Circuit, Correct, Gate, Measure
-from .errors import AuditError, DimensionMismatch
+from .circuits import Circuit, Correct, Gate, Measure, branch_tree
+from .errors import AuditError, CircuitParseError, DimensionMismatch
 
 
 def functional_for_label(mu, d: int) -> tuple[int, ...]:
@@ -156,7 +156,10 @@ class HostModel:
                         f"{self.sub.name!r} (allowed: {sorted(allowed)})"
                     )
             elif isinstance(ins, Measure):
-                lam = _basis_label(ins.basis, ins.wires, self.n, self.d)
+                try:
+                    lam = do.basis_label(ins.basis, ins.wires, self.n, self.d)
+                except CircuitParseError as e:
+                    raise AuditError(str(e)) from None
                 if lam not in observables:
                     raise AuditError(
                         f"measurement basis {ins.basis!r} on wires {ins.wires} "
@@ -168,23 +171,6 @@ class HostModel:
                 raise AuditError(
                     f"initial state {circuit.init_spec!r} is not an allowed state"
                 )
-
-
-def _basis_label(basis: str, wires, n: int, d: int) -> tuple[int, ...]:
-    lam = [0] * (2 * n)
-    for c, w in zip(basis.upper(), wires):
-        if c == "I":
-            continue
-        if c == "X":
-            lam[2 * w] = 1
-        elif c == "Z":
-            lam[2 * w + 1] = 1
-        elif c == "Y" and d == 2:
-            lam[2 * w] = 1
-            lam[2 * w + 1] = 1
-        else:
-            raise AuditError(f"basis letter {c!r} unsupported for d={d}")
-    return tuple(lam)
 
 
 @lru_cache(maxsize=16)
@@ -259,27 +245,16 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
 
 
 def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
-    """Exhaustive branch-tree distribution over outcome tuples."""
-    branches = [((), 1.0, state)]
-    for kind, op in steps:
-        if kind == "gate":
-            branches = [(o, p, op @ s) for o, p, s in branches]
-        else:
-            nxt = []
-            for outcomes, prob, s in branches:
-                for k, P in enumerate(op):
-                    collapsed = P @ s
-                    pk = float(np.vdot(collapsed, collapsed).real)
-                    if pk <= 1e-14:
-                        continue
-                    nxt.append(
-                        (outcomes + ((k,),), prob * pk, collapsed / np.sqrt(pk))
-                    )
-            branches = nxt
-    out: dict[tuple, float] = {}
-    for outcomes, prob, _ in branches:
-        out[outcomes] = out.get(outcomes, 0.0) + prob
-    return out
+    """Exhaustive branch-tree distribution over outcome tuples; each
+    outcome is a 1-tuple (k,) to match the toy side's residue tuples."""
+    walker_steps = [
+        do.gate_step(op) if kind == "gate" else do.measure_step(op)
+        for kind, op in steps
+    ]
+    return {
+        tuple((k,) for k in outcomes): float(prob)
+        for outcomes, prob, _ in branch_tree(state, walker_steps)
+    }
 
 
 def compare_statistics(
@@ -348,7 +323,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
             toy_steps.append(("gate", host.gate_action(ins.name, ins.wires)))
             dense_steps.append(("gate", do.gate(ins.name, ins.wires, n, d)))
         elif isinstance(ins, Measure):
-            lam = _basis_label(ins.basis, ins.wires, n, d)
+            lam = do.basis_label(ins.basis, ins.wires, n, d)
             sigma = functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
             dense_steps.append(("measure", measurement_projectors(lam, host.spec)))

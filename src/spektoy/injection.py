@@ -16,7 +16,6 @@ gate (tier 2) or fall outside the Clifford group entirely.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import subtheory as stt
+from .circuits import Step, branch_tree
 from .errors import DimensionMismatch
 
 HOST_GATES = frozenset({"CNOT", "X", "Z"})
@@ -190,6 +190,23 @@ def _apply_correction(
     return state
 
 
+def _correction_step(
+    scheme: InjectionScheme,
+    wire_map: tuple[int, ...],
+    n_total: int,
+    audit: AuditTrail,
+    injected: frozenset,
+) -> Step:
+    """Walker step applying the correction keyed by the branch's last
+    scheme.n outcomes, audited once per branch."""
+
+    def step(outcomes, state):
+        corr = scheme.corrections[outcomes[-scheme.n:]]
+        return [(None, 1, _apply_correction(state, corr, wire_map, n_total, audit, injected))]
+
+    return step
+
+
 def run_injection(
     scheme: InjectionScheme,
     input_state: np.ndarray,
@@ -203,105 +220,68 @@ def run_injection(
         raise DimensionMismatch("input dimension mismatch")
     audit = audit if audit is not None else AuditTrail()
     audit.use_resource(f"{scheme.gate_name}|+>^{n}")
-    big = np.kron(input_state, scheme.resource_state)
-    n_total = 2 * n
+    steps = []
     for j in range(n):
         audit.use_gate("CNOT")
         audit.use_measurement("Z")
-        big = do.gate("CNOT", (n + j, j), n_total, 2) @ big
+        steps.append(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n, 2)))
+    # reading out wire 0 n times consumes the input register, which leaves
+    # the resource register
+    steps += [do.readout_step(0, "Z")] * n
+    steps.append(_correction_step(scheme, tuple(range(n)), n, audit, injected))
     target_out = scheme.target @ input_state
-    records: list[InjectionRecord] = []
-    for m in itertools.product((0, 1), repeat=n):
-        branch = big
-        for j, mj in enumerate(m):
-            proj = do.embed(
-                np.diag([1.0 - mj, float(mj)]).astype(complex), (j,), n_total, 2
-            )
-            branch = proj @ branch
-        prob = float(np.vdot(branch, branch).real)
-        if prob < 1e-14:
-            continue
-        branch = branch / math.sqrt(prob)
-        corr = scheme.corrections[m]
-        branch = _apply_correction(
-            branch, corr, tuple(range(n, 2 * n)), n_total, audit, injected
+    branches = branch_tree(np.kron(input_state, scheme.resource_state), steps)
+    return [
+        InjectionRecord(
+            m, float(prob), scheme.corrections[m].name, out, do.fidelity(out, target_out)
         )
-        # input wires are |m> exactly; slice them away
-        tensor = branch.reshape((2,) * n_total)
-        out = tensor[m].reshape(-1)
-        records.append(
-            InjectionRecord(
-                m, prob, corr.name, out, do.fidelity(out, target_out)
-            )
-        )
-    total = sum(r.probability for r in records)
-    assert abs(total - 1.0) < 1e-9
-    return records
+        for m, prob, out in branches
+    ]
 
 
 # ---------------------------------------------------------------------------
-# in-place injection on a register (stage engine)
-
-@dataclass
-class Stage:
-    prob: float
-    state: np.ndarray
-    outcomes: tuple[int, ...] = ()
+# in-place injection on a register
 
 
 def inject_on_wires(
-    stages: list[Stage],
     scheme: InjectionScheme,
     data_wires: tuple[int, ...],
     n_total: int,
     audit: AuditTrail,
     injected: frozenset = frozenset(),
-) -> list[Stage]:
-    """Apply the injected gate to data wires of a larger register.
+) -> list[Step]:
+    """Walker steps applying the injected gate to data wires of an n_total
+    register; each branch fans out into 2^k branches.
 
-    Appends the resource register, runs the gadget, swaps the output back
-    onto the data wires, and traces the spent wires out again (they end in
-    a computational state).  Each incoming stage fans out into 2^k stages.
+    The resource register is appended and swapped into the data wires'
+    place (an axis permutation, audited as SWAPs), the data moved to the
+    tail is coupled to it and read out in Z, and the correction acts on the
+    data wires, which then hold the gate's output.
     """
     k = scheme.n
     if len(data_wires) != k:
         raise DimensionMismatch("wire count does not match the scheme")
     big_n = n_total + k
-    res_wires = tuple(range(n_total, big_n))
-    out: list[Stage] = []
     audit.use_resource(f"{scheme.gate_name}|+>^{k}")
     for j in range(k):
         audit.use_gate("CNOT")
         audit.use_measurement("Z")
         audit.use_gate("SWAP")
-    for st in stages:
-        big = np.kron(st.state, scheme.resource_state)
-        for j in range(k):
-            big = do.gate("CNOT", (res_wires[j], data_wires[j]), big_n, 2) @ big
-        for m in itertools.product((0, 1), repeat=k):
-            branch = big
-            for j, mj in enumerate(m):
-                proj = do.embed(
-                    np.diag([1.0 - mj, float(mj)]).astype(complex),
-                    (data_wires[j],),
-                    big_n,
-                    2,
-                )
-                branch = proj @ branch
-            pk = float(np.vdot(branch, branch).real)
-            if pk < 1e-14:
-                continue
-            branch = branch / math.sqrt(pk)
-            branch = _apply_correction(
-                branch, scheme.corrections[m], res_wires, big_n, audit, injected
-            )
-            for j in range(k):
-                branch = do.gate("SWAP", (data_wires[j], res_wires[j]), big_n, 2) @ branch
-            # resource wires now hold |m>; slice them off the tail
-            tensor = branch.reshape((2,) * big_n)
-            sliced = tensor[(Ellipsis,) + m].reshape(-1)
-            out.append(Stage(st.prob * pk, sliced, st.outcomes + m))
-    return out
+    perm = list(range(big_n))
+    for j, w in enumerate(data_wires):
+        perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
+
+    def append_resource(outcomes, state):
+        big = np.kron(state, scheme.resource_state).reshape((2,) * big_n)
+        return [(None, 1, big.transpose(perm).reshape(-1))]
+
+    return [
+        append_resource,
+        *(do.gate_step(do.gate("CNOT", (w, n_total + j), big_n, 2))
+          for j, w in enumerate(data_wires)),
+        *[do.readout_step(n_total, "Z")] * k,
+        _correction_step(scheme, data_wires, n_total, audit, injected),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,40 +303,26 @@ def hadamard_via_cz(
     audit = AuditTrail()
     injected = frozenset({"CZ"})
     target = do.gate("H", (0,), 1) @ input_state
-    stages = [Stage(1.0, np.kron(input_state, do.plus_state(1)))]
     if use_injected_cz:
-        stages = inject_on_wires(
-            stages, scheme_for("CZ"), (0, 1), 2, audit, injected=frozenset()
-        )
+        steps = inject_on_wires(scheme_for("CZ"), (0, 1), 2, audit, injected=frozenset())
     else:
         audit.use_gate("CZ", injected)
-        stages = [Stage(s.prob, do.gate("CZ", (0, 1), 2, 2) @ s.state, s.outcomes)
-                  for s in stages]
-    records = []
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
+        steps = [do.gate_step(do.gate("CZ", (0, 1), 2, 2))]
     audit.use_measurement("X")
-    for st in stages:
-        for s_out, bra in ((0, plus), (1, minus)):
-            tensor = st.state.reshape(2, 2)
-            collapsed = bra.conj() @ tensor  # project input wire, keep ancilla
-            pk = float(np.vdot(collapsed, collapsed).real)
-            if pk < 1e-14:
-                continue
-            collapsed = collapsed / math.sqrt(pk)
-            if s_out:
-                audit.use_gate("X")
-                collapsed = do.gate("X", (0,), 1) @ collapsed
-            records.append(
-                InjectionRecord(
-                    st.outcomes + (s_out,),
-                    st.prob * pk,
-                    "X^s",
-                    collapsed,
-                    do.fidelity(collapsed, target),
-                )
-            )
-    assert abs(sum(r.probability for r in records) - 1.0) < 1e-9
+    x_gate = do.gate("X", (0,), 1)
+
+    def x_correction(outcomes, state):
+        if outcomes[-1]:
+            audit.use_gate("X")
+            state = x_gate @ state
+        return [(None, 1, state)]
+
+    steps += [do.readout_step(0, "X"), x_correction]
+    branches = branch_tree(np.kron(input_state, do.plus_state(1)), steps)
+    records = [
+        InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
+        for outcomes, prob, out in branches
+    ]
     return records, audit
 
 
@@ -487,16 +453,14 @@ def clifford_completion_demo() -> dict:
     identities = {}
     cz = do.gate("CZ", (0, 1), 2, 2)
     for name, mat, expect in (
-        ("CZ.XI.CZ", do.gate("X", (0,), 2), ("X", "Z")),
-        ("CZ.IX.CZ", do.gate("X", (1,), 2), ("Z", "X")),
-        ("CZ.XX.CZ", do.gate("X", (0,), 2) @ do.gate("X", (1,), 2), ("Y", "Y")),
+        ("CZ.XI.CZ", do.gate("X", (0,), 2), "XZ"),
+        ("CZ.IX.CZ", do.gate("X", (1,), 2), "ZX"),
+        ("CZ.XX.CZ", do.gate("X", (0,), 2) @ do.gate("X", (1,), 2), "YY"),
     ):
         lhs = cz @ mat @ cz
-        rhs = np.kron(
-            do._QUBIT_GATES_1[expect[0]], do._QUBIT_GATES_1[expect[1]]
-        )
+        rhs = do.pauli_op(expect)
         identities[name] = {
-            "equals": "".join(expect),
+            "equals": expect,
             "verified": bool(np.allclose(lhs, rhs, atol=1e-12)),
         }
     report["unlocked_observables"] = identities
@@ -533,8 +497,10 @@ def minimality_probe() -> dict:
         audit = AuditTrail(**{k: frozenset(v) for k, v in kwargs.items()})
         if element == "X-observables":
             # the Hadamard construction is the X-measurement consumer
-            stages = [Stage(1.0, np.kron(do.basis_state([0]), do.plus_state(1)))]
-            stages = inject_on_wires(stages, scheme_for("CZ"), (0, 1), 2, audit)
+            branch_tree(
+                np.kron(do.basis_state([0]), do.plus_state(1)),
+                inject_on_wires(scheme_for("CZ"), (0, 1), 2, audit),
+            )
             audit.use_measurement("X")
         elif element == "Z":
             # Z appears in CZ-injection corrections (XZ / ZX branches)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _modmath as mm
 from . import phase_algebra as pa
+from .circuits import Step, branch_tree
 from .errors import DimensionMismatch, RestrictionViolation
 
 
@@ -193,6 +194,20 @@ def measure_sharp(
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
+def gate_step(g: pa.AffineSymplectic) -> Step:
+    """Walker step pushing every branch through an affine map."""
+    return lambda outcomes, state: [(None, 1, apply_affine(state, g))]
+
+
+def measure_step(meas: SharpMeasurement) -> Step:
+    """Walker step measuring every branch: one child per outcome, carrying
+    its exact probability and the posterior state."""
+    return lambda outcomes, state: [
+        (k, pk, posterior(state, meas, k))
+        for k, pk in outcome_distribution(state, meas).items()
+    ]
+
+
 def statistics(
     state: EpistemicState, steps: list[ToyStep]
 ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
@@ -200,20 +215,9 @@ def statistics(
     affine maps and sharp measurements.  No sampling: cosets are propagated
     and every branch with nonzero probability is expanded.
     """
-    branches: list[tuple[tuple, Fraction, EpistemicState]] = [((), Fraction(1), state)]
-    for kind, op in steps:
-        if kind == "gate":
-            branches = [(o, p, apply_affine(s, op)) for o, p, s in branches]
-        elif kind == "measure":
-            nxt = []
-            for outcomes, prob, s in branches:
-                for k, pk in outcome_distribution(s, op).items():
-                    nxt.append((outcomes + (k,), prob * pk, posterior(s, op, k)))
-            branches = nxt
-        else:
+    builders = {"gate": gate_step, "measure": measure_step}
+    for kind, _ in steps:
+        if kind not in builders:
             raise DimensionMismatch(f"unknown step kind {kind!r}")
-    out: dict[tuple, Fraction] = {}
-    for outcomes, prob, _ in branches:
-        out[outcomes] = out.get(outcomes, Fraction(0)) + prob
-    assert sum(out.values()) == 1
-    return dict(sorted(out.items()))
+    branches = branch_tree(state, [builders[kind](op) for kind, op in steps])
+    return dict(sorted((outcomes, Fraction(prob)) for outcomes, prob, _ in branches))

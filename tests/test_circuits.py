@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from spektoy.circuits import (
     Correct,
     Gate,
     Measure,
+    branch_tree,
     eval_expr,
     format_circuit,
     parse_circuit,
@@ -86,3 +89,55 @@ def test_expr_unbound_variable():
 def test_explicit_wire_count_guard():
     with pytest.raises(CircuitParseError):
         parse_circuit("GATE X 5\n", n_wires=2)
+
+
+# ---------------------------------------------------------------------------
+# branch_tree
+
+
+def _split(probs):
+    """Step with one child per probability; the state counts the steps."""
+    return lambda outcomes, state: [(k, p, state + 1) for k, p in enumerate(probs)]
+
+
+def test_branch_tree_multiplies_and_records_in_order():
+    def relabel(outcomes, state):
+        return [(None, 1, state * 10)]
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    branches = branch_tree(0, [_split([half, half]), relabel, _split([third, 2 * third])])
+    assert branches == [
+        ((0, 0), Fraction(1, 6), 11),
+        ((0, 1), Fraction(1, 3), 11),
+        ((1, 0), Fraction(1, 6), 11),
+        ((1, 1), Fraction(1, 3), 11),
+    ]
+
+
+def test_branch_tree_without_steps_is_the_root():
+    assert branch_tree("psi", []) == [((), 1, "psi")]
+
+
+def test_branch_tree_drops_negligible_children():
+    branches = branch_tree(0, [_split([1.0 - 1e-13, 1e-13, 0.0])])
+    assert [outcomes for outcomes, _, _ in branches] == [(0,)]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.5, 0.4],  # float leak
+        [Fraction(1, 2)],  # a child went missing
+        # exact sums are checked exactly, far below the float tolerance
+        [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**15)],
+    ],
+)
+def test_branch_tree_leaking_step_trips_sum_check(probs):
+    with pytest.raises(AssertionError, match="sum to"):
+        branch_tree(0, [_split(probs)])
+
+
+def test_branch_tree_float_sum_check_uses_end_to_end_tolerance():
+    # a float rounding error far below the tolerance is accepted
+    branches = branch_tree(0, [_split([0.5, 0.5 - 1e-12])])
+    assert len(branches) == 2

@@ -3,11 +3,13 @@ import io
 import json
 import pathlib
 
+import jsonschema
 import pytest
 
 from spektoy.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SCHEMA_DIR = pathlib.Path(__file__).parents[1] / "docs" / "schemas"
 
 
 def run_cli(argv):
@@ -49,16 +51,47 @@ GOLDEN_CASES = {
     "inject_ccz_ppp.json": (["inject", "--gate", "CCZ", "--input", "+++"], 0),
     "subtheory_minimal_n2.json": (
         ["subtheory", "verify", "minimal-rebit", "--n", "2"], 0),
+    # the only CLI path through the parity blocks and in-place CZ injection
+    "witness_peres_mermin_input.json": (
+        ["witness", "peres-mermin", "--input", "++"], 0),
+    # README's bell.circ, stored beside the goldens; run from that directory
+    # so the echoed circuit_file does not depend on where the suite runs
+    "equivalence_bell.json": (
+        ["equivalence", "--circuit", "bell.circ", "--host", "minimal-rebit"], 0),
 }
 
 
 @pytest.mark.parametrize("fname", sorted(GOLDEN_CASES))
-def test_golden(fname):
+def test_golden(fname, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
     argv, expected_code = GOLDEN_CASES[fname]
     code, text = run_cli(argv)
     assert code == expected_code
     golden = (GOLDEN_DIR / fname).read_text()
     assert text == golden, f"output drifted from {fname}"
+
+
+def _schema_validators():
+    validators = {}
+    for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
+        schema = json.loads(path.read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validators[schema["$id"]] = cls(schema)
+    return validators
+
+
+def test_every_golden_validates_against_its_schema():
+    # test_golden pins each golden to the CLI's stdout byte for byte, so
+    # validating the goldens validates the CLI output
+    validators = _schema_validators()
+    kinds = set()
+    for fname in sorted(GOLDEN_CASES):
+        doc = json.loads((GOLDEN_DIR / fname).read_text())
+        errors = [e.message for e in validators[doc["schema"]].iter_errors(doc)]
+        assert not errors, f"{fname}: {errors[:3]}"
+        kinds.add(doc["schema"])
+    assert kinds == set(validators), "some report kind has no golden"
 
 
 def test_determinism_byte_identical_repeat_runs():

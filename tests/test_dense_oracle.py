@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spektoy import dense_oracle as do
 from spektoy import subtheory as stt
-from spektoy.circuits import parse_circuit
+from spektoy.circuits import branch_tree, parse_circuit
 from spektoy.errors import GuardExceeded, InvalidGenerators
 
 
@@ -231,6 +233,53 @@ class TestRunCircuit:
         assert b.outcomes["m"] == 1
         # X(1)^2 |1> = |1-2> = |2>
         assert do.states_equal(b.state, do.basis_state([2], 3))
+
+
+class TestWalkerSteps:
+    def test_incomplete_measurement_trips_sum_check(self):
+        p0 = do.basis_measurement_projectors("Z", (0,), 1)[0]
+        with pytest.raises(AssertionError, match="sum to"):
+            branch_tree(do.plus_state(1), [do.measure_step([p0])])
+
+    def test_readout_removes_the_site(self):
+        # |0>|+> read in X on site 1 leaves |0> with outcome 0 for certain
+        branches = branch_tree(
+            np.kron(do.basis_state([0]), do.plus_state(1)), [do.readout_step(1, "X")]
+        )
+        assert len(branches) == 1
+        outcomes, prob, state = branches[0]
+        assert outcomes == (0,) and abs(prob - 1) < 1e-12
+        assert np.allclose(state, do.basis_state([0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["gate", "measure", "readout"]), max_size=6),
+    )
+    def test_random_dense_steps_sum_to_one_deterministically(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        steps = []
+        for kind in kinds:
+            if kind == "gate":
+                z = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+                steps.append(do.gate_step(np.linalg.qr(z)[0]))
+            elif kind == "measure":
+                basis = "".join(rng.choice(list("IXYZ"), size=n))
+                steps.append(do.measure_step(
+                    do.basis_measurement_projectors(basis, tuple(range(n)), n)))
+            elif n > 1:
+                steps.append(do.readout_step(int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]))
+                n -= 1
+        first = branch_tree(state, steps)
+        second = branch_tree(state, steps)
+        assert abs(sum(p for _, p, _ in first) - 1.0) < 1e-9
+        assert len(first) == len(second)
+        for (o1, p1, s1), (o2, p2, s2) in zip(first, second):
+            assert o1 == o2 and p1 == p2 and np.array_equal(s1, s2)
+            assert s1.shape == (2**n,) and abs(np.linalg.norm(s1) - 1) < 1e-9
 
 
 class TestStateSpecLanguage:

@@ -71,6 +71,21 @@ class TestRandomEquivalence:
         assert rep["max_deviation"] <= 1e-9, rep
 
 
+class TestDenseStatistics:
+    def test_values_are_floats_without_measurements(self):
+        psi = do.plus_state(1)
+        for steps in ([], [("gate", do.gate("H", (0,), 1))]):
+            stats = eqv.dense_statistics(psi, steps)
+            assert list(stats) == [()]
+            assert type(stats[()]) is float
+
+    def test_outcomes_are_one_tuples(self):
+        steps = [("measure", do.basis_measurement_projectors("Z", (0,), 1))]
+        stats = eqv.dense_statistics(do.plus_state(1), steps)
+        assert list(stats) == [((0,),), ((1,),)]
+        assert all(abs(p - 0.5) < 1e-12 for p in stats.values())
+
+
 class TestTextCircuits:
     def test_bell_parity_measurement(self):
         host = eqv.host_model("minimal-rebit", 2)

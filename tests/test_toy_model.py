@@ -204,6 +204,14 @@ class TestStatistics:
         s = x_known_state()
         assert tm.statistics(s, []) == {(): Fraction(1)}
 
+    def test_values_are_fractions_without_measurements(self):
+        s = x_known_state()
+        g = pa.AffineSymplectic(np.eye(2, dtype=int), np.array([1, 0]), 2)
+        for steps in ([], [("gate", g)]):
+            stats = tm.statistics(s, steps)
+            assert list(stats) == [()]
+            assert type(stats[()]) is Fraction
+
     def test_measurement_pipeline_matches_single_steps(self):
         s = x_known_state()
         meas = tm.SharpMeasurement(((0, 1),), 2, 1)
