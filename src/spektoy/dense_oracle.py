@@ -351,70 +351,71 @@ def weyl_char_projectors(op: np.ndarray, d: int) -> list[np.ndarray]:
     return projs
 
 
+def label_projectors(label: PauliLabel) -> list[np.ndarray]:
+    """Outcome projectors of a label's measurement, indexed by outcome k.
+
+    For d=2 these are (I + H)/2 and (I - H)/2 on the Hermitian Pauli string
+    H, so outcome k has eigenvalue (-1)^k; for odd d they are the
+    eigenprojectors of the Weyl operator, outcome k having eigenvalue chi(k).
+    """
+    if label.d == 2:
+        herm = label.hermitian_operator()
+        eye = np.eye(herm.shape[0])
+        return [(eye + herm) / 2, (eye - herm) / 2]
+    return weyl_char_projectors(label.operator(), label.d)
+
+
+def _signed_word(signed: str) -> tuple[tuple[int, ...], int]:
+    """A signed Hermitian Pauli string such as '-XX' as (label, k)."""
+    signed = signed.strip()
+    word = signed[1:] if signed[:1] in ("+", "-") else signed
+    if not word:
+        raise CircuitParseError(f"bad Pauli string {signed!r}")
+    return basis_label(word, range(len(word)), len(word)), int(signed[:1] == "-")
+
+
 def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray:
     """Joint eigenstate of commuting generalized-Pauli generators.
 
     Each generator is either a signed Hermitian Pauli string (d=2, e.g.
-    '-XX') or a pair (label, k) with label a PauliLabel / interleaved point
-    and k the eigenvalue exponent (eigenvalue chi(k)).  Returns the unique
-    joint eigenvector when the set pins one state; returns the projector
-    matrix for under-determined sets; raises InvalidGenerators for
-    anticommuting, dependent, or inconsistent sets.
+    '-XX', outcome k = 1 for a leading '-') or a pair (label, k) with label
+    a PauliLabel / interleaved point and k the outcome of label_projectors.
+    Returns the unique joint eigenvector when the set pins one state;
+    returns the projector matrix for under-determined sets; raises
+    InvalidGenerators for anticommuting, dependent, or inconsistent sets.
     """
-    parsed: list[tuple[np.ndarray, np.ndarray]] = []  # (projector, operator)
-    labels: list[tuple[int, ...]] = []
+    projs: list[np.ndarray] = []
+    points: list[tuple[int, ...]] = []
     for g in generators:
-        if isinstance(g, str):
-            # signed Hermitian Pauli string like '+XZ' or '-YY' (d=2)
-            word = g.strip()
-            sign = -1 if word[:1] == "-" else 1
-            word = word[1:] if word[:1] in ("+", "-") else word
-            if not word:
-                raise CircuitParseError(f"bad Pauli string {g!r}")
-            labels.append(basis_label(word, range(len(word)), len(word)))
-            mat = pauli_op(word)
-            if n is None:
-                n = num_sites(mat.shape[0], d)
-            proj = (np.eye(mat.shape[0]) + sign * mat) / 2
-            parsed.append((proj, mat))
-        else:
-            label, k = g
-            if not isinstance(label, PauliLabel):
-                label = PauliLabel.from_point(label, d)
-            if n is None:
-                n = label.n
-            if d == 2:
-                # outcome k has eigenvalue (-1)^k of the Hermitian form
-                mat = label.hermitian_operator()
-                proj = (np.eye(mat.shape[0]) + (-1) ** (int(k) % 2) * mat) / 2
-                parsed.append((proj, mat))
-            else:
-                mat = label.operator()
-                projs = weyl_char_projectors(mat, d)
-                parsed.append((projs[int(k) % d], mat))
-            labels.append(label.to_point())
+        label, k = _signed_word(g) if isinstance(g, str) else g
+        if not isinstance(label, PauliLabel):
+            label = PauliLabel.from_point(label, d)
+        if n is None:
+            n = label.n
+        projs.append(label_projectors(label)[int(k) % d])
+        points.append(label.to_point())
     if n is None:
         raise InvalidGenerators("empty generator set needs explicit n")
     dim = d**n
-    for i in range(len(parsed)):
-        for j in range(i + 1, len(parsed)):
-            a, b = parsed[i][1], parsed[j][1]
+    # one outcome projector each of two Weyl operators commutes exactly
+    # when the operators do
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            a, b = projs[i], projs[j]
             if not np.allclose(a @ b, b @ a, atol=ATOL_CONSTRUCT * dim):
                 raise InvalidGenerators("generators do not commute")
     from . import _modmath as mm
 
-    if labels:
-        lab_mat = np.array(labels, dtype=np.int64)
-        if mm.rank(lab_mat, d) != len(labels):
-            raise InvalidGenerators("dependent generator set")
+    if points and mm.rank(np.array(points, dtype=np.int64), d) != len(points):
+        raise InvalidGenerators("dependent generator set")
     rho = np.eye(dim, dtype=complex)
-    for proj, _ in parsed:
+    for proj in projs:
         rho = rho @ proj
     tr = float(np.trace(rho).real)
-    expected = dim / d ** len(parsed)
+    expected = dim / d ** len(projs)
     if abs(tr - expected) > ATOL_CONSTRUCT * dim:
         raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
-    if len(parsed) < n:
+    if len(projs) < n:
         return rho
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     state = vecs[:, -1]
@@ -487,12 +488,7 @@ def basis_measurement_projectors(basis: str, wires, n: int, d: int = 2):
     basis = basis.upper()
     if len(basis) != len(wires):
         raise CircuitParseError(f"basis {basis!r} does not fit wires {wires}")
-    label = PauliLabel.from_point(basis_label(basis, wires, n, d), d)
-    if d == 2:
-        herm = label.hermitian_operator()
-        eye = np.eye(2**n)
-        return [(eye + herm) / 2, (eye - herm) / 2]
-    return weyl_char_projectors(pauli(label.q, label.p, d), d)
+    return label_projectors(PauliLabel.from_point(basis_label(basis, wires, n, d), d))
 
 
 # ---------------------------------------------------------------------------
@@ -602,35 +598,25 @@ _SITE_RE = re.compile(r"([IXZY])([0-9]?)")
 
 
 def _parse_generator_token(tok: str, d: int):
+    """One token of a generator string as ((label, k), width in sites)."""
     tok = tok.strip()
-    sign_exp = 0
-    if tok and tok[0] in "+-":
-        sign_exp = (d // 2) if tok[0] == "-" else 0  # only meaningful for d=2
-        if tok[0] == "-" and d != 2:
-            raise CircuitParseError("negative generator signs are d=2 only here")
-        tok = tok[1:]
+    if tok[:1] == "-" and d != 2:
+        raise CircuitParseError("negative generator signs are d=2 only here")
+    word = tok[1:] if tok[:1] in ("+", "-") else tok
     if d == 2:
-        if not tok or any(c not in "IXYZ" for c in tok):
-            raise CircuitParseError(f"bad generator token {tok!r}")
-        return ("pauli2", ("-" if sign_exp else "+") + tok, len(tok))
-    sites = _SITE_RE.findall(tok)
-    if "".join(a + b for a, b in sites) != tok or not sites:
-        raise CircuitParseError(f"bad generator token {tok!r} for d={d}")
-    q, p = [], []
+        if not word or any(c not in "IXYZ" for c in word):
+            raise CircuitParseError(f"bad generator token {word!r}")
+        return _signed_word(tok), len(word)
+    sites = _SITE_RE.findall(word)
+    if "".join(a + b for a, b in sites) != word or not sites:
+        raise CircuitParseError(f"bad generator token {word!r} for d={d}")
+    lam: list[int] = []
     for letter, power in sites:
-        e = int(power) if power else 1
-        if letter == "I":
-            q.append(0)
-            p.append(0)
-        elif letter == "X":
-            q.append(e % d)
-            p.append(0)
-        elif letter == "Z":
-            q.append(0)
-            p.append(e % d)
-        else:
+        if letter == "Y":
             raise CircuitParseError(f"letter Y unsupported for d={d}")
-    return ("weyl", (PauliLabel(tuple(q), tuple(p), d), 0), len(sites))
+        e = int(power) if power else 1
+        lam.extend(x * e % d for x in _LETTER_QP[letter])
+    return (tuple(lam), 0), len(sites)
 
 
 def parse_state_spec(spec: str, d: int = 2, n: int | None = None) -> np.ndarray:
@@ -655,12 +641,12 @@ def parse_state_spec(spec: str, d: int = 2, n: int | None = None) -> np.ndarray:
         gens = []
         width = None
         for tok in spec.split(","):
-            kind, parsed, w = _parse_generator_token(tok, d)
+            parsed, w = _parse_generator_token(tok, d)
             if width is None:
                 width = w
             elif width != w:
                 raise CircuitParseError("generator tokens of differing width")
-            gens.append(parsed if kind != "pauli2" else parsed)
+            gens.append(parsed)
         result = stabilizer_state(gens, d=d, n=width)
         if result.ndim != 1:
             raise CircuitParseError(

@@ -97,39 +97,71 @@ def nonmixing_labels(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # states
 
+def _census_guard(d: int, n: int) -> None:
+    """Raise before enumerating when the census would exceed COSET_GUARD
+    states: prod_{k=1..n} (d^k + 1) subspaces with d^n outcomes each."""
+    size = d**n
+    for k in range(1, n + 1):
+        size *= d**k + 1
+    if size > pa.COSET_GUARD:
+        raise GuardExceeded(
+            f"stabilizer census has {size} > {pa.COSET_GUARD} states at d={d}, n={n}"
+        )
+
+
+def _census(d: int, n: int, keep=None) -> tuple[np.ndarray, ...]:
+    """Joint eigenstates of every maximal isotropic label subspace M that
+    keep(M) accepts (all of them without a filter), one per outcome tuple.
+
+    Subspaces are distinct and each outcome tuple fixes a different state,
+    so the census is free of duplicates by construction.
+    """
+    _census_guard(d, n)
+    out = []
+    for M in pa.maximal_isotropic_subspaces(d, n):
+        if keep is not None and not keep(M):
+            continue
+        for ks in itertools.product(range(d), repeat=M.dim):
+            out.append(do.stabilizer_state(list(zip(M.gens, ks)), d=d, n=n))
+    return tuple(out)
+
+
 @lru_cache(maxsize=16)
 def all_stabilizer_states(d: int, n: int) -> tuple[np.ndarray, ...]:
     """Every joint eigenstate of a maximal commuting Weyl-label subgroup,
     i.e. the full stabilizer-state census (6, 60, 1080 / 12, 360 ...)."""
-    out = []
-    for M in pa.maximal_isotropic_subspaces(d, n):
-        gens = [np.array(g) for g in M.gens]
-        for ks in itertools.product(range(d), repeat=len(gens)):
-            labels = [(do.PauliLabel.from_point(g, d), k) for g, k in zip(gens, ks)]
-            out.append(do.stabilizer_state(labels, d=d, n=n))
+    out = _census(d, n)
     for s in out:
         s.setflags(write=False)
-    return tuple(out)
+    return out
 
 
 def allowed_states(spec: wg.WignerSpec) -> tuple[np.ndarray, ...]:
-    """Joint eigenstates of maximal label subgroups generated inside the
-    allowed observable set, deduplicated up to global phase."""
-    allowed = set(allowed_observables(spec))
+    """Joint eigenstates of the maximal label subgroups generated inside
+    the allowed observable set: the census filtered by subspace."""
     d, n = spec.d, spec.n
-    out = []
-    for M in pa.maximal_isotropic_subspaces(d, n):
-        members = M.vectors()
-        inside = [v for v in members if v in allowed]
-        if not inside:
-            continue
-        if mm.rank(np.array(inside, dtype=np.int64), d) != n:
-            continue
-        gens = [np.array(g) for g in M.gens]
-        for ks in itertools.product(range(d), repeat=len(gens)):
-            labels = [(do.PauliLabel.from_point(g, d), k) for g, k in zip(gens, ks)]
-            out.append(do.stabilizer_state(labels, d=d, n=n))
-    return tuple(out)
+    _census_guard(d, n)  # ahead of the d^{4n}-entry tables of allowed_observables
+    allowed = set(allowed_observables(spec))
+
+    def generated_inside(M: pa.Subspace) -> bool:
+        inside = [v for v in M.vectors() if v in allowed]
+        return bool(inside) and mm.rank(np.array(inside, dtype=np.int64), d) == n
+
+    return _census(d, n, generated_inside)
+
+
+def _splits_into_x_and_z(M: pa.Subspace) -> bool:
+    """dim(M ∩ X-plane) + dim(M ∩ Z-plane) == n, exactly over Z_d."""
+    eye = np.eye(2 * M.n, dtype=np.int64)
+    x_plane = pa.Subspace.from_generators(eye[0::2], M.d, M.n)
+    z_plane = pa.Subspace.from_generators(eye[1::2], M.d, M.n)
+    return M.intersect(x_plane).dim + M.intersect(z_plane).dim == M.n
+
+
+def css_states(n: int) -> tuple[np.ndarray, ...]:
+    """All n-qubit stabilizer states whose stabilizer group splits into a
+    pure-X part and a pure-Z part."""
+    return _census(2, n, _splits_into_x_and_z)
 
 
 def is_css(psi: np.ndarray, n: int) -> bool:
@@ -164,7 +196,7 @@ class GateGen:
         return f"{self.name}({','.join(map(str, self.wires))})"
 
 
-def named_gate_pool(d: int, n: int, max_wires: int = 3) -> list[GateGen]:
+def named_gate_pool(d: int, n: int) -> list[GateGen]:
     """The default candidate generators: named single- and two-site
     Clifford-type gates on every wire combination."""
     if d == 2:
@@ -378,30 +410,22 @@ def is_closed(sub: Subtheory):
 def observable_projector_tables(sub: Subtheory):
     """Wigner tables of every outcome projector of every allowed
     observable (the measurement-side duals)."""
-    d, n = sub.d, sub.n
     tables = []
     for lam in sub.observables:
         if not any(lam):
             continue
-        label = do.PauliLabel.from_point(lam, d)
-        if d == 2:
-            herm = label.hermitian_operator()
-            eye = np.eye(2**n)
-            projs = [(eye + herm) / 2, (eye - herm) / 2]
-        else:
-            projs = do.weyl_char_projectors(label.operator(), d)
-        for k, P in enumerate(projs):
+        label = do.PauliLabel.from_point(lam, sub.d)
+        for k, P in enumerate(do.label_projectors(label)):
             tables.append((label.name(), k, wg.wigner_of_measurement(P, sub.spec)))
     return tables
 
 
-def is_spekkens_subtheory(sub: Subtheory, covariance_mode: str = "auto") -> dict:
+def is_spekkens_subtheory(sub: Subtheory) -> dict:
     """Run the three certificates: closure, non-negativity (states and
     measurement duals), covariance of every generator.
 
-    covariance_mode: "auto" uses the operator-transport witness and falls
-    back to the exhaustive search within guards; "exhaustive" forces the
-    search (and may raise GuardExceeded).  The report records which mode
+    Covariance tries the operator-transport witness and falls back to the
+    exhaustive search within guards; the report records which mode
     produced each witness.
     """
     report: dict = {"name": sub.name, "d": sub.d, "n": sub.n}
@@ -432,18 +456,11 @@ def is_spekkens_subtheory(sub: Subtheory, covariance_mode: str = "auto") -> dict
 
     cov: dict = {"passed": True, "witnesses": {}, "failures": []}
     for gen in sub.gate_generators:
-        mode = covariance_mode
-        witness = None
-        how = None
-        if mode in ("auto",):
-            witness = wg.phase_space_action(gen.matrix, sub.spec)
-            if witness is not None and wg.verify_covariance(
-                gen.matrix, sub.spec, sub.states, witness
-            ):
-                how = "transport"
-            else:
-                witness = None
-        if witness is None:
+        witness = wg.phase_space_action(gen.matrix, sub.spec)
+        how = "transport"
+        if witness is None or not wg.verify_covariance(
+            gen.matrix, sub.spec, sub.states, witness
+        ):
             try:
                 witness = wg.fit_covariance(gen.matrix, sub.spec, sub.states)
                 how = "exhaustive"

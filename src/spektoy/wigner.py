@@ -173,9 +173,6 @@ class WignerTable:
         pts = pa.all_points(self.spec.d, self.spec.n)
         return tuple(p for p, v in zip(pts, self.values) if abs(v) > tol)
 
-    def min_value(self) -> float:
-        return float(self.values.min())
-
     def as_json(self) -> dict:
         pts = pa.all_points(self.spec.d, self.spec.n)
         return {
@@ -345,19 +342,18 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
 
 
 def covariance_witness(
-    U: np.ndarray, spec: WignerSpec, state_set, exhaustive: bool = False
+    U: np.ndarray, spec: WignerSpec, state_set
 ) -> pa.AffineSymplectic | None:
     """Find (S, a) witnessing covariance on state_set.
 
     Tries the operator-transport shortcut first (works at any supported n);
-    the resulting witness is verified on the state tables.  With
-    exhaustive=True, or when the shortcut fails, falls back to the
-    guard-limited exhaustive search, which can also certify non-existence.
+    the resulting witness is verified on the state tables.  When the
+    shortcut fails, falls back to the guard-limited exhaustive search,
+    which can also certify non-existence.
     """
-    if not exhaustive:
-        g = phase_space_action(U, spec)
-        if g is not None and verify_covariance(U, spec, state_set, g):
-            return g
+    g = phase_space_action(U, spec)
+    if g is not None and verify_covariance(U, spec, state_set, g):
+        return g
     return fit_covariance(U, spec, state_set)
 
 
@@ -437,67 +433,6 @@ def verify_hermitian_criterion(n: int) -> bool:
     return True
 
 
-def css_states(n: int) -> list[np.ndarray]:
-    """All n-qubit stabilizer states whose stabilizer group splits into a
-    pure-X part and a pure-Z part."""
-    from . import _modmath as mm
-
-    out = []
-    # subspaces Q of Z_2^n (X part); Z part is forced to be Q-perp
-    seen = set()
-    for V in _all_subspaces_gf2(n):
-        key = V.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        Q = V
-        P = mm.nullspace(Q, 2) if Q.shape[0] else np.eye(n, dtype=np.int64)
-        gens = []
-        for q in Q:
-            gens.append(("X", tuple(int(x) for x in q)))
-        for p in P:
-            gens.append(("Z", tuple(int(x) for x in p)))
-        k = len(gens)
-        assert k == n
-        import itertools as it
-
-        for signs in it.product((1, -1), repeat=k):
-            labels = []
-            for s, (kind, vec) in zip(signs, gens):
-                word = "".join(
-                    ("X" if kind == "X" else "Z") if v else "I" for v in vec
-                )
-                labels.append(("+" if s == 1 else "-") + word)
-            out.append(do.stabilizer_state(labels, d=2, n=n))
-    return out
-
-
-def _all_subspaces_gf2(n: int) -> list[np.ndarray]:
-    """Every subspace of Z_2^n as a canonical rref basis (including {0})."""
-    from . import _modmath as mm
-    import itertools as it
-
-    seen = {}
-    vectors = [np.array(v, dtype=np.int64) for v in it.product((0, 1), repeat=n)]
-    nonzero = [v for v in vectors if v.any()]
-    # closure by dimension
-    frontier = [np.zeros((0, n), dtype=np.int64)]
-    seen[frontier[0].tobytes()] = frontier[0]
-    while frontier:
-        nxt = []
-        for B in frontier:
-            for v in nonzero:
-                if mm.in_rowspace(v, B, 2):
-                    continue
-                B2 = mm.rref(np.vstack([B, v]), 2)[0]
-                key = B2.tobytes()
-                if key not in seen:
-                    seen[key] = B2
-                    nxt.append(B2)
-        frontier = nxt
-    return list(seen.values())
-
-
 def verify_hermitian_equivalence(n: int) -> dict:
     """Check that the restricted (Hermitian) construction is the Hermitian
     part of the factorisable one, entrywise and on all CSS-state tables.
@@ -521,6 +456,8 @@ def verify_hermitian_equivalence(n: int) -> dict:
         if not np.allclose(Ar[i], hermitian_part(Af[i]), atol=1e-12):
             report["operator_identity"] = False
             report["counterexamples"].append({"kind": "operator", "lam": list(lam)})
+    from .subtheory import css_states
+
     states = css_states(n)
     for idx, psi in enumerate(states):
         tr = wigner_of_state(psi, spec_r).values

@@ -143,6 +143,20 @@ class TestExitCodes:
     def test_verified_negative(self):
         assert run_cli(["wigner", "--state", "CZ|++>", "--spec", "delfosse-rebit"])[0] == 1
 
+    @pytest.mark.parametrize("argv,guard", [
+        (["subtheory", "verify", "qudit-stabilizer", "--n", "4", "--d", "3"],
+         "stabilizer census has 7439040"),
+        (["subtheory", "verify", "full-qubit-stabilizer", "--n", "5"],
+         "stabilizer census has 2423520"),
+        (["wigner", "--state", "+++++++"], "dense oracle capped at n<=6"),
+    ])
+    def test_guard_exceeded(self, argv, guard, capsys):
+        # the guard named in the message fires before the enumeration or
+        # dense allocation it bounds, so nothing reaches stdout
+        code, out = run_cli(argv)
+        assert code == 3 and out == ""
+        assert guard in capsys.readouterr().err
+
     def test_table_format(self):
         code, text = run_cli(["--format", "table", "witness", "chsh"])
         assert code == 0

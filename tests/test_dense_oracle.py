@@ -152,6 +152,27 @@ class TestStabilizerStates:
                 assert not do.states_equal(a, b)
 
 
+class TestLabelProjectors:
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_outcome_rule_on_every_label(self, d, n):
+        # the label's operator is rebuilt from its letters (d=2, Hermitian
+        # form) or its bare Weyl form (odd d), not through label_projectors
+        dim = d**n
+        for lam in itertools.product(range(d), repeat=2 * n):
+            label = do.PauliLabel.from_point(lam, d)
+            op = do.pauli_op(label.name()) if d == 2 else do.pauli(label.q, label.p, d)
+            projs = do.label_projectors(label)
+            assert len(projs) == d
+            assert np.allclose(sum(projs), np.eye(dim), atol=1e-12)
+            for k, P in enumerate(projs):
+                assert np.allclose(P, P.conj().T, atol=1e-12)
+                assert np.allclose(P @ P, P, atol=1e-12)
+                eigenvalue = (-1) ** k if d == 2 else do.chi(k, d)
+                assert np.allclose(op @ P, eigenvalue * P, atol=1e-12)
+                if any(lam):
+                    assert abs(np.trace(P) - dim / d) < 1e-9
+
+
 class TestBorn:
     def test_z_on_ground_state(self):
         out = do.measure_observable(do.basis_state([0]), do.gate("Z", (0,), 1))

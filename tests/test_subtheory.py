@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spektoy import dense_oracle as do
+from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
-from spektoy.errors import DimensionMismatch
+from spektoy.errors import DimensionMismatch, GuardExceeded
 
 
 class TestBeta:
@@ -79,6 +80,22 @@ class TestAllowedStates:
 
     def test_gross_n1_all_twelve(self):
         assert len(stt.allowed_states(wg.gross_spec(3, 1))) == 12
+
+    def test_census_guard_fires_before_enumerating(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("enumerated past the census guard")
+
+        monkeypatch.setattr(pa, "maximal_isotropic_subspaces", unreachable)
+        monkeypatch.setattr(stt, "allowed_observables", unreachable)
+        with pytest.raises(GuardExceeded):
+            stt.all_stabilizer_states(3, 4)
+        with pytest.raises(GuardExceeded):
+            stt.allowed_states(wg.delfosse_rebit_spec(5))
+        with pytest.raises(GuardExceeded):
+            stt.css_states(5)
+        # prod (d^k + 1) * d^n: 36,720 at d=2 n=4 and 30,240 at d=3 n=3 pass
+        stt._census_guard(2, 4)
+        stt._census_guard(3, 3)
 
 
 class TestAllowedGates:

@@ -330,18 +330,19 @@ class TestLargerPrime:
 
 
 class TestDualRouteCssEnumeration:
-    """The subspace-pair construction and the observable-recipe route must
-    enumerate the same states."""
+    """The exact X/Z-split filter on the census and the observable-recipe
+    route must enumerate the same states, each CSS by the dense test."""
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_same_state_sets(self, n):
         via_recipe = stt.allowed_states(wg.delfosse_rebit_spec(n))
-        via_pairs = wg.css_states(n)
-        assert len(via_recipe) == len(via_pairs)
-        for psi in via_pairs:
+        via_split = stt.css_states(n)
+        assert len(via_recipe) == len(via_split)
+        for psi in via_split:
+            assert stt.is_css(psi, n)
             assert any(do.states_equal(psi, s) for s in via_recipe)
 
     def test_counts(self):
-        assert len(wg.css_states(1)) == 4
-        assert len(wg.css_states(2)) == 20
-        assert len(wg.css_states(3)) == 128
+        assert len(stt.css_states(1)) == 4
+        assert len(stt.css_states(2)) == 20
+        assert len(stt.css_states(3)) == 128
