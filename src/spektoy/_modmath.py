@@ -92,17 +92,6 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def inv_mat(A: np.ndarray, p: int) -> np.ndarray:
-    """Matrix inverse over Z_p (raises if singular)."""
-    A = modp(A, p)
-    n = A.shape[0]
-    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return R[:, n:]
-
-
 def span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
     """All p^k vectors in the row span, in lexicographic coefficient order."""
     basis = modp(basis, p)
@@ -147,13 +136,12 @@ def in_rowspace(v: np.ndarray, mat: np.ndarray, p: int) -> bool:
 def reduce_mod_rowspace(v: np.ndarray, basis_rref: np.ndarray, p: int) -> np.ndarray:
     """Canonical coset representative of v modulo the row space.
 
-    Requires basis_rref to be in rref; eliminates v's pivot coordinates.
+    Requires basis_rref to be in rref (each row's first nonzero entry is its
+    pivot, a 1); eliminates v's pivot coordinates.
     """
     v = modp(v, p).copy()
-    if basis_rref.shape[0] == 0:
-        return v
-    _, pivots = rref(basis_rref, p)
-    for i, c in enumerate(pivots):
+    for row in basis_rref:
+        c = int(np.flatnonzero(row)[0])
         if v[c]:
-            v = modp(v - v[c] * basis_rref[i], p)
+            v = modp(v - v[c] * row, p)
     return v

@@ -122,8 +122,8 @@ def _as_table(payload: dict, indent: int = 0) -> str:
 
 def cmd_wigner(args) -> int:
     cfg = RunConfig.from_args(args)
-    spec = wg.spec_by_name(args.spec, cfg.d, args.n if args.n else _infer_n(args.state, cfg.d))
-    psi = do.parse_state_spec(args.state, d=cfg.d, n=spec.n)
+    psi = do.parse_state_spec(args.state, d=cfg.d, n=args.n or None)
+    spec = wg.spec_by_name(args.spec, cfg.d, args.n or do.num_sites(psi.shape[0], cfg.d))
     table = wg.wigner_of_state(psi, spec)
     verdict, offending = wg.is_nonnegative(table, cfg.tolerance)
     report = {
@@ -135,11 +135,6 @@ def cmd_wigner(args) -> int:
     }
     emit(report, "wigner-table", cfg, args.out)
     return 0 if verdict else 1
-
-
-def _infer_n(state_spec: str, d: int) -> int:
-    psi = do.parse_state_spec(state_spec, d=d)
-    return do.num_sites(psi.shape[0], d)
 
 
 def cmd_equivalence(args) -> int:

@@ -184,6 +184,13 @@ def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(int(x) for x in mm.modp(v + wv, U.d)) for v in vecs))
 
 
+def symplectic_inverse(S: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of a symplectic matrix: S^T J S = J and J^2 = -1 give
+    S^-1 = -J S^T J."""
+    J = symplectic_form(S.shape[0] // 2, d)
+    return mm.modp(-(J @ S.T @ J), d)
+
+
 @dataclass(frozen=True, eq=False)
 class AffineSymplectic:
     """A phase-space map lam -> S lam + a with S^T J S = J mod d.
@@ -228,7 +235,7 @@ class AffineSymplectic:
         )
 
     def inverse(self) -> "AffineSymplectic":
-        Sinv = mm.inv_mat(self.S, self.d)
+        Sinv = symplectic_inverse(self.S, self.d)
         return AffineSymplectic(Sinv, mm.modp(-(Sinv @ self.a), self.d), self.d)
 
     def key(self) -> tuple:

@@ -2,10 +2,16 @@
 knowledge, affine evolution, sharp measurement with update, and exact
 statistics.
 
-An epistemic state is the uniform distribution over a coset V-perp + w,
-where V is the isotropic subspace of known functionals and w encodes their
-values.  All distributions are exact rationals; sampling is a thin seeded
-layer on top.
+An epistemic state is the pair (V, w): V is the isotropic subspace of known
+functionals and w a shift carrying their values.  It stands for the uniform
+distribution over the coset V-perp + w, which has d^(2n - dim V) points, but
+nothing here lists that coset: weights, point probabilities, outcome tables,
+measurement updates and affine evolution are closed forms in (V, w), computed
+by linear algebra over Z_d in time polynomial in n (the toy analogue of
+stabilizer tableau simulation).  The support is listed only when something
+reads `EpistemicState.support`, and that listing is capped by
+`phase_algebra.COSET_GUARD`.  All distributions are exact rationals; sampling
+is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
 plus the part of the prior that symplectically commutes with every measured
@@ -20,20 +26,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import _modmath as mm
 from . import phase_algebra as pa
 from .circuits import Step, branch_tree
-from .errors import DimensionMismatch, RestrictionViolation
+from .errors import DimensionMismatch, GuardExceeded, RestrictionViolation
 
 
 @dataclass(frozen=True)
 class EpistemicState:
+    """Uniform distribution over V-perp + w.  make_epistemic builds it: it
+    checks that V is isotropic and reduces w to the canonical representative
+    of its coset, so equal distributions compare equal."""
+
     V: pa.Subspace
     w: tuple[int, ...]
-    support: tuple[tuple[int, ...], ...]
 
     @property
     def d(self) -> int:
@@ -43,12 +53,27 @@ class EpistemicState:
     def n(self) -> int:
         return self.V.n
 
+    @cached_property
+    def U(self) -> pa.Subspace:
+        """The support directions V-perp (Euclidean perp)."""
+        return pa.perp(self.V)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """Every point of V-perp + w in lexicographic order, listed on first
+        read; GuardExceeded past COSET_GUARD points."""
+        return pa.coset_members(self.U, self.w)
+
     @property
     def weight(self) -> Fraction:
-        return Fraction(1, len(self.support))
+        return Fraction(1, self.d ** (2 * self.n - self.V.dim))
 
     def probability(self, lam) -> Fraction:
-        return self.weight if pa.point(lam, self.d) in set(self.support) else Fraction(0)
+        """The weight on the support, else 0: lam lies in V-perp + w exactly
+        when every known functional takes the same value on lam as on w."""
+        diff = pa.as_vector(lam, self.d, self.n) - np.array(self.w, dtype=np.int64)
+        on_support = not np.any(mm.modp(self.V.matrix @ diff, self.d))
+        return self.weight if on_support else Fraction(0)
 
     def known_value(self, sigma) -> int:
         """Value of a functional in V (raises if it is not known)."""
@@ -73,8 +98,9 @@ def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
     U = pa.perp(V)
     wv = pa.as_vector(w, V.d, V.n)
     w_canon = tuple(int(x) for x in mm.reduce_mod_rowspace(wv, U.matrix, V.d))
-    support = pa.coset_members(U, w_canon)
-    return EpistemicState(V, w_canon, support)
+    state = EpistemicState(V, w_canon)
+    state.__dict__["U"] = U  # fills the cached property; perp(V) is at hand
+    return state
 
 
 def maximally_mixed(d: int, n: int) -> EpistemicState:
@@ -84,19 +110,17 @@ def maximally_mixed(d: int, n: int) -> EpistemicState:
 def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
     """Push the distribution through lam -> S lam + a.
 
-    The image of V-perp + w is (S V-perp) + (S w + a); the new known
-    subspace is recovered as the Euclidean perp of the image directions.
+    The image of V-perp + w is (S V-perp) + (S w + a).  A functional sigma
+    is known afterwards exactly when sigma S is known before, so the new
+    known subspace is V S^-1.
     """
     if (g.d, g.n) != (state.d, state.n):
         raise DimensionMismatch("map and state live on different spaces")
     d = state.d
-    U = pa.perp(state.V)
-    image_dirs = mm.modp(U.matrix @ g.S.T, d)
+    V_new = pa.Subspace.from_generators(state.V.matrix @ pa.symplectic_inverse(g.S, d), d, state.n)
     new_w = mm.modp(g.S @ np.array(state.w, dtype=np.int64) + g.a, d)
-    U_new = pa.Subspace.from_generators(image_dirs, d, state.n)
-    V_new = pa.perp(U_new)
     out = make_epistemic(V_new, tuple(int(x) for x in new_w))
-    assert len(out.support) == len(state.support)
+    assert out.V.dim == state.V.dim
     return out
 
 
@@ -140,15 +164,24 @@ class SharpMeasurement:
 def outcome_distribution(
     state: EpistemicState, meas: SharpMeasurement
 ) -> dict[tuple[int, ...], Fraction]:
-    """P(outcome) = |support ∩ outcome coset| / |support|, exact."""
+    """Exact outcome table, in sorted outcome order.
+
+    With A the measured generators, the outcome A lam of a support point runs
+    uniformly over the coset A w + A V-perp, so each of its d^r points has
+    probability 1/d^r, r = dim(A V-perp) = rank(U A^T) for U spanning V-perp.
+    """
     if (meas.d, meas.n) != (state.d, state.n):
         raise DimensionMismatch("measurement and state live on different spaces")
-    counts: dict[tuple[int, ...], int] = {}
-    for lam in state.support:
-        k = meas.outcome_of(lam)
-        counts[k] = counts.get(k, 0) + 1
-    total = len(state.support)
-    return {k: Fraction(c, total) for k, c in sorted(counts.items())}
+    d = state.d
+    A = np.array(meas.generators, dtype=np.int64)
+    spread, _ = mm.rref(state.U.matrix @ A.T, d)
+    size = d ** spread.shape[0]
+    if size > pa.COSET_GUARD:
+        raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
+    centre = A @ np.array(state.w, dtype=np.int64)
+    outcomes = mm.modp(mm.span_vectors(spread, d) + centre, d)
+    p = Fraction(1, size)
+    return {k: p for k in sorted(tuple(int(x) for x in v) for v in outcomes)}
 
 
 def posterior(
@@ -156,20 +189,33 @@ def posterior(
 ) -> EpistemicState:
     """State after observing the given outcome.
 
-    Retained knowledge = prior V intersected with the symplectic commutant
-    of the measured subspace; the shift is any prior-support point showing
-    the outcome (such a point satisfies both the outcome and the retained
-    values).
+    Retained knowledge R = prior V intersected with the symplectic commutant
+    of the measured subspace: the combinations c G of the prior generators G
+    with [c G, a] = 0 for every measured generator a, that is c in the
+    nullspace of A J^T G^T.  The shift is one solution x of
+    [A; R] x = [outcome; R w]: the points showing the outcome on A and the
+    prior values on R, among them every prior-support point showing the
+    outcome, form exactly one coset of the new support.  The system is
+    unsolvable exactly when the outcome has probability zero.
     """
-    V_pi = meas.subspace
-    retained = state.V.intersect(pa.symplectic_commutant(V_pi))
-    V_new = V_pi + retained
-    witness = next(
-        (lam for lam in state.support if meas.outcome_of(lam) == tuple(outcome)), None
+    d, n = state.d, state.n
+    if (meas.d, meas.n) != (d, n):
+        raise DimensionMismatch("measurement and state live on different spaces")
+    A = np.array(meas.generators, dtype=np.int64)
+    if len(outcome) != A.shape[0]:
+        raise DimensionMismatch(f"outcome {outcome} does not match {A.shape[0]} functionals")
+    G = state.V.matrix
+    coeffs = mm.nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
+    retained = pa.Subspace.from_generators(coeffs @ G, d, n)
+    V_new = meas.subspace + retained
+    R = retained.matrix
+    values = np.concatenate(
+        [np.array(outcome, dtype=np.int64), R @ np.array(state.w, dtype=np.int64)]
     )
-    if witness is None:
+    shift = mm.solve(np.concatenate([A, R]), values, d)
+    if shift is None:
         raise DimensionMismatch(f"outcome {outcome} has probability zero")
-    return make_epistemic(V_new, witness)
+    return make_epistemic(V_new, shift)
 
 
 def measure_sharp(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 from spektoy.errors import DimensionMismatch, GuardExceeded
 
@@ -120,6 +121,20 @@ class TestCosets:
     def test_mod3_enumeration(self):
         U = pa.Subspace.from_generators([(0, 1)], 3, 1)
         assert pa.coset_members(U, (1, 0)) == ((1, 0), (1, 1), (1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_canonical_representative(self, data):
+        # one representative per coset of U, zero on U's pivot columns
+        d, n = data.draw(st.sampled_from([(2, 2), (3, 2)]))
+        U = pa.Subspace.from_generators(data.draw(st.lists(vectors(d, n), max_size=4)), d, n)
+        coeffs = data.draw(st.lists(st.integers(0, d - 1), min_size=U.dim, max_size=U.dim))
+        v = np.array(data.draw(vectors(d, n)), dtype=np.int64)
+        member = np.array(coeffs, dtype=np.int64) @ U.matrix
+        r = mm.reduce_mod_rowspace(v, U.matrix, d)
+        assert U.contains(r - v)
+        assert np.array_equal(mm.reduce_mod_rowspace(v + member, U.matrix, d), r)
+        assert not any(r[next(i for i, x in enumerate(g) if x)] for g in U.gens)
 
 
 class TestIsotropy:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 from spektoy import toy_model as tm
-from spektoy.errors import RestrictionViolation
+from spektoy.errors import DimensionMismatch, GuardExceeded, RestrictionViolation
 
 
 def x_known_state(value=0):
@@ -257,3 +258,162 @@ def test_known_value_agrees_with_support(a, b, wx, wp):
     s = tm.make_epistemic(V, (wx, wp))
     val = s.known_value((a, b))
     assert all(pa.evaluate((a, b), lam, 2) == val for lam in s.support)
+
+
+# ---------------------------------------------------------------------------
+# Reference: outcome tables and updates by scanning the listed support
+
+
+def scan_outcome_distribution(state, meas):
+    """P(outcome) = |support ∩ outcome coset| / |support|."""
+    counts = {}
+    for lam in state.support:
+        k = meas.outcome_of(lam)
+        counts[k] = counts.get(k, 0) + 1
+    total = len(state.support)
+    return {k: Fraction(c, total) for k, c in sorted(counts.items())}
+
+
+def scan_posterior(state, meas, outcome):
+    """Measured subspace plus the commuting part of the prior, shifted to
+    the first support point that shows the outcome."""
+    V_pi = meas.subspace
+    retained = state.V.intersect(pa.symplectic_commutant(V_pi))
+    witness = next(lam for lam in state.support if meas.outcome_of(lam) == outcome)
+    return tm.make_epistemic(V_pi + retained, witness)
+
+
+def _functional_in(W, coeffs, avoid):
+    """A member of W outside the subspace avoid: the drawn combination of
+    W's generators, or else the first generator outside avoid."""
+    vec = tuple(int(x) for x in mm.modp(np.array(coeffs) @ W.matrix, W.d))
+    if avoid.contains(vec):
+        vec = next(g for g in W.gens if not avoid.contains(g))
+    return vec
+
+
+@st.composite
+def states_and_measurements(draw):
+    d, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]))
+    coeffs = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    V = pa.Subspace.zero(d, n)
+    for _ in range(draw(st.integers(0, n))):  # partial up to maximal knowledge
+        comm = pa.symplectic_commutant(V)
+        vec = _functional_in(comm, draw(coeffs)[: comm.dim], V)
+        V = V + pa.Subspace.from_generators([vec], d, n)
+    w = tuple(draw(coeffs))
+    full = pa.Subspace.full(d, n)
+    gens = [_functional_in(full, draw(coeffs), pa.Subspace.zero(d, n))]
+    if n > 1 and draw(st.booleans()):  # at n = 1 no second functional commutes
+        first = pa.Subspace.from_generators(gens, d, n)
+        comm = pa.symplectic_commutant(first)
+        gens.append(_functional_in(comm, draw(coeffs)[: comm.dim], first))
+    return tm.make_epistemic(V, w), tm.SharpMeasurement(tuple(gens), d, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(states_and_measurements())
+def test_closed_forms_match_support_scan(case):
+    state, meas = case
+    d, n = state.d, state.n
+    support = set(state.support)
+    assert state.weight == Fraction(1, len(support))
+    for lam in pa.all_points(d, n):
+        assert state.probability(lam) == (state.weight if lam in support else 0)
+    dist = tm.outcome_distribution(state, meas)
+    assert list(dist.items()) == list(scan_outcome_distribution(state, meas).items())
+    for outcome in itertools.product(range(d), repeat=len(meas.generators)):
+        if outcome in dist:
+            assert tm.posterior(state, meas, outcome) == scan_posterior(state, meas, outcome)
+        else:
+            with pytest.raises(DimensionMismatch):
+                tm.posterior(state, meas, outcome)
+
+
+# ---------------------------------------------------------------------------
+# Scale: nothing but the support itself lists the coset
+
+
+def _random_affine(rng, d, n):
+    """Product of 3n random site Fourier/shear and two-site SUM blocks,
+    plus a random shift."""
+    blocks = {0: [[0, d - 1], [1, 0]], 1: [[1, 0], [1, 1]]}
+    S = np.eye(2 * n, dtype=np.int64)
+    for _ in range(3 * n):
+        B = np.eye(2 * n, dtype=np.int64)
+        kind = int(rng.integers(0, 3))
+        if kind < 2:
+            k = int(rng.integers(0, n))
+            B[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[kind]
+        else:
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            B[2 * j, 2 * i] = 1
+            B[2 * i + 1, 2 * j + 1] = d - 1
+        S = (B @ S) % d
+    return pa.AffineSymplectic(S, rng.integers(0, d, size=2 * n), d)
+
+
+def _random_measurement(rng, d, n):
+    while True:
+        sigma = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
+        if any(sigma):
+            return tm.SharpMeasurement((sigma,), d, n)
+
+
+def _pure_state(rng, d, n):
+    V = pa.Subspace.from_generators(np.eye(2 * n, dtype=np.int64)[1::2], d, n)
+    return tm.make_epistemic(V, tuple(int(x) for x in rng.integers(0, d, size=2 * n)))
+
+
+@pytest.fixture
+def no_coset_listing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset listed")
+
+    monkeypatch.setattr(pa, "coset_members", refuse)
+
+
+@pytest.mark.parametrize("d,n", [(2, 40), (3, 20)])
+def test_statistics_at_scale(no_coset_listing, d, n):
+    rng = np.random.default_rng([d, n])
+    state = _pure_state(rng, d, n)
+    steps = []
+    for k in range(6):
+        if k % 2 == 0:
+            steps.append(("gate", _random_affine(rng, d, n)))
+        else:
+            steps.append(("measure", _random_measurement(rng, d, n)))
+    stats = tm.statistics(state, steps)
+    assert len(stats) > 1
+    assert all(type(p) is Fraction and p > 0 for p in stats.values())
+    assert sum(stats.values()) == 1
+
+
+def test_steps_never_list_the_coset(no_coset_listing):
+    rng = np.random.default_rng(7)
+    d, n = 2, 3
+    state = tm.make_epistemic(
+        pa.Subspace.from_generators([(1, 0, 1, 0, 0, 0)], d, n), (1, 0, 0, 1, 1, 0)
+    )
+    for _ in range(10):
+        state = tm.apply_affine(state, _random_affine(rng, d, n))
+        meas = _random_measurement(rng, d, n)
+        for outcome in tm.outcome_distribution(state, meas):
+            post = tm.posterior(state, meas, outcome)
+        state = post
+
+
+def test_support_past_guard_raises():
+    state = _pure_state(np.random.default_rng(0), 2, 40)
+    assert state.weight == Fraction(1, 2**40)
+    with pytest.raises(GuardExceeded):
+        state.support
+
+
+def test_outcome_table_guard(monkeypatch):
+    monkeypatch.setattr(pa, "COSET_GUARD", 8)
+    state = tm.maximally_mixed(2, 4)
+    axes = np.eye(8, dtype=np.int64)[0::2]
+    assert len(tm.outcome_distribution(state, tm.SharpMeasurement(axes[:3], 2, 4))) == 8
+    with pytest.raises(GuardExceeded):
+        tm.outcome_distribution(state, tm.SharpMeasurement(axes, 2, 4))
