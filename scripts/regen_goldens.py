@@ -56,6 +56,8 @@ EXTRA_INVOCATIONS = {
     "witness_peres_mermin_input.json": ["witness", "peres-mermin", "--input", "++"],
     # README's bell.circ, stored beside the goldens
     "equivalence_bell.json": ["equivalence", "--circuit", "bell.circ", "--host", "minimal-rebit"],
+    # the failing certificate: exhaustive no-witness verdict for S (exit 1)
+    "subtheory_full_qubit_n1.json": ["subtheory", "verify", "full-qubit-stabilizer", "--n", "1"],
 }
 
 

@@ -167,8 +167,7 @@ def cmd_equivalence(args) -> int:
 def cmd_inject(args) -> int:
     cfg = RunConfig.from_args(args)
     gate_name = args.gate.upper()
-    scheme = inj.scheme_for(gate_name)
-    psi = do.parse_state_spec(args.input, d=2, n=scheme.n)
+    psi = do.parse_state_spec(args.input, d=2, n=do.gate_arity(gate_name, 2))
     if gate_name == "CCZ":
         # full pipeline: a CZ injection bootstraps the tier-2 corrections,
         # then the CCZ injection runs, 4 x 8 = 32 leaves
@@ -183,6 +182,7 @@ def cmd_inject(args) -> int:
         }
         emit(report, "injection-report", cfg, args.out)
         return 0 if report["all_branches_match"] else 1
+    scheme = inj.scheme_for(gate_name)
     audit = inj.AuditTrail()
     records = inj.run_injection(scheme, psi, audit=audit)
     min_fid = min(r.fidelity for r in records)

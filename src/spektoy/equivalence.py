@@ -129,7 +129,7 @@ class HostModel:
 
     def _action(self, key, matrix_fn) -> pa.AffineSymplectic:
         if key not in self._gate_cache:
-            witness = wg.covariance_witness(matrix_fn(), self.spec, self.sub.states)
+            witness, _ = wg.covariance_witness(matrix_fn(), self.spec, self.sub.states)
             if witness is None:
                 raise AuditError(f"gate {key} has no covariant action")
             self._gate_cache[key] = witness.inverse()
@@ -167,7 +167,7 @@ class HostModel:
                     )
         if circuit.init_spec is not None:
             psi = do.parse_state_spec(circuit.init_spec, d=self.d, n=self.n)
-            if not any(do.states_equal(psi, s) for s in self.sub.states):
+            if stt.state_index(self.sub.states, psi) is None:
                 raise AuditError(
                     f"initial state {circuit.init_spec!r} is not an allowed state"
                 )

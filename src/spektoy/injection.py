@@ -7,10 +7,10 @@ targets), measure Z on every input wire, and fix the resource register with
 U X^m U* keyed by the outcome bits m.  Every branch then holds U|input> on
 the resource register.
 
-Corrections factor per outcome bit (the per-bit corrections commute), and
-each factor is classified as Pauli / Pauli times CZ / other, so the audit
-can tell host-native corrections from ones that need a previously injected
-gate (tier 2) or fall outside the Clifford group entirely.
+Each outcome's correction is classified as Pauli / Pauli times CZ / other,
+so the audit can tell host-native corrections from ones that need a
+previously injected gate (tier 2) or fall outside the Clifford group
+entirely.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Correction:
     kind: str  # "pauli" | "pauli-cz" | "non-clifford"
     name: str
     factors: tuple[tuple[str, tuple[int, ...]], ...]  # primitive gate sequence
-    cz_edges: tuple[tuple[int, int], ...]
 
 
 def classify_correction(C: np.ndarray, n: int) -> Correction:
@@ -68,8 +67,8 @@ def classify_correction(C: np.ndarray, n: int) -> Correction:
                     if edges:
                         name += "".join(f"*CZ({i},{j})" for i, j in edges)
                     kind = "pauli-cz" if edges else "pauli"
-                    return Correction(C, kind, name, tuple(factors), tuple(edges))
-    return Correction(C, "non-clifford", "non-clifford", (), ())
+                    return Correction(C, kind, name, tuple(factors))
+    return Correction(C, "non-clifford", "non-clifford", ())
 
 
 @dataclass(frozen=True)
@@ -78,23 +77,18 @@ class InjectionScheme:
     n: int
     target: np.ndarray = field(repr=False)
     resource_state: np.ndarray = field(repr=False)
-    per_bit: tuple[Correction, ...]
     corrections: dict = field(repr=False)  # outcome bits -> Correction
 
 
 def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
-    """Precompute the scheme for a diagonal U: resource state, the full
-    2^n correction table, and its per-bit factorization."""
+    """Precompute the scheme for a diagonal U: resource state and the full
+    2^n correction table."""
     dim = 2**n
     if U.shape != (dim, dim):
         raise DimensionMismatch(f"gate shape {U.shape} != ({dim}, {dim})")
     if not np.allclose(U, np.diag(np.diag(U)), atol=1e-12):
         raise DimensionMismatch("state injection needs a diagonal gate")
     resource = U @ do.plus_state(n)
-    per_bit = []
-    for j in range(n):
-        Xj = do.gate("X", (j,), n, 2)
-        per_bit.append(classify_correction(U @ Xj @ U.conj().T, n))
     corrections = {}
     for m in itertools.product((0, 1), repeat=n):
         Xm = np.eye(dim, dtype=complex)
@@ -102,7 +96,7 @@ def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
             if mj:
                 Xm = Xm @ do.gate("X", (j,), n, 2)
         corrections[m] = classify_correction(U @ Xm @ U.conj().T, n)
-    return InjectionScheme(name, n, U, resource, tuple(per_bit), corrections)
+    return InjectionScheme(name, n, U, resource, corrections)
 
 
 def scheme_for(gate_name: str) -> InjectionScheme:
@@ -345,7 +339,7 @@ def ccz_scheme_demo(input_state: np.ndarray) -> dict:
         for r in boot_records
     )
 
-    ccz_scheme = build_injection(do.gate("CCZ", (0, 1, 2), 3, 2), 3, "CCZ")
+    ccz_scheme = scheme_for("CCZ")
     ccz_records = run_injection(
         ccz_scheme, input_state, injected=frozenset({"CZ"}), audit=audit
     )

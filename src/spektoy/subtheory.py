@@ -196,29 +196,30 @@ class GateGen:
         return f"{self.name}({','.join(map(str, self.wires))})"
 
 
+def _gate_gens(one, two, n: int, d: int) -> tuple[GateGen, ...]:
+    """The one-site gates wire by wire, then each two-site gate on every
+    ordered wire pair; the symmetric CZ and SWAP once per unordered pair."""
+    placed = [(name, (w,)) for w in range(n) for name in one]
+    placed += [
+        (name, (i, j))
+        for name in two
+        for i in range(n)
+        for j in range(n)
+        if i != j and not (name in ("CZ", "SWAP") and i > j)
+    ]
+    return tuple(GateGen(name, wires, do.gate(name, wires, n, d)) for name, wires in placed)
+
+
 def named_gate_pool(d: int, n: int) -> list[GateGen]:
     """The default candidate generators: named single- and two-site
     Clifford-type gates on every wire combination."""
     if d == 2:
-        one = ["X", "Y", "Z", "H", "S"]
-        two = ["CNOT", "CZ", "SWAP"]
-    else:
-        one = ["X", "Z", "F", "P"]
-        two = ["SUM", "SWAP"]
-    pool = []
-    for name in one:
-        for w in range(n):
-            pool.append(GateGen(name, (w,), do.gate(name, (w,), n, d)))
-    if n >= 2:
-        for name in two:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and not (name in ("CZ", "SWAP") and i > j):
-                        pool.append(GateGen(name, (i, j), do.gate(name, (i, j), n, d)))
-    return pool
+        return list(_gate_gens(("X", "Y", "Z", "H", "S"), ("CNOT", "CZ", "SWAP"), n, d))
+    return list(_gate_gens(("X", "Z", "F", "P"), ("SUM", "SWAP"), n, d))
 
 
-def _state_index(states, psi) -> int | None:
+def state_index(states, psi) -> int | None:
+    """Index of the first state equal to psi up to global phase."""
     for i, s in enumerate(states):
         if do.states_equal(s, psi):
             return i
@@ -230,7 +231,7 @@ def permutes_states(U: np.ndarray, states) -> tuple[bool, int | None]:
 
     Returns (ok, index of first counterexample state)."""
     for i, s in enumerate(states):
-        if _state_index(states, U @ s) is None:
+        if state_index(states, U @ s) is None:
             return False, i
     return True, None
 
@@ -248,7 +249,7 @@ def allowed_gates(
         ok, _ = permutes_states(cand.matrix, states)
         if not ok:
             continue
-        witness = wg.covariance_witness(cand.matrix, spec, states)
+        witness, _ = wg.covariance_witness(cand.matrix, spec, states)
         if witness is not None:
             kept.append((cand, witness))
     return kept
@@ -288,18 +289,6 @@ class Subtheory:
         }
 
 
-def _pauli_cnot_gens(n: int) -> tuple[GateGen, ...]:
-    gens = []
-    for w in range(n):
-        gens.append(GateGen("X", (w,), do.gate("X", (w,), n, 2)))
-        gens.append(GateGen("Z", (w,), do.gate("Z", (w,), n, 2)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(GateGen("CNOT", (i, j), do.gate("CNOT", (i, j), n, 2)))
-    return tuple(gens)
-
-
 @lru_cache(maxsize=8)
 def minimal_rebit_subtheory(n: int) -> Subtheory:
     """CSS states and non-mixing X/Z observables with gates generated by
@@ -309,7 +298,7 @@ def minimal_rebit_subtheory(n: int) -> Subtheory:
         name="minimal-rebit",
         spec=spec,
         states=allowed_states(spec),
-        gate_generators=_pauli_cnot_gens(n),
+        gate_generators=_gate_gens(("X", "Z"), ("CNOT",), n, 2),
         observables=nonmixing_labels(2, n),
     )
 
@@ -334,20 +323,11 @@ def css_rebit_subtheory(n: int) -> Subtheory:
 @lru_cache(maxsize=8)
 def qudit_stabilizer_subtheory(d: int, n: int) -> Subtheory:
     """Full stabilizer mechanics at odd prime d (the maximal case)."""
-    spec = wg.gross_spec(d, n)
-    gens = []
-    for w in range(n):
-        for name in ("X", "Z", "F", "P"):
-            gens.append(GateGen(name, (w,), do.gate(name, (w,), n, d)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(GateGen("SUM", (i, j), do.gate("SUM", (i, j), n, d)))
     return Subtheory(
         name=f"qudit-stabilizer-d{d}",
-        spec=spec,
+        spec=wg.gross_spec(d, n),
         states=all_stabilizer_states(d, n),
-        gate_generators=tuple(gens),
+        gate_generators=_gate_gens(("X", "Z", "F", "P"), ("SUM",), n, d),
         observables=tuple(pa.all_points(d, n)),
     )
 
@@ -356,26 +336,13 @@ def qudit_stabilizer_subtheory(d: int, n: int) -> Subtheory:
 def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -> Subtheory:
     """All qubit stabilizer states and Clifford generators, paired with a
     rebit construction: the canonical *failing* candidate."""
-    spec = wg.spec_by_name(spec_name, 2, n)
-    gens = []
-    for w in range(n):
-        for name in ("X", "Z", "H", "S"):
-            gens.append(GateGen(name, (w,), do.gate(name, (w,), n, 2)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(GateGen("CNOT", (i, j), do.gate("CNOT", (i, j), n, 2)))
-    labels = tuple(
-        lam
-        for lam in pa.all_points(2, n)
-        if sum(a * b for a, b in zip(lam[0::2], lam[1::2])) % 2 == 0
-    )
     return Subtheory(
         name="full-qubit-stabilizer",
-        spec=spec,
+        spec=wg.spec_by_name(spec_name, 2, n),
         states=all_stabilizer_states(2, n),
-        gate_generators=tuple(gens),
-        observables=labels,
+        gate_generators=_gate_gens(("X", "Z", "H", "S"), ("CNOT",), n, 2),
+        # the Hermitian labels, q.p = 0 mod 2
+        observables=wg.delfosse_rebit_spec(n).labels(),
     )
 
 
@@ -424,9 +391,9 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
     """Run the three certificates: closure, non-negativity (states and
     measurement duals), covariance of every generator.
 
-    Covariance tries the operator-transport witness and falls back to the
-    exhaustive search within guards; the report records which mode
-    produced each witness.
+    Covariance comes from wigner.covariance_witness (operator transport,
+    then the exhaustive search within guards); the report records which
+    mode produced each witness or failure.
     """
     report: dict = {"name": sub.name, "d": sub.d, "n": sub.n}
     closed, cex = is_closed(sub)
@@ -456,17 +423,10 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
 
     cov: dict = {"passed": True, "witnesses": {}, "failures": []}
     for gen in sub.gate_generators:
-        witness = wg.phase_space_action(gen.matrix, sub.spec)
-        how = "transport"
-        if witness is None or not wg.verify_covariance(
-            gen.matrix, sub.spec, sub.states, witness
-        ):
-            try:
-                witness = wg.fit_covariance(gen.matrix, sub.spec, sub.states)
-                how = "exhaustive"
-            except GuardExceeded:
-                witness = None
-                how = "guard-exceeded"
+        try:
+            witness, how = wg.covariance_witness(gen.matrix, sub.spec, sub.states)
+        except GuardExceeded:
+            witness, how = None, "guard-exceeded"
         if witness is None:
             cov["passed"] = False
             cov["failures"].append({"gate": gen.label(), "mode": how})

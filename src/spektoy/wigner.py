@@ -250,6 +250,33 @@ def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # covariance
 
+def _table_pairs(U: np.ndarray, spec: WignerSpec, state_set):
+    """(before, after) tables of each state and of its image under U, lazily."""
+    Ud = U.conj().T
+    for rho in state_set:
+        yield (
+            wigner_of_state(rho, spec).values,
+            wigner_of_state(U @ _as_density(rho) @ Ud, spec).values,
+        )
+
+
+@lru_cache(maxsize=32)
+def _lex(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every point in lex order, and the weights giving a point its lex
+    code (weights[j] is the code of the unit vector e_j)."""
+    pts = np.array(pa.all_points(d, n), dtype=np.int64)
+    weights = d ** np.arange(2 * n - 1, -1, -1)
+    pts.setflags(write=False)
+    weights.setflags(write=False)
+    return pts, weights
+
+
+def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
+    """Lex code of S lam + a for every lam, in the lex order of lam."""
+    pts, weights = _lex(d, S.shape[0] // 2)
+    return ((pts @ S.T + a) % d) @ weights
+
+
 def fit_covariance(
     U: np.ndarray, spec: WignerSpec, state_set
 ) -> pa.AffineSymplectic | None:
@@ -259,47 +286,33 @@ def fit_covariance(
     Searches the full affine symplectic stream; translations are pruned
     (soundly) through an anchor support point of the first table, so a
     ``None`` answer is still an exhaustive no-witness certificate.  Raises
-    GuardExceeded outside enumeration guards.
+    GuardExceeded outside enumeration guards, before any table is built.
     """
     if not state_set:
         raise DimensionMismatch("state_set must be nonempty")
     d, n = spec.d, spec.n
-    befores = [wigner_of_state(rho, spec).values for rho in state_set]
-    afters = [
-        wigner_of_state(U @ _as_density(rho) @ U.conj().T, spec).values
-        for rho in state_set
-    ]
-    order = sorted(
-        range(len(befores)), key=lambda i: np.count_nonzero(np.abs(afters[i]) > 1e-9)
-    )
-    befores = [befores[i] for i in order]
-    afters = [afters[i] for i in order]
-    pts = np.array(pa.all_points(d, n), dtype=np.int64)
-    weights = d ** np.arange(2 * n - 1, -1, -1)
-    anchor_after = afters[0]
-    anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
-    anchor_val = anchor_after[anchor_code]
-    anchor_pt = pts[anchor_code]
-    candidate_targets = [
-        pts[c] for c in np.nonzero(np.abs(befores[0] - anchor_val) < 1e-9)[0]
-    ]
     total = pa.sp_order(n, d) * d ** (2 * n)
     if total > pa.AFFINE_ENUM_GUARD:
         raise GuardExceeded(
             f"covariance search needs {total} candidates; guard is "
             f"{pa.AFFINE_ENUM_GUARD}"
         )
+    # the sparsest image table anchors the translation search
+    pairs = sorted(
+        _table_pairs(U, spec, state_set),
+        key=lambda pair: np.count_nonzero(np.abs(pair[1]) > 1e-9),
+    )
+    pts, _ = _lex(d, n)
+    anchor_before, anchor_after = pairs[0]
+    anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
+    anchor_pt = pts[anchor_code]
+    candidate_targets = pts[np.abs(anchor_before - anchor_after[anchor_code]) < 1e-9]
     for S in pa.symplectic_matrices(n, d):
         base = (S @ anchor_pt) % d
         for target in candidate_targets:
             a = (target - base) % d
-            perm = ((pts @ S.T + a) % d) @ weights
-            ok = True
-            for before, after in zip(befores, afters):
-                if not np.allclose(after, before[perm], atol=1e-9):
-                    ok = False
-                    break
-            if ok:
+            perm = _image_codes(S, a, d)
+            if all(np.allclose(after, before[perm], atol=1e-9) for before, after in pairs):
                 return pa.AffineSymplectic(S.copy(), a, d)
     return None
 
@@ -315,59 +328,51 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
     """
     d, n = spec.d, spec.n
     A = _phase_point_stack(spec)
-    pts = pa.all_points(d, n)
+    size = len(A)
     Ud = U.conj().T
-    mapping = np.full(len(pts), -1, dtype=np.int64)
-    for i in range(len(pts)):
+    mapping = np.full(size, -1, dtype=np.int64)
+    for i in range(size):
         img = Ud @ A[i] @ U
-        hits = np.nonzero(np.abs(A - img).reshape(len(pts), -1).max(axis=1) < 1e-9)[0]
+        hits = np.nonzero(np.abs(A - img).reshape(size, -1).max(axis=1) < 1e-9)[0]
         if hits.size != 1:
             return None
         mapping[i] = hits[0]
-    if len(set(mapping.tolist())) != len(pts):
+    if len(set(mapping.tolist())) != size:
         return None
-    arr = np.array(pts, dtype=np.int64)
-    a = arr[mapping[0]]
-    cols = []
-    for j in range(2 * n):
-        e = np.zeros(2 * n, dtype=np.int64)
-        e[j] = 1
-        cols.append((arr[mapping[pa.point_code(e, d)]] - a) % d)
-    S = np.stack(cols, axis=1)
+    pts, weights = _lex(d, n)
+    a = pts[mapping[0]]
+    # column j of S is the image of e_j (lex code weights[j]) less a
+    S = ((pts[mapping[weights]] - a) % d).T
     g = pa.AffineSymplectic(S, a, d)  # raises if not symplectic
-    for i, lam in enumerate(pts):
-        if g.apply(lam) != pts[mapping[i]]:
-            return None
+    if not np.array_equal(_image_codes(g.S, g.a, d), mapping):
+        return None
     return g
 
 
 def covariance_witness(
     U: np.ndarray, spec: WignerSpec, state_set
-) -> pa.AffineSymplectic | None:
-    """Find (S, a) witnessing covariance on state_set.
+) -> tuple[pa.AffineSymplectic | None, str]:
+    """Find (S, a) witnessing covariance on state_set, with the mode that
+    decided: ``"transport"`` or ``"exhaustive"``.
 
     Tries the operator-transport shortcut first (works at any supported n);
     the resulting witness is verified on the state tables.  When the
     shortcut fails, falls back to the guard-limited exhaustive search,
-    which can also certify non-existence.
+    which can also certify non-existence (witness None) and raises
+    GuardExceeded past its guard.
     """
     g = phase_space_action(U, spec)
     if g is not None and verify_covariance(U, spec, state_set, g):
-        return g
-    return fit_covariance(U, spec, state_set)
+        return g, "transport"
+    return fit_covariance(U, spec, state_set), "exhaustive"
 
 
 def verify_covariance(U, spec: WignerSpec, state_set, g: pa.AffineSymplectic) -> bool:
-    d, n = spec.d, spec.n
-    pts = np.array(pa.all_points(d, n), dtype=np.int64)
-    weights = d ** np.arange(2 * n - 1, -1, -1)
-    perm = ((pts @ g.S.T + g.a) % d) @ weights
-    for rho in state_set:
-        before = wigner_of_state(rho, spec).values
-        after = wigner_of_state(U @ _as_density(rho) @ U.conj().T, spec).values
-        if not np.allclose(after, before[perm], atol=1e-9):
-            return False
-    return True
+    perm = _image_codes(g.S, g.a, spec.d)
+    return all(
+        np.allclose(after, before[perm], atol=1e-9)
+        for before, after in _table_pairs(U, spec, state_set)
+    )
 
 
 @dataclass(frozen=True)
@@ -399,36 +404,29 @@ def transition_matrix(
     W_before(lam').  Raises if called for a gate with no witness.
     """
     if witness is None:
-        witness = covariance_witness(U, spec, state_set)
+        witness, _ = covariance_witness(U, spec, state_set)
     if witness is None:
         raise DimensionMismatch("no covariance witness: transition matrix undefined")
-    d, n = spec.d, spec.n
-    pts = pa.all_points(d, n)
-    size = len(pts)
+    size = spec.d ** (2 * spec.n)
     P = np.zeros((size, size))
-    for i, lam in enumerate(pts):
-        P[i, pa.point_code(witness.apply(lam), d)] = 1.0
-    tm = TransitionMatrix(spec, P)
-    for rho in state_set:
-        before = wigner_of_state(rho, spec).values
-        after = wigner_of_state(U @ _as_density(rho) @ U.conj().T, spec).values
-        if not np.allclose(after, P @ before, atol=1e-9):
-            raise AssertionError("transition matrix fails to transport a table")
-    return tm
+    P[np.arange(size), _image_codes(witness.S, witness.a, spec.d)] = 1.0
+    # P is 0/1 with one 1 per row, so P @ before is exactly before[codes]
+    if not verify_covariance(U, spec, state_set, witness):
+        raise AssertionError("transition matrix fails to transport a table")
+    return TransitionMatrix(spec, P)
 
 
 # ---------------------------------------------------------------------------
 # the rebit equivalence of restricted and factorisable constructions
 
 def verify_hermitian_criterion(n: int) -> bool:
-    """T(lam) is Hermitian iff q.p = 0 mod 2, checked densely."""
+    """T(lam) is Hermitian iff the restricted construction keeps lam
+    (q.p = 0 mod 2), checked densely."""
     spec = factorisable_rebit_spec(n)
+    restricted = delfosse_rebit_spec(n)
     for lam in pa.all_points(2, n):
         T = weyl(lam, spec)
-        herm = np.allclose(T, T.conj().T, atol=1e-12)
-        q = lam[0::2]
-        p = lam[1::2]
-        if herm != (sum(a * b for a, b in zip(q, p)) % 2 == 0):
+        if np.allclose(T, T.conj().T, atol=1e-12) != restricted.label_allowed(lam):
             return False
     return True
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import injection as inj
+from . import subtheory as stt
 from .circuits import Step, branch_tree
 from .dense_oracle import pauli_op
 from .errors import DimensionMismatch
@@ -78,30 +79,36 @@ def standard_square() -> ContextTable:
     )
 
 
+def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
+    """Check every noncontextual +-1 assignment of k values against lines
+    [(value indices, sign)], a line holding when its values multiply to its
+    sign.  Returns (assignments holding every line, most lines held at
+    once, first assignment holding every line)."""
+    satisfying = best = 0
+    example = None
+    for bits in range(2**k):
+        vals = [1 - 2 * ((bits >> i) & 1) for i in range(k)]
+        held = sum(1 for idxs, sign in lines if math.prod(vals[i] for i in idxs) == sign)
+        if held == len(lines):
+            satisfying += 1
+            if example is None:
+                example = tuple(vals)
+        best = max(best, held)
+    return satisfying, best, example
+
+
 def assignment_search(table: ContextTable) -> dict:
     """Sweep all 2^9 noncontextual +-1 assignments against the six line
     constraints; report the satisfying count and the best line coverage."""
     words = sorted({w for row in table.grid for w in row})
     index = {w: i for i, w in enumerate(words)}
-    lines = [([index[w] for w in ws], sign) for ws, sign in table.lines()]
-    satisfying = 0
-    best = 0
-    example = None
-    for bits in range(2 ** len(words)):
-        vals = [1 - 2 * ((bits >> i) & 1) for i in range(len(words))]
-        good = sum(
-            1 for idxs, sign in lines if vals[idxs[0]] * vals[idxs[1]] * vals[idxs[2]] == sign
-        )
-        if good == 6:
-            satisfying += 1
-            if example is None:
-                example = {w: vals[index[w]] for w in words}
-        best = max(best, good)
+    lines = [(tuple(index[w] for w in ws), sign) for ws, sign in table.lines()]
+    satisfying, best, example = _sweep(len(words), lines)
     return {
         "assignments_checked": 2 ** len(words),
         "satisfying": satisfying,
         "max_satisfiable_lines": best,
-        "example": example,
+        "example": None if example is None else dict(zip(words, example)),
     }
 
 
@@ -402,37 +409,24 @@ def ghz_report() -> dict:
         val = complex(np.vdot(ghz, v))
         eigs[w] = round(val.real, 12)
     constraints = {"XXX": 1, "XYY": -1, "YXY": -1, "YYX": -1}
-    satisfying = 0
-    for bits in range(2**6):
-        lx = [1 - 2 * ((bits >> i) & 1) for i in range(3)]
-        ly = [1 - 2 * ((bits >> (3 + i)) & 1) for i in range(3)]
-        vals = {
-            "XXX": lx[0] * lx[1] * lx[2],
-            "XYY": lx[0] * ly[1] * ly[2],
-            "YXY": ly[0] * lx[1] * ly[2],
-            "YYX": ly[0] * ly[1] * lx[2],
-        }
-        if all(vals[w] == constraints[w] for w in observables):
-            satisfying += 1
-    # product of the three mixed observables forces lx1 lx2 lx3 = -1
-    forced = all(
-        (lambda lx, ly: (lx[0] * ly[1] * ly[2]) * (ly[0] * lx[1] * ly[2]) * (ly[0] * ly[1] * lx[2])
-         == lx[0] * lx[1] * lx[2])(
-            [1 - 2 * ((b >> i) & 1) for i in range(3)],
-            [1 - 2 * ((b >> (3 + i)) & 1) for i in range(3)],
-        )
-        for b in range(64)
-    )
+    # values x0 x1 x2 y0 y1 y2: each site's local X and Y outcome
+    lines = [
+        (idxs, constraints[w])
+        for w, idxs in zip(observables, ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2)))
+    ]
+    satisfying, _, _ = _sweep(6, lines)
+    # every value sits in exactly two of the four words, so the words
+    # multiply to +1 on every assignment while the constraints multiply to -1
+    every_index = sum((idxs for idxs, _ in lines), ())
+    forced = _sweep(6, [(every_index, 1)])[0] == 2**6
     gate_audit = {
         "XXX": "host",
         "XYY": "needs S or CZ",
         "YXY": "needs S or CZ",
         "YYX": "needs S or CZ",
     }
-    from . import subtheory as stt
-
     host_states = stt.minimal_rebit_subtheory(3).states
-    ghz_in_host = any(do.states_equal(ghz, s) for s in host_states)
+    ghz_in_host = stt.state_index(host_states, ghz) is not None
     return {
         "witness": "ghz",
         "eigenvalues": eigs,
@@ -488,14 +482,9 @@ def chsh_report() -> dict:
             corr = correlators[f"A{x}B{y}"]
             win += (1 + (1 if x * y == 0 else -1) * corr) / 2
     win /= 4
-    classical_best = 0
-    for a0, a1, b0c, b1c in itertools.product((0, 1), repeat=4):
-        wins = sum(
-            1
-            for x, y in itertools.product((0, 1), repeat=2)
-            if ((a0, a1)[x] ^ (b0c, b1c)[y]) == x * y
-        )
-        classical_best = max(classical_best, wins)
+    # values A0 A1 B0 B1: question pair (x, y) is won when A_x B_y = (-1)^{xy}
+    questions = [((x, 2 + y), (-1) ** (x * y)) for x in (0, 1) for y in (0, 1)]
+    _, classical_best, _ = _sweep(4, questions)
     return {
         "witness": "chsh",
         "correlators": {k: round(v, 12) for k, v in correlators.items()},

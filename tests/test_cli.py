@@ -58,6 +58,9 @@ GOLDEN_CASES = {
     # so the echoed circuit_file does not depend on where the suite runs
     "equivalence_bell.json": (
         ["equivalence", "--circuit", "bell.circ", "--host", "minimal-rebit"], 0),
+    # the failing certificate: S(0) has no covariance witness (exhaustive)
+    "subtheory_full_qubit_n1.json": (
+        ["subtheory", "verify", "full-qubit-stabilizer", "--n", "1"], 1),
 }
 
 

@@ -186,6 +186,20 @@ class TestCertificates:
         # the negativity witness is a real non-X/Z-split state
         assert rep["nonnegativity"]["state_witness"] is not None
 
+    def test_full_qubit_n1_covariance_modes(self):
+        cov = stt.is_spekkens_subtheory(stt.full_qubit_stabilizer_subtheory(1))["covariance"]
+        modes = {gate: w["mode"] for gate, w in cov["witnesses"].items()}
+        assert modes == {"X(0)": "transport", "Z(0)": "transport", "H(0)": "transport"}
+        assert cov["failures"] == [{"gate": "S(0)", "mode": "exhaustive"}]
+
+    def test_guard_exceeded_is_a_reported_failure(self, monkeypatch):
+        # transport needs no enumeration; only S(0) reaches the guarded search
+        monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 1)
+        rep = stt.is_spekkens_subtheory(stt.full_qubit_stabilizer_subtheory(1))
+        assert rep["covariance"]["failures"] == [{"gate": "S(0)", "mode": "guard-exceeded"}]
+        assert set(rep["covariance"]["witnesses"]) == {"X(0)", "Z(0)", "H(0)"}
+        assert not rep["passed"]
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_qudit_stabilizer_passes(self, n):
         rep = stt.is_spekkens_subtheory(stt.qudit_stabilizer_subtheory(3, n))

@@ -231,6 +231,18 @@ class TestCovariance:
             g2 = wg.fit_covariance(U, spec, css)
             assert wg.verify_covariance(U, spec, css, g2)
 
+    def test_covariance_witness_reports_its_mode(self):
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        U = do.gate("CNOT", (0, 1), 2)
+        g, mode = wg.covariance_witness(U, spec, css)
+        assert mode == "transport"
+        assert g.key() == wg.phase_space_action(U, spec).key()
+        assert wg.verify_covariance(U, spec, css, g)
+        states = [do.parse_state_spec(s) for s in ("0", "1", "+", "-")]
+        S = do.gate("S", (0,), 1)
+        assert wg.covariance_witness(S, wg.delfosse_rebit_spec(1), states) == (None, "exhaustive")
+
     def test_gross_generators_pass_n1(self):
         spec = wg.gross_spec(3, 1)
         states = stt.all_stabilizer_states(3, 1)

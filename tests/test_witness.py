@@ -38,6 +38,19 @@ class TestStandardSquare:
         # the all-plus-one assignment works
         assert all(v == 1 for v in {w: 1 for w in ctrl["example"]}.values())
 
+    def test_control_example_is_all_plus_one(self):
+        ctrl = wit.control_square_all_plus()
+        assert set(ctrl["example"].values()) == {1}
+        assert ctrl["max_satisfiable_lines"] == 6
+
+    def test_sweep_counts_lines_and_first_assignment(self):
+        # x0 x1 = -1 holds on two of four assignments; x0 = +1 and x0 = -1
+        # never hold together
+        assert wit._sweep(2, [((0, 1), -1)]) == (2, 1, (-1, 1))
+        assert wit._sweep(2, [((0,), 1), ((0,), -1)]) == (0, 1, None)
+        # a repeated index squares away
+        assert wit._sweep(1, [((0, 0), 1)]) == (2, 1, (1,))
+
     def test_malformed_table_rejected(self):
         with pytest.raises(DimensionMismatch):
             wit.ContextTable.build(
