@@ -1,7 +1,11 @@
 """Exact linear algebra over Z_p for small prime p.
 
-Everything works on int64 numpy arrays with entries reduced mod p.  Matrices
-are row-stacked generator lists.  All routines are deterministic.
+Gaussian elimination runs on rows of Python ints (`rref_rows`): the matrices
+are tiny (a handful of rows, at most 2n columns), where int lists beat numpy
+row operations by a wide margin.  numpy appears only at the boundary: the
+array-level routines take any integer array-like, reduce it mod p in one
+call, and return int64 arrays with entries in [0, p).  Matrices are
+row-stacked generator lists.  All routines are deterministic.
 """
 
 from __future__ import annotations
@@ -15,81 +19,92 @@ def modp(a, p: int) -> np.ndarray:
     return np.asarray(np.asarray(a, dtype=np.int64) % p, dtype=np.int64)
 
 
-def inv_scalar(a: int, p: int) -> int:
-    a = int(a) % p
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0 mod %d" % p)
-    return pow(a, -1, p)
-
-
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Z_p.
-
-    Returns (R, pivot_columns) where R has zero rows dropped.  The result is
-    the canonical representative of the row space, so two generator lists
-    span the same subspace iff their rrefs are equal.
-    """
-    A = modp(mat, p).copy()
+def _rows(mat, p: int) -> tuple[list[list[int]], int]:
+    """(rows reduced mod p, column count) of a 1-D or 2-D array-like."""
+    A = modp(mat, p)
     if A.ndim == 1:
         A = A.reshape(1, -1)
-    m, n = A.shape
+    return A.tolist(), A.shape[1]
+
+
+def _array(rows: list, n: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def rref_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z_p of int rows with entries in [0, p).
+
+    rows (each of length n) is consumed.  Returns (nonzero rows, pivot
+    columns).  The result is the canonical representative of the row space,
+    so two generator lists span the same subspace iff their rrefs are equal.
+    """
+    m = len(rows)
     r = 0
     pivots: list[int] = []
     for c in range(n):
         if r >= m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = modp(A[r] * inv_scalar(A[r, c], p), p)
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], -1, p)
+            top = rows[r] = [x * inv % p for x in top]
         for j in range(m):
-            if j != r and A[j, c]:
-                A[j] = modp(A[j] - A[j, c] * A[r], p)
+            f = rows[j][c]
+            if f and j != r:
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], top)]
         pivots.append(c)
         r += 1
-    return A[:r], pivots
+    return rows[:r], pivots
+
+
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref_rows` of an array-like: (R with zero rows dropped, pivots)."""
+    rows, n = _rows(mat, p)
+    R, pivots = rref_rows(rows, n, p)
+    return _array(R, n), pivots
 
 
 def rank(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[0].shape[0]
 
 
+def complement_rows(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
+    """Rref basis of {x : R x = 0 mod p} for R in rref with these pivots:
+    one vector per free column, then one elimination."""
+    basis = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [0] * n
+        v[c] = 1
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[c] % p
+        basis.append(v)
+    return rref_rows(basis, n, p)[0]
+
+
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (rref rows) of {x : mat @ x = 0 mod p}."""
-    A = modp(mat, p)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    n = A.shape[1]
-    R, pivots = rref(A, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, c]) % p
-    if basis.size == 0:
-        return basis.reshape(0, n)
-    return rref(basis, p)[0]
+    rows, n = _rows(mat, p)
+    R, pivots = rref_rows(rows, n, p)
+    return _array(complement_rows(R, pivots, n, p), n)
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One particular solution x of A x = b mod p, or None if inconsistent."""
-    A = modp(A, p)
-    b = modp(b, p).reshape(-1)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
+    rows, n = _rows(A, p)
+    aug = [row + [x] for row, x in zip(rows, modp(b, p).reshape(-1).tolist(), strict=True)]
+    R, pivots = rref_rows(aug, n + 1, p)
     if n in pivots:
         return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, n]
-    return x
+    x = [0] * n
+    for row, c in zip(R, pivots):
+        x[c] = row[n]
+    return np.array(x, dtype=np.int64)
 
 
 def span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
@@ -133,15 +148,21 @@ def in_rowspace(v: np.ndarray, mat: np.ndarray, p: int) -> bool:
     return solve(mat.T, v, p) is not None
 
 
-def reduce_mod_rowspace(v: np.ndarray, basis_rref: np.ndarray, p: int) -> np.ndarray:
-    """Canonical coset representative of v modulo the row space.
+def reduce_row(v: list[int], R, p: int) -> list[int]:
+    """Canonical coset representative of the int row v (entries in [0, p))
+    modulo the row space of R.
 
-    Requires basis_rref to be in rref (each row's first nonzero entry is its
-    pivot, a 1); eliminates v's pivot coordinates.
+    Requires R to be in rref (each row's first nonzero entry is its pivot,
+    a 1); eliminates v's pivot coordinates.
     """
-    v = modp(v, p).copy()
-    for row in basis_rref:
-        c = int(np.flatnonzero(row)[0])
-        if v[c]:
-            v = modp(v - v[c] * row, p)
+    for row in R:
+        f = v[next(c for c, x in enumerate(row) if x)]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
     return v
+
+
+def reduce_mod_rowspace(v: np.ndarray, basis_rref: np.ndarray, p: int) -> np.ndarray:
+    """`reduce_row` of a vector modulo the rows of an rref array."""
+    v = reduce_row(modp(v, p).tolist(), modp(basis_rref, p).tolist(), p)
+    return np.array(v, dtype=np.int64)

@@ -99,12 +99,14 @@ class Subspace:
     @classmethod
     def from_generators(cls, gens, d: int, n: int) -> "Subspace":
         _check_dn(d, n)
-        rows = [as_vector(g, d, n) for g in gens]
-        if rows:
-            R, _ = mm.rref(np.stack(rows), d)
-        else:
-            R = np.zeros((0, 2 * n), dtype=np.int64)
-        return cls(tuple(tuple(int(x) for x in r) for r in R), d, n)
+        if isinstance(gens, np.ndarray):
+            gens = gens.reshape(len(gens), -1 if gens.size else 0).tolist()
+        rows = [[int(x) % d for x in g] for g in gens]
+        for r in rows:
+            if len(r) != 2 * n:
+                raise DimensionMismatch(f"expected length {2 * n}, got {len(r)}")
+        R, _ = mm.rref_rows(rows, 2 * n, d)
+        return cls(tuple(map(tuple, R)), d, n)
 
     @classmethod
     def zero(cls, d: int, n: int) -> "Subspace":
@@ -152,8 +154,9 @@ def perp(V: Subspace) -> Subspace:
     This is *not* the symplectic complement; it is the complement entering
     the coset supports of epistemic states.
     """
-    basis = mm.nullspace(V.matrix, V.d) if V.dim else np.eye(2 * V.n, dtype=np.int64)
-    return Subspace.from_generators(basis, V.d, V.n)
+    pivots = [next(c for c, x in enumerate(g) if x) for g in V.gens]
+    U = mm.complement_rows(V.gens, pivots, 2 * V.n, V.d)
+    return Subspace(tuple(map(tuple, U)), V.d, V.n)
 
 
 def symplectic_commutant(V: Subspace) -> Subspace:

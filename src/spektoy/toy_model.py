@@ -91,14 +91,17 @@ class EpistemicState:
         }
 
 
-def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
-    """Uniform distribution over V-perp + w; rejects non-isotropic V."""
+def make_epistemic(V: pa.Subspace, w, U: pa.Subspace | None = None) -> EpistemicState:
+    """Uniform distribution over V-perp + w; rejects non-isotropic V.
+
+    A caller that already holds perp(V) passes it as U.
+    """
     if not pa.is_isotropic(V):
         raise RestrictionViolation("known-variable subspace is not isotropic")
-    U = pa.perp(V)
+    if U is None:
+        U = pa.perp(V)
     wv = pa.as_vector(w, V.d, V.n)
-    w_canon = tuple(int(x) for x in mm.reduce_mod_rowspace(wv, U.matrix, V.d))
-    state = EpistemicState(V, w_canon)
+    state = EpistemicState(V, tuple(mm.reduce_row(wv.tolist(), U.gens, V.d)))
     state.__dict__["U"] = U  # fills the cached property; perp(V) is at hand
     return state
 
@@ -145,7 +148,7 @@ class SharpMeasurement:
         if not pa.is_isotropic(V):
             raise RestrictionViolation("measured functionals are not jointly knowable")
 
-    @property
+    @cached_property
     def subspace(self) -> pa.Subspace:
         return pa.Subspace.from_generators(self.generators, self.d, self.n)
 
@@ -184,38 +187,51 @@ def outcome_distribution(
     return {k: p for k in sorted(tuple(int(x) for x in v) for v in outcomes)}
 
 
-def posterior(
-    state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
-) -> EpistemicState:
-    """State after observing the given outcome.
+def _update(state: EpistemicState, meas: SharpMeasurement):
+    """The measurement update, as a map outcome -> posterior state.
 
+    Everything that does not depend on the outcome is computed once, here.
     Retained knowledge R = prior V intersected with the symplectic commutant
     of the measured subspace: the combinations c G of the prior generators G
     with [c G, a] = 0 for every measured generator a, that is c in the
-    nullspace of A J^T G^T.  The shift is one solution x of
-    [A; R] x = [outcome; R w]: the points showing the outcome on A and the
-    prior values on R, among them every prior-support point showing the
-    outcome, form exactly one coset of the new support.  The system is
-    unsolvable exactly when the outcome has probability zero.
+    nullspace of A J^T G^T.  The posterior knows V_new = measured + R.  The
+    shift is one solution x of [A; R] x = [outcome; R w]: the points showing
+    the outcome on A and the prior values on R, among them every
+    prior-support point showing the outcome, form exactly one coset of the
+    new support.  The system is unsolvable exactly when the outcome has
+    probability zero.
     """
     d, n = state.d, state.n
-    if (meas.d, meas.n) != (d, n):
-        raise DimensionMismatch("measurement and state live on different spaces")
     A = np.array(meas.generators, dtype=np.int64)
-    if len(outcome) != A.shape[0]:
-        raise DimensionMismatch(f"outcome {outcome} does not match {A.shape[0]} functionals")
     G = state.V.matrix
     coeffs = mm.nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
     retained = pa.Subspace.from_generators(coeffs @ G, d, n)
     V_new = meas.subspace + retained
+    U_new = pa.perp(V_new)
     R = retained.matrix
-    values = np.concatenate(
-        [np.array(outcome, dtype=np.int64), R @ np.array(state.w, dtype=np.int64)]
-    )
-    shift = mm.solve(np.concatenate([A, R]), values, d)
-    if shift is None:
-        raise DimensionMismatch(f"outcome {outcome} has probability zero")
-    return make_epistemic(V_new, shift)
+    system = np.concatenate([A, R])
+    prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
+
+    def update(outcome: tuple[int, ...]) -> EpistemicState:
+        shift = mm.solve(system, list(outcome) + prior_values, d)
+        if shift is None:
+            raise DimensionMismatch(f"outcome {outcome} has probability zero")
+        return make_epistemic(V_new, shift, U_new)
+
+    return update
+
+
+def posterior(
+    state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
+) -> EpistemicState:
+    """State after observing the given outcome (the update of `_update`)."""
+    if (meas.d, meas.n) != (state.d, state.n):
+        raise DimensionMismatch("measurement and state live on different spaces")
+    if len(outcome) != len(meas.generators):
+        raise DimensionMismatch(
+            f"outcome {outcome} does not match {len(meas.generators)} functionals"
+        )
+    return _update(state, meas)(outcome)
 
 
 def measure_sharp(
@@ -247,11 +263,15 @@ def gate_step(g: pa.AffineSymplectic) -> Step:
 
 def measure_step(meas: SharpMeasurement) -> Step:
     """Walker step measuring every branch: one child per outcome, carrying
-    its exact probability and the posterior state."""
-    return lambda outcomes, state: [
-        (k, pk, posterior(state, meas, k))
-        for k, pk in outcome_distribution(state, meas).items()
-    ]
+    its exact probability and the posterior state.  The outcome-independent
+    part of the update is computed once per branch."""
+
+    def step(outcomes, state):
+        table = outcome_distribution(state, meas)
+        update = _update(state, meas)
+        return [(k, pk, update(k)) for k, pk in table.items()]
+
+    return step
 
 
 def statistics(

@@ -399,20 +399,23 @@ def transition_matrix(
 ) -> TransitionMatrix:
     """Point-mass-column transition matrix realizing a covariant gate.
 
-    Built from a covariance witness (found if not supplied); verified to
-    reproduce every state's table: W_after(lam) = sum_{lam'} P[lam, lam']
-    W_before(lam').  Raises if called for a gate with no witness.
+    Built from a covariance witness, so that it reproduces every state's
+    table: W_after(lam) = sum_{lam'} P[lam, lam'] W_before(lam').  A
+    witness found here has been checked on every table by
+    `covariance_witness`; a supplied one is checked here.  Raises if called
+    for a gate with no witness.
     """
     if witness is None:
         witness, _ = covariance_witness(U, spec, state_set)
-    if witness is None:
-        raise DimensionMismatch("no covariance witness: transition matrix undefined")
+        if witness is None:
+            raise DimensionMismatch("no covariance witness: transition matrix undefined")
+    elif not verify_covariance(U, spec, state_set, witness):
+        raise AssertionError("transition matrix fails to transport a table")
     size = spec.d ** (2 * spec.n)
+    # 0/1 with one 1 per row: P @ before is exactly the before[codes] that
+    # verify_covariance compares
     P = np.zeros((size, size))
     P[np.arange(size), _image_codes(witness.S, witness.a, spec.d)] = 1.0
-    # P is 0/1 with one 1 per row, so P @ before is exactly before[codes]
-    if not verify_covariance(U, spec, state_set, witness):
-        raise AssertionError("transition matrix fails to transport a table")
     return TransitionMatrix(spec, P)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 from spektoy.errors import DimensionMismatch, GuardExceeded
+from test_modmath import ref_nullspace
 
 
 def vectors(d, n):
@@ -107,6 +108,45 @@ class TestPerp:
     def test_dimension_formula(self, d, n):
         for V in all_subspaces(d, n):
             assert V.dim + pa.perp(V).dim == 2 * n
+
+
+def random_subspaces():
+    """A random subspace at d=2, n<=4 or d=3, n<=3, full ones included."""
+    return st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]).flatmap(
+        lambda dn: st.lists(vectors(*dn), max_size=2 * dn[1] + 1).map(
+            lambda gens: pa.Subspace.from_generators(gens, *dn)
+        )
+    )
+
+
+def check_perp(V):
+    """perp(V) runs one elimination and agrees with the reference nullspace."""
+    calls = []
+    rref_rows = mm.rref_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rref_rows(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mm, "rref_rows", counted)
+        U = pa.perp(V)
+    assert len(calls) == 1
+    assert U == pa.Subspace.from_generators(ref_nullspace(V.matrix, V.d), V.d, V.n)
+    assert not np.any(mm.modp(U.matrix @ V.matrix.T, V.d))
+    assert U.dim + V.dim == 2 * V.n
+
+
+class TestPerpKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(random_subspaces())
+    def test_matches_reference_nullspace(self, V):
+        check_perp(V)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 1), (3, 3)])
+    def test_zero_and_full(self, d, n):
+        check_perp(pa.Subspace.zero(d, n))
+        check_perp(pa.Subspace.full(d, n))
 
 
 class TestCosets:

@@ -330,6 +330,22 @@ def test_closed_forms_match_support_scan(case):
                 tm.posterior(state, meas, outcome)
 
 
+@settings(max_examples=100, deadline=None)
+@given(states_and_measurements())
+def test_measure_step_children_are_posteriors(case):
+    state, meas = case
+    table = tm.outcome_distribution(state, meas)
+    children = tm.measure_step(meas)((), state)
+    assert children == [(k, p, tm.posterior(state, meas, k)) for k, p in table.items()]
+    d, r = state.d, len(meas.generators)
+    impossible = [k for k in itertools.product(range(d), repeat=r) if k not in table]
+    if impossible:
+        with pytest.raises(DimensionMismatch, match="probability zero"):
+            tm.posterior(state, meas, impossible[0])
+    with pytest.raises(DimensionMismatch, match="does not match"):
+        tm.posterior(state, meas, next(iter(table)) + (0,))
+
+
 # ---------------------------------------------------------------------------
 # Scale: nothing but the support itself lists the coset
 

@@ -271,6 +271,29 @@ class TestTransitionMatrices:
         assert tm.matrix.shape == (16, 16)
         assert tm.is_permutation()
 
+    def test_found_witness_is_checked_once(self, monkeypatch):
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        assert len(css) == 20
+        calls = []
+        table = wg.wigner_of_state
+
+        def counted(rho, spec):
+            calls.append(1)
+            return table(rho, spec)
+
+        monkeypatch.setattr(wg, "wigner_of_state", counted)
+        wg.transition_matrix(do.gate("CNOT", (0, 1), 2), spec, css)
+        # one before- and one after-table per state, all inside covariance_witness
+        assert len(calls) == 40
+
+    def test_wrong_supplied_witness_raises(self):
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        identity = pa.AffineSymplectic.identity(2, 2)
+        with pytest.raises(AssertionError):
+            wg.transition_matrix(do.gate("CNOT", (0, 1), 2), spec, css, identity)
+
     def test_no_witness_raises(self):
         spec = wg.delfosse_rebit_spec(1)
         states = [do.parse_state_spec(s) for s in ("0", "1", "+", "-")]
