@@ -10,8 +10,6 @@ row-stacked generator lists.  All routines are deterministic.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 
@@ -107,16 +105,29 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return np.array(x, dtype=np.int64)
 
 
-def span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
-    """All p^k vectors in the row span, in lexicographic coefficient order."""
+def coset_vectors(basis: np.ndarray, shift, p: int) -> np.ndarray:
+    """All p^k vectors shift + c @ basis (c in Z_p^k), in lexicographic
+    order of the coefficients c.
+
+    Built one basis row at a time by broadcasting, last row first, in the
+    smallest unsigned dtype that holds the unreduced sums, with a single
+    mod p at the end.
+    """
     basis = modp(basis, p)
     if basis.ndim == 1:
         basis = basis.reshape(1, -1)
     k, n = basis.shape
-    if k == 0:
-        return np.zeros((1, n), dtype=np.int64)
-    coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
-    return modp(coeffs @ basis, p)
+    dtype = np.min_scalar_type((p - 1) * (1 + k * (p - 1)))
+    multiples = np.arange(p, dtype=dtype).reshape(p, 1, 1)
+    S = modp(shift, p).astype(dtype).reshape(1, n)
+    for row in basis[::-1].astype(dtype):
+        S = (multiples * row + S).reshape(-1, n)
+    return (S % p).astype(np.int64)
+
+
+def span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
+    """All p^k vectors in the row span, in lexicographic coefficient order."""
+    return coset_vectors(basis, np.zeros(np.shape(basis)[-1], dtype=np.int64), p)
 
 
 def intersect(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

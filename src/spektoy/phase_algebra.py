@@ -131,8 +131,7 @@ class Subspace:
         """All member vectors, lexicographically sorted."""
         if self.d ** self.dim > COSET_GUARD:
             raise GuardExceeded(f"subspace has {self.d ** self.dim} > {COSET_GUARD} points")
-        vecs = mm.span_vectors(self.matrix, self.d)
-        return tuple(sorted(tuple(int(x) for x in v) for v in vecs))
+        return tuple(sorted(map(tuple, mm.span_vectors(self.matrix, self.d).tolist())))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
@@ -179,12 +178,16 @@ def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
     """The coset U + w as a lexicographically ordered tuple of points.
 
     Callers pass the support-direction subspace directly (typically V-perp).
+    No sort is needed: with w reduced modulo U (zero on U's pivot columns), a
+    point's coordinate on the k-th pivot column is its coefficient on U's
+    k-th rref row, and its coordinates before that column depend only on the
+    coefficients of the rows before it.  So the span's lexicographic
+    coefficient order is the points' lexicographic order.
     """
-    wv = as_vector(w, U.d, U.n)
+    wv = mm.reduce_row(as_vector(w, U.d, U.n).tolist(), U.gens, U.d)
     if U.d ** U.dim > COSET_GUARD:
         raise GuardExceeded(f"coset has {U.d ** U.dim} > {COSET_GUARD} points")
-    vecs = mm.span_vectors(U.matrix, U.d)
-    return tuple(sorted(tuple(int(x) for x in mm.modp(v + wv, U.d)) for v in vecs))
+    return tuple(map(tuple, mm.coset_vectors(U.matrix, wv, U.d).tolist()))
 
 
 def symplectic_inverse(S: np.ndarray, d: int) -> np.ndarray:

@@ -182,9 +182,9 @@ def outcome_distribution(
     if size > pa.COSET_GUARD:
         raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
     centre = A @ np.array(state.w, dtype=np.int64)
-    outcomes = mm.modp(mm.span_vectors(spread, d) + centre, d)
+    outcomes = mm.coset_vectors(spread, centre, d)
     p = Fraction(1, size)
-    return {k: p for k in sorted(tuple(int(x) for x in v) for v in outcomes)}
+    return {k: p for k in sorted(map(tuple, outcomes.tolist()))}
 
 
 def _update(state: EpistemicState, meas: SharpMeasurement):

@@ -5,6 +5,8 @@ used before elimination moved to Python int rows: `ref_rref` does its row
 operations on int64 arrays, and the others are built on it.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,14 @@ def ref_reduce_mod_rowspace(v, basis_rref, p):
     return v
 
 
+def ref_coset_vectors(basis, shift, p):
+    """shift + c @ basis for every c, in itertools.product order of c."""
+    basis = mm.modp(basis, p).reshape(-1, np.shape(shift)[-1])
+    k = basis.shape[0]
+    coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+    return mm.modp(coeffs @ basis + np.asarray(shift), p)
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape
@@ -162,3 +172,20 @@ def test_reduce_mod_rowspace_matches_reference(A, p, data):
     R, _ = mm.rref(A, p)
     v = np.array(data.draw(st.lists(entries, min_size=A.shape[1], max_size=A.shape[1])))
     assert_same_array(mm.reduce_mod_rowspace(v, R, p), ref_reduce_mod_rowspace(v, R, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(rows=st.integers(0, 4)), st.sampled_from([2, 3, 5, 13]), st.data())
+def test_coset_vectors_match_reference(A, p, data):
+    # p = 13 with two or more rows needs a wider dtype than uint8
+    shift = np.array(data.draw(st.lists(entries, min_size=A.shape[1], max_size=A.shape[1])))
+    assert_same_array(mm.coset_vectors(A, shift, p), ref_coset_vectors(A, shift, p))
+    zero = np.zeros(A.shape[1], dtype=np.int64)
+    assert_same_array(mm.span_vectors(A, p), ref_coset_vectors(A, zero, p))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=10), primes)
+def test_span_of_a_vector_matches_reference(v, p):
+    zero = np.zeros(len(v), dtype=np.int64)
+    assert_same_array(mm.span_vectors(np.array(v), p), ref_coset_vectors(np.array(v), zero, p))

@@ -163,6 +163,19 @@ class TestCosets:
         assert pa.coset_members(U, (1, 0)) == ((1, 0), (1, 1), (1, 2))
 
     @settings(max_examples=100, deadline=None)
+    @given(random_subspaces(), st.data())
+    def test_matches_sorted_reference(self, U, data):
+        # every point of U + w exactly once, lexicographically ordered,
+        # for shifts w that are not reduced modulo U
+        d = U.d
+        w = data.draw(vectors(d, U.n))
+        members = {
+            tuple(((np.array(c, dtype=np.int64) @ U.matrix + w) % d).tolist())
+            for c in itertools.product(range(d), repeat=U.dim)
+        }
+        assert pa.coset_members(U, w) == tuple(sorted(members))
+
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_canonical_representative(self, data):
         # one representative per coset of U, zero on U's pivot columns
