@@ -58,6 +58,8 @@ EXTRA_INVOCATIONS = {
     "equivalence_bell.json": ["equivalence", "--circuit", "bell.circ", "--host", "minimal-rebit"],
     # the failing certificate: exhaustive no-witness verdict for S (exit 1)
     "subtheory_full_qubit_n1.json": ["subtheory", "verify", "full-qubit-stabilizer", "--n", "1"],
+    # the non-Clifford correction path: T's X-branch correction (X + Y)/sqrt(2)
+    "inject_t_plus.json": ["inject", "--gate", "T", "--input", "+"],
 }
 
 

@@ -77,15 +77,28 @@ def phase_z(b: int, d: int) -> np.ndarray:
 
 
 def pauli(q, p, d: int) -> np.ndarray:
-    """Multi-site Z(p) X(q) with q the shift part and p the phase part."""
+    """Multi-site Z(p) X(q) with q the shift part and p the phase part.
+
+    Column x has its one nonzero in row y = x - q (per site, mod d), and
+    the value is the site phases chi(y_j p_j) multiplied left to right,
+    the order a Kronecker chain of the site matrices would use.
+    """
     q = tuple(int(x) % d for x in q)
     p = tuple(int(x) % d for x in p)
     if len(q) != len(p):
         raise DimensionMismatch("q and p length mismatch")
-    _check_scale(len(q), d)
-    out = np.array([[1.0 + 0j]])
-    for qj, pj in zip(q, p):
-        out = np.kron(out, phase_z(pj, d) @ shift_x(qj, d))
+    n = len(q)
+    _check_scale(n, d)
+    cols = np.arange(d**n)
+    rows = np.zeros_like(cols)
+    vals = np.ones(d**n, dtype=complex)
+    for j, (qj, pj) in enumerate(zip(q, p)):
+        place = d ** (n - 1 - j)
+        y = (cols // place - qj) % d
+        rows += y * place
+        vals *= np.diag(phase_z(pj, d))[y]
+    out = np.zeros((d**n, d**n), dtype=complex)
+    out[rows, cols] = vals
     return out
 
 
@@ -222,12 +235,11 @@ _LETTER_QP = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 def pauli_op(word: str) -> np.ndarray:
     """Hermitian Pauli word on len(word) qubits, e.g. 'XZ': the Kronecker
     product of its letters I, X, Y, Z."""
-    out = np.array([[1.0 + 0j]])
     for c in word:
         if c not in _LETTER_QP:
             raise CircuitParseError(f"bad Pauli letter {c!r} in {word!r}")
-        out = np.kron(out, np.eye(2, dtype=complex) if c == "I" else _QUBIT_GATES_1[c])
-    return out
+    n = len(word)
+    return PauliLabel.from_point(basis_label(word, range(n), n), 2).hermitian_operator()
 
 
 def basis_label(letters: str, wires, n: int, d: int = 2) -> tuple[int, ...]:

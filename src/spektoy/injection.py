@@ -42,33 +42,44 @@ class Correction:
 
 
 def classify_correction(C: np.ndarray, n: int) -> Correction:
-    """Match C (up to global phase) against Pauli times a CZ product."""
+    """Match C (up to global phase) against Pauli times a CZ product.
+
+    Z(p)X(q) CZ_E maps |x> to (-1)^{E(x) + p.(x+q)} |x+q>, so the shift q
+    is the row of column 0's largest entry, and f(x) = C[x+q, x] / C[q, 0]
+    = (-1)^{E(x) + p.x} gives p_i = [f(e_i) < 0] and the edge (i, j)
+    exactly when f(e_i + e_j) f(e_i) f(e_j) = -1.  The one candidate this
+    reads off is then checked against C; if it fails, no Pauli times CZ
+    product matches and C is non-Clifford.
+    """
     dim = 2**n
-    pairs = list(itertools.combinations(range(n), 2))
-    for edges in itertools.chain.from_iterable(
-        itertools.combinations(pairs, r) for r in range(len(pairs) + 1)
-    ):
-        czprod = np.eye(dim, dtype=complex)
-        for e in edges:
-            czprod = czprod @ do.gate("CZ", e, n, 2)
-        for q in itertools.product((0, 1), repeat=n):
-            for p in itertools.product((0, 1), repeat=n):
-                cand = do.pauli(q, p, 2) @ czprod
-                if abs(np.vdot(cand.reshape(-1), C.reshape(-1))) / dim > 1 - 1e-9:
-                    label = do.PauliLabel(q, p, 2)
-                    factors = []
-                    for w in range(n):
-                        if q[w]:
-                            factors.append(("X", (w,)))
-                        if p[w]:
-                            factors.append(("Z", (w,)))
-                    factors.extend(("CZ", e) for e in edges)
-                    name = label.name()
-                    if edges:
-                        name += "".join(f"*CZ({i},{j})" for i, j in edges)
-                    kind = "pauli-cz" if edges else "pauli"
-                    return Correction(C, kind, name, tuple(factors))
-    return Correction(C, "non-clifford", "non-clifford", ())
+    bit = [1 << (n - 1 - w) for w in range(n)]  # wire 0 is the top bit
+    top = int(np.argmax(np.abs(C[:, 0])))
+    q = tuple(int(bool(top & b)) for b in bit)
+
+    def f(x: int) -> complex:
+        return C[x ^ top, x] / C[top, 0]
+
+    p = tuple(int(f(b).real < 0) for b in bit)
+    edges = tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if (f(bit[i] | bit[j]) * f(bit[i]) * f(bit[j])).real < 0
+    )
+    czprod = np.eye(dim, dtype=complex)
+    for e in edges:
+        czprod = czprod @ do.gate("CZ", e, n, 2)
+    cand = do.pauli(q, p, 2) @ czprod
+    if not abs(np.vdot(cand.reshape(-1), C.reshape(-1))) / dim > 1 - 1e-9:
+        return Correction(C, "non-clifford", "non-clifford", ())
+    factors = []
+    for w in range(n):
+        if q[w]:
+            factors.append(("X", (w,)))
+        if p[w]:
+            factors.append(("Z", (w,)))
+    factors.extend(("CZ", e) for e in edges)
+    name = do.PauliLabel(q, p, 2).name() + "".join(f"*CZ({i},{j})" for i, j in edges)
+    return Correction(C, "pauli-cz" if edges else "pauli", name, tuple(factors))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import _modmath as mm
 from . import dense_oracle as do
 from . import phase_algebra as pa
 from . import wigner as wg
+from .circuits import ATOL_END2END
 from .errors import DimensionMismatch, GuardExceeded
 
 
@@ -218,22 +219,58 @@ def named_gate_pool(d: int, n: int) -> list[GateGen]:
     return list(_gate_gens(("X", "Z", "F", "P"), ("SUM", "SWAP"), n, d))
 
 
+#: most entries of one states x images overlap block; the full d=2, n=4
+#: census (36,720 states) would need 21 GB for its whole Gram matrix
+MATCH_BLOCK_ENTRIES = 1 << 20
+
+
+def _first_matches(states, images: np.ndarray) -> np.ndarray:
+    """Index of the first state equal to each image (a row of images) up
+    to global phase, -1 where none is: the do.states_equal rule, with
+    |<s|img>| > (1 - ATOL_END2END) |s| |img| and zero-norm vectors equal
+    only to each other.
+
+    Images are compared in blocks of at most MATCH_BLOCK_ENTRIES overlaps,
+    and the scan stops after the first block holding a miss, so the result
+    may be shorter than images; a shorter result always ends in a miss.
+    """
+    images = np.asarray(images)
+    if len(states) == 0 or images.shape[1:] != states[0].shape:
+        return np.full(len(images), -1)
+    S = np.stack(states).conj()
+    s_norm = np.linalg.norm(S, axis=1)
+    s_zero = s_norm < ATOL_END2END
+    block = max(1, MATCH_BLOCK_ENTRIES // len(S))
+    out = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(images), block):
+        img = images[start:start + block]
+        i_norm = np.linalg.norm(img, axis=1)
+        i_zero = i_norm < ATOL_END2END
+        match = np.abs(S @ img.T) > (1 - ATOL_END2END) * np.outer(s_norm, i_norm)
+        if s_zero.any() or i_zero.any():
+            either = s_zero[:, None] | i_zero[None, :]
+            match = np.where(either, s_zero[:, None] & i_zero[None, :], match)
+        first = np.where(match.any(axis=0), match.argmax(axis=0), -1)
+        out.append(first)
+        if (first < 0).any():
+            break
+    return np.concatenate(out)
+
+
 def state_index(states, psi) -> int | None:
     """Index of the first state equal to psi up to global phase."""
-    for i, s in enumerate(states):
-        if do.states_equal(s, psi):
-            return i
-    return None
+    i = int(_first_matches(states, np.asarray(psi)[None])[0])
+    return None if i < 0 else i
 
 
 def permutes_states(U: np.ndarray, states) -> tuple[bool, int | None]:
     """Whether U maps the state set onto itself up to global phase.
 
     Returns (ok, index of first counterexample state)."""
-    for i, s in enumerate(states):
-        if state_index(states, U @ s) is None:
-            return False, i
-    return True, None
+    if len(states) == 0:
+        return True, None
+    misses = np.flatnonzero(_first_matches(states, np.stack(states) @ U.T) < 0)
+    return (True, None) if misses.size == 0 else (False, int(misses[0]))
 
 
 def allowed_gates(

@@ -165,12 +165,12 @@ def s_reachable_words() -> dict[str, str]:
     out = {w: "host" for w in host}
     s0 = do.gate("S", (0,), 2, 2)
     s1 = do.gate("S", (1,), 2, 2)
-    paulis = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+    ops = {w: pauli_op(w) for w in map("".join, itertools.product("IXYZ", repeat=2))}
     for w in ("IX", "XI", "XX"):
         for conj in (s0, s1, s0 @ s1):
-            img = conj @ pauli_op(w) @ conj.conj().T
-            for cand in paulis:
-                if abs(np.vdot(pauli_op(cand).reshape(-1), img.reshape(-1))) / 4 > 1 - 1e-9:
+            img = conj @ ops[w] @ conj.conj().T
+            for cand, op in ops.items():
+                if abs(np.vdot(op.reshape(-1), img.reshape(-1))) / 4 > 1 - 1e-9:
                     if cand not in out:
                         out[cand] = "S"
     return out
@@ -185,14 +185,13 @@ def peres_mermin_s_variant() -> dict:
     """
     pool = s_reachable_words()
     words = sorted(w for w in pool if w != "II")
+    ops = {w: pauli_op(w) for w in words}
 
     def commute(a, b):
-        return np.allclose(
-            pauli_op(a) @ pauli_op(b), pauli_op(b) @ pauli_op(a), atol=1e-12
-        )
+        return np.allclose(ops[a] @ ops[b], ops[b] @ ops[a], atol=1e-12)
 
     def line_sign(ws):
-        prod = pauli_op(ws[0]) @ pauli_op(ws[1]) @ pauli_op(ws[2])
+        prod = ops[ws[0]] @ ops[ws[1]] @ ops[ws[2]]
         for s in (1, -1):
             if np.allclose(prod, s * np.eye(4), atol=1e-12):
                 return s

@@ -61,6 +61,8 @@ GOLDEN_CASES = {
     # the failing certificate: S(0) has no covariance witness (exhaustive)
     "subtheory_full_qubit_n1.json": (
         ["subtheory", "verify", "full-qubit-stabilizer", "--n", "1"], 1),
+    # the non-Clifford correction path: T's X-branch correction (X + Y)/sqrt(2)
+    "inject_t_plus.json": (["inject", "--gate", "T", "--input", "+"], 0),
 }
 
 

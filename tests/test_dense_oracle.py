@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from spektoy import dense_oracle as do
 from spektoy import subtheory as stt
 from spektoy.circuits import branch_tree, parse_circuit
-from spektoy.errors import GuardExceeded, InvalidGenerators
+from spektoy.errors import (
+    CircuitParseError,
+    DimensionMismatch,
+    GuardExceeded,
+    InvalidGenerators,
+)
 
 
 class TestPauliOperators:
@@ -36,6 +41,65 @@ class TestPauliOperators:
                 phase = do.chi(int(q1 @ p2) % d, d)
                 rhs = phase * do.pauli((q1 + q2) % d, (p1 + p2) % d, d)
                 assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def ref_pauli(q, p, d):
+    """The Kronecker chain of the site operators Z(p_j) X(q_j)."""
+    out = np.array([[1.0 + 0j]])
+    for qj, pj in zip(q, p):
+        out = np.kron(out, do.phase_z(pj % d, d) @ do.shift_x(qj % d, d))
+    return out
+
+
+def ref_pauli_op(word):
+    """The Kronecker chain of the letter matrices I, X, Y, Z."""
+    letters = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    out = np.array([[1.0 + 0j]])
+    for c in word:
+        out = np.kron(out, letters[c])
+    return out
+
+
+class TestPauliBuilders:
+    @pytest.mark.parametrize("d, n_max", [(2, 3), (3, 2), (5, 1)])
+    def test_pauli_matches_kron_chain_for_every_label(self, d, n_max):
+        for n in range(n_max + 1):
+            for q in itertools.product(range(d), repeat=n):
+                for p in itertools.product(range(d), repeat=n):
+                    got, ref = do.pauli(q, p, d), ref_pauli(q, p, d)
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert np.array_equal(got, ref), (q, p, d)
+
+    def test_pauli_reduces_unreduced_labels(self):
+        assert np.array_equal(do.pauli((4, -1), (-2, 7), 3), ref_pauli((1, 2), (1, 1), 3))
+
+    def test_pauli_op_matches_kron_chain_for_every_word(self):
+        for n in range(4):
+            for letters in itertools.product("IXYZ", repeat=n):
+                word = "".join(letters)
+                got, ref = do.pauli_op(word), ref_pauli_op(word)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got, ref), word
+
+    def test_pauli_guard_and_length_checks_still_raise(self):
+        with pytest.raises(GuardExceeded):
+            do.pauli((0,) * 7, (0,) * 7, 2)
+        with pytest.raises(GuardExceeded):
+            do.pauli_op("X" * 7)
+        with pytest.raises(DimensionMismatch):
+            do.pauli((0, 1), (0,), 2)
+        with pytest.raises(DimensionMismatch):
+            do.pauli((0,), (0,), 4)
+
+    @pytest.mark.parametrize("word", ["XQ", "xz", "X Z", "-X"])
+    def test_pauli_op_rejects_bad_letters(self, word):
+        with pytest.raises(CircuitParseError, match="bad Pauli letter"):
+            do.pauli_op(word)
 
 
 class TestNamedGates:

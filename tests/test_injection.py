@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -60,6 +61,104 @@ class TestCorrectionClassification:
     def test_non_diagonal_rejected(self):
         with pytest.raises(DimensionMismatch):
             inj.build_injection(do.gate("H", (0,), 1), 1)
+
+
+def ref_classify_correction(C, n):
+    """Exhaustive search: every CZ-edge subset times every Pauli, the first
+    candidate with overlap 1 (up to phase) wins."""
+    dim = 2**n
+    pairs = list(itertools.combinations(range(n), 2))
+    for edges in itertools.chain.from_iterable(
+        itertools.combinations(pairs, r) for r in range(len(pairs) + 1)
+    ):
+        czprod = np.eye(dim, dtype=complex)
+        for e in edges:
+            czprod = czprod @ do.gate("CZ", e, n, 2)
+        for q in itertools.product((0, 1), repeat=n):
+            for p in itertools.product((0, 1), repeat=n):
+                cand = do.pauli(q, p, 2) @ czprod
+                if abs(np.vdot(cand.reshape(-1), C.reshape(-1))) / dim > 1 - 1e-9:
+                    factors = []
+                    for w in range(n):
+                        if q[w]:
+                            factors.append(("X", (w,)))
+                        if p[w]:
+                            factors.append(("Z", (w,)))
+                    factors.extend(("CZ", e) for e in edges)
+                    name = do.PauliLabel(q, p, 2).name()
+                    name += "".join(f"*CZ({i},{j})" for i, j in edges)
+                    return ("pauli-cz" if edges else "pauli"), name, tuple(factors)
+    return "non-clifford", "non-clifford", ()
+
+
+def _x_string(m):
+    n = len(m)
+    out = np.eye(2**n, dtype=complex)
+    for j, mj in enumerate(m):
+        if mj:
+            out = out @ do.gate("X", (j,), n)
+    return out
+
+
+def _diagonal_corrections(ks):
+    """Every correction U X^m U* of the diagonal U = diag(e^{i pi k / 4})."""
+    n = int(math.log2(len(ks)))
+    U = np.diag(np.exp(1j * np.pi * np.asarray(ks) / 4))
+    for m in itertools.product((0, 1), repeat=n):
+        yield U @ _x_string(m) @ U.conj().T, n
+
+
+def _assert_same_class(C, n):
+    got = inj.classify_correction(C, n)
+    assert (got.kind, got.name, got.factors) == ref_classify_correction(C, n)
+    return got.kind
+
+
+class TestClosedFormClassifier:
+    def test_every_n1_diagonal_eighth_root_gate(self):
+        kinds = set()
+        for ks in itertools.product(range(8), repeat=2):
+            for C, n in _diagonal_corrections(ks):
+                kinds.add(_assert_same_class(C, n))
+        assert kinds == {"pauli", "non-clifford"}
+
+    # a CZ factor needs a cubic +-1 phase, so only n=3 reaches pauli-cz
+    @pytest.mark.parametrize(
+        "n, draws, expect",
+        [(2, 40, {"pauli", "non-clifford"}), (3, 10, {"pauli", "pauli-cz", "non-clifford"})],
+    )
+    def test_seeded_diagonal_eighth_root_gates(self, n, draws, expect):
+        rng = np.random.default_rng(8 + n)
+        kinds = set()
+        for _ in range(draws):
+            # powers of e^{i pi/4}, e^{i pi/2} or -1, so that Clifford
+            # corrections come up as well as non-Clifford ones
+            step = int(rng.choice([1, 2, 4]))
+            for C, m in _diagonal_corrections(step * rng.integers(0, 8 // step, 2**n)):
+                kinds.add(_assert_same_class(C, m))
+        assert kinds == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_times_cz_products_under_a_global_phase(self, n):
+        rng = np.random.default_rng(20 + n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for q in itertools.product((0, 1), repeat=n):
+            for p in itertools.product((0, 1), repeat=n):
+                mask = rng.integers(0, 2, len(pairs))
+                C = do.pauli(q, p, 2)
+                for e, on in zip(pairs, mask):
+                    if on:
+                        C = C @ do.gate("CZ", e, n, 2)
+                C = np.exp(2j * np.pi * rng.random()) * C
+                assert _assert_same_class(C, n) == ("pauli-cz" if mask.any() else "pauli")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_unitaries_are_non_clifford(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(5):
+            z = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            Q, _ = np.linalg.qr(z)
+            assert _assert_same_class(Q, n) == "non-clifford"
 
 
 class TestRunInjection:

@@ -221,3 +221,87 @@ class TestSubtheoryLookup:
         assert stt.subtheory_by_name("gross", 1, 3).spec.name == "gross"
         with pytest.raises(DimensionMismatch):
             stt.subtheory_by_name("nonsense", 2)
+
+
+def ref_state_index(states, psi):
+    for i, s in enumerate(states):
+        if do.states_equal(s, psi):
+            return i
+    return None
+
+
+def ref_permutes_states(U, states):
+    for i, s in enumerate(states):
+        if ref_state_index(states, U @ s) is None:
+            return False, i
+    return True, None
+
+
+MEMBERSHIP_CASES = {
+    "minimal-rebit-2": lambda: stt.minimal_rebit_subtheory(2),
+    "css-rebit-2": lambda: stt.css_rebit_subtheory(2),
+    "qudit-d3-1": lambda: stt.qudit_stabilizer_subtheory(3, 1),
+    "full-qubit-1": lambda: stt.full_qubit_stabilizer_subtheory(1),
+}
+
+
+class TestStateMembership:
+    # 1 and 7 force one image per block; 50 gives blocks of 2 to 8 images
+    # with a partial last block
+    @pytest.mark.parametrize("bound", [1, 7, 50, stt.MATCH_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
+    def test_matches_states_equal_scan(self, case, bound, monkeypatch):
+        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        sub = MEMBERSHIP_CASES[case]()
+        for gen in sub.gate_generators:
+            U = gen.matrix
+            assert stt.permutes_states(U, sub.states) == ref_permutes_states(U, sub.states)
+            for s in sub.states:
+                img = U @ s
+                assert stt.state_index(sub.states, img) == ref_state_index(sub.states, img)
+
+    @pytest.mark.parametrize("bound", [1, 7, 50, stt.MATCH_BLOCK_ENTRIES])
+    def test_first_matches_sees_every_image_up_to_a_last_miss(self, bound, monkeypatch):
+        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        states = stt.all_stabilizer_states(2, 2)
+        tplus = do.parse_state_spec("T|+>")
+        foreign = np.kron(tplus, tplus)
+        images = np.stack([-s for s in states[::-1]] + [foreign])
+        ref = [ref_state_index(states, img) for img in images]
+        got = stt._first_matches(states, images)
+        assert got.tolist() == [-1 if i is None else i for i in ref]
+        assert stt._first_matches(states, images[:-1]).tolist() == ref[:-1]
+
+    @pytest.mark.parametrize("bound", [1, 7, stt.MATCH_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("case", ["minimal-rebit-2", "css-rebit-2"])
+    def test_s_escapes_at_the_same_first_index(self, case, bound, monkeypatch):
+        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        states = MEMBERSHIP_CASES[case]().states
+        S = do.gate("S", (0,), 2)
+        ok, idx = stt.permutes_states(S, states)
+        assert not ok
+        assert (ok, idx) == ref_permutes_states(S, states)
+
+    def test_zero_vector_and_shape_mismatch(self):
+        states = stt.minimal_rebit_subtheory(2).states
+        zero = np.zeros(4, dtype=complex)
+        assert stt.state_index(states, zero) is None
+        assert stt.state_index(states + states, -1j * states[3]) == 3
+        assert stt.state_index(states + (zero,), zero) == len(states)
+        assert stt.state_index(states + (zero,), 1e-12 * states[0]) == len(states)
+        assert stt.state_index(states, np.ones(8) / np.sqrt(8)) is None
+        assert stt.state_index(states, np.eye(4)) is None
+        assert stt.state_index((), states[0]) is None
+        assert stt.permutes_states(np.eye(4), ()) == (True, None)
+        for psi in (zero, 1e-12 * states[0], states[3], 2.5j * states[5]):
+            assert stt.state_index(states + (zero,), psi) == ref_state_index(
+                states + (zero,), psi
+            )
+
+
+class TestGateGroupGuard:
+    def test_guard_fires_one_element_short_of_the_clifford_group(self):
+        H, S = do.gate("H", (0,), 1), do.gate("S", (0,), 1)
+        with pytest.raises(GuardExceeded):
+            stt.generated_gate_group([H, S], max_size=23)
+        assert len(stt.generated_gate_group([H, S], max_size=24)) == 24
