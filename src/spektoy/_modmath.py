@@ -1,11 +1,12 @@
 """Exact linear algebra over Z_p for small prime p.
 
-Gaussian elimination runs on rows of Python ints (`rref_rows`): the matrices
-are tiny (a handful of rows, at most 2n columns), where int lists beat numpy
-row operations by a wide margin.  numpy appears only at the boundary: the
-array-level routines take any integer array-like, reduce it mod p in one
-call, and return int64 arrays with entries in [0, p).  Matrices are
-row-stacked generator lists.  All routines are deterministic.
+Gaussian elimination and solving run on rows of Python ints (`rref_rows`,
+`solve_rows`): the matrices are tiny (a handful of rows, at most 2n
+columns), where int lists beat numpy row operations by a wide margin.  numpy
+appears only at the boundary: the array-level routines take any integer
+array-like, reduce it mod p in one call, and return int64 arrays with
+entries in [0, p).  Matrices are row-stacked generator lists.  All routines
+are deterministic.
 """
 
 from __future__ import annotations
@@ -92,17 +93,27 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return _array(complement_rows(R, pivots, n, p), n)
 
 
-def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One particular solution x of A x = b mod p, or None if inconsistent."""
-    rows, n = _rows(A, p)
-    aug = [row + [x] for row, x in zip(rows, modp(b, p).reshape(-1).tolist(), strict=True)]
+def solve_rows(rows: list, b: list[int], n: int, p: int) -> list[int] | None:
+    """One particular solution x of rows x = b mod p, or None if inconsistent.
+
+    rows (each of length n) and b hold ints in [0, p); neither is consumed.
+    The free coordinates of x are zero.
+    """
+    aug = [[*row, x] for row, x in zip(rows, b, strict=True)]
     R, pivots = rref_rows(aug, n + 1, p)
     if n in pivots:
         return None
     x = [0] * n
     for row, c in zip(R, pivots):
         x[c] = row[n]
-    return np.array(x, dtype=np.int64)
+    return x
+
+
+def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """`solve_rows` of an array-like system: x as an array, or None."""
+    rows, n = _rows(A, p)
+    x = solve_rows(rows, modp(b, p).reshape(-1).tolist(), n, p)
+    return None if x is None else np.array(x, dtype=np.int64)
 
 
 def coset_vectors(basis: np.ndarray, shift, p: int) -> np.ndarray:

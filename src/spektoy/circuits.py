@@ -32,6 +32,9 @@ from .errors import CircuitParseError
 
 ATOL_CONSTRUCT = 1e-12   # construction-level identities
 ATOL_END2END = 1e-9      # end-to-end / branch-level identities
+#: ATOL_CONSTRUCT as an exact rational (the same value): comparing a Fraction
+#: with it needs no float conversion
+ATOL_CONSTRUCT_EXACT = Fraction(ATOL_CONSTRUCT)
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,8 @@ def branch_tree(root, steps: list[Step]) -> list[tuple]:
     Returns [(outcomes, probability, state)] in expansion order.  A branch's
     probability is the product of its children's probabilities, starting
     from the integer 1, so exact (Fraction) steps stay exact.  Children of
-    probability <= ATOL_CONSTRUCT are dropped.  The leaves must sum to 1:
+    probability <= ATOL_CONSTRUCT are dropped (a Fraction is compared with
+    ATOL_CONSTRUCT_EXACT).  The leaves must sum to 1:
     exactly for exact probabilities, within ATOL_END2END for floats.
     """
     branches = [((), 1, root)]
@@ -245,7 +249,7 @@ def branch_tree(root, steps: list[Step]) -> list[tuple]:
             (outcomes if k is None else outcomes + (k,), prob * pk, child)
             for outcomes, prob, state in branches
             for k, pk, child in step(outcomes, state)
-            if pk > ATOL_CONSTRUCT
+            if pk > (ATOL_CONSTRUCT_EXACT if isinstance(pk, Fraction) else ATOL_CONSTRUCT)
         ]
     total = sum(prob for _, prob, _ in branches)
     if isinstance(total, (int, Fraction)):

@@ -15,6 +15,7 @@ deviate); 2 usage or audit error; 3 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,7 +281,9 @@ def _common_flags(parser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="spektoy",
         description="phase-space toy-model and state-injection verification",

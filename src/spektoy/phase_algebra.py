@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -73,6 +74,15 @@ def evaluate(sigma, lam, d: int) -> int:
     return int((s @ l) % d)
 
 
+def symplectic_row(b) -> list[int]:
+    """J b = (b1, -b0, b3, -b2, ...) as an int list (not reduced), so that
+    the symplectic product [a, b] is the dot product a . Jb."""
+    Jb = list(b)
+    Jb[0::2] = b[1::2]
+    Jb[1::2] = [-x for x in b[0::2]]
+    return Jb
+
+
 def symplectic_product(s1, s2, d: int) -> int:
     """s1^T J s2 mod d; antisymmetric.  Zero iff jointly knowable."""
     a = mm.modp(np.asarray(s1, dtype=np.int64), d)
@@ -99,9 +109,10 @@ class Subspace:
     @classmethod
     def from_generators(cls, gens, d: int, n: int) -> "Subspace":
         _check_dn(d, n)
-        if isinstance(gens, np.ndarray):
-            gens = gens.reshape(len(gens), -1 if gens.size else 0).tolist()
-        rows = [[int(x) % d for x in g] for g in gens]
+        if isinstance(gens, np.ndarray):  # reduced in one call at the boundary
+            rows = mm.modp(gens, d).reshape(len(gens), -1 if gens.size else 0).tolist()
+        else:
+            rows = [[int(x) % d for x in g] for g in gens]
         for r in rows:
             if len(r) != 2 * n:
                 raise DimensionMismatch(f"expected length {2 * n}, got {len(r)}")
@@ -136,9 +147,9 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("subspace sum across different (d, n)")
-        return Subspace.from_generators(
-            list(self.gens) + list(other.gens), self.d, self.n
-        )
+        # both generator lists are canonical int rows already: one elimination
+        R, _ = mm.rref_rows(list(map(list, self.gens + other.gens)), 2 * self.n, self.d)
+        return Subspace(tuple(map(tuple, R)), self.d, self.n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
@@ -168,10 +179,20 @@ def symplectic_commutant(V: Subspace) -> Subspace:
 
 
 def is_isotropic(V: Subspace) -> bool:
-    """True iff the symplectic product vanishes on all generator pairs."""
-    g = V.matrix
-    J = symplectic_form(V.n, V.d)
-    return not np.any(mm.modp(g @ J @ g.T, V.d))
+    """True iff the symplectic product vanishes on all generator pairs.
+
+    Runs on the int rows of V: each generator b is tested against every
+    earlier one (the form is antisymmetric, so [b, b] = 0 and
+    [b, a] = -[a, b]).
+    """
+    d = V.d
+    gens = V.gens
+    for j in range(1, len(gens)):
+        Jb = symplectic_row(gens[j])
+        for a in gens[:j]:
+            if sum(map(mul, a, Jb)) % d:
+                return False
+    return True
 
 
 def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
@@ -240,9 +261,15 @@ class AffineSymplectic:
             self.d,
         )
 
-    def inverse(self) -> "AffineSymplectic":
+    @cached_property
+    def Sinv(self) -> np.ndarray:
+        """S^-1 (read-only), computed on first read; the map is immutable."""
         Sinv = symplectic_inverse(self.S, self.d)
-        return AffineSymplectic(Sinv, mm.modp(-(Sinv @ self.a), self.d), self.d)
+        Sinv.setflags(write=False)
+        return Sinv
+
+    def inverse(self) -> "AffineSymplectic":
+        return AffineSymplectic(self.Sinv, mm.modp(-(self.Sinv @ self.a), self.d), self.d)
 
     def key(self) -> tuple:
         return (self.S.tobytes(), self.a.tobytes())

@@ -8,7 +8,11 @@ distribution over the coset V-perp + w, which has d^(2n - dim V) points, but
 nothing here lists that coset: weights, point probabilities, outcome tables,
 measurement updates and affine evolution are closed forms in (V, w), computed
 by linear algebra over Z_d in time polynomial in n (the toy analogue of
-stabilizer tableau simulation).  The support is listed only when something
+stabilizer tableau simulation).  A step runs on the canonical int rows that
+`Subspace.gens` holds (isotropy, dot products, elimination and solving on
+Python ints); numpy is used only for the two dense products, the gate's
+V S^-1 and S w + a, and the retained generators c G of an update.  The
+support is listed only when something
 reads `EpistemicState.support`, and that listing is capped by
 `phase_algebra.COSET_GUARD`.  All distributions are exact rationals; sampling
 is a thin seeded layer on top.
@@ -27,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -98,10 +103,13 @@ def make_epistemic(V: pa.Subspace, w, U: pa.Subspace | None = None) -> Epistemic
     """
     if not pa.is_isotropic(V):
         raise RestrictionViolation("known-variable subspace is not isotropic")
+    d, n = V.d, V.n
+    wv = [int(x) % d for x in w]
+    if len(wv) != 2 * n:
+        raise DimensionMismatch(f"expected length {2 * n}, got {len(wv)}")
     if U is None:
         U = pa.perp(V)
-    wv = pa.as_vector(w, V.d, V.n)
-    state = EpistemicState(V, tuple(mm.reduce_row(wv.tolist(), U.gens, V.d)))
+    state = EpistemicState(V, tuple(mm.reduce_row(wv, U.gens, d)))
     state.__dict__["U"] = U  # fills the cached property; perp(V) is at hand
     return state
 
@@ -115,14 +123,14 @@ def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicStat
 
     The image of V-perp + w is (S V-perp) + (S w + a).  A functional sigma
     is known afterwards exactly when sigma S is known before, so the new
-    known subspace is V S^-1.
+    known subspace is V S^-1.  Both products are numpy matmuls with the
+    dense 2n x 2n map; they are reduced mod d where they become int rows.
     """
     if (g.d, g.n) != (state.d, state.n):
         raise DimensionMismatch("map and state live on different spaces")
-    d = state.d
-    V_new = pa.Subspace.from_generators(state.V.matrix @ pa.symplectic_inverse(g.S, d), d, state.n)
-    new_w = mm.modp(g.S @ np.array(state.w, dtype=np.int64) + g.a, d)
-    out = make_epistemic(V_new, tuple(int(x) for x in new_w))
+    V_new = pa.Subspace.from_generators(state.V.matrix @ g.Sinv, state.d, state.n)
+    new_w = (g.S @ np.array(state.w, dtype=np.int64) + g.a).tolist()
+    out = make_epistemic(V_new, new_w)
     assert out.V.dim == state.V.dim
     return out
 
@@ -172,19 +180,25 @@ def outcome_distribution(
     With A the measured generators, the outcome A lam of a support point runs
     uniformly over the coset A w + A V-perp, so each of its d^r points has
     probability 1/d^r, r = dim(A V-perp) = rank(U A^T) for U spanning V-perp.
+    Runs on int rows: the spread is the rref of the rows (u . a for a in A),
+    one per generator u of U.
     """
     if (meas.d, meas.n) != (state.d, state.n):
         raise DimensionMismatch("measurement and state live on different spaces")
     d = state.d
-    A = np.array(meas.generators, dtype=np.int64)
-    spread, _ = mm.rref(state.U.matrix @ A.T, d)
-    size = d ** spread.shape[0]
+    A = meas.generators
+    rows = [[sum(map(mul, u, a)) % d for a in A] for u in state.U.gens]
+    spread, _ = mm.rref_rows(rows, len(A), d)
+    size = d ** len(spread)
     if size > pa.COSET_GUARD:
         raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
-    centre = A @ np.array(state.w, dtype=np.int64)
-    outcomes = mm.coset_vectors(spread, centre, d)
+    outcomes = [[sum(map(mul, a, state.w)) % d for a in A]]
+    for row in reversed(spread):  # centre + c . spread in lexicographic order of c
+        outcomes = [
+            [(x + m * y) % d for x, y in zip(k, row)] for m in range(d) for k in outcomes
+        ]
     p = Fraction(1, size)
-    return {k: p for k in sorted(map(tuple, outcomes.tolist()))}
+    return {k: p for k in sorted(map(tuple, outcomes))}
 
 
 def _update(state: EpistemicState, meas: SharpMeasurement):
@@ -194,26 +208,33 @@ def _update(state: EpistemicState, meas: SharpMeasurement):
     Retained knowledge R = prior V intersected with the symplectic commutant
     of the measured subspace: the combinations c G of the prior generators G
     with [c G, a] = 0 for every measured generator a, that is c in the
-    nullspace of A J^T G^T.  The posterior knows V_new = measured + R.  The
-    shift is one solution x of [A; R] x = [outcome; R w]: the points showing
-    the outcome on A and the prior values on R, among them every
-    prior-support point showing the outcome, form exactly one coset of the
-    new support.  The system is unsolvable exactly when the outcome has
-    probability zero.
+    nullspace of M[i][j] = [a_i, g_j].  The posterior knows V_new =
+    measured + R.  The shift is one solution x of [A; R] x = [outcome; R w]:
+    the points showing the outcome on A and the prior values on R, among
+    them every prior-support point showing the outcome, form exactly one
+    coset of the new support.  The system is unsolvable exactly when the
+    outcome has probability zero.
+
+    Runs on int rows, except the product c G, which stays one numpy matmul.
     """
     d, n = state.d, state.n
-    A = np.array(meas.generators, dtype=np.int64)
-    G = state.V.matrix
-    coeffs = mm.nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
-    retained = pa.Subspace.from_generators(coeffs @ G, d, n)
+    A = meas.generators
+    G = state.V.gens
+    k = len(G)
+    JG = [pa.symplectic_row(g) for g in G]
+    M, pivots = mm.rref_rows([[sum(map(mul, a, Jg)) % d for Jg in JG] for a in A], k, d)
+    coeffs = mm.complement_rows(M, pivots, k, d)
+    C = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k)
+    retained = pa.Subspace.from_generators(C @ state.V.matrix, d, n)
     V_new = meas.subspace + retained
     U_new = pa.perp(V_new)
-    R = retained.matrix
-    system = np.concatenate([A, R])
-    prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
+    R = retained.gens
+    system = A + R
+    prior_values = [sum(map(mul, r, state.w)) % d for r in R]
 
     def update(outcome: tuple[int, ...]) -> EpistemicState:
-        shift = mm.solve(system, list(outcome) + prior_values, d)
+        values = [int(x) % d for x in outcome] + prior_values
+        shift = mm.solve_rows(system, values, 2 * n, d)
         if shift is None:
             raise DimensionMismatch(f"outcome {outcome} has probability zero")
         return make_epistemic(V_new, shift, U_new)

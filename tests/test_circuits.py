@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from spektoy.circuits import (
+    ATOL_CONSTRUCT,
+    ATOL_CONSTRUCT_EXACT,
     Correct,
     Gate,
     Measure,
@@ -121,6 +124,28 @@ def test_branch_tree_without_steps_is_the_root():
 def test_branch_tree_drops_negligible_children():
     branches = branch_tree(0, [_split([1.0 - 1e-13, 1e-13, 0.0])])
     assert [outcomes for outcomes, _, _ in branches] == [(0,)]
+
+
+def test_branch_tree_prunes_fractions_at_the_float_threshold():
+    eps = ATOL_CONSTRUCT_EXACT
+    assert type(eps) is Fraction and eps == ATOL_CONSTRUCT  # the same value
+    above = eps + Fraction(1, 2**200)
+    # a float first step makes the products floats, so the sum check is the
+    # float one and a pruned exact child shows as a missing leaf
+    for pk, kept in [(eps, [(0, 0)]), (above, [(0, 0), (0, 1)])]:
+        branches = branch_tree(0, [_split([1.0]), _split([1 - pk, pk])])
+        assert [outcomes for outcomes, _, _ in branches] == kept
+    # all exact: the pruned child trips the exact sum check
+    with pytest.raises(AssertionError, match="sum to"):
+        branch_tree(0, [_split([1 - eps, eps])])
+    assert len(branch_tree(0, [_split([1 - above, above])])) == 2
+
+
+def test_branch_tree_float_pruning_unchanged():
+    above = math.nextafter(ATOL_CONSTRUCT, 1.0)
+    for pk, kept in [(ATOL_CONSTRUCT, [(0,)]), (above, [(0,), (1,)])]:
+        branches = branch_tree(0, [_split([1.0 - pk, pk])])
+        assert [outcomes for outcomes, _, _ in branches] == kept
 
 
 @pytest.mark.parametrize(

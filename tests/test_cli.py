@@ -6,7 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from spektoy.cli import main
+from spektoy.cli import build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SCHEMA_DIR = pathlib.Path(__file__).parents[1] / "docs" / "schemas"
@@ -70,10 +70,11 @@ GOLDEN_CASES = {
 def test_golden(fname, monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR)
     argv, expected_code = GOLDEN_CASES[fname]
-    code, text = run_cli(argv)
-    assert code == expected_code
     golden = (GOLDEN_DIR / fname).read_text()
-    assert text == golden, f"output drifted from {fname}"
+    for _ in range(2):  # the second run in this process reuses the parser
+        code, text = run_cli(list(argv))
+        assert code == expected_code
+        assert text == golden, f"output drifted from {fname}"
 
 
 def _schema_validators():
@@ -108,6 +109,18 @@ def test_determinism_byte_identical_repeat_runs():
         code1, text1 = run_cli(list(argv))
         code2, text2 = run_cli(list(argv))
         assert (code1, text1) == (code2, text2)
+
+
+def test_repeated_in_process_calls_share_one_parser():
+    # the parser is built once per process: a failed parse, then a good
+    # one, then --help must each behave as on a fresh parser
+    assert run_cli(["wigner", "--bogus"])[0] == 2
+    code, text = run_cli(["witness", "chsh"])
+    assert code == 0 and text == (GOLDEN_DIR / "witness_chsh.json").read_text()
+    code, text = run_cli(["--help"])
+    assert code == 0 and "usage: spektoy" in text
+    assert run_cli(["subtheory", "--help"])[0] == 0
+    assert build_parser() is build_parser()
 
 
 def test_schema_and_config_fields():

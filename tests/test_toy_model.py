@@ -45,6 +45,28 @@ class TestMakeEpistemic:
         b = tm.make_epistemic(V, (0, 1))  # differs by a support direction
         assert a == b
 
+    def test_wrong_length_shift_rejected(self):
+        V = pa.Subspace.from_generators([(1, 0, 0, 0)], 3, 2)
+        for w in [(0, 0, 0), (0,) * 5, ()]:
+            with pytest.raises(DimensionMismatch, match="expected length 4"):
+                tm.make_epistemic(V, w)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_shift_types_and_residues_agree(self, d):
+        V = pa.Subspace.from_generators([(1, 0, 1, 0), (0, 1, 0, d - 1)], d, 2)
+        w = (1, 2 % d, 0, d - 1)
+        s = tm.make_epistemic(V, w)
+        assert tm.make_epistemic(V, np.array(w)) == s
+        assert tm.make_epistemic(V, list(w)) == s
+        assert tm.make_epistemic(V, tuple(x + 3 * d for x in w)) == s
+        assert tm.make_epistemic(V, tuple(x - 2 * d for x in w)) == s
+        assert tm.make_epistemic(V, np.array(w) - d) == s
+        # zero on U's pivot columns, so the reduction modulo U leaves the
+        # other entries as given: they must be reduced mod d up front
+        pivots = [next(c for c, x in enumerate(u) if x) for u in s.U.gens]
+        assert tm.make_epistemic(V, [x if c in pivots else x + d for c, x in enumerate(s.w)]) == s
+        assert all(type(x) is int and 0 <= x < d for x in s.w)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_support_size_formula(self, d):
         # |support| = d^{2n - dim V} over all isotropic subspaces at n=1
@@ -292,15 +314,23 @@ def _functional_in(W, coeffs, avoid):
     return vec
 
 
+def _isotropic_of(d, n, draw, coeffs, dim):
+    """An isotropic subspace of the given dimension, grown one drawn
+    functional of its symplectic commutant at a time."""
+    V = pa.Subspace.zero(d, n)
+    for _ in range(dim):
+        comm = pa.symplectic_commutant(V)
+        vec = _functional_in(comm, draw(coeffs)[: comm.dim], V)
+        V = V + pa.Subspace.from_generators([vec], d, n)
+    return V
+
+
 @st.composite
 def states_and_measurements(draw):
     d, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]))
     coeffs = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
-    V = pa.Subspace.zero(d, n)
-    for _ in range(draw(st.integers(0, n))):  # partial up to maximal knowledge
-        comm = pa.symplectic_commutant(V)
-        vec = _functional_in(comm, draw(coeffs)[: comm.dim], V)
-        V = V + pa.Subspace.from_generators([vec], d, n)
+    # partial up to maximal knowledge
+    V = _isotropic_of(d, n, draw, coeffs, draw(st.integers(0, n)))
     w = tuple(draw(coeffs))
     full = pa.Subspace.full(d, n)
     gens = [_functional_in(full, draw(coeffs), pa.Subspace.zero(d, n))]
@@ -433,3 +463,205 @@ def test_outcome_table_guard(monkeypatch):
     assert len(tm.outcome_distribution(state, tm.SharpMeasurement(axes[:3], 2, 4))) == 8
     with pytest.raises(GuardExceeded):
         tm.outcome_distribution(state, tm.SharpMeasurement(axes, 2, 4))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the toy step on numpy arrays
+#
+# The functions below are the array implementations the package used before
+# the toy step moved to Python int rows: every product is a numpy matmul and
+# every elimination goes through the array routines of `_modmath`.
+
+
+def ref_is_isotropic(V):
+    g = V.matrix
+    J = pa.symplectic_form(V.n, V.d)
+    return not np.any(mm.modp(g @ J @ g.T, V.d))
+
+
+def ref_make_epistemic(V, w, U=None):
+    if not ref_is_isotropic(V):
+        raise RestrictionViolation("known-variable subspace is not isotropic")
+    if U is None:
+        U = pa.perp(V)
+    wv = pa.as_vector(w, V.d, V.n)
+    return tm.EpistemicState(V, tuple(mm.reduce_row(wv.tolist(), U.gens, V.d)))
+
+
+def ref_apply_affine(state, g):
+    if (g.d, g.n) != (state.d, state.n):
+        raise DimensionMismatch("map and state live on different spaces")
+    d = state.d
+    V_new = pa.Subspace.from_generators(state.V.matrix @ pa.symplectic_inverse(g.S, d), d, state.n)
+    new_w = mm.modp(g.S @ np.array(state.w, dtype=np.int64) + g.a, d)
+    out = ref_make_epistemic(V_new, tuple(int(x) for x in new_w))
+    assert out.V.dim == state.V.dim
+    return out
+
+
+def ref_outcome_distribution(state, meas):
+    if (meas.d, meas.n) != (state.d, state.n):
+        raise DimensionMismatch("measurement and state live on different spaces")
+    d = state.d
+    A = np.array(meas.generators, dtype=np.int64)
+    spread, _ = mm.rref(state.U.matrix @ A.T, d)
+    size = d ** spread.shape[0]
+    if size > pa.COSET_GUARD:
+        raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
+    centre = A @ np.array(state.w, dtype=np.int64)
+    outcomes = mm.coset_vectors(spread, centre, d)
+    p = Fraction(1, size)
+    return {k: p for k in sorted(map(tuple, outcomes.tolist()))}
+
+
+def ref_update(state, meas):
+    d, n = state.d, state.n
+    A = np.array(meas.generators, dtype=np.int64)
+    G = state.V.matrix
+    coeffs = mm.nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
+    retained = pa.Subspace.from_generators(coeffs @ G, d, n)
+    V_new = meas.subspace + retained
+    U_new = pa.perp(V_new)
+    R = retained.matrix
+    system = np.concatenate([A, R])
+    prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
+
+    def update(outcome):
+        shift = mm.solve(system, list(outcome) + prior_values, d)
+        if shift is None:
+            raise DimensionMismatch(f"outcome {outcome} has probability zero")
+        return ref_make_epistemic(V_new, shift, U_new)
+
+    return update
+
+
+def ref_posterior(state, meas, outcome):
+    if (meas.d, meas.n) != (state.d, state.n):
+        raise DimensionMismatch("measurement and state live on different spaces")
+    if len(outcome) != len(meas.generators):
+        raise DimensionMismatch(
+            f"outcome {outcome} does not match {len(meas.generators)} functionals"
+        )
+    return ref_update(state, meas)(outcome)
+
+
+def same_result(f, ref, *args):
+    """f(*args) and ref(*args) return equal values, or raise the same
+    exception type with the same message."""
+    try:
+        want = ("value", ref(*args))
+    except Exception as e:  # any exception must be matched
+        want = ("raise", type(e), str(e))
+    try:
+        got = ("value", f(*args))
+    except Exception as e:
+        got = ("raise", type(e), str(e))
+    assert got == want
+    return got
+
+
+def assert_same_table(state, meas):
+    """Equal outcome tables (keys in the same order); returns the table."""
+    table = tm.outcome_distribution(state, meas)
+    want = ref_outcome_distribution(state, meas)
+    assert list(table.items()) == list(want.items())
+    return table
+
+
+def assert_same_step(state, meas, g):
+    """The int-row step equals the array step on this state: the gate
+    image, the outcome table, and the update at every outcome (including
+    the impossible ones and a wrong-length one)."""
+    moved, want = tm.apply_affine(state, g), ref_apply_affine(state, g)
+    assert (moved.V, moved.w) == (want.V, want.w)
+    table = assert_same_table(state, meas)
+    update, ref = tm._update(state, meas), ref_update(state, meas)
+    for outcome in itertools.product(range(state.d), repeat=len(meas.generators)):
+        result = same_result(update, ref, outcome)
+        assert (result[0] == "value") == (outcome in table)
+    same_result(tm.posterior, ref_posterior, state, meas, next(iter(table)) + (0,))
+    return table
+
+
+@st.composite
+def steps_on_states(draw):
+    """(state, measurement, affine map) at d in {2, 3, 5}, n <= 4; the
+    measurement has one to three commuting functionals."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4 if d < 5 else 3))
+    coeffs = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
+    V = _isotropic_of(d, n, draw, coeffs, draw(st.integers(0, n)))
+    w = tuple(draw(coeffs))
+    M = _isotropic_of(d, n, draw, coeffs, draw(st.integers(1, min(n, 3))))
+    if n == 1:  # no two-site blocks: any element of Sp(2, Z_d)
+        S = draw(st.sampled_from(pa.symplectic_matrices(1, d)))
+        g = pa.AffineSymplectic(S, draw(coeffs), d)
+    else:
+        g = _random_affine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, n)
+    return ref_make_epistemic(V, w), tm.SharpMeasurement(M.gens, d, n), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps_on_states())
+def test_int_row_step_matches_array_reference(case):
+    state, meas, g = case
+    assert tm.make_epistemic(state.V, state.w) == state
+    assert_same_step(state, meas, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_is_isotropic_matches_reference(d, n, data):
+    # arbitrary generator lists: isotropic and not
+    row = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    gens = data.draw(st.lists(row, max_size=2 * n))
+    V = pa.Subspace.from_generators(gens, d, n)
+    assert pa.is_isotropic(V) == ref_is_isotropic(V)
+    w = data.draw(row)
+    same_result(tm.make_epistemic, ref_make_epistemic, V, w)
+
+
+def test_non_isotropic_and_wrong_length_match_reference():
+    V = pa.Subspace.from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 3, 2)
+    assert same_result(tm.make_epistemic, ref_make_epistemic, V, (0,) * 4)[1] is RestrictionViolation
+    W = pa.Subspace.from_generators([(1, 0, 0, 0)], 3, 2)
+    for w in [(0,) * 3, (0,) * 5]:
+        assert same_result(tm.make_epistemic, ref_make_epistemic, W, w)[1] is DimensionMismatch
+
+
+def test_outcome_guard_matches_reference(monkeypatch):
+    monkeypatch.setattr(pa, "COSET_GUARD", 8)
+    state = tm.maximally_mixed(3, 3)
+    meas = tm.SharpMeasurement(np.eye(6, dtype=np.int64)[0::2], 3, 3)
+    assert same_result(tm.outcome_distribution, ref_outcome_distribution, state, meas)[1] is GuardExceeded
+    small = tm.SharpMeasurement(np.eye(6, dtype=np.int64)[0:1], 3, 3)
+    assert same_result(tm.outcome_distribution, ref_outcome_distribution, state, small)[0] == "value"
+
+
+@pytest.mark.parametrize("d,n", [(2, 12), (3, 6)])
+def test_int_row_trajectory_matches_array_reference(d, n):
+    # seeded gate/measure trajectory from a mixed state, checked step by
+    # step; every third measurement starts from a known functional, so
+    # deterministic outcomes and impossible ones occur
+    rng = np.random.default_rng([7, d, n])
+    V = pa.Subspace.from_generators(np.eye(2 * n, dtype=np.int64)[0 : n : 2], d, n)
+    state = tm.make_epistemic(V, rng.integers(0, d, size=2 * n))
+    for step in range(12):
+        g = _random_affine(rng, d, n)
+        M = pa.Subspace.zero(d, n)
+        if step % 3 == 0:
+            known = tm.apply_affine(state, g).V
+            M = pa.Subspace.from_generators([known.gens[0]], d, n)
+        for _ in range(int(rng.integers(1, 3))):
+            comm = pa.symplectic_commutant(M)
+            vec = _functional_in(comm, rng.integers(0, d, size=comm.dim), M)
+            M = M + pa.Subspace.from_generators([vec], d, n)
+        meas = tm.SharpMeasurement(M.gens, d, n)
+        assert_same_step(state, meas, g)
+        state = tm.apply_affine(state, g)
+        table = assert_same_table(state, meas)
+        outcomes = list(table)
+        outcome = outcomes[int(rng.integers(0, len(outcomes)))]
+        post = tm.posterior(state, meas, outcome)
+        assert post == ref_posterior(state, meas, outcome)
+        state = post
