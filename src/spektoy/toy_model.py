@@ -8,14 +8,17 @@ distribution over the coset V-perp + w, which has d^(2n - dim V) points, but
 nothing here lists that coset: weights, point probabilities, outcome tables,
 measurement updates and affine evolution are closed forms in (V, w), computed
 by linear algebra over Z_d in time polynomial in n (the toy analogue of
-stabilizer tableau simulation).  A step runs on the canonical int rows that
-`Subspace.gens` holds (isotropy, dot products, elimination and solving on
-Python ints); numpy is used only for the two dense products, the gate's
-V S^-1 and S w + a, and the retained generators c G of an update.  The
-support is listed only when something
-reads `EpistemicState.support`, and that listing is capped by
-`phase_algebra.COSET_GUARD`.  All distributions are exact rationals; sampling
-is a thin seeded layer on top.
+stabilizer tableau simulation).  Each step splits like a tableau's
+stabilizer group and sign bits: a plan that depends only on V (the gate's
+transport `_transport`, a measurement's `_MeasurementPlan`) and a cheap
+finish for one shift w.  `statistics` builds each plan once per distinct V
+per step, so sibling branches, which share V, share it; the plans live in
+the step closures of that one call.  Steps run on the canonical int rows
+that `Subspace.gens` holds; numpy is used only for the dense products: a
+gate's V S^-1 and S w + a, and the retained c G of a measurement.  The
+support is listed only when something reads `EpistemicState.support`, and
+that listing is capped by `phase_algebra.COSET_GUARD`.  All distributions
+are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
 plus the part of the prior that symplectically commutes with every measured
@@ -96,20 +99,20 @@ class EpistemicState:
         }
 
 
-def make_epistemic(V: pa.Subspace, w, U: pa.Subspace | None = None) -> EpistemicState:
-    """Uniform distribution over V-perp + w; rejects non-isotropic V.
-
-    A caller that already holds perp(V) passes it as U.
-    """
+def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
+    """Uniform distribution over V-perp + w; rejects non-isotropic V."""
     if not pa.is_isotropic(V):
         raise RestrictionViolation("known-variable subspace is not isotropic")
     d, n = V.d, V.n
     wv = [int(x) % d for x in w]
     if len(wv) != 2 * n:
         raise DimensionMismatch(f"expected length {2 * n}, got {len(wv)}")
-    if U is None:
-        U = pa.perp(V)
-    state = EpistemicState(V, tuple(mm.reduce_row(wv, U.gens, d)))
+    return _coset_state(V, pa.perp(V), wv)
+
+
+def _coset_state(V: pa.Subspace, U: pa.Subspace, w: list[int]) -> EpistemicState:
+    """(V, w reduced modulo U = perp(V)), unchecked; w holds ints in [0, d)."""
+    state = EpistemicState(V, tuple(mm.reduce_row(w, U.gens, V.d)))
     state.__dict__["U"] = U  # fills the cached property; perp(V) is at hand
     return state
 
@@ -118,21 +121,28 @@ def maximally_mixed(d: int, n: int) -> EpistemicState:
     return make_epistemic(pa.Subspace.zero(d, n), (0,) * (2 * n))
 
 
-def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
-    """Push the distribution through lam -> S lam + a.
-
-    The image of V-perp + w is (S V-perp) + (S w + a).  A functional sigma
-    is known afterwards exactly when sigma S is known before, so the new
-    known subspace is V S^-1.  Both products are numpy matmuls with the
-    dense 2n x 2n map; they are reduced mod d where they become int rows.
-    """
-    if (g.d, g.n) != (state.d, state.n):
+def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple[pa.Subspace, pa.Subspace]:
+    """The plan of a gate lam -> S lam + a: (V S^-1, its perp), whatever the
+    shift.  sigma is known afterwards exactly when sigma S is known before."""
+    if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
-    V_new = pa.Subspace.from_generators(state.V.matrix @ g.Sinv, state.d, state.n)
-    new_w = (g.S @ np.array(state.w, dtype=np.int64) + g.a).tolist()
-    out = make_epistemic(V_new, new_w)
-    assert out.V.dim == state.V.dim
-    return out
+    V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, V.d, V.n)
+    if not pa.is_isotropic(V_new):
+        raise RestrictionViolation("known-variable subspace is not isotropic")
+    assert V_new.dim == V.dim
+    return V_new, pa.perp(V_new)
+
+
+def _shifted(plan: tuple[pa.Subspace, pa.Subspace], g: pa.AffineSymplectic, w) -> EpistemicState:
+    """The finish of a gate: the new shift S w + a, reduced modulo U_new."""
+    shift = (g.S @ np.array(w, dtype=np.int64) + g.a) % g.d
+    return _coset_state(*plan, shift.tolist())
+
+
+def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
+    """Push the distribution through lam -> S lam + a: the image of V-perp + w
+    is (S V-perp) + (S w + a)."""
+    return _shifted(_transport(state.V, g), g, state.w)
 
 
 @dataclass(frozen=True)
@@ -172,124 +182,146 @@ class SharpMeasurement:
         return tuple(int(x) for x in r)
 
 
-def outcome_distribution(
-    state: EpistemicState, meas: SharpMeasurement
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact outcome table, in sorted outcome order.
+Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
 
-    With A the measured generators, the outcome A lam of a support point runs
-    uniformly over the coset A w + A V-perp, so each of its d^r points has
-    probability 1/d^r, r = dim(A V-perp) = rank(U A^T) for U spanning V-perp.
-    Runs on int rows: the spread is the rref of the rows (u . a for a in A),
-    one per generator u of U.
+
+class _MeasurementPlan:
+    """What measuring A = meas.generators needs of the prior's known
+    subspace V alone (U = perp(V)), shared by every state on V.  Each half,
+    `spread` and `retained`, is built on first read; `table` and `posterior`
+    finish it for a shift w.
     """
-    if (meas.d, meas.n) != (state.d, state.n):
-        raise DimensionMismatch("measurement and state live on different spaces")
-    d = state.d
-    A = meas.generators
-    rows = [[sum(map(mul, u, a)) % d for a in A] for u in state.U.gens]
-    spread, _ = mm.rref_rows(rows, len(A), d)
-    size = d ** len(spread)
-    if size > pa.COSET_GUARD:
-        raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
-    outcomes = [[sum(map(mul, a, state.w)) % d for a in A]]
-    for row in reversed(spread):  # centre + c . spread in lexicographic order of c
-        outcomes = [
-            [(x + m * y) % d for x, y in zip(k, row)] for m in range(d) for k in outcomes
-        ]
-    p = Fraction(1, size)
-    return {k: p for k in sorted(map(tuple, outcomes))}
+
+    def __init__(self, V: pa.Subspace, U: pa.Subspace, meas: SharpMeasurement):
+        if (meas.d, meas.n) != (V.d, V.n):
+            raise DimensionMismatch("measurement and state live on different spaces")
+        self.V, self.U, self.meas, self.A = V, U, meas, meas.generators
+
+    @cached_property
+    def spread(self) -> list[list[int]]:
+        """The outcome A lam of a support point runs uniformly over
+        A w + A V-perp: the span of this rref of the rows (u . a for a in A),
+        u over U.  GuardExceeded past COSET_GUARD outcomes."""
+        d, A = self.V.d, self.A
+        rows = [[sum(map(mul, u, a)) % d for a in A] for u in self.U.gens]
+        spread, _ = mm.rref_rows(rows, len(A), d)
+        if d ** len(spread) > pa.COSET_GUARD:
+            raise GuardExceeded(f"outcome table has {d ** len(spread)} > {pa.COSET_GUARD} entries")
+        return spread
+
+    @cached_property
+    def retained(self) -> tuple[pa.Subspace, pa.Subspace, list, list]:
+        """(V_new, U_new, R, the system A + R) of every posterior.
+
+        The retained knowledge R is the prior V intersected with the
+        symplectic commutant of A: the combinations c G of V's generators
+        with c in the nullspace of M[i][j] = [a_i, g_j].  V_new = A + R.
+        c G is one numpy product: on int rows this plan took twice as long
+        at n=12.
+        """
+        d, n, A, G = self.V.d, self.V.n, self.A, self.V.gens
+        JG = [pa.symplectic_row(g) for g in G]
+        M, pivots = mm.rref_rows([[sum(map(mul, a, Jg)) % d for Jg in JG] for a in A], len(G), d)
+        coeffs = mm.complement_rows(M, pivots, len(G), d)
+        C = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(G))
+        R = pa.Subspace.from_generators(C @ self.V.matrix, d, n)
+        V_new = self.meas.subspace + R
+        if not pa.is_isotropic(V_new):
+            raise RestrictionViolation("known-variable subspace is not isotropic")
+        return V_new, pa.perp(V_new), R.gens, A + R.gens
+
+    def table(self, w) -> Table:
+        """Outcome table at shift w, sorted: 1/d^r on each of the d^r
+        points centre + c . spread, centre = A w."""
+        d, spread = self.V.d, self.spread
+        outcomes = [[sum(map(mul, a, w)) % d for a in self.A]]
+        for row in reversed(spread):  # lexicographic order of c
+            outcomes = [
+                [(x + m * y) % d for x, y in zip(k, row)] for m in range(d) for k in outcomes
+            ]
+        p = Fraction(1, d ** len(spread))
+        return {k: p for k in sorted(map(tuple, outcomes))}
+
+    def posterior(self, w):
+        """The update at shift w, as a map outcome -> posterior state.
+
+        The shift is one solution x of [A; R] x = [outcome; R w].  Those
+        points form exactly one coset of the new support, which holds every
+        prior-support point showing the outcome; there is none exactly when
+        the outcome has probability zero.
+        """
+        d, n = self.V.d, self.V.n
+        V_new, U_new, R, system = self.retained
+        prior_values = [sum(map(mul, r, w)) % d for r in R]
+
+        def update(outcome: tuple[int, ...]) -> EpistemicState:
+            shift = mm.solve_rows(system, [int(x) % d for x in outcome] + prior_values, 2 * n, d)
+            if shift is None:
+                raise DimensionMismatch(f"outcome {outcome} has probability zero")
+            return _coset_state(V_new, U_new, shift)
+
+        return update
 
 
-def _update(state: EpistemicState, meas: SharpMeasurement):
-    """The measurement update, as a map outcome -> posterior state.
-
-    Everything that does not depend on the outcome is computed once, here.
-    Retained knowledge R = prior V intersected with the symplectic commutant
-    of the measured subspace: the combinations c G of the prior generators G
-    with [c G, a] = 0 for every measured generator a, that is c in the
-    nullspace of M[i][j] = [a_i, g_j].  The posterior knows V_new =
-    measured + R.  The shift is one solution x of [A; R] x = [outcome; R w]:
-    the points showing the outcome on A and the prior values on R, among
-    them every prior-support point showing the outcome, form exactly one
-    coset of the new support.  The system is unsolvable exactly when the
-    outcome has probability zero.
-
-    Runs on int rows, except the product c G, which stays one numpy matmul.
-    """
-    d, n = state.d, state.n
-    A = meas.generators
-    G = state.V.gens
-    k = len(G)
-    JG = [pa.symplectic_row(g) for g in G]
-    M, pivots = mm.rref_rows([[sum(map(mul, a, Jg)) % d for Jg in JG] for a in A], k, d)
-    coeffs = mm.complement_rows(M, pivots, k, d)
-    C = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k)
-    retained = pa.Subspace.from_generators(C @ state.V.matrix, d, n)
-    V_new = meas.subspace + retained
-    U_new = pa.perp(V_new)
-    R = retained.gens
-    system = A + R
-    prior_values = [sum(map(mul, r, state.w)) % d for r in R]
-
-    def update(outcome: tuple[int, ...]) -> EpistemicState:
-        values = [int(x) % d for x in outcome] + prior_values
-        shift = mm.solve_rows(system, values, 2 * n, d)
-        if shift is None:
-            raise DimensionMismatch(f"outcome {outcome} has probability zero")
-        return make_epistemic(V_new, shift, U_new)
-
-    return update
+def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
+    """Exact outcome table, in sorted outcome order."""
+    return _MeasurementPlan(state.V, state.U, meas).table(state.w)
 
 
 def posterior(
     state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
 ) -> EpistemicState:
-    """State after observing the given outcome (the update of `_update`)."""
-    if (meas.d, meas.n) != (state.d, state.n):
-        raise DimensionMismatch("measurement and state live on different spaces")
-    if len(outcome) != len(meas.generators):
-        raise DimensionMismatch(
-            f"outcome {outcome} does not match {len(meas.generators)} functionals"
-        )
-    return _update(state, meas)(outcome)
+    """State after observing the given outcome."""
+    plan, k = _MeasurementPlan(state.V, state.U, meas), len(meas.generators)
+    if len(outcome) != k:
+        raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
+    return plan.posterior(state.w)(outcome)
 
 
-def measure_sharp(
-    state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0
-):
+def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
     """Seeded sample: (outcome, posterior state, exact probability table)."""
-    table = outcome_distribution(state, meas)
-    rng = random.Random(rng_seed)
-    r = rng.random()
+    plan = _MeasurementPlan(state.V, state.U, meas)
+    table = plan.table(state.w)
+    r = random.Random(rng_seed).random()
     acc = 0.0
-    outcome = None
-    for k, p in table.items():
+    for outcome, p in table.items():  # the last outcome if rounding leaves r >= acc
         acc += float(p)
         if r < acc:
-            outcome = k
             break
-    if outcome is None:
-        outcome = list(table)[-1]
-    return outcome, posterior(state, meas, outcome), table
+    return outcome, plan.posterior(state.w)(outcome), table
 
 
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
+def _shared(build):
+    """Step-local plans: build(V, U) once per distinct known subspace V.
+    Sibling branches share V, so a walker layer builds one plan."""
+    plans = {}
+
+    def plan(state: EpistemicState):
+        p = plans.get(state.V)
+        if p is None:
+            p = plans[state.V] = build(state.V, state.U)
+        return p
+
+    return plan
+
+
 def gate_step(g: pa.AffineSymplectic) -> Step:
     """Walker step pushing every branch through an affine map."""
-    return lambda outcomes, state: [(None, 1, apply_affine(state, g))]
+    plan = _shared(lambda V, U: _transport(V, g))
+    return lambda outcomes, state: [(None, 1, _shifted(plan(state), g, state.w))]
 
 
 def measure_step(meas: SharpMeasurement) -> Step:
     """Walker step measuring every branch: one child per outcome, carrying
-    its exact probability and the posterior state.  The outcome-independent
-    part of the update is computed once per branch."""
+    its exact probability and the posterior state."""
+    plan_of = _shared(lambda V, U: _MeasurementPlan(V, U, meas))
 
     def step(outcomes, state):
-        table = outcome_distribution(state, meas)
-        update = _update(state, meas)
+        plan = plan_of(state)
+        table, update = plan.table(state.w), plan.posterior(state.w)
         return [(k, pk, update(k)) for k, pk in table.items()]
 
     return step
@@ -300,7 +332,8 @@ def statistics(
 ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
     """Exact distribution over outcome-tuple sequences for a circuit of
     affine maps and sharp measurements.  No sampling: cosets are propagated
-    and every branch with nonzero probability is expanded.
+    and every branch with nonzero probability is expanded; each step's plan
+    is built once per distinct known subspace, within this call only.
     """
     builders = {"gate": gate_step, "measure": measure_step}
     for kind, _ in steps:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 from spektoy import toy_model as tm
+from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch, GuardExceeded, RestrictionViolation
 
 
@@ -575,7 +576,8 @@ def assert_same_step(state, meas, g):
     moved, want = tm.apply_affine(state, g), ref_apply_affine(state, g)
     assert (moved.V, moved.w) == (want.V, want.w)
     table = assert_same_table(state, meas)
-    update, ref = tm._update(state, meas), ref_update(state, meas)
+    update = tm._MeasurementPlan(state.V, state.U, meas).posterior(state.w)
+    ref = ref_update(state, meas)
     for outcome in itertools.product(range(state.d), repeat=len(meas.generators)):
         result = same_result(update, ref, outcome)
         assert (result[0] == "value") == (outcome in table)
@@ -665,3 +667,177 @@ def test_int_row_trajectory_matches_array_reference(d, n):
         post = tm.posterior(state, meas, outcome)
         assert post == ref_posterior(state, meas, outcome)
         state = post
+
+
+# ---------------------------------------------------------------------------
+# Reference: the walk one branch at a time
+#
+# The walker builds each step's plan once per distinct known subspace and
+# finishes it per branch; the reference runs the array steps above on every
+# branch on its own.
+
+
+def ref_walk(state, steps):
+    """[(outcomes, probability, state)] in the walker's expansion order."""
+    branches = [((), 1, state)]
+    for kind, op in steps:
+        if kind == "gate":
+            branches = [(o, p, ref_apply_affine(s, op)) for o, p, s in branches]
+        else:
+            branches = [
+                (o + (k,), p * pk, ref_posterior(s, op, k))
+                for o, p, s in branches
+                for k, pk in ref_outcome_distribution(s, op).items()
+            ]
+    return branches
+
+
+def ref_statistics(state, steps):
+    return dict(sorted((o, Fraction(p)) for o, p, _ in ref_walk(state, steps)))
+
+
+def _draw_affine(draw, d, n, coeffs):
+    if n == 1:  # no two-site blocks: any element of Sp(2, Z_d)
+        S = draw(st.sampled_from(pa.symplectic_matrices(1, d)))
+        return pa.AffineSymplectic(S, draw(coeffs), d)
+    return _random_affine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, n)
+
+
+#: cap on the branches of a drawn circuit, so the reference walk stays quick
+MAX_BRANCHES = 64
+
+
+@st.composite
+def circuits_on_states(draw):
+    """(prior, steps) at d in {2, 3, 5}, n <= 4: a mixed or pure prior, then
+    gates interleaved with measurements of one to three functionals.  Some
+    measurements start from a functional the branches already know (a
+    deterministic outcome), some repeat the previous one, and now and then
+    a step on the wrong space is slipped in."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4 if d < 5 else 3))
+    coeffs = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
+    V = _isotropic_of(d, n, draw, coeffs, draw(st.integers(0, n)))
+    prior = ref_make_epistemic(V, draw(coeffs))
+    # follow one branch: every branch at a depth shares its known subspace,
+    # so this one gives the table size of the whole layer
+    path, branches, steps, meas = prior, 1, [], None
+    kinds = st.sampled_from(["gate", "measure", "known", "repeat"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "gate":
+            g = _draw_affine(draw, d, n, coeffs)
+            steps.append(("gate", g))
+            path = ref_apply_affine(path, g)
+            continue
+        if kind != "repeat" or meas is None:
+            M, gens = pa.Subspace.zero(d, n), []
+            if kind == "known" and path.V.dim:
+                gens.append(_functional_in(path.V, draw(coeffs)[: path.V.dim], M))
+                M = pa.Subspace.from_generators(gens, d, n)
+            while len(gens) < draw(st.integers(1, min(n, 3))):
+                comm = pa.symplectic_commutant(M)
+                gens.append(_functional_in(comm, draw(coeffs)[: comm.dim], M))
+                M = M + pa.Subspace.from_generators(gens[-1:], d, n)
+            meas = tm.SharpMeasurement(tuple(gens), d, n)
+        table = ref_outcome_distribution(path, meas)
+        if branches * len(table) > MAX_BRANCHES:
+            continue
+        branches *= len(table)
+        steps.append(("measure", meas))
+        path = ref_posterior(path, meas, next(iter(table)))
+    if draw(st.integers(0, 9)) == 5:
+        wrong = draw(st.sampled_from([
+            ("gate", pa.AffineSymplectic.identity(n + 1, d)),
+            ("measure", tm.SharpMeasurement(((1,) + (0,) * (2 * n + 1),), d, n + 1)),
+        ]))
+        steps.insert(draw(st.integers(0, len(steps))), wrong)
+    return prior, steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_on_states())
+def test_walker_matches_per_branch_reference(case):
+    prior, steps = case
+    result = same_result(lambda *a: list(tm.statistics(*a).items()),
+                         lambda *a: list(ref_statistics(*a).items()), prior, steps)
+    if result[0] == "value":  # and every leaf state, in expansion order
+        walker = [tm.gate_step(op) if kind == "gate" else tm.measure_step(op) for kind, op in steps]
+        leaves = branch_tree(prior, walker)
+        want = ref_walk(prior, steps)
+        assert [(o, p, s.V, s.w) for o, p, s in leaves] == [(o, p, s.V, s.w) for o, p, s in want]
+
+
+def test_walker_builds_each_plan_once_per_step(monkeypatch):
+    built = {"transport": 0, "measure": 0, "gate finish": 0}
+    transport, shifted = tm._transport, tm._shifted
+
+    def counting_transport(V, g):
+        built["transport"] += 1
+        return transport(V, g)
+
+    def counting_shifted(plan, g, w):
+        built["gate finish"] += 1
+        return shifted(plan, g, w)
+
+    class CountingPlan(tm._MeasurementPlan):
+        def __init__(self, *args):
+            built["measure"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(tm, "_transport", counting_transport)
+    monkeypatch.setattr(tm, "_shifted", counting_shifted)
+    monkeypatch.setattr(tm, "_MeasurementPlan", CountingPlan)
+    d, n = 3, 2
+    rng = np.random.default_rng(5)
+    # the first measurement splits the root in three; no later layer has fewer
+    steps = [("measure", tm.SharpMeasurement(((1, 0, 0, 0),), d, n))]
+    for _ in range(3):
+        steps += [("gate", _random_affine(rng, d, n)), ("measure", _random_measurement(rng, d, n))]
+    state = tm.maximally_mixed(d, n)
+    stats = tm.statistics(state, steps)
+    assert len(stats) >= 3 and sum(stats.values()) == 1
+    assert (built["transport"], built["measure"]) == (3, 4)
+    assert built["gate finish"] >= 3 * 3  # three gate layers of at least three branches
+    assert tm.statistics(state, steps) == stats  # a second call builds every plan again
+    assert (built["transport"], built["measure"]) == (6, 8)
+
+
+def test_outcome_guard_through_the_walker(monkeypatch):
+    monkeypatch.setattr(pa, "COSET_GUARD", 8)
+    state = tm.maximally_mixed(3, 2)
+    g = _random_affine(np.random.default_rng(9), 3, 2)
+    meas = tm.SharpMeasurement(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 2)  # spread rank 2: 9 outcomes
+    steps = [("gate", g), ("measure", meas)]
+    result = same_result(tm.statistics, ref_statistics, state, steps)
+    assert result == ("raise", GuardExceeded, "outcome table has 9 > 8 entries")
+
+    def refuse(*args):
+        raise AssertionError("an outcome was solved")
+
+    monkeypatch.setattr(mm, "solve_rows", refuse)
+    with pytest.raises(GuardExceeded) as excinfo:
+        tm.statistics(state, steps)
+    # raised by the plan's spread, read by the table before it lists anything
+    names = [entry.name for entry in excinfo.traceback]
+    assert names[-1] == "spread" and "table" in names
+
+
+def test_step_plans_are_kept_per_known_subspace():
+    # one step closure fed states on different known subspaces, back and
+    # forth: each must be finished from the plan of its own V
+    d, n = 3, 2
+    rng = np.random.default_rng(13)
+    g, meas = _random_affine(rng, d, n), tm.SharpMeasurement(((0, 1, 0, 0),), d, n)
+    on_x = pa.Subspace.from_generators([(1, 0, 0, 0)], d, n)
+    on_p = pa.Subspace.from_generators([(0, 1, 0, 0), (0, 0, 1, 2)], d, n)
+    gate, measure = tm.gate_step(g), tm.measure_step(meas)
+    shifts = [(on_x, (1, 0, 0, 0)), (on_p, (0, 2, 1, 0)), (on_x, (2, 0, 0, 0)), (on_p, (0, 1, 0, 0))]
+    for V, w in shifts:
+        state = ref_make_epistemic(V, w)
+        [(_, _, moved)] = gate((), state)
+        want = ref_apply_affine(state, g)
+        assert (moved.V, moved.w) == (want.V, want.w)
+        children = [(k, p, s.V, s.w) for k, p, s in measure((), state)]
+        table = ref_outcome_distribution(state, meas)
+        posts = [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
+        assert children == [(k, p, s.V, s.w) for k, p, s in posts]
