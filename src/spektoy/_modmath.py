@@ -1,12 +1,13 @@
 """Exact linear algebra over Z_p for small prime p.
 
-Gaussian elimination and solving run on rows of Python ints (`rref_rows`,
-`solve_rows`): the matrices are tiny (a handful of rows, at most 2n
-columns), where int lists beat numpy row operations by a wide margin.  numpy
-appears only at the boundary: the array-level routines take any integer
-array-like, reduce it mod p in one call, and return int64 arrays with
-entries in [0, p).  Matrices are row-stacked generator lists.  All routines
-are deterministic.
+One form per operation.  Elimination, complements, solving and coset
+reduction run on rows of Python ints with entries in [0, p) (`rref_rows`,
+`complement_rows`, `solve_rows`, `reduce_row`): the matrices are tiny (a
+handful of rows, at most 2n columns), where int lists beat numpy row
+operations by a wide margin.  numpy appears only where arrays are the
+natural output: `modp` reduces an integer array-like in one call, and
+`coset_vectors` lists a coset as an int64 array.  Matrices are row-stacked
+generator lists.  All routines are deterministic.
 """
 
 from __future__ import annotations
@@ -16,18 +17,6 @@ import numpy as np
 
 def modp(a, p: int) -> np.ndarray:
     return np.asarray(np.asarray(a, dtype=np.int64) % p, dtype=np.int64)
-
-
-def _rows(mat, p: int) -> tuple[list[list[int]], int]:
-    """(rows reduced mod p, column count) of a 1-D or 2-D array-like."""
-    A = modp(mat, p)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    return A.tolist(), A.shape[1]
-
-
-def _array(rows: list, n: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
 def rref_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int]], list[int]]:
@@ -60,17 +49,6 @@ def rref_rows(rows: list[list[int]], n: int, p: int) -> tuple[list[list[int]], l
     return rows[:r], pivots
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`rref_rows` of an array-like: (R with zero rows dropped, pivots)."""
-    rows, n = _rows(mat, p)
-    R, pivots = rref_rows(rows, n, p)
-    return _array(R, n), pivots
-
-
-def rank(mat: np.ndarray, p: int) -> int:
-    return rref(mat, p)[0].shape[0]
-
-
 def complement_rows(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
     """Rref basis of {x : R x = 0 mod p} for R in rref with these pivots:
     one vector per free column, then one elimination."""
@@ -84,13 +62,6 @@ def complement_rows(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
             v[pc] = -row[c] % p
         basis.append(v)
     return rref_rows(basis, n, p)[0]
-
-
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rref rows) of {x : mat @ x = 0 mod p}."""
-    rows, n = _rows(mat, p)
-    R, pivots = rref_rows(rows, n, p)
-    return _array(complement_rows(R, pivots, n, p), n)
 
 
 def solve_rows(rows: list, b: list[int], n: int, p: int) -> list[int] | None:
@@ -107,13 +78,6 @@ def solve_rows(rows: list, b: list[int], n: int, p: int) -> list[int] | None:
     for row, c in zip(R, pivots):
         x[c] = row[n]
     return x
-
-
-def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """`solve_rows` of an array-like system: x as an array, or None."""
-    rows, n = _rows(A, p)
-    x = solve_rows(rows, modp(b, p).reshape(-1).tolist(), n, p)
-    return None if x is None else np.array(x, dtype=np.int64)
 
 
 def coset_vectors(basis: np.ndarray, shift, p: int) -> np.ndarray:
@@ -136,40 +100,6 @@ def coset_vectors(basis: np.ndarray, shift, p: int) -> np.ndarray:
     return (S % p).astype(np.int64)
 
 
-def span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
-    """All p^k vectors in the row span, in lexicographic coefficient order."""
-    return coset_vectors(basis, np.zeros(np.shape(basis)[-1], dtype=np.int64), p)
-
-
-def intersect(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Basis of rowspace(A) ∩ rowspace(B)."""
-    A = modp(A, p)
-    B = modp(B, p)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    if B.ndim == 1:
-        B = B.reshape(1, -1)
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64)
-    # x = a A = b B  <=>  (a, b) in nullspace of [A^T | -B^T]
-    stacked = np.concatenate([A.T, modp(-B.T, p)], axis=1)
-    combos = nullspace(stacked, p)
-    ka = A.shape[0]
-    vecs = modp(combos[:, :ka] @ A, p)
-    if vecs.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64)
-    return rref(vecs, p)[0]
-
-
-def in_rowspace(v: np.ndarray, mat: np.ndarray, p: int) -> bool:
-    mat = modp(mat, p)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    if mat.shape[0] == 0:
-        return not np.any(modp(v, p))
-    return solve(mat.T, v, p) is not None
-
-
 def reduce_row(v: list[int], R, p: int) -> list[int]:
     """Canonical coset representative of the int row v (entries in [0, p))
     modulo the row space of R.
@@ -182,9 +112,3 @@ def reduce_row(v: list[int], R, p: int) -> list[int]:
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
     return v
-
-
-def reduce_mod_rowspace(v: np.ndarray, basis_rref: np.ndarray, p: int) -> np.ndarray:
-    """`reduce_row` of a vector modulo the rows of an rref array."""
-    v = reduce_row(modp(v, p).tolist(), modp(basis_rref, p).tolist(), p)
-    return np.array(v, dtype=np.int64)

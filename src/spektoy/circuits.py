@@ -24,17 +24,14 @@ execution, toy-model statistics, injection gadgets and witness circuits.
 from __future__ import annotations
 
 import ast
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CircuitParseError
 
 ATOL_CONSTRUCT = 1e-12   # construction-level identities
 ATOL_END2END = 1e-9      # end-to-end / branch-level identities
-#: ATOL_CONSTRUCT as an exact rational (the same value): comparing a Fraction
-#: with it needs no float conversion
-ATOL_CONSTRUCT_EXACT = Fraction(ATOL_CONSTRUCT)
 
 
 @dataclass(frozen=True)
@@ -230,6 +227,7 @@ def format_circuit(circuit: Circuit) -> str:
 
 # A step maps one branch's (outcomes, state) to its children
 # [(outcome or None, probability, state)]; a None outcome records nothing.
+# A float probability is approximate; an int m means exactly 1/m.
 Step = Callable[[tuple, object], list[tuple]]
 
 
@@ -237,11 +235,14 @@ def branch_tree(root, steps: list[Step]) -> list[tuple]:
     """Exhaustive branch tree: run every step on every surviving branch.
 
     Returns [(outcomes, probability, state)] in expansion order.  A branch's
-    probability is the product of its children's probabilities, starting
-    from the integer 1, so exact (Fraction) steps stay exact.  Children of
-    probability <= ATOL_CONSTRUCT are dropped (a Fraction is compared with
-    ATOL_CONSTRUCT_EXACT).  The leaves must sum to 1:
-    exactly for exact probabilities, within ATOL_END2END for floats.
+    probability is the product of its children's, starting from the int 1.
+    An exact step reports probability 1/m as the int m, so a product of ints
+    is the int denominator of the branch's probability; a deterministic
+    child's 1 reads the same either way, and a float makes the product a
+    float.  Float children of probability <= ATOL_CONSTRUCT are dropped; int
+    children never are, since exact steps list only outcomes that can occur.
+    The leaves must sum to 1: exactly for ints, within ATOL_END2END for
+    floats.
     """
     branches = [((), 1, root)]
     for step in steps:
@@ -249,11 +250,14 @@ def branch_tree(root, steps: list[Step]) -> list[tuple]:
             (outcomes if k is None else outcomes + (k,), prob * pk, child)
             for outcomes, prob, state in branches
             for k, pk, child in step(outcomes, state)
-            if pk > (ATOL_CONSTRUCT_EXACT if isinstance(pk, Fraction) else ATOL_CONSTRUCT)
+            if isinstance(pk, int) or pk > ATOL_CONSTRUCT
         ]
-    total = sum(prob for _, prob, _ in branches)
-    if isinstance(total, (int, Fraction)):
-        assert total == 1, f"branch probabilities sum to {total}"
+    probs = [prob for _, prob, _ in branches]
+    if all(isinstance(m, int) for m in probs):
+        L = math.lcm(*probs)
+        total = sum(L // m for m in probs)
+        assert total == L, f"branch probabilities sum to {total}/{L}"
     else:
+        total = sum(probs)
         assert abs(total - 1.0) < ATOL_END2END, f"branch probabilities sum to {total}"
     return branches

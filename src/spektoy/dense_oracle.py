@@ -38,7 +38,6 @@ from .errors import (
     InvalidGenerators,
 )
 
-MAX_QUBITS = 6
 MAX_QUDITS = {2: 6, 3: 4, 5: 3}
 
 
@@ -418,7 +417,8 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
                 raise InvalidGenerators("generators do not commute")
     from . import _modmath as mm
 
-    if points and mm.rank(np.array(points, dtype=np.int64), d) != len(points):
+    rows = [[x % d for x in p] for p in points]
+    if points and len(mm.rref_rows(rows, len(points[0]), d)[0]) != len(points):
         raise InvalidGenerators("dependent generator set")
     rho = np.eye(dim, dtype=complex)
     for proj in projs:

@@ -33,17 +33,13 @@ from .errors import AuditError, CircuitParseError, DimensionMismatch
 
 
 def functional_for_label(mu, d: int) -> tuple[int, ...]:
-    """Toy functional measured by the Weyl observable at label mu."""
-    n = len(mu) // 2
-    J = pa.symplectic_form(n, d)
-    return tuple(int(x) for x in mm.modp(J.T @ np.array(mu, dtype=np.int64), d))
+    """Toy functional measured by the Weyl observable at label mu: J^T mu = -J mu."""
+    return tuple(-int(x) % d for x in pa.symplectic_row(mu))
 
 
 def label_for_functional(sigma, d: int) -> tuple[int, ...]:
-    """Weyl label whose measurement learns the given functional."""
-    n = len(sigma) // 2
-    J = pa.symplectic_form(n, d)
-    return tuple(int(x) for x in mm.modp(J @ np.array(sigma, dtype=np.int64), d))
+    """Weyl label whose measurement learns the given functional: J sigma."""
+    return tuple(int(x) % d for x in pa.symplectic_row(sigma))
 
 
 def quantum_state_for(
@@ -79,7 +75,7 @@ def epistemic_state_for(psi: np.ndarray, spec: wg.WignerSpec) -> toy.EpistemicSt
     supp = table.support()
     base = np.array(supp[0], dtype=np.int64)
     diffs = (np.array(supp, dtype=np.int64) - base) % spec.d
-    U = pa.Subspace.from_generators(mm.rref(diffs, spec.d)[0], spec.d, spec.n)
+    U = pa.Subspace.from_generators(diffs, spec.d, spec.n)
     V = pa.perp(U)
     return toy.make_epistemic(V, tuple(int(x) for x in base))
 
@@ -195,8 +191,8 @@ class PairedCircuit:
 def _random_css_knowledge(n: int, rng) -> pa.Subspace:
     """Random maximal isotropic V from position/momentum functionals."""
     raw = rng.integers(0, 2, size=(rng.integers(0, n + 1), n))
-    Q = mm.rref(raw, 2)[0] if raw.size else np.zeros((0, n), dtype=np.int64)
-    P = mm.nullspace(Q, 2) if Q.shape[0] else np.eye(n, dtype=np.int64)
+    Q, pivots = mm.rref_rows(raw.tolist(), n, 2)
+    P = mm.complement_rows(Q, pivots, n, 2)
     gens = []
     for q in Q:
         v = np.zeros(2 * n, dtype=np.int64)

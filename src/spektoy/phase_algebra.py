@@ -136,13 +136,14 @@ class Subspace:
         return len(self.gens)
 
     def contains(self, vec) -> bool:
-        return mm.in_rowspace(as_vector(vec, self.d, self.n), self.matrix, self.d)
+        return not any(mm.reduce_row(as_vector(vec, self.d, self.n).tolist(), self.gens, self.d))
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """All member vectors, lexicographically sorted."""
         if self.d ** self.dim > COSET_GUARD:
             raise GuardExceeded(f"subspace has {self.d ** self.dim} > {COSET_GUARD} points")
-        return tuple(sorted(map(tuple, mm.span_vectors(self.matrix, self.d).tolist())))
+        span = mm.coset_vectors(self.matrix, [0] * (2 * self.n), self.d)
+        return tuple(sorted(map(tuple, span.tolist())))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
@@ -154,8 +155,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("subspace intersection across different (d, n)")
-        basis = mm.intersect(self.matrix, other.matrix, self.d)
-        return Subspace.from_generators(basis, self.d, self.n)
+        return perp(perp(self) + perp(other))
 
 
 def perp(V: Subspace) -> Subspace:
@@ -170,12 +170,9 @@ def perp(V: Subspace) -> Subspace:
 
 
 def symplectic_commutant(V: Subspace) -> Subspace:
-    """{sigma : [sigma, tau] = 0 for all tau in V}."""
-    J = symplectic_form(V.n, V.d)
-    if V.dim == 0:
-        return Subspace.full(V.d, V.n)
-    rows = mm.modp(V.matrix @ J.T, V.d)  # [sigma, tau_i] = sigma . (J tau_i)
-    return Subspace.from_generators(mm.nullspace(rows, V.d), V.d, V.n)
+    """{sigma : [sigma, tau] = 0 for all tau in V}: the Euclidean perp of
+    the rows J tau, since [sigma, tau] = sigma . (J tau)."""
+    return perp(Subspace.from_generators(map(symplectic_row, V.gens), V.d, V.n))
 
 
 def is_isotropic(V: Subspace) -> bool:

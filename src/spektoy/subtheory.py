@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _modmath as mm
 from . import dense_oracle as do
 from . import phase_algebra as pa
 from . import wigner as wg
@@ -146,7 +145,7 @@ def allowed_states(spec: wg.WignerSpec) -> tuple[np.ndarray, ...]:
 
     def generated_inside(M: pa.Subspace) -> bool:
         inside = [v for v in M.vectors() if v in allowed]
-        return bool(inside) and mm.rank(np.array(inside, dtype=np.int64), d) == n
+        return bool(inside) and pa.Subspace.from_generators(inside, d, n).dim == n
 
     return _census(d, n, generated_inside)
 

@@ -173,13 +173,19 @@ class SharpMeasurement:
     def outcome_of(self, lam) -> tuple[int, ...]:
         return tuple(pa.evaluate(g, lam, self.d) for g in self.generators)
 
+    def _check_outcome(self, outcome) -> None:
+        k = len(self.generators)
+        if len(outcome) != k:
+            raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
+
     def outcome_shift(self, outcome) -> tuple[int, ...]:
         """Any point r with generator values equal to the outcome."""
-        A = np.array(self.generators, dtype=np.int64)
-        r = mm.solve(A, np.array(outcome, dtype=np.int64), self.d)
+        self._check_outcome(outcome)
+        d = self.d
+        r = mm.solve_rows(self.generators, [int(x) % d for x in outcome], 2 * self.n, d)
         if r is None:
             raise DimensionMismatch(f"outcome {outcome} is not realizable")
-        return tuple(int(x) for x in r)
+        return tuple(r)
 
 
 Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
@@ -230,17 +236,21 @@ class _MeasurementPlan:
             raise RestrictionViolation("known-variable subspace is not isotropic")
         return V_new, pa.perp(V_new), R.gens, A + R.gens
 
-    def table(self, w) -> Table:
-        """Outcome table at shift w, sorted: 1/d^r on each of the d^r
-        points centre + c . spread, centre = A w."""
+    def outcomes(self, w) -> list[tuple[int, ...]]:
+        """The outcomes at shift w, sorted: the d^r points centre + c . spread,
+        centre = A w, each of probability 1/d^r."""
         d, spread = self.V.d, self.spread
         outcomes = [[sum(map(mul, a, w)) % d for a in self.A]]
         for row in reversed(spread):  # lexicographic order of c
             outcomes = [
                 [(x + m * y) % d for x, y in zip(k, row)] for m in range(d) for k in outcomes
             ]
-        p = Fraction(1, d ** len(spread))
-        return {k: p for k in sorted(map(tuple, outcomes))}
+        return sorted(map(tuple, outcomes))
+
+    def table(self, w) -> Table:
+        """Outcome table at shift w, in sorted outcome order."""
+        outcomes = self.outcomes(w)
+        return dict.fromkeys(outcomes, Fraction(1, len(outcomes)))
 
     def posterior(self, w):
         """The update at shift w, as a map outcome -> posterior state.
@@ -272,9 +282,8 @@ def posterior(
     state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
 ) -> EpistemicState:
     """State after observing the given outcome."""
-    plan, k = _MeasurementPlan(state.V, state.U, meas), len(meas.generators)
-    if len(outcome) != k:
-        raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
+    plan = _MeasurementPlan(state.V, state.U, meas)
+    meas._check_outcome(outcome)
     return plan.posterior(state.w)(outcome)
 
 
@@ -315,14 +324,15 @@ def gate_step(g: pa.AffineSymplectic) -> Step:
 
 
 def measure_step(meas: SharpMeasurement) -> Step:
-    """Walker step measuring every branch: one child per outcome, carrying
-    its exact probability and the posterior state."""
+    """Walker step measuring every branch: one child per outcome that can
+    occur, carrying its exact probability 1/m as the int m (the number of
+    outcomes) and the posterior state."""
     plan_of = _shared(lambda V, U: _MeasurementPlan(V, U, meas))
 
     def step(outcomes, state):
         plan = plan_of(state)
-        table, update = plan.table(state.w), plan.posterior(state.w)
-        return [(k, pk, update(k)) for k, pk in table.items()]
+        ks, update = plan.outcomes(state.w), plan.posterior(state.w)
+        return [(k, len(ks), update(k)) for k in ks]
 
     return step
 
@@ -340,4 +350,4 @@ def statistics(
         if kind not in builders:
             raise DimensionMismatch(f"unknown step kind {kind!r}")
     branches = branch_tree(state, [builders[kind](op) for kind, op in steps])
-    return dict(sorted((outcomes, Fraction(prob)) for outcomes, prob, _ in branches))
+    return dict(sorted((outcomes, Fraction(1, m)) for outcomes, m, _ in branches))

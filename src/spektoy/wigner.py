@@ -235,16 +235,12 @@ def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
     vals = [table.value(p) for p in supp]
     if max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
         return False
-    d = table.spec.d
-    base = np.array(supp[0], dtype=np.int64)
-    diffs = (np.array(supp, dtype=np.int64) - base) % d
-    from . import _modmath as mm
-
-    span = mm.span_vectors(mm.rref(diffs, d)[0], d)
-    if span.shape[0] != len(supp):
+    d, n = table.spec.d, table.spec.n
+    diffs = np.array(supp, dtype=np.int64) - np.array(supp[0], dtype=np.int64)
+    U = pa.Subspace.from_generators(diffs, d, n)
+    if d**U.dim != len(supp):
         return False
-    span_set = {tuple(int(x) for x in (v + base) % d) for v in span}
-    return span_set == set(supp)
+    return set(pa.coset_members(U, supp[0])) == set(supp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from spektoy.circuits import (
     ATOL_CONSTRUCT,
-    ATOL_CONSTRUCT_EXACT,
     Correct,
     Gate,
     Measure,
@@ -104,17 +102,20 @@ def _split(probs):
 
 
 def test_branch_tree_multiplies_and_records_in_order():
+    # exact steps report probability 1/m as the int m: products of ints
     def relabel(outcomes, state):
         return [(None, 1, state * 10)]
 
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    branches = branch_tree(0, [_split([half, half]), relabel, _split([third, 2 * third])])
+    branches = branch_tree(0, [_split([2, 2]), relabel, _split([2, 4, 4])])
     assert branches == [
-        ((0, 0), Fraction(1, 6), 11),
-        ((0, 1), Fraction(1, 3), 11),
-        ((1, 0), Fraction(1, 6), 11),
-        ((1, 1), Fraction(1, 3), 11),
+        ((0, 0), 4, 11),
+        ((0, 1), 8, 11),
+        ((0, 2), 8, 11),
+        ((1, 0), 4, 11),
+        ((1, 1), 8, 11),
+        ((1, 2), 8, 11),
     ]
+    assert all(type(m) is int for _, m, _ in branches)
 
 
 def test_branch_tree_without_steps_is_the_root():
@@ -126,19 +127,13 @@ def test_branch_tree_drops_negligible_children():
     assert [outcomes for outcomes, _, _ in branches] == [(0,)]
 
 
-def test_branch_tree_prunes_fractions_at_the_float_threshold():
-    eps = ATOL_CONSTRUCT_EXACT
-    assert type(eps) is Fraction and eps == ATOL_CONSTRUCT  # the same value
-    above = eps + Fraction(1, 2**200)
-    # a float first step makes the products floats, so the sum check is the
-    # float one and a pruned exact child shows as a missing leaf
-    for pk, kept in [(eps, [(0, 0)]), (above, [(0, 0), (0, 1)])]:
-        branches = branch_tree(0, [_split([1.0]), _split([1 - pk, pk])])
-        assert [outcomes for outcomes, _, _ in branches] == kept
-    # all exact: the pruned child trips the exact sum check
-    with pytest.raises(AssertionError, match="sum to"):
-        branch_tree(0, [_split([1 - eps, eps])])
-    assert len(branch_tree(0, [_split([1 - above, above])])) == 2
+def test_branch_tree_keeps_tiny_exact_children():
+    # 1/2 + 1/4 + ... + 1/2**50 + 1/2**50: the last two lie far below
+    # ATOL_CONSTRUCT, and an int child is never pruned
+    ms = [2**k for k in range(1, 51)] + [2**50]
+    assert 1 / ms[-1] < ATOL_CONSTRUCT
+    branches = branch_tree(0, [_split(ms)])
+    assert [m for _, m, _ in branches] == ms
 
 
 def test_branch_tree_float_pruning_unchanged():
@@ -152,9 +147,11 @@ def test_branch_tree_float_pruning_unchanged():
     "probs",
     [
         [0.5, 0.4],  # float leak
-        [Fraction(1, 2)],  # a child went missing
-        # exact sums are checked exactly, far below the float tolerance
-        [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**15)],
+        [2],  # a child went missing
+        # exact sums are checked exactly, far below the float tolerance:
+        # 1 - 1/2**50, then 1 + 1/2**50
+        [2**k for k in range(1, 51)],
+        [2**k for k in range(1, 51)] + [2**50, 2**50],
     ],
 )
 def test_branch_tree_leaking_step_trips_sum_check(probs):

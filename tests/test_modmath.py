@@ -1,17 +1,22 @@
-"""The int-row elimination of `_modmath` against numpy reference routines.
+"""The int-row forms of `_modmath` against numpy reference routines.
 
 The reference functions below are the array implementations the package
 used before elimination moved to Python int rows: `ref_rref` does its row
 operations on int64 arrays, and the others are built on it.
 """
 
+import ast
+import inspect
 import itertools
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spektoy import _modmath as mm
+from spektoy import phase_algebra as pa
 
 
 def ref_rref(mat, p):
@@ -121,57 +126,87 @@ def matrices(rows=st.integers(0, 8), cols=st.integers(1, 10)):
     )
 
 
+def rows_of(A, p):
+    """The int rows of an array, reduced mod p: the row forms' input."""
+    return mm.modp(A, p).tolist()
+
+
+def assert_same_rows(got, want):
+    assert got == want.tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(), primes)
 def test_rref_matches_reference(A, p):
-    R, pivots = mm.rref(A, p)
+    R, pivots = mm.rref_rows(rows_of(A, p), A.shape[1], p)
     R_ref, pivots_ref = ref_rref(A, p)
-    assert_same_array(R, R_ref)
+    assert_same_rows(R, R_ref)
     assert pivots == pivots_ref
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(entries, min_size=1, max_size=10), primes)
 def test_rref_of_a_vector_matches_reference(v, p):
-    R, pivots = mm.rref(np.array(v), p)
+    R, pivots = mm.rref_rows([mm.modp(v, p).tolist()], len(v), p)
     R_ref, pivots_ref = ref_rref(np.array(v), p)
-    assert_same_array(R, R_ref)
+    assert_same_rows(R, R_ref)
     assert pivots == pivots_ref
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(), primes)
 def test_nullspace_matches_reference(A, p):
-    assert_same_array(mm.nullspace(A, p), ref_nullspace(A, p))
+    n = A.shape[1]
+    R, pivots = mm.rref_rows(rows_of(A, p), n, p)
+    assert_same_rows(mm.complement_rows(R, pivots, n, p), ref_nullspace(A, p))
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(rows=st.integers(1, 8)), primes, st.data())
 def test_solve_matches_reference(A, p, data):
     b = np.array(data.draw(st.lists(entries, min_size=A.shape[0], max_size=A.shape[0])))
-    x, x_ref = mm.solve(A, b, p), ref_solve(A, b, p)
+    x = mm.solve_rows(rows_of(A, p), mm.modp(b, p).tolist(), A.shape[1], p)
+    x_ref = ref_solve(A, b, p)
     if x_ref is None:
         assert x is None
     else:
-        assert_same_array(x, x_ref)
-        assert not np.any(mm.modp(A @ x - b, p))
+        assert x == x_ref.tolist()
+        assert not np.any(mm.modp(A @ np.array(x) - b, p))
+
+
+def subspaces(d, n, max_size):
+    rows = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    return st.lists(rows, max_size=max_size).map(lambda g: pa.Subspace.from_generators(g, d, n))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10).flatmap(
-    lambda n: st.tuples(matrices(cols=st.just(n)), matrices(cols=st.just(n)))
-), primes)
-def test_intersect_matches_reference(AB, p):
+@given(st.tuples(primes, st.integers(1, 3)).flatmap(
+    lambda dn: st.tuples(subspaces(*dn, 2 * dn[1] + 1), subspaces(*dn, 2 * dn[1] + 1))
+))
+def test_intersect_matches_reference(AB):
+    # Subspace.intersect is perp(perp(A) + perp(B)); zero and full spaces
+    # are drawn too (no generators, or 2n + 1 of them)
     A, B = AB
-    assert_same_array(mm.intersect(A, B, p), ref_intersect(A, B, p))
+    want = ref_intersect(A.matrix, B.matrix, A.d)
+    assert A.intersect(B) == pa.Subspace.from_generators(want, A.d, A.n)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (5, 1)])
+def test_intersect_with_zero_and_full(d, n):
+    zero, full = pa.Subspace.zero(d, n), pa.Subspace.full(d, n)
+    V = pa.Subspace.from_generators([[1] + [0] * (2 * n - 1)], d, n)
+    for A in (zero, V, full):
+        assert A.intersect(zero) == zero.intersect(A) == zero
+        assert A.intersect(full) == full.intersect(A) == A
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(), primes, st.data())
 def test_reduce_mod_rowspace_matches_reference(A, p, data):
-    R, _ = mm.rref(A, p)
+    R, _ = ref_rref(A, p)
     v = np.array(data.draw(st.lists(entries, min_size=A.shape[1], max_size=A.shape[1])))
-    assert_same_array(mm.reduce_mod_rowspace(v, R, p), ref_reduce_mod_rowspace(v, R, p))
+    got = mm.reduce_row(mm.modp(v, p).tolist(), R.tolist(), p)
+    assert got == ref_reduce_mod_rowspace(v, R, p).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,14 +216,15 @@ def test_coset_vectors_match_reference(A, p, data):
     shift = np.array(data.draw(st.lists(entries, min_size=A.shape[1], max_size=A.shape[1])))
     assert_same_array(mm.coset_vectors(A, shift, p), ref_coset_vectors(A, shift, p))
     zero = np.zeros(A.shape[1], dtype=np.int64)
-    assert_same_array(mm.span_vectors(A, p), ref_coset_vectors(A, zero, p))
+    assert_same_array(mm.coset_vectors(A, zero, p), ref_coset_vectors(A, zero, p))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(entries, min_size=1, max_size=10), primes)
 def test_span_of_a_vector_matches_reference(v, p):
     zero = np.zeros(len(v), dtype=np.int64)
-    assert_same_array(mm.span_vectors(np.array(v), p), ref_coset_vectors(np.array(v), zero, p))
+    got = mm.coset_vectors(np.array(v), zero, p)
+    assert_same_array(got, ref_coset_vectors(np.array(v), zero, p))
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,3 +244,24 @@ def test_solve_rows_matches_reference(A, p, data):
     else:
         assert x == x_ref.tolist()
         assert not np.any(mm.modp(A @ np.array(x) - b, p))
+
+
+def test_every_public_function_has_a_package_caller():
+    # one form per operation: a public function that no other module of the
+    # package uses (tests do not count) is a second form to delete
+    public = {
+        name
+        for name, f in vars(mm).items()
+        if inspect.isfunction(f) and f.__module__ == mm.__name__ and not name.startswith("_")
+    }
+    used = set()
+    for path in Path(mm.__file__).parent.glob("*.py"):
+        if path.name != "_modmath.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    assert sorted(public - used) == []

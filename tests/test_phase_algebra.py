@@ -149,6 +149,34 @@ class TestPerpKernel:
         check_perp(pa.Subspace.full(d, n))
 
 
+def check_commutant(V):
+    """The symplectic commutant is the nullspace of the rows J tau."""
+    J = pa.symplectic_form(V.n, V.d)
+    want = ref_nullspace(mm.modp(V.matrix @ J.T, V.d).reshape(-1, 2 * V.n), V.d)
+    C = pa.symplectic_commutant(V)
+    assert C == pa.Subspace.from_generators(want, V.d, V.n)
+    assert all(pa.symplectic_product(s, t, V.d) == 0 for s in C.gens for t in V.gens)
+
+
+class TestSymplecticCommutant:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]).flatmap(
+        lambda dn: st.lists(vectors(*dn), max_size=2 * dn[1] + 1).map(
+            lambda gens: pa.Subspace.from_generators(gens, *dn)
+        )
+    ))
+    def test_matches_reference_nullspace(self, V):
+        check_commutant(V)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+    def test_zero_and_full(self, d, n):
+        zero, full = pa.Subspace.zero(d, n), pa.Subspace.full(d, n)
+        check_commutant(zero)
+        check_commutant(full)
+        assert pa.symplectic_commutant(zero) == full
+        assert pa.symplectic_commutant(full) == zero
+
+
 class TestCosets:
     def test_zero_subspace(self):
         U = pa.Subspace.zero(2, 1)
@@ -184,9 +212,9 @@ class TestCosets:
         coeffs = data.draw(st.lists(st.integers(0, d - 1), min_size=U.dim, max_size=U.dim))
         v = np.array(data.draw(vectors(d, n)), dtype=np.int64)
         member = np.array(coeffs, dtype=np.int64) @ U.matrix
-        r = mm.reduce_mod_rowspace(v, U.matrix, d)
-        assert U.contains(r - v)
-        assert np.array_equal(mm.reduce_mod_rowspace(v + member, U.matrix, d), r)
+        r = mm.reduce_row(v.tolist(), U.gens, d)
+        assert U.contains(np.array(r) - v)
+        assert mm.reduce_row(((v + member) % d).tolist(), U.gens, d) == r
         assert not any(r[next(i for i, x in enumerate(g) if x)] for g in U.gens)
 
 

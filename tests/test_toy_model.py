@@ -11,6 +11,7 @@ from spektoy import phase_algebra as pa
 from spektoy import toy_model as tm
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch, GuardExceeded, RestrictionViolation
+from test_modmath import ref_nullspace, ref_rref, ref_solve
 
 
 def x_known_state(value=0):
@@ -198,6 +199,15 @@ class TestMeasurement:
         r = meas.outcome_shift((1,))
         assert meas.outcome_of(r) == (1,)
 
+    def test_outcome_shift_rejects_a_wrong_length_outcome(self):
+        meas = tm.SharpMeasurement(((1, 0, 1, 0),), 2, 2)
+        state = tm.maximally_mixed(2, 2)
+        for outcome in [(0, 1), ()]:
+            with pytest.raises(DimensionMismatch, match="does not match 1 functionals"):
+                meas.outcome_shift(outcome)
+            with pytest.raises(DimensionMismatch, match="does not match 1 functionals"):
+                tm.posterior(state, meas, outcome)
+
     def test_joint_two_functional_measurement(self):
         # measure both position functionals on the maximally mixed pair
         mixed = tm.maximally_mixed(2, 2)
@@ -367,7 +377,9 @@ def test_measure_step_children_are_posteriors(case):
     state, meas = case
     table = tm.outcome_distribution(state, meas)
     children = tm.measure_step(meas)((), state)
-    assert children == [(k, p, tm.posterior(state, meas, k)) for k, p in table.items()]
+    assert [(k, Fraction(1, m), s) for k, m, s in children] == [
+        (k, p, tm.posterior(state, meas, k)) for k, p in table.items()
+    ]
     d, r = state.d, len(meas.generators)
     impossible = [k for k in itertools.product(range(d), repeat=r) if k not in table]
     if impossible:
@@ -471,7 +483,8 @@ def test_outcome_table_guard(monkeypatch):
 #
 # The functions below are the array implementations the package used before
 # the toy step moved to Python int rows: every product is a numpy matmul and
-# every elimination goes through the array routines of `_modmath`.
+# every elimination goes through the array reference routines of
+# `test_modmath`.
 
 
 def ref_is_isotropic(V):
@@ -505,7 +518,7 @@ def ref_outcome_distribution(state, meas):
         raise DimensionMismatch("measurement and state live on different spaces")
     d = state.d
     A = np.array(meas.generators, dtype=np.int64)
-    spread, _ = mm.rref(state.U.matrix @ A.T, d)
+    spread, _ = ref_rref(state.U.matrix @ A.T, d)
     size = d ** spread.shape[0]
     if size > pa.COSET_GUARD:
         raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
@@ -519,7 +532,7 @@ def ref_update(state, meas):
     d, n = state.d, state.n
     A = np.array(meas.generators, dtype=np.int64)
     G = state.V.matrix
-    coeffs = mm.nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
+    coeffs = ref_nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
     retained = pa.Subspace.from_generators(coeffs @ G, d, n)
     V_new = meas.subspace + retained
     U_new = pa.perp(V_new)
@@ -528,7 +541,7 @@ def ref_update(state, meas):
     prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
 
     def update(outcome):
-        shift = mm.solve(system, list(outcome) + prior_values, d)
+        shift = ref_solve(system, list(outcome) + prior_values, d)
         if shift is None:
             raise DimensionMismatch(f"outcome {outcome} has probability zero")
         return ref_make_epistemic(V_new, shift, U_new)
@@ -764,7 +777,8 @@ def test_walker_matches_per_branch_reference(case):
         walker = [tm.gate_step(op) if kind == "gate" else tm.measure_step(op) for kind, op in steps]
         leaves = branch_tree(prior, walker)
         want = ref_walk(prior, steps)
-        assert [(o, p, s.V, s.w) for o, p, s in leaves] == [(o, p, s.V, s.w) for o, p, s in want]
+        got = [(o, Fraction(1, m), s.V, s.w) for o, m, s in leaves]
+        assert got == [(o, p, s.V, s.w) for o, p, s in want]
 
 
 def test_walker_builds_each_plan_once_per_step(monkeypatch):
@@ -817,9 +831,9 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     monkeypatch.setattr(mm, "solve_rows", refuse)
     with pytest.raises(GuardExceeded) as excinfo:
         tm.statistics(state, steps)
-    # raised by the plan's spread, read by the table before it lists anything
+    # raised by the plan's spread, read by `outcomes` before it lists anything
     names = [entry.name for entry in excinfo.traceback]
-    assert names[-1] == "spread" and "table" in names
+    assert names[-1] == "spread" and "outcomes" in names
 
 
 def test_step_plans_are_kept_per_known_subspace():
@@ -837,7 +851,7 @@ def test_step_plans_are_kept_per_known_subspace():
         [(_, _, moved)] = gate((), state)
         want = ref_apply_affine(state, g)
         assert (moved.V, moved.w) == (want.V, want.w)
-        children = [(k, p, s.V, s.w) for k, p, s in measure((), state)]
+        children = [(k, Fraction(1, m), s.V, s.w) for k, m, s in measure((), state)]
         table = ref_outcome_distribution(state, meas)
         posts = [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
         assert children == [(k, p, s.V, s.w) for k, p, s in posts]
