@@ -395,18 +395,21 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
     returns the projector matrix for under-determined sets; raises
     InvalidGenerators for anticommuting, dependent, or inconsistent sets.
     """
-    projs: list[np.ndarray] = []
-    points: list[tuple[int, ...]] = []
+    labels: list[tuple[PauliLabel, int]] = []
     for g in generators:
         label, k = _signed_word(g) if isinstance(g, str) else g
         if not isinstance(label, PauliLabel):
             label = PauliLabel.from_point(label, d)
-        if n is None:
-            n = label.n
-        projs.append(label_projectors(label)[int(k) % d])
-        points.append(label.to_point())
+        labels.append((label, int(k)))
     if n is None:
-        raise InvalidGenerators("empty generator set needs explicit n")
+        if not labels:
+            raise InvalidGenerators("empty generator set needs explicit n")
+        n = labels[0][0].n
+    widths = sorted({label.n for label, _ in labels} - {n})
+    if widths:
+        raise InvalidGenerators(f"generator labels span {widths} sites, not {n}")
+    projs = [label_projectors(label)[k % d] for label, k in labels]
+    points = [label.to_point() for label, _ in labels]
     dim = d**n
     # one outcome projector each of two Weyl operators commutes exactly
     # when the operators do

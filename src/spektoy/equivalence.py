@@ -50,17 +50,20 @@ def quantum_state_for(
     Generators are the construction's own Weyl operators (the phased ones),
     so the eigenvalue exponents match the functional values exactly even on
     mixed labels."""
+    return _quantum_state(epistemic, lambda mu: measurement_projectors(mu, spec))
+
+
+def _quantum_state(epistemic: toy.EpistemicState, projectors) -> np.ndarray:
+    """quantum_state_for with the outcome projectors of a label mu read
+    from projectors(mu)."""
     V = epistemic.V
     if V.dim != V.n:
         raise DimensionMismatch("only maximal-knowledge states map to pure states")
     d = V.d
-    dim = d**V.n
-    rho = np.eye(dim, dtype=complex)
+    rho = np.eye(d**V.n, dtype=complex)
     for sigma in V.gens:
-        mu = label_for_functional(sigma, d)
         k = pa.evaluate(sigma, epistemic.w, d)
-        projs = do.weyl_char_projectors(wg.weyl(mu, spec), d)
-        rho = rho @ projs[k]
+        rho = rho @ projectors(label_for_functional(sigma, d))[k]
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     if abs(vals[-1] - 1.0) > 1e-9:
         raise DimensionMismatch("knowledge state does not pin a pure state")
@@ -88,12 +91,14 @@ def measurement_projectors(mu, spec: wg.WignerSpec) -> list[np.ndarray]:
 
 @dataclass
 class HostModel:
-    """A subtheory together with the cached toy transport of its gates."""
+    """A subtheory together with the cached toy transport of its gates and
+    the cached outcome projectors of its measured labels."""
 
     sub: stt.Subtheory
 
     def __post_init__(self):
         self._gate_cache: dict[tuple[str, tuple[int, ...]], pa.AffineSymplectic] = {}
+        self._projector_cache: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     @property
     def d(self) -> int:
@@ -130,6 +135,17 @@ class HostModel:
                 raise AuditError(f"gate {key} has no covariant action")
             self._gate_cache[key] = witness.inverse()
         return self._gate_cache[key]
+
+    def _projectors(self, mu) -> list[np.ndarray]:
+        """measurement_projectors(mu, spec), built once per label.  Every
+        circuit on this host shares the list, so its arrays are read-only."""
+        key = tuple(mu)
+        if key not in self._projector_cache:
+            projs = measurement_projectors(key, self.spec)
+            for P in projs:
+                P.setflags(write=False)
+            self._projector_cache[key] = projs
+        return self._projector_cache[key]
 
     def allowed_gate_names(self) -> set[str]:
         names = {g.name for g in self.sub.gate_generators}
@@ -216,7 +232,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
         V = isos[int(rng.integers(0, len(isos)))]
     w = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
     epistemic = toy.make_epistemic(V, w)
-    dense_state = quantum_state_for(epistemic, host.spec)
+    dense_state = _quantum_state(epistemic, host._projectors)
 
     toy_steps = []
     dense_steps = []
@@ -234,7 +250,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             sigma = functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
+            dense_steps.append(("measure", host._projectors(lam)))
             description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
             n_meas += 1
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -322,7 +338,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
             sigma = functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
+            dense_steps.append(("measure", host._projectors(lam)))
     toy_dist = toy.statistics(epistemic, toy_steps)
     dense_dist = dense_statistics(psi, dense_steps)
     return toy_dist, dense_dist, compare_statistics(toy_dist, dense_dist)

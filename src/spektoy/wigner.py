@@ -208,6 +208,36 @@ def wigner_of_state(rho: np.ndarray, spec: WignerSpec) -> WignerTable:
     return WignerTable(spec, vals / total, resid / abs(total))
 
 
+#: rows per block of the stacked kernel are chosen so that each complex
+#: transient holds at most this many entries (1 MiB)
+_TABLE_BLOCK = 1 << 16
+
+
+def _tables(psi: np.ndarray, spec: WignerSpec) -> np.ndarray:
+    """Normalised tables of a stack of state vectors, one row per vector:
+    the rule of wigner_of_state (real parts, each row summing to 1, and
+    DimensionMismatch for a zero-sum row), without the residue.
+
+    Each block of rows is one product of flattened density matrices with
+    the flattened phase-point stack, so that no transient outgrows
+    _TABLE_BLOCK entries."""
+    A = _phase_point_stack(spec)
+    size = A.shape[0]  # d^(2n): also the entries of one flattened density matrix
+    flat = A.reshape(size, -1)
+    vals = np.empty((len(psi), size))
+    step = max(1, _TABLE_BLOCK // size)
+    for lo in range(0, len(psi), step):
+        blk = psi[lo : lo + step]
+        # row r holds rho_ji = conj(psi_i) psi_j at flat index ij, so the
+        # product gives tr(A(lam) rho) = sum_ij A(lam)_ij rho_ji
+        rho_t = (blk.conj()[:, :, None] * blk[:, None, :]).reshape(len(blk), -1)
+        vals[lo : lo + step] = (rho_t @ flat.T).real
+    total = vals.sum(axis=1)
+    if np.any(np.abs(total) < 1e-12):
+        raise DimensionMismatch("state table sums to zero")
+    return vals / total[:, None]
+
+
 def wigner_of_measurement(Pi: np.ndarray, spec: WignerSpec) -> WignerTable:
     """Normalized table of a measurement element (same formula, its own
     normalisation)."""
@@ -246,14 +276,19 @@ def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # covariance
 
-def _table_pairs(U: np.ndarray, spec: WignerSpec, state_set):
-    """(before, after) tables of each state and of its image under U, lazily."""
-    Ud = U.conj().T
-    for rho in state_set:
-        yield (
-            wigner_of_state(rho, spec).values,
-            wigner_of_state(U @ _as_density(rho) @ Ud, spec).values,
-        )
+def _stacked_tables(state_set, spec: WignerSpec, U: np.ndarray | None = None) -> np.ndarray:
+    """Table of every state in state_set (of its image under U when given),
+    one row per state.  State vectors go through the stacked kernel in one
+    call; density matrices keep the per-state rule."""
+    if len(state_set) == 0:
+        return np.zeros((0, spec.d ** (2 * spec.n)))
+    if all(np.ndim(rho) == 1 for rho in state_set):
+        psi = np.stack(state_set)
+        return _tables(psi if U is None else psi @ U.T, spec)
+    if U is not None:
+        Ud = U.conj().T
+        state_set = [U @ _as_density(rho) @ Ud for rho in state_set]
+    return np.stack([wigner_of_state(rho, spec).values for rho in state_set])
 
 
 @lru_cache(maxsize=32)
@@ -293,13 +328,12 @@ def fit_covariance(
             f"covariance search needs {total} candidates; guard is "
             f"{pa.AFFINE_ENUM_GUARD}"
         )
+    before = _stacked_tables(state_set, spec)
+    after = _stacked_tables(state_set, spec, U)
     # the sparsest image table anchors the translation search
-    pairs = sorted(
-        _table_pairs(U, spec, state_set),
-        key=lambda pair: np.count_nonzero(np.abs(pair[1]) > 1e-9),
-    )
+    anchor = int(np.argmin(np.count_nonzero(np.abs(after) > 1e-9, axis=1)))
     pts, _ = _lex(d, n)
-    anchor_before, anchor_after = pairs[0]
+    anchor_before, anchor_after = before[anchor], after[anchor]
     anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
     anchor_pt = pts[anchor_code]
     candidate_targets = pts[np.abs(anchor_before - anchor_after[anchor_code]) < 1e-9]
@@ -308,7 +342,10 @@ def fit_covariance(
         for target in candidate_targets:
             a = (target - base) % d
             perm = _image_codes(S, a, d)
-            if all(np.allclose(after, before[perm], atol=1e-9) for before, after in pairs):
+            # the anchor row alone rejects most candidates cheaply
+            if np.allclose(anchor_after, anchor_before[perm], atol=1e-9) and np.allclose(
+                after, before[:, perm], atol=1e-9
+            ):
                 return pa.AffineSymplectic(S.copy(), a, d)
     return None
 
@@ -365,10 +402,8 @@ def covariance_witness(
 
 def verify_covariance(U, spec: WignerSpec, state_set, g: pa.AffineSymplectic) -> bool:
     perm = _image_codes(g.S, g.a, spec.d)
-    return all(
-        np.allclose(after, before[perm], atol=1e-9)
-        for before, after in _table_pairs(U, spec, state_set)
-    )
+    before = _stacked_tables(state_set, spec)
+    return np.allclose(_stacked_tables(state_set, spec, U), before[:, perm], atol=1e-9)
 
 
 @dataclass(frozen=True)

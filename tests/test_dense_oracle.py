@@ -204,6 +204,18 @@ class TestStabilizerStates:
         with pytest.raises(InvalidGenerators):
             do.stabilizer_state(["+XX", "+ZZ", "-YY"])
 
+    @pytest.mark.parametrize(
+        "generators,n",
+        [([((1, 0), 0), ((0, 0, 1, 0), 0)], None), ([((1, 0, 0, 0), 0)], 1)],
+    )
+    def test_label_width_mismatch_rejected_before_projectors(self, generators, n, monkeypatch):
+        def unreachable(label):
+            raise AssertionError("projector built before the width check")
+
+        monkeypatch.setattr(do, "label_projectors", unreachable)
+        with pytest.raises(InvalidGenerators, match="sites"):
+            do.stabilizer_state(generators, n=n)
+
     def test_census_counts(self):
         assert len(stt.all_stabilizer_states(2, 1)) == 6
         assert len(stt.all_stabilizer_states(2, 2)) == 60

@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spektoy import dense_oracle as do
@@ -141,3 +143,97 @@ class TestTextCircuits:
             ((0,), (0,), (0,)): Fraction(1, 2),
             ((0,), (1,), (0,)): Fraction(1, 2),
         }
+
+
+def ref_random_paired_circuit(host, rng, depth=5):
+    """random_paired_circuit with projectors and dense state built per call."""
+    d, n = host.d, host.n
+    if d == 2:
+        V = eqv._random_css_knowledge(n, rng)
+    else:
+        isos = pa.maximal_isotropic_subspaces(d, n)
+        V = isos[int(rng.integers(0, len(isos)))]
+    w = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
+    epistemic = toy.make_epistemic(V, w)
+    dense_state = eqv.quantum_state_for(epistemic, host.spec)
+    toy_steps, dense_steps, description = [], [], []
+    gens = host.sub.gate_generators
+    nontrivial = [lam for lam in host.sub.observables if any(lam)]
+    n_meas = 0
+    for _ in range(depth):
+        if rng.random() < 0.55 or n_meas >= 3:
+            g = gens[int(rng.integers(0, len(gens)))]
+            toy_steps.append(("gate", host.gate_action_for(g)))
+            dense_steps.append(("gate", g.matrix))
+            description.append(g.label())
+        else:
+            lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
+            sigma = eqv.functional_for_label(lam, d)
+            toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
+            dense_steps.append(("measure", eqv.measurement_projectors(lam, host.spec)))
+            description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
+            n_meas += 1
+    return eqv.PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
+
+
+HOSTS = [("minimal-rebit", 2, 2), ("minimal-rebit", 3, 2), ("qudit-stabilizer", 2, 3)]
+
+
+class TestHostProjectorCache:
+    @pytest.mark.parametrize("name,n,d", HOSTS)
+    def test_one_read_only_list_per_label(self, name, n, d):
+        host = eqv.host_model(name, n, d)
+        rng = np.random.default_rng(17)
+        by_label: dict[str, list] = {}
+        for _ in range(30):
+            pc = eqv.random_paired_circuit(host, rng)
+            for (kind, op), desc in zip(pc.dense_steps, pc.description):
+                if kind == "measure":
+                    by_label.setdefault(desc, []).append(op)
+        assert max(len(ops) for ops in by_label.values()) > 1
+        for ops in by_label.values():
+            assert all(op is ops[0] for op in ops)
+            with pytest.raises(ValueError):
+                ops[0][0][0, 0] = 0
+        for lam, projs in host._projector_cache.items():
+            want = eqv.measurement_projectors(lam, host.spec)
+            assert len(projs) == len(want)
+            assert all(np.array_equal(P, Q) for P, Q in zip(projs, want))
+
+    @pytest.mark.parametrize("name,n,d", HOSTS)
+    def test_same_circuits_as_the_per_call_path(self, name, n, d):
+        host = eqv.host_model(name, n, d)
+        cached, per_call = np.random.default_rng(23), np.random.default_rng(23)
+        for _ in range(20):
+            pc = eqv.random_paired_circuit(host, cached)
+            ref = ref_random_paired_circuit(host, per_call)
+            assert pc.description == ref.description
+            assert pc.epistemic == ref.epistemic
+            assert np.array_equal(pc.dense_state, ref.dense_state)
+            for (kind, op), (ref_kind, ref_op) in zip(pc.dense_steps, ref.dense_steps):
+                assert kind == ref_kind
+                assert all(np.array_equal(a, b) for a, b in zip(op, ref_op))
+            assert toy.statistics(pc.epistemic, pc.toy_steps) == toy.statistics(
+                ref.epistemic, ref.toy_steps
+            )
+            assert eqv.dense_statistics(pc.dense_state, pc.dense_steps) == eqv.dense_statistics(
+                ref.dense_state, ref.dense_steps
+            )
+
+
+@pytest.mark.parametrize("name,n,d", [("minimal-rebit", 3, 2), ("qudit-stabilizer", 2, 3)])
+def test_gate_actions_build_no_per_state_table(name, n, d, monkeypatch):
+    """Gate actions come from stacked tables; a slide back to one
+    wigner_of_state per census state trips this guard."""
+    host = eqv.host_model.__wrapped__(name, n, d)  # fresh gate cache
+
+    def per_state(*args, **kwargs):
+        raise AssertionError("per-state Wigner table on the gate-action path")
+
+    monkeypatch.setattr(wg, "wigner_of_state", per_state)
+    for gen in host.sub.gate_generators:
+        host.gate_action_for(gen)
+    for gate in host.allowed_gate_names():
+        for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
+            host.gate_action(gate, wires)
+    assert len(host._gate_cache) > len(host.sub.gate_generators)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spektoy import dense_oracle as do
+from spektoy import equivalence as eqv
 from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
@@ -250,6 +251,146 @@ class TestCovariance:
             assert wg.fit_covariance(do.gate(name, (0,), 1, 3), spec, states) is not None
 
 
+# ---------------------------------------------------------------------------
+# the per-pair covariance path the stacked one replaced, kept as a reference
+
+
+def ref_table_pairs(U, spec, state_set):
+    Ud = U.conj().T
+    for rho in state_set:
+        dm = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+        yield (
+            wg.wigner_of_state(rho, spec).values,
+            wg.wigner_of_state(U @ dm @ Ud, spec).values,
+        )
+
+
+def ref_verify_covariance(U, spec, state_set, g):
+    perm = wg._image_codes(g.S, g.a, spec.d)
+    return all(
+        np.allclose(after, before[perm], atol=1e-9)
+        for before, after in ref_table_pairs(U, spec, state_set)
+    )
+
+
+def ref_fit_covariance(U, spec, state_set):
+    d, n = spec.d, spec.n
+    pairs = sorted(
+        ref_table_pairs(U, spec, state_set),
+        key=lambda pair: np.count_nonzero(np.abs(pair[1]) > 1e-9),
+    )
+    pts, _ = wg._lex(d, n)
+    anchor_before, anchor_after = pairs[0]
+    anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
+    anchor_pt = pts[anchor_code]
+    candidate_targets = pts[np.abs(anchor_before - anchor_after[anchor_code]) < 1e-9]
+    for S in pa.symplectic_matrices(n, d):
+        base = (S @ anchor_pt) % d
+        for target in candidate_targets:
+            a = (target - base) % d
+            perm = wg._image_codes(S, a, d)
+            if all(np.allclose(after, before[perm], atol=1e-9) for before, after in pairs):
+                return pa.AffineSymplectic(S.copy(), a, d)
+    return None
+
+
+def ref_covariance_witness(U, spec, state_set):
+    g = wg.phase_space_action(U, spec)
+    if g is not None and ref_verify_covariance(U, spec, state_set, g):
+        return g, "transport"
+    return ref_fit_covariance(U, spec, state_set), "exhaustive"
+
+
+def _key(witness):
+    return None if witness is None else witness.key()
+
+
+CENSUS_SPECS = [
+    (wg.delfosse_rebit_spec(n), n) for n in (1, 2, 3)
+] + [(wg.factorisable_rebit_spec(n), n) for n in (1, 2, 3)] + [
+    (wg.gross_spec(3, n), n) for n in (1, 2)
+]
+
+
+class TestStackedTables:
+    @pytest.mark.parametrize(
+        "spec,n", CENSUS_SPECS, ids=[f"{s.name}-n{n}" for s, n in CENSUS_SPECS]
+    )
+    def test_rows_equal_per_state_tables(self, spec, n):
+        states = stt.all_stabilizer_states(spec.d, n)
+        stacked = wg._tables(np.stack(states), spec)
+        per_state = np.stack([wg.wigner_of_state(psi, spec).values for psi in states])
+        assert stacked.shape == per_state.shape
+        assert np.abs(stacked - per_state).max() <= 1e-12
+
+    def test_block_size_does_not_change_rows(self, monkeypatch):
+        spec = wg.gross_spec(3, 2)
+        psi = np.stack(stt.all_stabilizer_states(3, 2))
+        whole = wg._tables(psi, spec)
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", 1)
+        assert np.abs(wg._tables(psi, spec) - whole).max() <= 1e-12
+
+    def test_zero_sum_row_raises(self):
+        spec = wg.delfosse_rebit_spec(1)
+        psi = np.stack([do.basis_state([0]), np.zeros(2, dtype=complex)])
+        with pytest.raises(DimensionMismatch, match="sums to zero"):
+            wg._tables(psi, spec)
+        with pytest.raises(DimensionMismatch, match="sums to zero"):
+            wg.wigner_of_state(psi[1], spec)
+
+    def test_density_matrix_sets_keep_the_per_state_rule(self):
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        mixed = [np.outer(psi, psi.conj()) for psi in css] + [np.eye(4) / 4]
+        U = do.gate("CNOT", (0, 1), 2)
+        g, _ = wg.covariance_witness(U, spec, css)
+        assert wg.verify_covariance(U, spec, mixed, g)
+        assert ref_verify_covariance(U, spec, mixed, g)
+        assert _key(wg.fit_covariance(U, spec, mixed)) == _key(ref_fit_covariance(U, spec, mixed))
+
+
+class TestStackedCovariance:
+    def test_wrong_witness_fails(self):
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        U = do.gate("CNOT", (0, 1), 2)
+        g, _ = wg.covariance_witness(U, spec, css)
+        shifted = pa.AffineSymplectic(g.S, (g.a + np.eye(4, dtype=np.int64)[0]) % 2, 2)
+        for wrong in (pa.AffineSymplectic.identity(2, 2), shifted):
+            assert not wg.verify_covariance(U, spec, css, wrong)
+            assert not ref_verify_covariance(U, spec, css, wrong)
+
+    def test_full_qubit_n1_search_finds_no_witness(self):
+        sub = stt.full_qubit_stabilizer_subtheory(1)
+        found = {}
+        for gen in sub.gate_generators:
+            g = wg.fit_covariance(gen.matrix, sub.spec, sub.states)
+            assert _key(g) == _key(ref_fit_covariance(gen.matrix, sub.spec, sub.states))
+            found[gen.name] = g
+        assert found["S"] is None
+
+    @pytest.mark.parametrize(
+        "name,n,d",
+        [
+            ("minimal-rebit", 1, 2),
+            ("minimal-rebit", 2, 2),
+            ("minimal-rebit", 3, 2),
+            ("qudit-stabilizer", 1, 3),
+            ("qudit-stabilizer", 2, 3),
+        ],
+    )
+    def test_host_gates_match_the_per_pair_path(self, name, n, d):
+        host = eqv.host_model(name, n, d)
+        spec, states = host.spec, host.sub.states
+        for gate in sorted(host.allowed_gate_names()):
+            for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
+                U = do.gate(gate, wires, n, d)
+                g, mode = wg.covariance_witness(U, spec, states)
+                ref_g, ref_mode = ref_covariance_witness(U, spec, states)
+                assert (_key(g), mode) == (_key(ref_g), ref_mode), (gate, wires)
+                assert host.gate_action(gate, wires).key() == ref_g.inverse().key()
+
+
 class TestTransitionMatrices:
     def test_identity_is_identity_permutation(self):
         spec = wg.factorisable_rebit_spec(1)
@@ -275,17 +416,17 @@ class TestTransitionMatrices:
         spec = wg.delfosse_rebit_spec(2)
         css = stt.minimal_rebit_subtheory(2).states
         assert len(css) == 20
-        calls = []
-        table = wg.wigner_of_state
+        rows = []
+        tables = wg._tables
 
-        def counted(rho, spec):
-            calls.append(1)
-            return table(rho, spec)
+        def counted(psi, spec):
+            rows.append(len(psi))
+            return tables(psi, spec)
 
-        monkeypatch.setattr(wg, "wigner_of_state", counted)
+        monkeypatch.setattr(wg, "_tables", counted)
         wg.transition_matrix(do.gate("CNOT", (0, 1), 2), spec, css)
-        # one before- and one after-table per state, all inside covariance_witness
-        assert len(calls) == 40
+        # one before- and one after-row per state, all inside covariance_witness
+        assert sum(rows) == 40
 
     def test_wrong_supplied_witness_raises(self):
         spec = wg.delfosse_rebit_spec(2)
