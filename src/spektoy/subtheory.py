@@ -383,15 +383,25 @@ def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -
 
 
 def subtheory_by_name(name: str, n: int, d: int = 2) -> Subtheory:
+    """The named subtheory at n sites; DimensionMismatch if d does not fit
+    the name (the rebit and qubit subtheories live at d = 2, the qudit
+    stabilizer subtheory at odd prime d)."""
     name = name.lower()
-    if name in ("minimal-rebit", "minimal"):
-        return minimal_rebit_subtheory(n)
-    if name in ("css-rebit", "css"):
-        return css_rebit_subtheory(n)
+    qubit = {
+        "minimal-rebit": minimal_rebit_subtheory,
+        "minimal": minimal_rebit_subtheory,
+        "css-rebit": css_rebit_subtheory,
+        "css": css_rebit_subtheory,
+        "full-qubit-stabilizer": full_qubit_stabilizer_subtheory,
+    }
+    if name in qubit:
+        if d != 2:
+            raise DimensionMismatch(f"subtheory {name!r} needs d=2, got d={d}")
+        return qubit[name](n)
     if name in ("qudit-stabilizer", "gross"):
-        return qudit_stabilizer_subtheory(d if d % 2 else 3, n)
-    if name == "full-qubit-stabilizer":
-        return full_qubit_stabilizer_subtheory(n)
+        if d % 2 == 0:
+            raise DimensionMismatch(f"subtheory {name!r} needs an odd prime d, got d={d}")
+        return qudit_stabilizer_subtheory(d, n)
     raise DimensionMismatch(f"unknown subtheory {name!r}")
 
 

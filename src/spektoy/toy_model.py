@@ -2,35 +2,34 @@
 knowledge, affine evolution, sharp measurement with update, and exact
 statistics.
 
-An epistemic state is the pair (V, w): V is the isotropic subspace of known
-functionals and w a shift carrying their values.  It stands for the uniform
-distribution over the coset V-perp + w, which has d^(2n - dim V) points, but
-nothing here lists that coset: weights, point probabilities, outcome tables,
-measurement updates and affine evolution are closed forms in (V, w), computed
-by linear algebra over Z_d in time polynomial in n (the toy analogue of
-stabilizer tableau simulation).  Each step splits like a tableau's
-stabilizer group and sign bits: a plan that depends only on V (the gate's
-transport `_transport`, a measurement's `_MeasurementPlan`) and a cheap
-finish for one shift w.  `statistics` builds each plan once per distinct V
-per step, so sibling branches, which share V, share it; the plans live in
-the step closures of that one call.  Steps run on the canonical int rows
-that `Subspace.gens` holds; numpy is used only for the dense products: a
-gate's V S^-1 and S w + a, and the retained c G of a measurement.  The
-support is listed only when something reads `EpistemicState.support`, and
-that listing is capped by `phase_algebra.COSET_GUARD`.  All distributions
-are exact rationals; sampling is a thin seeded layer on top.
+An epistemic state (V, w) is the uniform distribution over the coset
+V-perp + w: V is the isotropic subspace of known functionals and w a shift
+carrying their values.  Nothing here lists that coset of d^(2n - dim V)
+points: weights, point probabilities, outcome tables, updates and affine
+evolution are closed forms, linear algebra over Z_d polynomial in n.  As in
+a stabilizer tableau, the state is V's rref rows and their values: the
+canonical w is zero off V's pivot columns and holds each row's value on its
+pivot.  Each step is a plan on V alone (a gate's `_transport`, a
+`_MeasurementPlan`) and a cheap finish mapping old values to new ones; no
+step needs V-perp.  `statistics` builds each plan once per distinct V per
+step, so sibling branches share it.  Steps run on the int rows of
+`Subspace.gens`, with numpy only for a gate's V S^-1, V_new S and V_new a
+and a measurement's retained c G.  `EpistemicState.support` lists the coset
+on demand, under `phase_algebra.COSET_GUARD`.  Distributions are exact
+rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
 plus the part of the prior that symplectically commutes with every measured
-functional; the posterior shift is any ontic point consistent with the
-observed outcome and the retained values.  This is the unique choice that
-is repeatable, restriction-preserving, and reproduces dense-oracle
-statistics across the bridged subtheories.
+functional, and its rows take the values of the observed outcome and of the
+retained functionals.  This is the unique choice that is repeatable,
+restriction-preserving, and reproduces dense-oracle statistics across the
+bridged subtheories.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,8 +46,9 @@ from .errors import DimensionMismatch, GuardExceeded, RestrictionViolation
 @dataclass(frozen=True)
 class EpistemicState:
     """Uniform distribution over V-perp + w.  make_epistemic builds it: it
-    checks that V is isotropic and reduces w to the canonical representative
-    of its coset, so equal distributions compare equal."""
+    checks that V is isotropic and puts w in canonical form, zero off V's
+    pivot columns and equal to g . w at the pivot of V's rref row g, so
+    equal distributions compare equal."""
 
     V: pa.Subspace
     w: tuple[int, ...]
@@ -63,7 +63,7 @@ class EpistemicState:
 
     @cached_property
     def U(self) -> pa.Subspace:
-        """The support directions V-perp (Euclidean perp)."""
+        """The support directions V-perp, computed when `support` is read."""
         return pa.perp(self.V)
 
     @cached_property
@@ -107,42 +107,58 @@ def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
     wv = [int(x) % d for x in w]
     if len(wv) != 2 * n:
         raise DimensionMismatch(f"expected length {2 * n}, got {len(wv)}")
-    return _coset_state(V, pa.perp(V), wv)
+    return _coset_state(V, _pivots(V), [sum(map(mul, g, wv)) % d for g in V.gens])
 
 
-def _coset_state(V: pa.Subspace, U: pa.Subspace, w: list[int]) -> EpistemicState:
-    """(V, w reduced modulo U = perp(V)), unchecked; w holds ints in [0, d)."""
-    state = EpistemicState(V, tuple(mm.reduce_row(w, U.gens, V.d)))
-    state.__dict__["U"] = U  # fills the cached property; perp(V) is at hand
-    return state
+def _pivots(V: pa.Subspace) -> list[int]:
+    return [g.index(1) for g in V.gens]  # each rref row leads with a 1
+
+
+def _coset_state(V: pa.Subspace, pivots: list[int], values) -> EpistemicState:
+    """(V, the shift holding values, ints in [0, d), on V's pivots), unchecked.
+    Row g_j is 1 at its own pivot and 0 at the others: it takes values[j]."""
+    w = [0] * (2 * V.n)
+    for p, x in zip(pivots, values):
+        w[p] = x
+    return EpistemicState(V, tuple(w))
 
 
 def maximally_mixed(d: int, n: int) -> EpistemicState:
     return make_epistemic(pa.Subspace.zero(d, n), (0,) * (2 * n))
 
 
-def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple[pa.Subspace, pa.Subspace]:
-    """The plan of a gate lam -> S lam + a: (V S^-1, its perp), whatever the
-    shift.  sigma is known afterwards exactly when sigma S is known before."""
+def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
+    """The plan of a gate lam -> S lam + a, whatever the shift:
+    (V's pivots, V_new = V S^-1, its pivots, H, c).  sigma is known
+    afterwards exactly when sigma S is known before.  Row h of V_new takes
+    the value (h S) . w + h . a, and h S lies in V: its coefficients on V's
+    rows are its entries on V's pivots.  So new values = H values + c, with
+    H = V_new S on V's pivot columns and c = V_new a."""
     if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
-    V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, V.d, V.n)
+    d, pivots = V.d, _pivots(V)
+    V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, d, V.n)
     if not pa.is_isotropic(V_new):
         raise RestrictionViolation("known-variable subspace is not isotropic")
     assert V_new.dim == V.dim
-    return V_new, pa.perp(V_new)
+    N = V_new.matrix
+    H = ((N @ g.S)[:, pivots] % d).tolist()
+    return pivots, V_new, _pivots(V_new), H, (N @ g.a % d).tolist()
 
 
-def _shifted(plan: tuple[pa.Subspace, pa.Subspace], g: pa.AffineSymplectic, w) -> EpistemicState:
-    """The finish of a gate: the new shift S w + a, reduced modulo U_new."""
-    shift = (g.S @ np.array(w, dtype=np.int64) + g.a) % g.d
-    return _coset_state(*plan, shift.tolist())
+def _shifted(plan: tuple, w) -> EpistemicState:
+    """The finish of a gate at shift w: the new values H values + c."""
+    pivots, V_new, new_pivots, H, c = plan
+    values = [w[p] for p in pivots]
+    d = V_new.d
+    new = [(sum(map(mul, h, values)) + x) % d for h, x in zip(H, c)]
+    return _coset_state(V_new, new_pivots, new)
 
 
 def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
     """Push the distribution through lam -> S lam + a: the image of V-perp + w
     is (S V-perp) + (S w + a)."""
-    return _shifted(_transport(state.V, g), g, state.w)
+    return _shifted(_transport(state.V, g), state.w)
 
 
 @dataclass(frozen=True)
@@ -193,48 +209,52 @@ Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted out
 
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
-    subspace V alone (U = perp(V)), shared by every state on V.  Each half,
-    `spread` and `retained`, is built on first read; `table` and `posterior`
-    finish it for a shift w.
+    subspace V alone, shared by every state on V.  Each half, `spread` and
+    `retained`, is built on first read; `table` and `posterior` finish it
+    for a shift w.
     """
 
-    def __init__(self, V: pa.Subspace, U: pa.Subspace, meas: SharpMeasurement):
+    def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
-        self.V, self.U, self.meas, self.A = V, U, meas, meas.generators
+        self.V, self.meas, self.A = V, meas, meas.generators
 
     @cached_property
     def spread(self) -> list[list[int]]:
-        """The outcome A lam of a support point runs uniformly over
-        A w + A V-perp: the span of this rref of the rows (u . a for a in A),
-        u over U.  GuardExceeded past COSET_GUARD outcomes."""
-        d, A = self.V.d, self.A
-        rows = [[sum(map(mul, u, a)) % d for a in A] for u in self.U.gens]
-        spread, _ = mm.rref_rows(rows, len(A), d)
+        """The outcome A lam of a support point runs uniformly over A w plus
+        the span of this rref of the columns of A's residues a' modulo V:
+        a - a' vanishes on V-perp, and a' is zero on V's pivot columns,
+        where V-perp is not free.  GuardExceeded past COSET_GUARD outcomes."""
+        d, V = self.V.d, self.V
+        residues = [mm.reduce_row(list(a), V.gens, d) for a in self.A]
+        columns = [list(col) for col in zip(*residues) if any(col)]
+        spread, _ = mm.rref_rows(columns, len(self.A), d)
         if d ** len(spread) > pa.COSET_GUARD:
             raise GuardExceeded(f"outcome table has {d ** len(spread)} > {pa.COSET_GUARD} entries")
         return spread
 
     @cached_property
-    def retained(self) -> tuple[pa.Subspace, pa.Subspace, list, list]:
-        """(V_new, U_new, R, the system A + R) of every posterior.
-
-        The retained knowledge R is the prior V intersected with the
-        symplectic commutant of A: the combinations c G of V's generators
-        with c in the nullspace of M[i][j] = [a_i, g_j].  V_new = A + R.
-        c G is one numpy product: on int rows this plan took twice as long
-        at n=12.
-        """
+    def retained(self) -> tuple[pa.Subspace, list, list, list, list]:
+        """(V_new, its pivots, R, T, N) of every posterior.  The retained
+        knowledge R is V within the symplectic commutant of A: the rows c G
+        (one numpy product, not reduced) with c in the nullspace of
+        M[i][j] = [a_i, g_j].  V_new = A + R.  One rref of [A; R | I] holds
+        V_new's rref rows and the row operations T with T [A; R] = them, then
+        the consistency rows N with N [A; R] = 0."""
         d, n, A, G = self.V.d, self.V.n, self.A, self.V.gens
         JG = [pa.symplectic_row(g) for g in G]
         M, pivots = mm.rref_rows([[sum(map(mul, a, Jg)) % d for Jg in JG] for a in A], len(G), d)
         coeffs = mm.complement_rows(M, pivots, len(G), d)
         C = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(G))
-        R = pa.Subspace.from_generators(C @ self.V.matrix, d, n)
-        V_new = self.meas.subspace + R
+        R = (C @ self.V.matrix % d).tolist()
+        m, k = len(A) + len(R), 2 * n
+        eye = [[*(0,) * i, 1, *(0,) * (m - 1 - i)] for i in range(m)]
+        rows, pivots = mm.rref_rows([[*x, *e] for x, e in zip(A + tuple(R), eye)], k + m, d)
+        r = bisect_left(pivots, k)
+        V_new = pa.Subspace(tuple(tuple(row[:k]) for row in rows[:r]), d, n)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
-        return V_new, pa.perp(V_new), R.gens, A + R.gens
+        return V_new, pivots[:r], R, [row[k:] for row in rows[:r]], [row[k:] for row in rows[r:]]
 
     def outcomes(self, w) -> list[tuple[int, ...]]:
         """The outcomes at shift w, sorted: the d^r points centre + c . spread,
@@ -253,43 +273,40 @@ class _MeasurementPlan:
         return dict.fromkeys(outcomes, Fraction(1, len(outcomes)))
 
     def posterior(self, w):
-        """The update at shift w, as a map outcome -> posterior state.
-
-        The shift is one solution x of [A; R] x = [outcome; R w].  Those
-        points form exactly one coset of the new support, which holds every
-        prior-support point showing the outcome; there is none exactly when
-        the outcome has probability zero.
-        """
-        d, n = self.V.d, self.V.n
-        V_new, U_new, R, system = self.retained
+        """The update at shift w, as a map outcome -> posterior state.  With
+        b = [outcome; R w], the x with [A; R] x = b form one coset of
+        V_new-perp, holding every prior-support point that shows the outcome,
+        and V_new's rows take the values T b on it; none exist iff N b != 0."""
+        d = self.V.d
+        V_new, pivots, R, T, N = self.retained
         prior_values = [sum(map(mul, r, w)) % d for r in R]
 
         def update(outcome: tuple[int, ...]) -> EpistemicState:
-            shift = mm.solve_rows(system, [int(x) % d for x in outcome] + prior_values, 2 * n, d)
-            if shift is None:
+            b = [int(x) % d for x in outcome] + prior_values
+            if any(sum(map(mul, row, b)) % d for row in N):
                 raise DimensionMismatch(f"outcome {outcome} has probability zero")
-            return _coset_state(V_new, U_new, shift)
+            return _coset_state(V_new, pivots, [sum(map(mul, t, b)) % d for t in T])
 
         return update
 
 
 def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
     """Exact outcome table, in sorted outcome order."""
-    return _MeasurementPlan(state.V, state.U, meas).table(state.w)
+    return _MeasurementPlan(state.V, meas).table(state.w)
 
 
 def posterior(
     state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
 ) -> EpistemicState:
     """State after observing the given outcome."""
-    plan = _MeasurementPlan(state.V, state.U, meas)
+    plan = _MeasurementPlan(state.V, meas)
     meas._check_outcome(outcome)
     return plan.posterior(state.w)(outcome)
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
     """Seeded sample: (outcome, posterior state, exact probability table)."""
-    plan = _MeasurementPlan(state.V, state.U, meas)
+    plan = _MeasurementPlan(state.V, meas)
     table = plan.table(state.w)
     r = random.Random(rng_seed).random()
     acc = 0.0
@@ -304,14 +321,14 @@ ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMe
 
 
 def _shared(build):
-    """Step-local plans: build(V, U) once per distinct known subspace V.
+    """Step-local plans: build(V) once per distinct known subspace V.
     Sibling branches share V, so a walker layer builds one plan."""
     plans = {}
 
     def plan(state: EpistemicState):
         p = plans.get(state.V)
         if p is None:
-            p = plans[state.V] = build(state.V, state.U)
+            p = plans[state.V] = build(state.V)
         return p
 
     return plan
@@ -319,15 +336,15 @@ def _shared(build):
 
 def gate_step(g: pa.AffineSymplectic) -> Step:
     """Walker step pushing every branch through an affine map."""
-    plan = _shared(lambda V, U: _transport(V, g))
-    return lambda outcomes, state: [(None, 1, _shifted(plan(state), g, state.w))]
+    plan = _shared(lambda V: _transport(V, g))
+    return lambda outcomes, state: [(None, 1, _shifted(plan(state), state.w))]
 
 
 def measure_step(meas: SharpMeasurement) -> Step:
     """Walker step measuring every branch: one child per outcome that can
     occur, carrying its exact probability 1/m as the int m (the number of
     outcomes) and the posterior state."""
-    plan_of = _shared(lambda V, U: _MeasurementPlan(V, U, meas))
+    plan_of = _shared(lambda V: _MeasurementPlan(V, meas))
 
     def step(outcomes, state):
         plan = plan_of(state)

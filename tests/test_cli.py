@@ -175,6 +175,28 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert guard in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["subtheory", "verify", "qudit-stabilizer", "--n", "1", "--d", "4"],
+         "'qudit-stabilizer' needs an odd prime d, got d=4"),
+        (["subtheory", "verify", "gross", "--n", "1"],
+         "'gross' needs an odd prime d, got d=2"),
+        (["subtheory", "verify", "minimal-rebit", "--n", "1", "--d", "3"],
+         "'minimal-rebit' needs d=2, got d=3"),
+        (["subtheory", "verify", "css-rebit", "--n", "1", "--d", "5"],
+         "'css-rebit' needs d=2, got d=5"),
+        (["subtheory", "verify", "full-qubit-stabilizer", "--n", "1", "--d", "3"],
+         "'full-qubit-stabilizer' needs d=2, got d=3"),
+        (["equivalence", "--circuit", str(GOLDEN_DIR / "bell.circ"), "--host", "minimal-rebit",
+          "--d", "3"], "'minimal-rebit' needs d=2, got d=3"),
+        (["equivalence", "--circuit", str(GOLDEN_DIR / "bell.circ"), "--host", "qudit-stabilizer"],
+         "'qudit-stabilizer' needs an odd prime d, got d=2"),
+    ])
+    def test_subtheory_name_and_d_must_fit(self, argv, message, capsys):
+        # a d that does not fit the named subtheory is refused, not replaced
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
     def test_table_format(self):
         code, text = run_cli(["--format", "table", "witness", "chsh"])
         assert code == 0

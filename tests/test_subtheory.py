@@ -222,6 +222,20 @@ class TestSubtheoryLookup:
         with pytest.raises(DimensionMismatch):
             stt.subtheory_by_name("nonsense", 2)
 
+    @pytest.mark.parametrize("name,d", [
+        ("qudit-stabilizer", 2), ("qudit-stabilizer", 4), ("gross", 2),
+        ("minimal-rebit", 3), ("minimal", 5), ("css-rebit", 5), ("css", 3),
+        ("full-qubit-stabilizer", 3),
+    ])
+    def test_d_must_fit_the_name(self, name, d):
+        with pytest.raises(DimensionMismatch, match=f"got d={d}"):
+            stt.subtheory_by_name(name, 1, d)
+
+    def test_d_is_kept(self):
+        for name, d in [("qudit-stabilizer", 3), ("qudit-stabilizer", 5), ("minimal-rebit", 2),
+                        ("css-rebit", 2), ("full-qubit-stabilizer", 2)]:
+            assert stt.subtheory_by_name(name, 1, d).spec.d == d
+
 
 def ref_state_index(states, psi):
     for i, s in enumerate(states):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -63,9 +64,11 @@ class TestMakeEpistemic:
         assert tm.make_epistemic(V, tuple(x + 3 * d for x in w)) == s
         assert tm.make_epistemic(V, tuple(x - 2 * d for x in w)) == s
         assert tm.make_epistemic(V, np.array(w) - d) == s
-        # zero on U's pivot columns, so the reduction modulo U leaves the
-        # other entries as given: they must be reduced mod d up front
-        pivots = [next(c for c, x in enumerate(u) if x) for u in s.U.gens]
+        # the canonical shift is zero off V's pivot columns and holds each
+        # rref row's value on its pivot, reduced mod d
+        pivots = [next(c for c, x in enumerate(g) if x) for g in V.gens]
+        assert all(x == 0 for c, x in enumerate(s.w) if c not in pivots)
+        assert [s.w[c] for c in pivots] == [pa.evaluate(g, w, d) for g in V.gens]
         assert tm.make_epistemic(V, [x if c in pivots else x + d for c, x in enumerate(s.w)]) == s
         assert all(type(x) is int and 0 <= x < d for x in s.w)
 
@@ -396,19 +399,17 @@ def test_measure_step_children_are_posteriors(case):
 def _random_affine(rng, d, n):
     """Product of 3n random site Fourier/shear and two-site SUM blocks,
     plus a random shift."""
-    blocks = {0: [[0, d - 1], [1, 0]], 1: [[1, 0], [1, 1]]}
+    blocks = {0: np.array([[0, d - 1], [1, 0]]), 1: np.array([[1, 0], [1, 1]])}
     S = np.eye(2 * n, dtype=np.int64)
-    for _ in range(3 * n):
-        B = np.eye(2 * n, dtype=np.int64)
+    for _ in range(3 * n):  # S = (B @ S) % d, as row operations on S
         kind = int(rng.integers(0, 3))
         if kind < 2:
             k = int(rng.integers(0, n))
-            B[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[kind]
+            S[2 * k : 2 * k + 2] = blocks[kind] @ S[2 * k : 2 * k + 2] % d
         else:
             i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
-            B[2 * j, 2 * i] = 1
-            B[2 * i + 1, 2 * j + 1] = d - 1
-        S = (B @ S) % d
+            S[2 * j] = (S[2 * j] + S[2 * i]) % d
+            S[2 * i + 1] = (S[2 * i + 1] + (d - 1) * S[2 * j + 1]) % d
     return pa.AffineSymplectic(S, rng.integers(0, d, size=2 * n), d)
 
 
@@ -493,13 +494,16 @@ def ref_is_isotropic(V):
     return not np.any(mm.modp(g @ J @ g.T, V.d))
 
 
-def ref_make_epistemic(V, w, U=None):
+def ref_make_epistemic(V, w):
+    """The canonical shift: zero off V's pivot columns, and the value of
+    V's i-th rref row at its pivot."""
     if not ref_is_isotropic(V):
         raise RestrictionViolation("known-variable subspace is not isotropic")
-    if U is None:
-        U = pa.perp(V)
     wv = pa.as_vector(w, V.d, V.n)
-    return tm.EpistemicState(V, tuple(mm.reduce_row(wv.tolist(), U.gens, V.d)))
+    G = V.matrix
+    shift = np.zeros(2 * V.n, dtype=np.int64)
+    shift[np.argmax(G != 0, axis=1)] = mm.modp(G @ wv, V.d)
+    return tm.EpistemicState(V, tuple(shift.tolist()))
 
 
 def ref_apply_affine(state, g):
@@ -535,7 +539,6 @@ def ref_update(state, meas):
     coeffs = ref_nullspace(A @ pa.symplectic_form(n, d).T @ G.T, d)
     retained = pa.Subspace.from_generators(coeffs @ G, d, n)
     V_new = meas.subspace + retained
-    U_new = pa.perp(V_new)
     R = retained.matrix
     system = np.concatenate([A, R])
     prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
@@ -544,7 +547,7 @@ def ref_update(state, meas):
         shift = ref_solve(system, list(outcome) + prior_values, d)
         if shift is None:
             raise DimensionMismatch(f"outcome {outcome} has probability zero")
-        return ref_make_epistemic(V_new, shift, U_new)
+        return ref_make_epistemic(V_new, shift)
 
     return update
 
@@ -589,7 +592,7 @@ def assert_same_step(state, meas, g):
     moved, want = tm.apply_affine(state, g), ref_apply_affine(state, g)
     assert (moved.V, moved.w) == (want.V, want.w)
     table = assert_same_table(state, meas)
-    update = tm._MeasurementPlan(state.V, state.U, meas).posterior(state.w)
+    update = tm._MeasurementPlan(state.V, meas).posterior(state.w)
     ref = ref_update(state, meas)
     for outcome in itertools.product(range(state.d), repeat=len(meas.generators)):
         result = same_result(update, ref, outcome)
@@ -789,9 +792,9 @@ def test_walker_builds_each_plan_once_per_step(monkeypatch):
         built["transport"] += 1
         return transport(V, g)
 
-    def counting_shifted(plan, g, w):
+    def counting_shifted(plan, w):
         built["gate finish"] += 1
-        return shifted(plan, g, w)
+        return shifted(plan, w)
 
     class CountingPlan(tm._MeasurementPlan):
         def __init__(self, *args):
@@ -855,3 +858,94 @@ def test_step_plans_are_kept_per_known_subspace():
         table = ref_outcome_distribution(state, meas)
         posts = [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
         assert children == [(k, p, s.V, s.w) for k, p, s in posts]
+
+
+# ---------------------------------------------------------------------------
+# The toy step needs V alone
+#
+# A state's shift is zero off V's pivot columns and holds the value of each
+# rref row of V on its pivot: no step computes the support directions
+# V-perp, and no outcome is solved for.
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_canonical_shift_is_the_same_coset(d, data):
+    # the shift reduced modulo perp(V), the representative of earlier
+    # versions, lies in the same coset: every row of V takes the same value
+    n = data.draw(st.integers(1, 4 if d < 5 else 3))
+    coeffs = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
+    V = _isotropic_of(d, n, data.draw, coeffs, data.draw(st.integers(0, n)))
+    w = [x % d for x in data.draw(coeffs)]
+    state = tm.make_epistemic(V, w)
+    old_w = mm.reduce_row(w, pa.perp(V).gens, d)
+    G = V.matrix
+    assert mm.modp(G @ np.array(old_w), d).tolist() == mm.modp(G @ np.array(state.w), d).tolist()
+    assert state.probability(old_w) == state.weight
+    assert tm.make_epistemic(V, old_w) == state
+
+
+def test_steps_need_no_perp_listing_or_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a toy step complemented, listed or solved")
+
+    d, n = 3, 2
+    rng = np.random.default_rng(17)
+    V = pa.Subspace.from_generators([(1, 0, 0, 0)], d, n)
+    g, h = _random_affine(rng, d, n), _random_affine(rng, d, n)
+    meas = tm.SharpMeasurement(((0, 1, 0, 0),), d, n)
+    steps = [("gate", g), ("measure", meas), ("gate", h)]
+    steps.append(("measure", _random_measurement(rng, d, n)))
+    with monkeypatch.context() as m:
+        for module, name in [(pa, "perp"), (pa, "coset_members"), (mm, "solve_rows")]:
+            m.setattr(module, name, refuse)
+        prior = tm.make_epistemic(V, (2, 1, 0, 1))
+        stats = tm.statistics(prior, steps)
+        moved = tm.apply_affine(prior, g)
+        table = tm.outcome_distribution(moved, meas)
+        outcome, sampled, sampled_table = tm.measure_sharp(moved, meas, 5)
+        posts = [tm.posterior(moved, meas, k) for k in table]
+        # measuring a known functional: the other outcomes are impossible
+        known = tm.SharpMeasurement((moved.V.gens[0],), d, n)
+        [k] = tm.outcome_distribution(moved, known)
+        with pytest.raises(DimensionMismatch, match="probability zero"):
+            tm.posterior(moved, known, ((k[0] + 1) % d,))
+    assert list(stats.items()) == list(ref_statistics(prior, steps).items())
+    want = ref_apply_affine(prior, g)
+    assert (moved.V, moved.w) == (want.V, want.w)
+    assert list(table.items()) == list(sampled_table.items())
+    assert posts == [ref_posterior(moved, meas, k) for k in table]
+    assert sampled == ref_posterior(moved, meas, outcome)
+    # the support, read afterwards, still lists the whole coset
+    for s in [prior, moved, *posts]:
+        assert len(s.support) == d ** (2 * n - s.V.dim)
+        assert len(set(s.support)) == len(s.support)
+        assert all(s.probability(lam) == s.weight for lam in s.support)
+
+
+@pytest.mark.parametrize("d,n", [(2, 64), (3, 32)])
+def test_large_n_trajectory(no_coset_listing, d, n):
+    # a seeded pure-state trajectory well past any listing: exact tables,
+    # repeatable measurements, and the first steps equal to the reference
+    rng = np.random.default_rng([11, d, n])
+    state = _pure_state(rng, d, n)
+    elapsed = 0.0
+    for step in range(8):
+        g, meas = _random_affine(rng, d, n), _random_measurement(rng, d, n)
+        seed = int(rng.integers(0, 2**31))
+        start = time.perf_counter()
+        moved = tm.apply_affine(state, g)
+        outcome, post, table = tm.measure_sharp(moved, meas, seed)
+        again = tm.outcome_distribution(post, meas)
+        _, twice, _ = tm.measure_sharp(post, meas, seed + 1)
+        elapsed += time.perf_counter() - start
+        assert all(type(p) is Fraction for p in table.values()) and sum(table.values()) == 1
+        assert list(again.items()) == [(outcome, Fraction(1))]
+        assert twice == post and post.V.dim == n
+        if step < 2:
+            want = ref_apply_affine(state, g)
+            assert (moved.V, moved.w) == (want.V, want.w)
+            assert list(table.items()) == list(ref_outcome_distribution(moved, meas).items())
+            assert post == ref_posterior(moved, meas, outcome)
+        state = post
+    assert elapsed < 2.0
