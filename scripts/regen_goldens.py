@@ -5,10 +5,16 @@ Run from the repository root after an intentional output change:
 
     python3 scripts/regen_goldens.py
 
+or, to compare without writing (exit 1 and the drifted files listed when
+any golden differs from the CLI's current stdout):
+
+    python3 scripts/regen_goldens.py --check
+
 Every golden is the byte-exact stdout of one CLI invocation; the CLI test
 replays the same invocations and compares bytes.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -70,15 +76,29 @@ def capture(argv):
     return code, buf.getvalue()
 
 
-def main_script():
+def main_script(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="regenerate or check the CLI goldens")
+    parser.add_argument("--check", action="store_true",
+                        help="compare each golden with the CLI's stdout, write nothing")
+    args = parser.parse_args(argv)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     # run where the CLI test runs, so that circuit_file echoes bell.circ
     os.chdir(GOLDEN_DIR)
-    for fname, argv in {**INVOCATIONS, **EXTRA_INVOCATIONS}.items():
-        code, text = capture(argv)
-        (GOLDEN_DIR / fname).write_text(text)
-        print(f"wrote {fname} (exit {code}, {len(text)} bytes)")
+    drifted = []
+    for fname, invocation in {**INVOCATIONS, **EXTRA_INVOCATIONS}.items():
+        code, text = capture(invocation)
+        path = GOLDEN_DIR / fname
+        if not args.check:
+            path.write_text(text)
+            print(f"wrote {fname} (exit {code}, {len(text)} bytes)")
+        elif not path.exists() or path.read_text() != text:
+            drifted.append(fname)
+    if args.check:
+        for fname in drifted:
+            print(f"drifted: {fname}")
+        print(f"{len(drifted)} of {len(INVOCATIONS) + len(EXTRA_INVOCATIONS)} goldens drifted")
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":
-    main_script()
+    sys.exit(main_script())

@@ -1,10 +1,10 @@
 """Exact linear algebra over Z_p for small prime p.
 
-One form per operation.  Elimination, complements, solving and coset
-reduction run on rows of Python ints with entries in [0, p) (`rref_rows`,
-`complement_rows`, `solve_rows`, `reduce_row`): the matrices are tiny (a
-handful of rows, at most 2n columns), where int lists beat numpy row
-operations by a wide margin.  numpy appears only where arrays are the
+One form per operation.  Elimination, complements and coset reduction run
+on rows of Python ints with entries in [0, p) (`rref_rows`,
+`complement_rows`, `reduce_row`): the matrices are tiny (a handful of
+rows, at most 2n columns), where int lists beat numpy row operations by a
+wide margin.  numpy appears only where arrays are the
 natural output: `modp` reduces an integer array-like in one call, and
 `coset_vectors` lists a coset as an int64 array.  Matrices are row-stacked
 generator lists.  All routines are deterministic.
@@ -62,22 +62,6 @@ def complement_rows(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
             v[pc] = -row[c] % p
         basis.append(v)
     return rref_rows(basis, n, p)[0]
-
-
-def solve_rows(rows: list, b: list[int], n: int, p: int) -> list[int] | None:
-    """One particular solution x of rows x = b mod p, or None if inconsistent.
-
-    rows (each of length n) and b hold ints in [0, p); neither is consumed.
-    The free coordinates of x are zero.
-    """
-    aug = [[*row, x] for row, x in zip(rows, b, strict=True)]
-    R, pivots = rref_rows(aug, n + 1, p)
-    if n in pivots:
-        return None
-    x = [0] * n
-    for row, c in zip(R, pivots):
-        x[c] = row[n]
-    return x
 
 
 def coset_vectors(basis: np.ndarray, shift, p: int) -> np.ndarray:

@@ -215,6 +215,10 @@ def cmd_inject(args) -> int:
 def cmd_witness(args) -> int:
     cfg = RunConfig.from_args(args)
     name = args.name
+    if args.input is not None and name != "peres-mermin":
+        raise CircuitParseError(
+            f"--input runs the peres-mermin context circuits; {name!r} takes none"
+        )
     if name == "peres-mermin":
         report = wit.peres_mermin_report()
         if args.input:

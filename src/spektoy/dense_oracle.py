@@ -509,15 +509,6 @@ def basis_measurement_projectors(basis: str, wires, n: int, d: int = 2):
 # ---------------------------------------------------------------------------
 # circuit execution
 
-_READOUT_KETS = {
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "X": (
-        np.full(2, 1 / math.sqrt(2), dtype=complex),
-        np.array([1, -1], dtype=complex) / math.sqrt(2),
-    ),
-}
-
-
 def gate_step(U: np.ndarray) -> Step:
     """Walker step applying the matrix U to every branch."""
     return lambda outcomes, state: [(None, 1, U @ state)]
@@ -532,17 +523,28 @@ def measure_step(projectors) -> Step:
 
 
 def readout_step(site: int, basis: str) -> Step:
-    """Walker step reading one qubit destructively in the Z or X basis:
-    outcome k contracts the site with the k-th basis ket, which removes the
-    site from the register."""
-    kets = _READOUT_KETS[basis]
+    """Walker step reading one qubit destructively in the Z or X basis,
+    which removes the site from the register.
+
+    With the state reshaped to (left, site, right), Z outcome k is the
+    slice [:, k, :] and X outcome k is the signed sum (t0 + (-1)^k t1)/sqrt2
+    of the two slices: the contraction with the k-th basis ket.
+    """
+    if basis not in ("Z", "X"):
+        raise CircuitParseError(f"readout basis {basis!r} is not Z or X")
+    if site < 0:
+        raise DimensionMismatch(f"readout site {site} is negative")
 
     def step(outcomes, state):
+        if state.shape[0] < 2 << site:
+            raise DimensionMismatch(
+                f"readout site {site} outside a {num_sites(state.shape[0], 2)}-qubit register"
+            )
         tensor = state.reshape(2**site, 2, -1)
-        return [
-            (k, *_renormalized(np.tensordot(tensor, ket.conj(), axes=([1], [0])).reshape(-1)))
-            for k, ket in enumerate(kets)
-        ]
+        t0, t1 = tensor[:, 0, :].reshape(-1), tensor[:, 1, :].reshape(-1)
+        if basis == "X":
+            t0, t1 = (t0 + t1) * _SQ2, (t0 - t1) * _SQ2
+        return [(0, *_renormalized(t0)), (1, *_renormalized(t1))]
 
     return step
 

@@ -15,9 +15,12 @@ entirely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -88,7 +91,7 @@ class InjectionScheme:
     n: int
     target: np.ndarray = field(repr=False)
     resource_state: np.ndarray = field(repr=False)
-    corrections: dict = field(repr=False)  # outcome bits -> Correction
+    corrections: Mapping = field(repr=False)  # outcome bits -> Correction, read-only
 
 
 def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
@@ -107,14 +110,22 @@ def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
             if mj:
                 Xm = Xm @ do.gate("X", (j,), n, 2)
         corrections[m] = classify_correction(U @ Xm @ U.conj().T, n)
-    return InjectionScheme(name, n, U, resource, corrections)
+    return InjectionScheme(name, n, U, resource, MappingProxyType(corrections))
 
 
+@functools.cache
 def scheme_for(gate_name: str) -> InjectionScheme:
+    """The injection scheme of a named gate, built once per process; its
+    arrays and correction table are read-only, since every caller shares
+    them."""
     gate_name = gate_name.upper()
     arity = do.gate_arity(gate_name, 2)
     U = do.gate(gate_name, tuple(range(arity)), arity, 2)
-    return build_injection(U, arity, gate_name)
+    scheme = build_injection(U, arity, gate_name)
+    operators = [c.operator for c in scheme.corrections.values()]
+    for array in (U, scheme.resource_state, *operators):
+        array.setflags(write=False)
+    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +186,6 @@ class AuditTrail:
         }
 
 
-def _apply_correction(
-    state: np.ndarray,
-    corr: Correction,
-    wire_map: tuple[int, ...],
-    n_total: int,
-    audit: AuditTrail,
-    injected: frozenset,
-) -> np.ndarray:
-    if corr.kind == "non-clifford":
-        # still verifiable densely; flagged in the audit
-        audit.violations.append(f"non-clifford correction ({corr.name})")
-        full = do.embed(corr.operator, wire_map, n_total, 2)
-        return full @ state
-    for name, rel_wires in corr.factors:
-        wires = tuple(wire_map[w] for w in rel_wires)
-        audit.use_gate(name, injected)
-        state = do.gate(name, wires, n_total, 2) @ state
-    return state
-
-
 def _correction_step(
     scheme: InjectionScheme,
     wire_map: tuple[int, ...],
@@ -203,11 +194,26 @@ def _correction_step(
     injected: frozenset,
 ) -> Step:
     """Walker step applying the correction keyed by the branch's last
-    scheme.n outcomes, audited once per branch."""
+    scheme.n outcomes, audited once per branch.
+
+    Each outcome's correction U X^m U* is embedded on the register once, on
+    first use, and shared by every branch with that outcome.  A Clifford
+    correction's host factors multiply to the same operator up to a global
+    phase; the audit records every factor on every branch.
+    """
+    embedded: dict[tuple[int, ...], np.ndarray] = {}
 
     def step(outcomes, state):
-        corr = scheme.corrections[outcomes[-scheme.n:]]
-        return [(None, 1, _apply_correction(state, corr, wire_map, n_total, audit, injected))]
+        m = outcomes[-scheme.n:]
+        corr = scheme.corrections[m]
+        if corr.kind == "non-clifford":
+            # still verifiable densely; flagged in the audit
+            audit.violations.append(f"non-clifford correction ({corr.name})")
+        for name, _ in corr.factors:
+            audit.use_gate(name, injected)
+        if m not in embedded:
+            embedded[m] = do.embed(corr.operator, wire_map, n_total, 2)
+        return [(None, 1, embedded[m] @ state)]
 
     return step
 
@@ -277,7 +283,7 @@ def inject_on_wires(
         perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
 
     def append_resource(outcomes, state):
-        big = np.kron(state, scheme.resource_state).reshape((2,) * big_n)
+        big = np.multiply.outer(state, scheme.resource_state).reshape((2,) * big_n)
         return [(None, 1, big.transpose(perm).reshape(-1))]
 
     return [

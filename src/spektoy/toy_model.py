@@ -194,15 +194,6 @@ class SharpMeasurement:
         if len(outcome) != k:
             raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
 
-    def outcome_shift(self, outcome) -> tuple[int, ...]:
-        """Any point r with generator values equal to the outcome."""
-        self._check_outcome(outcome)
-        d = self.d
-        r = mm.solve_rows(self.generators, [int(x) % d for x in outcome], 2 * self.n, d)
-        if r is None:
-            raise DimensionMismatch(f"outcome {outcome} is not realizable")
-        return tuple(r)
-
 
 Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
 

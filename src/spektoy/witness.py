@@ -83,17 +83,30 @@ def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
     """Check every noncontextual +-1 assignment of k values against lines
     [(value indices, sign)], a line holding when its values multiply to its
     sign.  Returns (assignments holding every line, most lines held at
-    once, first assignment holding every line)."""
+    once, first assignment holding every line).
+
+    The sweep is exhaustive over all 2^k assignments.  Assignment `bits`
+    gives value i the sign (-1)^(bit i), so a line's product is the parity
+    of bits & mask, where the line's mask XORs in 1 << i per index (a
+    repeated index cancels): the line holds when that parity equals its
+    minus-sign bit.
+    """
+    masks = []
+    for idxs, sign in lines:
+        mask = 0
+        for i in idxs:
+            mask ^= 1 << i
+        masks.append((mask, int(sign < 0)))
     satisfying = best = 0
-    example = None
+    first = None
     for bits in range(2**k):
-        vals = [1 - 2 * ((bits >> i) & 1) for i in range(k)]
-        held = sum(1 for idxs, sign in lines if math.prod(vals[i] for i in idxs) == sign)
-        if held == len(lines):
+        held = sum((bits & mask).bit_count() & 1 == minus for mask, minus in masks)
+        if held == len(masks):
             satisfying += 1
-            if example is None:
-                example = tuple(vals)
+            if first is None:
+                first = bits
         best = max(best, held)
+    example = None if first is None else tuple(1 - 2 * ((first >> i) & 1) for i in range(k))
     return satisfying, best, example
 
 
@@ -293,7 +306,7 @@ def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
     anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
     couple = [(w, n0) if kind == "Z" else (n0, w) for w in data_wires]
     return [
-        lambda outcomes, state: [(None, 1, np.kron(state, anc))],
+        lambda outcomes, state: [(None, 1, np.multiply.outer(state, anc).reshape(-1))],
         *(do.gate_step(do.gate("CNOT", wires, n0 + 1, 2)) for wires in couple),
         do.readout_step(n0, kind),
     ]

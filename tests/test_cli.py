@@ -197,6 +197,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["ghz", "chsh", "peres-mermin-s"])
+    def test_witness_input_only_for_peres_mermin(self, name, capsys):
+        # --input feeds the peres-mermin context circuits; another witness
+        # refuses it rather than ignoring it
+        code, out = run_cli(["witness", name, "--input", "++"])
+        assert code == 2 and out == ""
+        assert f"{name!r} takes none" in capsys.readouterr().err
+
     def test_table_format(self):
         code, text = run_cli(["--format", "table", "witness", "chsh"])
         assert code == 0

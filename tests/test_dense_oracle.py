@@ -379,6 +379,54 @@ class TestWalkerSteps:
             assert s1.shape == (2**n,) and abs(np.linalg.norm(s1) - 1) < 1e-9
 
 
+def ref_readout(site, basis, state):
+    """A destructive one-qubit readout as a tensordot of the reshaped state
+    with each basis ket's conjugate."""
+    kets = {
+        "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+        "X": (np.array([1, 1], dtype=complex) / math.sqrt(2),
+              np.array([1, -1], dtype=complex) / math.sqrt(2)),
+    }[basis]
+    tensor = state.reshape(2**site, 2, -1)
+    out = []
+    for k, ket in enumerate(kets):
+        child = np.tensordot(tensor, ket.conj(), axes=([1], [0])).reshape(-1)
+        prob = float(np.vdot(child, child).real)
+        out.append((k, prob, child / math.sqrt(prob) if prob > 1e-12 else child))
+    return out
+
+
+class TestReadoutStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_slices_match_the_tensordot_readout(self, n, seed):
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        for site in range(n):
+            for basis in "ZX":
+                got = do.readout_step(site, basis)((), state)
+                want = ref_readout(site, basis, state)
+                assert [k for k, _, _ in got] == [k for k, _, _ in want]
+                for (_, p, child), (_, p_ref, child_ref) in zip(got, want):
+                    assert abs(p - p_ref) < 1e-12
+                    assert child.shape == (2 ** (n - 1),)
+                    assert np.allclose(child, child_ref, rtol=0, atol=1e-12)
+
+    def test_unknown_basis_is_refused_when_built(self):
+        for basis in ("Y", "z", "ZX"):
+            with pytest.raises(CircuitParseError, match="readout basis"):
+                do.readout_step(0, basis)
+
+    def test_site_outside_the_register_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="negative"):
+            do.readout_step(-1, "Z")
+        step = do.readout_step(2, "X")
+        with pytest.raises(DimensionMismatch, match="outside a 2-qubit register"):
+            step((), do.plus_state(2))
+        assert len(step((), do.plus_state(3))) == 2
+
+
 class TestStateSpecLanguage:
     def test_ket_literals(self):
         assert np.allclose(do.parse_state_spec("0"), [1, 0])

@@ -215,6 +215,77 @@ class TestRunInjection:
         assert all(abs(r.probability - 0.25) < 1e-12 for r in recs)
 
 
+def ref_correction_step(scheme, wire_map, n_total, audit, injected):
+    """The correction built again on every branch: a fresh do.gate per host
+    factor, or a fresh embedding of a non-Clifford operator."""
+
+    def step(outcomes, state):
+        corr = scheme.corrections[outcomes[-scheme.n:]]
+        if corr.kind == "non-clifford":
+            audit.violations.append(f"non-clifford correction ({corr.name})")
+            return [(None, 1, do.embed(corr.operator, wire_map, n_total, 2) @ state)]
+        for name, rel_wires in corr.factors:
+            audit.use_gate(name, injected)
+            state = do.gate(name, tuple(wire_map[w] for w in rel_wires), n_total, 2) @ state
+        return [(None, 1, state)]
+
+    return step
+
+
+class TestCorrectionStep:
+    @pytest.mark.parametrize("name", ["CZ", "CCZ", "S", "T"])
+    def test_step_local_corrections_match_per_branch_gates(self, name):
+        # the data wires sit reversed on a register with one spare wire,
+        # and every outcome is met by two branches, the second reusing the
+        # operator the first built
+        scheme = inj.scheme_for(name)
+        n_total = scheme.n + 1
+        wire_map = tuple(range(n_total - 1, 0, -1))
+        injected = frozenset({"CZ"})
+        audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
+        step = inj._correction_step(scheme, wire_map, n_total, audit, injected)
+        ref = ref_correction_step(scheme, wire_map, n_total, ref_audit, injected)
+        rng = np.random.default_rng(len(name))
+        for m in itertools.product((0, 1), repeat=scheme.n):
+            for _ in range(2):
+                psi = rng.normal(size=2**n_total) + 1j * rng.normal(size=2**n_total)
+                psi /= np.linalg.norm(psi)
+                [(k, p, got)] = step((1, *m), psi)
+                [(_, _, want)] = ref((1, *m), psi)
+                assert k is None and p == 1
+                # equal up to a global phase: U X^m U* and its host factors
+                assert abs(np.linalg.norm(got) - 1) < 1e-12
+                assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
+        assert audit.report() == ref_audit.report()
+
+    def test_resource_append_is_the_kronecker_product(self):
+        scheme = inj.scheme_for("CZ")
+        data_wires, n_total = (2, 0), 3
+        append = inj.inject_on_wires(scheme, data_wires, n_total, inj.AuditTrail())[0]
+        perm = list(range(n_total + 2))
+        for j, w in enumerate(data_wires):
+            perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        [(_, _, got)] = append((), psi)
+        want = np.kron(psi, scheme.resource_state).reshape((2,) * 5).transpose(perm).reshape(-1)
+        assert np.array_equal(got, want)
+
+
+class TestSchemeCache:
+    @pytest.mark.parametrize("name", ["Z", "S", "T", "CZ", "CCZ"])
+    def test_one_read_only_scheme_per_name(self, name):
+        scheme = inj.scheme_for(name)
+        assert inj.scheme_for(name) is scheme
+        arrays = [scheme.target, scheme.resource_state]
+        arrays += [c.operator for c in scheme.corrections.values()]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            scheme.corrections[(0,) * scheme.n] = None
+
+
 class TestAudits:
     def test_cz_injection_is_host_clean(self):
         audit = inj.AuditTrail()

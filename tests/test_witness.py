@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spektoy import dense_oracle as do
+from spektoy import injection as inj
 from spektoy import witness as wit
 from spektoy.errors import DimensionMismatch
 
@@ -58,6 +61,40 @@ class TestStandardSquare:
                 row_signs=(1, 1, -1),  # wrong sign for row 3
                 col_signs=(1, 1, -1),
             )
+
+
+def ref_sweep(k, lines):
+    """Every +-1 assignment as a value list, each line a product of its
+    values compared with the line's sign."""
+    satisfying = best = 0
+    example = None
+    for bits in range(2**k):
+        vals = [1 - 2 * ((bits >> i) & 1) for i in range(k)]
+        held = sum(1 for idxs, sign in lines if math.prod(vals[i] for i in idxs) == sign)
+        if held == len(lines):
+            satisfying += 1
+            if example is None:
+                example = tuple(vals)
+        best = max(best, held)
+    return satisfying, best, example
+
+
+@st.composite
+def sweep_cases(draw):
+    k = draw(st.integers(1, 10))
+    # indices may repeat within a line, and signs are mixed
+    line = st.tuples(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple),
+        st.sampled_from([1, -1]),
+    )
+    return k, draw(st.lists(line, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_value_product_sweep(case):
+    k, lines = case
+    assert wit._sweep(k, lines) == ref_sweep(k, lines)
 
 
 class TestSVariantSquare:
@@ -117,6 +154,42 @@ class TestContextCircuit:
     def test_invalid_selector_combination_rejected(self):
         with pytest.raises(DimensionMismatch):
             wit.peres_mermin_circuit(do.plus_state(2), "diag1")
+
+    def test_parity_ancilla_append_is_the_kronecker_product(self):
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for kind, anc in (("Z", do.basis_state([0])), ("X", do.plus_state(1))):
+            append = wit._parity_block(kind, (0, 1), 2, inj.AuditTrail())[0]
+            [(_, _, got)] = append((), psi)
+            assert np.array_equal(got, np.kron(psi, anc))
+
+    def test_corrections_are_built_per_outcome_not_per_branch(self, monkeypatch):
+        # row3 runs three CZ injections of four outcomes each: inside the
+        # walker, gates and embeddings are built at most once per
+        # (correction step, outcome), though 256 branches pass through
+        calls, walking = [], [False]
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                if walking[0]:
+                    calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return wrapper
+
+        def walk(*args):
+            walking[0] = True
+            try:
+                return branch_tree(*args)
+            finally:
+                walking[0] = False
+
+        branch_tree = wit.branch_tree
+        monkeypatch.setattr(do, "gate", counted(do.gate))
+        monkeypatch.setattr(do, "embed", counted(do.embed))
+        monkeypatch.setattr(wit, "branch_tree", walk)
+        rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
+        assert rep["product_matches_sign"] and rep["branches"] == 256
+        assert 0 < len(calls) <= 3 * 4
 
     def test_direct_cz_variant_matches(self):
         rep = wit.peres_mermin_circuit(do.plus_state(2), "row3", use_injected_cz=False)
