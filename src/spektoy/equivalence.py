@@ -7,7 +7,8 @@ The dictionary between the two sides is fixed by the Wigner construction:
   (outcome k <-> eigenvalue chi(k));
 * a state of maximal knowledge (V, w) corresponds to the joint eigenstate
   of the Weyl operators at labels J sigma_j with exponents sigma_j . w;
-* an allowed gate corresponds to the affine map witnessing its covariance.
+* an allowed gate corresponds to the inverse of the affine map by which
+  it transports the phase-point operators (wigner.phase_space_action).
 
 Given those three maps, circuit statistics on the two sides must agree
 exactly; this module generates random host circuits and checks that they
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -50,12 +51,6 @@ def quantum_state_for(
     Generators are the construction's own Weyl operators (the phased ones),
     so the eigenvalue exponents match the functional values exactly even on
     mixed labels."""
-    return _quantum_state(epistemic, lambda mu: measurement_projectors(mu, spec))
-
-
-def _quantum_state(epistemic: toy.EpistemicState, projectors) -> np.ndarray:
-    """quantum_state_for with the outcome projectors of a label mu read
-    from projectors(mu)."""
     V = epistemic.V
     if V.dim != V.n:
         raise DimensionMismatch("only maximal-knowledge states map to pure states")
@@ -63,7 +58,7 @@ def _quantum_state(epistemic: toy.EpistemicState, projectors) -> np.ndarray:
     rho = np.eye(d**V.n, dtype=complex)
     for sigma in V.gens:
         k = pa.evaluate(sigma, epistemic.w, d)
-        rho = rho @ projectors(label_for_functional(sigma, d))[k]
+        rho = rho @ measurement_projectors(label_for_functional(sigma, d), spec)[k]
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     if abs(vals[-1] - 1.0) > 1e-9:
         raise DimensionMismatch("knowledge state does not pin a pure state")
@@ -72,33 +67,33 @@ def _quantum_state(epistemic: toy.EpistemicState, projectors) -> np.ndarray:
 
 def epistemic_state_for(psi: np.ndarray, spec: wg.WignerSpec) -> toy.EpistemicState:
     """Epistemic state read off a non-negative coset-indicator table."""
-    table = wg.wigner_of_state(psi, spec)
-    if not wg.is_coset_indicator(table):
+    coset = wg._indicator_coset(wg.wigner_of_state(psi, spec))
+    if coset is None:
         raise DimensionMismatch("state table is not a coset indicator")
-    supp = table.support()
-    base = np.array(supp[0], dtype=np.int64)
-    diffs = (np.array(supp, dtype=np.int64) - base) % spec.d
-    U = pa.Subspace.from_generators(diffs, spec.d, spec.n)
-    V = pa.perp(U)
-    return toy.make_epistemic(V, tuple(int(x) for x in base))
+    U, base = coset
+    return toy.make_epistemic(pa.perp(U), base)
 
 
-def measurement_projectors(mu, spec: wg.WignerSpec) -> list[np.ndarray]:
+@cache
+def measurement_projectors(mu: tuple[int, ...], spec: wg.WignerSpec) -> tuple[np.ndarray, ...]:
     """Outcome projectors of the Weyl observable at label mu, indexed by
-    the character exponent (matching the toy functional's residues)."""
-    return do.weyl_char_projectors(wg.weyl(mu, spec), spec.d)
+    the character exponent (matching the toy functional's residues); built
+    once per (label, construction) and shared, so read-only."""
+    projs = tuple(do.weyl_char_projectors(wg.weyl(mu, spec), spec.d))
+    for P in projs:
+        P.setflags(write=False)
+    return projs
 
 
 @dataclass
 class HostModel:
-    """A subtheory together with the cached toy transport of its gates and
-    the cached outcome projectors of its measured labels."""
+    """A subtheory together with the cached toy transport of its gates;
+    its state census is read only to audit a circuit's INIT state."""
 
     sub: stt.Subtheory
 
     def __post_init__(self):
         self._gate_cache: dict[tuple[str, tuple[int, ...]], pa.AffineSymplectic] = {}
-        self._projector_cache: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     @property
     def d(self) -> int:
@@ -115,37 +110,20 @@ class HostModel:
     def gate_action(self, name: str, wires: tuple[int, ...]) -> pa.AffineSymplectic:
         """Forward ontic transport of a named gate (support push-forward).
 
-        The covariance witness g satisfies table_after(lam) =
-        table_before(g(lam)), i.e. it pulls supports back; the toy model
-        pushes supports forward, so the gate acts as g^{-1}."""
-        return self._action(
-            (name.upper(), tuple(wires)),
-            lambda: do.gate(name, wires, self.n, self.d),
-        )
-
-    def gate_action_for(self, gen: stt.GateGen) -> pa.AffineSymplectic:
-        """Forward transport keyed by a generator (covers compound ones
-        like the global Hadamard that have no single gate name)."""
-        return self._action((gen.label(),), lambda: gen.matrix)
-
-    def _action(self, key, matrix_fn) -> pa.AffineSymplectic:
+        The matrix is the host generator's when (name, wires) names one
+        (as for css-rebit's compound H*), else do.gate's.  Its phase-point
+        transport g gives table_after(lam) = table_before(g(lam)) for every
+        state, i.e. it pulls supports back; the toy model pushes supports
+        forward, so the gate acts as g^{-1}."""
+        key = (name.upper(), tuple(wires))
         if key not in self._gate_cache:
-            witness, _ = wg.covariance_witness(matrix_fn(), self.spec, self.sub.states)
+            gens = {(g.name, g.wires): g.matrix for g in self.sub.gate_generators}
+            U = gens[key] if key in gens else do.gate(name, wires, self.n, self.d)
+            witness = wg.phase_space_action(U, self.spec)
             if witness is None:
                 raise AuditError(f"gate {key} has no covariant action")
             self._gate_cache[key] = witness.inverse()
         return self._gate_cache[key]
-
-    def _projectors(self, mu) -> list[np.ndarray]:
-        """measurement_projectors(mu, spec), built once per label.  Every
-        circuit on this host shares the list, so its arrays are read-only."""
-        key = tuple(mu)
-        if key not in self._projector_cache:
-            projs = measurement_projectors(key, self.spec)
-            for P in projs:
-                P.setflags(write=False)
-            self._projector_cache[key] = projs
-        return self._projector_cache[key]
 
     def allowed_gate_names(self) -> set[str]:
         names = {g.name for g in self.sub.gate_generators}
@@ -232,7 +210,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
         V = isos[int(rng.integers(0, len(isos)))]
     w = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
     epistemic = toy.make_epistemic(V, w)
-    dense_state = _quantum_state(epistemic, host._projectors)
+    dense_state = quantum_state_for(epistemic, host.spec)
 
     toy_steps = []
     dense_steps = []
@@ -243,14 +221,14 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
     for _ in range(depth):
         if rng.random() < 0.55 or n_meas >= 3:
             g = gens[int(rng.integers(0, len(gens)))]
-            toy_steps.append(("gate", host.gate_action_for(g)))
+            toy_steps.append(("gate", host.gate_action(g.name, g.wires)))
             dense_steps.append(("gate", g.matrix))
             description.append(g.label())
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             sigma = functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", host._projectors(lam)))
+            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
             description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
             n_meas += 1
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -338,7 +316,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
             sigma = functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", host._projectors(lam)))
+            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
     toy_dist = toy.statistics(epistemic, toy_steps)
     dense_dist = dense_statistics(psi, dense_steps)
     return toy_dist, dense_dist, compare_statistics(toy_dist, dense_dist)

@@ -196,10 +196,10 @@ def _correction_step(
     """Walker step applying the correction keyed by the branch's last
     scheme.n outcomes, audited once per branch.
 
-    Each outcome's correction U X^m U* is embedded on the register once, on
-    first use, and shared by every branch with that outcome.  A Clifford
-    correction's host factors multiply to the same operator up to a global
-    phase; the audit records every factor on every branch.
+    Each outcome's correction U X^m U* but the identity is embedded on the
+    register once, on first use, and shared by every branch with that
+    outcome.  Clifford host factors multiply to the same operator up to a
+    global phase; the audit records every factor on every branch.
     """
     embedded: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -211,6 +211,8 @@ def _correction_step(
             audit.violations.append(f"non-clifford correction ({corr.name})")
         for name, _ in corr.factors:
             audit.use_gate(name, injected)
+        if corr.kind == "pauli" and not corr.factors:
+            return [(None, 1, state)]
         if m not in embedded:
             embedded[m] = do.embed(corr.operator, wire_map, n_total, 2)
         return [(None, 1, embedded[m] @ state)]

@@ -15,8 +15,9 @@ The derivation recipe:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,8 +35,8 @@ def beta(lam, lam2, spec: wg.WignerSpec) -> int:
     """Exponent b with T(lam) T(lam2) = chi(b) T(lam + lam2).
 
     Computed from the phase bookkeeping and verified against dense Weyl
-    multiplication; raises if the product phase is not a chi power (which
-    would mean a malformed construction).
+    multiplication; raises if the two disagree (which would mean a wrong
+    bookkeeping formula, one that _beta_table shares).
     """
     d = spec.d
     lam = pa.point(lam, d)
@@ -47,10 +48,7 @@ def beta(lam, lam2, spec: wg.WignerSpec) -> int:
     lhs = wg.weyl(lam, spec) @ wg.weyl(lam2, spec)
     rhs = do.chi(b, d) * wg.weyl(lam_sum, spec)
     if not np.allclose(lhs, rhs, atol=1e-10):
-        for e in range(d):
-            if np.allclose(lhs, do.chi(e, d) * wg.weyl(lam_sum, spec), atol=1e-10):
-                return e
-        raise DimensionMismatch("Weyl product phase is not a chi power")
+        raise DimensionMismatch(f"product phase of {lam}, {lam2} disagrees with the bookkeeping")
     return b
 
 
@@ -296,11 +294,17 @@ def allowed_gates(
 
 @dataclass(frozen=True)
 class Subtheory:
+    """A named subtheory; states runs the census recipe on first read."""
+
     name: str
     spec: wg.WignerSpec
-    states: tuple[np.ndarray, ...]
+    census: Callable[[], tuple[np.ndarray, ...]] = field(repr=False)
     gate_generators: tuple[GateGen, ...]
     observables: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, ...]:
+        return self.census()
 
     @property
     def d(self) -> int:
@@ -333,7 +337,7 @@ def minimal_rebit_subtheory(n: int) -> Subtheory:
     return Subtheory(
         name="minimal-rebit",
         spec=spec,
-        states=allowed_states(spec),
+        census=lambda: allowed_states(spec),
         gate_generators=_gate_gens(("X", "Z"), ("CNOT",), n, 2),
         observables=nonmixing_labels(2, n),
     )
@@ -349,7 +353,7 @@ def css_rebit_subtheory(n: int) -> Subtheory:
     return Subtheory(
         name="css-rebit",
         spec=base.spec,
-        states=base.states,
+        census=lambda: base.states,
         gate_generators=base.gate_generators
         + (GateGen("H*", tuple(range(n)), hh),),
         observables=base.observables,
@@ -362,7 +366,7 @@ def qudit_stabilizer_subtheory(d: int, n: int) -> Subtheory:
     return Subtheory(
         name=f"qudit-stabilizer-d{d}",
         spec=wg.gross_spec(d, n),
-        states=all_stabilizer_states(d, n),
+        census=lambda: all_stabilizer_states(d, n),
         gate_generators=_gate_gens(("X", "Z", "F", "P"), ("SUM",), n, d),
         observables=tuple(pa.all_points(d, n)),
     )
@@ -375,7 +379,7 @@ def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -
     return Subtheory(
         name="full-qubit-stabilizer",
         spec=wg.spec_by_name(spec_name, 2, n),
-        states=all_stabilizer_states(2, n),
+        census=lambda: all_stabilizer_states(2, n),
         gate_generators=_gate_gens(("X", "Z", "H", "S"), ("CNOT",), n, 2),
         # the Hermitian labels, q.p = 0 mod 2
         observables=wg.delfosse_rebit_spec(n).labels(),

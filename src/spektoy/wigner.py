@@ -35,19 +35,25 @@ class WignerSpec:
     """A phase-function choice fixing Weyl and phase-point operators.
 
     gamma_exp(lam) is the chi-exponent of the Weyl prefactor; restricted
-    marks the phase-point sum as running over Hermitian labels only.
+    (delfosse-rebit) marks the phase-point sum as over Hermitian labels.
     """
 
     name: str
     d: int
     n: int
-    restricted: bool = False
 
     def __post_init__(self):
+        if self.name not in SPEC_NAMES:
+            msg = f"unknown construction {self.name!r}; choose from {SPEC_NAMES}"
+            raise DimensionMismatch(msg)
         if self.name == "gross" and self.d % 2 == 0:
             raise DimensionMismatch("gross construction requires odd d")
-        if self.name in ("delfosse-rebit", "factorisable-rebit") and self.d != 2:
+        if self.name != "gross" and self.d != 2:
             raise DimensionMismatch(f"{self.name} requires d=2")
+
+    @property
+    def restricted(self) -> bool:
+        return self.name == "delfosse-rebit"
 
     def gamma_exp(self, lam) -> int:
         if self.name != "gross":
@@ -75,7 +81,7 @@ def gross_spec(d: int, n: int) -> WignerSpec:
 
 
 def delfosse_rebit_spec(n: int) -> WignerSpec:
-    return WignerSpec("delfosse-rebit", 2, n, restricted=True)
+    return WignerSpec("delfosse-rebit", 2, n)
 
 
 def factorisable_rebit_spec(n: int) -> WignerSpec:
@@ -83,18 +89,7 @@ def factorisable_rebit_spec(n: int) -> WignerSpec:
 
 
 def spec_by_name(name: str, d: int, n: int) -> WignerSpec:
-    name = name.lower()
-    if name == "gross":
-        return gross_spec(d, n)
-    if name == "delfosse-rebit":
-        if d != 2:
-            raise DimensionMismatch("delfosse-rebit requires d=2")
-        return delfosse_rebit_spec(n)
-    if name == "factorisable-rebit":
-        if d != 2:
-            raise DimensionMismatch("factorisable-rebit requires d=2")
-        return factorisable_rebit_spec(n)
-    raise DimensionMismatch(f"unknown construction {name!r}; choose from {SPEC_NAMES}")
+    return WignerSpec(name.lower(), d, n)
 
 
 def weyl(lam, spec: WignerSpec) -> np.ndarray:
@@ -107,8 +102,17 @@ def weyl(lam, spec: WignerSpec) -> np.ndarray:
     return do.chi(spec.gamma_exp(lam), spec.d) * do.pauli(q, p, spec.d)
 
 
+def _stack_guard(spec: WignerSpec) -> None:
+    """Raise before allocating a d^{4n}-entry operator stack (or its
+    d^{2n} x d^{2n} phase matrix) past COSET_GUARD entries."""
+    size = spec.d ** (4 * spec.n)
+    if size > pa.COSET_GUARD:
+        raise GuardExceeded(f"phase-point stack has {size} > {pa.COSET_GUARD} entries")
+
+
 @lru_cache(maxsize=32)
 def _weyl_stack(spec: WignerSpec) -> np.ndarray:
+    _stack_guard(spec)
     pts = pa.all_points(spec.d, spec.n)
     return np.stack([weyl(lam, spec) for lam in pts])
 
@@ -116,6 +120,7 @@ def _weyl_stack(spec: WignerSpec) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _phase_point_stack(spec: WignerSpec) -> np.ndarray:
     """A(lam) for every lam (lex order), each of unit trace."""
+    _stack_guard(spec)
     d, n = spec.d, spec.n
     pts = pa.all_points(d, n)
     J = pa.symplectic_form(n, d)
@@ -257,20 +262,24 @@ def is_nonnegative(table: WignerTable, tol: float = 1e-9):
     return (len(offending) == 0, offending)
 
 
-def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
-    """True iff the table is uniform on an affine subspace and 0 elsewhere."""
+def _indicator_coset(table: WignerTable, tol: float = 1e-9):
+    """(U, base) with the table uniform on the coset U + base and 0
+    elsewhere, or None when it is not such an indicator."""
     supp = table.support(tol)
-    if not supp:
-        return False
     vals = [table.value(p) for p in supp]
-    if max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
-        return False
+    if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
+        return None
     d, n = table.spec.d, table.spec.n
     diffs = np.array(supp, dtype=np.int64) - np.array(supp[0], dtype=np.int64)
     U = pa.Subspace.from_generators(diffs, d, n)
-    if d**U.dim != len(supp):
-        return False
-    return set(pa.coset_members(U, supp[0])) == set(supp)
+    if d**U.dim != len(supp) or set(pa.coset_members(U, supp[0])) != set(supp):
+        return None
+    return U, tuple(int(x) for x in supp[0])
+
+
+def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
+    """True iff the table is uniform on an affine subspace and 0 elsewhere."""
+    return _indicator_coset(table, tol) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from spektoy import wigner as wg
 from spektoy.cli import build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -174,6 +175,24 @@ class TestExitCodes:
         code, out = run_cli(argv)
         assert code == 3 and out == ""
         assert guard in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "--state", "++++++"],
+        ["equivalence", "--circuit", "one_gate.circ", "--host", "minimal-rebit", "--n", "6"],
+    ])
+    def test_phase_point_stack_guard(self, argv, tmp_path, monkeypatch, capsys):
+        # six qubits fit the dense oracle, but their d^{4n}-entry operator
+        # stacks do not fit the guard, which fires before any is built
+        (tmp_path / "one_gate.circ").write_text("GATE X 0\nMEAS Z 0 -> a\n")
+        monkeypatch.chdir(tmp_path)
+
+        def unreachable(*args):
+            raise AssertionError("Weyl stack built past the guard")
+
+        monkeypatch.setattr(wg, "_weyl_stack", unreachable)
+        code, out = run_cli(argv)
+        assert code == 3 and out == ""
+        assert "phase-point stack has 16777216 > 1048576 entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
         (["subtheory", "verify", "qudit-stabilizer", "--n", "1", "--d", "4"],

@@ -7,10 +7,11 @@ import pytest
 from spektoy import dense_oracle as do
 from spektoy import equivalence as eqv
 from spektoy import phase_algebra as pa
+from spektoy import subtheory as stt
 from spektoy import toy_model as toy
 from spektoy import wigner as wg
 from spektoy.circuits import parse_circuit
-from spektoy.errors import AuditError
+from spektoy.errors import AuditError, DimensionMismatch
 
 
 class TestDictionary:
@@ -53,6 +54,65 @@ class TestDictionary:
         epi = eqv.epistemic_state_for(do.basis_state([0]), spec)
         meas = toy.SharpMeasurement((eqv.functional_for_label((0, 1), 2),), 2, 1)
         assert toy.outcome_distribution(epi, meas) == {(0,): Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            wg.delfosse_rebit_spec(1),
+            wg.delfosse_rebit_spec(2),
+            wg.factorisable_rebit_spec(1),
+            wg.factorisable_rebit_spec(2),
+            wg.gross_spec(3, 1),
+        ],
+        ids=lambda spec: f"{spec.name}-{spec.n}",
+    )
+    def test_coset_reader_matches_the_old_code(self, spec):
+        rng = np.random.default_rng(spec.n)
+        dim = spec.d**spec.n
+        noise = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(3)]
+        states = list(stt.all_stabilizer_states(spec.d, spec.n)) + noise
+        verdicts = []
+        for psi in states:
+            psi = psi / np.linalg.norm(psi)
+            table = wg.wigner_of_state(psi, spec)
+            verdict = wg.is_coset_indicator(table)
+            assert verdict == ref_is_coset_indicator(table)
+            verdicts.append(verdict)
+            if verdict:
+                assert eqv.epistemic_state_for(psi, spec) == ref_epistemic_state_for(psi, spec)
+            else:
+                for read in (eqv.epistemic_state_for, ref_epistemic_state_for):
+                    with pytest.raises(DimensionMismatch, match="coset indicator"):
+                        read(psi, spec)
+        assert any(verdicts) and not all(verdicts)
+
+
+def ref_is_coset_indicator(table, tol=1e-9):
+    """is_coset_indicator as it was before the shared coset reader."""
+    supp = table.support(tol)
+    if not supp:
+        return False
+    vals = [table.value(p) for p in supp]
+    if max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
+        return False
+    d, n = table.spec.d, table.spec.n
+    diffs = np.array(supp, dtype=np.int64) - np.array(supp[0], dtype=np.int64)
+    U = pa.Subspace.from_generators(diffs, d, n)
+    if d**U.dim != len(supp):
+        return False
+    return set(pa.coset_members(U, supp[0])) == set(supp)
+
+
+def ref_epistemic_state_for(psi, spec):
+    """epistemic_state_for as it was before the shared coset reader."""
+    table = wg.wigner_of_state(psi, spec)
+    if not ref_is_coset_indicator(table):
+        raise DimensionMismatch("state table is not a coset indicator")
+    supp = table.support()
+    base = np.array(supp[0], dtype=np.int64)
+    diffs = (np.array(supp, dtype=np.int64) - base) % spec.d
+    U = pa.Subspace.from_generators(diffs, spec.d, spec.n)
+    return toy.make_epistemic(pa.perp(U), tuple(int(x) for x in base))
 
 
 class TestRandomEquivalence:
@@ -145,8 +205,21 @@ class TestTextCircuits:
         }
 
 
+def ref_measurement_projectors(mu, spec):
+    """measurement_projectors built afresh on every call."""
+    return do.weyl_char_projectors(wg.weyl(mu, spec), spec.d)
+
+
+def ref_gate_action(host, U):
+    """The gate action as the covariance witness over the host's state
+    census, inverted; None where the census admits no witness."""
+    witness, _ = wg.covariance_witness(U, host.spec, host.sub.states)
+    return None if witness is None else witness.inverse()
+
+
 def ref_random_paired_circuit(host, rng, depth=5):
-    """random_paired_circuit with projectors and dense state built per call."""
+    """random_paired_circuit with projectors built per call and gate
+    actions read off the state census."""
     d, n = host.d, host.n
     if d == 2:
         V = eqv._random_css_knowledge(n, rng)
@@ -163,14 +236,14 @@ def ref_random_paired_circuit(host, rng, depth=5):
     for _ in range(depth):
         if rng.random() < 0.55 or n_meas >= 3:
             g = gens[int(rng.integers(0, len(gens)))]
-            toy_steps.append(("gate", host.gate_action_for(g)))
+            toy_steps.append(("gate", ref_gate_action(host, g.matrix)))
             dense_steps.append(("gate", g.matrix))
             description.append(g.label())
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             sigma = eqv.functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", eqv.measurement_projectors(lam, host.spec)))
+            dense_steps.append(("measure", ref_measurement_projectors(lam, host.spec)))
             description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
             n_meas += 1
     return eqv.PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -195,8 +268,10 @@ class TestHostProjectorCache:
             assert all(op is ops[0] for op in ops)
             with pytest.raises(ValueError):
                 ops[0][0][0, 0] = 0
-        for lam, projs in host._projector_cache.items():
-            want = eqv.measurement_projectors(lam, host.spec)
+        for lam in host.sub.observables:
+            projs = eqv.measurement_projectors(lam, host.spec)
+            assert eqv.measurement_projectors(lam, host.spec) is projs
+            want = ref_measurement_projectors(lam, host.spec)
             assert len(projs) == len(want)
             assert all(np.array_equal(P, Q) for P, Q in zip(projs, want))
 
@@ -213,6 +288,9 @@ class TestHostProjectorCache:
             for (kind, op), (ref_kind, ref_op) in zip(pc.dense_steps, ref.dense_steps):
                 assert kind == ref_kind
                 assert all(np.array_equal(a, b) for a, b in zip(op, ref_op))
+            for (kind, op), (_, ref_op) in zip(pc.toy_steps, ref.toy_steps):
+                if kind == "gate":
+                    assert op.key() == ref_op.key()
             assert toy.statistics(pc.epistemic, pc.toy_steps) == toy.statistics(
                 ref.epistemic, ref.toy_steps
             )
@@ -221,19 +299,89 @@ class TestHostProjectorCache:
             )
 
 
+class CensusRead(AssertionError):
+    pass
+
+
+@pytest.fixture
+def no_census(monkeypatch):
+    """Subtheories built afresh, whose state census raises CensusRead when
+    anything reads it."""
+    for builder in (
+        "minimal_rebit_subtheory",
+        "css_rebit_subtheory",
+        "qudit_stabilizer_subtheory",
+        "full_qubit_stabilizer_subtheory",
+        "all_stabilizer_states",
+    ):
+        monkeypatch.setattr(stt, builder, getattr(stt, builder).__wrapped__)
+
+    def census(*args, **kwargs):
+        raise CensusRead("stabilizer census built")
+
+    monkeypatch.setattr(stt, "_census", census)
+
+
 @pytest.mark.parametrize("name,n,d", [("minimal-rebit", 3, 2), ("qudit-stabilizer", 2, 3)])
-def test_gate_actions_build_no_per_state_table(name, n, d, monkeypatch):
-    """Gate actions come from stacked tables; a slide back to one
-    wigner_of_state per census state trips this guard."""
+def test_gate_actions_build_no_per_state_table(name, n, d, monkeypatch, no_census):
+    """Gate actions come from phase-point transport: no census is built and
+    no state table is taken on the gate-action path."""
     host = eqv.host_model.__wrapped__(name, n, d)  # fresh gate cache
 
     def per_state(*args, **kwargs):
-        raise AssertionError("per-state Wigner table on the gate-action path")
+        raise AssertionError("Wigner table on the gate-action path")
 
     monkeypatch.setattr(wg, "wigner_of_state", per_state)
+    monkeypatch.setattr(wg, "_tables", per_state)
     for gen in host.sub.gate_generators:
-        host.gate_action_for(gen)
+        host.gate_action(gen.name, gen.wires)
     for gate in host.allowed_gate_names():
         for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
             host.gate_action(gate, wires)
     assert len(host._gate_cache) > len(host.sub.gate_generators)
+
+
+#: the hosts of perfbench's EQUIVALENCE_MIX, as (name, d, n)
+EQUIVALENCE_MIX_HOSTS = [
+    ("minimal-rebit", 2, 1),
+    ("minimal-rebit", 2, 2),
+    ("minimal-rebit", 2, 3),
+    ("qudit-stabilizer", 3, 1),
+    ("qudit-stabilizer", 3, 2),
+]
+
+
+def _one_gate_per_arity(d, n):
+    text = "GATE X 0\n"
+    if n > 1:
+        text += f"GATE {'CNOT' if d == 2 else 'SUM'} 0 1\n"
+    return text + "MEAS Z 0 -> a\n"
+
+
+@pytest.mark.parametrize("name,d,n", EQUIVALENCE_MIX_HOSTS)
+def test_equivalence_mix_runs_without_the_census(name, d, n, no_census):
+    host = eqv.host_model.__wrapped__(name, n, d)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        pc = eqv.random_paired_circuit(host, rng)
+        toy_dist = toy.statistics(pc.epistemic, pc.toy_steps)
+        dense_dist = eqv.dense_statistics(pc.dense_state, pc.dense_steps)
+        assert eqv.compare_statistics(toy_dist, dense_dist) <= 1e-9
+    for gate in host.allowed_gate_names():
+        for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
+            host.gate_action(gate, wires)
+    circuit = parse_circuit(_one_gate_per_arity(d, n), n_wires=n)
+    _, _, dev = eqv.circuit_statistics_both_ways(circuit, host)
+    assert dev <= 1e-9
+    # the INIT membership test is the one reader of the census
+    with pytest.raises(CensusRead):
+        eqv.circuit_statistics_both_ways(
+            parse_circuit("INIT " + "0" * n + "\n" + _one_gate_per_arity(d, n), n_wires=n),
+            host,
+        )
+
+
+def test_four_rebits_run_without_the_census(no_census):
+    host = eqv.host_model.__wrapped__("minimal-rebit", 4)
+    rep = eqv.check_random_equivalence(host, 10, seed=4)
+    assert rep["max_deviation"] <= 1e-9, rep

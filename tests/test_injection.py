@@ -6,6 +6,7 @@ import pytest
 
 from spektoy import dense_oracle as do
 from spektoy import injection as inj
+from spektoy import witness as wit
 from spektoy.errors import DimensionMismatch
 
 
@@ -232,6 +233,25 @@ def ref_correction_step(scheme, wire_map, n_total, audit, injected):
     return step
 
 
+def ref_embedding_correction_step(scheme, wire_map, n_total, audit, injected):
+    """The correction step embedding every outcome's correction, the
+    identity of outcome 0...0 included."""
+    embedded = {}
+
+    def step(outcomes, state):
+        m = outcomes[-scheme.n:]
+        corr = scheme.corrections[m]
+        if corr.kind == "non-clifford":
+            audit.violations.append(f"non-clifford correction ({corr.name})")
+        for name, _ in corr.factors:
+            audit.use_gate(name, injected)
+        if m not in embedded:
+            embedded[m] = do.embed(corr.operator, wire_map, n_total, 2)
+        return [(None, 1, embedded[m] @ state)]
+
+    return step
+
+
 class TestCorrectionStep:
     @pytest.mark.parametrize("name", ["CZ", "CCZ", "S", "T"])
     def test_step_local_corrections_match_per_branch_gates(self, name):
@@ -257,6 +277,36 @@ class TestCorrectionStep:
                 assert abs(np.linalg.norm(got) - 1) < 1e-12
                 assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
         assert audit.report() == ref_audit.report()
+
+    @pytest.mark.parametrize("name", ["Z", "S", "CZ", "CCZ"])
+    def test_identity_correction_returns_the_input_state(self, name):
+        scheme = inj.scheme_for(name)
+        zeros = (0,) * scheme.n
+        assert scheme.corrections[zeros].kind == "pauli"
+        assert scheme.corrections[zeros].factors == ()
+        audit = inj.AuditTrail()
+        step = inj._correction_step(scheme, tuple(range(scheme.n)), scheme.n, audit, frozenset())
+        psi = do.plus_state(scheme.n)
+        [(k, p, out)] = step(zeros, psi)
+        assert (k, p) == (None, 1) and out is psi
+        assert audit.report() == inj.AuditTrail().report()
+
+    def test_identity_correction_is_not_embedded(self, monkeypatch):
+        # row3 runs three CZ injections, each with one identity outcome
+        # that the step used to embed
+        def embeds(correction_step):
+            monkeypatch.setattr(inj, "_correction_step", correction_step)
+            calls = []
+            embed = do.embed
+            monkeypatch.setattr(do, "embed", lambda *a: calls.append(a) or embed(*a))
+            rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
+            monkeypatch.undo()
+            return len(calls), rep
+
+        count, rep = embeds(inj._correction_step)
+        ref_count, ref_rep = embeds(ref_embedding_correction_step)
+        assert count == ref_count - 3
+        assert rep == ref_rep
 
     def test_resource_append_is_the_kronecker_product(self):
         scheme = inj.scheme_for("CZ")

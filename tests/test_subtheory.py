@@ -40,6 +40,38 @@ class TestBeta:
                 if pa.symplectic_product(l1, l2, 3) == 0:
                     assert stt.beta(l1, l2, spec) == 0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            wg.factorisable_rebit_spec(1),
+            wg.factorisable_rebit_spec(2),
+            wg.delfosse_rebit_spec(2),
+            wg.gross_spec(3, 1),
+            wg.gross_spec(3, 2),
+            wg.gross_spec(5, 1),
+        ],
+        ids=lambda spec: f"{spec.name}-d{spec.d}-n{spec.n}",
+    )
+    def test_bulk_table_matches_the_checked_beta(self, spec):
+        # beta checks its bookkeeping against dense products, _beta_table
+        # shares the bookkeeping without the check
+        table = stt._beta_table(spec)
+        pts = pa.all_points(spec.d, spec.n)
+        for i, l1 in enumerate(pts):
+            for j, l2 in enumerate(pts):
+                assert table[i, j] == stt.beta(l1, l2, spec)
+
+    def test_wrong_bookkeeping_raises(self, monkeypatch):
+        # flipping the sign of T(X) flips the dense product T(X) T(Z) but
+        # not the bookkeeping's exponent
+        spec = wg.factorisable_rebit_spec(1)
+        weyl = wg.weyl
+        monkeypatch.setattr(
+            wg, "weyl", lambda lam, sp: -weyl(lam, sp) if tuple(lam) == (1, 0) else weyl(lam, sp)
+        )
+        with pytest.raises(DimensionMismatch, match="disagrees with the bookkeeping"):
+            stt.beta((1, 0), (0, 1), spec)
+
 
 class TestAllowedObservables:
     def test_rebit_n1(self):
@@ -155,7 +187,7 @@ class TestClosure:
         sub = stt.Subtheory(
             "minimal+S",
             base.spec,
-            base.states,
+            lambda: base.states,
             base.gate_generators + (stt.GateGen("S", (0,), do.gate("S", (0,), 1)),),
             base.observables,
         )

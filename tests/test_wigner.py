@@ -8,7 +8,7 @@ from spektoy import equivalence as eqv
 from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
-from spektoy.errors import DimensionMismatch
+from spektoy.errors import AuditError, DimensionMismatch, GuardExceeded
 
 
 I2 = np.eye(2)
@@ -47,6 +47,59 @@ class TestWeyl:
     def test_gross_requires_odd_d(self):
         with pytest.raises(DimensionMismatch):
             wg.gross_spec(2, 1)
+
+
+class TestSpecNames:
+    def test_restricted_follows_the_name(self):
+        for n in (1, 2):
+            assert wg.WignerSpec("delfosse-rebit", 2, n) == wg.delfosse_rebit_spec(n)
+            assert wg.delfosse_rebit_spec(n).restricted
+            assert not wg.factorisable_rebit_spec(n).restricted
+            assert not wg.gross_spec(3, n).restricted
+
+    def test_restricted_is_not_settable(self):
+        with pytest.raises(TypeError):
+            wg.WignerSpec("factorisable-rebit", 2, 1, restricted=True)
+
+    @pytest.mark.parametrize("make", [wg.WignerSpec, wg.spec_by_name])
+    def test_unknown_name_rejected(self, make):
+        with pytest.raises(DimensionMismatch, match="unknown construction 'nonsense'; choose"):
+            make("nonsense", 2, 1)
+
+    @pytest.mark.parametrize(
+        "name,d,message",
+        [
+            ("delfosse-rebit", 3, "delfosse-rebit requires d=2"),
+            ("factorisable-rebit", 5, "factorisable-rebit requires d=2"),
+            ("gross", 2, "gross construction requires odd d"),
+        ],
+    )
+    def test_d_must_fit_the_name(self, name, d, message):
+        for make in (wg.WignerSpec, wg.spec_by_name):
+            with pytest.raises(DimensionMismatch, match=message):
+                make(name, d, 1)
+
+    def test_spec_by_name_ignores_case(self):
+        assert wg.spec_by_name("Delfosse-Rebit", 2, 2) == wg.delfosse_rebit_spec(2)
+
+
+class TestStackGuard:
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (5, 2)])
+    def test_largest_stacks_allowed(self, d, n):
+        wg._stack_guard(wg.WignerSpec("gross" if d > 2 else "delfosse-rebit", d, n))
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (5, 3)])
+    def test_raises_before_building(self, d, n, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("stack built past the guard")
+
+        weyl_stack = wg._weyl_stack
+        spec = wg.WignerSpec("gross" if d > 2 else "delfosse-rebit", d, n)
+        for owner, attr in ((wg, "_weyl_stack"), (wg, "weyl"), (pa, "all_points")):
+            monkeypatch.setattr(owner, attr, unreachable)
+        for build in (wg._phase_point_stack, weyl_stack):
+            with pytest.raises(GuardExceeded, match="phase-point stack has"):
+                build(spec)
 
 
 class TestPhasePoint:
@@ -377,18 +430,38 @@ class TestStackedCovariance:
             ("minimal-rebit", 3, 2),
             ("qudit-stabilizer", 1, 3),
             ("qudit-stabilizer", 2, 3),
+            ("css-rebit", 1, 2),
+            ("css-rebit", 2, 2),
+            ("css-rebit", 3, 2),
+            ("full-qubit-stabilizer", 1, 2),
+            ("full-qubit-stabilizer", 2, 2),
         ],
     )
     def test_host_gates_match_the_per_pair_path(self, name, n, d):
+        # every generator (css-rebit's H* included) and every allowed gate
+        # on every wire tuple: the transported action is the inverted
+        # census witness, and an AuditError exactly where there is none
         host = eqv.host_model(name, n, d)
         spec, states = host.spec, host.sub.states
-        for gate in sorted(host.allowed_gate_names()):
+        cases = [(g.name, g.wires, g.matrix) for g in host.sub.gate_generators]
+        for gate in sorted(host.allowed_gate_names() - {"H*"}):
             for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
-                U = do.gate(gate, wires, n, d)
-                g, mode = wg.covariance_witness(U, spec, states)
-                ref_g, ref_mode = ref_covariance_witness(U, spec, states)
-                assert (_key(g), mode) == (_key(ref_g), ref_mode), (gate, wires)
+                cases.append((gate, wires, do.gate(gate, wires, n, d)))
+        missing = set()
+        for gate, wires, U in cases:
+            g, mode = wg.covariance_witness(U, spec, states)
+            ref_g, ref_mode = ref_covariance_witness(U, spec, states)
+            assert (_key(g), mode) == (_key(ref_g), ref_mode), (gate, wires)
+            if ref_g is None:
+                missing.add(gate)
+                with pytest.raises(AuditError, match="no covariant action"):
+                    host.gate_action(gate, wires)
+            else:
                 assert host.gate_action(gate, wires).key() == ref_g.inverse().key()
+        if name == "full-qubit-stabilizer":
+            assert missing == ({"S"} if n == 1 else {"H", "S"})
+        else:
+            assert not missing
 
 
 class TestTransitionMatrices:
