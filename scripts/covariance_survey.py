@@ -4,7 +4,8 @@
 For each (construction, gate) pair, reports whether an affine symplectic
 witness exists on the construction's allowed state set, the witness when
 found, and the exhaustive no-witness certificates (notably S and single-
-site H on the rebit constructions).
+site H on the rebit constructions), each with the mode of
+wigner.covariance_witness that decided it (transport or exhaustive).
 
 Usage: python3 scripts/covariance_survey.py [--d 2|3] [--n 1|2]
 """
@@ -27,12 +28,12 @@ def survey(spec, states, pool):
         if not closed:
             print(f"  {gen.label():10s} leaves the state set (state {escape})")
             continue
-        witness = wg.fit_covariance(gen.matrix, spec, states)
+        witness, mode = wg.covariance_witness(gen.matrix, spec, states)
         if witness is None:
-            print(f"  {gen.label():10s} closed but NOT covariant (exhaustive)")
+            print(f"  {gen.label():10s} closed but NOT covariant ({mode})")
         else:
             print(
-                f"  {gen.label():10s} covariant: S={witness.S.tolist()} "
+                f"  {gen.label():10s} covariant ({mode}): S={witness.S.tolist()} "
                 f"a={witness.a.tolist()}"
             )
 

@@ -33,6 +33,14 @@ HOST_GATES = frozenset({"CNOT", "X", "Z"})
 HOST_MEAS = frozenset({"Z", "X"})
 
 
+@functools.lru_cache(maxsize=None)
+def cnot(wires: tuple[int, int], n: int) -> np.ndarray:
+    """CNOT on (control, target) of n qubits, embedded once and read-only."""
+    U = do.gate("CNOT", wires, n, 2)
+    U.setflags(write=False)
+    return U
+
+
 # ---------------------------------------------------------------------------
 # correction classification
 
@@ -237,7 +245,7 @@ def run_injection(
     for j in range(n):
         audit.use_gate("CNOT")
         audit.use_measurement("Z")
-        steps.append(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n, 2)))
+        steps.append(do.gate_step(cnot((n + j, j), 2 * n)))
     # reading out wire 0 n times consumes the input register, which leaves
     # the resource register
     steps += [do.readout_step(0, "Z")] * n
@@ -290,7 +298,7 @@ def inject_on_wires(
 
     return [
         append_resource,
-        *(do.gate_step(do.gate("CNOT", (w, n_total + j), big_n, 2))
+        *(do.gate_step(cnot((w, n_total + j), big_n))
           for j, w in enumerate(data_wires)),
         *[do.readout_step(n_total, "Z")] * k,
         _correction_step(scheme, data_wires, n_total, audit, injected),

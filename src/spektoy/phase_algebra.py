@@ -31,7 +31,8 @@ SUPPORTED_PRIMES = (2, 3, 5)
 #: hard cap on coset/subspace enumerations (number of points)
 COSET_GUARD = 1 << 20
 
-#: hard cap on |Sp(2n, Z_d)| * d^{2n} for affine-map enumeration
+#: hard cap on the |Sp(2n, Z_d)| * d^{2n} candidates of the exhaustive
+#: covariance search (wigner.fit_covariance)
 AFFINE_ENUM_GUARD = 5_000_000
 
 
@@ -343,25 +344,6 @@ def symplectic_matrices(n: int, d: int) -> tuple[np.ndarray, ...]:
     for S in out:
         S.setflags(write=False)
     return tuple(out)
-
-
-def enumerate_affine_symplectics(n: int, d: int):
-    """Duplicate-free exhaustive stream of all affine symplectic maps.
-
-    Yields every (S, a) with S in Sp(2n, Z_d) and a in Z_d^{2n}.  Matrices
-    come in BFS order from the generator walk, translations in lex order.
-    Each emitted element re-validates S^T J S = J on construction.
-    """
-    _check_dn(d, n)
-    total = sp_order(n, d) * d ** (2 * n)
-    if total > AFFINE_ENUM_GUARD:
-        raise GuardExceeded(
-            f"affine symplectic enumeration needs {total} elements; "
-            f"guard is {AFFINE_ENUM_GUARD}"
-        )
-    for S in symplectic_matrices(n, d):
-        for a in itertools.product(range(d), repeat=2 * n):
-            yield AffineSymplectic(S, np.array(a, dtype=np.int64), d)
 
 
 def all_points(d: int, n: int) -> tuple[tuple[int, ...], ...]:

@@ -191,56 +191,44 @@ class WignerTable:
         }
 
 
-def _as_density(rho: np.ndarray) -> np.ndarray:
-    if rho.ndim == 1:
-        return np.outer(rho, rho.conj())
-    return rho
-
-
-def _raw_table(rho: np.ndarray, spec: WignerSpec) -> tuple[np.ndarray, float]:
-    A = _phase_point_stack(spec)
-    dm = _as_density(rho)
-    vals = np.einsum("kij,ji->k", A, dm)
-    return vals.real, float(np.abs(vals.imag).max())
-
-
-def wigner_of_state(rho: np.ndarray, spec: WignerSpec) -> WignerTable:
-    """Normalized table of a state: values sum to 1."""
-    vals, resid = _raw_table(rho, spec)
-    total = vals.sum()
-    if abs(total) < 1e-12:
-        raise DimensionMismatch("state table sums to zero")
-    return WignerTable(spec, vals / total, resid / abs(total))
-
-
-#: rows per block of the stacked kernel are chosen so that each complex
+#: rows per block of the table kernel are chosen so that each complex
 #: transient holds at most this many entries (1 MiB)
 _TABLE_BLOCK = 1 << 16
 
 
-def _tables(psi: np.ndarray, spec: WignerSpec) -> np.ndarray:
-    """Normalised tables of a stack of state vectors, one row per vector:
-    the rule of wigner_of_state (real parts, each row summing to 1, and
-    DimensionMismatch for a zero-sum row), without the residue.
+def _tables(states: np.ndarray, spec: WignerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(values, residues) of a stack of state vectors (k, dim) or density
+    matrices (k, dim, dim): each row of values holds one table's real parts
+    normalised to sum to 1 (a zero-sum row raises DimensionMismatch), each
+    residue its largest imaginary part under the same normalisation.
 
-    Each block of rows is one product of flattened density matrices with
-    the flattened phase-point stack, so that no transient outgrows
-    _TABLE_BLOCK entries."""
+    Each block of rows is one product of flattened transposed density
+    matrices with the flattened phase-point stack, so that no transient
+    outgrows _TABLE_BLOCK entries."""
     A = _phase_point_stack(spec)
     size = A.shape[0]  # d^(2n): also the entries of one flattened density matrix
     flat = A.reshape(size, -1)
-    vals = np.empty((len(psi), size))
+    vals = np.empty((len(states), size), dtype=complex)
     step = max(1, _TABLE_BLOCK // size)
-    for lo in range(0, len(psi), step):
-        blk = psi[lo : lo + step]
-        # row r holds rho_ji = conj(psi_i) psi_j at flat index ij, so the
-        # product gives tr(A(lam) rho) = sum_ij A(lam)_ij rho_ji
-        rho_t = (blk.conj()[:, :, None] * blk[:, None, :]).reshape(len(blk), -1)
-        vals[lo : lo + step] = (rho_t @ flat.T).real
-    total = vals.sum(axis=1)
+    for lo in range(0, len(states), step):
+        blk = states[lo : lo + step]
+        # row r holds rho_ji at flat index ij (for a vector, conj(psi_i)
+        # psi_j), so the product gives tr(A(lam) rho) = sum_ij A(lam)_ij rho_ji
+        if blk.ndim == 2:
+            rho_t = blk.conj()[:, :, None] * blk[:, None, :]
+        else:
+            rho_t = blk.transpose(0, 2, 1)
+        vals[lo : lo + step] = rho_t.reshape(len(blk), -1) @ flat.T
+    total = vals.real.sum(axis=1)
     if np.any(np.abs(total) < 1e-12):
         raise DimensionMismatch("state table sums to zero")
-    return vals / total[:, None]
+    return vals.real / total[:, None], np.abs(vals.imag).max(axis=1) / np.abs(total)
+
+
+def wigner_of_state(rho: np.ndarray, spec: WignerSpec) -> WignerTable:
+    """Normalized table of a state vector or density matrix: values sum to 1."""
+    vals, resid = _tables(rho[None], spec)
+    return WignerTable(spec, vals[0], float(resid[0]))
 
 
 def wigner_of_measurement(Pi: np.ndarray, spec: WignerSpec) -> WignerTable:
@@ -287,17 +275,14 @@ def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
 
 def _stacked_tables(state_set, spec: WignerSpec, U: np.ndarray | None = None) -> np.ndarray:
     """Table of every state in state_set (of its image under U when given),
-    one row per state.  State vectors go through the stacked kernel in one
-    call; density matrices keep the per-state rule."""
+    one row per state.  The set holds state vectors only or density
+    matrices only."""
     if len(state_set) == 0:
         return np.zeros((0, spec.d ** (2 * spec.n)))
-    if all(np.ndim(rho) == 1 for rho in state_set):
-        psi = np.stack(state_set)
-        return _tables(psi if U is None else psi @ U.T, spec)
+    states = np.stack(state_set)
     if U is not None:
-        Ud = U.conj().T
-        state_set = [U @ _as_density(rho) @ Ud for rho in state_set]
-    return np.stack([wigner_of_state(rho, spec).values for rho in state_set])
+        states = states @ U.T if states.ndim == 2 else U @ states @ U.conj().T
+    return _tables(states, spec)[0]
 
 
 @lru_cache(maxsize=32)
@@ -360,35 +345,37 @@ def fit_covariance(
 
 
 def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic | None:
-    """Covariance witness extracted by transporting phase-point operators.
+    """Covariance witness read off by transporting phase-point operators.
 
-    Matches U* A(lam) U against the phase-point stack; if every lam maps to
-    a unique partner and the map is affine symplectic, that map witnesses
-    covariance for *all* states at once.  Returns None when the transport
-    does not close (which does not by itself rule out table-level
-    covariance; use fit_covariance for certificates).
-    """
+    An affine map is fixed by the images of 0 and the unit points e_j, so
+    only their transported operators U* A(lam) U are matched against the
+    whole stack: the unique partners give a and the columns of S.  Then
+    U* A(lam) U = A(S lam + a) is checked at every lam at once, which
+    witnesses covariance for *all* states.  Returns None when a basis point
+    has no unique partner, S is not symplectic or the check fails (which
+    does not by itself rule out table-level covariance; use fit_covariance
+    for certificates)."""
     d, n = spec.d, spec.n
     A = _phase_point_stack(spec)
-    size = len(A)
+    flat = A.reshape(len(A), -1)
+    pts, weights = _lex(d, n)
     Ud = U.conj().T
-    mapping = np.full(size, -1, dtype=np.int64)
-    for i in range(size):
-        img = Ud @ A[i] @ U
-        hits = np.nonzero(np.abs(A - img).reshape(size, -1).max(axis=1) < 1e-9)[0]
+    partners = []
+    for code in (0, *weights):
+        img = (Ud @ A[code] @ U).reshape(-1)
+        hits = np.nonzero(np.abs(flat - img).max(axis=1) < 1e-9)[0]
         if hits.size != 1:
             return None
-        mapping[i] = hits[0]
-    if len(set(mapping.tolist())) != size:
+        partners.append(hits[0])
+    a = pts[partners[0]]
+    # column j of S is the image of e_j less a
+    S = ((pts[partners[1:]] - a) % d).T
+    J = pa.symplectic_form(n, d)
+    if np.any((S.T @ J @ S - J) % d):
         return None
-    pts, weights = _lex(d, n)
-    a = pts[mapping[0]]
-    # column j of S is the image of e_j (lex code weights[j]) less a
-    S = ((pts[mapping[weights]] - a) % d).T
-    g = pa.AffineSymplectic(S, a, d)  # raises if not symplectic
-    if not np.array_equal(_image_codes(g.S, g.a, d), mapping):
+    if np.abs(Ud @ A @ U - A[_image_codes(S, a, d)]).max() >= 1e-9:
         return None
-    return g
+    return pa.AffineSymplectic(S, a, d)
 
 
 def covariance_witness(

@@ -307,7 +307,7 @@ def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
     couple = [(w, n0) if kind == "Z" else (n0, w) for w in data_wires]
     return [
         lambda outcomes, state: [(None, 1, np.multiply.outer(state, anc).reshape(-1))],
-        *(do.gate_step(do.gate("CNOT", wires, n0 + 1, 2)) for wires in couple),
+        *(do.gate_step(inj.cnot(wires, n0 + 1)) for wires in couple),
         do.readout_step(n0, kind),
     ]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
-from spektoy.errors import DimensionMismatch, GuardExceeded
+from spektoy.errors import DimensionMismatch
 from test_modmath import ref_nullspace
 
 
@@ -230,12 +230,20 @@ class TestIsotropy:
         assert pa.is_isotropic(V)
 
 
+def affine_symplectics(n, d):
+    """Every affine symplectic map: matrices in the BFS order of
+    symplectic_matrices, translations in lex order."""
+    for S in pa.symplectic_matrices(n, d):
+        for a in itertools.product(range(d), repeat=2 * n):
+            yield pa.AffineSymplectic(S, np.array(a, dtype=np.int64), d)
+
+
 class TestSymplecticEnumeration:
     @pytest.mark.parametrize(
         "n,d,count", [(1, 2, 24), (1, 3, 216), (2, 2, 11520)]
     )
     def test_counts(self, n, d, count):
-        assert sum(1 for _ in pa.enumerate_affine_symplectics(n, d)) == count
+        assert len(pa.symplectic_matrices(n, d)) * d ** (2 * n) == count
 
     def test_brute_force_cross_check_n1(self):
         # independent oracle: filter all 2x2 matrices by S^T J S = J
@@ -254,19 +262,11 @@ class TestSymplecticEnumeration:
 
     def test_every_emitted_map_preserves_form(self):
         J = pa.symplectic_form(1, 3)
-        for g in itertools.islice(pa.enumerate_affine_symplectics(1, 3), 50):
+        for g in itertools.islice(affine_symplectics(1, 3), 50):
             assert not np.any((g.S.T @ J @ g.S - J) % 3)
 
-    def test_duplicate_free(self):
-        keys = [g.key() for g in pa.enumerate_affine_symplectics(1, 2)]
-        assert len(keys) == len(set(keys))
-
-    def test_guard_refusal(self):
-        with pytest.raises(GuardExceeded):
-            list(pa.enumerate_affine_symplectics(3, 2))
-
     def test_inverse_and_compose(self):
-        for g in itertools.islice(pa.enumerate_affine_symplectics(1, 3), 40):
+        for g in itertools.islice(affine_symplectics(1, 3), 40):
             gi = g.inverse()
             both = g.compose(gi)
             assert np.array_equal(both.S, np.eye(2, dtype=np.int64))

@@ -347,8 +347,34 @@ def ref_fit_covariance(U, spec, state_set):
     return None
 
 
+def ref_phase_space_action(U, spec):
+    """The all-pairs transport search that phase_space_action replaced:
+    every transported phase-point operator against the whole stack."""
+    d, n = spec.d, spec.n
+    A = wg._phase_point_stack(spec)
+    size = len(A)
+    Ud = U.conj().T
+    mapping = np.full(size, -1, dtype=np.int64)
+    for i in range(size):
+        img = Ud @ A[i] @ U
+        hits = np.nonzero(np.abs(A - img).reshape(size, -1).max(axis=1) < 1e-9)[0]
+        if hits.size != 1:
+            return None
+        mapping[i] = hits[0]
+    if len(set(mapping.tolist())) != size:
+        return None
+    pts, weights = wg._lex(d, n)
+    a = pts[mapping[0]]
+    # column j of S is the image of e_j (lex code weights[j]) less a
+    S = ((pts[mapping[weights]] - a) % d).T
+    g = pa.AffineSymplectic(S, a, d)  # raises if not symplectic
+    if not np.array_equal(wg._image_codes(g.S, g.a, d), mapping):
+        return None
+    return g
+
+
 def ref_covariance_witness(U, spec, state_set):
-    g = wg.phase_space_action(U, spec)
+    g = ref_phase_space_action(U, spec)
     if g is not None and ref_verify_covariance(U, spec, state_set, g):
         return g, "transport"
     return ref_fit_covariance(U, spec, state_set), "exhaustive"
@@ -365,23 +391,85 @@ CENSUS_SPECS = [
 ]
 
 
+def ref_wigner_of_state(rho, spec):
+    """The per-state einsum formula the table kernel replaced: (normalised
+    values, imaginary residue over the same normalisation)."""
+    A = wg._phase_point_stack(spec)
+    dm = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+    vals = np.einsum("kij,ji->k", A, dm)
+    total = vals.real.sum()
+    return vals.real / total, float(np.abs(vals.imag).max()) / abs(total)
+
+
+def assert_rows_match_reference(states, spec):
+    values, residues = wg._tables(np.stack(states), spec)
+    assert values.shape == (len(states), spec.d ** (2 * spec.n))
+    for rho, row, resid in zip(states, values, residues):
+        ref_values, ref_resid = ref_wigner_of_state(rho, spec)
+        assert np.abs(row - ref_values).max() <= 1e-12
+        assert abs(resid - ref_resid) <= 1e-12
+        table = wg.wigner_of_state(rho, spec)
+        assert np.abs(table.values - ref_values).max() <= 1e-12
+        assert abs(table.imag_residue - ref_resid) <= 1e-12
+
+
 class TestStackedTables:
     @pytest.mark.parametrize(
         "spec,n", CENSUS_SPECS, ids=[f"{s.name}-n{n}" for s, n in CENSUS_SPECS]
     )
     def test_rows_equal_per_state_tables(self, spec, n):
-        states = stt.all_stabilizer_states(spec.d, n)
-        stacked = wg._tables(np.stack(states), spec)
-        per_state = np.stack([wg.wigner_of_state(psi, spec).values for psi in states])
-        assert stacked.shape == per_state.shape
-        assert np.abs(stacked - per_state).max() <= 1e-12
+        assert_rows_match_reference(stt.all_stabilizer_states(spec.d, n), spec)
+
+    @pytest.mark.parametrize(
+        "make", [stt.minimal_rebit_subtheory, stt.full_qubit_stabilizer_subtheory]
+    )
+    def test_density_matrix_rows(self, make):
+        sub = make(2)
+        tables = stt.observable_projector_tables(sub)
+        projectors = [
+            P
+            for lam in sub.observables
+            if any(lam)
+            for P in do.label_projectors(do.PauliLabel.from_point(lam, sub.d))
+        ]
+        assert len(projectors) == len(tables)
+        assert_rows_match_reference(projectors, sub.spec)
+        for (_, _, table), P in zip(tables, projectors):
+            assert np.abs(table.values - ref_wigner_of_state(P, sub.spec)[0]).max() <= 1e-12
+
+    def test_genuine_imaginary_residue(self):
+        spec = wg.factorisable_rebit_spec(1)
+        t_plus = do.parse_state_spec("T|+>")
+        values, residues = wg._tables(t_plus[None], spec)
+        assert residues[0] > 0.1
+        assert_rows_match_reference([t_plus], spec)
+        assert_rows_match_reference([np.outer(t_plus, t_plus.conj())], spec)
 
     def test_block_size_does_not_change_rows(self, monkeypatch):
         spec = wg.gross_spec(3, 2)
         psi = np.stack(stt.all_stabilizer_states(3, 2))
-        whole = wg._tables(psi, spec)
+        whole, resid = wg._tables(psi, spec)
         monkeypatch.setattr(wg, "_TABLE_BLOCK", 1)
-        assert np.abs(wg._tables(psi, spec) - whole).max() <= 1e-12
+        blocked, blocked_resid = wg._tables(psi, spec)
+        assert np.abs(blocked - whole).max() <= 1e-12
+        assert np.abs(blocked_resid - resid).max() <= 1e-12
+
+    def test_one_kernel_call_per_table_set(self, monkeypatch):
+        calls = []
+        tables = wg._tables
+
+        def counted(states, spec):
+            calls.append(states.shape)
+            return tables(states, spec)
+
+        monkeypatch.setattr(wg, "_tables", counted)
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        wg.wigner_of_state(css[0], spec)
+        assert calls == [(1, 4)]
+        mixed = [np.outer(psi, psi.conj()) for psi in css]
+        wg._stacked_tables(mixed, spec, do.gate("CNOT", (0, 1), 2))
+        assert calls[1:] == [(20, 4, 4)]
 
     def test_zero_sum_row_raises(self):
         spec = wg.delfosse_rebit_spec(1)
@@ -462,6 +550,58 @@ class TestStackedCovariance:
             assert missing == ({"S"} if n == 1 else {"H", "S"})
         else:
             assert not missing
+
+
+def transport_cases(d, n):
+    """Every gate of the named pool, plus T on each wire and CCZ(0, 1, 2)
+    on qubits: the non-Clifford gates, whose transport must not close."""
+    cases = [(gen.label(), gen.matrix) for gen in stt.named_gate_pool(d, n)]
+    if d == 2:
+        cases += [(f"T({w})", do.gate("T", (w,), n)) for w in range(n)]
+        if n == 3:
+            cases.append(("CCZ(0,1,2)", do.gate("CCZ", (0, 1, 2), n)))
+    return cases
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        "spec,n", CENSUS_SPECS, ids=[f"{s.name}-n{n}" for s, n in CENSUS_SPECS]
+    )
+    def test_matches_the_all_pairs_search(self, spec, n):
+        found = 0
+        for label, U in transport_cases(spec.d, n):
+            g = wg.phase_space_action(U, spec)
+            assert _key(g) == _key(ref_phase_space_action(U, spec)), label
+            found += g is not None
+        assert found > 0
+
+    def test_searches_the_stack_for_the_basis_points_only(self, monkeypatch):
+        # 2n + 1 comparisons against the whole stack, then the one stacked
+        # check of every transported operator
+        spec = wg.delfosse_rebit_spec(3)
+        stack = wg._phase_point_stack(spec)
+        searched = []
+        real_abs = np.abs
+
+        def counted_abs(x, *args, **kwargs):
+            if np.size(x) == stack.size:
+                searched.append(np.shape(x))
+            return real_abs(x, *args, **kwargs)
+
+        monkeypatch.setattr(wg.np, "abs", counted_abs)
+        g = wg.phase_space_action(do.gate("CNOT", (0, 2), 3), spec)
+        monkeypatch.undo()
+        assert g is not None
+        assert searched == [(64, 64)] * (2 * 3 + 1) + [(64, 8, 8)]
+
+    def test_four_rebit_host_transports_every_generator(self):
+        # n=4, where the all-pairs search took about 0.1 s per gate
+        host = eqv.host_model.__wrapped__("minimal-rebit", 4)  # fresh gate cache
+        for gen in host.sub.gate_generators:
+            g = host.gate_action(gen.name, gen.wires)
+            assert g.inverse().key() == ref_phase_space_action(gen.matrix, host.spec).key()
+        rep = eqv.check_random_equivalence(host, 5, seed=16)
+        assert rep["max_deviation"] <= 1e-9, rep
 
 
 class TestTransitionMatrices:

@@ -191,6 +191,26 @@ class TestContextCircuit:
         assert rep["product_matches_sign"] and rep["branches"] == 256
         assert 0 < len(calls) <= 3 * 4
 
+    def test_second_run_embeds_no_cnot(self, monkeypatch):
+        # every CNOT of the parity blocks and the injections is embedded once
+        # per (wires, register size) and shared read-only afterwards
+        psi = do.plus_state(2)
+        first = wit.peres_mermin_circuit(psi, "col3")
+        cnot = do.gate("CNOT", (0, 1), 2)
+        embedded = []
+        embed = do.embed
+
+        def recorded(small, *args, **kwargs):
+            embedded.append(np.array(small))
+            return embed(small, *args, **kwargs)
+
+        monkeypatch.setattr(do, "embed", recorded)
+        assert wit.peres_mermin_circuit(psi, "col3") == first
+        assert embedded
+        assert not any(np.array_equal(small, cnot) for small in embedded)
+        assert inj.cnot((0, 2), 3) is inj.cnot((0, 2), 3)
+        assert not inj.cnot((0, 2), 3).flags.writeable
+
     def test_direct_cz_variant_matches(self):
         rep = wit.peres_mermin_circuit(do.plus_state(2), "row3", use_injected_cz=False)
         assert rep["product_matches_sign"]
