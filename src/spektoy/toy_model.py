@@ -13,10 +13,11 @@ pivot.  Each step is a plan on V alone (a gate's `_transport`, a
 `_MeasurementPlan`) and a cheap finish mapping old values to new ones; no
 step needs V-perp.  `statistics` builds each plan once per distinct V per
 step, so sibling branches share it.  Steps run on the int rows of
-`Subspace.gens`, with numpy only for a gate's V S^-1, V_new S and V_new a
-and a measurement's retained c G.  `EpistemicState.support` lists the coset
-on demand, under `phase_algebra.COSET_GUARD`.  Distributions are exact
-rationals; sampling is a thin seeded layer on top.
+`Subspace.gens`, numpy only for a gate's V S^-1, V_new S and V_new a.  A
+measurement of k functionals is k tableau row updates, O(k dim V 2n),
+replayed on the values in O(k dim V) per outcome.  `EpistemicState.support`
+lists the coset on demand, under `phase_algebra.COSET_GUARD`.
+Distributions are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
 plus the part of the prior that symplectically commutes with every measured
@@ -29,7 +30,6 @@ bridged subtheories.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -103,10 +103,9 @@ def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
     """Uniform distribution over V-perp + w; rejects non-isotropic V."""
     if not pa.is_isotropic(V):
         raise RestrictionViolation("known-variable subspace is not isotropic")
-    d, n = V.d, V.n
-    wv = [int(x) % d for x in w]
-    if len(wv) != 2 * n:
-        raise DimensionMismatch(f"expected length {2 * n}, got {len(wv)}")
+    d, wv = V.d, [int(x) % V.d for x in w]
+    if len(wv) != 2 * V.n:
+        raise DimensionMismatch(f"expected length {2 * V.n}, got {len(wv)}")
     return _coset_state(V, _pivots(V), [sum(map(mul, g, wv)) % d for g in V.gens])
 
 
@@ -149,8 +148,7 @@ def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
 def _shifted(plan: tuple, w) -> EpistemicState:
     """The finish of a gate at shift w: the new values H values + c."""
     pivots, V_new, new_pivots, H, c = plan
-    values = [w[p] for p in pivots]
-    d = V_new.d
+    values, d = [w[p] for p in pivots], V_new.d
     new = [(sum(map(mul, h, values)) + x) % d for h, x in zip(H, c)]
     return _coset_state(V_new, new_pivots, new)
 
@@ -174,12 +172,10 @@ class SharpMeasurement:
     n: int
 
     def __post_init__(self):
-        gens = tuple(pa.point(g, self.d) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if not gens:
+        object.__setattr__(self, "generators", tuple(pa.point(g, self.d) for g in self.generators))
+        if not self.generators:
             raise DimensionMismatch("measurement needs at least one functional")
-        V = self.subspace
-        if not pa.is_isotropic(V):
+        if not pa.is_isotropic(self.subspace):
             raise RestrictionViolation("measured functionals are not jointly knowable")
 
     @cached_property
@@ -189,21 +185,19 @@ class SharpMeasurement:
     def outcome_of(self, lam) -> tuple[int, ...]:
         return tuple(pa.evaluate(g, lam, self.d) for g in self.generators)
 
-    def _check_outcome(self, outcome) -> None:
-        k = len(self.generators)
-        if len(outcome) != k:
-            raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
-
 
 Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
+
+
+def _subtract(rows, factors, top, d):  # rows[j] - factors[j] top mod d; factor 0 keeps rows[j]
+    return [[(y - f * z) % d for y, z in zip(g, top)] if f else g for g, f in zip(rows, factors)]
 
 
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
     subspace V alone, shared by every state on V.  Each half, `spread` and
-    `retained`, is built on first read; `table` and `posterior` finish it
-    for a shift w.
-    """
+    `updates`, is built on first read; `table` and `posterior` finish it
+    for a shift w."""
 
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
@@ -225,37 +219,43 @@ class _MeasurementPlan:
         return spread
 
     @cached_property
-    def retained(self) -> tuple[pa.Subspace, list, list, list, list]:
-        """(V_new, its pivots, R, T, N) of every posterior.  The retained
-        knowledge R is V within the symplectic commutant of A: the rows c G
-        (one numpy product, not reduced) with c in the nullspace of
-        M[i][j] = [a_i, g_j].  V_new = A + R.  One rref of [A; R | I] holds
-        V_new's rref rows and the row operations T with T [A; R] = them, then
-        the consistency rows N with N [A; R] = 0."""
-        d, n, A, G = self.V.d, self.V.n, self.A, self.V.gens
-        JG = [pa.symplectic_row(g) for g in G]
-        M, pivots = mm.rref_rows([[sum(map(mul, a, Jg)) % d for Jg in JG] for a in A], len(G), d)
-        coeffs = mm.complement_rows(M, pivots, len(G), d)
-        C = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(G))
-        R = (C @ self.V.matrix % d).tolist()
-        m, k = len(A) + len(R), 2 * n
-        eye = [[*(0,) * i, 1, *(0,) * (m - 1 - i)] for i in range(m)]
-        rows, pivots = mm.rref_rows([[*x, *e] for x, e in zip(A + tuple(R), eye)], k + m, d)
-        r = bisect_left(pivots, k)
-        V_new = pa.Subspace(tuple(tuple(row[:k]) for row in rows[:r]), d, n)
+    def updates(self) -> tuple[pa.Subspace, list[int], list]:
+        """(V_new, its pivots, ops): per functional a of A, one tableau row
+        update of the rref rows g_j the update before left.  With s_j =
+        [g_j, a] and p the last j with s_j != 0, g_j becomes g_j - (s_j/s_p)
+        g_p and g_p goes; the rows left span V within a's commutant, still in
+        rref.  a's residue modulo them is zero (its value is determined) or,
+        led by 1, clears its pivot column from the rows and joins them.  ops
+        holds the factors that `posterior` replays on the values."""
+        d, rows, pivots, ops = self.V.d, [list(g) for g in self.V.gens], _pivots(self.V), []
+        for a in self.A:
+            Ja, p, moves, inv, clears, at = pa.symplectic_row(a), *(None,) * 5
+            s = [sum(map(mul, g, Ja)) % d for g in rows]
+            if any(s):
+                p = max(j for j, x in enumerate(s) if x)
+                moves = [x * pow(s[p], -1, d) % d for x in s[:p] + s[p + 1 :]]
+                del pivots[p]
+                rows = _subtract(rows, moves, rows.pop(p), d)
+            residue, coeffs = mm.reduce_row(list(a), rows, d), [a[c] for c in pivots]
+            if any(residue):
+                q = next(c for c, x in enumerate(residue) if x)
+                inv, at = pow(residue[q], -1, d), sum(c < q for c in pivots)
+                top, clears = [x * inv % d for x in residue], [g[q] for g in rows]
+                rows = _subtract(rows, clears, top, d)
+                rows[at:at], pivots[at:at] = [top], [q]
+            ops.append((p, moves, coeffs, inv, clears, at))
+        V_new = pa.Subspace(tuple(map(tuple, rows)), d, self.V.n)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
-        return V_new, pivots[:r], R, [row[k:] for row in rows[:r]], [row[k:] for row in rows[r:]]
+        return V_new, pivots, ops
 
     def outcomes(self, w) -> list[tuple[int, ...]]:
         """The outcomes at shift w, sorted: the d^r points centre + c . spread,
         centre = A w, each of probability 1/d^r."""
         d, spread = self.V.d, self.spread
         outcomes = [[sum(map(mul, a, w)) % d for a in self.A]]
-        for row in reversed(spread):  # lexicographic order of c
-            outcomes = [
-                [(x + m * y) % d for x, y in zip(k, row)] for m in range(d) for k in outcomes
-            ]
+        for r in reversed(spread):  # lexicographic order of c
+            outcomes = [[(x + m * y) % d for x, y in zip(k, r)] for m in range(d) for k in outcomes]
         return sorted(map(tuple, outcomes))
 
     def table(self, w) -> Table:
@@ -264,19 +264,23 @@ class _MeasurementPlan:
         return dict.fromkeys(outcomes, Fraction(1, len(outcomes)))
 
     def posterior(self, w):
-        """The update at shift w, as a map outcome -> posterior state.  With
-        b = [outcome; R w], the x with [A; R] x = b form one coset of
-        V_new-perp, holding every prior-support point that shows the outcome,
-        and V_new's rows take the values T b on it; none exist iff N b != 0."""
-        d = self.V.d
-        V_new, pivots, R, T, N = self.retained
-        prior_values = [sum(map(mul, r, w)) % d for r in R]
+        """The update at shift w, as a map outcome -> posterior state: `updates`
+        replayed on the values, each functional taking its outcome; one whose
+        value is determined must show it, else the outcome has probability zero."""
+        d, (V_new, pivots, ops), prior = self.V.d, self.updates, [w[p] for p in _pivots(self.V)]
 
         def update(outcome: tuple[int, ...]) -> EpistemicState:
-            b = [int(x) % d for x in outcome] + prior_values
-            if any(sum(map(mul, row, b)) % d for row in N):
-                raise DimensionMismatch(f"outcome {outcome} has probability zero")
-            return _coset_state(V_new, pivots, [sum(map(mul, t, b)) % d for t in T])
+            vals = prior
+            for (p, moves, coeffs, inv, clears, at), x in zip(ops, outcome):
+                if moves is not None:
+                    vals = [(v - f * vals[p]) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
+                x = (int(x) - sum(map(mul, coeffs, vals))) % d
+                if inv is None and x:
+                    raise DimensionMismatch(f"outcome {outcome} has probability zero")
+                if inv is not None:
+                    vals = [(v - f * x * inv) % d for v, f in zip(vals, clears)]
+                    vals.insert(at, x * inv % d)
+            return _coset_state(V_new, pivots, vals)
 
         return update
 
@@ -286,21 +290,18 @@ def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table
     return _MeasurementPlan(state.V, meas).table(state.w)
 
 
-def posterior(
-    state: EpistemicState, meas: SharpMeasurement, outcome: tuple[int, ...]
-) -> EpistemicState:
+def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> EpistemicState:
     """State after observing the given outcome."""
-    plan = _MeasurementPlan(state.V, meas)
-    meas._check_outcome(outcome)
+    plan, k = _MeasurementPlan(state.V, meas), len(meas.generators)
+    if len(outcome) != k:
+        raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
     return plan.posterior(state.w)(outcome)
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
     """Seeded sample: (outcome, posterior state, exact probability table)."""
-    plan = _MeasurementPlan(state.V, meas)
+    plan, r, acc = _MeasurementPlan(state.V, meas), random.Random(rng_seed).random(), 0.0
     table = plan.table(state.w)
-    r = random.Random(rng_seed).random()
-    acc = 0.0
     for outcome, p in table.items():  # the last outcome if rounding leaves r >= acc
         acc += float(p)
         if r < acc:
@@ -351,8 +352,7 @@ def statistics(
     """Exact distribution over outcome-tuple sequences for a circuit of
     affine maps and sharp measurements.  No sampling: cosets are propagated
     and every branch with nonzero probability is expanded; each step's plan
-    is built once per distinct known subspace, within this call only.
-    """
+    is built once per distinct known subspace, within this call only."""
     builders = {"gate": gate_step, "measure": measure_step}
     for kind, _ in steps:
         if kind not in builders:

@@ -595,22 +595,51 @@ def assert_same_step(state, meas, g):
     return table
 
 
+def _dependent(gens, d, pick):
+    """A multiple of one generator, or the sum of two; pick(k) draws an
+    int in [0, k)."""
+    if len(gens) > 1 and pick(2):
+        a, b = gens[pick(len(gens))], gens[pick(len(gens))]
+        return tuple((x + y) % d for x, y in zip(a, b))
+    c = 1 + pick(d - 1)
+    return tuple(c * x % d for x in gens[pick(len(gens))])
+
+
 @st.composite
 def steps_on_states(draw):
     """(state, measurement, affine map) at d in {2, 3, 5}, n <= 4; the
-    measurement has one to three commuting functionals."""
+    measurement has one to three commuting functionals, and sometimes one
+    more that depends on them (a multiple of one, or the sum of two)."""
     d = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 4 if d < 5 else 3))
     coeffs = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
     V = _isotropic_of(d, n, draw, coeffs, draw(st.integers(0, n)))
     w = tuple(draw(coeffs))
     M = _isotropic_of(d, n, draw, coeffs, draw(st.integers(1, min(n, 3))))
+    gens = list(M.gens)
+    if draw(st.booleans()):
+        extra = _dependent(gens, d, lambda k: draw(st.integers(0, k - 1)))
+        gens.insert(draw(st.integers(0, len(gens))), extra)
     if n == 1:  # no two-site blocks: any element of Sp(2, Z_d)
         S = draw(st.sampled_from(pa.symplectic_matrices(1, d)))
         g = pa.AffineSymplectic(S, draw(coeffs), d)
     else:
         g = _random_affine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, n)
-    return ref_make_epistemic(V, w), tm.SharpMeasurement(M.gens, d, n), g
+    return ref_make_epistemic(V, w), tm.SharpMeasurement(tuple(gens), d, n), g
+
+
+def test_dependent_functionals_in_one_measurement():
+    # the second functional is twice the first: its outcome is fixed by the
+    # first one's, and every other pair has probability zero
+    d, n = 3, 1
+    state, meas = tm.maximally_mixed(d, n), tm.SharpMeasurement(((1, 0), (2, 0)), d, n)
+    assert list(tm.outcome_distribution(state, meas)) == [(0, 0), (1, 2), (2, 1)]
+    x_known = pa.Subspace.from_generators([(1, 0)], d, n)
+    assert tm.posterior(state, meas, (1, 2)) == tm.make_epistemic(x_known, (1, 0))
+    with pytest.raises(DimensionMismatch, match=r"outcome \(1, 1\) has probability zero"):
+        tm.posterior(state, meas, (1, 1))
+    for outcome in itertools.product(range(d), repeat=2):
+        same_result(tm.posterior, ref_posterior, state, meas, outcome)
 
 
 @settings(max_examples=150, deadline=None)
@@ -650,33 +679,82 @@ def test_outcome_guard_matches_reference(monkeypatch):
     assert same_result(tm.outcome_distribution, ref_outcome_distribution, state, small)[0] == "value"
 
 
-@pytest.mark.parametrize("d,n", [(2, 12), (3, 6)])
+#: how a measured functional relates to the rref rows of the known subspace
+KINDS = ("commutes", "one row", "several rows", "known")
+
+
+def _anticommuting_rows(V, sigma):
+    return sum(1 for g in V.gens if pa.symplectic_product(g, sigma, V.d))
+
+
+def _functional_of_kind(V, kind, rng):
+    """A functional that commutes with every rref row of V but lies outside
+    V, has a nonzero symplectic product with exactly one row or with
+    several, or lies in V; None if V has no such functional.  The products
+    are drawn and solved for, then a random member of V is added."""
+    d, n, r = V.d, V.n, V.dim
+    if kind == "commutes":
+        if r == n:
+            return None
+        comm = pa.symplectic_commutant(V)
+        return _functional_in(comm, rng.integers(0, d, size=comm.dim), V)
+    if kind == "known":
+        return _functional_in(V, rng.integers(0, d, size=r), pa.Subspace.zero(d, n)) if r else None
+    if r < (1 if kind == "one row" else 2):
+        return None
+    products = np.zeros(r, dtype=np.int64)
+    rows = rng.choice(r, size=1 if kind == "one row" else int(rng.integers(2, r + 1)), replace=False)
+    products[rows] = rng.integers(1, d, size=len(rows))
+    G = V.matrix
+    sigma = ref_solve(G @ pa.symplectic_form(n, d), products, d) + rng.integers(0, d, size=r) @ G
+    return tuple(int(x) for x in sigma % d)
+
+
+@pytest.mark.parametrize("d,n", [(2, 12), (2, 16), (3, 6), (3, 8), (5, 4)])
 def test_int_row_trajectory_matches_array_reference(d, n):
     # seeded gate/measure trajectory from a mixed state, checked step by
-    # step; every third measurement starts from a known functional, so
-    # deterministic outcomes and impossible ones occur
+    # step at every outcome, the impossible ones included.  The first
+    # measured functional cycles through KINDS; now and then a commuting
+    # functional or a dependent one (a multiple, a sum) joins it
     rng = np.random.default_rng([7, d, n])
+
+    def pick(k):
+        return int(rng.integers(0, k))
+
     V = pa.Subspace.from_generators(np.eye(2 * n, dtype=np.int64)[0 : n : 2], d, n)
     state = tm.make_epistemic(V, rng.integers(0, d, size=2 * n))
+    seen = []
     for step in range(12):
         g = _random_affine(rng, d, n)
-        M = pa.Subspace.zero(d, n)
-        if step % 3 == 0:
-            known = tm.apply_affine(state, g).V
-            M = pa.Subspace.from_generators([known.gens[0]], d, n)
-        for _ in range(int(rng.integers(1, 3))):
-            comm = pa.symplectic_commutant(M)
-            vec = _functional_in(comm, rng.integers(0, d, size=comm.dim), M)
-            M = M + pa.Subspace.from_generators([vec], d, n)
-        meas = tm.SharpMeasurement(M.gens, d, n)
+        known = tm.apply_affine(state, g).V
+        for kind in KINDS[step % 4 :] + KINDS[: step % 4]:
+            sigma = _functional_of_kind(known, kind, rng)
+            if sigma is not None:
+                break
+        expected = {"commutes": [0], "one row": [1], "several rows": range(2, n + 1), "known": [0]}
+        assert _anticommuting_rows(known, sigma) in expected[kind]
+        assert known.contains(sigma) == (kind == "known")
+        gens = [sigma]
+        for _ in range(pick(3)):
+            if pick(2):
+                gens.append(_dependent(gens, d, pick))
+            else:
+                M = pa.Subspace.from_generators(gens, d, n)
+                comm = pa.symplectic_commutant(M)
+                gens.append(_functional_in(comm, rng.integers(0, d, size=comm.dim), M))
+        seen.append(kind)
+        meas = tm.SharpMeasurement(tuple(gens), d, n)
         assert_same_step(state, meas, g)
         state = tm.apply_affine(state, g)
         table = assert_same_table(state, meas)
-        outcomes = list(table)
-        outcome = outcomes[int(rng.integers(0, len(outcomes)))]
-        post = tm.posterior(state, meas, outcome)
-        assert post == ref_posterior(state, meas, outcome)
-        state = post
+        update, ref = tm._MeasurementPlan(state.V, meas).posterior(state.w), ref_update(state, meas)
+        for outcome in itertools.product(range(d), repeat=len(gens)):
+            result = same_result(update, ref, outcome)
+            assert same_result(tm.posterior, ref_posterior, state, meas, outcome) == result
+            assert (result[0] == "value") == (outcome in table)
+        outcome = list(table)[pick(len(table))]
+        state = tm.posterior(state, meas, outcome)
+    assert set(seen) == set(KINDS)
 
 
 # ---------------------------------------------------------------------------
