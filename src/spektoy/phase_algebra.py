@@ -117,8 +117,23 @@ class Subspace:
         for r in rows:
             if len(r) != 2 * n:
                 raise DimensionMismatch(f"expected length {2 * n}, got {len(r)}")
+        if d == 2:
+            return cls.of_bits(mm.rref_bits(map(mm.pack, rows)), n)
         R, _ = mm.rref_rows(rows, 2 * n, d)
         return cls(tuple(map(tuple, R)), d, n)
+
+    @classmethod
+    def of_bits(cls, rows, n: int) -> "Subspace":
+        """The d = 2 subspace with these packed rref rows (sorted descending),
+        its `bits` filled: the steps build their subspaces so."""
+        V = cls(tuple(mm.unpack(r, 2 * n) for r in rows), 2, n)
+        V.__dict__["bits"] = tuple(rows)
+        return V
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """The rref rows packed (`mm.pack`), in order; d = 2 only."""
+        return tuple(map(mm.pack, self.gens))
 
     @classmethod
     def zero(cls, d: int, n: int) -> "Subspace":
@@ -137,7 +152,10 @@ class Subspace:
         return len(self.gens)
 
     def contains(self, vec) -> bool:
-        return not any(mm.reduce_row(as_vector(vec, self.d, self.n).tolist(), self.gens, self.d))
+        v = as_vector(vec, self.d, self.n).tolist()
+        if self.d == 2:
+            return not mm.reduce_bits(mm.pack(v), self.bits)
+        return not any(mm.reduce_row(v, self.gens, self.d))
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """All member vectors, lexicographically sorted."""
@@ -149,7 +167,9 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("subspace sum across different (d, n)")
-        # both generator lists are canonical int rows already: one elimination
+        # both generator lists are canonical rows already: one elimination
+        if self.d == 2:
+            return Subspace.of_bits(mm.rref_bits(self.bits + other.bits), self.n)
         R, _ = mm.rref_rows(list(map(list, self.gens + other.gens)), 2 * self.n, self.d)
         return Subspace(tuple(map(tuple, R)), self.d, self.n)
 
@@ -165,7 +185,7 @@ def perp(V: Subspace) -> Subspace:
     This is *not* the symplectic complement; it is the complement entering
     the coset supports of epistemic states.
     """
-    pivots = [next(c for c, x in enumerate(g) if x) for g in V.gens]
+    pivots = [g.index(1) for g in V.gens]  # each rref row leads with a 1
     U = mm.complement_rows(V.gens, pivots, 2 * V.n, V.d)
     return Subspace(tuple(map(tuple, U)), V.d, V.n)
 
@@ -179,11 +199,19 @@ def symplectic_commutant(V: Subspace) -> Subspace:
 def is_isotropic(V: Subspace) -> bool:
     """True iff the symplectic product vanishes on all generator pairs.
 
-    Runs on the int rows of V: each generator b is tested against every
-    earlier one (the form is antisymmetric, so [b, b] = 0 and
-    [b, a] = -[a, b]).
+    Each generator b is tested against every earlier one (the form is
+    antisymmetric, so [b, b] = 0 and [b, a] = -[a, b]): at d = 2 on V's
+    packed rows, where a product is the parity of a & Jb, else on its int
+    rows.
     """
     d = V.d
+    if d == 2:
+        rows = V.bits
+        for j in range(1, len(rows)):
+            Jb = mm.swap_pairs(rows[j], V.n)
+            if any((a & Jb).bit_count() & 1 for a in rows[:j]):
+                return False
+        return True
     gens = V.gens
     for j in range(1, len(gens)):
         Jb = symplectic_row(gens[j])
@@ -265,6 +293,12 @@ class AffineSymplectic:
         Sinv = symplectic_inverse(self.S, self.d)
         Sinv.setflags(write=False)
         return Sinv
+
+    @cached_property
+    def Sinv_bits(self) -> tuple[int, ...]:
+        """S^-1's rows packed (`mm.pack`), d = 2 only; computed on first read."""
+        w, rows = 2 * self.n, self.Sinv.astype(np.uint8).tobytes()
+        return tuple(mm.pack(rows[i : i + w]) for i in range(0, w * w, w))
 
     def inverse(self) -> "AffineSymplectic":
         return AffineSymplectic(self.Sinv, mm.modp(-(self.Sinv @ self.a), self.d), self.d)

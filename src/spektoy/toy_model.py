@@ -12,10 +12,14 @@ canonical w is zero off V's pivot columns and holds each row's value on its
 pivot.  Each step is a plan on V alone (a gate's `_transport`, a
 `_MeasurementPlan`) and a cheap finish mapping old values to new ones; no
 step needs V-perp.  `statistics` builds each plan once per distinct V per
-step, so sibling branches share it.  Steps run on the int rows of
-`Subspace.gens`, numpy only for a gate's V S^-1, V_new S and V_new a.  A
-measurement of k functionals is k tableau row updates, O(k dim V 2n),
-replayed on the values in O(k dim V) per outcome.  `EpistemicState.support`
+step, so sibling branches share it.  Steps run on the rows of V in the
+form of its field, picked once per plan (`_row_form`): at odd d the int
+rows of `Subspace.gens`, numpy only for a gate's V S^-1, V_new S and
+V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
+operation is one XOR and a symplectic product one popcount, as in
+Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
+row updates, O(k dim V 2n), replayed on the values in O(k dim V) per
+outcome.  `EpistemicState.support`
 lists the coset on demand, under `phase_algebra.COSET_GUARD`.
 Distributions are exact rationals; sampling is a thin seeded layer on top.
 
@@ -32,8 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from itertools import compress
+from operator import mul, xor
 
 import numpy as np
 
@@ -126,6 +131,107 @@ def maximally_mixed(d: int, n: int) -> EpistemicState:
     return make_epistemic(pa.Subspace.zero(d, n), (0,) * (2 * n))
 
 
+class _IntRows:
+    """The row primitives of a step at odd d: rows are int lists (or V's
+    tuples) with entries in [0, d)."""
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+
+    def of(self, V: pa.Subspace) -> list:
+        return list(V.gens)
+
+    def subspace(self, rows) -> pa.Subspace:
+        return pa.Subspace(tuple(map(tuple, rows)), self.d, self.n)
+
+    def entries(self, row):
+        return row
+
+    def products(self, rows, a) -> list[int]:  # [g, a] for each row g
+        Ja, d = pa.symplectic_row(a), self.d
+        return [sum(map(mul, g, Ja)) % d for g in rows]
+
+    def reduce(self, a, rows):  # a modulo rref rows
+        return mm.reduce_row(list(a), rows, self.d)
+
+    def led_by_one(self, v):  # (pivot q, 1 / v[q], v scaled by it), None at zero
+        q = next((c for c, x in enumerate(v) if x), None)
+        if q is None:
+            return None
+        inv = pow(v[q], -1, self.d)
+        return q, inv, [x * inv % self.d for x in v]
+
+    def column(self, rows, q) -> list[int]:
+        return [g[q] for g in rows]
+
+    def subtract(self, rows, factors, top):  # rows[j] - factors[j] top; factor 0 keeps rows[j]
+        d = self.d
+        return [[(y - f * z) % d for y, z in zip(g, top)] if f else g for g, f in zip(rows, factors)]
+
+    def rref(self, vectors, width: int) -> list[list[int]]:
+        return mm.rref_rows(list(map(list, vectors)), width, self.d)[0]
+
+    def moved(self, V: pa.Subspace, pivots: list[int], g: pa.AffineSymplectic) -> tuple:
+        """(V_new = V S^-1, H, c) of `_transport`, H = V_new S on V's
+        pivot columns and c = V_new a."""
+        d = self.d
+        V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, d, self.n)
+        N = V_new.matrix
+        return V_new, ((N @ g.S)[:, pivots] % d).tolist(), (N @ g.a % d).tolist()
+
+
+class _BitRows(_IntRows):
+    """The same primitives at d = 2 on packed rows (`mm.pack`): a row
+    operation is an XOR, a product a popcount parity, and every nonzero
+    entry is 1."""
+
+    def of(self, V: pa.Subspace) -> list[int]:
+        return list(V.bits)
+
+    def subspace(self, rows) -> pa.Subspace:
+        return pa.Subspace.of_bits(rows, self.n)
+
+    def entries(self, row):
+        return mm.unpack(row, 2 * self.n)
+
+    def products(self, rows, a) -> list[int]:
+        Ja = mm.swap_pairs(mm.pack(a), self.n)
+        return [mm.dot_bits(g, Ja) for g in rows]
+
+    def reduce(self, a, rows):
+        return mm.reduce_bits(mm.pack(a), rows)
+
+    def led_by_one(self, v):
+        return (mm.lead_bit(v, 2 * self.n), 1, v) if v else None
+
+    def column(self, rows, q) -> list[int]:
+        shift = 8 * (2 * self.n - 1 - q)
+        return [g >> shift & 1 for g in rows]
+
+    def subtract(self, rows, factors, top):
+        return [g ^ top if f else g for g, f in zip(rows, factors)]
+
+    def rref(self, vectors, width: int) -> list[list[int]]:
+        return [list(mm.unpack(r, width)) for r in mm.rref_bits(map(mm.pack, vectors))]
+
+    def moved(self, V: pa.Subspace, pivots: list[int], g: pa.AffineSymplectic) -> tuple:
+        """Each row v S^-1 is the XOR of S^-1's packed rows where v is 1.
+        They are eliminated with their coefficients on V's rows in k extra
+        low bytes: a row h of V_new is sum_j T_j (v_j S^-1), so h S =
+        sum_j T_j v_j, and the row of H for h is T."""
+        w, k = 2 * self.n, V.dim
+        rows = [reduce(xor, compress(g.Sinv_bits, v), 0) << 8 * k | 1 << 8 * (k - 1 - j)
+                for j, v in enumerate(V.gens)]
+        R, a = mm.rref_bits(rows), mm.pack(g.a.tolist())
+        new, H = [r >> 8 * k for r in R], [list(mm.unpack(r, w + k)[w:]) for r in R]
+        return pa.Subspace.of_bits(new, self.n), H, [mm.dot_bits(h, a) for h in new]
+
+
+def _row_form(d: int, n: int) -> _IntRows:
+    """The row primitives of Z_d^{2n}, picked once per step plan."""
+    return (_BitRows if d == 2 else _IntRows)(d, n)
+
+
 def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
     """The plan of a gate lam -> S lam + a, whatever the shift:
     (V's pivots, V_new = V S^-1, its pivots, H, c).  sigma is known
@@ -135,14 +241,12 @@ def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
     H = V_new S on V's pivot columns and c = V_new a."""
     if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
-    d, pivots = V.d, _pivots(V)
-    V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, d, V.n)
+    pivots = _pivots(V)
+    V_new, H, c = _row_form(V.d, V.n).moved(V, pivots, g)
     if not pa.is_isotropic(V_new):
         raise RestrictionViolation("known-variable subspace is not isotropic")
     assert V_new.dim == V.dim
-    N = V_new.matrix
-    H = ((N @ g.S)[:, pivots] % d).tolist()
-    return pivots, V_new, _pivots(V_new), H, (N @ g.a % d).tolist()
+    return pivots, V_new, _pivots(V_new), H, c
 
 
 def _shifted(plan: tuple, w) -> EpistemicState:
@@ -189,10 +293,6 @@ class SharpMeasurement:
 Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
 
 
-def _subtract(rows, factors, top, d):  # rows[j] - factors[j] top mod d; factor 0 keeps rows[j]
-    return [[(y - f * z) % d for y, z in zip(g, top)] if f else g for g, f in zip(rows, factors)]
-
-
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
     subspace V alone, shared by every state on V.  Each half, `spread` and
@@ -202,7 +302,7 @@ class _MeasurementPlan:
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
-        self.V, self.meas, self.A = V, meas, meas.generators
+        self.V, self.meas, self.A, self.form = V, meas, meas.generators, _row_form(V.d, V.n)
 
     @cached_property
     def spread(self) -> list[list[int]]:
@@ -210,10 +310,10 @@ class _MeasurementPlan:
         the span of this rref of the columns of A's residues a' modulo V:
         a - a' vanishes on V-perp, and a' is zero on V's pivot columns,
         where V-perp is not free.  GuardExceeded past COSET_GUARD outcomes."""
-        d, V = self.V.d, self.V
-        residues = [mm.reduce_row(list(a), V.gens, d) for a in self.A]
-        columns = [list(col) for col in zip(*residues) if any(col)]
-        spread, _ = mm.rref_rows(columns, len(self.A), d)
+        d, F = self.V.d, self.form
+        V = F.of(self.V)
+        residues = [F.entries(F.reduce(a, V)) for a in self.A]
+        spread = F.rref({col for col in zip(*residues) if any(col)}, len(self.A))
         if d ** len(spread) > pa.COSET_GUARD:
             raise GuardExceeded(f"outcome table has {d ** len(spread)} > {pa.COSET_GUARD} entries")
         return spread
@@ -227,24 +327,25 @@ class _MeasurementPlan:
         rref.  a's residue modulo them is zero (its value is determined) or,
         led by 1, clears its pivot column from the rows and joins them.  ops
         holds the factors that `posterior` replays on the values."""
-        d, rows, pivots, ops = self.V.d, [list(g) for g in self.V.gens], _pivots(self.V), []
+        d, F, pivots, ops = self.V.d, self.form, _pivots(self.V), []
+        rows = F.of(self.V)
         for a in self.A:
-            Ja, p, moves, inv, clears, at = pa.symplectic_row(a), *(None,) * 5
-            s = [sum(map(mul, g, Ja)) % d for g in rows]
+            p, moves, inv, clears, at = (None,) * 5
+            s = F.products(rows, a)
             if any(s):
                 p = max(j for j, x in enumerate(s) if x)
                 moves = [x * pow(s[p], -1, d) % d for x in s[:p] + s[p + 1 :]]
                 del pivots[p]
-                rows = _subtract(rows, moves, rows.pop(p), d)
-            residue, coeffs = mm.reduce_row(list(a), rows, d), [a[c] for c in pivots]
-            if any(residue):
-                q = next(c for c, x in enumerate(residue) if x)
-                inv, at = pow(residue[q], -1, d), sum(c < q for c in pivots)
-                top, clears = [x * inv % d for x in residue], [g[q] for g in rows]
-                rows = _subtract(rows, clears, top, d)
+                rows = F.subtract(rows, moves, rows.pop(p))
+            residue, coeffs = F.reduce(a, rows), [a[c] for c in pivots]
+            lead = F.led_by_one(residue)
+            if lead is not None:
+                q, inv, top = lead
+                at, clears = sum(c < q for c in pivots), F.column(rows, q)
+                rows = F.subtract(rows, clears, top)
                 rows[at:at], pivots[at:at] = [top], [q]
             ops.append((p, moves, coeffs, inv, clears, at))
-        V_new = pa.Subspace(tuple(map(tuple, rows)), d, self.V.n)
+        V_new = F.subspace(rows)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
         return V_new, pivots, ops
@@ -266,15 +367,26 @@ class _MeasurementPlan:
     def posterior(self, w):
         """The update at shift w, as a map outcome -> posterior state: `updates`
         replayed on the values, each functional taking its outcome; one whose
-        value is determined must show it, else the outcome has probability zero."""
-        d, (V_new, pivots, ops), prior = self.V.d, self.updates, [w[p] for p in _pivots(self.V)]
+        value is determined must show it, else the outcome has probability zero.
+        The first functional's row drop and the value its kept rows give it
+        depend on w alone, so they are replayed once, here."""
+        d, (V_new, pivots, ops) = self.V.d, self.updates
+
+        def drop(op, vals):  # op's row drop on the values, then coeffs . values
+            p, moves, coeffs = op[:3]
+            if moves is not None:
+                vals = [(v - f * vals[p]) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
+            return vals, sum(map(mul, coeffs, vals))
+
+        first = drop(ops[0], [w[p] for p in _pivots(self.V)])
 
         def update(outcome: tuple[int, ...]) -> EpistemicState:
-            vals = prior
-            for (p, moves, coeffs, inv, clears, at), x in zip(ops, outcome):
-                if moves is not None:
-                    vals = [(v - f * vals[p]) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
-                x = (int(x) - sum(map(mul, coeffs, vals))) % d
+            vals, known = first
+            for k, (op, x) in enumerate(zip(ops, outcome)):
+                if k:
+                    vals, known = drop(op, vals)
+                inv, clears, at = op[3:]
+                x = (int(x) - known) % d
                 if inv is None and x:
                     raise DimensionMismatch(f"outcome {outcome} has probability zero")
                 if inv is not None:

@@ -8,6 +8,7 @@ operations on int64 arrays, and the others are built on it.
 import ast
 import inspect
 import itertools
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,88 @@ def test_span_of_a_vector_matches_reference(v, p):
     zero = np.zeros(len(v), dtype=np.int64)
     got = mm.coset_vectors(np.array(v), zero, p)
     assert_same_array(got, ref_coset_vectors(np.array(v), zero, p))
+
+
+# ---------------------------------------------------------------------------
+# Packed rows at p = 2 against the int-row forms
+
+
+def int_row_product(a, b):
+    """[a, b] over Z_2 on int rows."""
+    return sum(map(mul, a, pa.symplectic_row(b))) % 2
+
+
+@st.composite
+def bit_rows(draw):
+    """(n, kind, rows, v) at p = 2, n <= 16: rows with the zero row and the unit
+    rows of coordinates 0 and 2n - 1 planted, a full-rank list (row
+    operations on the identity, then a redundant row), or rows confined to
+    one coordinate of each site's pair (an isotropic list)."""
+    n = draw(st.integers(1, 16))
+    w = 2 * n
+    row = st.lists(st.integers(0, 1), min_size=w, max_size=w).map(tuple)
+    special = st.sampled_from([(0,) * w, (1,) + (0,) * (w - 1), (0,) * (w - 1) + (1,)])
+    kind = draw(st.sampled_from(["random", "full rank", "one of each pair"]))
+    if kind == "full rank":
+        rows = [list(r) for r in draw(st.permutations(np.eye(w, dtype=np.int64).tolist()))]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, w - 1)), max_size=3 * w)):
+            if i != j:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[j])]
+        rows = [tuple(r) for r in rows] + [draw(row)]
+    elif kind == "one of each pair":
+        keep = [c for k in range(n) for c in draw(st.permutations([1, 0]))]
+        rows = [tuple(x & m for x, m in zip(r, keep)) for r in draw(st.lists(row, max_size=n + 2))]
+    else:
+        rows = draw(st.lists(st.one_of(row, special), max_size=w + 2))
+    return n, kind, rows, draw(st.one_of(row, special))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_rows())
+def test_packed_rows_match_int_rows(case):
+    n, kind, rows, v = case
+    w = 2 * n
+    R, pivots = mm.rref_rows([list(r) for r in rows], w, 2)
+    bits = mm.rref_bits([mm.pack(r) for r in rows])
+    # rref and pivots
+    assert [mm.unpack(b, w) for b in bits] == [tuple(r) for r in R]
+    assert [mm.lead_bit(b, w) for b in bits] == pivots
+    # packing the canonical generators gives the packed rref back
+    V = pa.Subspace.from_generators(rows, 2, n)
+    int_V = pa.Subspace(tuple(map(tuple, R)), 2, n)
+    assert V == int_V and V.gens == int_V.gens
+    assert tuple(map(mm.pack, V.gens)) == V.bits == int_V.bits == tuple(bits)
+    # reduction
+    assert mm.unpack(mm.reduce_bits(mm.pack(v), bits), w) == tuple(mm.reduce_row(list(v), R, 2))
+    assert V.contains(v) == (not any(mm.reduce_row(list(v), R, 2)))
+    # dot and symplectic products, isotropy
+    for a in rows + [v]:
+        assert mm.dot_bits(mm.pack(a), mm.pack(v)) == sum(map(mul, a, v)) % 2
+        Ja = mm.swap_pairs(mm.pack(a), n)
+        assert mm.unpack(Ja, w) == tuple(x % 2 for x in pa.symplectic_row(a))
+        for b in rows:
+            assert mm.dot_bits(mm.pack(b), Ja) == int_row_product(b, a)
+    isotropic = all(int_row_product(a, b) == 0 for a, b in itertools.combinations(R, 2))
+    assert pa.is_isotropic(V) == pa.is_isotropic(int_V) == isotropic
+    if kind == "one of each pair":
+        assert isotropic
+    if kind == "full rank":
+        assert pivots == list(range(w))
+
+
+def test_packed_rows_edge_cases():
+    n, w = 3, 6
+    e0, last, zero = (1,) + (0,) * 5, (0,) * 5 + (1,), (0,) * 6
+    assert mm.pack(e0) == 1 << 40 and mm.pack(last) == 1 and mm.pack(zero) == 0
+    assert mm.unpack(1 << 40, w) == e0 and mm.unpack(0, w) == zero
+    assert mm.lead_bit(mm.pack(e0), w) == 0 and mm.lead_bit(mm.pack(last), w) == w - 1
+    assert mm.rref_bits([0, 0]) == [] and mm.reduce_bits(0, [1 << 40]) == 0
+    # (x_0, p_0) and (x_2, p_2) anticommute; full rank is the identity
+    assert mm.dot_bits(mm.pack(e0), mm.swap_pairs(mm.pack((0, 1, 0, 0, 0, 0)), n)) == 1
+    assert mm.dot_bits(mm.pack(last), mm.swap_pairs(mm.pack((0, 0, 0, 0, 1, 0)), n)) == 1
+    full = mm.rref_bits([mm.pack(r) for r in np.eye(w, dtype=np.int64)[::-1].tolist()])
+    assert [mm.unpack(b, w) for b in full] == [tuple(r) for r in np.eye(w, dtype=np.int64).tolist()]
+    assert not pa.is_isotropic(pa.Subspace.full(2, n))
 
 
 def test_every_public_function_has_a_package_caller():

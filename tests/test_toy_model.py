@@ -990,7 +990,39 @@ def test_steps_need_no_perp_listing_or_solve(monkeypatch):
         assert all(s.probability(lam) == s.weight for lam in s.support)
 
 
-@pytest.mark.parametrize("d,n", [(2, 64), (3, 32)])
+def test_qubit_steps_run_on_packed_rows(monkeypatch):
+    # at d = 2 gates, outcome tables and updates eliminate and reduce on
+    # packed rows: the int-row routines are never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("an int-row routine ran at d = 2")
+
+    d, n = 2, 4
+    rng = np.random.default_rng(19)
+    V = pa.Subspace.from_generators([(1, 0, 1, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0)], d, n)
+    steps = []
+    for _ in range(3):
+        steps += [("gate", _random_affine(rng, d, n)), ("measure", _random_measurement(rng, d, n))]
+    # two functionals, the second a dependent one: (1, 0) and (0, 1) are impossible
+    pair = tm.SharpMeasurement(((1, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0, 1)), d, n)
+    steps.append(("measure", pair))
+    with monkeypatch.context() as m:
+        for name in ["rref_rows", "reduce_row"]:
+            m.setattr(mm, name, refuse)
+        prior = tm.make_epistemic(V, (1, 1, 0, 1, 0, 0, 1, 1))
+        stats = tm.statistics(prior, steps)
+        moved = tm.apply_affine(prior, steps[0][1])
+        table = tm.outcome_distribution(moved, pair)
+        posts = [tm.posterior(moved, pair, k) for k in table]
+        with pytest.raises(DimensionMismatch, match="probability zero"):
+            tm.posterior(moved, pair, (1, 0))
+    assert list(stats.items()) == list(ref_statistics(prior, steps).items())
+    want = ref_apply_affine(prior, steps[0][1])
+    assert (moved.V, moved.w) == (want.V, want.w)
+    assert list(table.items()) == list(ref_outcome_distribution(moved, pair).items())
+    assert posts == [ref_posterior(moved, pair, k) for k in table]
+
+
+@pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (3, 32)])
 def test_large_n_trajectory(no_coset_listing, d, n):
     # a seeded pure-state trajectory well past any listing: exact tables,
     # repeatable measurements, and the first steps equal to the reference
