@@ -131,6 +131,11 @@ class Subspace:
         return V
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each rref row, in order: each leads with a 1."""
+        return tuple(g.index(1) for g in self.gens)
+
+    @cached_property
     def bits(self) -> tuple[int, ...]:
         """The rref rows packed (`mm.pack`), in order; d = 2 only."""
         return tuple(map(mm.pack, self.gens))
@@ -185,8 +190,7 @@ def perp(V: Subspace) -> Subspace:
     This is *not* the symplectic complement; it is the complement entering
     the coset supports of epistemic states.
     """
-    pivots = [g.index(1) for g in V.gens]  # each rref row leads with a 1
-    U = mm.complement_rows(V.gens, pivots, 2 * V.n, V.d)
+    U = mm.complement_rows(V.gens, V.pivots, 2 * V.n, V.d)
     return Subspace(tuple(map(tuple, U)), V.d, V.n)
 
 

@@ -11,16 +11,18 @@ a stabilizer tableau, the state is V's rref rows and their values: the
 canonical w is zero off V's pivot columns and holds each row's value on its
 pivot.  Each step is a plan on V alone (a gate's `_transport`, a
 `_MeasurementPlan`) and a cheap finish mapping old values to new ones; no
-step needs V-perp.  `statistics` builds each plan once per distinct V per
-step, so sibling branches share it.  Steps run on the rows of V in the
+step needs V-perp.  V after a step depends on V before it and the step
+alone, never on the values or an outcome, so `statistics` builds one chain
+of plans per call and its branches carry only values; every leaf has the
+same probability 1/m.  Steps run on the rows of V in the
 form of its field, picked once per plan (`_row_form`): at odd d the int
 rows of `Subspace.gens`, numpy only for a gate's V S^-1, V_new S and
 V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
 operation is one XOR and a symplectic product one popcount, as in
 Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
 row updates, O(k dim V 2n), replayed on the values in O(k dim V) per
-outcome.  `EpistemicState.support`
-lists the coset on demand, under `phase_algebra.COSET_GUARD`.
+outcome.  `EpistemicState.support` lists the coset on demand, under
+`phase_algebra.COSET_GUARD`.
 Distributions are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import mul, xor
 
@@ -78,6 +80,11 @@ class EpistemicState:
         return pa.coset_members(self.U, self.w)
 
     @property
+    def values(self) -> list[int]:
+        """The value of each rref row of V, in order: w on V's pivots."""
+        return [self.w[p] for p in self.V.pivots]
+
+    @property
     def weight(self) -> Fraction:
         return Fraction(1, self.d ** (2 * self.n - self.V.dim))
 
@@ -111,18 +118,14 @@ def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
     d, wv = V.d, [int(x) % V.d for x in w]
     if len(wv) != 2 * V.n:
         raise DimensionMismatch(f"expected length {2 * V.n}, got {len(wv)}")
-    return _coset_state(V, _pivots(V), [sum(map(mul, g, wv)) % d for g in V.gens])
+    return _coset_state(V, [sum(map(mul, g, wv)) % d for g in V.gens])
 
 
-def _pivots(V: pa.Subspace) -> list[int]:
-    return [g.index(1) for g in V.gens]  # each rref row leads with a 1
-
-
-def _coset_state(V: pa.Subspace, pivots: list[int], values) -> EpistemicState:
+def _coset_state(V: pa.Subspace, values) -> EpistemicState:
     """(V, the shift holding values, ints in [0, d), on V's pivots), unchecked.
     Row g_j is 1 at its own pivot and 0 at the others: it takes values[j]."""
     w = [0] * (2 * V.n)
-    for p, x in zip(pivots, values):
+    for p, x in zip(V.pivots, values):
         w[p] = x
     return EpistemicState(V, tuple(w))
 
@@ -171,13 +174,13 @@ class _IntRows:
     def rref(self, vectors, width: int) -> list[list[int]]:
         return mm.rref_rows(list(map(list, vectors)), width, self.d)[0]
 
-    def moved(self, V: pa.Subspace, pivots: list[int], g: pa.AffineSymplectic) -> tuple:
+    def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
         """(V_new = V S^-1, H, c) of `_transport`, H = V_new S on V's
         pivot columns and c = V_new a."""
         d = self.d
         V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, d, self.n)
         N = V_new.matrix
-        return V_new, ((N @ g.S)[:, pivots] % d).tolist(), (N @ g.a % d).tolist()
+        return V_new, ((N @ g.S)[:, V.pivots] % d).tolist(), (N @ g.a % d).tolist()
 
 
 class _BitRows(_IntRows):
@@ -214,7 +217,7 @@ class _BitRows(_IntRows):
     def rref(self, vectors, width: int) -> list[list[int]]:
         return [list(mm.unpack(r, width)) for r in mm.rref_bits(map(mm.pack, vectors))]
 
-    def moved(self, V: pa.Subspace, pivots: list[int], g: pa.AffineSymplectic) -> tuple:
+    def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
         """Each row v S^-1 is the XOR of S^-1's packed rows where v is 1.
         They are eliminated with their coefficients on V's rows in k extra
         low bytes: a row h of V_new is sum_j T_j (v_j S^-1), so h S =
@@ -233,34 +236,31 @@ def _row_form(d: int, n: int) -> _IntRows:
 
 
 def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
-    """The plan of a gate lam -> S lam + a, whatever the shift:
-    (V's pivots, V_new = V S^-1, its pivots, H, c).  sigma is known
-    afterwards exactly when sigma S is known before.  Row h of V_new takes
-    the value (h S) . w + h . a, and h S lies in V: its coefficients on V's
-    rows are its entries on V's pivots.  So new values = H values + c, with
-    H = V_new S on V's pivot columns and c = V_new a."""
+    """The plan of a gate lam -> S lam + a, whatever the shift: (V_new =
+    V S^-1, H, c).  sigma is known afterwards exactly when sigma S is known
+    before.  Row h of V_new takes the value (h S) . w + h . a, and h S lies
+    in V: its coefficients on V's rows are its entries on V's pivots.  So
+    new values = H values + c, H = V_new S on V's pivot columns, c = V_new a."""
     if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
-    pivots = _pivots(V)
-    V_new, H, c = _row_form(V.d, V.n).moved(V, pivots, g)
+    V_new, H, c = _row_form(V.d, V.n).moved(V, g)
     if not pa.is_isotropic(V_new):
         raise RestrictionViolation("known-variable subspace is not isotropic")
     assert V_new.dim == V.dim
-    return pivots, V_new, _pivots(V_new), H, c
+    return V_new, H, c
 
 
-def _shifted(plan: tuple, w) -> EpistemicState:
-    """The finish of a gate at shift w: the new values H values + c."""
-    pivots, V_new, new_pivots, H, c = plan
-    values, d = [w[p] for p in pivots], V_new.d
-    new = [(sum(map(mul, h, values)) + x) % d for h, x in zip(H, c)]
-    return _coset_state(V_new, new_pivots, new)
+def _shifted(plan: tuple, values) -> list[int]:
+    """The finish of a gate on V's values: V_new's values H values + c."""
+    d, (_, H, c) = plan[0].d, plan
+    return [(sum(map(mul, h, values)) + x) % d for h, x in zip(H, c)]
 
 
 def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
     """Push the distribution through lam -> S lam + a: the image of V-perp + w
     is (S V-perp) + (S w + a)."""
-    return _shifted(_transport(state.V, g), state.w)
+    plan = _transport(state.V, g)
+    return _coset_state(plan[0], _shifted(plan, state.values))
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted out
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
     subspace V alone, shared by every state on V.  Each half, `spread` and
-    `updates`, is built on first read; `table` and `posterior` finish it
-    for a shift w."""
+    `updates`, is built on first read; `outcomes` and `posterior` finish it
+    on the values of V's rows."""
 
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
@@ -319,15 +319,15 @@ class _MeasurementPlan:
         return spread
 
     @cached_property
-    def updates(self) -> tuple[pa.Subspace, list[int], list]:
-        """(V_new, its pivots, ops): per functional a of A, one tableau row
-        update of the rref rows g_j the update before left.  With s_j =
-        [g_j, a] and p the last j with s_j != 0, g_j becomes g_j - (s_j/s_p)
-        g_p and g_p goes; the rows left span V within a's commutant, still in
-        rref.  a's residue modulo them is zero (its value is determined) or,
-        led by 1, clears its pivot column from the rows and joins them.  ops
-        holds the factors that `posterior` replays on the values."""
-        d, F, pivots, ops = self.V.d, self.form, _pivots(self.V), []
+    def updates(self) -> tuple[pa.Subspace, list]:
+        """(V_new, ops): per functional a of A, one tableau row update of the
+        rref rows g_j the update before left.  With s_j = [g_j, a] and p the
+        last j with s_j != 0, g_j becomes g_j - (s_j/s_p) g_p and g_p goes;
+        the rows left span V within a's commutant, still in rref.  a's
+        residue modulo them is zero (its value is determined) or, led by 1,
+        clears its pivot column from the rows and joins them.  ops holds the
+        factors that `posterior` replays on the values."""
+        d, F, pivots, ops = self.V.d, self.form, list(self.V.pivots), []
         rows = F.of(self.V)
         for a in self.A:
             p, moves, inv, clears, at = (None,) * 5
@@ -348,29 +348,34 @@ class _MeasurementPlan:
         V_new = F.subspace(rows)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
-        return V_new, pivots, ops
+        return V_new, ops
 
-    def outcomes(self, w) -> list[tuple[int, ...]]:
-        """The outcomes at shift w, sorted: the d^r points centre + c . spread,
-        centre = A w, each of probability 1/d^r."""
+    @cached_property
+    def on_pivots(self) -> list[list[int]]:
+        """A on V's pivot columns: A w = on_pivots values, w zero off them."""
+        return [[a[p] for p in self.V.pivots] for a in self.A]
+
+    def outcomes(self, values) -> list[tuple[int, ...]]:
+        """The outcomes at V's values, sorted: the d^r points centre +
+        c . spread, centre = A w, each of probability 1/d^r."""
         d, spread = self.V.d, self.spread
-        outcomes = [[sum(map(mul, a, w)) % d for a in self.A]]
+        outcomes = [[sum(map(mul, a, values)) % d for a in self.on_pivots]]
         for r in reversed(spread):  # lexicographic order of c
             outcomes = [[(x + m * y) % d for x, y in zip(k, r)] for m in range(d) for k in outcomes]
         return sorted(map(tuple, outcomes))
 
-    def table(self, w) -> Table:
-        """Outcome table at shift w, in sorted outcome order."""
-        outcomes = self.outcomes(w)
+    def table(self, values) -> Table:
+        """Outcome table at V's values, in sorted outcome order."""
+        outcomes = self.outcomes(values)
         return dict.fromkeys(outcomes, Fraction(1, len(outcomes)))
 
-    def posterior(self, w):
-        """The update at shift w, as a map outcome -> posterior state: `updates`
-        replayed on the values, each functional taking its outcome; one whose
-        value is determined must show it, else the outcome has probability zero.
+    def posterior(self, values):
+        """The update at V's values, as a map outcome -> V_new's values: `updates`
+        replayed on them, each functional taking its outcome; one whose value
+        is determined must show it, else the outcome has probability zero.
         The first functional's row drop and the value its kept rows give it
-        depend on w alone, so they are replayed once, here."""
-        d, (V_new, pivots, ops) = self.V.d, self.updates
+        depend on the prior values alone, so they are replayed once, here."""
+        d, ops = self.V.d, self.updates[1]
 
         def drop(op, vals):  # op's row drop on the values, then coeffs . values
             p, moves, coeffs = op[:3]
@@ -378,9 +383,9 @@ class _MeasurementPlan:
                 vals = [(v - f * vals[p]) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
             return vals, sum(map(mul, coeffs, vals))
 
-        first = drop(ops[0], [w[p] for p in _pivots(self.V)])
+        first = drop(ops[0], values)
 
-        def update(outcome: tuple[int, ...]) -> EpistemicState:
+        def update(outcome: tuple[int, ...]) -> list[int]:
             vals, known = first
             for k, (op, x) in enumerate(zip(ops, outcome)):
                 if k:
@@ -392,14 +397,14 @@ class _MeasurementPlan:
                 if inv is not None:
                     vals = [(v - f * x * inv) % d for v, f in zip(vals, clears)]
                     vals.insert(at, x * inv % d)
-            return _coset_state(V_new, pivots, vals)
+            return vals
 
         return update
 
 
 def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
     """Exact outcome table, in sorted outcome order."""
-    return _MeasurementPlan(state.V, meas).table(state.w)
+    return _MeasurementPlan(state.V, meas).table(state.values)
 
 
 def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> EpistemicState:
@@ -407,67 +412,58 @@ def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> 
     plan, k = _MeasurementPlan(state.V, meas), len(meas.generators)
     if len(outcome) != k:
         raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
-    return plan.posterior(state.w)(outcome)
+    return _coset_state(plan.updates[0], plan.posterior(state.values)(outcome))
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
     """Seeded sample: (outcome, posterior state, exact probability table)."""
-    plan, r, acc = _MeasurementPlan(state.V, meas), random.Random(rng_seed).random(), 0.0
-    table = plan.table(state.w)
+    plan, values = _MeasurementPlan(state.V, meas), state.values
+    table, r, acc = plan.table(values), random.Random(rng_seed).random(), 0.0
     for outcome, p in table.items():  # the last outcome if rounding leaves r >= acc
         acc += float(p)
         if r < acc:
             break
-    return outcome, plan.posterior(state.w)(outcome), table
+    return outcome, _coset_state(plan.updates[0], plan.posterior(values)(outcome)), table
 
 
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
-def _shared(build):
-    """Step-local plans: build(V) once per distinct known subspace V.
-    Sibling branches share V, so a walker layer builds one plan."""
-    plans = {}
-
-    def plan(state: EpistemicState):
-        p = plans.get(state.V)
-        if p is None:
-            p = plans[state.V] = build(state.V)
-        return p
-
-    return plan
+def _measured(plan: _MeasurementPlan, outcomes, values) -> list[tuple]:
+    """Walker finish of a measurement on V's values: one child per outcome
+    that can occur, its probability 1/m as the int m, and V_new's values."""
+    ks, update = plan.outcomes(values), plan.posterior(values)
+    return [(k, len(ks), update(k)) for k in ks]
 
 
-def gate_step(g: pa.AffineSymplectic) -> Step:
-    """Walker step pushing every branch through an affine map."""
-    plan = _shared(lambda V: _transport(V, g))
-    return lambda outcomes, state: [(None, 1, _shifted(plan(state), state.w))]
-
-
-def measure_step(meas: SharpMeasurement) -> Step:
-    """Walker step measuring every branch: one child per outcome that can
-    occur, carrying its exact probability 1/m as the int m (the number of
-    outcomes) and the posterior state."""
-    plan_of = _shared(lambda V: _MeasurementPlan(V, meas))
-
-    def step(outcomes, state):
-        plan = plan_of(state)
-        ks, update = plan.outcomes(state.w), plan.posterior(state.w)
-        return [(k, len(ks), update(k)) for k in ks]
-
-    return step
+def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspace]:
+    """The walker steps of a circuit on the values of V's rows, and the known
+    subspace after the last one.  It depends on the one before and the step
+    alone, so every branch at one depth shares it: one plan per step, built
+    in step order on the last V_new; a measurement's `spread` before `updates`."""
+    if bad := [kind for kind, _ in steps if kind not in ("gate", "measure")]:
+        raise DimensionMismatch(f"unknown step kind {bad[0]!r}")
+    walker = []
+    for kind, op in steps:
+        if kind == "gate":
+            plan = _transport(V, op)
+            walker.append(lambda outcomes, values, plan=plan: [(None, 1, _shifted(plan, values))])
+            V = plan[0]
+        else:
+            plan = _MeasurementPlan(V, op)
+            plan.spread  # the outcome guard fires before `updates` is built
+            walker.append(partial(_measured, plan))
+            V = plan.updates[0]
+    return walker, V
 
 
 def statistics(
     state: EpistemicState, steps: list[ToyStep]
 ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
     """Exact distribution over outcome-tuple sequences for a circuit of
-    affine maps and sharp measurements.  No sampling: cosets are propagated
-    and every branch with nonzero probability is expanded; each step's plan
-    is built once per distinct known subspace, within this call only."""
-    builders = {"gate": gate_step, "measure": measure_step}
-    for kind, _ in steps:
-        if kind not in builders:
-            raise DimensionMismatch(f"unknown step kind {kind!r}")
-    branches = branch_tree(state, [builders[kind](op) for kind, op in steps])
-    return dict(sorted((outcomes, Fraction(1, m)) for outcomes, m, _ in branches))
+    affine maps and sharp measurements, with no sampling: every branch with
+    nonzero probability is expanded, carrying only its values.  A step's
+    outcome count does not depend on them, so each leaf has probability 1/m."""
+    walker, _ = _chain(state.V, steps)
+    leaves = branch_tree(state.values, walker)
+    return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

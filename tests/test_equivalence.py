@@ -12,6 +12,7 @@ from spektoy import toy_model as toy
 from spektoy import wigner as wg
 from spektoy.circuits import parse_circuit
 from spektoy.errors import AuditError, DimensionMismatch
+from test_toy_model import ref_statistics
 
 
 class TestDictionary:
@@ -385,3 +386,16 @@ def test_four_rebits_run_without_the_census(no_census):
     host = eqv.host_model.__wrapped__("minimal-rebit", 4)
     rep = eqv.check_random_equivalence(host, 10, seed=4)
     assert rep["max_deviation"] <= 1e-9, rep
+
+
+@pytest.mark.parametrize("name,d,n", EQUIVALENCE_MIX_HOSTS)
+def test_toy_statistics_match_the_per_branch_reference(name, d, n):
+    # the toy side of the benchmark mix against the array steps run on every
+    # branch's state on its own: the same outcome sequences, probabilities
+    # and order
+    host = eqv.host_model(name, n, d)
+    rng = np.random.default_rng([19, d, n])
+    for _ in range(40):
+        pc = eqv.random_paired_circuit(host, rng)
+        got = toy.statistics(pc.epistemic, pc.toy_steps)
+        assert list(got.items()) == list(ref_statistics(pc.epistemic, pc.toy_steps).items())

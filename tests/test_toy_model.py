@@ -371,12 +371,15 @@ def test_closed_forms_match_support_scan(case):
 @settings(max_examples=100, deadline=None)
 @given(states_and_measurements())
 def test_measure_step_children_are_posteriors(case):
+    # the walker's measure step on the prior's values: each child carries an
+    # outcome of the table, its probability and the posterior's values
     state, meas = case
     table = tm.outcome_distribution(state, meas)
-    children = tm.measure_step(meas)((), state)
-    assert [(k, Fraction(1, m), s) for k, m, s in children] == [
-        (k, p, tm.posterior(state, meas, k)) for k, p in table.items()
-    ]
+    [step], V_new = tm._chain(state.V, [("measure", meas)])
+    children = [(k, Fraction(1, m), tm._coset_state(V_new, vals))
+                for k, m, vals in step((), state.values)]
+    assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
+    assert [s for _, _, s in children] == [tm.posterior(state, meas, k) for k in table]
     d, r = state.d, len(meas.generators)
     impossible = [k for k in itertools.product(range(d), repeat=r) if k not in table]
     if impossible:
@@ -571,6 +574,14 @@ def same_result(f, ref, *args):
     return got
 
 
+def plan_update(state, meas):
+    """The measurement plan's finish at the state's values, as a map
+    outcome -> posterior state."""
+    plan = tm._MeasurementPlan(state.V, meas)
+    finish = plan.posterior(state.values)
+    return lambda outcome: tm._coset_state(plan.updates[0], finish(outcome))
+
+
 def assert_same_table(state, meas):
     """Equal outcome tables (keys in the same order); returns the table."""
     table = tm.outcome_distribution(state, meas)
@@ -586,8 +597,7 @@ def assert_same_step(state, meas, g):
     moved, want = tm.apply_affine(state, g), ref_apply_affine(state, g)
     assert (moved.V, moved.w) == (want.V, want.w)
     table = assert_same_table(state, meas)
-    update = tm._MeasurementPlan(state.V, meas).posterior(state.w)
-    ref = ref_update(state, meas)
+    update, ref = plan_update(state, meas), ref_update(state, meas)
     for outcome in itertools.product(range(state.d), repeat=len(meas.generators)):
         result = same_result(update, ref, outcome)
         assert (result[0] == "value") == (outcome in table)
@@ -747,7 +757,7 @@ def test_int_row_trajectory_matches_array_reference(d, n):
         assert_same_step(state, meas, g)
         state = tm.apply_affine(state, g)
         table = assert_same_table(state, meas)
-        update, ref = tm._MeasurementPlan(state.V, meas).posterior(state.w), ref_update(state, meas)
+        update, ref = plan_update(state, meas), ref_update(state, meas)
         for outcome in itertools.product(range(d), repeat=len(gens)):
             result = same_result(update, ref, outcome)
             assert same_result(tm.posterior, ref_posterior, state, meas, outcome) == result
@@ -760,9 +770,9 @@ def test_int_row_trajectory_matches_array_reference(d, n):
 # ---------------------------------------------------------------------------
 # Reference: the walk one branch at a time
 #
-# The walker builds each step's plan once per distinct known subspace and
-# finishes it per branch; the reference runs the array steps above on every
-# branch on its own.
+# The walker builds one plan per step and finishes it on each branch's
+# values; the reference runs the array steps above on every branch's state
+# on its own.
 
 
 def ref_walk(state, steps):
@@ -849,11 +859,26 @@ def test_walker_matches_per_branch_reference(case):
     result = same_result(lambda *a: list(tm.statistics(*a).items()),
                          lambda *a: list(ref_statistics(*a).items()), prior, steps)
     if result[0] == "value":  # and every leaf state, in expansion order
-        walker = [tm.gate_step(op) if kind == "gate" else tm.measure_step(op) for kind, op in steps]
-        leaves = branch_tree(prior, walker)
-        want = ref_walk(prior, steps)
-        got = [(o, Fraction(1, m), s.V, s.w) for o, m, s in leaves]
-        assert got == [(o, p, s.V, s.w) for o, p, s in want]
+        walker, V = tm._chain(prior.V, steps)
+        leaves = branch_tree(prior.values, walker)
+        got = [(o, Fraction(1, m), V, tm._coset_state(V, vals).w) for o, m, vals in leaves]
+        assert got == [(o, p, s.V, s.w) for o, p, s in ref_walk(prior, steps)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_on_states())
+def test_branches_at_one_depth_share_their_known_subspace(case):
+    # what the walker's one plan per step rests on: at every depth of the
+    # reference walk all branches know the same subspace, whatever their
+    # shift and outcomes, and so have the same probability
+    prior, steps = case
+    for depth in range(len(steps) + 1):
+        try:
+            branches = ref_walk(prior, steps[:depth])
+        except DimensionMismatch:  # the step slipped in on the wrong space
+            break
+        assert len({s.V for _, _, s in branches}) == 1
+        assert {p for _, p, _ in branches} == {Fraction(1, len(branches))}
 
 
 def test_walker_builds_each_plan_once_per_step(monkeypatch):
@@ -864,9 +889,9 @@ def test_walker_builds_each_plan_once_per_step(monkeypatch):
         built["transport"] += 1
         return transport(V, g)
 
-    def counting_shifted(plan, w):
+    def counting_shifted(plan, values):
         built["gate finish"] += 1
-        return shifted(plan, w)
+        return shifted(plan, values)
 
     class CountingPlan(tm._MeasurementPlan):
         def __init__(self, *args):
@@ -896,35 +921,41 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     state = tm.maximally_mixed(3, 2)
     g = _random_affine(np.random.default_rng(9), 3, 2)
     meas = tm.SharpMeasurement(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 2)  # spread rank 2: 9 outcomes
-    steps = [("gate", g), ("measure", meas)]
+    first = tm.SharpMeasurement(((0, 1, 0, 0),), 3, 2)  # 3 outcomes, under the guard
+    steps = [("measure", first), ("gate", g), ("measure", meas)]
     result = same_result(tm.statistics, ref_statistics, state, steps)
     assert result == ("raise", GuardExceeded, "outcome table has 9 > 8 entries")
+    listed, outcomes = [], tm._MeasurementPlan.outcomes
+    monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
+                        lambda plan, values: listed.append(values) or outcomes(plan, values))
     with pytest.raises(GuardExceeded) as excinfo:
         tm.statistics(state, steps)
-    # raised by the plan's spread, read by `outcomes` before it lists anything
+    # raised by the plan's spread while the chain is built, before any
+    # outcome of any step is listed
     names = [entry.name for entry in excinfo.traceback]
-    assert names[-1] == "spread" and "outcomes" in names
+    assert names[-1] == "spread" and "_chain" in names and listed == []
 
 
 def test_step_plans_are_kept_per_known_subspace():
-    # one step closure fed states on different known subspaces, back and
-    # forth: each must be finished from the plan of its own V
+    # a step's plan is built on a known subspace alone and finished on the
+    # values of any state on it: one plan per V, finished at several shifts
     d, n = 3, 2
     rng = np.random.default_rng(13)
     g, meas = _random_affine(rng, d, n), tm.SharpMeasurement(((0, 1, 0, 0),), d, n)
     on_x = pa.Subspace.from_generators([(1, 0, 0, 0)], d, n)
     on_p = pa.Subspace.from_generators([(0, 1, 0, 0), (0, 0, 1, 2)], d, n)
-    gate, measure = tm.gate_step(g), tm.measure_step(meas)
-    shifts = [(on_x, (1, 0, 0, 0)), (on_p, (0, 2, 1, 0)), (on_x, (2, 0, 0, 0)), (on_p, (0, 1, 0, 0))]
-    for V, w in shifts:
-        state = ref_make_epistemic(V, w)
-        [(_, _, moved)] = gate((), state)
-        want = ref_apply_affine(state, g)
-        assert (moved.V, moved.w) == (want.V, want.w)
-        children = [(k, Fraction(1, m), s.V, s.w) for k, m, s in measure((), state)]
-        table = ref_outcome_distribution(state, meas)
-        posts = [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
-        assert children == [(k, p, s.V, s.w) for k, p, s in posts]
+    for V, shifts in [(on_x, [(1, 0, 0, 0), (2, 0, 0, 0)]), (on_p, [(0, 2, 1, 0), (0, 1, 0, 0)])]:
+        transport, plan = tm._transport(V, g), tm._MeasurementPlan(V, meas)
+        for w in shifts:
+            state = ref_make_epistemic(V, w)
+            moved = tm._coset_state(transport[0], tm._shifted(transport, state.values))
+            want = ref_apply_affine(state, g)
+            assert (moved.V, moved.w) == (want.V, want.w)
+            update = plan.posterior(state.values)
+            children = [(k, p, tm._coset_state(plan.updates[0], update(k)))
+                        for k, p in plan.table(state.values).items()]
+            table = ref_outcome_distribution(state, meas)
+            assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
 
 
 # ---------------------------------------------------------------------------
