@@ -67,7 +67,7 @@ def quantum_state_for(
 
 def epistemic_state_for(psi: np.ndarray, spec: wg.WignerSpec) -> toy.EpistemicState:
     """Epistemic state read off a non-negative coset-indicator table."""
-    coset = wg._indicator_coset(wg.wigner_of_state(psi, spec))
+    coset = wg._indicator_coset(wg.wigner_of_state(psi, spec).values, spec.d, spec.n)
     if coset is None:
         raise DimensionMismatch("state table is not a coset indicator")
     U, base = coset

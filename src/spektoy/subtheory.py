@@ -221,11 +221,19 @@ def named_gate_pool(d: int, n: int) -> list[GateGen]:
 MATCH_BLOCK_ENTRIES = 1 << 20
 
 
-def _first_matches(states, images: np.ndarray) -> np.ndarray:
+def _conjugated(states) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugated state stack and its row norms: the states' side of
+    every overlap block, the same for all images."""
+    S = np.stack(states).conj()
+    return S, np.linalg.norm(S, axis=1)
+
+
+def _first_matches(states, images: np.ndarray, conjugated=None) -> np.ndarray:
     """Index of the first state equal to each image (a row of images) up
     to global phase, -1 where none is: the do.states_equal rule, with
     |<s|img>| > (1 - ATOL_END2END) |s| |img| and zero-norm vectors equal
-    only to each other.
+    only to each other.  conjugated is _conjugated(states) when the
+    caller has it.
 
     Images are compared in blocks of at most MATCH_BLOCK_ENTRIES overlaps,
     and the scan stops after the first block holding a miss, so the result
@@ -234,8 +242,7 @@ def _first_matches(states, images: np.ndarray) -> np.ndarray:
     images = np.asarray(images)
     if len(states) == 0 or images.shape[1:] != states[0].shape:
         return np.full(len(images), -1)
-    S = np.stack(states).conj()
-    s_norm = np.linalg.norm(S, axis=1)
+    S, s_norm = _conjugated(states) if conjugated is None else conjugated
     s_zero = s_norm < ATOL_END2END
     block = max(1, MATCH_BLOCK_ENTRIES // len(S))
     out = [np.empty(0, dtype=np.intp)]
@@ -260,13 +267,15 @@ def state_index(states, psi) -> int | None:
     return None if i < 0 else i
 
 
-def permutes_states(U: np.ndarray, states) -> tuple[bool, int | None]:
+def permutes_states(U: np.ndarray, states, conjugated=None) -> tuple[bool, int | None]:
     """Whether U maps the state set onto itself up to global phase.
+    conjugated is _conjugated(states) when the caller has it.
 
     Returns (ok, index of first counterexample state)."""
     if len(states) == 0:
         return True, None
-    misses = np.flatnonzero(_first_matches(states, np.stack(states) @ U.T) < 0)
+    stack = np.asarray(states)
+    misses = np.flatnonzero(_first_matches(stack, stack @ U.T, conjugated) < 0)
     return (True, None) if misses.size == 0 else (False, int(misses[0]))
 
 
@@ -417,53 +426,61 @@ def is_closed(sub: Subtheory):
 
     Returns (verdict, counterexample) with the counterexample naming the
     gate and the escaping state index."""
+    stack = np.stack(sub.states)
+    conjugated = _conjugated(stack)
     for gen in sub.gate_generators:
-        ok, idx = permutes_states(gen.matrix, sub.states)
+        ok, idx = permutes_states(gen.matrix, stack, conjugated)
         if not ok:
             return False, {"gate": gen.label(), "state_index": idx}
     return True, None
 
 
-def observable_projector_tables(sub: Subtheory):
-    """Wigner tables of every outcome projector of every allowed
-    observable (the measurement-side duals)."""
-    tables = []
+def _dual_tables(sub: Subtheory) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+    """The measurement-side duals: (observable name, outcome) of every
+    outcome projector of every nonzero allowed observable, and the
+    projectors' tables as one stack (values, residues)."""
+    keys, projectors = [], []
     for lam in sub.observables:
         if not any(lam):
             continue
         label = do.PauliLabel.from_point(lam, sub.d)
         for k, P in enumerate(do.label_projectors(label)):
-            tables.append((label.name(), k, wg.wigner_of_measurement(P, sub.spec)))
-    return tables
+            keys.append((label.name(), k))
+            projectors.append(P)
+    return keys, *wg._tables(np.stack(projectors), sub.spec)
 
 
 def is_spekkens_subtheory(sub: Subtheory) -> dict:
     """Run the three certificates: closure, non-negativity (states and
     measurement duals), covariance of every generator.
 
-    Covariance comes from wigner.covariance_witness (operator transport,
-    then the exhaustive search within guards); the report records which
-    mode produced each witness or failure.
+    The census is tabulated once, as one stack: non-negativity and the
+    coset-indicator rule read its rows, and every generator's covariance
+    check compares its image tables with them.  Covariance comes from
+    wigner.covariance_witness (operator transport, then the exhaustive
+    search within guards); the report records which mode produced each
+    witness or failure.
     """
-    report: dict = {"name": sub.name, "d": sub.d, "n": sub.n}
+    d, n, spec = sub.d, sub.n, sub.spec
+    report: dict = {"name": sub.name, "d": d, "n": n}
     closed, cex = is_closed(sub)
     report["closure"] = {"passed": closed, "counterexample": cex}
 
-    neg_witness = None
-    coset_fail = None
-    for i, psi in enumerate(sub.states):
-        table = wg.wigner_of_state(psi, sub.spec)
-        ok, off = wg.is_nonnegative(table)
-        if not ok and neg_witness is None:
-            neg_witness = {"state_index": i, "offending": off[:3]}
-        if not wg.is_coset_indicator(table) and coset_fail is None:
-            coset_fail = {"state_index": i}
+    states = np.stack(sub.states)
+    tables, residues = wg._tables(states, spec)
+    neg = wg._first_negative(tables, residues, d, n)
+    neg_witness = None if neg is None else {"state_index": neg[0], "offending": neg[1][:3]}
+    coset_fail = next(
+        ({"state_index": i} for i, row in enumerate(tables)
+         if wg._indicator_coset(row, d, n) is None),
+        None,
+    )
+    keys, dual_values, dual_residues = _dual_tables(sub)
+    neg = wg._first_negative(dual_values, dual_residues, d, n)
     dual_witness = None
-    for name, k, table in observable_projector_tables(sub):
-        ok, off = wg.is_nonnegative(table)
-        if not ok:
-            dual_witness = {"observable": name, "outcome": k, "offending": off[:3]}
-            break
+    if neg is not None:
+        (name, k), off = keys[neg[0]], neg[1]
+        dual_witness = {"observable": name, "outcome": k, "offending": off[:3]}
     report["nonnegativity"] = {
         "passed": neg_witness is None and dual_witness is None,
         "state_witness": neg_witness,
@@ -474,7 +491,7 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
     cov: dict = {"passed": True, "witnesses": {}, "failures": []}
     for gen in sub.gate_generators:
         try:
-            witness, how = wg.covariance_witness(gen.matrix, sub.spec, sub.states)
+            witness, how = wg._covariance_witness(gen.matrix, spec, states, tables)
         except GuardExceeded:
             witness, how = None, "guard-exceeded"
         if witness is None:

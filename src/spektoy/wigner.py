@@ -237,54 +237,6 @@ def wigner_of_measurement(Pi: np.ndarray, spec: WignerSpec) -> WignerTable:
     return wigner_of_state(Pi, spec)
 
 
-def is_nonnegative(table: WignerTable, tol: float = 1e-9):
-    """(verdict, offending points with their values).
-
-    A table with a genuine imaginary residue is not a probability
-    distribution, so it fails with every point of nonzero residue listed.
-    """
-    pts = pa.all_points(table.spec.d, table.spec.n)
-    offending = [(p, float(v)) for p, v in zip(pts, table.values) if v < -tol]
-    if table.imag_residue > tol:
-        offending.append((("imag_residue",), table.imag_residue))
-    return (len(offending) == 0, offending)
-
-
-def _indicator_coset(table: WignerTable, tol: float = 1e-9):
-    """(U, base) with the table uniform on the coset U + base and 0
-    elsewhere, or None when it is not such an indicator."""
-    supp = table.support(tol)
-    vals = [table.value(p) for p in supp]
-    if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
-        return None
-    d, n = table.spec.d, table.spec.n
-    diffs = np.array(supp, dtype=np.int64) - np.array(supp[0], dtype=np.int64)
-    U = pa.Subspace.from_generators(diffs, d, n)
-    if d**U.dim != len(supp) or set(pa.coset_members(U, supp[0])) != set(supp):
-        return None
-    return U, tuple(int(x) for x in supp[0])
-
-
-def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
-    """True iff the table is uniform on an affine subspace and 0 elsewhere."""
-    return _indicator_coset(table, tol) is not None
-
-
-# ---------------------------------------------------------------------------
-# covariance
-
-def _stacked_tables(state_set, spec: WignerSpec, U: np.ndarray | None = None) -> np.ndarray:
-    """Table of every state in state_set (of its image under U when given),
-    one row per state.  The set holds state vectors only or density
-    matrices only."""
-    if len(state_set) == 0:
-        return np.zeros((0, spec.d ** (2 * spec.n)))
-    states = np.stack(state_set)
-    if U is not None:
-        states = states @ U.T if states.ndim == 2 else U @ states @ U.conj().T
-    return _tables(states, spec)[0]
-
-
 @lru_cache(maxsize=32)
 def _lex(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every point in lex order, and the weights giving a point its lex
@@ -296,34 +248,102 @@ def _lex(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, weights
 
 
+def _offending(values: np.ndarray, residue: float, d: int, n: int, tol: float) -> list:
+    """The points of one table row below -tol with their values, in lex
+    order, then ("imag_residue",) with the residue when it exceeds tol."""
+    pts, _ = _lex(d, n)
+    offending = [(tuple(pts[c].tolist()), float(values[c])) for c in np.flatnonzero(values < -tol)]
+    if residue > tol:
+        offending.append((("imag_residue",), float(residue)))
+    return offending
+
+
+def is_nonnegative(table: WignerTable, tol: float = 1e-9):
+    """(verdict, offending points with their values).
+
+    A table with a genuine imaginary residue is not a probability
+    distribution, so it fails with every point of nonzero residue listed.
+    """
+    d, n = table.spec.d, table.spec.n
+    offending = _offending(table.values, table.imag_residue, d, n, tol)
+    return (len(offending) == 0, offending)
+
+
+def _first_negative(values: np.ndarray, residues: np.ndarray, d: int, n: int, tol: float = 1e-9):
+    """(row index, offending points) of the first row of a table stack that
+    is_nonnegative rejects, or None when every row passes."""
+    bad = np.flatnonzero((values < -tol).any(axis=1) | (residues > tol))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return i, _offending(values[i], residues[i], d, n, tol)
+
+
+def _indicator_coset(values: np.ndarray, d: int, n: int, tol: float = 1e-9):
+    """(U, base) with the table row values uniform on the coset U + base
+    and 0 elsewhere, or None when it is not such an indicator.
+
+    Every support point s lies in U + base, U being spanned by the s - base,
+    so the support is the coset exactly when it has d^dim(U) points."""
+    codes = np.flatnonzero(np.abs(values) > tol)
+    vals = values[codes].tolist()
+    if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
+        return None
+    supp = _lex(d, n)[0][codes]
+    U = pa.Subspace.from_generators(supp - supp[0], d, n)
+    if d**U.dim != len(vals):
+        return None
+    return U, tuple(supp[0].tolist())
+
+
+def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
+    """True iff the table is uniform on an affine subspace and 0 elsewhere."""
+    return _indicator_coset(table.values, table.spec.d, table.spec.n, tol) is not None
+
+
+# ---------------------------------------------------------------------------
+# covariance
+
+def _stacked_tables(state_set, spec: WignerSpec, U: np.ndarray | None = None) -> np.ndarray:
+    """Table of every state in state_set (of its image under U when given),
+    one row per state.  The set holds state vectors only or density
+    matrices only, as a sequence or already stacked."""
+    if len(state_set) == 0:
+        return np.zeros((0, spec.d ** (2 * spec.n)))
+    states = np.asarray(state_set)
+    if U is not None:
+        states = states @ U.T if states.ndim == 2 else U @ states @ U.conj().T
+    return _tables(states, spec)[0]
+
+
 def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
     """Lex code of S lam + a for every lam, in the lex order of lam."""
     pts, weights = _lex(d, S.shape[0] // 2)
     return ((pts @ S.T + a) % d) @ weights
 
 
-def fit_covariance(
-    U: np.ndarray, spec: WignerSpec, state_set
-) -> pa.AffineSymplectic | None:
-    """Exhaustive search for (S, a) with W_{U rho U*}(lam) = W_rho(S lam + a)
-    for every state in state_set at every lam.
+def _covariant(before: np.ndarray, after: np.ndarray, g: pa.AffineSymplectic) -> bool:
+    """Every after row equals its before row read at S lam + a."""
+    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], atol=1e-9)
 
-    Searches the full affine symplectic stream; translations are pruned
-    (soundly) through an anchor support point of the first table, so a
-    ``None`` answer is still an exhaustive no-witness certificate.  Raises
-    GuardExceeded outside enumeration guards, before any table is built.
-    """
-    if not state_set:
+
+def _fit_guard(spec: WignerSpec, state_set) -> None:
+    if len(state_set) == 0:
         raise DimensionMismatch("state_set must be nonempty")
-    d, n = spec.d, spec.n
-    total = pa.sp_order(n, d) * d ** (2 * n)
+    total = pa.sp_order(spec.n, spec.d) * spec.d ** (2 * spec.n)
     if total > pa.AFFINE_ENUM_GUARD:
         raise GuardExceeded(
             f"covariance search needs {total} candidates; guard is "
             f"{pa.AFFINE_ENUM_GUARD}"
         )
-    before = _stacked_tables(state_set, spec)
-    after = _stacked_tables(state_set, spec, U)
+
+
+def _affine_search(
+    before: np.ndarray, after: np.ndarray, spec: WignerSpec
+) -> pa.AffineSymplectic | None:
+    """The first (S, a) of the affine symplectic stream with
+    after[:, lam] = before[:, S lam + a] for every row, or None."""
+    d, n = spec.d, spec.n
     # the sparsest image table anchors the translation search
     anchor = int(np.argmin(np.count_nonzero(np.abs(after) > 1e-9, axis=1)))
     pts, _ = _lex(d, n)
@@ -342,6 +362,22 @@ def fit_covariance(
             ):
                 return pa.AffineSymplectic(S.copy(), a, d)
     return None
+
+
+def fit_covariance(
+    U: np.ndarray, spec: WignerSpec, state_set
+) -> pa.AffineSymplectic | None:
+    """Exhaustive search for (S, a) with W_{U rho U*}(lam) = W_rho(S lam + a)
+    for every state in state_set at every lam.
+
+    Searches the full affine symplectic stream; translations are pruned
+    (soundly) through an anchor support point of the first table, so a
+    ``None`` answer is still an exhaustive no-witness certificate.  Raises
+    GuardExceeded outside enumeration guards, before any table is built.
+    """
+    _fit_guard(spec, state_set)
+    before = _stacked_tables(state_set, spec)
+    return _affine_search(before, _stacked_tables(state_set, spec, U), spec)
 
 
 def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic | None:
@@ -390,16 +426,30 @@ def covariance_witness(
     which can also certify non-existence (witness None) and raises
     GuardExceeded past its guard.
     """
+    return _covariance_witness(U, spec, state_set, _stacked_tables(state_set, spec))
+
+
+def _covariance_witness(
+    U: np.ndarray, spec: WignerSpec, state_set, before: np.ndarray
+) -> tuple[pa.AffineSymplectic | None, str]:
+    """covariance_witness with the tables of state_set given as before: the
+    image tables are built once, when a witness is first compared, and
+    shared by the transport check and the exhaustive search."""
     g = phase_space_action(U, spec)
-    if g is not None and verify_covariance(U, spec, state_set, g):
-        return g, "transport"
-    return fit_covariance(U, spec, state_set), "exhaustive"
+    after = None
+    if g is not None:
+        after = _stacked_tables(state_set, spec, U)
+        if _covariant(before, after, g):
+            return g, "transport"
+    _fit_guard(spec, state_set)
+    if after is None:
+        after = _stacked_tables(state_set, spec, U)
+    return _affine_search(before, after, spec), "exhaustive"
 
 
 def verify_covariance(U, spec: WignerSpec, state_set, g: pa.AffineSymplectic) -> bool:
-    perm = _image_codes(g.S, g.a, spec.d)
     before = _stacked_tables(state_set, spec)
-    return np.allclose(_stacked_tables(state_set, spec, U), before[:, perm], atol=1e-9)
+    return _covariant(before, _stacked_tables(state_set, spec, U), g)
 
 
 @dataclass(frozen=True)

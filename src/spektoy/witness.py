@@ -6,6 +6,13 @@ optimum.
 Each witness couples an exhaustive classical certificate (a full sweep of
 value assignments or strategies) to dense-matrix verification of the
 quantum side, and records which injected gate unlocks it.
+
+The dense checks of a square stay dense but run on stacks: the words'
+operators are stacked once, all pairwise products come from one batched
+product, and each commutation or line-sign verdict is np.allclose with
+atol 1e-12, taken over the stack at once.  The sweep runs the 2^k
+assignments as integer arrays, at most _SWEEP_BLOCK at a time: a line's
+product is the parity of a popcount.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -55,18 +64,43 @@ class ContextTable:
             yield [self.grid[i][j] for i in range(3)], sign
 
     def check_lines(self) -> None:
-        dim = 4
-        for words, sign in self.lines():
-            ops = [pauli_op(w) for w in words]
-            for a, b in itertools.combinations(ops, 2):
-                if not np.allclose(a @ b, b @ a, atol=1e-12):
-                    raise DimensionMismatch(f"line {words} does not commute")
-            prod = ops[0] @ ops[1] @ ops[2]
-            if not np.allclose(prod, sign * np.eye(dim), atol=1e-12):
+        words = sorted({w for row in self.grid for w in row})
+        index = {w: i for i, w in enumerate(words)}
+        comm, sign = _line_tables(np.stack([pauli_op(w) for w in words]))
+        for ws, expected in self.lines():
+            i, j, k = (index[w] for w in ws)
+            if not (comm[i, j] and comm[i, k] and comm[j, k]):
+                raise DimensionMismatch(f"line {ws} does not commute")
+            got = int(sign[i, j, k])
+            if got == 0:
+                raise DimensionMismatch(f"line {ws} does not multiply to +1 or -1 identity")
+            if got != expected:
                 raise DimensionMismatch(
-                    f"line {words} multiplies to {prod[0, 0]:+.0f}, "
-                    f"expected {sign:+d} identity"
+                    f"line {ws} multiplies to {got:+d} identity, expected {expected:+d} identity"
                 )
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.allclose(a, b, atol=1e-12) over the last two axes, elementwise
+    over the leading ones."""
+    return np.isclose(a, b, atol=1e-12).all(axis=(-2, -1))
+
+
+def _line_tables(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(comm, sign) of a stack of dense operators: comm[i, j] whether
+    ops[i] ops[j] equals ops[j] ops[i], and for each pairwise commuting
+    triple sign[i, j, k] the s in (+1, -1) with ops[i] ops[j] ops[k] =
+    s identity (+1 checked first), 0 where it is neither and on every other
+    triple.  All pairwise products come from one batched product, the
+    commuting triples' products from one more."""
+    pairs = ops[:, None] @ ops[None, :]
+    comm = _close(pairs, pairs.swapaxes(0, 1))
+    i, j, k = np.nonzero(comm[:, :, None] & comm[:, None, :] & comm[None, :, :])
+    triples = pairs[i, j] @ ops[k]
+    eye = np.eye(ops.shape[-1])
+    sign = np.zeros(comm.shape + (len(ops),), dtype=np.int64)
+    sign[i, j, k] = np.select([_close(triples, eye), _close(triples, -eye)], [1, -1], 0)
+    return comm, sign
 
 
 def standard_square() -> ContextTable:
@@ -79,6 +113,10 @@ def standard_square() -> ContextTable:
     )
 
 
+#: most assignments per block of the sweep
+_SWEEP_BLOCK = 1 << 16
+
+
 def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
     """Check every noncontextual +-1 assignment of k values against lines
     [(value indices, sign)], a line holding when its values multiply to its
@@ -89,23 +127,20 @@ def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
     gives value i the sign (-1)^(bit i), so a line's product is the parity
     of bits & mask, where the line's mask XORs in 1 << i per index (a
     repeated index cancels): the line holds when that parity equals its
-    minus-sign bit.
+    minus-sign bit.  Assignments run as arrays, _SWEEP_BLOCK at a time.
     """
-    masks = []
-    for idxs, sign in lines:
-        mask = 0
-        for i in idxs:
-            mask ^= 1 << i
-        masks.append((mask, int(sign < 0)))
+    masks = np.array([reduce(xor, (1 << i for i in idxs), 0) for idxs, _ in lines], dtype=np.int64)
+    minus = np.array([sign < 0 for _, sign in lines], dtype=np.uint8)
     satisfying = best = 0
     first = None
-    for bits in range(2**k):
-        held = sum((bits & mask).bit_count() & 1 == minus for mask, minus in masks)
-        if held == len(masks):
-            satisfying += 1
-            if first is None:
-                first = bits
-        best = max(best, held)
+    for lo in range(0, 2**k, _SWEEP_BLOCK):
+        bits = np.arange(lo, min(lo + _SWEEP_BLOCK, 2**k), dtype=np.int64)
+        held = ((np.bitwise_count(bits[:, None] & masks) & 1) == minus).sum(axis=1)
+        every = held == len(masks)
+        satisfying += int(every.sum())
+        if first is None and every.any():
+            first = lo + int(every.argmax())
+        best = max(best, int(held.max()))
     example = None if first is None else tuple(1 - 2 * ((first >> i) & 1) for i in range(k))
     return satisfying, best, example
 
@@ -171,21 +206,31 @@ def control_square_all_plus() -> dict:
 # ---------------------------------------------------------------------------
 # S-conjugated square
 
+#: every two-qubit Pauli word, in the order of its operator stack
+_TWO_QUBIT_WORDS = tuple(map("".join, itertools.product("IXYZ", repeat=2)))
+
+
 def s_reachable_words() -> dict[str, str]:
     """Two-qubit Pauli words reachable by conjugating X-type host words
     with single-site S gates; maps word -> origin ('host' or 'S')."""
-    host = {"IX", "XI", "XX", "IZ", "ZI", "ZZ"}
-    out = {w: "host" for w in host}
+    return _s_reachable(np.stack([pauli_op(w) for w in _TWO_QUBIT_WORDS]))
+
+
+def _s_reachable(ops: np.ndarray) -> dict[str, str]:
+    """s_reachable_words, given the operators of _TWO_QUBIT_WORDS: each
+    conjugated host word overlaps every word in one product."""
+    out = {w: "host" for w in ("IX", "XI", "XX", "IZ", "ZI", "ZZ")}
     s0 = do.gate("S", (0,), 2, 2)
     s1 = do.gate("S", (1,), 2, 2)
-    ops = {w: pauli_op(w) for w in map("".join, itertools.product("IXYZ", repeat=2))}
-    for w in ("IX", "XI", "XX"):
-        for conj in (s0, s1, s0 @ s1):
-            img = conj @ ops[w] @ conj.conj().T
-            for cand, op in ops.items():
-                if abs(np.vdot(op.reshape(-1), img.reshape(-1))) / 4 > 1 - 1e-9:
-                    if cand not in out:
-                        out[cand] = "S"
+    images = np.stack([
+        conj @ ops[_TWO_QUBIT_WORDS.index(w)] @ conj.conj().T
+        for w in ("IX", "XI", "XX")
+        for conj in (s0, s1, s0 @ s1)
+    ])
+    overlaps = np.abs(np.einsum("wij,kij->kw", ops.conj(), images)) / 4
+    for row in overlaps:
+        for i in np.flatnonzero(row > 1 - 1e-9):
+            out.setdefault(_TWO_QUBIT_WORDS[i], "S")
     return out
 
 
@@ -196,24 +241,11 @@ def peres_mermin_s_variant() -> dict:
     and malformed words), so the square is found by search over the
     reachable pool and reported together with each entry's origin.
     """
-    pool = s_reachable_words()
+    all_ops = np.stack([pauli_op(w) for w in _TWO_QUBIT_WORDS])
+    pool = _s_reachable(all_ops)
     words = sorted(w for w in pool if w != "II")
-    ops = {w: pauli_op(w) for w in words}
-
-    def commute(a, b):
-        return np.allclose(ops[a] @ ops[b], ops[b] @ ops[a], atol=1e-12)
-
-    def line_sign(ws):
-        prod = ops[ws[0]] @ ops[ws[1]] @ ops[ws[2]]
-        for s in (1, -1):
-            if np.allclose(prod, s * np.eye(4), atol=1e-12):
-                return s
-        return None
-
-    best = None
-    for grid in _search_squares(words, commute, line_sign):
-        best = grid
-        break
+    ops = all_ops[[_TWO_QUBIT_WORDS.index(w) for w in words]]
+    best = next(_search_squares(words, *_line_tables(ops)), None)
     if best is None:
         return {"witness": "peres-mermin-s", "found": False}
     grid, row_signs, col_signs = best
@@ -238,40 +270,36 @@ def peres_mermin_s_variant() -> dict:
     }
 
 
-def _search_squares(words, commute, line_sign):
+def _search_squares(words, comm, sign):
     """Yield (grid, row_signs, col_signs) for valid squares over the pool.
 
-    Rows are built as sorted commuting triples whose product is +-identity;
-    rows are then combined (in canonical order) so that all three columns
+    comm and sign are the _line_tables of the words' operators.  Rows are
+    built as sorted commuting triples whose product is +-identity; rows
+    are then combined (in canonical order) so that all three columns
     commute and multiply to +-identity, with an odd number of minus lines
     overall (the contradiction condition).  Backtracking over a pool of
     about a dozen words, so exhaustive and quick.
     """
-    comm = {(a, b): commute(a, b) for a in words for b in words}
-    triples = []
-    for ws in itertools.combinations(words, 3):
-        if comm[(ws[0], ws[1])] and comm[(ws[0], ws[2])] and comm[(ws[1], ws[2])]:
-            if line_sign(list(ws)) is not None:
-                triples.append(ws)
+    def commuting(a, b, c):
+        return comm[a, b] and comm[a, c] and comm[b, c]
+
+    triples = [t for t in itertools.combinations(range(len(words)), 3) if commuting(*t) and sign[t]]
     for rows in itertools.combinations(triples, 3):
         if len({w for r in rows for w in r}) != 9:
             continue
         # try column arrangements: fix row0, permute rows 1 and 2
         for p1 in itertools.permutations(rows[1]):
             for p2 in itertools.permutations(rows[2]):
-                grid = [list(rows[0]), list(p1), list(p2)]
-                cols = [[grid[i][j] for i in range(3)] for j in range(3)]
-                if not all(
-                    comm[(c[0], c[1])] and comm[(c[0], c[2])] and comm[(c[1], c[2])]
-                    for c in cols
-                ):
+                grid = [rows[0], p1, p2]
+                cols = list(zip(*grid))
+                if not all(commuting(*c) for c in cols):
                     continue
-                row_signs = [line_sign(r) for r in grid]
-                col_signs = [line_sign(c) for c in cols]
-                if None in row_signs or None in col_signs:
+                row_signs = [int(sign[r]) for r in grid]
+                col_signs = [int(sign[c]) for c in cols]
+                if 0 in row_signs or 0 in col_signs:
                     continue
                 if (row_signs + col_signs).count(-1) % 2 == 1:
-                    yield grid, tuple(row_signs), tuple(col_signs)
+                    yield [[words[i] for i in r] for r in grid], tuple(row_signs), tuple(col_signs)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,11 @@ GOLDEN_CASES = {
         ["subtheory", "verify", "full-qubit-stabilizer", "--n", "1"], 1),
     # the non-Clifford correction path: T's X-branch correction (X + Y)/sqrt(2)
     "inject_t_plus.json": (["inject", "--gate", "T", "--input", "+"], 0),
+    # the passing certificates of the maximal rebit subtheory (global
+    # Hadamard included) and of odd-d stabilizer mechanics
+    "subtheory_css_n2.json": (["subtheory", "verify", "css-rebit", "--n", "2"], 0),
+    "subtheory_qudit_d3_n1.json": (
+        ["subtheory", "verify", "qudit-stabilizer", "--n", "1", "--d", "3"], 0),
 }
 
 

@@ -351,3 +351,212 @@ class TestGateGroupGuard:
         with pytest.raises(GuardExceeded):
             stt.generated_gate_group([H, S], max_size=23)
         assert len(stt.generated_gate_group([H, S], max_size=24)) == 24
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificate against the per-state one it replaced
+
+def ref_is_nonnegative(table, tol=1e-9):
+    pts = pa.all_points(table.spec.d, table.spec.n)
+    offending = [(p, float(v)) for p, v in zip(pts, table.values) if v < -tol]
+    if table.imag_residue > tol:
+        offending.append((("imag_residue",), table.imag_residue))
+    return (len(offending) == 0, offending)
+
+
+def ref_is_coset_indicator(table, tol=1e-9):
+    supp = table.support(tol)
+    vals = [table.value(p) for p in supp]
+    if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
+        return False
+    d, n = table.spec.d, table.spec.n
+    diffs = np.array(supp, dtype=np.int64) - np.array(supp[0], dtype=np.int64)
+    U = pa.Subspace.from_generators(diffs, d, n)
+    return d**U.dim == len(supp) and set(pa.coset_members(U, supp[0])) == set(supp)
+
+
+def ref_is_spekkens_subtheory(sub):
+    """The certificate one state at a time: a table per state and per
+    dual, closure and covariance per generator through the public calls."""
+    report = {"name": sub.name, "d": sub.d, "n": sub.n}
+    cex = None
+    for gen in sub.gate_generators:
+        ok, idx = stt.permutes_states(gen.matrix, sub.states)
+        if not ok:
+            cex = {"gate": gen.label(), "state_index": idx}
+            break
+    report["closure"] = {"passed": cex is None, "counterexample": cex}
+
+    neg_witness = None
+    coset_fail = None
+    for i, psi in enumerate(sub.states):
+        table = wg.wigner_of_state(psi, sub.spec)
+        ok, off = ref_is_nonnegative(table)
+        if not ok and neg_witness is None:
+            neg_witness = {"state_index": i, "offending": off[:3]}
+        if not ref_is_coset_indicator(table) and coset_fail is None:
+            coset_fail = {"state_index": i}
+    dual_witness = None
+    for lam in sub.observables:
+        if not any(lam) or dual_witness is not None:
+            continue
+        label = do.PauliLabel.from_point(lam, sub.d)
+        for k, P in enumerate(do.label_projectors(label)):
+            ok, off = ref_is_nonnegative(wg.wigner_of_measurement(P, sub.spec))
+            if not ok:
+                dual_witness = {"observable": label.name(), "outcome": k, "offending": off[:3]}
+                break
+    report["nonnegativity"] = {
+        "passed": neg_witness is None and dual_witness is None,
+        "state_witness": neg_witness,
+        "dual_witness": dual_witness,
+        "coset_indicator_failure": coset_fail,
+    }
+
+    cov = {"passed": True, "witnesses": {}, "failures": []}
+    for gen in sub.gate_generators:
+        try:
+            witness, how = wg.covariance_witness(gen.matrix, sub.spec, sub.states)
+        except GuardExceeded:
+            witness, how = None, "guard-exceeded"
+        if witness is None:
+            cov["passed"] = False
+            cov["failures"].append({"gate": gen.label(), "mode": how})
+        else:
+            cov["witnesses"][gen.label()] = {
+                "S": witness.S.tolist(), "a": witness.a.tolist(), "mode": how,
+            }
+    report["covariance"] = cov
+    report["passed"] = bool(
+        report["closure"]["passed"] and report["nonnegativity"]["passed"] and cov["passed"]
+    )
+    return report
+
+
+def _planted(base, name, states=None, spec=None, observables=None):
+    return stt.Subtheory(
+        name,
+        spec or base.spec,
+        (lambda: base.states) if states is None else (lambda: states),
+        base.gate_generators,
+        base.observables if observables is None else observables,
+    )
+
+
+def _bloch_state(x, y, z):
+    """The pure qubit state with Bloch vector (x, y, z)."""
+    rho = (np.eye(2) + x * do.pauli_op("X") + y * do.pauli_op("Y") + z * do.pauli_op("Z")) / 2
+    vals, vecs = np.linalg.eigh(rho)
+    return vecs[:, -1]
+
+
+def _negative_state_appended():
+    # |x| + |z| > 1: the real magic state cos(pi/8)|0> + sin(pi/8)|1>
+    base = stt.minimal_rebit_subtheory(1)
+    return _planted(base, "negative-state", base.states + (_bloch_state(0.5**0.5, 0, 0.5**0.5),))
+
+
+def _non_coset_state_appended():
+    # a non-negative table (|x| + |z| <= 1) that is not uniform on its support
+    base = stt.minimal_rebit_subtheory(1)
+    psi = _bloch_state(0.3, np.sqrt(1 - 0.18), 0.3)
+    return _planted(base, "non-coset-state", base.states + (psi,))
+
+
+def _failing_dual(n):
+    # the factorisable construction gives Y's projectors an imaginary residue
+    base = stt.minimal_rebit_subtheory(n)
+    return _planted(
+        base, "y-duals", spec=wg.factorisable_rebit_spec(n),
+        observables=tuple(pa.all_points(2, n)),
+    )
+
+
+CERTIFICATE_CASES = {
+    **{f"minimal-rebit-{n}": (lambda n=n: stt.minimal_rebit_subtheory(n)) for n in (1, 2, 3)},
+    **{f"css-rebit-{n}": (lambda n=n: stt.css_rebit_subtheory(n)) for n in (1, 2)},
+    **{f"full-qubit-{n}": (lambda n=n: stt.full_qubit_stabilizer_subtheory(n)) for n in (1, 2)},
+    "full-qubit-1-factorisable": lambda: stt.full_qubit_stabilizer_subtheory(1, "factorisable-rebit"),
+    **{f"qudit-d3-{n}": (lambda n=n: stt.qudit_stabilizer_subtheory(3, n)) for n in (1, 2)},
+    "negative-state": _negative_state_appended,
+    "non-coset-state": _non_coset_state_appended,
+    "failing-dual-1": lambda: _failing_dual(1),
+    "failing-dual-2": lambda: _failing_dual(2),
+}
+
+
+def _emitted(report):
+    """The report as the CLI emits it: floats rounded to 12 places.  The
+    stacked tables may differ from one-row tables in the last bit."""
+    from spektoy.cli import _sanitize
+
+    return _sanitize(report)
+
+
+class TestStackedCertificate:
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_matches_the_per_state_certificate(self, case):
+        sub = CERTIFICATE_CASES[case]()
+        got, ref = stt.is_spekkens_subtheory(sub), ref_is_spekkens_subtheory(sub)
+        assert _emitted(got) == _emitted(ref)
+        # everything but the offending values is equal as it stands
+        for part in ("closure", "covariance", "passed"):
+            assert got[part] == ref[part]
+        for key in ("passed", "coset_indicator_failure"):
+            assert got["nonnegativity"][key] == ref["nonnegativity"][key]
+
+    def test_planted_failures_are_reported(self):
+        neg = stt.is_spekkens_subtheory(_negative_state_appended())["nonnegativity"]
+        assert neg["state_witness"]["state_index"] == 4
+        assert neg["coset_indicator_failure"] == {"state_index": 4}
+        non_coset = stt.is_spekkens_subtheory(_non_coset_state_appended())["nonnegativity"]
+        assert non_coset["state_witness"] is None
+        assert non_coset["coset_indicator_failure"] == {"state_index": 4}
+        dual = stt.is_spekkens_subtheory(_failing_dual(1))["nonnegativity"]
+        assert dual["dual_witness"]["observable"] == "Y"
+        assert dual["dual_witness"]["offending"][0][0] == ("imag_residue",)
+        assert not dual["passed"]
+
+    def test_guard_exceeded_matches(self, monkeypatch):
+        monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 1)
+        for sub in (stt.full_qubit_stabilizer_subtheory(1), stt.full_qubit_stabilizer_subtheory(2)):
+            got, ref = stt.is_spekkens_subtheory(sub), ref_is_spekkens_subtheory(sub)
+            assert _emitted(got) == _emitted(ref)
+            assert {"gate": "S(0)", "mode": "guard-exceeded"} in got["covariance"]["failures"]
+
+    @pytest.mark.parametrize("guard", [None, 1])
+    def test_one_table_stack_per_state_set(self, guard, monkeypatch):
+        # the census and the duals are tabulated once each; each generator
+        # tabulates its images once, if it reaches a comparison at all
+        if guard is not None:
+            monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", guard)
+        calls = []
+        tables = wg._tables
+
+        def counted(states, spec):
+            calls.append(states.shape)
+            return tables(states, spec)
+
+        monkeypatch.setattr(wg, "_tables", counted)
+        sub = stt.full_qubit_stabilizer_subtheory(1)
+        states = sub.states
+        rep = stt.is_spekkens_subtheory(sub)
+        modes = [w["mode"] for w in rep["covariance"]["witnesses"].values()]
+        modes += [f["mode"] for f in rep["covariance"]["failures"]]
+        compared = sum(mode != "guard-exceeded" for mode in modes)
+        assert compared == (3 if guard else 4)
+        assert calls == [(6, 2), (4, 2, 2)] + [(6, 2)] * compared
+        assert len(states) == 6
+
+    def test_one_image_stack_per_generator(self, monkeypatch):
+        calls = []
+        tables = wg._tables
+
+        def counted(states, spec):
+            calls.append(states.shape)
+            return tables(states, spec)
+
+        monkeypatch.setattr(wg, "_tables", counted)
+        sub = stt.css_rebit_subtheory(2)
+        assert stt.is_spekkens_subtheory(sub)["passed"]
+        assert calls == [(20, 4), (12, 4, 4)] + [(20, 4)] * len(sub.gate_generators)

@@ -425,17 +425,18 @@ class TestStackedTables:
     )
     def test_density_matrix_rows(self, make):
         sub = make(2)
-        tables = stt.observable_projector_tables(sub)
-        projectors = [
-            P
-            for lam in sub.observables
-            if any(lam)
-            for P in do.label_projectors(do.PauliLabel.from_point(lam, sub.d))
+        keys, values, residues = stt._dual_tables(sub)
+        labels = [do.PauliLabel.from_point(lam, sub.d) for lam in sub.observables if any(lam)]
+        projectors = [P for label in labels for P in do.label_projectors(label)]
+        assert keys == [
+            (label.name(), k) for label in labels for k in range(len(do.label_projectors(label)))
         ]
-        assert len(projectors) == len(tables)
+        assert len(projectors) == len(values) == len(residues)
         assert_rows_match_reference(projectors, sub.spec)
-        for (_, _, table), P in zip(tables, projectors):
-            assert np.abs(table.values - ref_wigner_of_state(P, sub.spec)[0]).max() <= 1e-12
+        for row, resid, P in zip(values, residues, projectors):
+            ref_values, ref_resid = ref_wigner_of_state(P, sub.spec)
+            assert np.abs(row - ref_values).max() <= 1e-12
+            assert abs(resid - ref_resid) <= 1e-12
 
     def test_genuine_imaginary_residue(self):
         spec = wg.factorisable_rebit_spec(1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -62,6 +63,44 @@ class TestStandardSquare:
                 col_signs=(1, 1, -1),
             )
 
+    def test_wrong_sign_names_both_signs(self):
+        with pytest.raises(DimensionMismatch) as err:
+            wit.ContextTable.build(
+                [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")],
+                row_signs=(1, 1, -1),
+                col_signs=(1, 1, -1),
+            )
+        assert str(err.value) == (
+            "line ['XZ', 'ZX', 'YY'] multiplies to +1 identity, expected -1 identity"
+        )
+        with pytest.raises(DimensionMismatch) as err:
+            wit.ContextTable.build(
+                [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")],
+                row_signs=(1, 1, 1),
+                col_signs=(1, 1, 1),
+            )
+        assert str(err.value) == (
+            "line ['XX', 'ZZ', 'YY'] multiplies to -1 identity, expected +1 identity"
+        )
+
+    def test_product_off_the_identity_is_named(self):
+        # XI, IX and II commute, but multiply to XX
+        with pytest.raises(DimensionMismatch) as err:
+            wit.ContextTable.build(
+                [("XI", "IX", "II"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")],
+                row_signs=(1, 1, 1),
+                col_signs=(1, 1, -1),
+            )
+        assert str(err.value) == "line ['XI', 'IX', 'II'] does not multiply to +1 or -1 identity"
+
+    def test_noncommuting_line_is_named(self):
+        with pytest.raises(DimensionMismatch, match=r"line \['XI', 'ZI', 'YI'\] does not commute"):
+            wit.ContextTable.build(
+                [("XI", "ZI", "YI"), ("IZ", "IX", "ZZ"), ("XZ", "ZX", "YY")],
+                row_signs=(1, 1, 1),
+                col_signs=(1, 1, -1),
+            )
+
 
 def ref_sweep(k, lines):
     """Every +-1 assignment as a value list, each line a product of its
@@ -95,6 +134,81 @@ def sweep_cases(draw):
 def test_sweep_matches_the_value_product_sweep(case):
     k, lines = case
     assert wit._sweep(k, lines) == ref_sweep(k, lines)
+
+
+def planted_lines(rng, k, count):
+    """count random lines over k values, each signed so that one random
+    assignment holds all of them."""
+    vals = rng.choice([1, -1], size=k)
+    lines = []
+    for _ in range(count):
+        idxs = tuple(int(i) for i in rng.integers(0, k, size=int(rng.integers(1, 6))))
+        lines.append((idxs, int(np.prod(vals[list(idxs)]))))
+    return lines
+
+
+def test_sweep_at_k15_with_a_planted_assignment():
+    lines = planted_lines(np.random.default_rng(15), 15, 12)
+    got = wit._sweep(15, lines)
+    assert got == ref_sweep(15, lines)
+    assert got[0] > 0 and got[1] == len(lines)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_sweep_across_block_boundaries(block, monkeypatch):
+    rng = np.random.default_rng(block)
+    cases = [(7, planted_lines(rng, 7, 5)), (7, planted_lines(rng, 7, 9))]
+    # only the last assignment (every value -1) holds all lines
+    cases.append((6, [((i,), -1) for i in range(6)]))
+    # no assignment holds: the best count comes from a later block
+    cases.append((5, [((0,), 1), ((0,), -1), ((1, 2), -1), ((3, 4), 1)]))
+    cases.append((0, []))
+    monkeypatch.setattr(wit, "_SWEEP_BLOCK", block)
+    for k, lines in cases:
+        assert wit._sweep(k, lines) == ref_sweep(k, lines), (k, lines)
+
+
+def ref_s_reachable_words():
+    host = {"IX", "XI", "XX", "IZ", "ZI", "ZZ"}
+    out = {w: "host" for w in host}
+    s0 = do.gate("S", (0,), 2, 2)
+    s1 = do.gate("S", (1,), 2, 2)
+    ops = {w: do.pauli_op(w) for w in map("".join, itertools.product("IXYZ", repeat=2))}
+    for w in ("IX", "XI", "XX"):
+        for conj in (s0, s1, s0 @ s1):
+            img = conj @ ops[w] @ conj.conj().T
+            for cand, op in ops.items():
+                if abs(np.vdot(op.reshape(-1), img.reshape(-1))) / 4 > 1 - 1e-9:
+                    out.setdefault(cand, "S")
+    return out
+
+
+NON_IDENTITY_WORDS = [w for w in map("".join, itertools.product("IXYZ", repeat=2)) if w != "II"]
+
+
+class TestBatchedDenseChecks:
+    def test_tables_match_per_pair_allclose(self):
+        ops = [do.pauli_op(w) for w in NON_IDENTITY_WORDS]
+        comm, sign = wit._line_tables(np.stack(ops))
+        k = len(ops)
+        assert k == 15
+        ref_comm = np.array([
+            [np.allclose(a @ b, b @ a, atol=1e-12) for b in ops] for a in ops
+        ])
+        assert np.array_equal(comm, ref_comm)
+        commuting = 0
+        for i, j, l in itertools.product(range(k), repeat=3):
+            if not (ref_comm[i, j] and ref_comm[i, l] and ref_comm[j, l]):
+                assert sign[i, j, l] == 0
+                continue
+            commuting += 1
+            prod = ops[i] @ ops[j] @ ops[l]
+            ref = next((s for s in (1, -1) if np.allclose(prod, s * np.eye(4), atol=1e-12)), 0)
+            assert sign[i, j, l] == ref, (NON_IDENTITY_WORDS[i], NON_IDENTITY_WORDS[j], NON_IDENTITY_WORDS[l])
+        assert commuting > 0 and (sign != 0).any() and (sign == -1).any()
+
+    def test_s_reachable_pool(self):
+        assert wit.s_reachable_words() == ref_s_reachable_words()
 
 
 class TestSVariantSquare:
