@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a state-injection scheme")
     i.add_argument("--gate", required=True, choices=("S", "Z", "CZ", "CCZ", "T"))
     i.add_argument("--input", required=True)
-    i.add_argument("--host", default="minimal-rebit")
+    i.add_argument("--host", default="minimal-rebit", choices=("minimal-rebit",))
     i.set_defaults(func=cmd_inject)
 
     t = sub.add_parser("witness", parents=[common],

@@ -13,6 +13,7 @@ below and in the Wigner layer.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .errors import (
     GuardExceeded,
     InvalidGenerators,
 )
+from .phase_algebra import COSET_GUARD
 
 MAX_QUDITS = {2: 6, 3: 4, 5: 3}
 
@@ -241,6 +243,43 @@ def pauli_op(word: str) -> np.ndarray:
     return PauliLabel.from_point(basis_label(word, range(n), n), 2).hermitian_operator()
 
 
+@lru_cache(maxsize=None)
+def pauli_words(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The 4^n Hermitian Pauli words on n qubits in IXYZ lex order, and
+    their operators as one read-only (4^n, 2^n, 2^n) stack.  GuardExceeded
+    before allocating past COSET_GUARD entries."""
+    if 16**n > COSET_GUARD:
+        raise GuardExceeded(f"Pauli stack has {16**n} > {COSET_GUARD} entries")
+    words = tuple(map("".join, itertools.product("IXYZ", repeat=n)))
+    ops = np.stack([pauli_op(w) for w in words])
+    ops.setflags(write=False)
+    return words, ops
+
+
+def pauli_action(U: np.ndarray) -> np.ndarray:
+    """The signed action of a Clifford U on the Pauli words: the int matrix
+    K with K[v, w] = s when U P_w U* = s P_v, words indexed as in
+    pauli_words.  It fixes U up to global phase, and the action of U V is
+    K_U K_V.  InvalidGenerators unless every overlap tr(P_v U P_w U*)/2^n
+    is an integer (at ATOL_CONSTRUCT) with exactly one +-1 per column."""
+    _, ops = pauli_words(num_sites(len(U), 2))
+    m = len(ops)
+    overlaps = ops.reshape(m, -1).conj() @ (U @ ops @ U.conj().T).reshape(m, -1).T / len(U)
+    K = np.rint(overlaps.real).astype(np.int64)
+    integral = np.allclose(overlaps, K, rtol=0, atol=ATOL_CONSTRUCT)
+    if not (integral and (np.abs(K).sum(axis=0) == 1).all()):
+        raise InvalidGenerators("operator does not map Pauli words to signed Pauli words")
+    return K
+
+
+def pauli_image(K: np.ndarray, word: str) -> tuple[int, str]:
+    """(s, v) with U word U* = s v, read off K = pauli_action(U)."""
+    words, _ = pauli_words(len(word))
+    column = K[:, words.index(word)]
+    v = int(np.flatnonzero(column)[0])
+    return int(column[v]), words[v]
+
+
 def basis_label(letters: str, wires, n: int, d: int = 2) -> tuple[int, ...]:
     """Interleaved (q, p) label of per-wire basis letters on an n-site
     register: I, X, Z, and for d=2 also Y (X and Z together)."""
@@ -353,7 +392,7 @@ def weyl_char_projectors(op: np.ndarray, d: int) -> list[np.ndarray]:
     powers = [np.eye(dim, dtype=complex)]
     for _ in range(d - 1):
         powers.append(powers[-1] @ op)
-    if not np.allclose(powers[-1] @ op, np.eye(dim), atol=ATOL_CONSTRUCT * dim):
+    if not np.allclose(powers[-1] @ op, np.eye(dim), rtol=0, atol=ATOL_CONSTRUCT * dim):
         raise InvalidGenerators("operator is not of order d")
     projs = []
     for k in range(d):
@@ -416,7 +455,7 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
     for i in range(len(projs)):
         for j in range(i + 1, len(projs)):
             a, b = projs[i], projs[j]
-            if not np.allclose(a @ b, b @ a, atol=ATOL_CONSTRUCT * dim):
+            if not np.allclose(a @ b, b @ a, rtol=0, atol=ATOL_CONSTRUCT * dim):
                 raise InvalidGenerators("generators do not commute")
     from . import _modmath as mm
 
@@ -457,12 +496,12 @@ def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
     dim = state.shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for P in projectors:
-        if not np.allclose(P, P.conj().T, atol=ATOL_CONSTRUCT * dim):
+        if not np.allclose(P, P.conj().T, rtol=0, atol=ATOL_CONSTRUCT * dim):
             raise InvalidGenerators("measurement element not Hermitian")
-        if not np.allclose(P @ P, P, atol=ATOL_CONSTRUCT * dim):
+        if not np.allclose(P @ P, P, rtol=0, atol=ATOL_CONSTRUCT * dim):
             raise InvalidGenerators("measurement element not idempotent")
         total += P
-    if not np.allclose(total, np.eye(dim), atol=ATOL_CONSTRUCT * dim):
+    if not np.allclose(total, np.eye(dim), rtol=0, atol=ATOL_CONSTRUCT * dim):
         raise InvalidGenerators("measurement elements do not sum to identity")
     out = [_renormalized(P @ state) for P in projectors]
     assert abs(sum(p for p, _ in out) - 1.0) < ATOL_CONSTRUCT * dim
@@ -476,7 +515,7 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
     descending eigenvalue, eigenvalues merged within 1e-8.
     """
     dim = obs.shape[0]
-    if not np.allclose(obs, obs.conj().T, atol=ATOL_CONSTRUCT * dim):
+    if not np.allclose(obs, obs.conj().T, rtol=0, atol=ATOL_CONSTRUCT * dim):
         raise InvalidGenerators("observable is not Hermitian")
     vals, vecs = np.linalg.eigh(obs)
     groups: list[tuple[float, list[int]]] = []

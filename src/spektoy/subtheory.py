@@ -24,7 +24,7 @@ import numpy as np
 from . import dense_oracle as do
 from . import phase_algebra as pa
 from . import wigner as wg
-from .circuits import ATOL_END2END
+from .circuits import ATOL_CONSTRUCT, ATOL_END2END
 from .errors import DimensionMismatch, GuardExceeded
 
 
@@ -47,7 +47,7 @@ def beta(lam, lam2, spec: wg.WignerSpec) -> int:
     b = (spec.gamma_exp(lam) + spec.gamma_exp(lam2) - spec.gamma_exp(lam_sum) + s) % d
     lhs = wg.weyl(lam, spec) @ wg.weyl(lam2, spec)
     rhs = do.chi(b, d) * wg.weyl(lam_sum, spec)
-    if not np.allclose(lhs, rhs, atol=1e-10):
+    if not np.allclose(lhs, rhs, rtol=0, atol=ATOL_CONSTRUCT):
         raise DimensionMismatch(f"product phase of {lam}, {lam2} disagrees with the bookkeeping")
     return b
 
@@ -515,35 +515,26 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
 # ---------------------------------------------------------------------------
 # generated gate groups (for membership assertions like SWAP-in / CZ-out)
 
-def _unitary_key(U: np.ndarray) -> bytes:
-    # canonical phase: first entry above half the max magnitude (stable
-    # across representatives); +0.0 erases -0.0 sign bits before hashing
-    flat = U.reshape(-1)
-    mags = np.abs(flat)
-    idx = int(np.argmax(mags > 0.5 * mags.max()))
-    phase = flat[idx] / mags[idx]
-    canon = np.round(U / phase, 6) + (0.0 + 0.0j)
-    return canon.astype(np.complex128).tobytes()
-
-
 def generated_gate_group(
     generators: list[np.ndarray], max_size: int = 400_000
 ) -> set[bytes]:
-    """BFS closure of the generated unitary group, up to global phase."""
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    dim = gens[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    seen = {_unitary_key(eye)}
+    """BFS closure of the Clifford group the generators generate, up to
+    global phase, keyed by the bytes of the exact Pauli action
+    (do.pauli_action), the key of U V being K_U K_V.  InvalidGenerators
+    for a non-Clifford generator."""
+    gens = [do.pauli_action(g) for g in generators]
+    eye = np.eye(len(gens[0]), dtype=np.int64)
+    seen = {eye.tobytes()}
     frontier = [eye]
     while frontier:
         nxt = []
-        for U in frontier:
+        for K in frontier:
             for g in gens:
-                V = U @ g
-                key = _unitary_key(V)
+                KV = K @ g
+                key = KV.tobytes()
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(V)
+                    nxt.append(KV)
                     if len(seen) > max_size:
                         raise GuardExceeded(f"gate group exceeds {max_size} elements")
         frontier = nxt
@@ -551,4 +542,6 @@ def generated_gate_group(
 
 
 def group_contains(group: set[bytes], U: np.ndarray) -> bool:
-    return _unitary_key(np.asarray(U, dtype=complex)) in group
+    """Whether the Clifford U is in the group, up to global phase: a lookup
+    of its Pauli-action key.  InvalidGenerators for a non-Clifford U."""
+    return do.pauli_action(U).tobytes() in group

@@ -136,7 +136,7 @@ def _phase_point_stack(spec: WignerSpec) -> np.ndarray:
     if abs(traces[0]) < 1e-12:
         raise DimensionMismatch("phase-point normalisation degenerate")
     norm = traces[0].real
-    assert np.allclose(traces, norm, atol=1e-9)
+    assert np.allclose(traces, norm, rtol=0, atol=1e-9)
     out = raw / norm
     out.setflags(write=False)
     return out
@@ -324,7 +324,7 @@ def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
 
 def _covariant(before: np.ndarray, after: np.ndarray, g: pa.AffineSymplectic) -> bool:
     """Every after row equals its before row read at S lam + a."""
-    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], atol=1e-9)
+    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], rtol=0, atol=1e-9)
 
 
 def _fit_guard(spec: WignerSpec, state_set) -> None:
@@ -357,9 +357,9 @@ def _affine_search(
             a = (target - base) % d
             perm = _image_codes(S, a, d)
             # the anchor row alone rejects most candidates cheaply
-            if np.allclose(anchor_after, anchor_before[perm], atol=1e-9) and np.allclose(
-                after, before[:, perm], atol=1e-9
-            ):
+            if np.allclose(
+                anchor_after, anchor_before[perm], rtol=0, atol=1e-9
+            ) and np.allclose(after, before[:, perm], rtol=0, atol=1e-9):
                 return pa.AffineSymplectic(S.copy(), a, d)
     return None
 
@@ -506,7 +506,7 @@ def verify_hermitian_criterion(n: int) -> bool:
     restricted = delfosse_rebit_spec(n)
     for lam in pa.all_points(2, n):
         T = weyl(lam, spec)
-        if np.allclose(T, T.conj().T, atol=1e-12) != restricted.label_allowed(lam):
+        if np.allclose(T, T.conj().T, rtol=0, atol=1e-12) != restricted.label_allowed(lam):
             return False
     return True
 
@@ -531,7 +531,7 @@ def verify_hermitian_equivalence(n: int) -> dict:
         "counterexamples": [],
     }
     for i, lam in enumerate(pa.all_points(2, n)):
-        if not np.allclose(Ar[i], hermitian_part(Af[i]), atol=1e-12):
+        if not np.allclose(Ar[i], hermitian_part(Af[i]), rtol=0, atol=1e-12):
             report["operator_identity"] = False
             report["counterexamples"].append({"kind": "operator", "lam": list(lam)})
     from .subtheory import css_states
@@ -540,7 +540,7 @@ def verify_hermitian_equivalence(n: int) -> dict:
     for idx, psi in enumerate(states):
         tr = wigner_of_state(psi, spec_r).values
         tf = wigner_of_state(psi, spec_f).values
-        if not np.allclose(tr, tf, atol=1e-9):
+        if not np.allclose(tr, tf, rtol=0, atol=1e-9):
             report["table_agreement"] = False
             report["counterexamples"].append({"kind": "table", "state_index": idx})
     report["css_state_count"] = len(states)

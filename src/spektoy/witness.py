@@ -3,24 +3,21 @@ S-conjugated variant, a circuit realization of all six contexts, the
 three-qubit parity paradox, and the two-player XOR game at the quantum
 optimum.
 
-Each witness couples an exhaustive classical certificate (a full sweep of
-value assignments or strategies) to dense-matrix verification of the
-quantum side, and records which injected gate unlocks it.
-
-The dense checks of a square stay dense but run on stacks: the words'
-operators are stacked once, all pairwise products come from one batched
-product, and each commutation or line-sign verdict is np.allclose with
-atol 1e-12, taken over the stack at once.  The sweep runs the 2^k
-assignments as integer arrays, at most _SWEEP_BLOCK at a time: a line's
-product is the parity of a popcount.
+Each witness couples an exhaustive classical certificate (a sweep of all
+2^k value assignments or strategies as integer arrays, a line's product
+the parity of a popcount) to the quantum side, and records which injected
+gate unlocks it.  A square's lines are checked densely once, on one
+batched product of its words' operators; every later use reads the
+checked signs.  Clifford conjugation facts (CZ turns row one into row
+three, S turns X-words into Y-words) are lookups in do.pauli_action.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cache, reduce
 from operator import xor
 
 import numpy as np
@@ -45,14 +42,10 @@ class ContextTable:
     grid: tuple[tuple[str, str, str], ...]
     row_signs: tuple[int, int, int]
     col_signs: tuple[int, int, int]
-    validated: bool = field(default=False, compare=False)
 
     @classmethod
     def build(cls, grid, row_signs, col_signs, validate: bool = True):
-        table = cls(
-            tuple(tuple(r) for r in grid), tuple(row_signs), tuple(col_signs),
-            validated=validate,
-        )
+        table = cls(tuple(tuple(r) for r in grid), tuple(row_signs), tuple(col_signs))
         if validate:
             table.check_lines()
         return table
@@ -81,9 +74,9 @@ class ContextTable:
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.allclose(a, b, atol=1e-12) over the last two axes, elementwise
+    """np.allclose(a, b, rtol=0, atol=1e-12) over the last two axes, elementwise
     over the leading ones."""
-    return np.isclose(a, b, atol=1e-12).all(axis=(-2, -1))
+    return np.isclose(a, b, rtol=0, atol=1e-12).all(axis=(-2, -1))
 
 
 def _line_tables(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,9 +96,10 @@ def _line_tables(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comm, sign
 
 
+@cache
 def standard_square() -> ContextTable:
     """Rows (XI IX XX / IZ ZI ZZ / XZ ZX YY); only the last column carries
-    the minus sign."""
+    the minus sign.  Built, and its lines checked densely, once."""
     return ContextTable.build(
         [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")],
         row_signs=(1, 1, 1),
@@ -165,19 +159,15 @@ def peres_mermin_report() -> dict:
     standard square, and the gate audit tying row three to the injected
     CZ."""
     table = standard_square()
-    xz, zx, yy = pauli_op("XZ"), pauli_op("ZX"), pauli_op("YY")
-    xx, zz = pauli_op("XX"), pauli_op("ZZ")
+    # the signs check_lines verified of row three and column three
     identities = {
-        "(XZ)(ZX)=YY": bool(np.allclose(xz @ zx, yy, atol=1e-12)),
-        "(XX)(ZZ)=-YY": bool(np.allclose(xx @ zz, -yy, atol=1e-12)),
+        "(XZ)(ZX)=YY": table.row_signs[2] == 1,
+        "(XX)(ZZ)=-YY": table.col_signs[2] == -1,
     }
     sweep = assignment_search(table)
-    cz = do.gate("CZ", (0, 1), 2, 2)
-    row3_native = {
-        "XZ": bool(np.allclose(cz @ pauli_op("XI") @ cz, xz, atol=1e-12)),
-        "ZX": bool(np.allclose(cz @ pauli_op("IX") @ cz, zx, atol=1e-12)),
-        "YY": bool(np.allclose(cz @ pauli_op("XX") @ cz, yy, atol=1e-12)),
-    }
+    # CZ conjugates row one's host words into row three
+    images = inj.cz_images()
+    row3_native = {v: images[w] == (1, v) for w, v in zip(table.grid[0], table.grid[2])}
     return {
         "witness": "peres-mermin",
         "grid": [list(r) for r in table.grid],
@@ -194,43 +184,23 @@ def peres_mermin_report() -> dict:
 def control_square_all_plus() -> dict:
     """Control case: the same grid with every line sign forced to +1 is
     classically satisfiable (all-ones assignment)."""
-    table = ContextTable.build(
-        [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")],
-        row_signs=(1, 1, 1),
-        col_signs=(1, 1, 1),
-        validate=False,
-    )
-    return assignment_search(table)
+    grid = standard_square().grid
+    return assignment_search(ContextTable.build(grid, (1, 1, 1), (1, 1, 1), validate=False))
 
 
 # ---------------------------------------------------------------------------
 # S-conjugated square
 
-#: every two-qubit Pauli word, in the order of its operator stack
-_TWO_QUBIT_WORDS = tuple(map("".join, itertools.product("IXYZ", repeat=2)))
-
-
 def s_reachable_words() -> dict[str, str]:
     """Two-qubit Pauli words reachable by conjugating X-type host words
-    with single-site S gates; maps word -> origin ('host' or 'S')."""
-    return _s_reachable(np.stack([pauli_op(w) for w in _TWO_QUBIT_WORDS]))
-
-
-def _s_reachable(ops: np.ndarray) -> dict[str, str]:
-    """s_reachable_words, given the operators of _TWO_QUBIT_WORDS: each
-    conjugated host word overlaps every word in one product."""
+    with single-site S gates; maps word -> origin ('host' or 'S'), each
+    image read off the S gates' exact Pauli actions."""
     out = {w: "host" for w in ("IX", "XI", "XX", "IZ", "ZI", "ZZ")}
-    s0 = do.gate("S", (0,), 2, 2)
-    s1 = do.gate("S", (1,), 2, 2)
-    images = np.stack([
-        conj @ ops[_TWO_QUBIT_WORDS.index(w)] @ conj.conj().T
-        for w in ("IX", "XI", "XX")
-        for conj in (s0, s1, s0 @ s1)
-    ])
-    overlaps = np.abs(np.einsum("wij,kij->kw", ops.conj(), images)) / 4
-    for row in overlaps:
-        for i in np.flatnonzero(row > 1 - 1e-9):
-            out.setdefault(_TWO_QUBIT_WORDS[i], "S")
+    s0, s1 = do.gate("S", (0,), 2), do.gate("S", (1,), 2)
+    actions = [do.pauli_action(conj) for conj in (s0, s1, s0 @ s1)]
+    for w in ("IX", "XI", "XX"):
+        for K in actions:
+            out.setdefault(do.pauli_image(K, w)[1], "S")
     return out
 
 
@@ -241,10 +211,10 @@ def peres_mermin_s_variant() -> dict:
     and malformed words), so the square is found by search over the
     reachable pool and reported together with each entry's origin.
     """
-    all_ops = np.stack([pauli_op(w) for w in _TWO_QUBIT_WORDS])
-    pool = _s_reachable(all_ops)
+    names, all_ops = do.pauli_words(2)
+    pool = s_reachable_words()
     words = sorted(w for w in pool if w != "II")
-    ops = all_ops[[_TWO_QUBIT_WORDS.index(w) for w in words]]
+    ops = all_ops[[names.index(w) for w in words]]
     best = next(_search_squares(words, *_line_tables(ops)), None)
     if best is None:
         return {"witness": "peres-mermin-s", "found": False}
@@ -252,7 +222,7 @@ def peres_mermin_s_variant() -> dict:
     table = ContextTable.build(grid, row_signs, col_signs)
     sweep = assignment_search(table)
     origins = {w: pool[w] for row in grid for w in row}
-    # dense check: every Y-containing entry is an S-conjugated X-form
+    # every Y-containing entry is an S-conjugated X-form
     conj_ok = all(
         origins[w] == "S" for row in grid for w in row if "Y" in w
     )
@@ -314,14 +284,18 @@ CONTEXT_SELECTORS = {
     "col3": frozenset({"c", "d", "e", "gamma"}),
 }
 
-CONTEXT_LINES = {
-    "row1": (["XI", "IX", "XX"], 1),
-    "row2": (["IZ", "ZI", "ZZ"], 1),
-    "row3": (["XZ", "ZX", "YY"], 1),
-    "col1": (["XI", "IZ", "XZ"], 1),
-    "col2": (["IX", "ZI", "ZX"], 1),
-    "col3": (["XX", "ZZ", "YY"], -1),
-}
+
+def _derivations(measured) -> list[tuple[str, str, str, int]]:
+    """The square's entries that follow from the measured words, as
+    (target, a, b, sign) in derivation order: a fixpoint over the lines of
+    standard_square(), where a line with one unknown entry gives it as
+    sign * a * b, the operator identity its checked sign states."""
+    for ws, sign in standard_square().lines():
+        unknown = [w for w in ws if w not in measured]
+        if len(unknown) == 1:
+            a, b = (w for w in ws if w in measured)
+            return [(unknown[0], a, b, sign), *_derivations([*measured, unknown[0]])]
+    return []
 
 
 def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
@@ -354,9 +328,9 @@ def peres_mermin_circuit(
       5 (e): IX parity readout     6 (d): XI parity readout
     An odd number of raised CZ bits conjugates the trailing X readouts, so
     with gamma on, block 5 reads ZX and block 6 reads XZ.  Recorded line
-    values: measured readouts fill their grid entries directly; a line's
-    remaining entry is the signed product fixed by the operator identity
-    (for col3 the outputs come from blocks 3, 5, 6).
+    values: measured readouts fill their grid entries directly; the other
+    entries are the signed products _derivations reads off the square's
+    lines (for col3 the outputs come from blocks 3, 5, 6).
     """
     if context not in CONTEXT_SELECTORS:
         raise DimensionMismatch(
@@ -365,17 +339,17 @@ def peres_mermin_circuit(
     sel = CONTEXT_SELECTORS[context]
     audit = inj.AuditTrail()
     steps: list[Step] = []
-    readouts: list[tuple[str, str]] = []  # (selector bit, measured word)
+    measured_words: list[str] = []  # in readout order
 
     if "a" in sel:
         steps += _parity_block("Z", (1,), 2, audit)
-        readouts.append(("a", "IZ"))
+        measured_words.append("IZ")
     if "b" in sel:
         steps += _parity_block("Z", (0,), 2, audit)
-        readouts.append(("b", "ZI"))
+        measured_words.append("ZI")
     if "c" in sel:
         steps += _parity_block("Z", (0, 1), 2, audit)
-        readouts.append(("c", "ZZ"))
+        measured_words.append("ZZ")
     cz_count = sum(1 for bit in ("alpha", "beta", "gamma") if bit in sel)
     cz_scheme = inj.scheme_for("CZ") if (cz_count and use_injected_cz) else None
     for _ in range(cz_count):
@@ -387,33 +361,18 @@ def peres_mermin_circuit(
     conjugated = cz_count % 2 == 1
     if "e" in sel:
         steps += _parity_block("X", (1,), 2, audit)
-        readouts.append(("e", "ZX" if conjugated else "IX"))
+        measured_words.append("ZX" if conjugated else "IX")
     if "d" in sel:
         steps += _parity_block("X", (0,), 2, audit)
-        readouts.append(("d", "XZ" if conjugated else "XI"))
+        measured_words.append("XZ" if conjugated else "XI")
 
-    words, line_sign = CONTEXT_LINES[context]
-    measured_words = [w for _, w in readouts]
-    # entries not measured directly are the signed products of two jointly
-    # measured words; each derivation is an operator identity, re-checked
-    # densely here before use
-    derivations = {
-        "row1": [("XX", "XI", "IX", 1)],
-        "row2": [],
-        "row3": [("YY", "XZ", "ZX", 1)],
-        "col1": [("XI", "IZ", "XZ", 1)],
-        "col2": [("IX", "ZI", "ZX", 1)],
-        "col3": [("YY", "XZ", "ZX", 1), ("XX", "ZZ", "YY", -1)],
-    }[context]
-    for target, wa, wb, sgn in derivations:
-        if not np.allclose(
-            pauli_op(wa) @ pauli_op(wb), sgn * pauli_op(target), atol=1e-12
-        ):
-            raise DimensionMismatch(f"derivation {wa}*{wb} != {sgn:+d}{target}")
+    # the selectors list the contexts in the order lines() yields them
+    words, line_sign = dict(zip(CONTEXT_SELECTORS, standard_square().lines()))[context]
+    derivations = _derivations(measured_words)
     branch_products = []
     for outcomes, prob, _ in branch_tree(input_state.astype(complex), steps):
-        outs = outcomes[-len(readouts):]
-        vals = {w: 1 - 2 * o for (_, w), o in zip(readouts, outs)}
+        outs = outcomes[-len(measured_words):]
+        vals = {w: 1 - 2 * o for w, o in zip(measured_words, outs)}
         for target, wa, wb, sgn in derivations:
             vals[target] = sgn * vals[wa] * vals[wb]
         recorded = [vals[w] for w in words]
@@ -459,12 +418,7 @@ def ghz_report() -> dict:
     # multiply to +1 on every assignment while the constraints multiply to -1
     every_index = sum((idxs for idxs, _ in lines), ())
     forced = _sweep(6, [(every_index, 1)])[0] == 2**6
-    gate_audit = {
-        "XXX": "host",
-        "XYY": "needs S or CZ",
-        "YXY": "needs S or CZ",
-        "YYX": "needs S or CZ",
-    }
+    gate_audit = {w: "needs S or CZ" if "Y" in w else "host" for w in observables}
     host_states = stt.minimal_rebit_subtheory(3).states
     ghz_in_host = stt.state_index(host_states, ghz) is not None
     return {
@@ -500,8 +454,8 @@ def chsh_report() -> dict:
     b0 = T @ Y @ T.conj().T
     b1 = T @ X @ T.conj().T
     conj_checks = {
-        "B0=TYT+=(Y-X)/sqrt2": bool(np.allclose(b0, (Y - X) / math.sqrt(2), atol=1e-12)),
-        "B1=TXT+=(X+Y)/sqrt2": bool(np.allclose(b1, (X + Y) / math.sqrt(2), atol=1e-12)),
+        "B0=TYT+=(Y-X)/sqrt2": bool(np.allclose(b0, (Y - X) / math.sqrt(2), rtol=0, atol=1e-12)),
+        "B1=TXT+=(X+Y)/sqrt2": bool(np.allclose(b1, (X + Y) / math.sqrt(2), rtol=0, atol=1e-12)),
     }
     A = {0: Y, 1: X}
     B = {0: b0, 1: b1}

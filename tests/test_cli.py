@@ -229,6 +229,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"{name!r} takes none" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("host", ["bogus", "css-rebit"])
+    def test_inject_host_is_the_audited_whitelist(self, host, capsys):
+        # the audit checks the minimal-rebit host elements whatever --host
+        # says, so another host name is refused rather than echoed
+        code, out = run_cli(["inject", "--gate", "CZ", "--input", "++", "--host", host])
+        assert code == 2 and out == ""
+        assert "invalid choice" in capsys.readouterr().err
+        code, out = run_cli(["inject", "--gate", "CZ", "--input", "++", "--host", "minimal-rebit"])
+        assert code == 0 and json.loads(out)["host"] == "minimal-rebit"
+
     def test_table_format(self):
         code, text = run_cli(["--format", "table", "witness", "chsh"])
         assert code == 0

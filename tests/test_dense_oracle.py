@@ -136,26 +136,28 @@ class TestNamedGates:
 
     def test_clifford_conjugation_returns_signed_pauli_exhaustive(self):
         # every named Clifford gate maps every Hermitian Pauli string to a
-        # signed Pauli string, exhaustively at n <= 3
-        def signed_pauli_match(M, n):
-            for q in itertools.product((0, 1), repeat=n):
-                for p in itertools.product((0, 1), repeat=n):
-                    P = do.PauliLabel(q, p, 2).hermitian_operator()
-                    for s in (1, -1):
-                        if np.allclose(M, s * P, atol=1e-10):
-                            return True
-            return False
-
+        # signed Pauli string, exhaustively at n <= 3: the candidate s P
+        # with the largest overlap |tr(P M)| / 2^n must equal the image M
+        paulis = {
+            n: np.stack([
+                do.PauliLabel(q, p, 2).hermitian_operator()
+                for q in itertools.product((0, 1), repeat=n)
+                for p in itertools.product((0, 1), repeat=n)
+            ])
+            for n in (1, 2, 3)
+        }
         cliffords = [("H", 1), ("S", 1), ("X", 1), ("Y", 1), ("Z", 1),
                      ("CNOT", 2), ("CZ", 2), ("SWAP", 2)]
         for name, arity in cliffords:
             for n in range(arity, 4):
                 for wires in itertools.permutations(range(n), arity):
                     U = do.gate(name, wires, n)
-                    for q in itertools.product((0, 1), repeat=n):
-                        for p in itertools.product((0, 1), repeat=n):
-                            P = do.PauliLabel(q, p, 2).hermitian_operator()
-                            assert signed_pauli_match(U @ P @ U.conj().T, n)
+                    for P in paulis[n]:
+                        M = U @ P @ U.conj().T
+                        overlaps = np.einsum("kij,ji->k", paulis[n], M) / 2**n
+                        best = int(np.argmax(np.abs(overlaps)))
+                        s = np.sign(overlaps[best].real)
+                        assert np.allclose(M, s * paulis[n][best], rtol=0, atol=1e-10)
 
     def test_embed_against_kron(self):
         A = do.gate("H", (0,), 1)
@@ -177,6 +179,73 @@ class TestNamedGates:
             do.gate("X", (0,), 7, 2)
         with pytest.raises(GuardExceeded):
             do.gate("X", (0,), 5, 3)
+
+
+#: named Cliffords on two qubits, the alphabet of the random words below
+CLIFFORDS_2 = [("H", (0,)), ("H", (1,)), ("S", (0,)), ("S", (1,)), ("X", (1,)),
+               ("Y", (0,)), ("Z", (1,)), ("CNOT", (0, 1)), ("CNOT", (1, 0)),
+               ("CZ", (0, 1)), ("SWAP", (0, 1))]
+
+
+def random_clifford_word(rng, n, length):
+    U = np.eye(2**n, dtype=complex)
+    for _ in range(length):
+        name, wires = CLIFFORDS_2[int(rng.integers(len(CLIFFORDS_2)))]
+        if max(wires) < n:
+            U = U @ do.gate(name, wires, n)
+    return U
+
+
+class TestPauliAction:
+    def test_words_are_lex_ordered_and_read_only(self):
+        words, ops = do.pauli_words(2)
+        assert words == tuple(map("".join, itertools.product("IXYZ", repeat=2)))
+        assert ops.shape == (16, 4, 4) and not ops.flags.writeable
+        for w, op in zip(words, ops):
+            assert np.array_equal(op, do.pauli_op(w))
+        assert do.pauli_words(2)[1] is ops
+
+    def test_word_guard_fires_before_building(self, monkeypatch):
+        def unreachable(word):
+            raise AssertionError("Pauli operator built past the guard")
+
+        monkeypatch.setattr(do, "pauli_op", unreachable)
+        with pytest.raises(GuardExceeded, match="Pauli stack has 16777216 > 1048576 entries"):
+            do.pauli_words(6)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_action_of_a_product_is_the_product_of_actions(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            U = random_clifford_word(rng, n, int(rng.integers(1, 8)))
+            V = random_clifford_word(rng, n, int(rng.integers(1, 8)))
+            KU, KV = do.pauli_action(U), do.pauli_action(V)
+            assert np.array_equal(do.pauli_action(U @ V), KU @ KV)
+            # global phase drops out; the action is a signed permutation
+            assert np.array_equal(do.pauli_action(1j * U), KU)
+            assert np.array_equal(np.abs(KU).sum(axis=0), np.ones(4**n))
+            assert np.array_equal(np.abs(KU).sum(axis=1), np.ones(4**n))
+
+    def test_action_matches_the_dense_conjugation(self):
+        words, ops = do.pauli_words(2)
+        U = random_clifford_word(np.random.default_rng(5), 2, 12)
+        K = do.pauli_action(U)
+        for w, op in zip(words, ops):
+            s, v = do.pauli_image(K, w)
+            assert np.allclose(U @ op @ U.conj().T, s * do.pauli_op(v), rtol=0, atol=1e-12)
+
+    def test_named_images(self):
+        cz = do.pauli_action(do.gate("CZ", (0, 1), 2))
+        assert [do.pauli_image(cz, w) for w in ("XI", "IX", "XX", "ZZ")] == [
+            (1, "XZ"), (1, "ZX"), (1, "YY"), (1, "ZZ")]
+        s = do.pauli_action(do.gate("S", (0,), 1))
+        assert [do.pauli_image(s, w) for w in "IXYZ"] == [(1, "I"), (1, "Y"), (-1, "X"), (1, "Z")]
+        assert np.array_equal(do.pauli_action(np.eye(8)), np.eye(64, dtype=np.int64))
+
+    @pytest.mark.parametrize("name,n", [("T", 1), ("CCZ", 3)])
+    def test_non_clifford_is_refused(self, name, n):
+        with pytest.raises(InvalidGenerators):
+            do.pauli_action(do.gate(name, tuple(range(n)), n))
 
 
 class TestStabilizerStates:

@@ -303,6 +303,9 @@ class TestCorrectionStep:
             monkeypatch.undo()
             return len(calls), rep
 
+        # one uncounted run fills the shared caches (inj.cnot's embeddings),
+        # so both counted runs embed only what each step builds per call
+        wit.peres_mermin_circuit(do.plus_state(2), "row3")
         count, rep = embeds(inj._correction_step)
         ref_count, ref_rep = embeds(ref_embedding_correction_step)
         assert count == ref_count - 3

@@ -5,7 +5,7 @@ from spektoy import dense_oracle as do
 from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
-from spektoy.errors import DimensionMismatch, GuardExceeded
+from spektoy.errors import DimensionMismatch, GuardExceeded, InvalidGenerators
 
 
 class TestBeta:
@@ -351,6 +351,33 @@ class TestGateGroupGuard:
         with pytest.raises(GuardExceeded):
             stt.generated_gate_group([H, S], max_size=23)
         assert len(stt.generated_gate_group([H, S], max_size=24)) == 24
+
+
+class TestGateGroupOrders:
+    def test_clifford_groups_have_the_symplectic_order(self):
+        # the Clifford group mod phase has |Sp(2n, Z_2)| 4^n elements
+        H, S = do.gate("H", (0,), 1), do.gate("S", (0,), 1)
+        assert len(stt.generated_gate_group([H, S])) == pa.sp_order(1, 2) * 4 == 24
+        gens = [do.gate(name, (w,), 2) for w in (0, 1) for name in ("H", "S")]
+        gens.append(do.gate("CNOT", (0, 1), 2))
+        assert len(stt.generated_gate_group(gens)) == pa.sp_order(2, 2) * 16 == 11_520
+
+    @pytest.mark.parametrize("name,order", [("minimal-rebit", 96), ("css-rebit", 192)])
+    def test_host_groups_at_n2(self, name, order):
+        sub = stt.subtheory_by_name(name, 2, 2)
+        assert len(stt.generated_gate_group([g.matrix for g in sub.gate_generators])) == order
+
+    def test_membership_up_to_phase_and_outside_the_cliffords(self):
+        H, S = do.gate("H", (0,), 1), do.gate("S", (0,), 1)
+        group = stt.generated_gate_group([S])
+        assert len(group) == 4
+        assert stt.group_contains(group, np.exp(0.3j) * do.gate("Z", (0,), 1))
+        assert not stt.group_contains(group, H)
+        # a non-Clifford has no Pauli-action key
+        with pytest.raises(InvalidGenerators):
+            stt.group_contains(group, do.gate("T", (0,), 1))
+        with pytest.raises(InvalidGenerators):
+            stt.generated_gate_group([H, do.gate("T", (0,), 1)])
 
 
 # ---------------------------------------------------------------------------

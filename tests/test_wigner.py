@@ -502,6 +502,21 @@ class TestStackedCovariance:
             assert not wg.verify_covariance(U, spec, css, wrong)
             assert not ref_verify_covariance(U, spec, css, wrong)
 
+    def test_covariance_tolerance_is_absolute(self):
+        # the largest entry of these tables is 0.25, where numpy's default
+        # rtol=1e-5 would forgive an error of 2.5e-6; 1e-7 is past atol=1e-9
+        spec = wg.delfosse_rebit_spec(2)
+        css = stt.minimal_rebit_subtheory(2).states
+        U = do.gate("CNOT", (0, 1), 2)
+        g, _ = wg.covariance_witness(U, spec, css)
+        before, after = wg._stacked_tables(css, spec), wg._stacked_tables(css, spec, U)
+        assert np.abs(after).max() == pytest.approx(0.25)
+        assert wg._covariant(before, after, g)
+        row, col = np.unravel_index(np.argmax(np.abs(after)), after.shape)
+        off = after.copy()
+        off[row, col] += 1e-7
+        assert not wg._covariant(before, off, g)
+
     def test_full_qubit_n1_search_finds_no_witness(self):
         sub = stt.full_qubit_stabilizer_subtheory(1)
         found = {}

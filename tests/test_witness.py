@@ -257,6 +257,39 @@ class TestContextCircuit:
         # outputs come from the ZZ readout and the two conjugated X readouts
         assert rep["measured_words"] == ["ZZ", "ZX", "XZ"]
 
+    @pytest.mark.parametrize("context", list(wit.CONTEXT_SELECTORS))
+    def test_every_derivation_is_an_operator_identity(self, context):
+        # the fixpoint over the square's lines fills the context's line, and
+        # each entry it derives is target = sign * a * b as dense operators
+        rep = wit.peres_mermin_circuit(do.plus_state(2), context)
+        derivations = wit._derivations(rep["measured_words"])
+        known = set(rep["measured_words"]) | {t for t, _, _, _ in derivations}
+        assert set(rep["line"]) <= known
+        for target, a, b, sign in derivations:
+            assert np.allclose(
+                do.pauli_op(a) @ do.pauli_op(b), sign * do.pauli_op(target), rtol=0, atol=1e-12
+            ), (target, a, b, sign)
+        assert derivations == {
+            "row1": [("XX", "XI", "IX", 1)],
+            "row2": [],
+            "row3": [("YY", "XZ", "ZX", 1)],
+            "col1": [("XI", "IZ", "XZ", 1)],
+            "col2": [("IX", "ZI", "ZX", 1)],
+            "col3": [("YY", "XZ", "ZX", 1), ("XX", "ZZ", "YY", -1)],
+        }[context]
+
+    def test_context_runs_build_no_pauli_operator(self, monkeypatch):
+        wit.peres_mermin_circuit(do.plus_state(2), "col3")
+
+        def unreachable(*args):
+            raise AssertionError("Pauli operator built per context run")
+
+        monkeypatch.setattr(do, "pauli_op", unreachable)
+        monkeypatch.setattr(wit, "pauli_op", unreachable)
+        monkeypatch.setattr(do, "pauli_action", unreachable)
+        for context in wit.CONTEXT_SELECTORS:
+            assert wit.peres_mermin_circuit(do.plus_state(2), context)["product_matches_sign"]
+
     def test_selector_sets_match_documentation(self):
         assert wit.CONTEXT_SELECTORS["row1"] == {"d", "e"}
         assert wit.CONTEXT_SELECTORS["row2"] == {"a", "b", "c"}
