@@ -27,6 +27,10 @@ from spektoy.cli import main  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 
+# perfbench/workloads.py (`golden_invocations`) runs exactly this list as the
+# cli-reports mix of the benchmark: adding or removing an entry changes the
+# benchmark, so it belongs in a benchmark change.  Pin other goldens in
+# EXTRA_INVOCATIONS below.
 INVOCATIONS = {
     # quasi-probability tables pinned for both rebit constructions and the
     # odd-d construction: ground state, conjugate basis state, entangled

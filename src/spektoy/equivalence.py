@@ -87,13 +87,16 @@ def measurement_projectors(mu: tuple[int, ...], spec: wg.WignerSpec) -> tuple[np
 
 @dataclass
 class HostModel:
-    """A subtheory together with the cached toy transport of its gates;
-    its state census is read only to audit a circuit's INIT state."""
+    """A subtheory together with the cached toy steps of its gates and
+    measurements, handed out as the same objects to every circuit so the
+    toy plans they keep (`toy_model._plans`) are shared; its state census
+    is read only to audit a circuit's INIT state."""
 
     sub: stt.Subtheory
 
     def __post_init__(self):
         self._gate_cache: dict[tuple[str, tuple[int, ...]], pa.AffineSymplectic] = {}
+        self._measure_cache: dict[tuple[int, ...], toy.SharpMeasurement] = {}
 
     @property
     def d(self) -> int:
@@ -107,23 +110,44 @@ class HostModel:
     def spec(self) -> wg.WignerSpec:
         return self.sub.spec
 
-    def gate_action(self, name: str, wires: tuple[int, ...]) -> pa.AffineSymplectic:
-        """Forward ontic transport of a named gate (support push-forward).
+    def gate_matrix(self, name: str, wires: tuple[int, ...]) -> np.ndarray:
+        """The dense matrix of a named gate: the host generator's when
+        (name, wires) names one (as for css-rebit's compound H*), else
+        do.gate's.  AuditError for a host generator name on other wires
+        that do.gate does not know."""
+        key = (name.upper(), tuple(wires))
+        gens = {(g.name, g.wires): g.matrix for g in self.sub.gate_generators}
+        if key in gens:
+            return gens[key]
+        try:
+            return do.gate(name, wires, self.n, self.d)
+        except CircuitParseError:
+            if any(gen_name == key[0] for gen_name, _ in gens):
+                raise AuditError(f"gate {key[0]!r} of host {self.sub.name!r} "
+                                 f"does not act on wires {key[1]}") from None
+            raise
 
-        The matrix is the host generator's when (name, wires) names one
-        (as for css-rebit's compound H*), else do.gate's.  Its phase-point
+    def gate_action(self, name: str, wires: tuple[int, ...]) -> pa.AffineSymplectic:
+        """Forward ontic transport of a named gate (support push-forward),
+        built once per (name, wires) from `gate_matrix`.  Its phase-point
         transport g gives table_after(lam) = table_before(g(lam)) for every
         state, i.e. it pulls supports back; the toy model pushes supports
         forward, so the gate acts as g^{-1}."""
         key = (name.upper(), tuple(wires))
         if key not in self._gate_cache:
-            gens = {(g.name, g.wires): g.matrix for g in self.sub.gate_generators}
-            U = gens[key] if key in gens else do.gate(name, wires, self.n, self.d)
-            witness = wg.phase_space_action(U, self.spec)
+            witness = wg.phase_space_action(self.gate_matrix(name, wires), self.spec)
             if witness is None:
                 raise AuditError(f"gate {key} has no covariant action")
             self._gate_cache[key] = witness.inverse()
         return self._gate_cache[key]
+
+    def measurement_step(self, mu: tuple[int, ...]) -> toy.SharpMeasurement:
+        """The toy measurement of the Weyl observable at label mu, of its
+        functional J^T mu; built once per label."""
+        if mu not in self._measure_cache:
+            sigma = functional_for_label(mu, self.d)
+            self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.d, self.n)
+        return self._measure_cache[mu]
 
     def allowed_gate_names(self) -> set[str]:
         names = {g.name for g in self.sub.gate_generators}
@@ -226,8 +250,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
             description.append(g.label())
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
-            sigma = functional_for_label(lam, d)
-            toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
+            toy_steps.append(("measure", host.measurement_step(lam)))
             dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
             description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
             n_meas += 1
@@ -311,11 +334,10 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
             toy_steps.append(("gate", host.gate_action(ins.name, ins.wires)))
-            dense_steps.append(("gate", do.gate(ins.name, ins.wires, n, d)))
+            dense_steps.append(("gate", host.gate_matrix(ins.name, ins.wires)))
         elif isinstance(ins, Measure):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
-            sigma = functional_for_label(lam, d)
-            toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
+            toy_steps.append(("measure", host.measurement_step(lam)))
             dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
     toy_dist = toy.statistics(epistemic, toy_steps)
     dense_dist = dense_statistics(psi, dense_steps)

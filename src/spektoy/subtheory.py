@@ -515,33 +515,47 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
 # ---------------------------------------------------------------------------
 # generated gate groups (for membership assertions like SWAP-in / CZ-out)
 
+def _signed_action(U: np.ndarray) -> np.ndarray:
+    """do.pauli_action(U), a signed permutation, as one int vector: entry w
+    is 2 v + [s = -1] when U P_w U* = s P_v."""
+    K = do.pauli_action(U)
+    v = np.abs(K).argmax(axis=0)
+    return 2 * v + (K[v, np.arange(len(K))] < 0)
+
+
+def _compose_actions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The signed action of U V, K_U K_V, from those of U and V by one
+    gather: V sends P_w to s P_v and U sends P_v to a[v].  a may be a stack
+    of actions, one per row."""
+    return a[..., b >> 1] ^ (b & 1)
+
+
 def generated_gate_group(
     generators: list[np.ndarray], max_size: int = 400_000
 ) -> set[bytes]:
     """BFS closure of the Clifford group the generators generate, up to
-    global phase, keyed by the bytes of the exact Pauli action
-    (do.pauli_action), the key of U V being K_U K_V.  InvalidGenerators
-    for a non-Clifford generator."""
-    gens = [do.pauli_action(g) for g in generators]
-    eye = np.eye(len(gens[0]), dtype=np.int64)
+    global phase, keyed by the bytes of the exact signed Pauli action
+    (`_signed_action`); each layer is composed with a generator as one
+    stack.  InvalidGenerators for a non-Clifford generator."""
+    gens = [_signed_action(g) for g in generators]
+    eye = 2 * np.arange(len(gens[0]))
     seen = {eye.tobytes()}
-    frontier = [eye]
-    while frontier:
+    frontier = eye[None]
+    while len(frontier):
         nxt = []
-        for K in frontier:
-            for g in gens:
-                KV = K @ g
+        for g in gens:
+            for KV in _compose_actions(frontier, g):
                 key = KV.tobytes()
                 if key not in seen:
                     seen.add(key)
                     nxt.append(KV)
                     if len(seen) > max_size:
                         raise GuardExceeded(f"gate group exceeds {max_size} elements")
-        frontier = nxt
+        frontier = np.array(nxt)
     return seen
 
 
 def group_contains(group: set[bytes], U: np.ndarray) -> bool:
     """Whether the Clifford U is in the group, up to global phase: a lookup
-    of its Pauli-action key.  InvalidGenerators for a non-Clifford U."""
-    return do.pauli_action(U).tobytes() in group
+    of its signed-action key.  InvalidGenerators for a non-Clifford U."""
+    return _signed_action(U).tobytes() in group

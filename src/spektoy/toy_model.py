@@ -14,8 +14,12 @@ pivot.  Each step is a plan on V alone (a gate's `_transport`, a
 step needs V-perp.  V after a step depends on V before it and the step
 alone, never on the values or an outcome, so `statistics` builds one chain
 of plans per call and its branches carry only values; every leaf has the
-same probability 1/m.  Steps run on the rows of V in the
-form of its field, picked once per plan (`_row_form`): at odd d the int
+same probability 1/m.  It keeps each finished plan on its step object, by
+V (`_plans`): the hosts of `equivalence` hand the same step objects to every
+circuit and meet few V's at small n, so a plan is built once per (V, step).
+The single-state steps build fresh plans and keep none, because a trajectory
+seldom meets a V twice and there the kept plans would only grow.  Steps
+run on the rows of V in the form of its field (`_row_form`): at odd d the int
 rows of `Subspace.gens`, numpy only for a gate's V S^-1, V_new S and
 V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
 operation is one XOR and a symplectic product one popcount, as in
@@ -38,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import compress
 from operator import mul, xor
 
@@ -230,8 +234,10 @@ class _BitRows(_IntRows):
         return pa.Subspace.of_bits(new, self.n), H, [mm.dot_bits(h, a) for h in new]
 
 
+@cache
 def _row_form(d: int, n: int) -> _IntRows:
-    """The row primitives of Z_d^{2n}, picked once per step plan."""
+    """The row primitives of Z_d^{2n}: one shared instance per (d, n), so
+    the plans kept on a step (`_plans`) do not each hold their own."""
     return (_BitRows if d == 2 else _IntRows)(d, n)
 
 
@@ -302,7 +308,7 @@ class _MeasurementPlan:
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
-        self.V, self.meas, self.A, self.form = V, meas, meas.generators, _row_form(V.d, V.n)
+        self.V, self.A, self.form = V, meas.generators, _row_form(V.d, V.n)
 
     @cached_property
     def spread(self) -> list[list[int]]:
@@ -436,22 +442,38 @@ def _measured(plan: _MeasurementPlan, outcomes, values) -> list[tuple]:
     return [(k, len(ks), update(k)) for k in ks]
 
 
+def _plans(op) -> dict:
+    """The plans of a step that `_chain` keeps, by known subspace V: a gate's
+    `_transport`, a `_MeasurementPlan` with `spread` and `updates` read.
+    They live in the step's own __dict__ (as `Subspace.of_bits` seeds
+    `bits`), so they go when the step goes."""
+    return op.__dict__.setdefault("_plans", {})
+
+
 def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspace]:
     """The walker steps of a circuit on the values of V's rows, and the known
     subspace after the last one.  It depends on the one before and the step
     alone, so every branch at one depth shares it: one plan per step, built
-    in step order on the last V_new; a measurement's `spread` before `updates`."""
+    in step order on the last V_new, or read from the step's `_plans` when
+    the step has met this V before.  Only a finished plan is kept, so a
+    step that raises keeps nothing and raises again on the next call."""
     if bad := [kind for kind, _ in steps if kind not in ("gate", "measure")]:
         raise DimensionMismatch(f"unknown step kind {bad[0]!r}")
     walker = []
     for kind, op in steps:
+        plans = _plans(op)
+        plan = plans.get(V)
         if kind == "gate":
-            plan = _transport(V, op)
+            if plan is None:
+                plan = plans[V] = _transport(V, op)
             walker.append(lambda outcomes, values, plan=plan: [(None, 1, _shifted(plan, values))])
             V = plan[0]
         else:
-            plan = _MeasurementPlan(V, op)
-            plan.spread  # the outcome guard fires before `updates` is built
+            if plan is None:
+                plan = _MeasurementPlan(V, op)
+                plan.spread  # the outcome guard fires before `updates` is built
+                plan.updates
+                plans[V] = plan
             walker.append(partial(_measured, plan))
             V = plan.updates[0]
     return walker, V
@@ -463,7 +485,13 @@ def statistics(
     """Exact distribution over outcome-tuple sequences for a circuit of
     affine maps and sharp measurements, with no sampling: every branch with
     nonzero probability is expanded, carrying only its values.  A step's
-    outcome count does not depend on them, so each leaf has probability 1/m."""
+    outcome count does not depend on them, so each leaf has probability 1/m.
+    The plans are read from, or kept in, each step's `_plans`: a host hands
+    out the same step objects to every circuit, so later circuits on a known
+    subspace already met build nothing.  The single-state steps
+    (`apply_affine`, `measure_sharp`, `outcome_distribution`, `posterior`)
+    build fresh plans and keep none: a single-state trajectory seldom meets
+    a V twice, so there the kept plans would only grow."""
     walker, _ = _chain(state.V, steps)
     leaves = branch_tree(state.values, walker)
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

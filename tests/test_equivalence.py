@@ -261,14 +261,17 @@ class TestHostProjectorCache:
         by_label: dict[str, list] = {}
         for _ in range(30):
             pc = eqv.random_paired_circuit(host, rng)
-            for (kind, op), desc in zip(pc.dense_steps, pc.description):
+            for (kind, op), (_, toy_op), desc in zip(pc.dense_steps, pc.toy_steps, pc.description):
                 if kind == "measure":
-                    by_label.setdefault(desc, []).append(op)
+                    by_label.setdefault(desc, []).append((op, toy_op))
         assert max(len(ops) for ops in by_label.values()) > 1
         for ops in by_label.values():
-            assert all(op is ops[0] for op in ops)
+            # one projector tuple and one toy step object per label, so the
+            # toy plans a step keeps are shared by every circuit
+            assert all(op is ops[0][0] and toy_op is ops[0][1] for op, toy_op in ops)
             with pytest.raises(ValueError):
-                ops[0][0][0, 0] = 0
+                ops[0][0][0][0, 0] = 0
+        assert len({id(ops[0][1]) for ops in by_label.values()}) == len(by_label)
         for lam in host.sub.observables:
             projs = eqv.measurement_projectors(lam, host.spec)
             assert eqv.measurement_projectors(lam, host.spec) is projs
@@ -397,5 +400,23 @@ def test_toy_statistics_match_the_per_branch_reference(name, d, n):
     rng = np.random.default_rng([19, d, n])
     for _ in range(40):
         pc = eqv.random_paired_circuit(host, rng)
-        got = toy.statistics(pc.epistemic, pc.toy_steps)
-        assert list(got.items()) == list(ref_statistics(pc.epistemic, pc.toy_steps).items())
+        want = list(ref_statistics(pc.epistemic, pc.toy_steps).items())
+        for _ in range(2):  # plans built or read, then read from the host's steps
+            assert list(toy.statistics(pc.epistemic, pc.toy_steps).items()) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_css_rebit_compound_hadamard_in_a_text_circuit(n):
+    # H* is a host generator on all wires, not a do.gate name: both sides
+    # take the host's matrix for it
+    host = eqv.host_model("css-rebit", n)
+    every = " ".join(map(str, range(n)))
+    text = (f"GATE H* {every}\nGATE CNOT 0 1\nMEAS Z 0 -> a\n"
+            f"GATE H* {every}\nMEAS X 1 -> b\nGATE CNOT 1 0\nMEAS {'Z' * n} {every} -> c\n")
+    toy_dist, dense_dist, dev = eqv.circuit_statistics_both_ways(parse_circuit(text, n_wires=n), host)
+    assert dev <= 1e-9 and len(toy_dist) > 1 and set(toy_dist) == set(dense_dist)
+    assert np.array_equal(host.gate_matrix("H*", tuple(range(n))), host.sub.gate_generators[-1].matrix)
+    # on any other wire tuple H* names nothing
+    other = "1 0" if n == 2 else "0 1"
+    with pytest.raises(AuditError, match="does not act on wires"):
+        eqv.circuit_statistics_both_ways(parse_circuit(f"GATE H* {other}\n", n_wires=n), host)

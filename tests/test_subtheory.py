@@ -6,6 +6,7 @@ from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
 from spektoy.errors import DimensionMismatch, GuardExceeded, InvalidGenerators
+from test_dense_oracle import random_clifford_word
 
 
 class TestBeta:
@@ -378,6 +379,24 @@ class TestGateGroupOrders:
             stt.group_contains(group, do.gate("T", (0,), 1))
         with pytest.raises(InvalidGenerators):
             stt.generated_gate_group([H, do.gate("T", (0,), 1)])
+
+
+class TestSignedActions:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gather_is_the_product_of_actions(self, n):
+        # the group's keys compose by one gather, not by a dense K_U K_V
+        rng = np.random.default_rng([29, n])
+        for _ in range(20):
+            U, V = (random_clifford_word(rng, n, int(rng.integers(1, 8))) for _ in range(2))
+            a, b = stt._signed_action(U), stt._signed_action(V)
+            got = stt._compose_actions(a, b)
+            K = np.zeros((4**n, 4**n), dtype=np.int64)
+            K[got >> 1, np.arange(4**n)] = 1 - 2 * (got & 1)
+            assert np.array_equal(K, do.pauli_action(U) @ do.pauli_action(V))
+            assert np.array_equal(got, stt._signed_action(U @ V))
+            # a stack of actions composes row by row
+            assert np.array_equal(stt._compose_actions(np.stack([a, b]), b),
+                                  [got, stt._compose_actions(b, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -856,8 +856,9 @@ def circuits_on_states(draw):
 @given(circuits_on_states())
 def test_walker_matches_per_branch_reference(case):
     prior, steps = case
-    result = same_result(lambda *a: list(tm.statistics(*a).items()),
-                         lambda *a: list(ref_statistics(*a).items()), prior, steps)
+    for _ in range(2):  # plans built, then read from the steps; a raising step raises again
+        result = same_result(lambda *a: list(tm.statistics(*a).items()),
+                             lambda *a: list(ref_statistics(*a).items()), prior, steps)
     if result[0] == "value":  # and every leaf state, in expansion order
         walker, V = tm._chain(prior.V, steps)
         leaves = branch_tree(prior.values, walker)
@@ -912,8 +913,9 @@ def test_walker_builds_each_plan_once_per_step(monkeypatch):
     assert len(stats) >= 3 and sum(stats.values()) == 1
     assert (built["transport"], built["measure"]) == (3, 4)
     assert built["gate finish"] >= 3 * 3  # three gate layers of at least three branches
-    assert tm.statistics(state, steps) == stats  # a second call builds every plan again
-    assert (built["transport"], built["measure"]) == (6, 8)
+    # a second call reads every plan from its step and builds none
+    assert tm.statistics(state, steps) == stats
+    assert (built["transport"], built["measure"]) == (3, 4)
 
 
 def test_outcome_guard_through_the_walker(monkeypatch):
@@ -928,12 +930,33 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     listed, outcomes = [], tm._MeasurementPlan.outcomes
     monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
                         lambda plan, values: listed.append(values) or outcomes(plan, values))
-    with pytest.raises(GuardExceeded) as excinfo:
-        tm.statistics(state, steps)
-    # raised by the plan's spread while the chain is built, before any
-    # outcome of any step is listed
-    names = [entry.name for entry in excinfo.traceback]
-    assert names[-1] == "spread" and "_chain" in names and listed == []
+    for _ in range(2):
+        with pytest.raises(GuardExceeded) as excinfo:
+            tm.statistics(state, steps)
+        # raised by the plan's spread while the chain is built, before any
+        # outcome of any step is listed; the step kept no plan, so the
+        # next call builds it and raises again
+        names = [entry.name for entry in excinfo.traceback]
+        assert names[-1] == "spread" and "_chain" in names and listed == []
+    assert tm._plans(meas) == {} and len(tm._plans(first)) == len(tm._plans(g)) == 1
+
+
+def test_single_state_steps_keep_no_plan():
+    # only the walker keeps plans on its steps: a trajectory's gates and
+    # measurements build fresh ones
+    d, n = 3, 2
+    rng = np.random.default_rng(31)
+    g, meas = _random_affine(rng, d, n), tm.SharpMeasurement(((0, 1, 0, 0),), d, n)
+    state = tm.maximally_mixed(d, n)
+    for seed in range(3):
+        state = tm.apply_affine(state, g)
+        table = tm.outcome_distribution(state, meas)
+        outcome, posterior, _ = tm.measure_sharp(state, meas, seed)
+        state = tm.posterior(state, meas, outcome)
+        assert state == posterior and outcome in table
+    assert "_plans" not in vars(g) and "_plans" not in vars(meas)
+    tm.statistics(state, [("gate", g), ("measure", meas)])
+    assert len(tm._plans(g)) == len(tm._plans(meas)) == 1
 
 
 def test_step_plans_are_kept_per_known_subspace():
