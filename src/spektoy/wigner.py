@@ -18,6 +18,8 @@ are computed, never assumed.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -231,12 +233,6 @@ def wigner_of_state(rho: np.ndarray, spec: WignerSpec) -> WignerTable:
     return WignerTable(spec, vals[0], float(resid[0]))
 
 
-def wigner_of_measurement(Pi: np.ndarray, spec: WignerSpec) -> WignerTable:
-    """Normalized table of a measurement element (same formula, its own
-    normalisation)."""
-    return wigner_of_state(Pi, spec)
-
-
 @lru_cache(maxsize=32)
 def _lex(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every point in lex order, and the weights giving a point its lex
@@ -327,40 +323,59 @@ def _covariant(before: np.ndarray, after: np.ndarray, g: pa.AffineSymplectic) ->
     return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], rtol=0, atol=1e-9)
 
 
-def _fit_guard(spec: WignerSpec, state_set) -> None:
-    if len(state_set) == 0:
+def _affine_map(codes, d: int, n: int) -> pa.AffineSymplectic | None:
+    """The affine map sending 0 to the point of lex code codes[0] and each
+    unit point e_j to that of codes[1 + j], or None when its linear part
+    is not symplectic: an affine map is fixed by these 2n + 1 images."""
+    pts, _ = _lex(d, n)
+    a = pts[codes[0]]
+    # column j of S is the image of e_j less a
+    S = ((pts[list(codes[1:])] - a) % d).T
+    try:
+        return pa.AffineSymplectic(S, a, d)
+    except DimensionMismatch:
+        return None
+
+
+def _fit_guard(before: np.ndarray, after: np.ndarray, spec: WignerSpec) -> list:
+    """The candidate list of each basis point b = 0, e_1, ..., e_2n: the
+    lex codes mu with before[:, mu] = after[:, b] within 1e-9 on every row.
+
+    Raises DimensionMismatch for an empty state set, and GuardExceeded
+    when the product of the list sizes exceeds pa.AFFINE_ENUM_GUARD."""
+    if len(before) == 0:
         raise DimensionMismatch("state_set must be nonempty")
-    total = pa.sp_order(spec.n, spec.d) * spec.d ** (2 * spec.n)
+    _, weights = _lex(spec.d, spec.n)
+    lists = [
+        np.flatnonzero(np.abs(before - after[:, [b]]).max(axis=0) <= 1e-9)
+        for b in (0, *weights)
+    ]
+    total = math.prod(map(len, lists))
     if total > pa.AFFINE_ENUM_GUARD:
         raise GuardExceeded(
             f"covariance search needs {total} candidates; guard is "
             f"{pa.AFFINE_ENUM_GUARD}"
         )
+    return lists
 
 
-def _affine_search(
+def _basis_point_search(
     before: np.ndarray, after: np.ndarray, spec: WignerSpec
 ) -> pa.AffineSymplectic | None:
-    """The first (S, a) of the affine symplectic stream with
-    after[:, lam] = before[:, S lam + a] for every row, or None."""
-    d, n = spec.d, spec.n
-    # the sparsest image table anchors the translation search
-    anchor = int(np.argmin(np.count_nonzero(np.abs(after) > 1e-9, axis=1)))
-    pts, _ = _lex(d, n)
-    anchor_before, anchor_after = before[anchor], after[anchor]
-    anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
-    anchor_pt = pts[anchor_code]
-    candidate_targets = pts[np.abs(anchor_before - anchor_after[anchor_code]) < 1e-9]
-    for S in pa.symplectic_matrices(n, d):
-        base = (S @ anchor_pt) % d
-        for target in candidate_targets:
-            a = (target - base) % d
-            perm = _image_codes(S, a, d)
-            # the anchor row alone rejects most candidates cheaply
-            if np.allclose(
-                anchor_after, anchor_before[perm], rtol=0, atol=1e-9
-            ) and np.allclose(after, before[:, perm], rtol=0, atol=1e-9):
-                return pa.AffineSymplectic(S.copy(), a, d)
+    """The first affine symplectic g, in the product order of the candidate
+    lists, with after[:, lam] = before[:, g(lam)] for every row, or None.
+
+    Complete: a witness g sends each basis point b to a point whose column
+    of before equals after's column at b, so g(b) lies in b's candidate
+    list, and g is fixed by these images.  Every such choice is tried and
+    checked at every point, so None certifies that no witness exists.  A
+    list holds more than one code only where two phase points carry equal
+    values in every table of the set, i.e. where the tables do not separate
+    points (a set of a few states; the stabilizer censuses separate them)."""
+    for codes in itertools.product(*_fit_guard(before, after, spec)):
+        g = _affine_map(codes, spec.d, spec.n)
+        if g is not None and _covariant(before, after, g):
+            return g
     return None
 
 
@@ -370,14 +385,13 @@ def fit_covariance(
     """Exhaustive search for (S, a) with W_{U rho U*}(lam) = W_rho(S lam + a)
     for every state in state_set at every lam.
 
-    Searches the full affine symplectic stream; translations are pruned
-    (soundly) through an anchor support point of the first table, so a
-    ``None`` answer is still an exhaustive no-witness certificate.  Raises
-    GuardExceeded outside enumeration guards, before any table is built.
+    Tries every affine symplectic map whose images of 0 and of the unit
+    points are read off the tables (`_basis_point_search`), so a ``None``
+    answer is an exhaustive no-witness certificate.  Raises GuardExceeded,
+    before any candidate is tried, when the candidates exceed the guard.
     """
-    _fit_guard(spec, state_set)
     before = _stacked_tables(state_set, spec)
-    return _affine_search(before, _stacked_tables(state_set, spec, U), spec)
+    return _basis_point_search(before, _stacked_tables(state_set, spec, U), spec)
 
 
 def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic | None:
@@ -388,13 +402,12 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
     whole stack: the unique partners give a and the columns of S.  Then
     U* A(lam) U = A(S lam + a) is checked at every lam at once, which
     witnesses covariance for *all* states.  Returns None when a basis point
-    has no unique partner, S is not symplectic or the check fails (which
-    does not by itself rule out table-level covariance; use fit_covariance
-    for certificates)."""
+    has no unique partner, S is not symplectic or the check fails, which
+    does not by itself rule out covariance on the tables of a state set."""
     d, n = spec.d, spec.n
     A = _phase_point_stack(spec)
     flat = A.reshape(len(A), -1)
-    pts, weights = _lex(d, n)
+    _, weights = _lex(d, n)
     Ud = U.conj().T
     partners = []
     for code in (0, *weights):
@@ -403,15 +416,10 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
         if hits.size != 1:
             return None
         partners.append(hits[0])
-    a = pts[partners[0]]
-    # column j of S is the image of e_j less a
-    S = ((pts[partners[1:]] - a) % d).T
-    J = pa.symplectic_form(n, d)
-    if np.any((S.T @ J @ S - J) % d):
+    g = _affine_map(partners, d, n)
+    if g is None or np.abs(Ud @ A @ U - A[_image_codes(g.S, g.a, d)]).max() >= 1e-9:
         return None
-    if np.abs(Ud @ A @ U - A[_image_codes(S, a, d)]).max() >= 1e-9:
-        return None
-    return pa.AffineSymplectic(S, a, d)
+    return g
 
 
 def covariance_witness(
@@ -422,9 +430,9 @@ def covariance_witness(
 
     Tries the operator-transport shortcut first (works at any supported n);
     the resulting witness is verified on the state tables.  When the
-    shortcut fails, falls back to the guard-limited exhaustive search,
-    which can also certify non-existence (witness None) and raises
-    GuardExceeded past its guard.
+    shortcut fails, falls back to the exhaustive basis-point search, which
+    can also certify non-existence (witness None) and raises GuardExceeded
+    when its candidates exceed the guard.
     """
     return _covariance_witness(U, spec, state_set, _stacked_tables(state_set, spec))
 
@@ -433,18 +441,13 @@ def _covariance_witness(
     U: np.ndarray, spec: WignerSpec, state_set, before: np.ndarray
 ) -> tuple[pa.AffineSymplectic | None, str]:
     """covariance_witness with the tables of state_set given as before: the
-    image tables are built once, when a witness is first compared, and
-    shared by the transport check and the exhaustive search."""
+    image tables are built once and shared by the transport check and the
+    exhaustive search."""
+    after = _stacked_tables(state_set, spec, U)
     g = phase_space_action(U, spec)
-    after = None
-    if g is not None:
-        after = _stacked_tables(state_set, spec, U)
-        if _covariant(before, after, g):
-            return g, "transport"
-    _fit_guard(spec, state_set)
-    if after is None:
-        after = _stacked_tables(state_set, spec, U)
-    return _affine_search(before, after, spec), "exhaustive"
+    if g is not None and _covariant(before, after, g):
+        return g, "transport"
+    return _basis_point_search(before, after, spec), "exhaustive"
 
 
 def verify_covariance(U, spec: WignerSpec, state_set, g: pa.AffineSymplectic) -> bool:

@@ -219,7 +219,8 @@ def peres_mermin_s_variant() -> dict:
     if best is None:
         return {"witness": "peres-mermin-s", "found": False}
     grid, row_signs, col_signs = best
-    table = ContextTable.build(grid, row_signs, col_signs)
+    # the search accepted every line on the pool's own line tables
+    table = ContextTable.build(grid, row_signs, col_signs, validate=False)
     sweep = assignment_search(table)
     origins = {w: pool[w] for row in grid for w in row}
     # every Y-containing entry is an S-conjugated X-form

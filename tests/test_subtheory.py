@@ -226,9 +226,13 @@ class TestCertificates:
         assert cov["failures"] == [{"gate": "S(0)", "mode": "exhaustive"}]
 
     def test_guard_exceeded_is_a_reported_failure(self, monkeypatch):
-        # transport needs no enumeration; only S(0) reaches the guarded search
+        # transport needs no search; only S(0) reaches the guarded one,
+        # with 2 candidates for each basis point on the one-state census
+        sub = _one_state_census()
+        witnesses = stt.is_spekkens_subtheory(sub)["covariance"]["witnesses"]
+        assert witnesses["S(0)"]["mode"] == "exhaustive"
         monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 1)
-        rep = stt.is_spekkens_subtheory(stt.full_qubit_stabilizer_subtheory(1))
+        rep = stt.is_spekkens_subtheory(sub)
         assert rep["covariance"]["failures"] == [{"gate": "S(0)", "mode": "guard-exceeded"}]
         assert set(rep["covariance"]["witnesses"]) == {"X(0)", "Z(0)", "H(0)"}
         assert not rep["passed"]
@@ -448,7 +452,7 @@ def ref_is_spekkens_subtheory(sub):
             continue
         label = do.PauliLabel.from_point(lam, sub.d)
         for k, P in enumerate(do.label_projectors(label)):
-            ok, off = ref_is_nonnegative(wg.wigner_of_measurement(P, sub.spec))
+            ok, off = ref_is_nonnegative(wg.wigner_of_state(P, sub.spec))
             if not ok:
                 dual_witness = {"observable": label.name(), "outcome": k, "offending": off[:3]}
                 break
@@ -487,6 +491,12 @@ def _planted(base, name, states=None, spec=None, observables=None):
         base.gate_generators,
         base.observables if observables is None else observables,
     )
+
+
+def _one_state_census(construction="delfosse-rebit"):
+    # {|0>} under full-qubit n=1: its one table does not separate points
+    base = stt.full_qubit_stabilizer_subtheory(1, construction)
+    return _planted(base, "one-state", states=(do.basis_state([0]),))
 
 
 def _bloch_state(x, y, z):
@@ -565,7 +575,7 @@ class TestStackedCertificate:
 
     def test_guard_exceeded_matches(self, monkeypatch):
         monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 1)
-        for sub in (stt.full_qubit_stabilizer_subtheory(1), stt.full_qubit_stabilizer_subtheory(2)):
+        for sub in (_one_state_census(), _one_state_census("factorisable-rebit")):
             got, ref = stt.is_spekkens_subtheory(sub), ref_is_spekkens_subtheory(sub)
             assert _emitted(got) == _emitted(ref)
             assert {"gate": "S(0)", "mode": "guard-exceeded"} in got["covariance"]["failures"]
@@ -573,26 +583,36 @@ class TestStackedCertificate:
     @pytest.mark.parametrize("guard", [None, 1])
     def test_one_table_stack_per_state_set(self, guard, monkeypatch):
         # the census and the duals are tabulated once each; each generator
-        # tabulates its images once, if it reaches a comparison at all
+        # tabulates its images once, before the guard, and past the guard
+        # no candidate is compared
         if guard is not None:
             monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", guard)
-        calls = []
-        tables = wg._tables
+        calls, compared = [], []
+        tables, covariant = wg._tables, wg._covariant
 
         def counted(states, spec):
             calls.append(states.shape)
             return tables(states, spec)
 
+        def counted_covariant(before, after, g):
+            compared.append(g.key())
+            return covariant(before, after, g)
+
         monkeypatch.setattr(wg, "_tables", counted)
-        sub = stt.full_qubit_stabilizer_subtheory(1)
-        states = sub.states
+        monkeypatch.setattr(wg, "_covariant", counted_covariant)
+        sub = _one_state_census()
         rep = stt.is_spekkens_subtheory(sub)
-        modes = [w["mode"] for w in rep["covariance"]["witnesses"].values()]
-        modes += [f["mode"] for f in rep["covariance"]["failures"]]
-        compared = sum(mode != "guard-exceeded" for mode in modes)
-        assert compared == (3 if guard else 4)
-        assert calls == [(6, 2), (4, 2, 2)] + [(6, 2)] * compared
-        assert len(states) == 6
+        modes = {gate: w["mode"] for gate, w in rep["covariance"]["witnesses"].items()}
+        assert modes == {"X(0)": "transport", "Z(0)": "transport", "H(0)": "transport"} | (
+            {} if guard else {"S(0)": "exhaustive"}
+        )
+        assert calls == [(1, 2), (4, 2, 2)] + [(1, 2)] * 4
+        # one comparison per transport witness, then S(0)'s candidates
+        # only within the guard
+        if guard:
+            assert len(compared) == 3
+        else:
+            assert len(compared) > 3
 
     def test_one_image_stack_per_generator(self, monkeypatch):
         calls = []

@@ -13,6 +13,7 @@ from spektoy import toy_model as tm
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch, GuardExceeded, RestrictionViolation
 from test_modmath import ref_nullspace, ref_rref, ref_solve
+from sp_enumeration import symplectic_matrices
 from test_phase_algebra import affine_symplectics
 
 
@@ -631,7 +632,7 @@ def steps_on_states(draw):
         extra = _dependent(gens, d, lambda k: draw(st.integers(0, k - 1)))
         gens.insert(draw(st.integers(0, len(gens))), extra)
     if n == 1:  # no two-site blocks: any element of Sp(2, Z_d)
-        S = draw(st.sampled_from(pa.symplectic_matrices(1, d)))
+        S = draw(st.sampled_from(symplectic_matrices(1, d)))
         g = pa.AffineSymplectic(S, draw(coeffs), d)
     else:
         g = _random_affine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, n)
@@ -796,7 +797,7 @@ def ref_statistics(state, steps):
 
 def _draw_affine(draw, d, n, coeffs):
     if n == 1:  # no two-site blocks: any element of Sp(2, Z_d)
-        S = draw(st.sampled_from(pa.symplectic_matrices(1, d)))
+        S = draw(st.sampled_from(symplectic_matrices(1, d)))
         return pa.AffineSymplectic(S, draw(coeffs), d)
     return _random_affine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, n)
 

@@ -9,6 +9,7 @@ from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import wigner as wg
 from spektoy.errors import AuditError, DimensionMismatch, GuardExceeded
+from sp_enumeration import symplectic_matrices
 
 
 I2 = np.eye(2)
@@ -202,20 +203,20 @@ class TestTables:
 class TestMeasurementDuality:
     def test_identity_gives_uniform(self):
         spec = wg.factorisable_rebit_spec(1)
-        t = wg.wigner_of_measurement(np.eye(2) / 2, spec)
+        t = wg.wigner_of_state(np.eye(2) / 2, spec)
         assert np.allclose(t.values, 0.25)
 
     def test_rank1_projector_matches_state_table(self):
         spec = wg.factorisable_rebit_spec(1)
         psi = do.basis_state([0])
         t_state = wg.wigner_of_state(psi, spec)
-        t_meas = wg.wigner_of_measurement(np.outer(psi, psi.conj()), spec)
+        t_meas = wg.wigner_of_state(np.outer(psi, psi.conj()), spec)
         assert np.allclose(t_state.values, t_meas.values, atol=1e-12)
 
     def test_bell_projector_table(self):
         spec = wg.delfosse_rebit_spec(2)
         bell = do.stabilizer_state(["+XX", "+ZZ"])
-        t = wg.wigner_of_measurement(np.outer(bell, bell.conj()), spec)
+        t = wg.wigner_of_state(np.outer(bell, bell.conj()), spec)
         assert wg.is_nonnegative(t)[0]
         assert len(t.support()) == 4
 
@@ -337,7 +338,7 @@ def ref_fit_covariance(U, spec, state_set):
     anchor_code = int(np.argmax(np.abs(anchor_after) > 1e-9))
     anchor_pt = pts[anchor_code]
     candidate_targets = pts[np.abs(anchor_before - anchor_after[anchor_code]) < 1e-9]
-    for S in pa.symplectic_matrices(n, d):
+    for S in symplectic_matrices(n, d):
         base = (S @ anchor_pt) % d
         for target in candidate_targets:
             a = (target - base) % d
@@ -566,6 +567,171 @@ class TestStackedCovariance:
             assert missing == ({"S"} if n == 1 else {"H", "S"})
         else:
             assert not missing
+
+
+def census_search_cases():
+    """(label, spec, states, U): every generator and every named-pool gate
+    of the census hosts, and the pool on the four-state rebit sets and the
+    mixed CSS set."""
+    hosts = [
+        make(n) for make in (stt.minimal_rebit_subtheory, stt.css_rebit_subtheory) for n in (1, 2)
+    ]
+    hosts += [
+        stt.full_qubit_stabilizer_subtheory(n, name)
+        for n in (1, 2) for name in ("delfosse-rebit", "factorisable-rebit")
+    ]
+    hosts += [stt.qudit_stabilizer_subtheory(3, n) for n in (1, 2)]
+    hosts.append(stt.qudit_stabilizer_subtheory(5, 1))
+    sets = [(sub.name, sub.spec, sub.states, sub.gate_generators) for sub in hosts]
+    sets += [(sub.name, sub.spec, sub.states, stt.named_gate_pool(sub.d, sub.n)) for sub in hosts]
+    four = [do.parse_state_spec(s) for s in ("0", "1", "+", "-")]
+    sets += [
+        ("four-state", make(1), four, stt.named_gate_pool(2, 1))
+        for make in (wg.delfosse_rebit_spec, wg.factorisable_rebit_spec)
+    ]
+    mixed = [np.outer(psi, psi.conj()) for psi in stt.minimal_rebit_subtheory(2).states]
+    mixed.append(np.eye(4) / 4)
+    sets.append(("mixed-css", wg.delfosse_rebit_spec(2), mixed, stt.named_gate_pool(2, 2)))
+    return [
+        (f"{name}/{spec.name}/n{spec.n}/{gen.label()}", spec, states, gen.matrix)
+        for name, spec, states, gens in sets for gen in gens
+    ]
+
+
+def separates_points(before):
+    """Whether no two phase points carry equal values in every table."""
+    columns = np.round(before, 9).T
+    return len(np.unique(columns, axis=0)) == len(columns)
+
+
+def candidate_product(U, spec, states):
+    before, after = wg._stacked_tables(states, spec), wg._stacked_tables(states, spec, U)
+    return int(np.prod([len(c) for c in wg._fit_guard(before, after, spec)]))
+
+
+def random_subsets(d, n, count, seed):
+    census = stt.all_stabilizer_states(d, n)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        idx = rng.choice(len(census), int(rng.integers(1, 4)), replace=False)
+        yield [census[i] for i in idx]
+
+
+def affine_symplectic_maps_n1(d):
+    """Every affine symplectic map at n = 1, by brute force: 2x2 matrices
+    filtered by S^T J S = J, with every translation."""
+    J = pa.symplectic_form(1, d)
+    maps = []
+    for entries in itertools.product(range(d), repeat=4):
+        S = np.array(entries, dtype=np.int64).reshape(2, 2)
+        if not np.any((S.T @ J @ S - J) % d):
+            translations = itertools.product(range(d), repeat=2)
+            maps += [pa.AffineSymplectic(S, np.array(a), d) for a in translations]
+    return maps
+
+
+def brute_force_witnesses(U, spec, states, maps):
+    """The maps that transport every table of states under U."""
+    before, after = wg._stacked_tables(states, spec), wg._stacked_tables(states, spec, U)
+    perms = np.array([wg._image_codes(g.S, g.a, spec.d) for g in maps])
+    ok = (np.abs(before[:, perms] - after[:, None, :]) <= 1e-9).all(axis=(0, 2))
+    return [g for g, hit in zip(maps, ok) if hit]
+
+
+class TestBasisPointSearch:
+    def test_census_sets_give_the_exhaustive_answers(self):
+        cases = census_search_cases()
+        assert len(cases) == 183
+        for label, spec, states, U in cases:
+            g, mode = wg.covariance_witness(U, spec, states)
+            ref_g, ref_mode = ref_covariance_witness(U, spec, states)
+            assert (_key(g), mode) == (_key(ref_g), ref_mode), label
+            assert candidate_product(U, spec, states) <= 1, label
+
+    @pytest.mark.parametrize(
+        "spec,n", CENSUS_SPECS, ids=[f"{s.name}-n{n}" for s, n in CENSUS_SPECS]
+    )
+    def test_census_tables_separate_points(self, spec, n):
+        assert separates_points(wg._stacked_tables(stt.all_stabilizer_states(spec.d, n), spec))
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [
+            (wg.delfosse_rebit_spec(1), 1),
+            (wg.factorisable_rebit_spec(1), 2),
+            (wg.delfosse_rebit_spec(2), 3),
+            (wg.factorisable_rebit_spec(2), 4),
+            (wg.gross_spec(3, 1), 5),
+        ],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_non_separating_sets_give_the_reference_verdicts(self, spec, seed):
+        # keys may differ where several witnesses exist; each must be valid
+        pool = stt.named_gate_pool(spec.d, spec.n)
+        verdicts = set()
+        for states in random_subsets(spec.d, spec.n, 4, seed):
+            for gen in pool:
+                g, mode = wg.covariance_witness(gen.matrix, spec, states)
+                ref_g, ref_mode = ref_covariance_witness(gen.matrix, spec, states)
+                assert (g is None, mode) == (ref_g is None, ref_mode), gen.label()
+                assert g is None or ref_verify_covariance(gen.matrix, spec, states, g)
+                verdicts.add(g is None)
+        assert False in verdicts
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complete_against_brute_force_at_n1(self, d):
+        spec = wg.delfosse_rebit_spec(1) if d == 2 else wg.gross_spec(3, 1)
+        census = stt.all_stabilizer_states(d, 1)
+        maps = affine_symplectic_maps_n1(d)
+        assert len(maps) == pa.sp_order(1, d) * d**2
+        # the named pool and one non-Clifford phase gate, which has no witness
+        gates = [gen.matrix for gen in stt.named_gate_pool(d, 1)]
+        gates.append(np.diag([1, 1, np.exp(2j * np.pi / 9)][-d:]).astype(complex))
+        verdicts = set()
+        for k in (1, 2):
+            for idx in itertools.combinations(range(len(census)), k):
+                states = [census[i] for i in idx]
+                if separates_points(wg._stacked_tables(states, spec)):
+                    continue
+                for U in gates:
+                    brute = {_key(w) for w in brute_force_witnesses(U, spec, states, maps)}
+                    g = wg.fit_covariance(U, spec, states)
+                    assert (g is None) == (not brute)
+                    assert g is None or _key(g) in brute
+                    verdicts.add(g is None)
+        assert verdicts == {True, False}
+
+    def test_full_qubit_n3_failures_are_decided(self):
+        cov = stt.is_spekkens_subtheory(stt.full_qubit_stabilizer_subtheory(3))["covariance"]
+        assert cov["failures"] == [
+            {"gate": f"{name}({w})", "mode": "exhaustive"} for w in range(3) for name in ("H", "S")
+        ]
+
+    def test_guard_reads_the_candidate_product(self, monkeypatch):
+        # {|0>} at n=1: 2 candidates for each of the 3 basis points under S
+        spec, states = wg.delfosse_rebit_spec(1), [do.basis_state([0])]
+        S = do.gate("S", (0,), 1)
+        assert candidate_product(S, spec, states) == 8
+        tried = []
+        affine_map = wg._affine_map
+
+        def counted(codes, d, n):
+            tried.append(codes)
+            return affine_map(codes, d, n)
+
+        monkeypatch.setattr(wg, "_affine_map", counted)
+        monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 8)
+        assert wg.fit_covariance(S, spec, states) is not None
+        assert tried
+        tried.clear()
+        monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 7)
+        with pytest.raises(GuardExceeded, match="needs 8 candidates; guard is 7"):
+            wg.fit_covariance(S, spec, states)
+        assert tried == []
+
+    def test_empty_state_set_raises(self):
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            wg.fit_covariance(X, wg.delfosse_rebit_spec(1), [])
 
 
 def transport_cases(d, n):

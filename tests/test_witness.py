@@ -219,6 +219,12 @@ class TestSVariantSquare:
         assert len(words) == 9
         assert (rep["row_signs"] + rep["col_signs"]).count(-1) % 2 == 1
 
+    def test_found_square_passes_the_line_check(self):
+        # the report builds its table unvalidated; the grid must still pass
+        rep = wit.peres_mermin_s_variant()
+        table = wit.ContextTable.build(rep["grid"], rep["row_signs"], rep["col_signs"], validate=False)
+        table.check_lines()
+
     def test_y_entries_are_s_conjugated(self):
         rep = wit.peres_mermin_s_variant()
         assert rep["y_entries_from_S"]
