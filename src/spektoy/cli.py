@@ -123,8 +123,8 @@ def _as_table(payload: dict, indent: int = 0) -> str:
 
 def cmd_wigner(args) -> int:
     cfg = RunConfig.from_args(args)
-    psi = do.parse_state_spec(args.state, d=cfg.d, n=args.n or None)
-    spec = wg.spec_by_name(args.spec, cfg.d, args.n or do.num_sites(psi.shape[0], cfg.d))
+    psi = do.parse_state_spec(args.state, d=cfg.d, n=args.n)
+    spec = wg.spec_by_name(args.spec, cfg.d, do.num_sites(psi.shape[0], cfg.d))
     table = wg.wigner_of_state(psi, spec)
     verdict, offending = wg.is_nonnegative(table, cfg.tolerance)
     report = {

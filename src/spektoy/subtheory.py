@@ -396,9 +396,11 @@ def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -
 
 
 def subtheory_by_name(name: str, n: int, d: int = 2) -> Subtheory:
-    """The named subtheory at n sites; DimensionMismatch if d does not fit
-    the name (the rebit and qubit subtheories live at d = 2, the qudit
-    stabilizer subtheory at odd prime d)."""
+    """The named subtheory at n sites; DimensionMismatch if n < 1 or d does
+    not fit the name (the rebit and qubit subtheories live at d = 2, the
+    qudit stabilizer subtheory at odd prime d)."""
+    if n < 1:
+        raise DimensionMismatch(f"n={n} must be >= 1")
     name = name.lower()
     qubit = {
         "minimal-rebit": minimal_rebit_subtheory,

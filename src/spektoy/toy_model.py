@@ -24,9 +24,9 @@ rows of `Subspace.gens`, numpy only for a gate's V S^-1, V_new S and
 V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
 operation is one XOR and a symplectic product one popcount, as in
 Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
-row updates, O(k dim V 2n), replayed on the values in O(k dim V) per
-outcome.  `EpistemicState.support` lists the coset on demand, under
-`phase_algebra.COSET_GUARD`.
+row updates, O(k dim V 2n); one walk of them on the values lists every
+outcome with its posterior values.  `EpistemicState.support` lists the
+coset on demand, under `phase_algebra.COSET_GUARD`.
 Distributions are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
@@ -151,9 +151,6 @@ class _IntRows:
     def subspace(self, rows) -> pa.Subspace:
         return pa.Subspace(tuple(map(tuple, rows)), self.d, self.n)
 
-    def entries(self, row):
-        return row
-
     def products(self, rows, a) -> list[int]:  # [g, a] for each row g
         Ja, d = pa.symplectic_row(a), self.d
         return [sum(map(mul, g, Ja)) % d for g in rows]
@@ -175,9 +172,6 @@ class _IntRows:
         d = self.d
         return [[(y - f * z) % d for y, z in zip(g, top)] if f else g for g, f in zip(rows, factors)]
 
-    def rref(self, vectors, width: int) -> list[list[int]]:
-        return mm.rref_rows(list(map(list, vectors)), width, self.d)[0]
-
     def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
         """(V_new = V S^-1, H, c) of `_transport`, H = V_new S on V's
         pivot columns and c = V_new a."""
@@ -198,9 +192,6 @@ class _BitRows(_IntRows):
     def subspace(self, rows) -> pa.Subspace:
         return pa.Subspace.of_bits(rows, self.n)
 
-    def entries(self, row):
-        return mm.unpack(row, 2 * self.n)
-
     def products(self, rows, a) -> list[int]:
         Ja = mm.swap_pairs(mm.pack(a), self.n)
         return [mm.dot_bits(g, Ja) for g in rows]
@@ -217,9 +208,6 @@ class _BitRows(_IntRows):
 
     def subtract(self, rows, factors, top):
         return [g ^ top if f else g for g, f in zip(rows, factors)]
-
-    def rref(self, vectors, width: int) -> list[list[int]]:
-        return [list(mm.unpack(r, width)) for r in mm.rref_bits(map(mm.pack, vectors))]
 
     def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
         """Each row v S^-1 is the XOR of S^-1's packed rows where v is 1.
@@ -301,28 +289,13 @@ Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted out
 
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
-    subspace V alone, shared by every state on V.  Each half, `spread` and
-    `updates`, is built on first read; `outcomes` and `posterior` finish it
-    on the values of V's rows."""
+    subspace V alone, shared by every state on V: `updates` and `size`,
+    built on first read; `children` and `after` finish it on V's values."""
 
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
         self.V, self.A, self.form = V, meas.generators, _row_form(V.d, V.n)
-
-    @cached_property
-    def spread(self) -> list[list[int]]:
-        """The outcome A lam of a support point runs uniformly over A w plus
-        the span of this rref of the columns of A's residues a' modulo V:
-        a - a' vanishes on V-perp, and a' is zero on V's pivot columns,
-        where V-perp is not free.  GuardExceeded past COSET_GUARD outcomes."""
-        d, F = self.V.d, self.form
-        V = F.of(self.V)
-        residues = [F.entries(F.reduce(a, V)) for a in self.A]
-        spread = F.rref({col for col in zip(*residues) if any(col)}, len(self.A))
-        if d ** len(spread) > pa.COSET_GUARD:
-            raise GuardExceeded(f"outcome table has {d ** len(spread)} > {pa.COSET_GUARD} entries")
-        return spread
 
     @cached_property
     def updates(self) -> tuple[pa.Subspace, list]:
@@ -331,8 +304,9 @@ class _MeasurementPlan:
         last j with s_j != 0, g_j becomes g_j - (s_j/s_p) g_p and g_p goes;
         the rows left span V within a's commutant, still in rref.  a's
         residue modulo them is zero (its value is determined) or, led by 1,
-        clears its pivot column from the rows and joins them.  ops holds the
-        factors that `posterior` replays on the values."""
+        clears its pivot column from the rows and joins them (a is free).
+        ops holds the factors that `children` and `after` replay on the
+        values."""
         d, F, pivots, ops = self.V.d, self.form, list(self.V.pivots), []
         rows = F.of(self.V)
         for a in self.A:
@@ -357,60 +331,71 @@ class _MeasurementPlan:
         return V_new, ops
 
     @cached_property
-    def on_pivots(self) -> list[list[int]]:
-        """A on V's pivot columns: A w = on_pivots values, w zero off them."""
-        return [[a[p] for p in self.V.pivots] for a in self.A]
+    def size(self) -> int:
+        """The number of outcomes, d^(free functionals), all equally likely;
+        GuardExceeded past COSET_GUARD, before any is listed.  It is
+        d^(dim (V + span A) - dim V): a's residue modulo the rows left is
+        zero exactly when a lies in V + span(earlier functionals), for if
+        a = v + e so, v = a - e lies in V, commutes with every measured
+        functional and so survives each row drop."""
+        size = self.V.d ** sum(op[3] is not None for op in self.updates[1])
+        if size > pa.COSET_GUARD:
+            raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
+        return size
 
-    def outcomes(self, values) -> list[tuple[int, ...]]:
-        """The outcomes at V's values, sorted: the d^r points centre +
-        c . spread, centre = A w, each of probability 1/d^r."""
-        d, spread = self.V.d, self.spread
-        outcomes = [[sum(map(mul, a, values)) % d for a in self.on_pivots]]
-        for r in reversed(spread):  # lexicographic order of c
-            outcomes = [[(x + m * y) % d for x, y in zip(k, r)] for m in range(d) for k in outcomes]
-        return sorted(map(tuple, outcomes))
+    def _drop(self, op, vals) -> tuple[list[int], int]:
+        """op's row drop on the values, and the value the kept rows give a."""
+        p, moves, coeffs = op[:3]
+        if moves is not None:
+            d, x = self.V.d, vals[p]
+            vals = [(v - f * x) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
+        return vals, sum(map(mul, coeffs, vals))
 
-    def table(self, values) -> Table:
-        """Outcome table at V's values, in sorted outcome order."""
-        outcomes = self.outcomes(values)
-        return dict.fromkeys(outcomes, Fraction(1, len(outcomes)))
-
-    def posterior(self, values):
-        """The update at V's values, as a map outcome -> V_new's values: `updates`
-        replayed on them, each functional taking its outcome; one whose value
-        is determined must show it, else the outcome has probability zero.
-        The first functional's row drop and the value its kept rows give it
-        depend on the prior values alone, so they are replayed once, here."""
-        d, ops = self.V.d, self.updates[1]
-
-        def drop(op, vals):  # op's row drop on the values, then coeffs . values
-            p, moves, coeffs = op[:3]
-            if moves is not None:
-                vals = [(v - f * vals[p]) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
-            return vals, sum(map(mul, coeffs, vals))
-
-        first = drop(ops[0], values)
-
-        def update(outcome: tuple[int, ...]) -> list[int]:
-            vals, known = first
-            for k, (op, x) in enumerate(zip(ops, outcome)):
-                if k:
-                    vals, known = drop(op, vals)
-                inv, clears, at = op[3:]
-                x = (int(x) - known) % d
-                if inv is None and x:
-                    raise DimensionMismatch(f"outcome {outcome} has probability zero")
-                if inv is not None:
-                    vals = [(v - f * x * inv) % d for v, f in zip(vals, clears)]
-                    vals.insert(at, x * inv % d)
+    def _show(self, op, vals, x: int) -> list[int]:
+        """The values after a shows x more than its kept rows give it: a
+        free a joins the rows, a determined one (x = 0) leaves them."""
+        inv, clears, at = op[3:]
+        if inv is None:
             return vals
+        d = self.V.d
+        x = x * inv % d
+        vals = [(v - f * x) % d for v, f in zip(vals, clears)]
+        vals.insert(at, x)
+        return vals
 
-        return update
+    def children(self, values) -> list[tuple[tuple[int, ...], list[int]]]:
+        """(outcome, V_new's values) for each outcome that can occur at V's
+        values, in lexicographic order: one breadth-first walk over ops, a
+        determined functional showing its value, a free one each of 0..d-1."""
+        d, level = self.V.d, [((), values)]
+        for op in self.updates[1]:
+            nxt = []
+            for k, vals in level:
+                vals, known = self._drop(op, vals)
+                xs = range(d) if op[3] is not None else (known % d,)
+                nxt += [(k + (x,), self._show(op, vals, (x - known) % d)) for x in xs]
+            level = nxt
+        return level
+
+    def after(self, values, outcome: tuple) -> list[int]:
+        """V_new's values after outcome at V's values, listing nothing else;
+        DimensionMismatch when a determined functional would show another
+        value than its own, so the outcome has probability zero."""
+        vals, d = values, self.V.d
+        for op, x in zip(self.updates[1], outcome):
+            vals, known = self._drop(op, vals)
+            x = (int(x) - known) % d
+            if op[3] is None and x:
+                raise DimensionMismatch(f"outcome {outcome} has probability zero")
+            vals = self._show(op, vals, x)
+        return vals
 
 
 def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
     """Exact outcome table, in sorted outcome order."""
-    return _MeasurementPlan(state.V, meas).table(state.values)
+    plan = _MeasurementPlan(state.V, meas)
+    p = Fraction(1, plan.size)
+    return dict.fromkeys((k for k, _ in plan.children(state.values)), p)
 
 
 def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> EpistemicState:
@@ -418,18 +403,20 @@ def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> 
     plan, k = _MeasurementPlan(state.V, meas), len(meas.generators)
     if len(outcome) != k:
         raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
-    return _coset_state(plan.updates[0], plan.posterior(state.values)(outcome))
+    return _coset_state(plan.updates[0], plan.after(state.values, outcome))
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
     """Seeded sample: (outcome, posterior state, exact probability table)."""
-    plan, values = _MeasurementPlan(state.V, meas), state.values
-    table, r, acc = plan.table(values), random.Random(rng_seed).random(), 0.0
-    for outcome, p in table.items():  # the last outcome if rounding leaves r >= acc
+    plan = _MeasurementPlan(state.V, meas)
+    p = Fraction(1, plan.size)
+    children, r, acc = plan.children(state.values), random.Random(rng_seed).random(), 0.0
+    for outcome, values in children:  # the last outcome if rounding leaves r >= acc
         acc += float(p)
         if r < acc:
             break
-    return outcome, _coset_state(plan.updates[0], plan.posterior(values)(outcome)), table
+    table = dict.fromkeys((k for k, _ in children), p)
+    return outcome, _coset_state(plan.updates[0], values), table
 
 
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
@@ -438,13 +425,12 @@ ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMe
 def _measured(plan: _MeasurementPlan, outcomes, values) -> list[tuple]:
     """Walker finish of a measurement on V's values: one child per outcome
     that can occur, its probability 1/m as the int m, and V_new's values."""
-    ks, update = plan.outcomes(values), plan.posterior(values)
-    return [(k, len(ks), update(k)) for k in ks]
+    return [(k, plan.size, vals) for k, vals in plan.children(values)]
 
 
 def _plans(op) -> dict:
     """The plans of a step that `_chain` keeps, by known subspace V: a gate's
-    `_transport`, a `_MeasurementPlan` with `spread` and `updates` read.
+    `_transport`, a `_MeasurementPlan` with `updates` and `size` read.
     They live in the step's own __dict__ (as `Subspace.of_bits` seeds
     `bits`), so they go when the step goes."""
     return op.__dict__.setdefault("_plans", {})
@@ -471,8 +457,7 @@ def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspac
         else:
             if plan is None:
                 plan = _MeasurementPlan(V, op)
-                plan.spread  # the outcome guard fires before `updates` is built
-                plan.updates
+                plan.size  # the outcome guard fires before any outcome is listed
                 plans[V] = plan
             walker.append(partial(_measured, plan))
             V = plan.updates[0]

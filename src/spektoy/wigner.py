@@ -18,7 +18,6 @@ are computed, never assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -371,12 +370,25 @@ def _basis_point_search(
     checked at every point, so None certifies that no witness exists.  A
     list holds more than one code only where two phase points carry equal
     values in every table of the set, i.e. where the tables do not separate
-    points (a set of a few states; the stabilizer censuses separate them)."""
-    for codes in itertools.product(*_fit_guard(before, after, spec)):
-        g = _affine_map(codes, spec.d, spec.n)
-        if g is not None and _covariant(before, after, g):
-            return g
-    return None
+    points (a set of a few states; the stabilizer censuses separate them).
+    The lists are searched depth first in that order, and a code joins a
+    choice only if its column of S has the symplectic products J_ij with
+    the columns already chosen, so only complete choices build a map."""
+    d, n, lists = spec.d, spec.n, _fit_guard(before, after, spec)
+    pts, J = _lex(d, n)[0], pa.symplectic_form(n, d)
+
+    def search(codes):
+        k = len(codes)
+        if k == len(lists):
+            g = _affine_map(codes, d, n)
+            return g if g is not None and _covariant(before, after, g) else None
+        keep, a = lists[k], pts[codes[0]] if codes else None
+        if k > 1:  # column k - 1 of S against the columns before it
+            cols, new = (pts[list(codes[1:])] - a) % d, (pts[keep] - a) % d
+            keep = keep[np.all((cols @ J @ new.T - J[: k - 1, [k - 1]]) % d == 0, axis=0)]
+        return next((g for mu in keep if (g := search((*codes, mu))) is not None), None)
+
+    return search(())
 
 
 def fit_covariance(

@@ -221,6 +221,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name,d", [("minimal-rebit", 2), ("css-rebit", 2),
+                                        ("full-qubit-stabilizer", 2), ("qudit-stabilizer", 3),
+                                        ("gross", 3)])
+    def test_subtheory_n_must_be_positive(self, name, d, n, capsys):
+        # a site count below one is a usage error, not a crash (exit 1
+        # means verified-negative)
+        code, out = run_cli(["subtheory", "verify", name, "--n", str(n), "--d", str(d)])
+        assert code == 2 and out == ""
+        assert f"n={n} must be >= 1" in capsys.readouterr().err
+
+    def test_wigner_state_must_fit_n(self, capsys):
+        # --n names the wire count the state spec must have, 0 included
+        for n in (0, 2):
+            code, out = run_cli(["wigner", "--state", "0", "--n", str(n)])
+            assert code == 2 and out == ""
+            assert f"state spec is not on {n} wires" in capsys.readouterr().err
+        code, out = run_cli(["wigner", "--state", "0", "--n", "1"])
+        assert code == 0 and json.loads(out)["config"]["n"] == 1
+
     @pytest.mark.parametrize("name", ["ghz", "chsh", "peres-mermin-s"])
     def test_witness_input_only_for_peres_mermin(self, name, capsys):
         # --input feeds the peres-mermin context circuits; another witness

@@ -5,6 +5,9 @@
   relative to the compared values.
 * The package imports only numpy, the standard library and itself
   (numpy is its one declared dependency).
+* No private code is dead: every module-level _name and every method of
+  a module-level _Class is read somewhere in the package, as a name or
+  as an attribute.
 """
 
 import ast
@@ -53,6 +56,38 @@ def foreign_imports(tree):
     return bad
 
 
+def private_definitions(tree):
+    """(line, name) of each module-level _name (dunders aside) and of each
+    method of a module-level _Class other than its dunders."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.startswith("_")]
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            found += [(f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [(line, name) for line, name in found if not name.startswith("__")]
+
+
+def unread_private(trees):
+    """(file, line, name) of each private definition of the named trees
+    that no tree reads as a name or an attribute."""
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [(file, line, name) for file, tree in trees
+            for line, name in private_definitions(tree) if name not in read]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -74,3 +109,21 @@ def test_rules_catch_violations():
     )
     assert close_calls_without_rtol0(tree) == [5, 6]
     assert foreign_imports(tree) == [(2, "scipy.linalg"), (3, "sympy")]
+
+
+def test_private_code_is_read():
+    assert unread_private(_trees()) == []
+
+
+def test_dead_private_rule_catches_violations():
+    # a written name is not a read one; dunders and public classes' private
+    # methods are not checked
+    used = ast.parse("from m import _Rows, _helper\nx = _Rows().of() + _helper(_USED)\n")
+    tree = ast.parse(
+        "_USED = 1\n_unused: int = 2\n_unused = 3\ndef _helper(v): return v\ndef _dead(): pass\n"
+        "class _Rows:\n    def __init__(self): self.rref = None\n    def of(self): pass\n"
+        "    def rref(self): pass\nclass Public:\n    def _kept(self): pass\n__all__ = []\n"
+    )
+    assert unread_private([("u.py", used), ("m.py", tree)]) == [
+        ("m.py", 2, "_unused"), ("m.py", 3, "_unused"), ("m.py", 5, "_dead"), ("m.py", 9, "rref")
+    ]

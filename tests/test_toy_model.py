@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -475,6 +476,9 @@ def test_outcome_table_guard(monkeypatch):
     assert len(tm.outcome_distribution(state, tm.SharpMeasurement(axes[:3], 2, 4))) == 8
     with pytest.raises(GuardExceeded):
         tm.outcome_distribution(state, tm.SharpMeasurement(axes, 2, 4))
+    # one outcome's update lists nothing, so it runs past the guard
+    meas = tm.SharpMeasurement(axes, 2, 4)
+    assert tm.posterior(state, meas, (1, 0, 1, 1)) == ref_posterior(state, meas, (1, 0, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +583,7 @@ def plan_update(state, meas):
     """The measurement plan's finish at the state's values, as a map
     outcome -> posterior state."""
     plan = tm._MeasurementPlan(state.V, meas)
-    finish = plan.posterior(state.values)
-    return lambda outcome: tm._coset_state(plan.updates[0], finish(outcome))
+    return lambda outcome: tm._coset_state(plan.updates[0], plan.after(state.values, outcome))
 
 
 def assert_same_table(state, meas):
@@ -923,22 +926,22 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     monkeypatch.setattr(pa, "COSET_GUARD", 8)
     state = tm.maximally_mixed(3, 2)
     g = _random_affine(np.random.default_rng(9), 3, 2)
-    meas = tm.SharpMeasurement(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 2)  # spread rank 2: 9 outcomes
+    meas = tm.SharpMeasurement(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 2)  # both free: 9 outcomes
     first = tm.SharpMeasurement(((0, 1, 0, 0),), 3, 2)  # 3 outcomes, under the guard
     steps = [("measure", first), ("gate", g), ("measure", meas)]
     result = same_result(tm.statistics, ref_statistics, state, steps)
     assert result == ("raise", GuardExceeded, "outcome table has 9 > 8 entries")
-    listed, outcomes = [], tm._MeasurementPlan.outcomes
-    monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
-                        lambda plan, values: listed.append(values) or outcomes(plan, values))
+    listed, children = [], tm._MeasurementPlan.children
+    monkeypatch.setattr(tm._MeasurementPlan, "children",
+                        lambda plan, values: listed.append(values) or children(plan, values))
     for _ in range(2):
         with pytest.raises(GuardExceeded) as excinfo:
             tm.statistics(state, steps)
-        # raised by the plan's spread while the chain is built, before any
+        # raised by the plan's size while the chain is built, before any
         # outcome of any step is listed; the step kept no plan, so the
         # next call builds it and raises again
         names = [entry.name for entry in excinfo.traceback]
-        assert names[-1] == "spread" and "_chain" in names and listed == []
+        assert names[-1] == "size" and "_chain" in names and listed == []
     assert tm._plans(meas) == {} and len(tm._plans(first)) == len(tm._plans(g)) == 1
 
 
@@ -975,9 +978,8 @@ def test_step_plans_are_kept_per_known_subspace():
             moved = tm._coset_state(transport[0], tm._shifted(transport, state.values))
             want = ref_apply_affine(state, g)
             assert (moved.V, moved.w) == (want.V, want.w)
-            update = plan.posterior(state.values)
-            children = [(k, p, tm._coset_state(plan.updates[0], update(k)))
-                        for k, p in plan.table(state.values).items()]
+            children = [(k, Fraction(1, plan.size), tm._coset_state(plan.updates[0], vals))
+                        for k, vals in plan.children(state.values)]
             table = ref_outcome_distribution(state, meas)
             assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
 
@@ -1075,6 +1077,57 @@ def test_qubit_steps_run_on_packed_rows(monkeypatch):
     assert (moved.V, moved.w) == (want.V, want.w)
     assert list(table.items()) == list(ref_outcome_distribution(moved, pair).items())
     assert posts == [ref_posterior(moved, pair, k) for k in table]
+
+
+def ref_sample(table, seed):
+    """The outcome a seeded draw picks from the table: the first whose
+    cumulative float probability passes the draw, else the last."""
+    r, acc = random.Random(seed).random(), 0.0
+    for outcome, p in table.items():
+        acc += float(p)
+        if r < acc:
+            break
+    return outcome
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_measurements_run_no_elimination(monkeypatch, d):
+    # a plan's row updates decide which functionals are free, so once the
+    # states and measurements are built no measurement step eliminates.
+    # The first functional is of each of KINDS, measured alone, with a
+    # dependent functional or with a commuting one
+    n, rng = 3, np.random.default_rng([23, d])
+
+    def pick(k):
+        return int(rng.integers(0, k))
+
+    V = pa.Subspace.from_generators([(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0)], d, n)
+    state = tm.make_epistemic(V, tuple(int(x) for x in rng.integers(0, d, size=2 * n)))
+    measurements = []
+    for kind in KINDS:
+        sigma = _functional_of_kind(V, kind, rng)
+        M = pa.Subspace.from_generators([sigma], d, n)
+        comm = pa.symplectic_commutant(M)
+        other = _functional_in(comm, rng.integers(0, d, size=comm.dim), M)
+        for gens in [(sigma,), (sigma, _dependent([sigma], d, pick)), (sigma, other)]:
+            measurements.append(tm.SharpMeasurement(gens, d, n))
+    steps = [("measure", meas) for meas in measurements[::3]]
+    tables = [ref_outcome_distribution(state, meas) for meas in measurements]
+    posts = [[ref_posterior(state, meas, k) for k in t] for meas, t in zip(measurements, tables)]
+    stats = ref_statistics(state, steps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a measurement step eliminated")
+
+    for name in ("rref_rows", "rref_bits"):
+        monkeypatch.setattr(mm, name, refuse)
+    for seed, (meas, table, post) in enumerate(zip(measurements, tables, posts)):
+        assert list(tm.outcome_distribution(state, meas).items()) == list(table.items())
+        assert [tm.posterior(state, meas, k) for k in table] == post
+        outcome, sampled, sampled_table = tm.measure_sharp(state, meas, seed)
+        assert outcome == ref_sample(table, seed) and sampled == post[list(table).index(outcome)]
+        assert list(sampled_table.items()) == list(table.items())
+    assert list(tm.statistics(state, steps).items()) == list(stats.items())
 
 
 @pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (3, 32)])

@@ -609,6 +609,17 @@ def candidate_product(U, spec, states):
     return int(np.prod([len(c) for c in wg._fit_guard(before, after, spec)]))
 
 
+def product_order_search(U, spec, states):
+    """The first witness in the product order of the candidate lists, with
+    one map built and checked per choice."""
+    before, after = wg._stacked_tables(states, spec), wg._stacked_tables(states, spec, U)
+    for codes in itertools.product(*wg._fit_guard(before, after, spec)):
+        g = wg._affine_map(codes, spec.d, spec.n)
+        if g is not None and wg._covariant(before, after, g):
+            return g
+    return None
+
+
 def random_subsets(d, n, count, seed):
     census = stt.all_stabilizer_states(d, n)
     rng = np.random.default_rng(seed)
@@ -675,6 +686,8 @@ class TestBasisPointSearch:
                 ref_g, ref_mode = ref_covariance_witness(gen.matrix, spec, states)
                 assert (g is None, mode) == (ref_g is None, ref_mode), gen.label()
                 assert g is None or ref_verify_covariance(gen.matrix, spec, states, g)
+                assert mode == "transport" or _key(g) == _key(
+                    product_order_search(gen.matrix, spec, states))
                 verdicts.add(g is None)
         assert False in verdicts
 
@@ -728,6 +741,25 @@ class TestBasisPointSearch:
         with pytest.raises(GuardExceeded, match="needs 8 candidates; guard is 7"):
             wg.fit_covariance(S, spec, states)
         assert tried == []
+
+    def test_search_builds_maps_for_complete_choices_only(self, monkeypatch):
+        # (|01> + i|10>)/sqrt2 under S(0): 32,768 candidate choices, and no
+        # choice of columns keeps the symplectic form, so the search builds
+        # no map and certifies that no witness exists
+        spec, states = wg.factorisable_rebit_spec(2), [stt.all_stabilizer_states(2, 2)[43]]
+        assert np.allclose(states[0], np.array([0, 1, 1j, 0]) / np.sqrt(2), rtol=0, atol=1e-12)
+        S = do.gate("S", (0,), 2)
+        assert candidate_product(S, spec, states) == 32768
+        built = []
+        affine_map = wg._affine_map
+
+        def counted(codes, d, n):
+            built.append(codes)
+            return affine_map(codes, d, n)
+
+        monkeypatch.setattr(wg, "_affine_map", counted)
+        assert wg.fit_covariance(S, spec, states) is None and built == []
+        assert ref_fit_covariance(S, spec, states) is None
 
     def test_empty_state_set_raises(self):
         with pytest.raises(DimensionMismatch, match="nonempty"):
