@@ -10,9 +10,12 @@ plus an optional leading ``INIT <state-spec>`` line naming the input state
 (see dense_oracle.parse_state_spec for the state mini-language).  A MEAS
 basis is a string of per-wire letters (Z, X, Y, I), one letter per listed
 wire; the listed wires are measured jointly as that single observable, with
-the outcome recorded as a residue mod d in <var>.  A CORR applies its gate
-expr-many times, where expr is integer arithmetic (+, *, parentheses) over
-previously bound outcome variables, evaluated mod d.
+the outcome recorded as a residue mod d in <var>.  At d=2, outcome m is the
+eigenvalue (-1)^m of the Hermitian Pauli word, Y the Hermitian letter (the
+Bell state +XX,+ZZ gives YY outcome 1); at odd d, where the letters are X,
+Z and I, outcome k is the eigenvalue chi(k) of the Weyl operator Z(p)X(q).
+A CORR applies its gate expr-many times, where expr is integer arithmetic
+(+, *, parentheses) over previously bound outcome variables, evaluated mod d.
 
 Lines starting with '#' and blank lines are ignored.
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _modmath as mm
 from .circuits import (
     ATOL_CONSTRUCT,
     ATOL_END2END,
@@ -103,69 +104,6 @@ def pauli(q, p, d: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PauliLabel:
-    """A Weyl-operator label: per-site shift part q and phase part p.
-
-    The bare operator is Z(p)X(q) times chi(phase_exp).  Site letters in
-    the printed name follow (q_j, p_j): I, X, Z, Y for (0,0), (1,0), (0,1),
-    (1,1); for d=2 the (1,1) site operator is ZX = iY, not the Hermitian Y.
-    """
-
-    q: tuple[int, ...]
-    p: tuple[int, ...]
-    d: int = 2
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(x) % self.d for x in self.q))
-        object.__setattr__(self, "p", tuple(int(x) % self.d for x in self.p))
-        if len(self.q) != len(self.p):
-            raise DimensionMismatch("q and p length mismatch")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    @classmethod
-    def from_point(cls, lam, d: int, phase_exp: int = 0) -> "PauliLabel":
-        lam = tuple(int(x) % d for x in lam)
-        return cls(lam[0::2], lam[1::2], d, phase_exp)
-
-    def to_point(self) -> tuple[int, ...]:
-        out = []
-        for qj, pj in zip(self.q, self.p):
-            out.extend((qj, pj))
-        return tuple(out)
-
-    def operator(self) -> np.ndarray:
-        return chi(self.phase_exp, self.d) * pauli(self.q, self.p, self.d)
-
-    def hermitian_operator(self) -> np.ndarray:
-        """d=2 only: the Hermitian Pauli string (-i)^{q.p} Z(p)X(q)."""
-        if self.d != 2:
-            raise DimensionMismatch("hermitian form defined for d=2 only")
-        w = sum(qj * pj for qj, pj in zip(self.q, self.p))
-        return (-1j) ** (w % 4) * pauli(self.q, self.p, 2)
-
-    def name(self) -> str:
-        letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-        if self.d == 2:
-            return "".join(letters[(qj, pj)] for qj, pj in zip(self.q, self.p))
-        sites = []
-        for qj, pj in zip(self.q, self.p):
-            if qj == 0 and pj == 0:
-                sites.append("I")
-            else:
-                part = ""
-                if qj:
-                    part += "X" if qj == 1 else f"X{qj}"
-                if pj:
-                    part += "Z" if pj == 1 else f"Z{pj}"
-                sites.append(part)
-        return ".".join(sites)
-
-
 # ---------------------------------------------------------------------------
 # named gates
 
@@ -233,14 +171,43 @@ def _qudit_gate_matrix(name: str, d: int) -> np.ndarray:
 _LETTER_QP = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
+def _hermitian(lam) -> np.ndarray:
+    """The Hermitian Pauli string (-i)^{q.p} Z(p)X(q) at a d=2 label."""
+    q, p = lam[0::2], lam[1::2]
+    w = sum(qj * pj for qj, pj in zip(q, p))
+    return (-1j) ** (w % 4) * pauli(q, p, 2)
+
+
 def pauli_op(word: str) -> np.ndarray:
     """Hermitian Pauli word on len(word) qubits, e.g. 'XZ': the Kronecker
     product of its letters I, X, Y, Z."""
     for c in word:
         if c not in _LETTER_QP:
             raise CircuitParseError(f"bad Pauli letter {c!r} in {word!r}")
-    n = len(word)
-    return PauliLabel.from_point(basis_label(word, range(n), n), 2).hermitian_operator()
+    return _hermitian(basis_label(word, range(len(word)), len(word)))
+
+
+def label_name(lam, d: int) -> str:
+    """Printed name of an interleaved label, site letters following
+    (q_j, p_j): I, X, Z, Y for (0,0), (1,0), (0,1), (1,1) at d=2, where Y
+    names the Hermitian site operator; at odd d, sites such as 'X2Z' joined
+    by '.'.  At d=2 this is the inverse of basis_label."""
+    sites = [(int(qj) % d, int(pj) % d) for qj, pj in zip(lam[0::2], lam[1::2])]
+    if d == 2:
+        letters = {qp: c for c, qp in _LETTER_QP.items()}
+        return "".join(letters[site] for site in sites)
+    names = []
+    for qj, pj in sites:
+        if qj == 0 and pj == 0:
+            names.append("I")
+        else:
+            part = ""
+            if qj:
+                part += "X" if qj == 1 else f"X{qj}"
+            if pj:
+                part += "Z" if pj == 1 else f"Z{pj}"
+            names.append(part)
+    return ".".join(names)
 
 
 @lru_cache(maxsize=None)
@@ -401,54 +368,40 @@ def weyl_char_projectors(op: np.ndarray, d: int) -> list[np.ndarray]:
     return projs
 
 
-def label_projectors(label: PauliLabel) -> list[np.ndarray]:
-    """Outcome projectors of a label's measurement, indexed by outcome k.
+def label_projectors(lam, d: int) -> list[np.ndarray]:
+    """Outcome projectors of the measurement of an interleaved label,
+    indexed by outcome k.
 
     For d=2 these are (I + H)/2 and (I - H)/2 on the Hermitian Pauli string
     H, so outcome k has eigenvalue (-1)^k; for odd d they are the
     eigenprojectors of the Weyl operator, outcome k having eigenvalue chi(k).
     """
-    if label.d == 2:
-        herm = label.hermitian_operator()
+    lam = tuple(int(x) % d for x in lam)
+    if d == 2:
+        herm = _hermitian(lam)
         eye = np.eye(herm.shape[0])
         return [(eye + herm) / 2, (eye - herm) / 2]
-    return weyl_char_projectors(label.operator(), label.d)
-
-
-def _signed_word(signed: str) -> tuple[tuple[int, ...], int]:
-    """A signed Hermitian Pauli string such as '-XX' as (label, k)."""
-    signed = signed.strip()
-    word = signed[1:] if signed[:1] in ("+", "-") else signed
-    if not word:
-        raise CircuitParseError(f"bad Pauli string {signed!r}")
-    return basis_label(word, range(len(word)), len(word)), int(signed[:1] == "-")
+    return weyl_char_projectors(pauli(lam[0::2], lam[1::2], d), d)
 
 
 def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray:
     """Joint eigenstate of commuting generalized-Pauli generators.
 
-    Each generator is either a signed Hermitian Pauli string (d=2, e.g.
-    '-XX', outcome k = 1 for a leading '-') or a pair (label, k) with label
-    a PauliLabel / interleaved point and k the outcome of label_projectors.
-    Returns the unique joint eigenvector when the set pins one state;
-    returns the projector matrix for under-determined sets; raises
-    InvalidGenerators for anticommuting, dependent, or inconsistent sets.
+    Each generator is a pair (label, k): an interleaved point and the
+    outcome k of label_projectors (d=2: k = 1 for eigenvalue -1 of the
+    Hermitian word).  Returns the unique joint eigenvector; raises
+    InvalidGenerators for anticommuting, dependent, inconsistent or
+    under-determining sets.
     """
-    labels: list[tuple[PauliLabel, int]] = []
-    for g in generators:
-        label, k = _signed_word(g) if isinstance(g, str) else g
-        if not isinstance(label, PauliLabel):
-            label = PauliLabel.from_point(label, d)
-        labels.append((label, int(k)))
+    gens = [(tuple(int(x) % d for x in lam), int(k) % d) for lam, k in generators]
     if n is None:
-        if not labels:
+        if not gens:
             raise InvalidGenerators("empty generator set needs explicit n")
-        n = labels[0][0].n
-    widths = sorted({label.n for label, _ in labels} - {n})
+        n = len(gens[0][0]) // 2
+    widths = sorted({len(lam) // 2 for lam, _ in gens} - {n})
     if widths:
         raise InvalidGenerators(f"generator labels span {widths} sites, not {n}")
-    projs = [label_projectors(label)[k % d] for label, k in labels]
-    points = [label.to_point() for label, _ in labels]
+    projs = [label_projectors(lam, d)[k] for lam, k in gens]
     dim = d**n
     # one outcome projector each of two Weyl operators commutes exactly
     # when the operators do
@@ -457,10 +410,8 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
             a, b = projs[i], projs[j]
             if not np.allclose(a @ b, b @ a, rtol=0, atol=ATOL_CONSTRUCT * dim):
                 raise InvalidGenerators("generators do not commute")
-    from . import _modmath as mm
-
-    rows = [[x % d for x in p] for p in points]
-    if points and len(mm.rref_rows(rows, len(points[0]), d)[0]) != len(points):
+    rows = [list(lam) for lam, _ in gens]
+    if rows and len(mm.rref_rows(rows, 2 * n, d)[0]) != len(rows):
         raise InvalidGenerators("dependent generator set")
     rho = np.eye(dim, dtype=complex)
     for proj in projs:
@@ -470,7 +421,7 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
     if abs(tr - expected) > ATOL_CONSTRUCT * dim:
         raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
     if len(projs) < n:
-        return rho
+        raise InvalidGenerators("generator string under-determines the state; add generators")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     state = vecs[:, -1]
     if abs(vals[-1] - 1.0) > 1e-9:
@@ -529,20 +480,6 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
         P = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs)
         out.append((v, *_renormalized(P @ state)))
     return out
-
-
-def basis_measurement_projectors(basis: str, wires, n: int, d: int = 2):
-    """Projectors (indexed by outcome residue) for a MEAS instruction.
-
-    The listed wires are measured jointly as one observable.  For d=2 the
-    basis letters name the Hermitian Pauli string; outcome m has eigenvalue
-    (-1)^m.  For d>2 letters are restricted to I/X/Z and the observable is
-    the plain Weyl operator Z(p)X(q); outcome k has eigenvalue chi(k).
-    """
-    basis = basis.upper()
-    if len(basis) != len(wires):
-        raise CircuitParseError(f"basis {basis!r} does not fit wires {wires}")
-    return label_projectors(PauliLabel.from_point(basis_label(basis, wires, n, d), d))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +572,7 @@ def run_circuit(
         if isinstance(ins, Gate):
             steps.append(gate_step(gate(ins.name, ins.wires, n, d)))
         elif isinstance(ins, Measure):
-            projs = basis_measurement_projectors(ins.basis, ins.wires, n, d)
+            projs = label_projectors(basis_label(ins.basis, ins.wires, n, d), d)
             steps.append(measure_step(projs))
         elif isinstance(ins, Correct):
             U = gate(ins.name, ins.wires, n, d)
@@ -662,7 +599,8 @@ def _parse_generator_token(tok: str, d: int):
     if d == 2:
         if not word or any(c not in "IXYZ" for c in word):
             raise CircuitParseError(f"bad generator token {word!r}")
-        return _signed_word(tok), len(word)
+        lam = basis_label(word, range(len(word)), len(word))
+        return (lam, int(tok[:1] == "-")), len(word)
     sites = _SITE_RE.findall(word)
     if "".join(a + b for a, b in sites) != word or not sites:
         raise CircuitParseError(f"bad generator token {word!r} for d={d}")
@@ -685,15 +623,16 @@ def parse_state_spec(spec: str, d: int = 2, n: int | None = None) -> np.ndarray:
       * signed generator strings: "+XX,+ZZ" (d=2: Hermitian Pauli strings),
         "X1X1,Z1Z2" (d>2: per-site X/Z powers; exponent-0 eigenstates).
     """
+    if d not in MAX_QUDITS:
+        raise DimensionMismatch(f"d={d} unsupported")
     spec = spec.strip()
     m = _KET_RE.match(spec)
     if m:
         name, ket = m.group(1).upper(), m.group(2)
         state = _ket_literal(ket, d)
         nk = num_sites(state.shape[0], d)
-        U = gate(name, tuple(range(gate_arity(name, d))), nk, d)
-        return U @ state
-    if any(c in spec for c in "IXYZ"):
+        state = gate(name, tuple(range(gate_arity(name, d))), nk, d) @ state
+    elif any(c in spec for c in "IXYZ"):
         gens = []
         width = None
         for tok in spec.split(","):
@@ -703,15 +642,9 @@ def parse_state_spec(spec: str, d: int = 2, n: int | None = None) -> np.ndarray:
             elif width != w:
                 raise CircuitParseError("generator tokens of differing width")
             gens.append(parsed)
-        result = stabilizer_state(gens, d=d, n=width)
-        if result.ndim != 1:
-            raise CircuitParseError(
-                "generator string under-determines the state; add generators"
-            )
-        if n is not None and num_sites(result.shape[0], d) != n:
-            raise CircuitParseError(f"state spec is not on {n} wires")
-        return result
-    state = _ket_literal(spec, d)
+        state = stabilizer_state(gens, d=d, n=width)
+    else:
+        state = _ket_literal(spec, d)
     if n is not None and num_sites(state.shape[0], d) != n:
         raise CircuitParseError(f"state spec is not on {n} wires")
     return state

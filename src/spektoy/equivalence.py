@@ -252,7 +252,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             toy_steps.append(("measure", host.measurement_step(lam)))
             dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
-            description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
+            description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
 
@@ -313,7 +313,8 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
     """Audit a text circuit against the host, then run it on both sides.
 
     Returns (toy distribution, dense distribution, max deviation); outcome
-    keys are tuples of per-measurement residue tuples in program order.
+    keys are tuples of per-measurement residue tuples in program order,
+    labelled as run_circuit labels them.
     """
     host.audit_circuit(circuit)
     d, n = host.d, host.n
@@ -331,6 +332,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
 
     toy_steps = []
     dense_steps = []
+    shifts = []
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
             toy_steps.append(("gate", host.gate_action(ins.name, ins.wires)))
@@ -339,6 +341,19 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
             toy_steps.append(("measure", host.measurement_step(lam)))
             dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
-    toy_dist = toy.statistics(epistemic, toy_steps)
-    dense_dist = dense_statistics(psi, dense_steps)
+            # Both sides read the construction's Weyl operator, which at a
+            # basis label is Z(p)X(q) (gamma vanishes: 0 at d=2, and at odd
+            # d each site is X, Z or I, so q.p = 0).  At d=2 the site
+            # operator ZX is iY, so Z(p)X(q) = i^{q.p} H = (-1)^{q.p/2} H on
+            # the Hermitian word H (q.p is even on a host observable): its
+            # outcome k is the circuit outcome k + q.p/2 mod 2.
+            qp = sum(a * b for a, b in zip(lam[0::2], lam[1::2]))
+            shifts.append(qp // 2 % 2 if d == 2 else 0)
+
+    def relabel(dist):
+        return {tuple(((k + s) % d,) for (k,), s in zip(key, shifts)): prob
+                for key, prob in dist.items()}
+
+    toy_dist = relabel(toy.statistics(epistemic, toy_steps))
+    dense_dist = relabel(dense_statistics(psi, dense_steps))
     return toy_dist, dense_dist, compare_statistics(toy_dist, dense_dist)

@@ -89,7 +89,7 @@ def classify_correction(C: np.ndarray, n: int) -> Correction:
         if p[w]:
             factors.append(("Z", (w,)))
     factors.extend(("CZ", e) for e in edges)
-    name = do.PauliLabel(q, p, 2).name() + "".join(f"*CZ({i},{j})" for i, j in edges)
+    name = do.label_name(sum(zip(q, p), ()), 2) + "".join(f"*CZ({i},{j})" for i, j in edges)
     return Correction(C, "pauli-cz" if edges else "pauli", name, tuple(factors))
 
 

@@ -329,9 +329,7 @@ class Subtheory:
     def manifest(self, certificates: dict | None = None) -> dict:
         return {
             "spec": {"name": self.spec.name, "d": self.d, "n": self.n},
-            "observables": [
-                do.PauliLabel.from_point(l, self.d).name() for l in self.observables
-            ],
+            "observables": [do.label_name(lam, self.d) for lam in self.observables],
             "gate_generators": [g.label() for g in self.gate_generators],
             "state_count": len(self.states),
             "certificates": certificates or {},
@@ -398,7 +396,7 @@ def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -
 def subtheory_by_name(name: str, n: int, d: int = 2) -> Subtheory:
     """The named subtheory at n sites; DimensionMismatch if n < 1 or d does
     not fit the name (the rebit and qubit subtheories live at d = 2, the
-    qudit stabilizer subtheory at odd prime d)."""
+    qudit stabilizer subtheory at the odd primes of pa.SUPPORTED_PRIMES)."""
     if n < 1:
         raise DimensionMismatch(f"n={n} must be >= 1")
     name = name.lower()
@@ -414,7 +412,7 @@ def subtheory_by_name(name: str, n: int, d: int = 2) -> Subtheory:
             raise DimensionMismatch(f"subtheory {name!r} needs d=2, got d={d}")
         return qubit[name](n)
     if name in ("qudit-stabilizer", "gross"):
-        if d % 2 == 0:
+        if d == 2 or d not in pa.SUPPORTED_PRIMES:
             raise DimensionMismatch(f"subtheory {name!r} needs an odd prime d, got d={d}")
         return qudit_stabilizer_subtheory(d, n)
     raise DimensionMismatch(f"unknown subtheory {name!r}")
@@ -445,9 +443,8 @@ def _dual_tables(sub: Subtheory) -> tuple[list[tuple[str, int]], np.ndarray, np.
     for lam in sub.observables:
         if not any(lam):
             continue
-        label = do.PauliLabel.from_point(lam, sub.d)
-        for k, P in enumerate(do.label_projectors(label)):
-            keys.append((label.name(), k))
+        for k, P in enumerate(do.label_projectors(lam, sub.d)):
+            keys.append((do.label_name(lam, sub.d), k))
             projectors.append(P)
     return keys, *wg._tables(np.stack(projectors), sub.spec)
 

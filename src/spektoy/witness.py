@@ -401,7 +401,7 @@ def ghz_report() -> dict:
     """The joint eigenstate of XXX, XYY, YXY, YYX with eigenvalues
     (+1, -1, -1, -1): dense verification, a 64-assignment sweep showing no
     noncontextual value table exists, and the gate audit."""
-    ghz = do.stabilizer_state(["+XXX", "+ZZI", "+IZZ"])
+    ghz = do.parse_state_spec("+XXX,+ZZI,+IZZ")
     observables = ["XXX", "XYY", "YXY", "YYX"]
     eigs = {}
     for w in observables:
@@ -449,7 +449,7 @@ def chsh_report() -> dict:
     Alice measures Y or X; Bob measures the T-conjugated partners
     (Y-X)/sqrt2 and (X+Y)/sqrt2 on the shared -XX,+ZZ eigenstate.
     """
-    psi = do.stabilizer_state(["-XX", "+ZZ"])
+    psi = do.parse_state_spec("-XX,+ZZ")
     X, Y = pauli_op("X"), pauli_op("Y")
     T = do._QUBIT_GATES_1["T"]
     b0 = T @ Y @ T.conj().T

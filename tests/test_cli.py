@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 
@@ -214,6 +215,12 @@ class TestExitCodes:
           "--d", "3"], "'minimal-rebit' needs d=2, got d=3"),
         (["equivalence", "--circuit", str(GOLDEN_DIR / "bell.circ"), "--host", "qudit-stabilizer"],
          "'qudit-stabilizer' needs an odd prime d, got d=2"),
+        (["subtheory", "verify", "qudit-stabilizer", "--n", "1", "--d", "1"],
+         "'qudit-stabilizer' needs an odd prime d, got d=1"),
+        (["subtheory", "verify", "qudit-stabilizer", "--n", "1", "--d", "-3"],
+         "'qudit-stabilizer' needs an odd prime d, got d=-3"),
+        (["equivalence", "--circuit", str(GOLDEN_DIR / "bell.circ"), "--host", "qudit-stabilizer",
+          "--d", "1", "--n", "2"], "'qudit-stabilizer' needs an odd prime d, got d=1"),
     ])
     def test_subtheory_name_and_d_must_fit(self, argv, message, capsys):
         # a d that does not fit the named subtheory is refused, not replaced
@@ -231,6 +238,12 @@ class TestExitCodes:
         code, out = run_cli(["subtheory", "verify", name, "--n", str(n), "--d", str(d)])
         assert code == 2 and out == ""
         assert f"n={n} must be >= 1" in capsys.readouterr().err
+
+    def test_under_determined_state_spec(self, capsys):
+        code, out = run_cli(["wigner", "--state", "+ZI"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: generator string under-determines the state; add generators\n")
 
     def test_wigner_state_must_fit_n(self, capsys):
         # --n names the wire count the state spec must have, 0 included
@@ -264,6 +277,38 @@ class TestExitCodes:
         assert code == 0
         assert "win_probability" in text
         assert not text.lstrip().startswith("{")
+
+
+SWEEP_D = ("-3", "0", "1", "2", "3", "4", "5", "9")
+
+
+def sweep_invocations():
+    """The exit-code sweep: every subtheory name, state form and host over
+    good and bad --d and --n values."""
+    names = ("minimal-rebit", "css-rebit", "full-qubit-stabilizer", "qudit-stabilizer", "gross")
+    for name, d, n in itertools.product(names, SWEEP_D, ("-1", "0", "1")):
+        yield ["subtheory", "verify", name, "--d", d, "--n", n]
+    for state, spec, d, n in itertools.product(
+        ("0", "+", "+X", "X1Z1"), wg.SPEC_NAMES, SWEEP_D, (None, "-1", "0", "1")
+    ):
+        yield ["wigner", "--state", state, "--spec", spec, "--d", d] + (["--n", n] if n else [])
+    hosts = ("minimal-rebit", "css-rebit", "full-qubit-stabilizer", "qudit-stabilizer")
+    for host, d, n in itertools.product(hosts, SWEEP_D, ("-1", "0", "1", "2")):
+        yield ["equivalence", "--circuit", "bell.circ", "--host", host, "--d", d, "--n", n]
+
+
+def test_exit_code_sweep(monkeypatch, capsys):
+    # exit 1 means verified-negative, so a crash must never surface as one:
+    # every call returns a documented code, and a clean run (0 or 1)
+    # writes nothing to stderr
+    monkeypatch.chdir(GOLDEN_DIR)
+    argvs = list(sweep_invocations())
+    assert len(argvs) == 632
+    for argv in argvs:
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert code >= 2 or err == "", (argv, err)
 
 
 def test_out_file_respects_env_dir(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spektoy import dense_oracle as do
+from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy.circuits import branch_tree, parse_circuit
 from spektoy.errors import (
@@ -49,6 +50,22 @@ def ref_pauli(q, p, d):
     for qj, pj in zip(q, p):
         out = np.kron(out, do.phase_z(pj % d, d) @ do.shift_x(qj % d, d))
     return out
+
+
+#: the interleaved (q, p) site label of each Pauli letter
+REF_LETTER_QP = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def signed_gens(*signed):
+    """Signed Hermitian words such as '-XX' as (interleaved label, outcome)
+    pairs, outcome 1 for a leading '-'."""
+    return [(sum((REF_LETTER_QP[c] for c in s[1:]), ()), int(s[0] == "-")) for s in signed]
+
+
+def ref_word(lam):
+    """The Pauli word of a d=2 interleaved label."""
+    letter = {qp: c for c, qp in REF_LETTER_QP.items()}
+    return "".join(letter[(q, p)] for q, p in zip(lam[0::2], lam[1::2]))
 
 
 def ref_pauli_op(word):
@@ -140,9 +157,7 @@ class TestNamedGates:
         # with the largest overlap |tr(P M)| / 2^n must equal the image M
         paulis = {
             n: np.stack([
-                do.PauliLabel(q, p, 2).hermitian_operator()
-                for q in itertools.product((0, 1), repeat=n)
-                for p in itertools.product((0, 1), repeat=n)
+                ref_pauli_op("".join(word)) for word in itertools.product("IXYZ", repeat=n)
             ])
             for n in (1, 2, 3)
         }
@@ -250,35 +265,55 @@ class TestPauliAction:
 
 class TestStabilizerStates:
     def test_plus_z_gives_ground_state(self):
-        assert np.allclose(do.stabilizer_state(["+Z"]), [1, 0])
+        assert np.allclose(do.stabilizer_state(signed_gens("+Z")), [1, 0])
 
     def test_bell_pair(self):
-        state = do.stabilizer_state(["+XX", "+ZZ"])
+        state = do.stabilizer_state(signed_gens("+XX", "+ZZ"))
         assert np.allclose(state, np.array([1, 0, 0, 1]) / math.sqrt(2))
 
     def test_signed_bell_pair(self):
-        state = do.stabilizer_state(["-XX", "+ZZ"])
+        state = do.stabilizer_state(signed_gens("-XX", "+ZZ"))
         assert np.allclose(state, np.array([1, 0, 0, -1]) / math.sqrt(2))
 
-    def test_under_determined_returns_projector(self):
-        rho = do.stabilizer_state(["+ZI"], n=2)
-        assert rho.ndim == 2
-        assert abs(np.trace(rho).real - 2.0) < 1e-12
+    @pytest.mark.parametrize("generators,d,n", [
+        (signed_gens("+ZI"), 2, 2), (signed_gens("+ZII", "+IZI"), 2, 3), ([], 2, 1),
+        ([((0, 1, 0, 2), 0)], 3, 2),
+    ])
+    def test_under_determined_is_refused(self, generators, d, n):
+        # a set that pins no single state is refused; no projector is returned
+        with pytest.raises(InvalidGenerators, match="under-determines the state"):
+            do.stabilizer_state(generators, d=d, n=n)
 
     def test_anticommuting_rejected(self):
         with pytest.raises(InvalidGenerators):
-            do.stabilizer_state(["+X", "+Z"])
+            do.stabilizer_state(signed_gens("+X", "+Z"))
 
     def test_dependent_rejected(self):
         with pytest.raises(InvalidGenerators):
-            do.stabilizer_state(["+XX", "+ZZ", "-YY"])
+            do.stabilizer_state(signed_gens("+XX", "+ZZ", "-YY"))
+
+    def test_every_census_state_is_its_generators_joint_eigenstate(self):
+        # the census builds each state from interleaved-point pairs; the
+        # state is a +1 eigenvector of each generator's outcome projector,
+        # rebuilt here from the reference Kronecker chains
+        for d, n in ((2, 1), (2, 2), (3, 1)):
+            for M in pa.maximal_isotropic_subspaces(d, n):
+                for ks in itertools.product(range(d), repeat=M.dim):
+                    psi = do.stabilizer_state(list(zip(M.gens, ks)), d=d, n=n)
+                    assert psi.shape == (d**n,)
+                    for lam, k in zip(M.gens, ks):
+                        if d == 2:
+                            op, eigenvalue = ref_pauli_op(ref_word(lam)), (-1) ** k
+                        else:
+                            op, eigenvalue = ref_pauli(lam[0::2], lam[1::2], d), do.chi(k, d)
+                        assert np.allclose(op @ psi, eigenvalue * psi, atol=1e-10)
 
     @pytest.mark.parametrize(
         "generators,n",
         [([((1, 0), 0), ((0, 0, 1, 0), 0)], None), ([((1, 0, 0, 0), 0)], 1)],
     )
     def test_label_width_mismatch_rejected_before_projectors(self, generators, n, monkeypatch):
-        def unreachable(label):
+        def unreachable(*args):
             raise AssertionError("projector built before the width check")
 
         monkeypatch.setattr(do, "label_projectors", unreachable)
@@ -301,12 +336,12 @@ class TestLabelProjectors:
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_outcome_rule_on_every_label(self, d, n):
         # the label's operator is rebuilt from its letters (d=2, Hermitian
-        # form) or its bare Weyl form (odd d), not through label_projectors
+        # form) or its bare Weyl form (odd d) by the reference Kronecker
+        # chains, not through label_projectors
         dim = d**n
         for lam in itertools.product(range(d), repeat=2 * n):
-            label = do.PauliLabel.from_point(lam, d)
-            op = do.pauli_op(label.name()) if d == 2 else do.pauli(label.q, label.p, d)
-            projs = do.label_projectors(label)
+            op = ref_pauli_op(ref_word(lam)) if d == 2 else ref_pauli(lam[0::2], lam[1::2], d)
+            projs = do.label_projectors(lam, d)
             assert len(projs) == d
             assert np.allclose(sum(projs), np.eye(dim), atol=1e-12)
             for k, P in enumerate(projs):
@@ -316,6 +351,27 @@ class TestLabelProjectors:
                 assert np.allclose(op @ P, eigenvalue * P, atol=1e-12)
                 if any(lam):
                     assert abs(np.trace(P) - dim / d) < 1e-9
+
+
+class TestLabelNames:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_basis_label_inverts_label_name_at_d2(self, n):
+        for lam in itertools.product((0, 1), repeat=2 * n):
+            name = do.label_name(lam, 2)
+            assert name == ref_word(lam)
+            assert do.basis_label(name, range(n), n) == lam
+
+    @pytest.mark.parametrize("lam,d,name", [
+        ((2, 1, 0, 0), 3, "X2Z.I"),
+        ((1, 2, 0, 0, 0, 1), 3, "XZ2.I.Z"),
+        ((0, 0, 1, 0), 3, "I.X"),
+        ((4, 3, 0, 1), 5, "X4Z3.Z"),
+        ((5, -1, 1, 1), 3, "X2Z2.XZ"),
+        ((3, -1), 2, "Y"),
+    ])
+    def test_pinned_names(self, lam, d, name):
+        # labels are read mod d before they are named
+        assert do.label_name(lam, d) == name
 
 
 class TestBorn:
@@ -328,7 +384,7 @@ class TestBorn:
         assert all(abs(p - 0.5) < 1e-12 for _, p, _ in out)
 
     def test_xx_on_bell(self):
-        bell = do.stabilizer_state(["+XX", "+ZZ"])
+        bell = do.stabilizer_state(signed_gens("+XX", "+ZZ"))
         xx = np.kron(do.gate("X", (0,), 1), do.gate("X", (0,), 1))
         out = do.measure_observable(bell, xx)
         assert abs(out[0][0] - 1) < 1e-12 and abs(out[0][1] - 1) < 1e-12
@@ -339,7 +395,7 @@ class TestBorn:
             do.born(do.basis_state([0]), bad)
 
     def test_born_probabilities_and_collapse(self):
-        projs = do.basis_measurement_projectors("Z", (0,), 1)
+        projs = do.label_projectors((0, 1), 2)
         out = do.born(do.plus_state(1), projs)
         assert abs(sum(p for p, _ in out) - 1) < 1e-12
         assert np.allclose(out[0][1], [1, 0])
@@ -403,7 +459,7 @@ class TestRunCircuit:
 
 class TestWalkerSteps:
     def test_incomplete_measurement_trips_sum_check(self):
-        p0 = do.basis_measurement_projectors("Z", (0,), 1)[0]
+        p0 = do.label_projectors((0, 1), 2)[0]
         with pytest.raises(AssertionError, match="sum to"):
             branch_tree(do.plus_state(1), [do.measure_step([p0])])
 
@@ -435,7 +491,7 @@ class TestWalkerSteps:
             elif kind == "measure":
                 basis = "".join(rng.choice(list("IXYZ"), size=n))
                 steps.append(do.measure_step(
-                    do.basis_measurement_projectors(basis, tuple(range(n)), n)))
+                    do.label_projectors(do.basis_label(basis, range(n), n), 2)))
             elif n > 1:
                 steps.append(do.readout_step(int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]))
                 n -= 1
@@ -511,7 +567,7 @@ class TestStateSpecLanguage:
 
     def test_generator_strings(self):
         assert do.states_equal(
-            do.parse_state_spec("+XX,+ZZ"), do.stabilizer_state(["+XX", "+ZZ"])
+            do.parse_state_spec("+XX,+ZZ"), do.stabilizer_state(signed_gens("+XX", "+ZZ"))
         )
 
     def test_qutrit_generator_strings(self):
@@ -521,3 +577,14 @@ class TestStateSpecLanguage:
         expect = np.zeros(9, dtype=complex)
         expect[[0, 4, 8]] = 1 / math.sqrt(3)
         assert do.states_equal(bell3, expect)
+
+    @pytest.mark.parametrize("d", [-3, 0, 1, 4, 9])
+    def test_unsupported_d_is_refused_before_any_arithmetic(self, d):
+        for spec in ("0", "+", "+X", "X1Z1", "T|+>"):
+            with pytest.raises(DimensionMismatch, match=f"d={d} unsupported"):
+                do.parse_state_spec(spec, d=d)
+
+    def test_every_form_must_fit_n(self):
+        for spec in ("T|+>", "+XX,+ZZ", "01"):
+            with pytest.raises(CircuitParseError, match="state spec is not on 3 wires"):
+                do.parse_state_spec(spec, n=3)

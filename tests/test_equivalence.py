@@ -34,7 +34,7 @@ class TestDictionary:
         V = pa.Subspace.from_generators([(1, 0, 1, 0), (0, 1, 0, 1)], 2, 2)
         epi = toy.make_epistemic(V, (0,) * 4)
         psi = eqv.quantum_state_for(epi, spec)
-        bell = do.stabilizer_state(["+XX", "+ZZ"])
+        bell = do.parse_state_spec("+XX,+ZZ")
         assert do.states_equal(psi, bell)
         back = eqv.epistemic_state_for(psi, spec)
         assert back == epi
@@ -143,7 +143,7 @@ class TestDenseStatistics:
             assert type(stats[()]) is float
 
     def test_outcomes_are_one_tuples(self):
-        steps = [("measure", do.basis_measurement_projectors("Z", (0,), 1))]
+        steps = [("measure", do.label_projectors((0, 1), 2))]
         stats = eqv.dense_statistics(do.plus_state(1), steps)
         assert list(stats) == [((0,),), ((1,),)]
         assert all(abs(p - 0.5) < 1e-12 for p in stats.values())
@@ -205,6 +205,41 @@ class TestTextCircuits:
             ((0,), (1,), (0,)): Fraction(1, 2),
         }
 
+    def test_bell_yy_reads_the_hermitian_outcome(self):
+        # the Bell state +XX,+ZZ has YY = -1: outcome 1 under the circuit
+        # format's d=2 rule, on both sides of the equivalence
+        host = eqv.host_model("full-qubit-stabilizer", 2)
+        circ = parse_circuit("INIT +XX,+ZZ\nMEAS YY 0 1 -> m\n")
+        toy_dist, _, dev = eqv.circuit_statistics_both_ways(circ, host)
+        assert toy_dist == {((1,),): Fraction(1)}
+        assert dev <= 1e-9
+        assert [b.outcomes for b in do.run_circuit(circ)] == [{"m": 1}]
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(f"INIT +XX,+ZZ\nMEAS {word} 0 1 -> m\n", id=f"bell-{word}")
+          for word in map("".join, itertools.product("IXYZ", repeat=2))
+          if word.count("Y") % 2 == 0),
+        pytest.param("INIT +XX,-ZZ\nMEAS YY 0 1 -> a\nMEAS XX 0 1 -> b\n", id="bell-YY-XX"),
+        pytest.param("INIT +0\nGATE CNOT 0 1\nMEAS YY 0 1 -> m\n", id="cnot-YY"),
+        pytest.param("INIT +XX,+ZZ\nGATE Z 1\n"
+                     "MEAS YY 0 1 -> a\nMEAS ZX 0 1 -> b\nMEAS YY 0 1 -> c\n", id="z-YY-ZX-YY"),
+    ])
+    def test_outcomes_match_run_circuit(self, text):
+        # every two-qubit word of the host (an even number of Y letters) on
+        # the Bell state, and Y-word sequences: outcome for outcome, both
+        # sides give run_circuit's distribution
+        host = eqv.host_model("full-qubit-stabilizer", 2)
+        circ = parse_circuit(text)
+        toy_dist, _, dev = eqv.circuit_statistics_both_ways(circ, host)
+        assert dev <= 1e-9
+        reference: dict[tuple, float] = {}
+        for b in do.run_circuit(circ):
+            key = tuple((b.outcomes[v],) for v in circ.measured_vars())
+            reference[key] = reference.get(key, 0.0) + b.prob
+        reference = {k: p for k, p in reference.items() if p > 1e-12}
+        assert set(toy_dist) == set(reference)
+        assert eqv.compare_statistics(toy_dist, reference) <= 1e-9
+
 
 def ref_measurement_projectors(mu, spec):
     """measurement_projectors built afresh on every call."""
@@ -245,7 +280,7 @@ def ref_random_paired_circuit(host, rng, depth=5):
             sigma = eqv.functional_for_label(lam, d)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
             dense_steps.append(("measure", ref_measurement_projectors(lam, host.spec)))
-            description.append(f"M[{do.PauliLabel.from_point(lam, d).name()}]")
+            description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return eqv.PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
 

@@ -86,7 +86,7 @@ def ref_classify_correction(C, n):
                         if p[w]:
                             factors.append(("Z", (w,)))
                     factors.extend(("CZ", e) for e in edges)
-                    name = do.PauliLabel(q, p, 2).name()
+                    name = "".join("IXZY"[qj + 2 * pj] for qj, pj in zip(q, p))
                     name += "".join(f"*CZ({i},{j})" for i, j in edges)
                     return ("pauli-cz" if edges else "pauli"), name, tuple(factors)
     return "non-clifford", "non-clifford", ()

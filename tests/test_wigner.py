@@ -130,7 +130,7 @@ class TestPhasePoint:
 
     def test_restricted_label_set_n2(self):
         spec = wg.delfosse_rebit_spec(2)
-        names = sorted(do.PauliLabel.from_point(l, 2).name() for l in spec.labels())
+        names = sorted(do.label_name(lam, 2) for lam in spec.labels())
         assert names == sorted(
             ["II", "IX", "IZ", "XI", "ZI", "XX", "ZZ", "XZ", "ZX", "YY"]
         )
@@ -215,7 +215,7 @@ class TestMeasurementDuality:
 
     def test_bell_projector_table(self):
         spec = wg.delfosse_rebit_spec(2)
-        bell = do.stabilizer_state(["+XX", "+ZZ"])
+        bell = do.parse_state_spec("+XX,+ZZ")
         t = wg.wigner_of_state(np.outer(bell, bell.conj()), spec)
         assert wg.is_nonnegative(t)[0]
         assert len(t.support()) == 4
@@ -427,11 +427,9 @@ class TestStackedTables:
     def test_density_matrix_rows(self, make):
         sub = make(2)
         keys, values, residues = stt._dual_tables(sub)
-        labels = [do.PauliLabel.from_point(lam, sub.d) for lam in sub.observables if any(lam)]
-        projectors = [P for label in labels for P in do.label_projectors(label)]
-        assert keys == [
-            (label.name(), k) for label in labels for k in range(len(do.label_projectors(label)))
-        ]
+        labels = [lam for lam in sub.observables if any(lam)]
+        projectors = [P for lam in labels for P in do.label_projectors(lam, sub.d)]
+        assert keys == [(do.label_name(lam, sub.d), k) for lam in labels for k in range(sub.d)]
         assert len(projectors) == len(values) == len(residues)
         assert_rows_match_reference(projectors, sub.spec)
         for row, resid, P in zip(values, residues, projectors):
