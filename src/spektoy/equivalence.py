@@ -2,11 +2,11 @@
 
 The dictionary between the two sides is fixed by the Wigner construction:
 
-* a Weyl label mu measured on the quantum side corresponds to the
-  functional J^T mu on the toy side, with identical outcome residues
-  (outcome k <-> eigenvalue chi(k));
+* a label mu measured on the quantum side (outcome k of
+  do.label_projectors) corresponds to the functional J^T mu on the toy
+  side, whose value k is outcome k - c(mu) (`outcome_offset`);
 * a state of maximal knowledge (V, w) corresponds to the joint eigenstate
-  of the Weyl operators at labels J sigma_j with exponents sigma_j . w;
+  of the labels J sigma_j at the outcomes sigma_j . w - c(J sigma_j);
 * an allowed gate corresponds to the inverse of the affine map by which
   it transports the phase-point operators (wigner.phase_space_action).
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import subtheory as stt
 from . import toy_model as toy
 from . import wigner as wg
 from .circuits import Circuit, Correct, Gate, Measure, branch_tree
-from .errors import AuditError, CircuitParseError, DimensionMismatch
+from .errors import AuditError, CircuitParseError, DimensionMismatch, InvalidGenerators
 
 
 def functional_for_label(mu, d: int) -> tuple[int, ...]:
@@ -43,22 +44,50 @@ def label_for_functional(sigma, d: int) -> tuple[int, ...]:
     return tuple(int(x) % d for x in pa.symplectic_row(sigma))
 
 
-def quantum_state_for(
-    epistemic: toy.EpistemicState, spec: wg.WignerSpec
-) -> np.ndarray:
-    """Dense state matching a maximal-knowledge epistemic state.
+def outcome_offset(mu, d: int) -> int:
+    """The offset c(mu), half of q.p: the toy value k of J^T mu is outcome
+    k - c of do.label_projectors(mu).
 
-    Generators are the construction's own Weyl operators (the phased ones),
-    so the eigenvalue exponents match the functional values exactly even on
-    mixed labels."""
+    The value k is the exponent of the construction's Weyl operator
+    T(mu) = chi(gamma(mu)) Z(p)X(q), whose eigenvalue it labels as chi(k).
+    At odd d, gamma = 2^{-1} q.p and label_projectors reads Z(p)X(q), whose
+    eigenvalue there is chi(k - gamma): c = 2^{-1} q.p mod d.  At d=2,
+    gamma = 0 and the site operator ZX is iY, so Z(p)X(q) = i^{q.p} H on
+    the Hermitian word H that label_projectors reads.  For even q.p that is
+    (-1)^{q.p/2} H: c = q.p/2 mod 2.  For odd q.p, Z(p)X(q) squares to -I,
+    has no outcome k, and InvalidGenerators is raised."""
+    mu = pa.point(mu, d)
+    qp = sum(map(mul, mu[0::2], mu[1::2]))
+    if d != 2:
+        return pow(2, -1, d) * qp % d
+    if qp % 2:
+        raise InvalidGenerators(f"label {mu} has odd q.p: Z(p)X(q) is not of order 2")
+    return qp // 2 % 2
+
+
+@cache
+def shared_label_projectors(mu: tuple[int, ...], d: int) -> tuple[np.ndarray, ...]:
+    """do.label_projectors(mu, d), built once per (label, d) and shared, so
+    read-only."""
+    projs = tuple(do.label_projectors(mu, d))
+    for P in projs:
+        P.setflags(write=False)
+    return projs
+
+
+def quantum_state_for(epistemic: toy.EpistemicState) -> np.ndarray:
+    """Dense state matching a maximal-knowledge epistemic state: the joint
+    eigenstate of the labels mu = J sigma of V's rows sigma at the outcomes
+    sigma . w - c(mu)."""
     V = epistemic.V
     if V.dim != V.n:
         raise DimensionMismatch("only maximal-knowledge states map to pure states")
     d = V.d
     rho = np.eye(d**V.n, dtype=complex)
     for sigma in V.gens:
-        k = pa.evaluate(sigma, epistemic.w, d)
-        rho = rho @ measurement_projectors(label_for_functional(sigma, d), spec)[k]
+        mu = label_for_functional(sigma, d)
+        k = pa.evaluate(sigma, epistemic.w, d) - outcome_offset(mu, d)
+        rho = rho @ shared_label_projectors(mu, d)[k % d]
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     if abs(vals[-1] - 1.0) > 1e-9:
         raise DimensionMismatch("knowledge state does not pin a pure state")
@@ -72,17 +101,6 @@ def epistemic_state_for(psi: np.ndarray, spec: wg.WignerSpec) -> toy.EpistemicSt
         raise DimensionMismatch("state table is not a coset indicator")
     U, base = coset
     return toy.make_epistemic(pa.perp(U), base)
-
-
-@cache
-def measurement_projectors(mu: tuple[int, ...], spec: wg.WignerSpec) -> tuple[np.ndarray, ...]:
-    """Outcome projectors of the Weyl observable at label mu, indexed by
-    the character exponent (matching the toy functional's residues); built
-    once per (label, construction) and shared, so read-only."""
-    projs = tuple(do.weyl_char_projectors(wg.weyl(mu, spec), spec.d))
-    for P in projs:
-        P.setflags(write=False)
-    return projs
 
 
 @dataclass
@@ -142,11 +160,11 @@ class HostModel:
         return self._gate_cache[key]
 
     def measurement_step(self, mu: tuple[int, ...]) -> toy.SharpMeasurement:
-        """The toy measurement of the Weyl observable at label mu, of its
-        functional J^T mu; built once per label."""
+        """The toy measurement of label mu: its functional J^T mu, offset by
+        c(mu) so that it reads mu's outcome; built once per label."""
         if mu not in self._measure_cache:
-            sigma = functional_for_label(mu, self.d)
-            self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.d, self.n)
+            sigma, c = functional_for_label(mu, self.d), outcome_offset(mu, self.d)
+            self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.d, self.n, (c,))
         return self._measure_cache[mu]
 
     def allowed_gate_names(self) -> set[str]:
@@ -158,8 +176,9 @@ class HostModel:
             names.add("Y")  # X.Z composition up to phase
         return names
 
-    def audit_circuit(self, circuit: Circuit) -> None:
-        """Raise AuditError naming the first element outside the host."""
+    def audit_circuit(self, circuit: Circuit) -> np.ndarray:
+        """Raise AuditError naming the first element outside the host;
+        return the input state, the all-zero basis state without INIT."""
         allowed = self.allowed_gate_names()
         observables = set(self.sub.observables)
         for ins in circuit.instructions:
@@ -179,12 +198,12 @@ class HostModel:
                         f"measurement basis {ins.basis!r} on wires {ins.wires} "
                         f"is not an allowed observable of host {self.sub.name!r}"
                     )
-        if circuit.init_spec is not None:
-            psi = do.parse_state_spec(circuit.init_spec, d=self.d, n=self.n)
-            if stt.state_index(self.sub.states, psi) is None:
-                raise AuditError(
-                    f"initial state {circuit.init_spec!r} is not an allowed state"
-                )
+        if circuit.init_spec is None:
+            return do.basis_state([0] * self.n, self.d)
+        psi = do.parse_state_spec(circuit.init_spec, d=self.d, n=self.n)
+        if stt.state_index(self.sub.states, psi) is None:
+            raise AuditError(f"initial state {circuit.init_spec!r} is not an allowed state")
+        return psi
 
 
 @lru_cache(maxsize=16)
@@ -234,11 +253,9 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
         V = isos[int(rng.integers(0, len(isos)))]
     w = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
     epistemic = toy.make_epistemic(V, w)
-    dense_state = quantum_state_for(epistemic, host.spec)
+    dense_state = quantum_state_for(epistemic)
 
-    toy_steps = []
-    dense_steps = []
-    description = []
+    toy_steps, dense_steps, description = [], [], []
     gens = host.sub.gate_generators
     nontrivial = [lam for lam in host.sub.observables if any(lam)]
     n_meas = 0
@@ -251,7 +268,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             toy_steps.append(("measure", host.measurement_step(lam)))
-            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
+            dense_steps.append(("measure", shared_label_projectors(lam, d)))
             description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -316,7 +333,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
     keys are tuples of per-measurement residue tuples in program order,
     labelled as run_circuit labels them.
     """
-    host.audit_circuit(circuit)
+    psi = host.audit_circuit(circuit)
     d, n = host.d, host.n
     if circuit.n_wires > n:
         raise DimensionMismatch(f"circuit needs {circuit.n_wires} wires, host has {n}")
@@ -324,15 +341,9 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
         if isinstance(ins, Correct):
             raise AuditError("classically controlled corrections are not part of "
                              "the equivalence pipeline")
-    if circuit.init_spec is None:
-        psi = do.basis_state([0] * n, d)
-    else:
-        psi = do.parse_state_spec(circuit.init_spec, d=d, n=n)
     epistemic = epistemic_state_for(psi, host.spec)
 
-    toy_steps = []
-    dense_steps = []
-    shifts = []
+    toy_steps, dense_steps = [], []
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
             toy_steps.append(("gate", host.gate_action(ins.name, ins.wires)))
@@ -340,20 +351,8 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
         elif isinstance(ins, Measure):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
             toy_steps.append(("measure", host.measurement_step(lam)))
-            dense_steps.append(("measure", measurement_projectors(lam, host.spec)))
-            # Both sides read the construction's Weyl operator, which at a
-            # basis label is Z(p)X(q) (gamma vanishes: 0 at d=2, and at odd
-            # d each site is X, Z or I, so q.p = 0).  At d=2 the site
-            # operator ZX is iY, so Z(p)X(q) = i^{q.p} H = (-1)^{q.p/2} H on
-            # the Hermitian word H (q.p is even on a host observable): its
-            # outcome k is the circuit outcome k + q.p/2 mod 2.
-            qp = sum(a * b for a, b in zip(lam[0::2], lam[1::2]))
-            shifts.append(qp // 2 % 2 if d == 2 else 0)
+            dense_steps.append(("measure", shared_label_projectors(lam, d)))
 
-    def relabel(dist):
-        return {tuple(((k + s) % d,) for (k,), s in zip(key, shifts)): prob
-                for key, prob in dist.items()}
-
-    toy_dist = relabel(toy.statistics(epistemic, toy_steps))
-    dense_dist = relabel(dense_statistics(psi, dense_steps))
+    toy_dist = toy.statistics(epistemic, toy_steps)
+    dense_dist = dense_statistics(psi, dense_steps)
     return toy_dist, dense_dist, compare_statistics(toy_dist, dense_dist)

@@ -259,20 +259,23 @@ def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicStat
 
 @dataclass(frozen=True)
 class SharpMeasurement:
-    """Joint measurement of an ordered tuple of commuting functionals.
-
-    The outcome is the tuple of their values mod d, ordered by generator
-    index.  The generators must span an isotropic subspace.
-    """
+    """Joint measurement of an ordered tuple of commuting functionals: the
+    outcome is their values less their offsets (zero by default) mod d, in
+    generator order.  The generators must span an isotropic subspace."""
 
     generators: tuple[tuple[int, ...], ...]
     d: int
     n: int
+    offsets: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(pa.point(g, self.d) for g in self.generators))
         if not self.generators:
             raise DimensionMismatch("measurement needs at least one functional")
+        offsets = pa.point(self.offsets, self.d) or (0,) * len(self.generators)
+        if len(offsets) != len(self.generators):
+            raise DimensionMismatch(f"{len(offsets)} offsets for {len(self.generators)} functionals")
+        object.__setattr__(self, "offsets", offsets)
         if not pa.is_isotropic(self.subspace):
             raise RestrictionViolation("measured functionals are not jointly knowable")
 
@@ -281,7 +284,8 @@ class SharpMeasurement:
         return pa.Subspace.from_generators(self.generators, self.d, self.n)
 
     def outcome_of(self, lam) -> tuple[int, ...]:
-        return tuple(pa.evaluate(g, lam, self.d) for g in self.generators)
+        return tuple((pa.evaluate(g, lam, self.d) - c) % self.d
+                     for g, c in zip(self.generators, self.offsets))
 
 
 Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted outcome order
@@ -296,6 +300,7 @@ class _MeasurementPlan:
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
         self.V, self.A, self.form = V, meas.generators, _row_form(V.d, V.n)
+        self.offsets = meas.offsets
 
     @cached_property
     def updates(self) -> tuple[pa.Subspace, list]:
@@ -305,11 +310,10 @@ class _MeasurementPlan:
         the rows left span V within a's commutant, still in rref.  a's
         residue modulo them is zero (its value is determined) or, led by 1,
         clears its pivot column from the rows and joins them (a is free).
-        ops holds the factors that `children` and `after` replay on the
-        values."""
+        ops holds the factors and a's offset that `children` and `after` replay."""
         d, F, pivots, ops = self.V.d, self.form, list(self.V.pivots), []
         rows = F.of(self.V)
-        for a in self.A:
+        for a, off in zip(self.A, self.offsets):
             p, moves, inv, clears, at = (None,) * 5
             s = F.products(rows, a)
             if any(s):
@@ -324,7 +328,7 @@ class _MeasurementPlan:
                 at, clears = sum(c < q for c in pivots), F.column(rows, q)
                 rows = F.subtract(rows, clears, top)
                 rows[at:at], pivots[at:at] = [top], [q]
-            ops.append((p, moves, coeffs, inv, clears, at))
+            ops.append((p, moves, coeffs, off, inv, clears, at))
         V_new = F.subspace(rows)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
@@ -338,23 +342,24 @@ class _MeasurementPlan:
         zero exactly when a lies in V + span(earlier functionals), for if
         a = v + e so, v = a - e lies in V, commutes with every measured
         functional and so survives each row drop."""
-        size = self.V.d ** sum(op[3] is not None for op in self.updates[1])
+        size = self.V.d ** sum(op[4] is not None for op in self.updates[1])
         if size > pa.COSET_GUARD:
             raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
         return size
 
     def _drop(self, op, vals) -> tuple[list[int], int]:
-        """op's row drop on the values, and the value the kept rows give a."""
-        p, moves, coeffs = op[:3]
+        """op's row drop on the values, and the outcome the kept rows predict
+        for a: the value they give it less its offset."""
+        p, moves, coeffs, c = op[:4]
         if moves is not None:
             d, x = self.V.d, vals[p]
             vals = [(v - f * x) % d for v, f in zip(vals[:p] + vals[p + 1 :], moves)]
-        return vals, sum(map(mul, coeffs, vals))
+        return vals, sum(map(mul, coeffs, vals)) - c
 
     def _show(self, op, vals, x: int) -> list[int]:
         """The values after a shows x more than its kept rows give it: a
         free a joins the rows, a determined one (x = 0) leaves them."""
-        inv, clears, at = op[3:]
+        inv, clears, at = op[4:]
         if inv is None:
             return vals
         d = self.V.d
@@ -366,13 +371,13 @@ class _MeasurementPlan:
     def children(self, values) -> list[tuple[tuple[int, ...], list[int]]]:
         """(outcome, V_new's values) for each outcome that can occur at V's
         values, in lexicographic order: one breadth-first walk over ops, a
-        determined functional showing its value, a free one each of 0..d-1."""
+        determined functional showing its outcome, a free one each of 0..d-1."""
         d, level = self.V.d, [((), values)]
         for op in self.updates[1]:
             nxt = []
             for k, vals in level:
                 vals, known = self._drop(op, vals)
-                xs = range(d) if op[3] is not None else (known % d,)
+                xs = range(d) if op[4] is not None else (known % d,)
                 nxt += [(k + (x,), self._show(op, vals, (x - known) % d)) for x in xs]
             level = nxt
         return level
@@ -380,12 +385,12 @@ class _MeasurementPlan:
     def after(self, values, outcome: tuple) -> list[int]:
         """V_new's values after outcome at V's values, listing nothing else;
         DimensionMismatch when a determined functional would show another
-        value than its own, so the outcome has probability zero."""
+        outcome than its own, so the outcome has probability zero."""
         vals, d = values, self.V.d
         for op, x in zip(self.updates[1], outcome):
             vals, known = self._drop(op, vals)
             x = (int(x) - known) % d
-            if op[3] is None and x:
+            if op[4] is None and x:
                 raise DimensionMismatch(f"outcome {outcome} has probability zero")
             vals = self._show(op, vals, x)
         return vals
@@ -471,12 +476,7 @@ def statistics(
     affine maps and sharp measurements, with no sampling: every branch with
     nonzero probability is expanded, carrying only its values.  A step's
     outcome count does not depend on them, so each leaf has probability 1/m.
-    The plans are read from, or kept in, each step's `_plans`: a host hands
-    out the same step objects to every circuit, so later circuits on a known
-    subspace already met build nothing.  The single-state steps
-    (`apply_affine`, `measure_sharp`, `outcome_distribution`, `posterior`)
-    build fresh plans and keep none: a single-state trajectory seldom meets
-    a V twice, so there the kept plans would only grow."""
+    The plans are read from, or kept in, each step's `_plans`."""
     walker, _ = _chain(state.V, steps)
     leaves = branch_tree(state.values, walker)
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

@@ -11,7 +11,7 @@ from spektoy import subtheory as stt
 from spektoy import toy_model as toy
 from spektoy import wigner as wg
 from spektoy.circuits import parse_circuit
-from spektoy.errors import AuditError, DimensionMismatch
+from spektoy.errors import AuditError, DimensionMismatch, InvalidGenerators
 from test_toy_model import ref_statistics
 
 
@@ -33,7 +33,7 @@ class TestDictionary:
         spec = wg.delfosse_rebit_spec(2)
         V = pa.Subspace.from_generators([(1, 0, 1, 0), (0, 1, 0, 1)], 2, 2)
         epi = toy.make_epistemic(V, (0,) * 4)
-        psi = eqv.quantum_state_for(epi, spec)
+        psi = eqv.quantum_state_for(epi)
         bell = do.parse_state_spec("+XX,+ZZ")
         assert do.states_equal(psi, bell)
         back = eqv.epistemic_state_for(psi, spec)
@@ -43,13 +43,13 @@ class TestDictionary:
         spec = wg.gross_spec(3, 2)
         for V in pa.maximal_isotropic_subspaces(3, 2)[:5]:
             epi = toy.make_epistemic(V, (1, 0, 2, 1))
-            psi = eqv.quantum_state_for(epi, spec)
+            psi = eqv.quantum_state_for(epi)
             assert eqv.epistemic_state_for(psi, spec) == epi
 
     def test_outcome_labeling_ground_state(self):
         # measuring Z on |0> gives residue 0 on both sides
         spec = wg.delfosse_rebit_spec(1)
-        projs = eqv.measurement_projectors((0, 1), spec)
+        projs = eqv.shared_label_projectors((0, 1), 2)
         out = do.born(do.basis_state([0]), projs)
         assert abs(out[0][0] - 1) < 1e-12
         epi = eqv.epistemic_state_for(do.basis_state([0]), spec)
@@ -126,6 +126,7 @@ class TestRandomEquivalence:
             ("css-rebit", 2, 2, 5),
             ("qudit-stabilizer", 1, 3, 3),
             ("qudit-stabilizer", 2, 3, 4),
+            ("qudit-stabilizer", 1, 5, 6),
         ],
     )
     def test_smoke(self, host, n, d, seed):
@@ -240,10 +241,75 @@ class TestTextCircuits:
         assert set(toy_dist) == set(reference)
         assert eqv.compare_statistics(toy_dist, reference) <= 1e-9
 
+    def test_init_spec_is_parsed_once(self, monkeypatch):
+        host = eqv.host_model("minimal-rebit", 2)
+        calls = []
+        parse = do.parse_state_spec
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(do, "parse_state_spec", counting)
+        circ = parse_circuit("INIT +XX,+ZZ\nMEAS ZZ 0 1 -> v\n")
+        _, _, dev = eqv.circuit_statistics_both_ways(circ, host)
+        assert dev <= 1e-9
+        assert len(calls) == 1
+
 
 def ref_measurement_projectors(mu, spec):
-    """measurement_projectors built afresh on every call."""
+    """The outcome projectors of the construction's Weyl operator at mu,
+    indexed by the exponent k of its eigenvalue chi(k): the convention the
+    toy functional's values follow."""
     return do.weyl_char_projectors(wg.weyl(mu, spec), spec.d)
+
+
+class TestOutcomeOffset:
+    @pytest.mark.parametrize("name,n,d,labels,offset", [
+        ("minimal-rebit", 2, 2, 6, 0),
+        ("minimal-rebit", 3, 2, 14, 0),
+        ("css-rebit", 2, 2, 6, 0),
+        ("full-qubit-stabilizer", 2, 2, 9, 1),
+        ("qudit-stabilizer", 2, 3, 80, 48),
+        ("qudit-stabilizer", 1, 5, 24, 16),
+    ])
+    def test_offset_maps_the_weyl_convention(self, name, n, d, labels, offset):
+        # Weyl-operator outcome k is outcome k - c(mu) of label_projectors,
+        # 430 projector pairs over the six hosts
+        sub = stt.subtheory_by_name(name, n, d)
+        nonzero = [mu for mu in sub.observables if any(mu)]
+        assert len(nonzero) == labels
+        offsets = [eqv.outcome_offset(mu, d) for mu in nonzero]
+        assert sum(c != 0 for c in offsets) == offset
+        for mu, c in zip(nonzero, offsets):
+            weyl, label = ref_measurement_projectors(mu, sub.spec), do.label_projectors(mu, d)
+            for k in range(d):
+                assert np.allclose(weyl[k], label[(k - c) % d], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("gens", [[(1, 1)], [(1, 1, 0, 0), (0, 0, 1, 1)]])
+    def test_odd_qp_label_is_refused(self, gens):
+        # J sigma = (1, 1) per site: Z(p)X(q) = ZX = iY squares to -I
+        n = len(gens[0]) // 2
+        epi = toy.make_epistemic(pa.Subspace.from_generators(gens, 2, n), (0,) * (2 * n))
+        with pytest.raises(InvalidGenerators):
+            eqv.quantum_state_for(epi)
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (1, 5)])
+    def test_offset_labels_agree_on_random_states(self, n, d):
+        host = eqv.host_model("qudit-stabilizer", n, d)
+        shifted = [mu for mu in host.sub.observables if eqv.outcome_offset(mu, d)]
+        isos = pa.maximal_isotropic_subspaces(d, n)
+        rng = np.random.default_rng(d)
+        for mu in shifted:
+            for _ in range(3):
+                V = isos[int(rng.integers(0, len(isos)))]
+                epi = toy.make_epistemic(V, tuple(int(x) for x in rng.integers(0, d, size=2 * n)))
+                nu = shifted[int(rng.integers(0, len(shifted)))]
+                toy_dist = toy.statistics(epi, [("measure", host.measurement_step(lam)) for lam in (mu, nu)])
+                dense_dist = eqv.dense_statistics(
+                    eqv.quantum_state_for(epi), [("measure", do.label_projectors(lam, d)) for lam in (mu, nu)])
+                assert set(toy_dist) == {k for k, p in dense_dist.items() if p > 1e-12}
+                assert eqv.compare_statistics(toy_dist, dense_dist) <= 1e-9
 
 
 def ref_gate_action(host, U):
@@ -254,8 +320,8 @@ def ref_gate_action(host, U):
 
 
 def ref_random_paired_circuit(host, rng, depth=5):
-    """random_paired_circuit with projectors built per call and gate
-    actions read off the state census."""
+    """random_paired_circuit with projectors built per call, gate actions
+    read off the state census and each toy measurement built afresh."""
     d, n = host.d, host.n
     if d == 2:
         V = eqv._random_css_knowledge(n, rng)
@@ -264,7 +330,7 @@ def ref_random_paired_circuit(host, rng, depth=5):
         V = isos[int(rng.integers(0, len(isos)))]
     w = tuple(int(x) for x in rng.integers(0, d, size=2 * n))
     epistemic = toy.make_epistemic(V, w)
-    dense_state = eqv.quantum_state_for(epistemic, host.spec)
+    dense_state = eqv.quantum_state_for(epistemic)
     toy_steps, dense_steps, description = [], [], []
     gens = host.sub.gate_generators
     nontrivial = [lam for lam in host.sub.observables if any(lam)]
@@ -278,8 +344,9 @@ def ref_random_paired_circuit(host, rng, depth=5):
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             sigma = eqv.functional_for_label(lam, d)
-            toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n)))
-            dense_steps.append(("measure", ref_measurement_projectors(lam, host.spec)))
+            c = (eqv.outcome_offset(lam, d),)
+            toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n, c)))
+            dense_steps.append(("measure", do.label_projectors(lam, d)))
             description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return eqv.PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -308,9 +375,9 @@ class TestHostProjectorCache:
                 ops[0][0][0][0, 0] = 0
         assert len({id(ops[0][1]) for ops in by_label.values()}) == len(by_label)
         for lam in host.sub.observables:
-            projs = eqv.measurement_projectors(lam, host.spec)
-            assert eqv.measurement_projectors(lam, host.spec) is projs
-            want = ref_measurement_projectors(lam, host.spec)
+            projs = eqv.shared_label_projectors(lam, d)
+            assert eqv.shared_label_projectors(lam, d) is projs
+            want = do.label_projectors(lam, d)
             assert len(projs) == len(want)
             assert all(np.array_equal(P, Q) for P, Q in zip(projs, want))
 

@@ -8,6 +8,9 @@
 * No private code is dead: every module-level _name and every method of
   a module-level _Class is read somewhere in the package, as a name or
   as an attribute.
+* Only dense_oracle reads weyl_char_projectors: every other module reads
+  measurement outcomes through dense_oracle.label_projectors, the one
+  outcome convention.
 """
 
 import ast
@@ -88,6 +91,13 @@ def unread_private(trees):
             for line, name in private_definitions(tree) if name not in read]
 
 
+def reads_of(tree, name):
+    """Line numbers where the tree reads name, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -102,6 +112,12 @@ def test_imports_are_numpy_or_stdlib(name, tree):
     assert foreign_imports(tree) == []
 
 
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_one_outcome_convention(name, tree):
+    if name != "dense_oracle.py":
+        assert reads_of(tree, "weyl_char_projectors") == []
+
+
 def test_rules_catch_violations():
     tree = ast.parse(
         "import numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import wigner\n"
@@ -109,6 +125,12 @@ def test_rules_catch_violations():
     )
     assert close_calls_without_rtol0(tree) == [5, 6]
     assert foreign_imports(tree) == [(2, "scipy.linalg"), (3, "sympy")]
+    tree = ast.parse(
+        "from .dense_oracle import weyl_char_projectors\nweyl_char_projectors(a, 2)\n"
+        "do.weyl_char_projectors(a, 3)\nf = map(do.weyl_char_projectors, ops)\n"
+        "def weyl_char_projectors(op, d): pass\nx.weyl_char_projectors = None\n"
+    )
+    assert reads_of(tree, "weyl_char_projectors") == [2, 3, 4]
 
 
 def test_private_code_is_read():

@@ -172,6 +172,12 @@ class TestMeasurement:
         with pytest.raises(RestrictionViolation):
             tm.SharpMeasurement(((1, 0), (0, 1)), 2, 1)
 
+    def test_one_offset_per_functional(self):
+        assert tm.SharpMeasurement(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 2).offsets == (0, 0)
+        assert tm.SharpMeasurement(((1, 0),), 3, 1, (-1,)).offsets == (2,)
+        with pytest.raises(DimensionMismatch, match="2 offsets for 1 functionals"):
+            tm.SharpMeasurement(((1, 0),), 2, 1, (0, 1))
+
     def test_measure_sharp_sampling_is_seeded(self):
         s = x_known_state()
         meas = tm.SharpMeasurement(((0, 1),), 2, 1)
@@ -348,7 +354,8 @@ def states_and_measurements(draw):
         first = pa.Subspace.from_generators(gens, d, n)
         comm = pa.symplectic_commutant(first)
         gens.append(_functional_in(comm, draw(coeffs)[: comm.dim], first))
-    return tm.make_epistemic(V, w), tm.SharpMeasurement(tuple(gens), d, n)
+    offsets = tuple(draw(coeffs)[: len(gens)])
+    return tm.make_epistemic(V, w), tm.SharpMeasurement(tuple(gens), d, n, offsets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -529,7 +536,7 @@ def ref_outcome_distribution(state, meas):
     if size > pa.COSET_GUARD:
         raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
     centre = A @ np.array(state.w, dtype=np.int64)
-    outcomes = mm.coset_vectors(spread, centre, d)
+    outcomes = mm.modp(mm.coset_vectors(spread, centre, d) - np.array(meas.offsets), d)
     p = Fraction(1, size)
     return {k: p for k in sorted(map(tuple, outcomes.tolist()))}
 
@@ -545,8 +552,9 @@ def ref_update(state, meas):
     system = np.concatenate([A, R])
     prior_values = (R @ np.array(state.w, dtype=np.int64)).tolist()
 
-    def update(outcome):
-        shift = ref_solve(system, list(outcome) + prior_values, d)
+    def update(outcome):  # the functionals' values are outcome + offsets
+        values = [int(k) + c for k, c in zip(outcome, meas.offsets)]
+        shift = ref_solve(system, values + prior_values, d)
         if shift is None:
             raise DimensionMismatch(f"outcome {outcome} has probability zero")
         return ref_make_epistemic(V_new, shift)
@@ -812,7 +820,8 @@ MAX_BRANCHES = 64
 @st.composite
 def circuits_on_states(draw):
     """(prior, steps) at d in {2, 3, 5}, n <= 4: a mixed or pure prior, then
-    gates interleaved with measurements of one to three functionals.  Some
+    gates interleaved with measurements of one to three functionals, with
+    drawn outcome offsets.  Some
     measurements start from a functional the branches already know (a
     deterministic outcome), some repeat the previous one, and now and then
     a step on the wrong space is slipped in."""
@@ -840,7 +849,8 @@ def circuits_on_states(draw):
                 comm = pa.symplectic_commutant(M)
                 gens.append(_functional_in(comm, draw(coeffs)[: comm.dim], M))
                 M = M + pa.Subspace.from_generators(gens[-1:], d, n)
-            meas = tm.SharpMeasurement(tuple(gens), d, n)
+            offsets = tuple(draw(coeffs)[: len(gens)])
+            meas = tm.SharpMeasurement(tuple(gens), d, n, offsets)
         table = ref_outcome_distribution(path, meas)
         if branches * len(table) > MAX_BRANCHES:
             continue
@@ -868,6 +878,32 @@ def test_walker_matches_per_branch_reference(case):
         leaves = branch_tree(prior.values, walker)
         got = [(o, Fraction(1, m), V, tm._coset_state(V, vals).w) for o, m, vals in leaves]
         assert got == [(o, p, s.V, s.w) for o, p, s in ref_walk(prior, steps)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_on_states())
+def test_offset_steps_match_reference(case):
+    # along one branch: each measurement's table, posteriors and seeded
+    # sample against the reference, and its table the zero-offset table
+    # with every outcome less the offsets
+    prior, steps = case
+    state = prior
+    for seed, (kind, op) in enumerate(steps):
+        if (op.d, op.n) != (state.d, state.n):  # the step slipped in on the wrong space
+            break
+        if kind == "gate":
+            state = tm.apply_affine(state, op)
+            continue
+        table = assert_same_table(state, op)
+        posts = [tm.posterior(state, op, k) for k in table]
+        assert posts == [ref_posterior(state, op, k) for k in table]
+        outcome, sampled, sampled_table = tm.measure_sharp(state, op, seed)
+        assert outcome == ref_sample(table, seed) and sampled == posts[list(table).index(outcome)]
+        assert list(sampled_table.items()) == list(table.items())
+        plain = tm.outcome_distribution(state, tm.SharpMeasurement(op.generators, op.d, op.n))
+        shifted = sorted(tuple((x - c) % op.d for x, c in zip(k, op.offsets)) for k in plain)
+        assert list(table) == shifted
+        state = sampled
 
 
 @settings(max_examples=80, deadline=None)
