@@ -228,34 +228,43 @@ def format_circuit(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # the branch-tree walker
 
-# A step maps one branch's (outcomes, state) to its children
-# [(outcome or None, probability, state)]; a None outcome records nothing.
-# A float probability is approximate; an int m means exactly 1/m.
-Step = Callable[[tuple, object], list[tuple]]
+# A step maps a whole level, every branch at one depth, to the next one.
+# It is called as step(outcomes, level) with the branches' outcome tuples
+# and their states: a (branches, dim) complex array on the dense side, a
+# list of values on the toy side.  It returns (ks, pks, children): the
+# children form the next level, parent-major, every parent with the same
+# number of them; ks is None for a step that records nothing (one child per
+# branch, of probability 1), else one outcome per child, with one
+# probability per child in pks.  A float probability is approximate; an int
+# m means exactly 1/m.
+Step = Callable[[list[tuple], object], tuple]
 
 
-def branch_tree(root, steps: list[Step]) -> list[tuple]:
-    """Exhaustive branch tree: run every step on every surviving branch.
+def branch_tree(level, steps: list[Step]) -> list[tuple]:
+    """Exhaustive branch tree: run every step on the level of every
+    surviving branch, starting from the one-branch root level.
 
-    Returns [(outcomes, probability, state)] in expansion order.  A branch's
-    probability is the product of its children's, starting from the int 1.
-    An exact step reports probability 1/m as the int m, so a product of ints
-    is the int denominator of the branch's probability; a deterministic
-    child's 1 reads the same either way, and a float makes the product a
-    float.  Float children of probability <= ATOL_CONSTRUCT are dropped; int
-    children never are, since exact steps list only outcomes that can occur.
-    The leaves must sum to 1: exactly for ints, within ATOL_END2END for
-    floats.
+    Returns [(outcomes, probability, state)] in expansion order, a state
+    being one row of the last level.  A branch's probability is the product
+    of its children's, starting from the int 1.  An exact step reports
+    probability 1/m as the int m, so a product of ints is the int
+    denominator of the branch's probability; a deterministic child's 1
+    reads the same either way, and a float makes the product a float.  Float
+    children of probability <= ATOL_CONSTRUCT are dropped; int children
+    never are, since exact steps list only outcomes that can occur.  The
+    leaves must sum to 1: exactly for ints, within ATOL_END2END for floats.
     """
-    branches = [((), 1, root)]
+    outcomes, probs = [()], [1]
     for step in steps:
-        branches = [
-            (outcomes if k is None else outcomes + (k,), prob * pk, child)
-            for outcomes, prob, state in branches
-            for k, pk, child in step(outcomes, state)
-            if isinstance(pk, int) or pk > ATOL_CONSTRUCT
-        ]
-    probs = [prob for _, prob, _ in branches]
+        ks, pks, level = step(outcomes, level)
+        if ks is None:
+            continue
+        m = len(ks) // max(len(outcomes), 1)
+        keep = [i for i, pk in enumerate(pks) if isinstance(pk, int) or pk > ATOL_CONSTRUCT]
+        if len(keep) < len(ks):
+            level = [level[i] for i in keep] if isinstance(level, list) else level[keep]
+        outcomes = [outcomes[i // m] + (ks[i],) for i in keep]
+        probs = [probs[i // m] * pks[i] for i in keep]
     if all(isinstance(m, int) for m in probs):
         L = math.lcm(*probs)
         total = sum(L // m for m in probs)
@@ -263,4 +272,4 @@ def branch_tree(root, steps: list[Step]) -> list[tuple]:
     else:
         total = sum(probs)
         assert abs(total - 1.0) < ATOL_END2END, f"branch probabilities sum to {total}"
-    return branches
+    return list(zip(outcomes, probs, level))

@@ -432,18 +432,18 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
 # ---------------------------------------------------------------------------
 # measurement
 
-def _renormalized(collapsed: np.ndarray) -> tuple[float, np.ndarray]:
-    """Probability of an unnormalised collapsed state, and the state
-    normalised (left as it is when the probability is negligible)."""
-    prob = float(np.vdot(collapsed, collapsed).real)
-    if prob > ATOL_CONSTRUCT:
-        collapsed = collapsed / math.sqrt(prob)
-    return prob, collapsed
+def _renormalized_rows(children: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Each row's probability (its squared norm) and the rows normalised.  A
+    row of probability <= ATOL_CONSTRUCT, which the walker drops, is only
+    divided by sqrt(ATOL_CONSTRUCT)."""
+    probs = np.vecdot(children, children).real
+    return probs.tolist(), children / np.sqrt(np.maximum(probs, ATOL_CONSTRUCT))[:, None]
 
 
 def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
     """Probabilities and renormalized collapsed states for a projective
-    decomposition.  Raises on non-projective input."""
+    decomposition, as measure_step gives them.  Raises on non-projective
+    input."""
     dim = state.shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for P in projectors:
@@ -454,9 +454,9 @@ def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
         total += P
     if not np.allclose(total, np.eye(dim), rtol=0, atol=ATOL_CONSTRUCT * dim):
         raise InvalidGenerators("measurement elements do not sum to identity")
-    out = [_renormalized(P @ state) for P in projectors]
-    assert abs(sum(p for p, _ in out) - 1.0) < ATOL_CONSTRUCT * dim
-    return out
+    _, probs, states = measure_step(projectors)([()], state[None])
+    assert abs(sum(probs) - 1.0) < ATOL_CONSTRUCT * dim
+    return list(zip(probs, states))
 
 
 def measure_observable(state: np.ndarray, obs: np.ndarray):
@@ -475,63 +475,98 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
             groups[-1][1].append(i)
         else:
             groups.append((float(v), [i]))
-    out = []
-    for v, idxs in sorted(groups, key=lambda g: -g[0]):
-        P = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs)
-        out.append((v, *_renormalized(P @ state)))
-    return out
+    groups.sort(key=lambda g: -g[0])
+    projectors = [sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs) for _, idxs in groups]
+    _, probs, states = measure_step(projectors)([()], state[None])
+    return [(v, p, post) for (v, _), p, post in zip(groups, probs, states)]
 
 
 # ---------------------------------------------------------------------------
 # circuit execution
 
 def gate_step(U: np.ndarray) -> Step:
-    """Walker step applying the matrix U to every branch."""
-    return lambda outcomes, state: [(None, 1, U @ state)]
+    """Walker step applying the matrix U to every branch: one product."""
+    UT = U.T
+    return lambda outcomes, level: (None, None, level @ UT)
 
 
 def measure_step(projectors) -> Step:
     """Walker step for a projective measurement that keeps the register;
-    outcome k belongs to projectors[k]."""
-    return lambda outcomes, state: [
-        (k, *_renormalized(P @ state)) for k, P in enumerate(projectors)
-    ]
+    outcome k belongs to projectors[k].  The level times the projectors'
+    transposes side by side, [P_0.T | P_1.T | ...], lists every parent's
+    children in outcome order: one product for the whole level.  That
+    matrix is the transpose of the projectors stacked as rows, a view when
+    they come as one (m, dim, dim) array."""
+    projectors = np.asarray(projectors)
+    m, dim = projectors.shape[:2]
+    stacked = projectors.reshape(m * dim, dim).T
+    ks = list(range(m))
+
+    def step(outcomes, level):
+        b = len(level)
+        pks, children = _renormalized_rows((level @ stacked).reshape(b * m, dim))
+        return ks * b, pks, children
+
+    return step
 
 
 def readout_step(site: int, basis: str) -> Step:
     """Walker step reading one qubit destructively in the Z or X basis,
     which removes the site from the register.
 
-    With the state reshaped to (left, site, right), Z outcome k is the
-    slice [:, k, :] and X outcome k is the signed sum (t0 + (-1)^k t1)/sqrt2
-    of the two slices: the contraction with the k-th basis ket.
+    With the level reshaped to (branches, left, site, right), Z outcome k is
+    the slice [:, :, k, :] and X outcome k is the signed sum
+    (t0 + (-1)^k t1)/sqrt2 of the two slices: the contraction with the k-th
+    basis ket.
     """
     if basis not in ("Z", "X"):
         raise CircuitParseError(f"readout basis {basis!r} is not Z or X")
     if site < 0:
         raise DimensionMismatch(f"readout site {site} is negative")
 
-    def step(outcomes, state):
-        if state.shape[0] < 2 << site:
+    def step(outcomes, level):
+        b, dim = level.shape
+        if dim < 2 << site:
             raise DimensionMismatch(
-                f"readout site {site} outside a {num_sites(state.shape[0], 2)}-qubit register"
+                f"readout site {site} outside a {num_sites(dim, 2)}-qubit register"
             )
-        tensor = state.reshape(2**site, 2, -1)
-        t0, t1 = tensor[:, 0, :].reshape(-1), tensor[:, 1, :].reshape(-1)
-        if basis == "X":
-            t0, t1 = (t0 + t1) * _SQ2, (t0 - t1) * _SQ2
-        return [(0, *_renormalized(t0)), (1, *_renormalized(t1))]
+        tensor = level.reshape(b, 2**site, 2, dim >> (site + 1))
+        if basis == "Z":
+            children = tensor.transpose(0, 2, 1, 3)
+        else:
+            t0, t1 = tensor[:, :, 0], tensor[:, :, 1]
+            children = np.stack((t0 + t1, t0 - t1), axis=1) * _SQ2
+        pks, children = _renormalized_rows(children.reshape(2 * b, dim // 2))
+        return [0, 1] * b, pks, children
 
     return step
 
 
-def _correct_step(U: np.ndarray, expr: str, names: list[str], d: int) -> Step:
-    """Apply U expr-many times, expr evaluated on the branch's outcomes."""
+def rows_by_key(level: np.ndarray, keys, operator) -> np.ndarray:
+    """The level with each row multiplied by operator(key) of its key, one
+    product per distinct key; a key whose operator is None leaves its rows
+    as they are, and the level itself comes back when every key does."""
+    out = level
+    for key in dict.fromkeys(keys):
+        U = operator(key)
+        if U is None:
+            continue
+        rows = [i for i, k in enumerate(keys) if k == key]
+        if len(rows) == len(level):
+            return level @ U.T
+        out = level.copy() if out is level else out
+        out[rows] = level[rows] @ U.T
+    return out
 
-    def step(outcomes, state):
-        for _ in range(eval_expr(expr, dict(zip(names, outcomes)), d)):
-            state = U @ state
-        return [(None, 1, state)]
+
+def _correct_step(U: np.ndarray, expr: str, names: list[str], d: int) -> Step:
+    """Apply U expr-many times, expr evaluated on each branch's outcomes:
+    one product of U's power per distinct count."""
+
+    def step(outcomes, level):
+        counts = [eval_expr(expr, dict(zip(names, o)), d) for o in outcomes]
+        power = lambda c: np.linalg.matrix_power(U, c) if c else None
+        return None, None, rows_by_key(level, counts, power)
 
     return step
 
@@ -579,7 +614,7 @@ def run_circuit(
             steps.append(_correct_step(U, ins.expr, names, d))
     return [
         Branch(dict(zip(names, outcomes)), float(prob), state)
-        for outcomes, prob, state in branch_tree(input_state.astype(complex), steps)
+        for outcomes, prob, state in branch_tree(input_state.astype(complex)[None], steps)
     ]
 
 

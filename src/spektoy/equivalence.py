@@ -66,12 +66,11 @@ def outcome_offset(mu, d: int) -> int:
 
 
 @cache
-def shared_label_projectors(mu: tuple[int, ...], d: int) -> tuple[np.ndarray, ...]:
-    """do.label_projectors(mu, d), built once per (label, d) and shared, so
-    read-only."""
-    projs = tuple(do.label_projectors(mu, d))
-    for P in projs:
-        P.setflags(write=False)
+def shared_label_projectors(mu: tuple[int, ...], d: int) -> np.ndarray:
+    """do.label_projectors(mu, d) as one (d, d^n, d^n) array, built once per
+    (label, d) and shared, so read-only."""
+    projs = np.array(do.label_projectors(mu, d))
+    projs.setflags(write=False)
     return projs
 
 
@@ -283,7 +282,7 @@ def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
     ]
     return {
         tuple((k,) for k in outcomes): float(prob)
-        for outcomes, prob, _ in branch_tree(state, walker_steps)
+        for outcomes, prob, _ in branch_tree(state[None], walker_steps)
     }
 
 

@@ -194,6 +194,20 @@ class AuditTrail:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def embedded_correction(
+    gate_name: str, m: tuple[int, ...], wire_map: tuple[int, ...], n: int
+) -> np.ndarray | None:
+    """The correction of scheme_for(gate_name) for outcome bits m, embedded
+    on wire_map of n qubits once and read-only; None for the identity."""
+    corr = scheme_for(gate_name).corrections[m]
+    if corr.kind == "pauli" and not corr.factors:
+        return None
+    U = do.embed(corr.operator, wire_map, n, 2)
+    U.setflags(write=False)
+    return U
+
+
 def _correction_step(
     scheme: InjectionScheme,
     wire_map: tuple[int, ...],
@@ -201,29 +215,29 @@ def _correction_step(
     audit: AuditTrail,
     injected: frozenset,
 ) -> Step:
-    """Walker step applying the correction keyed by the branch's last
+    """Walker step applying the correction keyed by each branch's last
     scheme.n outcomes, audited once per branch.
 
     Each outcome's correction U X^m U* but the identity is embedded on the
-    register once, on first use, and shared by every branch with that
-    outcome.  Clifford host factors multiply to the same operator up to a
+    register once per process (embedded_correction, so the scheme comes
+    from scheme_for) and applied to all branches with that outcome in one
+    product.  Clifford host factors multiply to the same operator up to a
     global phase; the audit records every factor on every branch.
     """
-    embedded: dict[tuple[int, ...], np.ndarray] = {}
+    operator = functools.partial(
+        embedded_correction, scheme.gate_name, wire_map=wire_map, n=n_total
+    )
 
-    def step(outcomes, state):
-        m = outcomes[-scheme.n:]
-        corr = scheme.corrections[m]
-        if corr.kind == "non-clifford":
-            # still verifiable densely; flagged in the audit
-            audit.violations.append(f"non-clifford correction ({corr.name})")
-        for name, _ in corr.factors:
-            audit.use_gate(name, injected)
-        if corr.kind == "pauli" and not corr.factors:
-            return [(None, 1, state)]
-        if m not in embedded:
-            embedded[m] = do.embed(corr.operator, wire_map, n_total, 2)
-        return [(None, 1, embedded[m] @ state)]
+    def step(outcomes, level):
+        keys = [o[-scheme.n:] for o in outcomes]
+        for m in keys:
+            corr = scheme.corrections[m]
+            if corr.kind == "non-clifford":
+                # still verifiable densely; flagged in the audit
+                audit.violations.append(f"non-clifford correction ({corr.name})")
+            for name, _ in corr.factors:
+                audit.use_gate(name, injected)
+        return None, None, do.rows_by_key(level, keys, operator)
 
     return step
 
@@ -235,7 +249,8 @@ def run_injection(
     audit: AuditTrail | None = None,
 ) -> list[InjectionRecord]:
     """Exhaustive branch tree of one injection; every record's final state
-    lives on the resource register and is compared against target@input."""
+    lives on the resource register and is compared against target@input.
+    The scheme comes from scheme_for, whose corrections the step embeds."""
     n = scheme.n
     if input_state.shape[0] != 2**n:
         raise DimensionMismatch("input dimension mismatch")
@@ -251,7 +266,7 @@ def run_injection(
     steps += [do.readout_step(0, "Z")] * n
     steps.append(_correction_step(scheme, tuple(range(n)), n, audit, injected))
     target_out = scheme.target @ input_state
-    branches = branch_tree(np.kron(input_state, scheme.resource_state), steps)
+    branches = branch_tree(np.kron(input_state, scheme.resource_state)[None], steps)
     return [
         InjectionRecord(
             m, float(prob), scheme.corrections[m].name, out, do.fidelity(out, target_out)
@@ -292,9 +307,12 @@ def inject_on_wires(
     for j, w in enumerate(data_wires):
         perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
 
-    def append_resource(outcomes, state):
-        big = np.multiply.outer(state, scheme.resource_state).reshape((2,) * big_n)
-        return [(None, 1, big.transpose(perm).reshape(-1))]
+    axes = [0, *(w + 1 for w in perm)]
+
+    def append_resource(outcomes, level):
+        b = len(level)
+        big = np.multiply.outer(level, scheme.resource_state).reshape((b,) + (2,) * big_n)
+        return None, None, big.transpose(axes).reshape(b, 2**big_n)
 
     return [
         append_resource,
@@ -332,14 +350,14 @@ def hadamard_via_cz(
     audit.use_measurement("X")
     x_gate = do.gate("X", (0,), 1)
 
-    def x_correction(outcomes, state):
-        if outcomes[-1]:
+    def x_correction(outcomes, level):
+        flips = [o[-1] for o in outcomes]
+        for _ in range(sum(flips)):
             audit.use_gate("X")
-            state = x_gate @ state
-        return [(None, 1, state)]
+        return None, None, do.rows_by_key(level, flips, lambda s: x_gate if s else None)
 
     steps += [do.readout_step(0, "X"), x_correction]
-    branches = branch_tree(np.kron(input_state, do.plus_state(1)), steps)
+    branches = branch_tree(np.kron(input_state, do.plus_state(1))[None], steps)
     records = [
         InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
         for outcomes, prob, out in branches
@@ -518,7 +536,7 @@ def minimality_probe() -> dict:
         if element == "X-observables":
             # the Hadamard construction is the X-measurement consumer
             branch_tree(
-                np.kron(do.basis_state([0]), do.plus_state(1)),
+                np.kron(do.basis_state([0]), do.plus_state(1))[None],
                 inject_on_wires(scheme_for("CZ"), (0, 1), 2, audit),
             )
             audit.use_measurement("X")

@@ -427,10 +427,12 @@ def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int =
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
-def _measured(plan: _MeasurementPlan, outcomes, values) -> list[tuple]:
-    """Walker finish of a measurement on V's values: one child per outcome
-    that can occur, its probability 1/m as the int m, and V_new's values."""
-    return [(k, plan.size, vals) for k, vals in plan.children(values)]
+def _measured(plan: _MeasurementPlan, outcomes, level) -> tuple:
+    """Walker finish of a measurement on a level of V's values: one child
+    per outcome that can occur, its probability 1/m as the int m, and V_new's
+    values."""
+    children = [child for values in level for child in plan.children(values)]
+    return [k for k, _ in children], [plan.size] * len(children), [v for _, v in children]
 
 
 def _plans(op) -> dict:
@@ -442,9 +444,10 @@ def _plans(op) -> dict:
 
 
 def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspace]:
-    """The walker steps of a circuit on the values of V's rows, and the known
-    subspace after the last one.  It depends on the one before and the step
-    alone, so every branch at one depth shares it: one plan per step, built
+    """The walker steps of a circuit on levels (one list of values of V's
+    rows per depth), and the known subspace after the last one.  It
+    depends on the one before and the step alone, so every branch at one
+    depth shares it: one plan per step, built
     in step order on the last V_new, or read from the step's `_plans` when
     the step has met this V before.  Only a finished plan is kept, so a
     step that raises keeps nothing and raises again on the next call."""
@@ -457,7 +460,8 @@ def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspac
         if kind == "gate":
             if plan is None:
                 plan = plans[V] = _transport(V, op)
-            walker.append(lambda outcomes, values, plan=plan: [(None, 1, _shifted(plan, values))])
+            walker.append(lambda outcomes, level, plan=plan: (
+                None, None, [_shifted(plan, values) for values in level]))
             V = plan[0]
         else:
             if plan is None:
@@ -478,5 +482,5 @@ def statistics(
     outcome count does not depend on them, so each leaf has probability 1/m.
     The plans are read from, or kept in, each step's `_plans`."""
     walker, _ = _chain(state.V, steps)
-    leaves = branch_tree(state.values, walker)
+    leaves = branch_tree([state.values], walker)
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

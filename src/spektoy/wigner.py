@@ -410,26 +410,32 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
     """Covariance witness read off by transporting phase-point operators.
 
     An affine map is fixed by the images of 0 and the unit points e_j, so
-    only their transported operators U* A(lam) U are matched against the
-    whole stack: the unique partners give a and the columns of S.  Then
-    U* A(lam) U = A(S lam + a) is checked at every lam at once, which
-    witnesses covariance for *all* states.  Returns None when a basis point
-    has no unique partner, S is not symplectic or the check fails, which
-    does not by itself rule out covariance on the tables of a state set."""
+    of the stack transported once (U* A(lam) U) only their images are
+    matched against the stack: the unique partners give a and the columns
+    of S.  One product gives every squared distance between those images
+    and the stack rows; the near rows (a partner within 1e-9 entrywise is
+    far inside 1e-6) are compared entry by entry.  Then U* A(lam) U =
+    A(S lam + a) is checked at every lam at once, which witnesses
+    covariance for *all* states.  Returns None when a basis point has no
+    unique partner, S is not symplectic or the check fails, which does not
+    by itself rule out covariance on the tables of a state set."""
     d, n = spec.d, spec.n
     A = _phase_point_stack(spec)
     flat = A.reshape(len(A), -1)
     _, weights = _lex(d, n)
-    Ud = U.conj().T
-    partners = []
-    for code in (0, *weights):
-        img = (Ud @ A[code] @ U).reshape(-1)
-        hits = np.nonzero(np.abs(flat - img).max(axis=1) < 1e-9)[0]
-        if hits.size != 1:
-            return None
-        partners.append(hits[0])
-    g = _affine_map(partners, d, n)
-    if g is None or np.abs(Ud @ A @ U - A[_image_codes(g.S, g.a, d)]).max() >= 1e-9:
+    basis = [0, *weights]
+    moved = U.conj().T @ A @ U
+    images = moved[basis].reshape(len(basis), -1)
+    # conjugation by U keeps each operator's norm
+    norms = np.vecdot(flat, flat).real
+    dist = norms[basis][:, None] + norms - 2 * (images.conj() @ flat.T).real
+    rows, cols = np.nonzero(dist < 1e-6)
+    hit = np.abs(flat[cols] - images[rows]).max(axis=1) < 1e-9
+    rows, cols = rows[hit], cols[hit]
+    if not np.array_equal(rows, np.arange(len(basis))):
+        return None
+    g = _affine_map(cols.tolist(), d, n)
+    if g is None or np.abs(moved - A[_image_codes(g.S, g.a, d)]).max() >= 1e-9:
         return None
     return g
 

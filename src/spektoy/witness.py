@@ -309,7 +309,9 @@ def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
     anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
     couple = [(w, n0) if kind == "Z" else (n0, w) for w in data_wires]
     return [
-        lambda outcomes, state: [(None, 1, np.multiply.outer(state, anc).reshape(-1))],
+        lambda outcomes, level: (
+            None, None, np.multiply.outer(level, anc).reshape(len(level), 2 ** (n0 + 1))
+        ),
         *(do.gate_step(inj.cnot(wires, n0 + 1)) for wires in couple),
         do.readout_step(n0, kind),
     ]
@@ -371,7 +373,7 @@ def peres_mermin_circuit(
     words, line_sign = dict(zip(CONTEXT_SELECTORS, standard_square().lines()))[context]
     derivations = _derivations(measured_words)
     branch_products = []
-    for outcomes, prob, _ in branch_tree(input_state.astype(complex), steps):
+    for outcomes, prob, _ in branch_tree(input_state.astype(complex)[None], steps):
         outs = outcomes[-len(measured_words):]
         vals = {w: 1 - 2 * o for w, o in zip(measured_words, outs)}
         for target, wa, wb, sgn in derivations:

@@ -97,16 +97,21 @@ def test_explicit_wire_count_guard():
 
 
 def _split(probs):
-    """Step with one child per probability; the state counts the steps."""
-    return lambda outcomes, state: [(k, p, state + 1) for k, p in enumerate(probs)]
+    """Step giving every branch one child per probability; the state counts
+    the steps."""
+    return lambda outcomes, level: (
+        list(range(len(probs))) * len(level),
+        list(probs) * len(level),
+        [state + 1 for state in level for _ in probs],
+    )
 
 
 def test_branch_tree_multiplies_and_records_in_order():
     # exact steps report probability 1/m as the int m: products of ints
-    def relabel(outcomes, state):
-        return [(None, 1, state * 10)]
+    def relabel(outcomes, level):
+        return None, None, [state * 10 for state in level]
 
-    branches = branch_tree(0, [_split([2, 2]), relabel, _split([2, 4, 4])])
+    branches = branch_tree([0], [_split([2, 2]), relabel, _split([2, 4, 4])])
     assert branches == [
         ((0, 0), 4, 11),
         ((0, 1), 8, 11),
@@ -119,11 +124,11 @@ def test_branch_tree_multiplies_and_records_in_order():
 
 
 def test_branch_tree_without_steps_is_the_root():
-    assert branch_tree("psi", []) == [((), 1, "psi")]
+    assert branch_tree(["psi"], []) == [((), 1, "psi")]
 
 
 def test_branch_tree_drops_negligible_children():
-    branches = branch_tree(0, [_split([1.0 - 1e-13, 1e-13, 0.0])])
+    branches = branch_tree([0], [_split([1.0 - 1e-13, 1e-13, 0.0])])
     assert [outcomes for outcomes, _, _ in branches] == [(0,)]
 
 
@@ -132,14 +137,14 @@ def test_branch_tree_keeps_tiny_exact_children():
     # ATOL_CONSTRUCT, and an int child is never pruned
     ms = [2**k for k in range(1, 51)] + [2**50]
     assert 1 / ms[-1] < ATOL_CONSTRUCT
-    branches = branch_tree(0, [_split(ms)])
+    branches = branch_tree([0], [_split(ms)])
     assert [m for _, m, _ in branches] == ms
 
 
 def test_branch_tree_float_pruning_unchanged():
     above = math.nextafter(ATOL_CONSTRUCT, 1.0)
     for pk, kept in [(ATOL_CONSTRUCT, [(0,)]), (above, [(0,), (1,)])]:
-        branches = branch_tree(0, [_split([1.0 - pk, pk])])
+        branches = branch_tree([0], [_split([1.0 - pk, pk])])
         assert [outcomes for outcomes, _, _ in branches] == kept
 
 
@@ -156,10 +161,10 @@ def test_branch_tree_float_pruning_unchanged():
 )
 def test_branch_tree_leaking_step_trips_sum_check(probs):
     with pytest.raises(AssertionError, match="sum to"):
-        branch_tree(0, [_split(probs)])
+        branch_tree([0], [_split(probs)])
 
 
 def test_branch_tree_float_sum_check_uses_end_to_end_tolerance():
     # a float rounding error far below the tolerance is accepted
-    branches = branch_tree(0, [_split([0.5, 0.5 - 1e-12])])
+    branches = branch_tree([0], [_split([0.5, 0.5 - 1e-12])])
     assert len(branches) == 2

@@ -461,12 +461,12 @@ class TestWalkerSteps:
     def test_incomplete_measurement_trips_sum_check(self):
         p0 = do.label_projectors((0, 1), 2)[0]
         with pytest.raises(AssertionError, match="sum to"):
-            branch_tree(do.plus_state(1), [do.measure_step([p0])])
+            branch_tree(do.plus_state(1)[None], [do.measure_step([p0])])
 
     def test_readout_removes_the_site(self):
         # |0>|+> read in X on site 1 leaves |0> with outcome 0 for certain
         branches = branch_tree(
-            np.kron(do.basis_state([0]), do.plus_state(1)), [do.readout_step(1, "X")]
+            np.kron(do.basis_state([0]), do.plus_state(1))[None], [do.readout_step(1, "X")]
         )
         assert len(branches) == 1
         outcomes, prob, state = branches[0]
@@ -495,8 +495,8 @@ class TestWalkerSteps:
             elif n > 1:
                 steps.append(do.readout_step(int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]))
                 n -= 1
-        first = branch_tree(state, steps)
-        second = branch_tree(state, steps)
+        first = branch_tree(state[None], steps)
+        second = branch_tree(state[None], steps)
         assert abs(sum(p for _, p, _ in first) - 1.0) < 1e-9
         assert len(first) == len(second)
         for (o1, p1, s1), (o2, p2, s2) in zip(first, second):
@@ -530,7 +530,7 @@ class TestReadoutStep:
         state /= np.linalg.norm(state)
         for site in range(n):
             for basis in "ZX":
-                got = do.readout_step(site, basis)((), state)
+                got = list(zip(*do.readout_step(site, basis)([()], state[None])))
                 want = ref_readout(site, basis, state)
                 assert [k for k, _, _ in got] == [k for k, _, _ in want]
                 for (_, p, child), (_, p_ref, child_ref) in zip(got, want):
@@ -548,8 +548,8 @@ class TestReadoutStep:
             do.readout_step(-1, "Z")
         step = do.readout_step(2, "X")
         with pytest.raises(DimensionMismatch, match="outside a 2-qubit register"):
-            step((), do.plus_state(2))
-        assert len(step((), do.plus_state(3))) == 2
+            step([()], do.plus_state(2)[None])
+        assert len(step([()], do.plus_state(3)[None])[2]) == 2
 
 
 class TestStateSpecLanguage:

@@ -233,21 +233,30 @@ def ref_correction_step(scheme, wire_map, n_total, audit, injected):
     return step
 
 
-def ref_embedding_correction_step(scheme, wire_map, n_total, audit, injected):
-    """The correction step embedding every outcome's correction, the
-    identity of outcome 0...0 included."""
-    embedded = {}
+#: the reference's embeddings, shared by its step instances as
+#: inj.embedded_correction shares the step's
+_ref_embedded = {}
 
-    def step(outcomes, state):
-        m = outcomes[-scheme.n:]
-        corr = scheme.corrections[m]
-        if corr.kind == "non-clifford":
-            audit.violations.append(f"non-clifford correction ({corr.name})")
-        for name, _ in corr.factors:
-            audit.use_gate(name, injected)
-        if m not in embedded:
-            embedded[m] = do.embed(corr.operator, wire_map, n_total, 2)
-        return [(None, 1, embedded[m] @ state)]
+
+def ref_embedding_correction_step(scheme, wire_map, n_total, audit, injected):
+    """The level correction step embedding every outcome's correction, the
+    identity of outcome 0...0 included."""
+
+    def operator(m):
+        key = (scheme.gate_name, m, wire_map, n_total)
+        if key not in _ref_embedded:
+            _ref_embedded[key] = do.embed(scheme.corrections[m].operator, wire_map, n_total, 2)
+        return _ref_embedded[key]
+
+    def step(outcomes, level):
+        keys = [o[-scheme.n:] for o in outcomes]
+        for m in keys:
+            corr = scheme.corrections[m]
+            if corr.kind == "non-clifford":
+                audit.violations.append(f"non-clifford correction ({corr.name})")
+            for name, _ in corr.factors:
+                audit.use_gate(name, injected)
+        return None, None, do.rows_by_key(level, keys, operator)
 
     return step
 
@@ -266,16 +275,17 @@ class TestCorrectionStep:
         step = inj._correction_step(scheme, wire_map, n_total, audit, injected)
         ref = ref_correction_step(scheme, wire_map, n_total, ref_audit, injected)
         rng = np.random.default_rng(len(name))
-        for m in itertools.product((0, 1), repeat=scheme.n):
-            for _ in range(2):
-                psi = rng.normal(size=2**n_total) + 1j * rng.normal(size=2**n_total)
-                psi /= np.linalg.norm(psi)
-                [(k, p, got)] = step((1, *m), psi)
-                [(_, _, want)] = ref((1, *m), psi)
-                assert k is None and p == 1
-                # equal up to a global phase: U X^m U* and its host factors
-                assert abs(np.linalg.norm(got) - 1) < 1e-12
-                assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
+        outcomes = [(1, *m) for m in itertools.product((0, 1), repeat=scheme.n) for _ in range(2)]
+        level = rng.normal(size=(len(outcomes), 2**n_total))
+        level = level + 1j * rng.normal(size=level.shape)
+        level /= np.linalg.norm(level, axis=1)[:, None]
+        k, p, out = step(outcomes, level)
+        assert k is None and p is None and out.shape == level.shape
+        for o, psi, got in zip(outcomes, level, out):
+            [(_, _, want)] = ref(o, psi)
+            # equal up to a global phase: U X^m U* and its host factors
+            assert abs(np.linalg.norm(got) - 1) < 1e-12
+            assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
         assert audit.report() == ref_audit.report()
 
     @pytest.mark.parametrize("name", ["Z", "S", "CZ", "CCZ"])
@@ -286,9 +296,9 @@ class TestCorrectionStep:
         assert scheme.corrections[zeros].factors == ()
         audit = inj.AuditTrail()
         step = inj._correction_step(scheme, tuple(range(scheme.n)), scheme.n, audit, frozenset())
-        psi = do.plus_state(scheme.n)
-        [(k, p, out)] = step(zeros, psi)
-        assert (k, p) == (None, 1) and out is psi
+        level = do.plus_state(scheme.n)[None]
+        k, p, out = step([zeros], level)
+        assert (k, p) == (None, None) and out is level
         assert audit.report() == inj.AuditTrail().report()
 
     def test_identity_correction_is_not_embedded(self, monkeypatch):
@@ -303,12 +313,15 @@ class TestCorrectionStep:
             monkeypatch.undo()
             return len(calls), rep
 
-        # one uncounted run fills the shared caches (inj.cnot's embeddings),
-        # so both counted runs embed only what each step builds per call
+        # one uncounted run fills inj.cnot's embeddings; the corrections'
+        # are cleared before each counted run, so both count what the three
+        # injections' steps embed, which share one embedding per outcome
         wit.peres_mermin_circuit(do.plus_state(2), "row3")
+        inj.embedded_correction.cache_clear()
         count, rep = embeds(inj._correction_step)
+        _ref_embedded.clear()
         ref_count, ref_rep = embeds(ref_embedding_correction_step)
-        assert count == ref_count - 3
+        assert count == ref_count - 1 == 3
         assert rep == ref_rep
 
     def test_resource_append_is_the_kronecker_product(self):
@@ -320,7 +333,7 @@ class TestCorrectionStep:
             perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
         rng = np.random.default_rng(3)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        [(_, _, got)] = append((), psi)
+        _, _, [got] = append([()], psi[None])
         want = np.kron(psi, scheme.resource_state).reshape((2,) * 5).transpose(perm).reshape(-1)
         assert np.array_equal(got, want)
 

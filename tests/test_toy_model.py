@@ -386,7 +386,7 @@ def test_measure_step_children_are_posteriors(case):
     table = tm.outcome_distribution(state, meas)
     [step], V_new = tm._chain(state.V, [("measure", meas)])
     children = [(k, Fraction(1, m), tm._coset_state(V_new, vals))
-                for k, m, vals in step((), state.values)]
+                for k, m, vals in zip(*step([()], [state.values]))]
     assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
     assert [s for _, _, s in children] == [tm.posterior(state, meas, k) for k in table]
     d, r = state.d, len(meas.generators)
@@ -875,7 +875,7 @@ def test_walker_matches_per_branch_reference(case):
                              lambda *a: list(ref_statistics(*a).items()), prior, steps)
     if result[0] == "value":  # and every leaf state, in expansion order
         walker, V = tm._chain(prior.V, steps)
-        leaves = branch_tree(prior.values, walker)
+        leaves = branch_tree([prior.values], walker)
         got = [(o, Fraction(1, m), V, tm._coset_state(V, vals).w) for o, m, vals in leaves]
         assert got == [(o, p, s.V, s.w) for o, p, s in ref_walk(prior, steps)]
 

@@ -313,7 +313,7 @@ class TestContextCircuit:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         for kind, anc in (("Z", do.basis_state([0])), ("X", do.plus_state(1))):
             append = wit._parity_block(kind, (0, 1), 2, inj.AuditTrail())[0]
-            [(_, _, got)] = append((), psi)
+            _, _, [got] = append([()], psi[None])
             assert np.array_equal(got, np.kron(psi, anc))
 
     def test_corrections_are_built_per_outcome_not_per_branch(self, monkeypatch):
@@ -337,6 +337,7 @@ class TestContextCircuit:
                 walking[0] = False
 
         branch_tree = wit.branch_tree
+        inj.embedded_correction.cache_clear()  # embedded once per process
         monkeypatch.setattr(do, "gate", counted(do.gate))
         monkeypatch.setattr(do, "embed", counted(do.embed))
         monkeypatch.setattr(wit, "branch_tree", walk)
@@ -358,6 +359,7 @@ class TestContextCircuit:
             return embed(small, *args, **kwargs)
 
         monkeypatch.setattr(do, "embed", recorded)
+        inj.embedded_correction.cache_clear()  # the corrections are embedded again
         assert wit.peres_mermin_circuit(psi, "col3") == first
         assert embedded
         assert not any(np.array_equal(small, cnot) for small in embedded)
