@@ -234,9 +234,9 @@ def format_circuit(circuit: Circuit) -> str:
 # list of values on the toy side.  It returns (ks, pks, children): the
 # children form the next level, parent-major, every parent with the same
 # number of them; ks is None for a step that records nothing (one child per
-# branch, of probability 1), else one outcome per child, with one
-# probability per child in pks.  A float probability is approximate; an int
-# m means exactly 1/m.
+# branch, of probability 1), else one outcome per child, and pks is one
+# probability per child, or one int for all of them.  A float probability
+# is approximate; an int m means exactly 1/m.
 Step = Callable[[list[tuple], object], tuple]
 
 
@@ -259,12 +259,16 @@ def branch_tree(level, steps: list[Step]) -> list[tuple]:
         ks, pks, level = step(outcomes, level)
         if ks is None:
             continue
-        m = len(ks) // max(len(outcomes), 1)
+        fan = len(ks) // max(len(outcomes), 1)
+        if isinstance(pks, int):
+            outcomes = [outcomes[i // fan] + (k,) for i, k in enumerate(ks)]
+            probs = [prob * pks for prob in probs for _ in range(fan)]
+            continue
         keep = [i for i, pk in enumerate(pks) if isinstance(pk, int) or pk > ATOL_CONSTRUCT]
         if len(keep) < len(ks):
             level = [level[i] for i in keep] if isinstance(level, list) else level[keep]
-        outcomes = [outcomes[i // m] + (ks[i],) for i in keep]
-        probs = [probs[i // m] * pks[i] for i in keep]
+        outcomes = [outcomes[i // fan] + (ks[i],) for i in keep]
+        probs = [probs[i // fan] * pks[i] for i in keep]
     if all(isinstance(m, int) for m in probs):
         L = math.lcm(*probs)
         total = sum(L // m for m in probs)

@@ -563,9 +563,11 @@ def _correct_step(U: np.ndarray, expr: str, names: list[str], d: int) -> Step:
     """Apply U expr-many times, expr evaluated on each branch's outcomes:
     one product of U's power per distinct count."""
 
+    def power(count):
+        return np.linalg.matrix_power(U, count) if count else None
+
     def step(outcomes, level):
         counts = [eval_expr(expr, dict(zip(names, o)), d) for o in outcomes]
-        power = lambda c: np.linalg.matrix_power(U, c) if c else None
         return None, None, rows_by_key(level, counts, power)
 
     return step

@@ -429,10 +429,10 @@ ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMe
 
 def _measured(plan: _MeasurementPlan, outcomes, level) -> tuple:
     """Walker finish of a measurement on a level of V's values: one child
-    per outcome that can occur, its probability 1/m as the int m, and V_new's
-    values."""
-    children = [child for values in level for child in plan.children(values)]
-    return [k for k, _ in children], [plan.size] * len(children), [v for _, v in children]
+    per outcome that can occur, with V_new's values, every one of
+    probability 1/m, given as the int m."""
+    ks, values = zip(*[child for values in level for child in plan.children(values)])
+    return ks, plan.size, list(values)
 
 
 def _plans(op) -> dict:

@@ -385,8 +385,8 @@ def test_measure_step_children_are_posteriors(case):
     state, meas = case
     table = tm.outcome_distribution(state, meas)
     [step], V_new = tm._chain(state.V, [("measure", meas)])
-    children = [(k, Fraction(1, m), tm._coset_state(V_new, vals))
-                for k, m, vals in zip(*step([()], [state.values]))]
+    ks, m, level = step([()], [state.values])
+    children = [(k, Fraction(1, m), tm._coset_state(V_new, vals)) for k, vals in zip(ks, level)]
     assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
     assert [s for _, _, s in children] == [tm.posterior(state, meas, k) for k in table]
     d, r = state.d, len(meas.generators)
