@@ -254,21 +254,26 @@ def branch_tree(level, steps: list[Step]) -> list[tuple]:
     never are, since exact steps list only outcomes that can occur.  The
     leaves must sum to 1: exactly for ints, within ATOL_END2END for floats.
     """
-    outcomes, probs = [()], [1]
+    # while every step has given equally likely exact children (one int
+    # pks), every branch has the probability 1/common and probs is None
+    outcomes, probs, common = [()], None, 1
     for step in steps:
         ks, pks, level = step(outcomes, level)
         if ks is None:
             continue
-        fan = len(ks) // max(len(outcomes), 1)
-        if isinstance(pks, int):
+        fan = len(ks) // (len(outcomes) or 1)
+        if isinstance(pks, int) and probs is None:
+            common *= pks
             outcomes = [outcomes[i // fan] + (k,) for i, k in enumerate(ks)]
-            probs = [prob * pks for prob in probs for _ in range(fan)]
             continue
+        probs = [common] * len(outcomes) if probs is None else probs
+        pks = [pks] * len(ks) if isinstance(pks, int) else pks
         keep = [i for i, pk in enumerate(pks) if isinstance(pk, int) or pk > ATOL_CONSTRUCT]
         if len(keep) < len(ks):
             level = [level[i] for i in keep] if isinstance(level, list) else level[keep]
         outcomes = [outcomes[i // fan] + (ks[i],) for i in keep]
         probs = [probs[i // fan] * pks[i] for i in keep]
+    probs = [common] * len(outcomes) if probs is None else probs
     if all(isinstance(m, int) for m in probs):
         L = math.lcm(*probs)
         total = sum(L // m for m in probs)

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import mul, xor
 
 import numpy as np
@@ -431,7 +431,7 @@ def _measured(plan: _MeasurementPlan, outcomes, level) -> tuple:
     """Walker finish of a measurement on a level of V's values: one child
     per outcome that can occur, with V_new's values, every one of
     probability 1/m, given as the int m."""
-    ks, values = zip(*[child for values in level for child in plan.children(values)])
+    ks, values = zip(*chain.from_iterable(map(plan.children, level)))
     return ks, plan.size, list(values)
 
 

@@ -127,9 +127,10 @@ def test_branch_tree_reads_one_int_for_equally_likely_children():
     def halves(outcomes, level):
         return [0, 1] * len(level), 2, [state + 1 for state in level for _ in range(2)]
 
-    branches = branch_tree([0], [halves, halves])
-    assert branches == branch_tree([0], [_split([2, 2]), _split([2, 2])])
-    assert [m for _, m, _ in branches] == [4] * 4
+    per_child = branch_tree([0], [_split([2, 2]), _split([2, 2])])
+    for steps in ([halves, halves], [halves, _split([2, 2])], [_split([2, 2]), halves]):
+        assert branch_tree([0], steps) == per_child
+    assert [m for _, m, _ in per_child] == [4] * 4
 
 
 def test_branch_tree_without_steps_is_the_root():
