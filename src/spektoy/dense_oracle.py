@@ -486,8 +486,7 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
 
 def gate_step(U: np.ndarray) -> Step:
     """Walker step applying the matrix U to every branch: one product."""
-    UT = U.T
-    return lambda outcomes, level: (None, None, level @ UT)
+    return lambda outcomes, level: (None, None, level @ U.T)
 
 
 def measure_step(projectors) -> Step:
