@@ -101,7 +101,11 @@ def compile_expr(expr: str) -> ast.Expression:
 
 
 def eval_expr(expr: str, env: dict[str, int], d: int) -> int:
-    tree = compile_expr(expr)
+    return eval_tree(compile_expr(expr), env, d)
+
+
+def eval_tree(tree: ast.Expression, env: dict[str, int], d: int) -> int:
+    """The value mod d of an expression compile_expr has checked."""
 
     def rec(node):
         if isinstance(node, ast.Expression):

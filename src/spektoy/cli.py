@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,33 +57,96 @@ class RunConfig:
         )
 
 
-def _sanitize(obj):
-    """Round floats and kill -0.0 so identical runs emit identical bytes."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return round(float(obj), 12) + 0.0
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+def _rounded(x) -> float:
+    """A report float as written: rounded to 12 places with -0.0 made 0.0,
+    so that identical runs emit identical bytes."""
+    return round(float(x), 12) + 0.0
+
+
+def _node(obj, rounded: bool = True):
+    """One level of a report value as it is written: the run's config as a
+    dict, a mapping with its keys as str(k) (the last of colliding keys
+    wins), an array as nested lists, and a scalar as a Python one, floats
+    _rounded unless not `rounded`."""
+    if isinstance(obj, RunConfig):
+        return vars(obj)
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
+    if isinstance(obj, (float, np.floating)):
+        return _rounded(obj) if rounded else obj
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(obj) -> str:
+    """A Python scalar as json.dumps writes it; TypeError for other types."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _JSON_WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: JSON text of a report scalar by its exact type, for the plain Python
+#: types: the writer's shortcut past _node and the checks of _json_scalar
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _json_scalar(_rounded(x)),
+    bool: _JSON_WORDS.__getitem__,
+    type(None): _JSON_WORDS.__getitem__,
+}
+
+
+def _write_json(obj, out: list[str], pad: str = "", rounded: bool = True) -> list[str]:
+    """Append obj to out as json.dumps(obj, sort_keys=True, indent=2) would
+    write what _node makes of each of its nodes, in one pass.  The run's
+    config is written with its floats unrounded."""
+    leaf = _JSON_LEAF.get(type(obj)) if rounded else None
+    if leaf is not None:
+        out.append(leaf(obj))
+        return out
+    rounded = rounded and not isinstance(obj, RunConfig)
+    obj = _node(obj, rounded)
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_json_scalar(obj))
+        return out
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return out
+    inner, sep = pad + "  ", "{\n" if is_dict else "[\n"
+    for item in sorted(obj.items()) if is_dict else obj:
+        out += (sep, inner)
+        if is_dict:
+            out += (encode_basestring_ascii(item[0]), ": ")
+            item = item[1]
+        _write_json(item, out, inner, rounded)
+        sep = ",\n"
+    out += ("\n", pad, "}" if is_dict else "]")
+    return out
+
+
 def emit(report: dict, kind: str, cfg: RunConfig, out: str | None) -> None:
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/{kind}-{SCHEMA_VERSION}",
-        "config": asdict(cfg),
-        **_sanitize(report),
-    }
+    payload = {"schema": f"{SCHEMA_PREFIX}/{kind}-{SCHEMA_VERSION}", "config": cfg, **report}
     if cfg.fmt == "table":
         text = _as_table(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = "".join(_write_json(payload, [])) + "\n"
     if out:
         out_dir = os.environ.get("SPEKTOY_OUT_DIR")
         if out_dir and not os.path.isabs(out):
@@ -93,28 +156,27 @@ def emit(report: dict, kind: str, cfg: RunConfig, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _as_table(payload: dict, indent: int = 0) -> str:
+def _as_table(payload: dict) -> str:
+    """Indented `key: value` and `- value` lines, each node as _node makes
+    it, scalars by str()."""
     lines = []
 
-    def walk(obj, depth):
+    def walk(obj, depth, rounded):
         pad = "  " * depth
         if isinstance(obj, dict):
-            for k in sorted(obj):
-                v = obj[k]
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, depth + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}-")
-                    walk(v, depth + 1)
-                else:
-                    lines.append(f"{pad}- {v}")
+            entries = [(f"{pad}{k}:", obj[k]) for k in sorted(obj)]
+        else:
+            entries = [(f"{pad}-", v) for v in obj]
+        for head, v in entries:
+            keep = rounded and not isinstance(v, RunConfig)
+            v = _node(v, keep)
+            if isinstance(v, (dict, list, tuple)):
+                lines.append(head)
+                walk(v, depth + 1, keep)
+            else:
+                lines.append(f"{head} {v}")
 
-    walk(payload, indent)
+    walk(_node(payload), 0, True)
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,8 @@ from .circuits import (
     Measure,
     Step,
     branch_tree,
-    eval_expr,
+    compile_expr,
+    eval_tree,
 )
 from .errors import (
     CircuitParseError,
@@ -368,20 +369,28 @@ def weyl_char_projectors(op: np.ndarray, d: int) -> list[np.ndarray]:
     return projs
 
 
-def label_projectors(lam, d: int) -> list[np.ndarray]:
-    """Outcome projectors of the measurement of an interleaved label,
-    indexed by outcome k.
+def label_projectors(lam, d: int) -> np.ndarray:
+    """Outcome projectors of the measurement of an interleaved label, as one
+    read-only (d, d^n, d^n) array indexed by outcome k, built once per
+    reduced label and d and shared.
 
     For d=2 these are (I + H)/2 and (I - H)/2 on the Hermitian Pauli string
     H, so outcome k has eigenvalue (-1)^k; for odd d they are the
     eigenprojectors of the Weyl operator, outcome k having eigenvalue chi(k).
     """
-    lam = tuple(int(x) % d for x in lam)
+    return _label_projectors(tuple(int(x) % d for x in lam), d)
+
+
+@lru_cache(maxsize=None)
+def _label_projectors(lam: tuple[int, ...], d: int) -> np.ndarray:
     if d == 2:
         herm = _hermitian(lam)
         eye = np.eye(herm.shape[0])
-        return [(eye + herm) / 2, (eye - herm) / 2]
-    return weyl_char_projectors(pauli(lam[0::2], lam[1::2], d), d)
+        projs = np.array([(eye + herm) / 2, (eye - herm) / 2])
+    else:
+        projs = np.array(weyl_char_projectors(pauli(lam[0::2], lam[1::2], d), d))
+    projs.setflags(write=False)
+    return projs
 
 
 def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray:
@@ -560,13 +569,15 @@ def rows_by_key(level: np.ndarray, keys, operator) -> np.ndarray:
 
 def _correct_step(U: np.ndarray, expr: str, names: list[str], d: int) -> Step:
     """Apply U expr-many times, expr evaluated on each branch's outcomes:
-    one product of U's power per distinct count."""
+    one product of U's power per distinct count.  The expression is
+    compiled once, here."""
+    tree = compile_expr(expr)
 
     def power(count):
         return np.linalg.matrix_power(U, count) if count else None
 
     def step(outcomes, level):
-        counts = [eval_expr(expr, dict(zip(names, o)), d) for o in outcomes]
+        counts = [eval_tree(tree, dict(zip(names, o)), d) for o in outcomes]
         return None, None, rows_by_key(level, counts, power)
 
     return step

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -65,15 +65,6 @@ def outcome_offset(mu, d: int) -> int:
     return qp // 2 % 2
 
 
-@cache
-def shared_label_projectors(mu: tuple[int, ...], d: int) -> np.ndarray:
-    """do.label_projectors(mu, d) as one (d, d^n, d^n) array, built once per
-    (label, d) and shared, so read-only."""
-    projs = np.array(do.label_projectors(mu, d))
-    projs.setflags(write=False)
-    return projs
-
-
 def quantum_state_for(epistemic: toy.EpistemicState) -> np.ndarray:
     """Dense state matching a maximal-knowledge epistemic state: the joint
     eigenstate of the labels mu = J sigma of V's rows sigma at the outcomes
@@ -86,7 +77,7 @@ def quantum_state_for(epistemic: toy.EpistemicState) -> np.ndarray:
     for sigma in V.gens:
         mu = label_for_functional(sigma, d)
         k = pa.evaluate(sigma, epistemic.w, d) - outcome_offset(mu, d)
-        rho = rho @ shared_label_projectors(mu, d)[k % d]
+        rho = rho @ do.label_projectors(mu, d)[k % d]
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     if abs(vals[-1] - 1.0) > 1e-9:
         raise DimensionMismatch("knowledge state does not pin a pure state")
@@ -267,7 +258,7 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
         else:
             lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
             toy_steps.append(("measure", host.measurement_step(lam)))
-            dense_steps.append(("measure", shared_label_projectors(lam, d)))
+            dense_steps.append(("measure", do.label_projectors(lam, d)))
             description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -350,7 +341,7 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
         elif isinstance(ins, Measure):
             lam = do.basis_label(ins.basis, ins.wires, n, d)
             toy_steps.append(("measure", host.measurement_step(lam)))
-            dense_steps.append(("measure", shared_label_projectors(lam, d)))
+            dense_steps.append(("measure", do.label_projectors(lam, d)))
 
     toy_dist = toy.statistics(epistemic, toy_steps)
     dense_dist = dense_statistics(psi, dense_steps)

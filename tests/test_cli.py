@@ -2,15 +2,23 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import pathlib
+from dataclasses import asdict
+from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spektoy import wigner as wg
-from spektoy.cli import build_parser, main
+from spektoy.cli import RunConfig, build_parser, emit, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+PINNED_DIR = pathlib.Path(__file__).parent / "pinned"
 SCHEMA_DIR = pathlib.Path(__file__).parents[1] / "docs" / "schemas"
 
 
@@ -316,3 +324,128 @@ def test_out_file_respects_env_dir(tmp_path, monkeypatch):
     code, text = run_cli(["witness", "chsh", "--out", "report.json"])
     assert code == 0
     assert (tmp_path / "report.json").read_text() == text
+
+
+# ---------------------------------------------------------------------------
+# the report writer against the two-walk writer it replaced
+
+def _sanitize(obj):
+    """Round floats and kill -0.0 so identical runs emit identical bytes."""
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        return round(float(obj), 12) + 0.0
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    return obj
+
+
+def _ref_table(payload):
+    lines = []
+
+    def walk(obj, depth):
+        pad = "  " * depth
+        if isinstance(obj, dict):
+            for k in sorted(obj):
+                v = obj[k]
+                if isinstance(v, (dict, list)):
+                    lines.append(f"{pad}{k}:")
+                    walk(v, depth + 1)
+                else:
+                    lines.append(f"{pad}{k}: {v}")
+        elif isinstance(obj, list):
+            for v in obj:
+                if isinstance(v, (dict, list)):
+                    lines.append(f"{pad}-")
+                    walk(v, depth + 1)
+                else:
+                    lines.append(f"{pad}- {v}")
+
+    walk(payload, 0)
+    return "\n".join(lines) + "\n"
+
+
+def ref_emit(report, kind, cfg):
+    """The report text as _sanitize, then json.dumps or the table walk,
+    wrote it."""
+    payload = {"schema": f"spektoy/{kind}-v1", "config": asdict(cfg), **_sanitize(report)}
+    if cfg.fmt == "table":
+        return _ref_table(payload)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def emitted(report, kind, cfg):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit(report, kind, cfg, None)
+    return buf.getvalue()
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-13, -4e-13, 0.1 + 0.2]),
+    st.text(max_size=6), st.sampled_from(["é", "日本", "\n\t\"\\", "\x00\x1f", "😀", "</s>"]),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.int64, np.float64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+# keys that collide under str(): the last one of a dict wins
+_KEYS = st.one_of(
+    st.integers(-3, 3), st.text(max_size=3), st.booleans(),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3).map(np.int64),
+    st.sampled_from(["1", "True", "(0, 1)", "schema", "config"]),
+)
+_VALUES = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+_CONFIGS = st.builds(
+    RunConfig, d=st.integers(-5, 9), n=st.none() | st.integers(-1, 4), spec=st.text(max_size=4),
+    seed=st.integers(), fmt=st.sampled_from(["json", "table"]),
+    tolerance=st.floats() | st.sampled_from([1e-9, 1e-13, -0.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=st.dictionaries(_KEYS, _VALUES, max_size=5), cfg=_CONFIGS)
+def test_writer_matches_the_two_walk_writer(report, cfg):
+    assert emitted(report, "witness-report", cfg) == ref_emit(report, "witness-report", cfg)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1j, {1, 2}, object(), np.array([1j])])
+def test_writer_refuses_unknown_types(value):
+    report = {"a": [1, {"b": value}]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        ref_emit(report, "witness-report", RunConfig())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        emitted(report, "witness-report", RunConfig())
+
+
+# recorded from the two-walk writer; not replayed by scripts/regen_goldens.py
+TABLE_CASES = {
+    "table_witness_chsh.txt": ["witness", "chsh"],
+    "table_inject_ccz_ppp.txt": ["inject", "--gate", "CCZ", "--input", "+++"],
+    "table_subtheory_css_n2.txt": ["subtheory", "verify", "css-rebit", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("fname", sorted(TABLE_CASES))
+def test_table_format_is_pinned(fname):
+    code, text = run_cli(["--format", "table", *TABLE_CASES[fname]])
+    assert code == 0
+    assert text == (PINNED_DIR / fname).read_text()

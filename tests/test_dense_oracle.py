@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 
@@ -353,6 +354,42 @@ class TestLabelProjectors:
                     assert abs(np.trace(P) - dim / d) < 1e-9
 
 
+def ref_label_projectors(lam, d):
+    """The per-call builder the cached label_projectors replaced: a list of
+    d fresh (d^n, d^n) projectors."""
+    lam = tuple(int(x) % d for x in lam)
+    if d == 2:
+        herm = do._hermitian(lam)
+        eye = np.eye(herm.shape[0])
+        return [(eye + herm) / 2, (eye - herm) / 2]
+    return do.weyl_char_projectors(do.pauli(lam[0::2], lam[1::2], d), d)
+
+
+class TestLabelProjectorCache:
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    def test_equals_the_per_call_builder(self, d, n):
+        for lam in itertools.product(range(d), repeat=2 * n):
+            projs = do.label_projectors(lam, d)
+            assert projs.shape == (d, d**n, d**n)
+            assert np.array_equal(projs, ref_label_projectors(lam, d))
+            with pytest.raises(ValueError):
+                projs[0, 0, 0] = 0
+
+    def test_one_object_per_reduced_label(self):
+        projs = do.label_projectors((1, 0, 2, 1), 3)
+        for form in ([1, 0, 2, 1], np.array([1, 0, 2, 1]), (4, -3, 2, 7), np.array([-2, 3, 5, 1])):
+            assert do.label_projectors(form, 3) is projs
+        assert do.label_projectors((1, 0, 2, 1), 5) is not projs
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
+    def test_census_equals_the_reference_built_one(self, d, n, monkeypatch):
+        census = stt.all_stabilizer_states(d, n)
+        monkeypatch.setattr(do, "label_projectors", ref_label_projectors)
+        ref = stt._census(d, n)
+        assert len(census) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(census, ref))
+
+
 class TestLabelNames:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_basis_label_inverts_label_name_at_d2(self, n):
@@ -455,6 +492,21 @@ class TestRunCircuit:
         assert b.outcomes["m"] == 1
         # X(1)^2 |1> = |1-2> = |2>
         assert do.states_equal(b.state, do.basis_state([2], 3))
+
+
+    def test_correction_compiled_once_per_step(self, monkeypatch):
+        # two CORR steps on a level of four branches (X readings of |00>)
+        c = parse_circuit("MEAS X 0 -> a\nMEAS X 1 -> b\nCORR Z 0 IF a + b\nCORR X 1 IF a*b\n")
+        parses = []
+        real_parse = ast.parse
+        monkeypatch.setattr(ast, "parse", lambda *a, **k: parses.append(a) or real_parse(*a, **k))
+        branches = do.run_circuit(c)
+        assert len(branches) == 4 and len(parses) == 2
+
+    def test_correction_with_an_unbound_variable_raises(self):
+        step = do._correct_step(do.gate("Z", (0,), 1), "a + c", ["a", "b"], 2)
+        with pytest.raises(CircuitParseError, match="unbound"):
+            step([(0, 1)], do.basis_state([0])[None])
 
 
 class TestWalkerSteps:

@@ -12,6 +12,7 @@ from spektoy import toy_model as toy
 from spektoy import wigner as wg
 from spektoy.circuits import parse_circuit
 from spektoy.errors import AuditError, DimensionMismatch, InvalidGenerators
+from test_dense_oracle import ref_label_projectors
 from test_toy_model import ref_statistics
 
 
@@ -49,7 +50,7 @@ class TestDictionary:
     def test_outcome_labeling_ground_state(self):
         # measuring Z on |0> gives residue 0 on both sides
         spec = wg.delfosse_rebit_spec(1)
-        projs = eqv.shared_label_projectors((0, 1), 2)
+        projs = do.label_projectors((0, 1), 2)
         out = do.born(do.basis_state([0]), projs)
         assert abs(out[0][0] - 1) < 1e-12
         epi = eqv.epistemic_state_for(do.basis_state([0]), spec)
@@ -346,7 +347,7 @@ def ref_random_paired_circuit(host, rng, depth=5):
             sigma = eqv.functional_for_label(lam, d)
             c = (eqv.outcome_offset(lam, d),)
             toy_steps.append(("measure", toy.SharpMeasurement((sigma,), d, n, c)))
-            dense_steps.append(("measure", do.label_projectors(lam, d)))
+            dense_steps.append(("measure", ref_label_projectors(lam, d)))
             description.append(f"M[{do.label_name(lam, d)}]")
             n_meas += 1
     return eqv.PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
@@ -375,9 +376,9 @@ class TestHostProjectorCache:
                 ops[0][0][0][0, 0] = 0
         assert len({id(ops[0][1]) for ops in by_label.values()}) == len(by_label)
         for lam in host.sub.observables:
-            projs = eqv.shared_label_projectors(lam, d)
-            assert eqv.shared_label_projectors(lam, d) is projs
-            want = do.label_projectors(lam, d)
+            projs = do.label_projectors(lam, d)
+            assert do.label_projectors(lam, d) is projs
+            want = ref_label_projectors(lam, d)
             assert len(projs) == len(want)
             assert all(np.array_equal(P, Q) for P, Q in zip(projs, want))
 

@@ -11,6 +11,8 @@
 * Only dense_oracle reads weyl_char_projectors: every other module reads
   measurement outcomes through dense_oracle.label_projectors, the one
   outcome convention.
+* No module calls json.dump or json.dumps: the CLI's report writer is the
+  one serialiser.
 """
 
 import ast
@@ -98,6 +100,23 @@ def reads_of(tree, name):
             or isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)]
 
 
+def json_dump_calls(tree):
+    """Line numbers of calls to json.dump or json.dumps, through the module
+    under any name or through a name imported from it."""
+    modules, funcs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and node.level == 0:
+            funcs |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in ("dump", "dumps")}
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+            or isinstance(node.func, ast.Name) and node.func.id in funcs))
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -118,6 +137,11 @@ def test_one_outcome_convention(name, tree):
         assert reads_of(tree, "weyl_char_projectors") == []
 
 
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_one_serialiser(name, tree):
+    assert json_dump_calls(tree) == []
+
+
 def test_rules_catch_violations():
     tree = ast.parse(
         "import numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import wigner\n"
@@ -131,6 +155,12 @@ def test_rules_catch_violations():
         "def weyl_char_projectors(op, d): pass\nx.weyl_char_projectors = None\n"
     )
     assert reads_of(tree, "weyl_char_projectors") == [2, 3, 4]
+    tree = ast.parse(
+        "import json\nimport json as js\nfrom json import dumps as dd, loads\n"
+        "from json.encoder import encode_basestring_ascii\njson.dumps(x)\njs.dump(x, fh)\n"
+        "dd(x)\njson.loads(s)\nloads(s)\nother.dumps(x)\nencode_basestring_ascii(s)\n"
+    )
+    assert json_dump_calls(tree) == [5, 6, 7]
 
 
 def test_private_code_is_read():

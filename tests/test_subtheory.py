@@ -542,11 +542,11 @@ CERTIFICATE_CASES = {
 
 
 def _emitted(report):
-    """The report as the CLI emits it: floats rounded to 12 places.  The
-    stacked tables may differ from one-row tables in the last bit."""
-    from spektoy.cli import _sanitize
+    """The report's text as the CLI writes it: floats rounded to 12 places.
+    The stacked tables may differ from one-row tables in the last bit."""
+    from spektoy.cli import _write_json
 
-    return _sanitize(report)
+    return "".join(_write_json(report, []))
 
 
 class TestStackedCertificate:
