@@ -168,11 +168,11 @@ def _as_table(payload: dict) -> str:
         else:
             entries = [(f"{pad}-", v) for v in obj]
         for head, v in entries:
-            keep = rounded and not isinstance(v, RunConfig)
-            v = _node(v, keep)
+            v_rounded = rounded and not isinstance(v, RunConfig)
+            v = _node(v, v_rounded)
             if isinstance(v, (dict, list, tuple)):
                 lines.append(head)
-                walk(v, depth + 1, keep)
+                walk(v, depth + 1, v_rounded)
             else:
                 lines.append(f"{head} {v}")
 

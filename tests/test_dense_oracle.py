@@ -493,7 +493,6 @@ class TestRunCircuit:
         # X(1)^2 |1> = |1-2> = |2>
         assert do.states_equal(b.state, do.basis_state([2], 3))
 
-
     def test_correction_compiled_once_per_step(self, monkeypatch):
         # two CORR steps on a level of four branches (X readings of |00>)
         c = parse_circuit("MEAS X 0 -> a\nMEAS X 1 -> b\nCORR Z 0 IF a + b\nCORR X 1 IF a*b\n")
