@@ -407,35 +407,39 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
         if not gens:
             raise InvalidGenerators("empty generator set needs explicit n")
         n = len(gens[0][0]) // 2
-    widths = sorted({len(lam) // 2 for lam, _ in gens} - {n})
-    if widths:
+    if widths := sorted({len(lam) // 2 for lam, _ in gens} - {n}):
         raise InvalidGenerators(f"generator labels span {widths} sites, not {n}")
-    projs = [label_projectors(lam, d)[k] for lam, k in gens]
+    return stabilizer_states([lam for lam, _ in gens], [[k for _, k in gens]], d, n)[0]
+
+
+def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
+    """stabilizer_state of the n-site labels (reduced mod d) with each tuple
+    of the non-empty list outcomes, in order, with one independence check
+    and one commutation check, on the first tuple's projectors: one outcome
+    projector each of two Weyl operators commutes when the operators do."""
+    stacks = [label_projectors(lam, d) for lam in labels]
     dim = d**n
-    # one outcome projector each of two Weyl operators commutes exactly
-    # when the operators do
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            a, b = projs[i], projs[j]
-            if not np.allclose(a @ b, b @ a, rtol=0, atol=ATOL_CONSTRUCT * dim):
-                raise InvalidGenerators("generators do not commute")
-    rows = [list(lam) for lam, _ in gens]
-    if rows and len(mm.rref_rows(rows, 2 * n, d)[0]) != len(rows):
+    if stacks:
+        P = np.array([s[k] for s, k in zip(stacks, outcomes[0])])
+        if np.abs(P[:, None] @ P - P @ P[:, None]).max() > ATOL_CONSTRUCT * dim:
+            raise InvalidGenerators("generators do not commute")
+    if stacks and len(mm.rref_rows([list(lam) for lam in labels], 2 * n, d)[0]) != len(stacks):
         raise InvalidGenerators("dependent generator set")
-    rho = np.eye(dim, dtype=complex)
-    for proj in projs:
-        rho = rho @ proj
-    tr = float(np.trace(rho).real)
-    expected = dim / d ** len(projs)
-    if abs(tr - expected) > ATOL_CONSTRUCT * dim:
-        raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
-    if len(projs) < n:
-        raise InvalidGenerators("generator string under-determines the state; add generators")
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    state = vecs[:, -1]
-    if abs(vals[-1] - 1.0) > 1e-9:
-        raise InvalidGenerators("projector is not rank one")
-    return canonical_phase(state)
+    states = []
+    for ks in outcomes:
+        rho = np.eye(dim, dtype=complex)
+        for s, k in zip(stacks, ks):
+            rho = rho @ s[k]
+        tr = float(np.trace(rho).real)
+        if abs(tr - dim / d ** len(stacks)) > ATOL_CONSTRUCT * dim:
+            raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
+        if len(stacks) < n:
+            raise InvalidGenerators("generator string under-determines the state; add generators")
+        vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+        if abs(vals[-1] - 1.0) > 1e-9:
+            raise InvalidGenerators("projector is not rank one")
+        states.append(canonical_phase(vecs[:, -1]))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
@@ -125,9 +126,10 @@ class Subspace:
     @classmethod
     def of_bits(cls, rows, n: int) -> "Subspace":
         """The d = 2 subspace with these packed rref rows (sorted descending),
-        its `bits` filled: the steps build their subspaces so."""
+        its `bits` and `pivots` (the rows' lead bytes) filled: the steps
+        build their subspaces so."""
         V = cls(tuple(mm.unpack(r, 2 * n) for r in rows), 2, n)
-        V.__dict__["bits"] = tuple(rows)
+        V.__dict__.update(bits=tuple(rows), pivots=tuple(mm.lead_bit(r, 2 * n) for r in rows))
         return V
 
     @cached_property
@@ -332,28 +334,42 @@ def point_code(lam, d: int) -> int:
     return code
 
 
+def lagrangian_count(d: int, n: int) -> int:
+    """The number of dimension-n isotropic subspaces of Z_d^{2n}."""
+    return math.prod(d**k + 1 for k in range(1, n + 1))
+
+
 @lru_cache(maxsize=16)
 def maximal_isotropic_subspaces(d: int, n: int) -> tuple[Subspace, ...]:
-    """All dimension-n isotropic subspaces of Z_d^{2n}, canonically ordered.
+    """All dimension-n isotropic subspaces of Z_d^{2n}, canonically ordered
+    (GuardExceeded before any is built past COSET_GUARD).
 
-    Grown by repeatedly extending isotropic subspaces inside their own
-    symplectic commutant; deduplicated through the canonical rref form.
-    Counts follow prod_{k=1..n} (d^k + 1).
+    Each is grown once, from its unique parent: an isotropic subspace with
+    rref rows r1..rk has parent span(r2..rk).  So a node P's children are
+    P + v for the v of W (P's commutant cleared on P's pivot columns) that
+    lead with a 1 at a column c before P's first pivot; (v, P's rows) is
+    then the child's rref, and no dedup is needed.  With r rows still to
+    add, the r - 1 rows after v need distinct pivot columns before c, so
+    the bound c >= r - 1 drops only children that cannot reach dimension n.
     """
     _check_dn(d, n)
-    level = {Subspace.zero(d, n)}
-    for _ in range(n):
-        nxt = set()
-        for V in level:
-            comm = symplectic_commutant(V)
-            for vec in comm.vectors():
-                if not any(vec) or V.contains(vec):
-                    continue
-                nxt.add(Subspace.from_generators(list(V.gens) + [vec], d, n))
+    if (count := lagrangian_count(d, n)) > COSET_GUARD:
+        raise GuardExceeded(f"{count} > {COSET_GUARD} Lagrangians at d={d}, n={n}")
+    return tuple(sorted(_grown(d, n), key=lambda V: V.gens))
+
+
+def _grown(d: int, n: int) -> list[Subspace]:
+    """The Lagrangians in growth order, each built once (see above)."""
+    level = [Subspace.zero(d, n)]
+    for rest in range(n - 1, -1, -1):
+        nxt = []
+        for P in level:
+            unit = [[int(c == p) for c in range(2 * n)] for p in P.pivots]
+            W = perp(Subspace.from_generators([symplectic_row(g) for g in P.gens] + unit, d, n))
+            for i, c in enumerate(W.pivots):
+                if rest <= c < (*P.pivots, 2 * n)[0]:
+                    for v in mm.coset_vectors(W.matrix[i + 1 :], W.gens[i], d).tolist():
+                        nxt.append(V := Subspace((tuple(v),) + P.gens, d, n))
+                        V.__dict__["pivots"] = (c,) + P.pivots
         level = nxt
-    expected = 1
-    for k in range(1, n + 1):
-        expected *= d**k + 1
-    result = tuple(sorted(level, key=lambda V: V.gens))
-    assert len(result) == expected, (len(result), expected)
-    return result
+    return level

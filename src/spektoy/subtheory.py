@@ -98,9 +98,7 @@ def nonmixing_labels(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 def _census_guard(d: int, n: int) -> None:
     """Raise before enumerating when the census would exceed COSET_GUARD
     states: prod_{k=1..n} (d^k + 1) subspaces with d^n outcomes each."""
-    size = d**n
-    for k in range(1, n + 1):
-        size *= d**k + 1
+    size = d**n * pa.lagrangian_count(d, n)
     if size > pa.COSET_GUARD:
         raise GuardExceeded(
             f"stabilizer census has {size} > {pa.COSET_GUARD} states at d={d}, n={n}"
@@ -115,13 +113,9 @@ def _census(d: int, n: int, keep=None) -> tuple[np.ndarray, ...]:
     so the census is free of duplicates by construction.
     """
     _census_guard(d, n)
-    out = []
-    for M in pa.maximal_isotropic_subspaces(d, n):
-        if keep is not None and not keep(M):
-            continue
-        for ks in itertools.product(range(d), repeat=M.dim):
-            out.append(do.stabilizer_state(list(zip(M.gens, ks)), d=d, n=n))
-    return tuple(out)
+    outcomes = list(itertools.product(range(d), repeat=n))
+    return tuple(psi for M in pa.maximal_isotropic_subspaces(d, n) if keep is None or keep(M)
+                 for psi in do.stabilizer_states(M.gens, outcomes, d, n))
 
 
 @lru_cache(maxsize=16)

@@ -330,6 +330,7 @@ class _MeasurementPlan:
                 rows[at:at], pivots[at:at] = [top], [q]
             ops.append((p, moves, coeffs, off, inv, clears, at))
         V_new = F.subspace(rows)
+        V_new.__dict__["pivots"] = tuple(pivots)
         if not pa.is_isotropic(V_new):
             raise RestrictionViolation("known-variable subspace is not isotropic")
         return V_new, ops

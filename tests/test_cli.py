@@ -181,6 +181,8 @@ class TestExitCodes:
          "stabilizer census has 7439040"),
         (["subtheory", "verify", "full-qubit-stabilizer", "--n", "5"],
          "stabilizer census has 2423520"),
+        (["subtheory", "verify", "minimal-rebit", "--n", "5"],
+         "guard exceeded: stabilizer census has 2423520 > 1048576 states at d=2, n=5"),
         (["wigner", "--state", "+++++++"], "dense oracle capped at n<=6"),
     ])
     def test_guard_exceeded(self, argv, guard, capsys):
@@ -449,3 +451,11 @@ def test_table_format_is_pinned(fname):
     code, text = run_cli(["--format", "table", *TABLE_CASES[fname]])
     assert code == 0
     assert text == (PINNED_DIR / fname).read_text()
+
+
+def test_four_rebit_report_is_pinned():
+    # recorded from the level-set census; kept out of the goldens, which a
+    # benchmark workload replays, since the report takes about a second
+    code, text = run_cli(["subtheory", "verify", "minimal-rebit", "--n", "4"])
+    assert code == 0
+    assert text.encode() == (PINNED_DIR / "subtheory_minimal_n4.json").read_bytes()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spektoy import _modmath as mm
 from spektoy import dense_oracle as do
 from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
-from spektoy.circuits import branch_tree, parse_circuit
+from spektoy.circuits import ATOL_CONSTRUCT, branch_tree, parse_circuit
 from spektoy.errors import (
     CircuitParseError,
     DimensionMismatch,
@@ -264,6 +265,34 @@ class TestPauliAction:
             do.pauli_action(do.gate(name, tuple(range(n)), n))
 
 
+def ref_stabilizer_state(generators, d, n):
+    """The one-state construction the per-Lagrangian one replaced: every check
+    per call, commutation on each pair of the given outcome projectors."""
+    gens = [(tuple(int(x) % d for x in lam), int(k) % d) for lam, k in generators]
+    projs = [do.label_projectors(lam, d)[k] for lam, k in gens]
+    dim = d**n
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            a, b = projs[i], projs[j]
+            if not np.allclose(a @ b, b @ a, rtol=0, atol=ATOL_CONSTRUCT * dim):
+                raise InvalidGenerators("generators do not commute")
+    rows = [list(lam) for lam, _ in gens]
+    if rows and len(mm.rref_rows(rows, 2 * n, d)[0]) != len(rows):
+        raise InvalidGenerators("dependent generator set")
+    rho = np.eye(dim, dtype=complex)
+    for proj in projs:
+        rho = rho @ proj
+    tr = float(np.trace(rho).real)
+    if abs(tr - dim / d ** len(projs)) > ATOL_CONSTRUCT * dim:
+        raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
+    if len(projs) < n:
+        raise InvalidGenerators("generator string under-determines the state; add generators")
+    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    if abs(vals[-1] - 1.0) > 1e-9:
+        raise InvalidGenerators("projector is not rank one")
+    return do.canonical_phase(vecs[:, -1])
+
+
 class TestStabilizerStates:
     def test_plus_z_gives_ground_state(self):
         assert np.allclose(do.stabilizer_state(signed_gens("+Z")), [1, 0])
@@ -292,6 +321,45 @@ class TestStabilizerStates:
     def test_dependent_rejected(self):
         with pytest.raises(InvalidGenerators):
             do.stabilizer_state(signed_gens("+XX", "+ZZ", "-YY"))
+
+    @pytest.mark.parametrize("generators,d,n,message", [
+        (signed_gens("+XI", "+ZZ"), 2, 2, "do not commute"),
+        ([((1, 0), 0), ((0, 1), 0)], 3, 1, "do not commute"),
+        # XX ZZ = -YY: +YY contradicts +XX, +ZZ; the rank check sees it first
+        (signed_gens("+XX", "+ZZ", "+YY"), 2, 2, "dependent"),
+        ([((1, 0, 1, 0), 0), ((2, 0, 2, 0), 1)], 3, 2, "dependent"),
+        (signed_gens("+ZI"), 2, 2, "under-determines the state"),
+        ([((0, 1, 0, 2), 0)], 3, 2, "under-determines the state"),
+    ])
+    def test_invalid_sets_rejected_by_both_calls(self, generators, d, n, message):
+        with pytest.raises(InvalidGenerators, match=message):
+            do.stabilizer_state(generators, d=d, n=n)
+        labels, ks = zip(*generators)
+        with pytest.raises(InvalidGenerators, match=message):
+            do.stabilizer_states(labels, [ks], d, n)
+
+    def test_inconsistent_signs_rejected(self, monkeypatch):
+        # commuting independent Weyl labels admit every outcome tuple, so the
+        # trace check is a backstop: projectors with an empty product (X's
+        # label handed Z's projectors, outcome 1 against Z's outcome 0) trip it
+        real = do.label_projectors
+        monkeypatch.setattr(
+            do, "label_projectors", lambda lam, d: real((0, 1) if tuple(lam) == (1, 0) else lam, d)
+        )
+        with pytest.raises(InvalidGenerators, match="inconsistent generator signs"):
+            do.stabilizer_state([((1, 0), 1), ((0, 1), 0)])
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    def test_per_lagrangian_states_equal_the_one_state_call(self, d, n):
+        # bit for bit, against stabilizer_state and the per-state reference
+        outcomes = list(itertools.product(range(d), repeat=n))
+        for M in pa.maximal_isotropic_subspaces(d, n):
+            states = do.stabilizer_states(M.gens, outcomes, d, n)
+            assert len(states) == d**n
+            for ks, psi in zip(outcomes, states):
+                gens = list(zip(M.gens, ks))
+                assert np.array_equal(psi, do.stabilizer_state(gens, d=d, n=n))
+                assert np.array_equal(psi, ref_stabilizer_state(gens, d, n))
 
     def test_every_census_state_is_its_generators_joint_eigenstate(self):
         # the census builds each state from interleaved-point pairs; the

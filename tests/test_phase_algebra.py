@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
-from spektoy.errors import DimensionMismatch
+from spektoy.errors import DimensionMismatch, GuardExceeded
 from sp_enumeration import symplectic_matrices
 from test_modmath import ref_nullspace
 
@@ -274,12 +274,68 @@ class TestSymplecticEnumeration:
             assert not both.a.any()
 
 
+def ref_maximal_isotropic_subspaces(d, n):
+    """The level-set growth the unique-parent growth replaced: every
+    commutant vector added to every subspace, deduplicated by a set."""
+    level = {pa.Subspace.zero(d, n)}
+    for _ in range(n):
+        nxt = set()
+        for V in level:
+            comm = pa.symplectic_commutant(V)
+            for vec in comm.vectors():
+                if not any(vec) or V.contains(vec):
+                    continue
+                nxt.add(pa.Subspace.from_generators(list(V.gens) + [vec], d, n))
+        level = nxt
+    return tuple(sorted(level, key=lambda V: V.gens))
+
+
 class TestMaximalIsotropics:
-    @pytest.mark.parametrize("d,n,count", [(2, 1, 3), (2, 2, 15), (3, 1, 4), (3, 2, 40)])
+    @pytest.mark.parametrize(
+        "d,n,count",
+        [(2, 1, 3), (2, 2, 15), (3, 1, 4), (3, 2, 40), (2, 4, 2295), (3, 3, 1120)],
+    )
     def test_counts(self, d, n, count):
-        assert len(pa.maximal_isotropic_subspaces(d, n)) == count
+        lagrangians = pa.maximal_isotropic_subspaces(d, n)
+        assert len(lagrangians) == count == pa.lagrangian_count(d, n)
+        assert len(set(lagrangians)) == count
+        for V in lagrangians:
+            assert V.dim == n
+            assert pa.is_isotropic(V)
 
     def test_all_isotropic_max_dimension(self):
         for V in pa.maximal_isotropic_subspaces(2, 2):
             assert V.dim == 2
             assert pa.is_isotropic(V)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_same_tuple_as_the_level_set_growth(self, d, n):
+        got, want = pa.maximal_isotropic_subspaces(d, n), ref_maximal_isotropic_subspaces(d, n)
+        assert got == want
+        assert [V.gens for V in got] == [V.gens for V in want]
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+    def test_each_lagrangian_is_built_once(self, d, n):
+        # no dedup: the growth itself emits every Lagrangian exactly once,
+        # in rref, with its pivots filled as read off its rows
+        grown = pa._grown(d, n)
+        assert len(grown) == len(set(grown)) == pa.lagrangian_count(d, n)
+        for V in grown:
+            assert V == pa.Subspace.from_generators(V.gens, d, n)
+            assert V.__dict__["pivots"] == tuple(g.index(1) for g in V.gens)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (5, 4)])
+    def test_guard_fires_before_growing(self, d, n, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("grown past the guard")
+
+        monkeypatch.setattr(pa, "_grown", unreachable)
+        with pytest.raises(GuardExceeded, match=f"Lagrangians at d={d}, n={n}"):
+            pa.maximal_isotropic_subspaces(d, n)
+
+    def test_guard_trips_first_at_two_six_and_three_five(self):
+        # prod_{k=1..n} (d^k + 1), the count both guards share
+        for d, n in ((2, 3), (3, 2), (5, 2)):
+            assert pa.lagrangian_count(d, n) == len(ref_maximal_isotropic_subspaces(d, n))
+        assert pa.lagrangian_count(2, 5) == 75_735 <= pa.COSET_GUARD < pa.lagrangian_count(2, 6)
+        assert pa.lagrangian_count(3, 4) == 91_840 <= pa.COSET_GUARD < pa.lagrangian_count(3, 5)

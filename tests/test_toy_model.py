@@ -673,6 +673,18 @@ def test_int_row_step_matches_array_reference(case):
 
 
 @settings(max_examples=150, deadline=None)
+@given(steps_on_states())
+def test_seeded_pivots_are_the_rows_pivots(case):
+    # the measurement update and of_bits fill pivots without a read
+    state, meas, _ = case
+    V_new = tm._MeasurementPlan(state.V, meas).updates[0]
+    assert V_new.__dict__["pivots"] == tuple(g.index(1) for g in V_new.gens)
+    if state.d == 2:
+        V = pa.Subspace.of_bits(V_new.bits, state.n)
+        assert V.__dict__["pivots"] == V_new.pivots and V == V_new
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
 def test_is_isotropic_matches_reference(d, n, data):
     # arbitrary generator lists: isotropic and not
