@@ -181,9 +181,9 @@ class TestExitCodes:
          "stabilizer census has 7439040"),
         (["subtheory", "verify", "full-qubit-stabilizer", "--n", "5"],
          "stabilizer census has 2423520"),
+        (["wigner", "--state", "+++++++"], "dense oracle capped at n<=6"),
         (["subtheory", "verify", "minimal-rebit", "--n", "5"],
          "guard exceeded: stabilizer census has 2423520 > 1048576 states at d=2, n=5"),
-        (["wigner", "--state", "+++++++"], "dense oracle capped at n<=6"),
     ])
     def test_guard_exceeded(self, argv, guard, capsys):
         # the guard named in the message fires before the enumeration or
