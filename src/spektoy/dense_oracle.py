@@ -502,6 +502,14 @@ def gate_step(U: np.ndarray) -> Step:
     return lambda outcomes, level: (None, None, level @ U.T)
 
 
+def append_step(state: np.ndarray) -> Step:
+    """Walker step appending state's wires at the tail of every branch: each
+    row's Kronecker product with state, one broadcast outer product."""
+    return lambda outcomes, level: (
+        None, None, np.multiply.outer(level, state).reshape(len(level), -1)
+    )
+
+
 def measure_step(projectors) -> Step:
     """Walker step for a projective measurement that keeps the register;
     outcome k belongs to projectors[k].  The level times the projectors'

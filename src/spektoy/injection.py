@@ -162,19 +162,18 @@ class AuditTrail:
     host_gates: frozenset = HOST_GATES
     host_meas: frozenset = HOST_MEAS
 
-    def use_gate(self, name: str, injected: frozenset = frozenset()):
+    def use_gate(self, name: str, injected: frozenset = frozenset(), count: int = 1):
         name = name.upper()
         if name == "SWAP":  # three alternating CNOTs
-            for _ in range(3):
-                self.use_gate("CNOT", injected)
+            self.use_gate("CNOT", injected, 3 * count)
             return
-        self.elements[name] += 1
+        self.elements[name] += count
         if name in self.host_gates:
             return
         if name in injected:
-            self.tier2[name] += 1
+            self.tier2[name] += count
         else:
-            self.violations.append(name)
+            self.violations += [name] * count
 
     def use_measurement(self, basis: str):
         key = f"MEAS {basis.upper()}"
@@ -194,52 +193,55 @@ class AuditTrail:
         }
 
 
-@functools.lru_cache(maxsize=None)
-def embedded_correction(
-    gate_name: str, m: tuple[int, ...], wire_map: tuple[int, ...], n: int
-) -> np.ndarray | None:
-    """The correction of scheme_for(gate_name) for outcome bits m, embedded
-    on wire_map of n qubits once and read-only; None for the identity."""
-    corr = scheme_for(gate_name).corrections[m]
-    if corr.kind == "pauli" and not corr.factors:
-        return None
-    U = do.embed(corr.operator, wire_map, n, 2)
-    U.setflags(write=False)
-    return U
-
-
-def _correction_step(
-    scheme: InjectionScheme,
-    wire_map: tuple[int, ...],
-    n_total: int,
-    audit: AuditTrail,
-    injected: frozenset,
-) -> Step:
+def _correction_step(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> Step:
     """Walker step applying the correction keyed by each branch's last
-    scheme.n outcomes, audited once per branch.
+    scheme.n outcomes to the register, which is the resource register.
 
-    Each outcome's correction U X^m U* but the identity is embedded on the
-    register once per process (embedded_correction, so the scheme comes
-    from scheme_for) and applied to all branches with that outcome in one
-    product.  Clifford host factors multiply to the same operator up to a
-    global phase; the audit records every factor on every branch.
+    The correction U X^m U* is the scheme's operator itself (None for the
+    identity), applied to all branches with outcome m in one product.
+    Clifford host factors multiply to the same operator up to a global
+    phase; the audit counts every factor on every branch, in one call per
+    factor and outcome met.
     """
-    operator = functools.partial(
-        embedded_correction, scheme.gate_name, wire_map=wire_map, n=n_total
-    )
+
+    def operator(m):
+        corr = scheme.corrections[m]
+        return None if corr.kind == "pauli" and not corr.factors else corr.operator
 
     def step(outcomes, level):
         keys = [o[-scheme.n:] for o in outcomes]
-        for m in keys:
+        for m, count in Counter(keys).items():
             corr = scheme.corrections[m]
             if corr.kind == "non-clifford":
                 # still verifiable densely; flagged in the audit
-                audit.violations.append(f"non-clifford correction ({corr.name})")
+                audit.violations += [f"non-clifford correction ({corr.name})"] * count
             for name, _ in corr.factors:
-                audit.use_gate(name, injected)
+                audit.use_gate(name, injected, count)
         return None, None, do.rows_by_key(level, keys, operator)
 
     return step
+
+
+def _gadget(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> list[Step]:
+    """Walker steps of the gadget on a register of exactly scheme.n data
+    wires; each branch fans out into 2^n branches.
+
+    The resource register is appended at the tail, each resource wire n+j
+    controls a CNOT onto data wire j, and reading wire 0 out n times
+    consumes the data register.  What is left is the resource register,
+    which the correction turns into the gate's output.
+    """
+    n = scheme.n
+    audit.use_resource(f"{scheme.gate_name}|+>^{n}")
+    audit.use_gate("CNOT", count=n)
+    for _ in range(n):
+        audit.use_measurement("Z")
+    return [
+        do.append_step(scheme.resource_state),
+        *(do.gate_step(cnot((n + j, j), 2 * n)) for j in range(n)),
+        *[do.readout_step(0, "Z")] * n,
+        _correction_step(scheme, audit, injected),
+    ]
 
 
 def run_injection(
@@ -249,24 +251,12 @@ def run_injection(
     audit: AuditTrail | None = None,
 ) -> list[InjectionRecord]:
     """Exhaustive branch tree of one injection; every record's final state
-    lives on the resource register and is compared against target@input.
-    The scheme comes from scheme_for, whose corrections the step embeds."""
-    n = scheme.n
-    if input_state.shape[0] != 2**n:
+    lives on the resource register and is compared against target@input."""
+    if input_state.shape[0] != 2**scheme.n:
         raise DimensionMismatch("input dimension mismatch")
     audit = audit if audit is not None else AuditTrail()
-    audit.use_resource(f"{scheme.gate_name}|+>^{n}")
-    steps = []
-    for j in range(n):
-        audit.use_gate("CNOT")
-        audit.use_measurement("Z")
-        steps.append(do.gate_step(cnot((n + j, j), 2 * n)))
-    # reading out wire 0 n times consumes the input register, which leaves
-    # the resource register
-    steps += [do.readout_step(0, "Z")] * n
-    steps.append(_correction_step(scheme, tuple(range(n)), n, audit, injected))
     target_out = scheme.target @ input_state
-    branches = branch_tree(np.kron(input_state, scheme.resource_state)[None], steps)
+    branches = branch_tree(input_state[None], _gadget(scheme, audit, injected))
     return [
         InjectionRecord(
             m, float(prob), scheme.corrections[m].name, out, do.fidelity(out, target_out)
@@ -275,52 +265,14 @@ def run_injection(
     ]
 
 
-# ---------------------------------------------------------------------------
-# in-place injection on a register
-
-
 def inject_on_wires(
-    scheme: InjectionScheme,
-    data_wires: tuple[int, ...],
-    n_total: int,
-    audit: AuditTrail,
-    injected: frozenset = frozenset(),
+    scheme: InjectionScheme, audit: AuditTrail, injected: frozenset = frozenset()
 ) -> list[Step]:
-    """Walker steps applying the injected gate to data wires of an n_total
-    register; each branch fans out into 2^k branches.
-
-    The resource register is appended and swapped into the data wires'
-    place (an axis permutation, audited as SWAPs), the data moved to the
-    tail is coupled to it and read out in Z, and the correction acts on the
-    data wires, which then hold the gate's output.
-    """
-    k = scheme.n
-    if len(data_wires) != k:
-        raise DimensionMismatch("wire count does not match the scheme")
-    big_n = n_total + k
-    audit.use_resource(f"{scheme.gate_name}|+>^{k}")
-    for j in range(k):
-        audit.use_gate("CNOT")
-        audit.use_measurement("Z")
-        audit.use_gate("SWAP")
-    perm = list(range(big_n))
-    for j, w in enumerate(data_wires):
-        perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
-
-    axes = [0, *(w + 1 for w in perm)]
-
-    def append_resource(outcomes, level):
-        b = len(level)
-        big = np.multiply.outer(level, scheme.resource_state).reshape((b,) + (2,) * big_n)
-        return None, None, big.transpose(axes).reshape(b, 2**big_n)
-
-    return [
-        append_resource,
-        *(do.gate_step(cnot((w, n_total + j), big_n))
-          for j, w in enumerate(data_wires)),
-        *[do.readout_step(n_total, "Z")] * k,
-        _correction_step(scheme, data_wires, n_total, audit, injected),
-    ]
+    """Walker steps applying the injected gate in place to a register of
+    exactly scheme.n wires: the gadget, whose output on the resource
+    register takes the data wires' place, audited as one SWAP per wire."""
+    audit.use_gate("SWAP", count=scheme.n)
+    return _gadget(scheme, audit, injected)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +294,23 @@ def hadamard_via_cz(
     audit = AuditTrail()
     injected = frozenset({"CZ"})
     target = do.gate("H", (0,), 1) @ input_state
+    steps = [do.append_step(do.plus_state(1))]
     if use_injected_cz:
-        steps = inject_on_wires(scheme_for("CZ"), (0, 1), 2, audit, injected=frozenset())
+        steps += inject_on_wires(scheme_for("CZ"), audit)
     else:
         audit.use_gate("CZ", injected)
-        steps = [do.gate_step(do.gate("CZ", (0, 1), 2, 2))]
+        steps.append(do.gate_step(do.gate("CZ", (0, 1), 2, 2)))
     audit.use_measurement("X")
     x_gate = do.gate("X", (0,), 1)
 
     def x_correction(outcomes, level):
         flips = [o[-1] for o in outcomes]
-        for _ in range(sum(flips)):
-            audit.use_gate("X")
+        if sum(flips):
+            audit.use_gate("X", count=sum(flips))
         return None, None, do.rows_by_key(level, flips, lambda s: x_gate if s else None)
 
     steps += [do.readout_step(0, "X"), x_correction]
-    branches = branch_tree(np.kron(input_state, do.plus_state(1))[None], steps)
+    branches = branch_tree(input_state[None], steps)
     records = [
         InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
         for outcomes, prob, out in branches
@@ -536,8 +489,8 @@ def minimality_probe() -> dict:
         if element == "X-observables":
             # the Hadamard construction is the X-measurement consumer
             branch_tree(
-                np.kron(do.basis_state([0]), do.plus_state(1))[None],
-                inject_on_wires(scheme_for("CZ"), (0, 1), 2, audit),
+                do.basis_state([0])[None],
+                [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)],
             )
             audit.use_measurement("X")
         elif element == "Z":

@@ -309,9 +309,7 @@ def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
     anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
     couple = [(w, n0) if kind == "Z" else (n0, w) for w in data_wires]
     return [
-        lambda outcomes, level: (
-            None, None, np.multiply.outer(level, anc).reshape(len(level), 2 ** (n0 + 1))
-        ),
+        do.append_step(anc),
         *(do.gate_step(inj.cnot(wires, n0 + 1)) for wires in couple),
         do.readout_step(n0, kind),
     ]
@@ -357,7 +355,7 @@ def peres_mermin_circuit(
     cz_scheme = inj.scheme_for("CZ") if (cz_count and use_injected_cz) else None
     for _ in range(cz_count):
         if use_injected_cz:
-            steps += inj.inject_on_wires(cz_scheme, (0, 1), 2, audit)
+            steps += inj.inject_on_wires(cz_scheme, audit)
         else:
             audit.use_gate("CZ", frozenset({"CZ"}))
             steps.append(do.gate_step(do.gate("CZ", (0, 1), 2, 2)))
@@ -371,25 +369,25 @@ def peres_mermin_circuit(
 
     # the selectors list the contexts in the order lines() yields them
     words, line_sign = dict(zip(CONTEXT_SELECTORS, standard_square().lines()))[context]
-    derivations = _derivations(measured_words)
-    branch_products = []
-    for outcomes, prob, _ in branch_tree(input_state.astype(complex)[None], steps):
-        outs = outcomes[-len(measured_words):]
-        vals = {w: 1 - 2 * o for w, o in zip(measured_words, outs)}
-        for target, wa, wb, sgn in derivations:
-            vals[target] = sgn * vals[wa] * vals[wb]
-        recorded = [vals[w] for w in words]
-        product = recorded[0] * recorded[1] * recorded[2]
-        branch_products.append((float(prob), recorded, product))
-    ok = all(prod == line_sign for _, _, prod in branch_products)
-    total = sum(p for p, _, _ in branch_products)
+    # an entry's value on a leaf is sign * (-1) ** popcount(bits & mask),
+    # bit i of bits being the outcome read for measured_words[i]
+    entries = {w: (1, 1 << i) for i, w in enumerate(measured_words)}
+    for target, wa, wb, sgn in _derivations(measured_words):
+        (sa, ma), (sb, mb) = entries[wa], entries[wb]
+        entries[target] = (sgn * sa * sb, ma ^ mb)
+    sign = math.prod(entries[w][0] for w in words)
+    mask = reduce(xor, (entries[w][1] for w in words))
+    leaves = branch_tree(input_state.astype(complex)[None], steps)
+    bits = [sum(o << i for i, o in enumerate(out[-len(measured_words):])) for out, _, _ in leaves]
+    ok = all(sign * (-1) ** (b & mask).bit_count() == line_sign for b in bits)
+    total = sum(float(p) for _, p, _ in leaves)
     return {
         "context": context,
         "selectors": sorted(sel),
         "line": words,
         "line_sign": line_sign,
         "measured_words": measured_words,
-        "branches": len(branch_products),
+        "branches": len(leaves),
         "total_probability": total,
         "product_matches_sign": bool(ok),
         "audit": audit.report(),

@@ -7,6 +7,7 @@ import pytest
 from spektoy import dense_oracle as do
 from spektoy import injection as inj
 from spektoy import witness as wit
+from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch
 
 
@@ -233,20 +234,19 @@ def ref_correction_step(scheme, wire_map, n_total, audit, injected):
     return step
 
 
-#: the reference's embeddings, shared by its step instances as
-#: inj.embedded_correction shares the step's
-_ref_embedded = {}
+# ---------------------------------------------------------------------------
+# the gadget as two builders did it before the one gadget: run_injection
+# from kron(input, resource), inject_on_wires with any data-wire placement
+# by an axis permutation, and each correction embedded on the register and
+# audited once per branch
 
 
-def ref_embedding_correction_step(scheme, wire_map, n_total, audit, injected):
-    """The level correction step embedding every outcome's correction, the
-    identity of outcome 0...0 included."""
-
+def ref_level_correction_step(scheme, wire_map, n_total, audit, injected):
     def operator(m):
-        key = (scheme.gate_name, m, wire_map, n_total)
-        if key not in _ref_embedded:
-            _ref_embedded[key] = do.embed(scheme.corrections[m].operator, wire_map, n_total, 2)
-        return _ref_embedded[key]
+        corr = scheme.corrections[m]
+        if corr.kind == "pauli" and not corr.factors:
+            return None
+        return do.embed(corr.operator, wire_map, n_total, 2)
 
     def step(outcomes, level):
         keys = [o[-scheme.n:] for o in outcomes]
@@ -261,24 +261,195 @@ def ref_embedding_correction_step(scheme, wire_map, n_total, audit, injected):
     return step
 
 
+def ref_run_injection(scheme, input_state, injected=frozenset(), audit=None):
+    n = scheme.n
+    audit = audit if audit is not None else inj.AuditTrail()
+    audit.use_resource(f"{scheme.gate_name}|+>^{n}")
+    steps = []
+    for j in range(n):
+        audit.use_gate("CNOT")
+        audit.use_measurement("Z")
+        steps.append(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n, 2)))
+    steps += [do.readout_step(0, "Z")] * n
+    steps.append(ref_level_correction_step(scheme, tuple(range(n)), n, audit, injected))
+    target_out = scheme.target @ input_state
+    branches = branch_tree(np.kron(input_state, scheme.resource_state)[None], steps)
+    return [
+        inj.InjectionRecord(
+            m, float(prob), scheme.corrections[m].name, out, do.fidelity(out, target_out)
+        )
+        for m, prob, out in branches
+    ]
+
+
+def ref_inject_on_wires(scheme, data_wires, n_total, audit, injected=frozenset()):
+    k = scheme.n
+    big_n = n_total + k
+    audit.use_resource(f"{scheme.gate_name}|+>^{k}")
+    for j in range(k):
+        audit.use_gate("CNOT")
+        audit.use_measurement("Z")
+        audit.use_gate("SWAP")
+    perm = list(range(big_n))
+    for j, w in enumerate(data_wires):
+        perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
+    axes = [0, *(w + 1 for w in perm)]
+
+    def append_resource(outcomes, level):
+        b = len(level)
+        big = np.multiply.outer(level, scheme.resource_state).reshape((b,) + (2,) * big_n)
+        return None, None, big.transpose(axes).reshape(b, 2**big_n)
+
+    return [
+        append_resource,
+        *(do.gate_step(do.gate("CNOT", (w, n_total + j), big_n, 2))
+          for j, w in enumerate(data_wires)),
+        *[do.readout_step(n_total, "Z")] * k,
+        ref_level_correction_step(scheme, data_wires, n_total, audit, injected),
+    ]
+
+
+def ref_hadamard_via_cz(input_state, use_injected_cz=False):
+    audit = inj.AuditTrail()
+    target = do.gate("H", (0,), 1) @ input_state
+    if use_injected_cz:
+        steps = ref_inject_on_wires(inj.scheme_for("CZ"), (0, 1), 2, audit)
+    else:
+        audit.use_gate("CZ", frozenset({"CZ"}))
+        steps = [do.gate_step(do.gate("CZ", (0, 1), 2, 2))]
+    audit.use_measurement("X")
+    x_gate = do.gate("X", (0,), 1)
+
+    def x_correction(outcomes, level):
+        flips = [o[-1] for o in outcomes]
+        for _ in range(sum(flips)):
+            audit.use_gate("X")
+        return None, None, do.rows_by_key(level, flips, lambda s: x_gate if s else None)
+
+    steps += [do.readout_step(0, "X"), x_correction]
+    branches = branch_tree(np.kron(input_state, do.plus_state(1))[None], steps)
+    records = [
+        inj.InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
+        for outcomes, prob, out in branches
+    ]
+    return records, audit
+
+
+def ref_builders(monkeypatch):
+    """Route the package's gadgets through the reference builders, the
+    in-place injection on wires (0, 1) of a 2-wire register as every
+    caller places it."""
+    monkeypatch.setattr(inj, "run_injection", ref_run_injection)
+    monkeypatch.setattr(inj, "hadamard_via_cz", ref_hadamard_via_cz)
+    monkeypatch.setattr(
+        inj, "inject_on_wires",
+        lambda scheme, audit, injected=frozenset(): ref_inject_on_wires(
+            scheme, (0, 1), 2, audit, injected),
+    )
+
+
+def _random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.outcomes, g.probability, g.correction, g.fidelity) == (
+            w.outcomes, w.probability, w.correction, w.fidelity)
+        assert np.array_equal(g.final_state, w.final_state)
+
+
+def _full_report(audit):
+    return audit.report(), dict(audit.elements), dict(audit.tier2), sorted(audit.violations)
+
+
+class TestAgainstReferenceBuilders:
+    @pytest.mark.parametrize("name", ["Z", "S", "T", "CZ", "CCZ"])
+    @pytest.mark.parametrize("injected", [frozenset(), frozenset({"CZ"})])
+    def test_run_injection_records(self, name, injected):
+        scheme = inj.scheme_for(name)
+        rng = np.random.default_rng(len(name) + 10 * len(injected))
+        for _ in range(4):
+            psi = _random_state(rng, 2**scheme.n)
+            audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
+            got = inj.run_injection(scheme, psi, injected=injected, audit=audit)
+            assert_same_records(got, ref_run_injection(scheme, psi, injected, ref_audit))
+            assert _full_report(audit) == _full_report(ref_audit)
+
+    @pytest.mark.parametrize("mode", [False, True])
+    def test_hadamard_via_cz(self, mode):
+        rng = np.random.default_rng(7)
+        for psi in (do.basis_state([0]), do.plus_state(1), _random_state(rng, 2)):
+            got, audit = inj.hadamard_via_cz(psi, use_injected_cz=mode)
+            want, ref_audit = ref_hadamard_via_cz(psi, use_injected_cz=mode)
+            assert_same_records(got, want)
+            assert _full_report(audit) == _full_report(ref_audit)
+
+    def test_demos_and_probe(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        inputs = [do.plus_state(3), do.basis_state([1, 1, 0]), _random_state(rng, 8)]
+        got = [inj.ccz_scheme_demo(psi) for psi in inputs]
+        got += [inj.clifford_completion_demo(), inj.minimality_probe()]
+        ref_builders(monkeypatch)
+        want = [inj.ccz_scheme_demo(psi) for psi in inputs]
+        want += [inj.clifford_completion_demo(), inj.minimality_probe()]
+        assert got == want
+
+    @pytest.mark.parametrize("use_injected_cz", [True, False])
+    def test_peres_mermin_contexts(self, monkeypatch, use_injected_cz):
+        # the reports and every leaf of the walk: outcomes, probability and
+        # state
+        walks = []
+
+        def recorded(*args):
+            walks.append(branch_tree(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(wit, "branch_tree", recorded)
+        rng = np.random.default_rng(9)
+        inputs = [do.plus_state(2), *(_random_state(rng, 4) for _ in range(3))]
+
+        def reports():
+            return [wit.peres_mermin_circuit(psi, context, use_injected_cz)
+                    for psi in inputs for context in sorted(wit.CONTEXT_SELECTORS)]
+
+        got = reports()
+        got_walks, walks[:] = walks[:], []
+        ref_builders(monkeypatch)
+        assert got == reports()
+        assert len(got_walks) == len(walks) == len(got)
+        for g, w in zip(got_walks, walks):
+            assert [(o, p) for o, p, _ in g] == [(o, p) for o, p, _ in w]
+            assert all(np.array_equal(gs, ws) for (_, _, gs), (_, _, ws) in zip(g, w))
+
+    def test_reference_placement_is_general(self):
+        # the reference still places the gadget on any data wires; on
+        # reversed wires with a spare one it applies the gate there
+        scheme = inj.scheme_for("CZ")
+        rng = np.random.default_rng(4)
+        psi = _random_state(rng, 8)
+        leaves = branch_tree(psi[None], ref_inject_on_wires(scheme, (2, 0), 3, inj.AuditTrail()))
+        want = do.gate("CZ", (2, 0), 3) @ psi
+        assert len(leaves) == 4
+        assert all(do.states_equal(state, want) for _, _, state in leaves)
+
+
 class TestCorrectionStep:
     @pytest.mark.parametrize("name", ["CZ", "CCZ", "S", "T"])
     def test_step_local_corrections_match_per_branch_gates(self, name):
-        # the data wires sit reversed on a register with one spare wire,
-        # and every outcome is met by two branches, the second reusing the
-        # operator the first built
+        # the correction acts on the whole register, which holds the
+        # output; every outcome is met by two branches
         scheme = inj.scheme_for(name)
-        n_total = scheme.n + 1
-        wire_map = tuple(range(n_total - 1, 0, -1))
+        n = scheme.n
         injected = frozenset({"CZ"})
         audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
-        step = inj._correction_step(scheme, wire_map, n_total, audit, injected)
-        ref = ref_correction_step(scheme, wire_map, n_total, ref_audit, injected)
+        step = inj._correction_step(scheme, audit, injected)
+        ref = ref_correction_step(scheme, tuple(range(n)), n, ref_audit, injected)
         rng = np.random.default_rng(len(name))
-        outcomes = [(1, *m) for m in itertools.product((0, 1), repeat=scheme.n) for _ in range(2)]
-        level = rng.normal(size=(len(outcomes), 2**n_total))
-        level = level + 1j * rng.normal(size=level.shape)
-        level /= np.linalg.norm(level, axis=1)[:, None]
+        outcomes = [(1, *m) for m in itertools.product((0, 1), repeat=n) for _ in range(2)]
+        level = np.stack([_random_state(rng, 2**n) for _ in outcomes])
         k, p, out = step(outcomes, level)
         assert k is None and p is None and out.shape == level.shape
         for o, psi, got in zip(outcomes, level, out):
@@ -286,7 +457,9 @@ class TestCorrectionStep:
             # equal up to a global phase: U X^m U* and its host factors
             assert abs(np.linalg.norm(got) - 1) < 1e-12
             assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
-        assert audit.report() == ref_audit.report()
+            # and exactly the scheme's own operator
+            assert np.array_equal(got, scheme.corrections[o[1:]].operator @ psi)
+        assert _full_report(audit) == _full_report(ref_audit)
 
     @pytest.mark.parametrize("name", ["Z", "S", "CZ", "CCZ"])
     def test_identity_correction_returns_the_input_state(self, name):
@@ -295,47 +468,70 @@ class TestCorrectionStep:
         assert scheme.corrections[zeros].kind == "pauli"
         assert scheme.corrections[zeros].factors == ()
         audit = inj.AuditTrail()
-        step = inj._correction_step(scheme, tuple(range(scheme.n)), scheme.n, audit, frozenset())
+        step = inj._correction_step(scheme, audit, frozenset())
         level = do.plus_state(scheme.n)[None]
         k, p, out = step([zeros], level)
         assert (k, p) == (None, None) and out is level
         assert audit.report() == inj.AuditTrail().report()
 
     def test_identity_correction_is_not_embedded(self, monkeypatch):
-        # row3 runs three CZ injections, each with one identity outcome
-        # that the step used to embed
-        def embeds(correction_step):
-            monkeypatch.setattr(inj, "_correction_step", correction_step)
-            calls = []
-            embed = do.embed
-            monkeypatch.setattr(do, "embed", lambda *a: calls.append(a) or embed(*a))
-            rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
-            monkeypatch.undo()
-            return len(calls), rep
-
-        # one uncounted run fills inj.cnot's embeddings; the corrections'
-        # are cleared before each counted run, so both count what the three
-        # injections' steps embed, which share one embedding per outcome
+        # row3 runs three CZ injections: every correction applied is the
+        # scheme's own operator, the identity none at all, and once
+        # inj.cnot holds the run's CNOTs, the run builds no gate and no
+        # embedding
+        corrections = inj.scheme_for("CZ").corrections
         wit.peres_mermin_circuit(do.plus_state(2), "row3")
-        inj.embedded_correction.cache_clear()
-        count, rep = embeds(inj._correction_step)
-        _ref_embedded.clear()
-        ref_count, ref_rep = embeds(ref_embedding_correction_step)
-        assert count == ref_count - 1 == 3
-        assert rep == ref_rep
+        applied, built = [], []
+        rows_by_key, embed, gate = do.rows_by_key, do.embed, do.gate
+
+        def recorded(level, keys, operator):
+            applied.extend((m, operator(m)) for m in dict.fromkeys(keys))
+            return rows_by_key(level, keys, operator)
+
+        monkeypatch.setattr(do, "rows_by_key", recorded)
+        monkeypatch.setattr(do, "embed", lambda *a: built.append(a) or embed(*a))
+        monkeypatch.setattr(do, "gate", lambda *a: built.append(a) or gate(*a))
+        assert wit.peres_mermin_circuit(do.plus_state(2), "row3")["product_matches_sign"]
+        assert built == []
+        assert len(applied) == 3 * 4
+        for m, U in applied:
+            assert U is (None if m == (0, 0) else corrections[m].operator)
 
     def test_resource_append_is_the_kronecker_product(self):
-        scheme = inj.scheme_for("CZ")
-        data_wires, n_total = (2, 0), 3
-        append = inj.inject_on_wires(scheme, data_wires, n_total, inj.AuditTrail())[0]
-        perm = list(range(n_total + 2))
-        for j, w in enumerate(data_wires):
-            perm[w], perm[n_total + j] = perm[n_total + j], perm[w]
+        # do.append_step puts the state's wires at the tail of every
+        # branch, for any register width, in one exact product per entry
         rng = np.random.default_rng(3)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        _, _, [got] = append([()], psi[None])
-        want = np.kron(psi, scheme.resource_state).reshape((2,) * 5).transpose(perm).reshape(-1)
-        assert np.array_equal(got, want)
+        for width in range(4):
+            for state in (inj.scheme_for("CZ").resource_state, _random_state(rng, 2)):
+                level = np.stack([_random_state(rng, 2**width) for _ in range(3)])
+                k, p, got = do.append_step(state)([()] * 3, level)
+                assert (k, p) == (None, None)
+                assert np.array_equal(got, np.stack([np.kron(row, state) for row in level]))
+
+    def test_correction_audit_calls_once_per_outcome_met(self, monkeypatch):
+        # in a row3 run the three correction steps meet 256 branches, but
+        # call use_gate at most once per (step, outcome met, factor)
+        calls, walking = [], [False]
+        use_gate, walk = inj.AuditTrail.use_gate, wit.branch_tree
+
+        def counted(self, *args, **kwargs):
+            if walking[0]:
+                calls.append(args)
+            return use_gate(self, *args, **kwargs)
+
+        def walked(*args):
+            walking[0] = True
+            try:
+                return walk(*args)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(inj.AuditTrail, "use_gate", counted)
+        monkeypatch.setattr(wit, "branch_tree", walked)
+        rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
+        assert rep["branches"] == 256
+        per_step = sum(len(c.factors) for c in inj.scheme_for("CZ").corrections.values())
+        assert 0 < len(calls) <= 3 * per_step == 24
 
 
 class TestSchemeCache:

@@ -13,6 +13,8 @@
   outcome convention.
 * No module calls json.dump or json.dumps: the CLI's report writer is the
   one serialiser.
+* Only dense_oracle calls np.multiply.outer: dense_oracle.append_step is
+  the one append of wires to a walker's register.
 """
 
 import ast
@@ -117,6 +119,15 @@ def json_dump_calls(tree):
             or isinstance(node.func, ast.Name) and node.func.id in funcs))
 
 
+def outer_product_calls(tree):
+    """Line numbers of calls to np.multiply.outer."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "outer" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "multiply" and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id == "np"]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -142,6 +153,12 @@ def test_one_serialiser(name, tree):
     assert json_dump_calls(tree) == []
 
 
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_one_register_append(name, tree):
+    if name != "dense_oracle.py":
+        assert outer_product_calls(tree) == []
+
+
 def test_rules_catch_violations():
     tree = ast.parse(
         "import numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import wigner\n"
@@ -161,6 +178,11 @@ def test_rules_catch_violations():
         "dd(x)\njson.loads(s)\nloads(s)\nother.dumps(x)\nencode_basestring_ascii(s)\n"
     )
     assert json_dump_calls(tree) == [5, 6, 7]
+    tree = ast.parse(
+        "np.multiply.outer(a, b)\nf = np.multiply.outer\nnp.outer(a, b)\nnp.add.outer(a, b)\n"
+        "x.multiply.outer(a, b)\ny = [np.multiply.outer(a, s) for s in b]\n"
+    )
+    assert outer_product_calls(tree) == [1, 6]
 
 
 def test_private_code_is_read():

@@ -239,6 +239,17 @@ class TestSVariantSquare:
         assert rep["contradiction"]
 
 
+def ref_line_product(outcomes, measured_words, words):
+    """A context's line product on one leaf from a value per entry: the
+    measured words' readouts, then each derived entry as its signed
+    product."""
+    outs = outcomes[-len(measured_words):]
+    vals = {w: 1 - 2 * o for w, o in zip(measured_words, outs)}
+    for target, wa, wb, sgn in wit._derivations(measured_words):
+        vals[target] = sgn * vals[wa] * vals[wb]
+    return vals[words[0]] * vals[words[1]] * vals[words[2]]
+
+
 class TestContextCircuit:
     @pytest.mark.parametrize("context", sorted(wit.CONTEXT_SELECTORS))
     def test_products_on_random_inputs(self, context):
@@ -317,9 +328,9 @@ class TestContextCircuit:
             assert np.array_equal(got, np.kron(psi, anc))
 
     def test_corrections_are_built_per_outcome_not_per_branch(self, monkeypatch):
-        # row3 runs three CZ injections of four outcomes each: inside the
-        # walker, gates and embeddings are built at most once per
-        # (correction step, outcome), though 256 branches pass through
+        # row3 runs three CZ injections of four outcomes each: though 256
+        # branches pass through, the walker builds no gate and no
+        # embedding, since each correction is the scheme's own operator
         calls, walking = [], [False]
 
         def counted(f):
@@ -337,34 +348,61 @@ class TestContextCircuit:
                 walking[0] = False
 
         branch_tree = wit.branch_tree
-        inj.embedded_correction.cache_clear()  # embedded once per process
         monkeypatch.setattr(do, "gate", counted(do.gate))
         monkeypatch.setattr(do, "embed", counted(do.embed))
         monkeypatch.setattr(wit, "branch_tree", walk)
         rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
         assert rep["product_matches_sign"] and rep["branches"] == 256
-        assert 0 < len(calls) <= 3 * 4
+        assert calls == []
 
     def test_second_run_embeds_no_cnot(self, monkeypatch):
         # every CNOT of the parity blocks and the injections is embedded once
-        # per (wires, register size) and shared read-only afterwards
+        # per (wires, register size) and shared read-only afterwards; the
+        # corrections are never embedded, so a second run embeds nothing
         psi = do.plus_state(2)
         first = wit.peres_mermin_circuit(psi, "col3")
-        cnot = do.gate("CNOT", (0, 1), 2)
         embedded = []
         embed = do.embed
 
         def recorded(small, *args, **kwargs):
-            embedded.append(np.array(small))
+            embedded.append(small)
             return embed(small, *args, **kwargs)
 
         monkeypatch.setattr(do, "embed", recorded)
-        inj.embedded_correction.cache_clear()  # the corrections are embedded again
         assert wit.peres_mermin_circuit(psi, "col3") == first
-        assert embedded
-        assert not any(np.array_equal(small, cnot) for small in embedded)
+        assert embedded == []
         assert inj.cnot((0, 2), 3) is inj.cnot((0, 2), 3)
         assert not inj.cnot((0, 2), 3).flags.writeable
+
+    def test_line_check_matches_per_leaf_values(self, monkeypatch):
+        # one leaf at a time, over every outcome tuple of each context's
+        # readouts, under the square's signs and under each line's sign
+        # flipped: the report's check agrees with the per-entry values
+        walk, leaves = wit.branch_tree, []
+        monkeypatch.setattr(wit, "branch_tree", lambda *a: leaves.append(walk(*a)) or leaves[-1])
+        lengths = {}
+        for context in wit.CONTEXT_SELECTORS:
+            wit.peres_mermin_circuit(do.plus_state(2), context)
+            lengths[context] = len(leaves[-1][0][0])
+        leaf = []
+        monkeypatch.setattr(wit, "branch_tree", lambda *a: leaf)
+        square = wit.standard_square()
+        signs = square.row_signs + square.col_signs
+        seen = set()
+        for flip in range(7):  # flip 6 keeps every sign
+            flipped = [-s if i == flip else s for i, s in enumerate(signs)]
+            table = wit.ContextTable.build(square.grid, flipped[:3], flipped[3:], validate=False)
+            monkeypatch.setattr(wit, "standard_square", lambda: table)
+            for context, length in lengths.items():
+                words, line_sign = dict(zip(wit.CONTEXT_SELECTORS, table.lines()))[context]
+                for outcomes in itertools.product((0, 1), repeat=length):
+                    leaf[:] = [(outcomes, 0.5, None)]
+                    rep = wit.peres_mermin_circuit(do.plus_state(2), context)
+                    want = ref_line_product(outcomes, rep["measured_words"], words)
+                    assert rep["product_matches_sign"] == (want == line_sign)
+                    assert rep["branches"] == 1 and rep["total_probability"] == 0.5
+                    seen.add(rep["product_matches_sign"])
+        assert seen == {True, False}
 
     def test_direct_cz_variant_matches(self):
         rep = wit.peres_mermin_circuit(do.plus_state(2), "row3", use_injected_cz=False)
