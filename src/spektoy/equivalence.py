@@ -266,10 +266,18 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
 
 def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
     """Exhaustive branch-tree distribution over outcome tuples; each
-    outcome is a 1-tuple (k,) to match the toy side's residue tuples."""
+    outcome is a 1-tuple (k,) to match the toy side's residue tuples.
+    Every step's operator shape is checked (DimensionMismatch), but the walk
+    stops at the last measurement: a leaf's probability is a product of
+    Born factors alone, so no later step changes it."""
+    dim = len(state)
+    for kind, op in steps:
+        if np.shape(op) != ((dim, dim) if kind == "gate" else (len(op), dim, dim)):
+            raise DimensionMismatch(f"{kind} operator of shape {np.shape(op)} on a {dim}-dim state")
+    cut = max((j + 1 for j, (kind, _) in enumerate(steps) if kind != "gate"), default=0)
     walker_steps = [
         do.gate_step(op) if kind == "gate" else do.measure_step(op)
-        for kind, op in steps
+        for kind, op in steps[:cut]
     ]
     return {
         tuple((k,) for k in outcomes): float(prob)

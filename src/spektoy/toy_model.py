@@ -14,8 +14,10 @@ pivot.  Each step is a plan on V alone (a gate's `_transport`, a
 step needs V-perp.  V after a step depends on V before it and the step
 alone, never on the values or an outcome, so `statistics` builds one chain
 of plans per call and its branches carry only values; every leaf has the
-same probability 1/m.  It keeps each finished plan on its step object, by
-V (`_plans`): the hosts of `equivalence` hand the same step objects to every
+same probability 1/m, a product of measurement factors alone: the walk
+stops at the last measurement, which lists its outcomes without posterior
+values.  `statistics` keeps each finished plan on its step object, by V
+(`_plans`): the hosts of `equivalence` hand the same step objects to every
 circuit and meet few V's at small n, so a plan is built once per (V, step).
 The single-state steps build fresh plans and keep none, because a trajectory
 seldom meets a V twice and there the kept plans would only grow.  Steps
@@ -25,8 +27,9 @@ V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
 operation is one XOR and a symplectic product one popcount, as in
 Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
 row updates, O(k dim V 2n); one walk of them on the values lists every
-outcome with its posterior values.  `EpistemicState.support` lists the
-coset on demand, under `phase_algebra.COSET_GUARD`.
+outcome with its posterior values, and a shorter one the outcomes alone.
+`EpistemicState.support` lists the coset on demand, under
+`phase_algebra.COSET_GUARD`.
 Distributions are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
@@ -43,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, compress
+from itertools import chain, compress, product
 from operator import mul, xor
 
 import numpy as np
@@ -369,12 +372,13 @@ class _MeasurementPlan:
         vals.insert(at, x)
         return vals
 
-    def children(self, values) -> list[tuple[tuple[int, ...], list[int]]]:
+    def children(self, values, upto=None) -> list[tuple[tuple[int, ...], list[int]]]:
         """(outcome, V_new's values) for each outcome that can occur at V's
-        values, in lexicographic order: one breadth-first walk over ops, a
-        determined functional showing its outcome, a free one each of 0..d-1."""
+        values, in lexicographic order: one breadth-first walk over ops (the
+        first `upto` of them), a determined functional showing its outcome,
+        a free one each of 0..d-1."""
         d, level = self.V.d, [((), values)]
-        for op in self.updates[1]:
+        for op in self.updates[1][:upto]:
             nxt = []
             for k, vals in level:
                 vals, known = self._drop(op, vals)
@@ -382,6 +386,19 @@ class _MeasurementPlan:
                 nxt += [(k + (x,), self._show(op, vals, (x - known) % d)) for x in xs]
             level = nxt
         return level
+
+    def outcomes(self, values) -> list[tuple[int, ...]]:
+        """The outcomes of `children`, in its order, without its values.
+        Being free depends on V alone, and a free functional shows each of
+        0..d-1 on every branch: those after the last determined one need no
+        walk, and the walk stops at that one's outcome, with no row update."""
+        d, ops = self.V.d, self.updates[1]
+        cut = len(ops)  # ops[cut:] are free, ops[cut - 1] determined
+        while cut and ops[cut - 1][4] is not None:
+            cut -= 1
+        tails = list(product(range(d), repeat=len(ops) - cut))
+        return [k + (self._drop(ops[cut - 1], vals)[1] % d,) + t
+                for k, vals in self.children(values, cut - 1) for t in tails] if cut else tails
 
     def after(self, values, outcome: tuple) -> list[int]:
         """V_new's values after outcome at V's values, listing nothing else;
@@ -400,8 +417,7 @@ class _MeasurementPlan:
 def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
     """Exact outcome table, in sorted outcome order."""
     plan = _MeasurementPlan(state.V, meas)
-    p = Fraction(1, plan.size)
-    return dict.fromkeys((k for k, _ in plan.children(state.values)), p)
+    return dict.fromkeys(plan.outcomes(state.values), Fraction(1, plan.size))
 
 
 def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> EpistemicState:
@@ -413,25 +429,30 @@ def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> 
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
-    """Seeded sample: (outcome, posterior state, exact probability table)."""
-    plan = _MeasurementPlan(state.V, meas)
+    """Seeded sample: (outcome, posterior state, exact probability table);
+    only the drawn outcome's posterior is built."""
+    plan, values = _MeasurementPlan(state.V, meas), state.values
     p = Fraction(1, plan.size)
-    children, r, acc = plan.children(state.values), random.Random(rng_seed).random(), 0.0
-    for outcome, values in children:  # the last outcome if rounding leaves r >= acc
+    outcomes, r, acc = plan.outcomes(values), random.Random(rng_seed).random(), 0.0
+    for outcome in outcomes:  # the last outcome if rounding leaves r >= acc
         acc += float(p)
         if r < acc:
             break
-    table = dict.fromkeys((k for k, _ in children), p)
-    return outcome, _coset_state(plan.updates[0], values), table
+    after = _coset_state(plan.updates[0], plan.after(values, outcome))
+    return outcome, after, dict.fromkeys(outcomes, p)
 
 
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
-def _measured(plan: _MeasurementPlan, outcomes, level) -> tuple:
+def _measured(plan: _MeasurementPlan, outcomes, level, last=False) -> tuple:
     """Walker finish of a measurement on a level of V's values: one child
     per outcome that can occur, with V_new's values, every one of
-    probability 1/m, given as the int m."""
+    probability 1/m, given as the int m.  The last measurement of a circuit
+    lists its outcomes alone: no leaf reads the values after it."""
+    if last:
+        ks = list(chain.from_iterable(map(plan.outcomes, level)))
+        return ks, plan.size, [()] * len(ks)
     ks, values = zip(*chain.from_iterable(map(plan.children, level)))
     return ks, plan.size, list(values)
 
@@ -481,7 +502,12 @@ def statistics(
     affine maps and sharp measurements, with no sampling: every branch with
     nonzero probability is expanded, carrying only its values.  A step's
     outcome count does not depend on them, so each leaf has probability 1/m.
-    The plans are read from, or kept in, each step's `_plans`."""
+    Every step's plan is read from, or kept in, its `_plans`, so every step
+    is checked, but the walk stops at the last measurement: a leaf's
+    probability is a product of measurement factors alone."""
     walker, _ = _chain(state.V, steps)
-    leaves = branch_tree([state.values], walker)
+    cut = max((j + 1 for j, (kind, _) in enumerate(steps) if kind == "measure"), default=0)
+    if cut:
+        walker[cut - 1] = partial(walker[cut - 1], last=True)
+    leaves = branch_tree([state.values], walker[:cut])
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

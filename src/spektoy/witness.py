@@ -331,7 +331,10 @@ def peres_mermin_circuit(
     with gamma on, block 5 reads ZX and block 6 reads XZ.  Recorded line
     values: measured readouts fill their grid entries directly; the other
     entries are the signed products _derivations reads off the square's
-    lines (for col3 the outputs come from blocks 3, 5, 6).
+    lines (for col3 the outputs come from blocks 3, 5, 6).  Each measured
+    word's bit is read at its position among a leaf's outcomes.  The line's
+    mask over those bits is 0 in 5 of the 6 contexts (all but row2), so
+    there product_matches_sign holds by construction.
     """
     if context not in CONTEXT_SELECTORS:
         raise DimensionMismatch(
@@ -340,17 +343,17 @@ def peres_mermin_circuit(
     sel = CONTEXT_SELECTORS[context]
     audit = inj.AuditTrail()
     steps: list[Step] = []
-    measured_words: list[str] = []  # in readout order
+    measured: dict[str, int] = {}  # word -> index in a leaf's outcomes, in readout order
 
     if "a" in sel:
         steps += _parity_block("Z", (1,), 2, audit)
-        measured_words.append("IZ")
+        measured["IZ"] = len(measured)
     if "b" in sel:
         steps += _parity_block("Z", (0,), 2, audit)
-        measured_words.append("ZI")
+        measured["ZI"] = len(measured)
     if "c" in sel:
         steps += _parity_block("Z", (0, 1), 2, audit)
-        measured_words.append("ZZ")
+        measured["ZZ"] = len(measured)
     cz_count = sum(1 for bit in ("alpha", "beta", "gamma") if bit in sel)
     cz_scheme = inj.scheme_for("CZ") if (cz_count and use_injected_cz) else None
     for _ in range(cz_count):
@@ -359,13 +362,15 @@ def peres_mermin_circuit(
         else:
             audit.use_gate("CZ", frozenset({"CZ"}))
             steps.append(do.gate_step(do.gate("CZ", (0, 1), 2, 2)))
+    skipped = cz_count * cz_scheme.n if cz_scheme else 0  # injection readouts
     conjugated = cz_count % 2 == 1
     if "e" in sel:
         steps += _parity_block("X", (1,), 2, audit)
-        measured_words.append("ZX" if conjugated else "IX")
+        measured["ZX" if conjugated else "IX"] = len(measured) + skipped
     if "d" in sel:
         steps += _parity_block("X", (0,), 2, audit)
-        measured_words.append("XZ" if conjugated else "XI")
+        measured["XZ" if conjugated else "XI"] = len(measured) + skipped
+    measured_words = list(measured)
 
     # the selectors list the contexts in the order lines() yields them
     words, line_sign = dict(zip(CONTEXT_SELECTORS, standard_square().lines()))[context]
@@ -378,7 +383,7 @@ def peres_mermin_circuit(
     sign = math.prod(entries[w][0] for w in words)
     mask = reduce(xor, (entries[w][1] for w in words))
     leaves = branch_tree(input_state.astype(complex)[None], steps)
-    bits = [sum(o << i for i, o in enumerate(out[-len(measured_words):])) for out, _, _ in leaves]
+    bits = [sum(out[p] << i for i, p in enumerate(measured.values())) for out, _, _ in leaves]
     ok = all(sign * (-1) ** (b & mask).bit_count() == line_sign for b in bits)
     total = sum(float(p) for _, p, _ in leaves)
     return {

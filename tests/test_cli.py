@@ -453,6 +453,17 @@ def test_table_format_is_pinned(fname):
     assert text == (PINNED_DIR / fname).read_text()
 
 
+def test_trailing_gate_report_is_pinned(monkeypatch):
+    # recorded before the statistics stopped at the last measurement: the
+    # gates after the last MEAS change no byte of the report
+    monkeypatch.chdir(PINNED_DIR)
+    argv = ["equivalence", "--circuit", "equivalence_trailing.circ", "--host", "minimal-rebit",
+            "--n", "3"]
+    code, text = run_cli(argv)
+    assert code == 0
+    assert text.encode() == (PINNED_DIR / "equivalence_trailing.json").read_bytes()
+
+
 def test_four_rebit_report_is_pinned():
     # recorded from the level-set census; kept out of the goldens, which a
     # benchmark workload replays, since the report takes about a second

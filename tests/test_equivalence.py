@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spektoy import dense_oracle as do
 from spektoy import equivalence as eqv
@@ -10,7 +12,7 @@ from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
 from spektoy import toy_model as toy
 from spektoy import wigner as wg
-from spektoy.circuits import parse_circuit
+from spektoy.circuits import branch_tree, parse_circuit
 from spektoy.errors import AuditError, DimensionMismatch, InvalidGenerators
 from test_dense_oracle import ref_label_projectors
 from test_toy_model import ref_statistics
@@ -149,6 +151,47 @@ class TestDenseStatistics:
         stats = eqv.dense_statistics(do.plus_state(1), steps)
         assert list(stats) == [((0,),), ((1,),)]
         assert all(abs(p - 0.5) < 1e-12 for p in stats.values())
+
+
+#: hosts at d = 2, 3 and 5 for the trailing-gate checks
+TRAILING_HOSTS = [("minimal-rebit", 2, 2), ("minimal-rebit", 3, 2),
+                  ("qudit-stabilizer", 2, 3), ("qudit-stabilizer", 1, 5)]
+
+
+class TestStatisticsStopAtLastMeasurement:
+    # a leaf's probability is a product of measurement factors, so gates
+    # after the last measurement change no statistic on either side
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TRAILING_HOSTS), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_trailing_gates_leave_both_sides_equal(self, host_args, seed, extra):
+        host = eqv.host_model(*host_args)
+        rng = np.random.default_rng(seed)
+        pc = eqv.random_paired_circuit(host, rng)
+        gens = host.sub.gate_generators
+        picks = [gens[int(rng.integers(0, len(gens)))] for _ in range(extra)]
+        toy_steps = pc.toy_steps + [("gate", host.gate_action(g.name, g.wires)) for g in picks]
+        dense_steps = pc.dense_steps + [("gate", g.matrix) for g in picks]
+        toy_dist = toy.statistics(pc.epistemic, toy_steps)
+        assert toy_dist == toy.statistics(pc.epistemic, pc.toy_steps)
+        assert toy_dist == ref_statistics(pc.epistemic, toy_steps)
+        # the same floats as the walk through every step
+        full = branch_tree(pc.dense_state[None], [
+            do.gate_step(op) if kind == "gate" else do.measure_step(op) for kind, op in dense_steps])
+        dense_dist = eqv.dense_statistics(pc.dense_state, dense_steps)
+        assert dense_dist == eqv.dense_statistics(pc.dense_state, pc.dense_steps)
+        assert dense_dist == {tuple((k,) for k in o): float(p) for o, p, _ in full}
+        gates = [i for i, (kind, _) in enumerate(toy_steps) if kind == "gate"]
+        assert toy.statistics(pc.epistemic, [toy_steps[i] for i in gates]) == {(): Fraction(1)}
+        assert eqv.dense_statistics(pc.dense_state, [dense_steps[i] for i in gates]) == {(): 1.0}
+
+    def test_malformed_trailing_dense_step_raises(self):
+        psi = do.plus_state(2)
+        head = [("measure", do.label_projectors((0, 1, 0, 0), 2))]
+        for tail in ([("gate", np.eye(8))], [("gate", np.eye(4)[None])],
+                     [("gate", np.eye(4)), ("measure", do.label_projectors((0, 1), 2))]):
+            with pytest.raises(DimensionMismatch, match="on a 4-dim state"):
+                eqv.dense_statistics(psi, head + tail)
 
 
 class TestTextCircuits:

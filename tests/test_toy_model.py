@@ -979,9 +979,11 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     steps = [("measure", first), ("gate", g), ("measure", meas)]
     result = same_result(tm.statistics, ref_statistics, state, steps)
     assert result == ("raise", GuardExceeded, "outcome table has 9 > 8 entries")
-    listed, children = [], tm._MeasurementPlan.children
+    listed, children, outcomes = [], tm._MeasurementPlan.children, tm._MeasurementPlan.outcomes
     monkeypatch.setattr(tm._MeasurementPlan, "children",
-                        lambda plan, values: listed.append(values) or children(plan, values))
+                        lambda plan, values, *upto: listed.append(values) or children(plan, values, *upto))
+    monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
+                        lambda plan, values: listed.append(values) or outcomes(plan, values))
     for _ in range(2):
         with pytest.raises(GuardExceeded) as excinfo:
             tm.statistics(state, steps)
@@ -1030,6 +1032,79 @@ def test_step_plans_are_kept_per_known_subspace():
                         for k, vals in plan.children(state.values)]
             table = ref_outcome_distribution(state, meas)
             assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
+
+
+# ---------------------------------------------------------------------------
+# The walk stops at the last measurement
+#
+# A leaf's probability is a product of measurement factors alone, so the
+# walker finishes no step after a circuit's last measurement, and that one
+# lists its outcomes without posterior values.  Every step's plan is still
+# built, so a step that raises raises wherever it stands.
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_on_states(), st.data())
+def test_trailing_gates_leave_statistics_unchanged(case, data):
+    prior, steps = case
+    d, n = prior.d, prior.n
+    coeffs = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
+    trailing = [("gate", _draw_affine(data.draw, d, n, coeffs))
+                for _ in range(data.draw(st.integers(1, 3)))]
+    result = same_result(tm.statistics, ref_statistics, prior, steps + trailing)
+    if result[0] == "value":
+        assert list(result[1].items()) == list(tm.statistics(prior, steps).items())
+    gates = [step for step in steps + trailing if step[0] == "gate"]
+    if all((op.d, op.n) == (d, n) for _, op in gates):  # no measurement: one empty outcome
+        assert tm.statistics(prior, gates) == ref_statistics(prior, gates) == {(): Fraction(1)}
+
+
+def test_trailing_steps_still_raise():
+    d, n = 3, 2
+    rng = np.random.default_rng(41)
+    state, meas = tm.maximally_mixed(d, n), tm.SharpMeasurement(((1, 0, 0, 0),), d, n)
+    head = [("gate", _random_affine(rng, d, n)), ("measure", meas)]
+    wrong_gate = ("gate", pa.AffineSymplectic.identity(n + 1, d))
+    wrong_meas = ("measure", tm.SharpMeasurement(((1, 0), (2, 0)), d, 1))
+    for tail in ([wrong_gate], [("gate", _random_affine(rng, d, n)), wrong_meas]):
+        for _ in range(2):  # the raising step keeps no plan and raises again
+            with pytest.raises(DimensionMismatch, match="live on different spaces"):
+                tm.statistics(state, head + tail)
+    with pytest.raises(DimensionMismatch, match="unknown step kind 'reset'"):
+        tm.statistics(state, head + [("reset", _random_affine(rng, d, n))])
+
+
+def test_walker_finishes_nothing_after_the_last_measurement(monkeypatch):
+    # a counting walk: no gate finish after the last measurement, whose
+    # outcomes (a determined functional, then a free one) need no value
+    # update, while every step, the trailing ones too, keeps its plan
+    d, n = 3, 2
+    rng = np.random.default_rng(43)
+    state = tm.maximally_mixed(d, n)
+    steps = [("measure", tm.SharpMeasurement(((1, 0, 0, 0),), d, n)),
+             ("gate", _random_affine(rng, d, n)),
+             ("measure", tm.SharpMeasurement(((0, 0, 1, 1),), d, n))]
+    sigma = steps[-1][1].generators[0]
+    _, V = tm._chain(state.V, steps)
+    comm = pa.symplectic_commutant(pa.Subspace.from_generators([sigma], d, n))
+    tau = _functional_in(comm, rng.integers(0, d, size=comm.dim), V)
+    last = tm.SharpMeasurement((sigma, tau), d, n)
+    trailing = [_random_affine(rng, d, n) for _ in range(3)]
+    steps += [("measure", last)] + [("gate", g) for g in trailing]
+    want = ref_statistics(state, steps)
+    finished, shown = [], []
+    shifted, show = tm._shifted, tm._MeasurementPlan._show
+    monkeypatch.setattr(tm, "_shifted", lambda plan, values: finished.append(plan) or shifted(plan, values))
+    monkeypatch.setattr(tm._MeasurementPlan, "_show",
+                        lambda plan, *args: shown.append(plan) or show(plan, *args))
+    for _ in range(2):  # plans built, then read from the steps
+        assert list(tm.statistics(state, steps).items()) == list(want.items())
+        [last_plan] = tm._plans(last).values()
+        assert [len(tm._plans(op)) for _, op in steps] == [1] * len(steps)
+        assert finished and {id(plan) for plan in finished} == {id(*tm._plans(steps[1][1]).values())}
+        assert shown and last_plan not in shown
+        assert len(want) == 3 * 3 * 3  # both earlier measurements free, and tau free
+        finished.clear(), shown.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1136,6 +1211,56 @@ def ref_sample(table, seed):
         if r < acc:
             break
     return outcome
+
+
+def ref_measure_sharp(state, meas, rng_seed=0):
+    """measure_sharp as it was before outcomes were listed alone: the draw
+    walks every outcome's posterior values (`_MeasurementPlan.children`)."""
+    plan = tm._MeasurementPlan(state.V, meas)
+    p = Fraction(1, plan.size)
+    children, r, acc = plan.children(state.values), random.Random(rng_seed).random(), 0.0
+    for outcome, values in children:  # the last outcome if rounding leaves r >= acc
+        acc += float(p)
+        if r < acc:
+            break
+    table = dict.fromkeys((k for k, _ in children), p)
+    return outcome, tm._coset_state(plan.updates[0], values), table
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (5, 2)])
+def test_sampling_matches_the_children_walk(d, n):
+    # seeds 0-199: the drawn outcome, its posterior and the table are the
+    # children walk's, for measurements mixing determined functionals (known
+    # ones, and multiples or sums of earlier ones) with free ones
+    for seed in range(200):
+        rng = np.random.default_rng([47, d, seed])
+
+        def pick(k):
+            return int(rng.integers(0, k))
+
+        V = _isotropic_of(d, n, lambda s: [pick(d) for _ in range(2 * n)], None, pick(n + 1))
+        state = tm.make_epistemic(V, rng.integers(0, d, size=2 * n))
+        gens = [g for g in (_functional_of_kind(V, "known", rng),) if g and pick(2)]
+        while len(gens) < 1 + pick(min(n, 3)):
+            M = pa.Subspace.from_generators(gens, d, n) if gens else pa.Subspace.zero(d, n)
+            comm = pa.symplectic_commutant(M)
+            gens.append(_functional_in(comm, rng.integers(0, d, size=comm.dim), M))
+        if pick(2):
+            gens.insert(pick(len(gens) + 1), _dependent(gens, d, pick))
+        meas = tm.SharpMeasurement(tuple(gens), d, n, tuple(rng.integers(0, d, size=len(gens))))
+        outcome, post, table = tm.measure_sharp(state, meas, seed)
+        want_outcome, want_post, want_table = ref_measure_sharp(state, meas, seed)
+        assert (outcome, post.V, post.w) == (want_outcome, want_post.V, want_post.w)
+        assert list(table.items()) == list(want_table.items())
+        assert list(tm.outcome_distribution(state, meas).items()) == list(want_table.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps_on_states())
+def test_outcomes_list_the_children_outcomes(case):
+    state, meas, _ = case
+    plan = tm._MeasurementPlan(state.V, meas)
+    assert plan.outcomes(state.values) == [k for k, _ in plan.children(state.values)]
 
 
 @pytest.mark.parametrize("d", [2, 3])

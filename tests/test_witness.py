@@ -307,6 +307,33 @@ class TestContextCircuit:
         for context in wit.CONTEXT_SELECTORS:
             assert wit.peres_mermin_circuit(do.plus_state(2), context)["product_matches_sign"]
 
+    @pytest.mark.parametrize("context,use_injected_cz,positions,held", [
+        ("col1", True, [0, 3], 4), ("col2", True, [0, 3], 4), ("col3", True, [0, 3, 4], 5),
+        ("row3", True, [6, 7], 8), ("row2", True, [0, 1, 2], 3), ("col1", False, [0, 1], 2),
+    ])
+    def test_readouts_are_read_at_their_positions(self, monkeypatch, context, use_injected_cz,
+                                                  positions, held):
+        # the CZ stage's injections read their data wires out between the Z
+        # and the X parity blocks: each measured word's bit is read at its
+        # own position in a leaf's outcomes, none of the injection readouts
+        reads, lengths = [], set()
+
+        class Outcomes(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        walk = wit.branch_tree
+
+        def spied(level, steps):
+            leaves = walk(level, steps)
+            lengths.update(len(o) for o, _, _ in leaves)
+            return [(Outcomes(o), p, s) for o, p, s in leaves]
+
+        monkeypatch.setattr(wit, "branch_tree", spied)
+        wit.peres_mermin_circuit(do.plus_state(2), context, use_injected_cz)
+        assert lengths == {held} and sorted(set(reads)) == positions
+
     def test_selector_sets_match_documentation(self):
         assert wit.CONTEXT_SELECTORS["row1"] == {"d", "e"}
         assert wit.CONTEXT_SELECTORS["row2"] == {"a", "b", "c"}
