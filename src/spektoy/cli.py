@@ -29,7 +29,7 @@ from . import injection as inj
 from . import subtheory as stt
 from . import wigner as wg
 from . import witness as wit
-from .circuits import parse_circuit
+from .circuits import ATOL_END2END, parse_circuit
 from .errors import AuditError, CircuitParseError, GuardExceeded, SpektoyError
 
 SCHEMA_PREFIX = "spektoy"
@@ -43,7 +43,7 @@ class RunConfig:
     spec: str = "factorisable-rebit"
     seed: int = 0
     fmt: str = "json"
-    tolerance: float = 1e-9
+    tolerance: float = ATOL_END2END
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -53,7 +53,7 @@ class RunConfig:
             spec=getattr(args, "spec", "factorisable-rebit"),
             seed=getattr(args, "seed", 0),
             fmt=getattr(args, "format", "json"),
-            tolerance=getattr(args, "tolerance", 1e-9),
+            tolerance=getattr(args, "tolerance", ATOL_END2END),
         )
 
 
@@ -338,7 +338,11 @@ def _common_flags(parser, suppress: bool) -> None:
         default=d if suppress else "json",
     )
     parser.add_argument("--seed", type=int, default=d if suppress else 0)
-    parser.add_argument("--tolerance", type=float, default=d if suppress else 1e-9)
+    parser.add_argument(
+        "--tolerance", type=float, default=d if suppress else ATOL_END2END,
+        help="tolerance of the wigner non-negativity, equivalence deviation and "
+        "injection fidelity verdicts only; witness and subtheory reports echo it",
+    )
     parser.add_argument(
         "--out",
         default=d if suppress else None,

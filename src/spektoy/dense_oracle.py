@@ -320,14 +320,14 @@ def plus_state(n: int, d: int = 2) -> np.ndarray:
     return np.full(d**n, 1 / math.sqrt(d**n), dtype=complex)
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = ATOL_END2END) -> bool:
-    """Equality up to global phase: |<a|b>| > 1 - tol for unit vectors."""
+def states_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equality up to global phase: |<a|b>| > (1 - ATOL_END2END) |a| |b|."""
     if a.shape != b.shape:
         return False
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < tol or nb < tol:
-        return na < tol and nb < tol
-    return abs(np.vdot(a, b)) / (na * nb) > 1 - tol
+    if na < ATOL_END2END or nb < ATOL_END2END:
+        return na < ATOL_END2END and nb < ATOL_END2END
+    return abs(np.vdot(a, b)) / (na * nb) > 1 - ATOL_END2END
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -337,7 +337,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def canonical_phase(state: np.ndarray) -> np.ndarray:
     """Deterministic global-phase fix: largest-magnitude amplitude real > 0."""
     mags = np.abs(state)
-    idx = int(np.argmax(mags - 1e-12 * np.arange(len(state))))
+    idx = int(np.argmax(mags - ATOL_CONSTRUCT * np.arange(len(state))))
     if mags[idx] < ATOL_CONSTRUCT:
         return state.copy()
     return state * (mags[idx] / state[idx])
@@ -374,21 +374,17 @@ def label_projectors(lam, d: int) -> np.ndarray:
     read-only (d, d^n, d^n) array indexed by outcome k, built once per
     reduced label and d and shared.
 
-    For d=2 these are (I + H)/2 and (I - H)/2 on the Hermitian Pauli string
-    H, so outcome k has eigenvalue (-1)^k; for odd d they are the
-    eigenprojectors of the Weyl operator, outcome k having eigenvalue chi(k).
+    These are the weyl_char_projectors of the Hermitian label operator,
+    outcome k having eigenvalue chi(k): at d=2, (I + H)/2 and (I - H)/2 on
+    the Hermitian Pauli string H, so outcome k has eigenvalue (-1)^k.
     """
     return _label_projectors(tuple(int(x) % d for x in lam), d)
 
 
 @lru_cache(maxsize=None)
 def _label_projectors(lam: tuple[int, ...], d: int) -> np.ndarray:
-    if d == 2:
-        herm = _hermitian(lam)
-        eye = np.eye(herm.shape[0])
-        projs = np.array([(eye + herm) / 2, (eye - herm) / 2])
-    else:
-        projs = np.array(weyl_char_projectors(pauli(lam[0::2], lam[1::2], d), d))
+    op = _hermitian(lam) if d == 2 else pauli(lam[0::2], lam[1::2], d)
+    projs = np.array(weyl_char_projectors(op, d))
     projs.setflags(write=False)
     return projs
 
@@ -436,7 +432,7 @@ def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
         if len(stacks) < n:
             raise InvalidGenerators("generator string under-determines the state; add generators")
         vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-        if abs(vals[-1] - 1.0) > 1e-9:
+        if abs(vals[-1] - 1.0) > ATOL_END2END:
             raise InvalidGenerators("projector is not rank one")
         states.append(canonical_phase(vecs[:, -1]))
     return states
@@ -476,7 +472,7 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
     """Projective measurement of a Hermitian observable.
 
     Returns a list of (eigenvalue, probability, post_state) sorted by
-    descending eigenvalue, eigenvalues merged within 1e-8.
+    descending eigenvalue, eigenvalues merged within ATOL_END2END.
     """
     dim = obs.shape[0]
     if not np.allclose(obs, obs.conj().T, rtol=0, atol=ATOL_CONSTRUCT * dim):
@@ -484,7 +480,7 @@ def measure_observable(state: np.ndarray, obs: np.ndarray):
     vals, vecs = np.linalg.eigh(obs)
     groups: list[tuple[float, list[int]]] = []
     for i, v in enumerate(vals):
-        if groups and abs(groups[-1][0] - v) < 1e-8:
+        if groups and abs(groups[-1][0] - v) < ATOL_END2END:
             groups[-1][1].append(i)
         else:
             groups.append((float(v), [i]))

@@ -30,7 +30,7 @@ from . import phase_algebra as pa
 from . import subtheory as stt
 from . import toy_model as toy
 from . import wigner as wg
-from .circuits import Circuit, Correct, Gate, Measure, branch_tree
+from .circuits import ATOL_END2END, Circuit, Correct, Gate, Measure, branch_tree
 from .errors import AuditError, CircuitParseError, DimensionMismatch, InvalidGenerators
 
 
@@ -79,7 +79,7 @@ def quantum_state_for(epistemic: toy.EpistemicState) -> np.ndarray:
         k = pa.evaluate(sigma, epistemic.w, d) - outcome_offset(mu, d)
         rho = rho @ do.label_projectors(mu, d)[k % d]
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    if abs(vals[-1] - 1.0) > 1e-9:
+    if abs(vals[-1] - 1.0) > ATOL_END2END:
         raise DimensionMismatch("knowledge state does not pin a pure state")
     return do.canonical_phase(vecs[:, -1])
 
@@ -267,9 +267,11 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
 def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
     """Exhaustive branch-tree distribution over outcome tuples; each
     outcome is a 1-tuple (k,) to match the toy side's residue tuples.
-    Every step's operator shape is checked (DimensionMismatch), but the walk
-    stops at the last measurement: a leaf's probability is a product of
-    Born factors alone, so no later step changes it."""
+    Every step's kind and operator shape is checked (DimensionMismatch), but
+    the walk stops at the last measurement: a leaf's probability is a
+    product of Born factors alone, so no later step changes it."""
+    if bad := [kind for kind, _ in steps if kind not in ("gate", "measure")]:
+        raise DimensionMismatch(f"unknown step kind {bad[0]!r}")
     dim = len(state)
     for kind, op in steps:
         if np.shape(op) != ((dim, dim) if kind == "gate" else (len(op), dim, dim)):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import subtheory as stt
-from .circuits import Step, branch_tree
+from .circuits import ATOL_CONSTRUCT, ATOL_END2END, Step, branch_tree
 from .errors import DimensionMismatch
 
 HOST_GATES = frozenset({"CNOT", "X", "Z"})
@@ -80,7 +80,7 @@ def classify_correction(C: np.ndarray, n: int) -> Correction:
     for e in edges:
         czprod = czprod @ do.gate("CZ", e, n, 2)
     cand = do.pauli(q, p, 2) @ czprod
-    if not abs(np.vdot(cand.reshape(-1), C.reshape(-1))) / dim > 1 - 1e-9:
+    if not abs(np.vdot(cand.reshape(-1), C.reshape(-1))) / dim > 1 - ATOL_END2END:
         return Correction(C, "non-clifford", "non-clifford", ())
     factors = []
     for w in range(n):
@@ -108,7 +108,7 @@ def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
     dim = 2**n
     if U.shape != (dim, dim):
         raise DimensionMismatch(f"gate shape {U.shape} != ({dim}, {dim})")
-    if not np.allclose(U, np.diag(np.diag(U)), rtol=0, atol=1e-12):
+    if not np.allclose(U, np.diag(np.diag(U)), rtol=0, atol=ATOL_CONSTRUCT):
         raise DimensionMismatch("state injection needs a diagonal gate")
     resource = U @ do.plus_state(n)
     corrections = {}
@@ -333,7 +333,7 @@ def ccz_scheme_demo(input_state: np.ndarray) -> dict:
     boot_records = run_injection(cz_scheme, do.plus_state(2), audit=audit)
     cz_target = do.gate("CZ", (0, 1), 2, 2) @ do.plus_state(2)
     boot_ok = all(
-        r.fidelity >= 1 - 1e-9 and do.states_equal(r.final_state, cz_target)
+        r.fidelity >= 1 - ATOL_END2END and do.states_equal(r.final_state, cz_target)
         for r in boot_records
     )
 
@@ -460,7 +460,7 @@ def clifford_completion_demo() -> dict:
     )
     report["chain"] = ["CZ", "H", "S"]
     report["passed"] = bool(
-        all(s["min_fidelity"] >= 1 - 1e-9 for s in report["steps"])
+        all(s["min_fidelity"] >= 1 - ATOL_END2END for s in report["steps"])
         and report["generators_complete"]
         and all(v["verified"] for v in identities.values())
         and all(s["audit"]["clean"] for s in report["steps"])

@@ -161,18 +161,18 @@ def is_css(psi: np.ndarray, n: int) -> bool:
     cx = sum(
         1
         for q in itertools.product(range(2), repeat=n)
-        if abs(abs(np.vdot(psi, do.pauli(q, (0,) * n, 2) @ psi)) - 1) < 1e-9
+        if abs(abs(np.vdot(psi, do.pauli(q, (0,) * n, 2) @ psi)) - 1) < ATOL_END2END
     )
     cz = sum(
         1
         for p in itertools.product(range(2), repeat=n)
-        if abs(abs(np.vdot(psi, do.pauli((0,) * n, p, 2) @ psi)) - 1) < 1e-9
+        if abs(abs(np.vdot(psi, do.pauli((0,) * n, p, 2) @ psi)) - 1) < ATOL_END2END
     )
     return cx * cz == 2**n
 
 
 def is_real_state(psi: np.ndarray) -> bool:
-    return bool(np.abs(do.canonical_phase(psi).imag).max() < 1e-9)
+    return bool(np.abs(do.canonical_phase(psi).imag).max() < ATOL_END2END)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import phase_algebra as pa
+from .circuits import ATOL_CONSTRUCT, ATOL_END2END
 from .errors import DimensionMismatch, GuardExceeded
 
 SPEC_NAMES = ("gross", "delfosse-rebit", "factorisable-rebit")
@@ -112,13 +113,6 @@ def _stack_guard(spec: WignerSpec) -> None:
 
 
 @lru_cache(maxsize=32)
-def _weyl_stack(spec: WignerSpec) -> np.ndarray:
-    _stack_guard(spec)
-    pts = pa.all_points(spec.d, spec.n)
-    return np.stack([weyl(lam, spec) for lam in pts])
-
-
-@lru_cache(maxsize=32)
 def _phase_point_stack(spec: WignerSpec) -> np.ndarray:
     """A(lam) for every lam (lex order), each of unit trace."""
     _stack_guard(spec)
@@ -130,14 +124,14 @@ def _phase_point_stack(spec: WignerSpec) -> np.ndarray:
     sympl = (codes @ J @ codes.T) % d
     phases = np.exp(2j * np.pi * sympl / d)
     mask = np.array([spec.label_allowed(lam) for lam in pts], dtype=float)
-    T = _weyl_stack(spec)
+    T = np.stack([weyl(lam, spec) for lam in pts])
     raw = np.tensordot(phases * mask[None, :], T, axes=(1, 0))
     # unit-trace normalisation, checked to be lam-independent
     traces = np.trace(raw, axis1=1, axis2=2)
-    if abs(traces[0]) < 1e-12:
+    if abs(traces[0]) < ATOL_CONSTRUCT:
         raise DimensionMismatch("phase-point normalisation degenerate")
     norm = traces[0].real
-    assert np.allclose(traces, norm, rtol=0, atol=1e-9)
+    assert np.allclose(traces, norm, rtol=0, atol=ATOL_END2END)
     out = raw / norm
     out.setflags(write=False)
     return out
@@ -175,9 +169,9 @@ class WignerTable:
     def total(self) -> float:
         return float(self.values.sum())
 
-    def support(self, tol: float = 1e-9) -> tuple[tuple[int, ...], ...]:
+    def support(self) -> tuple[tuple[int, ...], ...]:
         pts = pa.all_points(self.spec.d, self.spec.n)
-        return tuple(p for p, v in zip(pts, self.values) if abs(v) > tol)
+        return tuple(p for p, v in zip(pts, self.values) if abs(v) > ATOL_END2END)
 
     def as_json(self) -> dict:
         pts = pa.all_points(self.spec.d, self.spec.n)
@@ -221,7 +215,7 @@ def _tables(states: np.ndarray, spec: WignerSpec) -> tuple[np.ndarray, np.ndarra
             rho_t = blk.transpose(0, 2, 1)
         vals[lo : lo + step] = rho_t.reshape(len(blk), -1) @ flat.T
     total = vals.real.sum(axis=1)
-    if np.any(np.abs(total) < 1e-12):
+    if np.any(np.abs(total) < ATOL_CONSTRUCT):
         raise DimensionMismatch("state table sums to zero")
     return vals.real / total[:, None], np.abs(vals.imag).max(axis=1) / np.abs(total)
 
@@ -253,7 +247,7 @@ def _offending(values: np.ndarray, residue: float, d: int, n: int, tol: float) -
     return offending
 
 
-def is_nonnegative(table: WignerTable, tol: float = 1e-9):
+def is_nonnegative(table: WignerTable, tol: float = ATOL_END2END):
     """(verdict, offending points with their values).
 
     A table with a genuine imaginary residue is not a probability
@@ -264,25 +258,25 @@ def is_nonnegative(table: WignerTable, tol: float = 1e-9):
     return (len(offending) == 0, offending)
 
 
-def _first_negative(values: np.ndarray, residues: np.ndarray, d: int, n: int, tol: float = 1e-9):
+def _first_negative(values: np.ndarray, residues: np.ndarray, d: int, n: int):
     """(row index, offending points) of the first row of a table stack that
     is_nonnegative rejects, or None when every row passes."""
-    bad = np.flatnonzero((values < -tol).any(axis=1) | (residues > tol))
+    bad = np.flatnonzero((values < -ATOL_END2END).any(axis=1) | (residues > ATOL_END2END))
     if bad.size == 0:
         return None
     i = int(bad[0])
-    return i, _offending(values[i], residues[i], d, n, tol)
+    return i, _offending(values[i], residues[i], d, n, ATOL_END2END)
 
 
-def _indicator_coset(values: np.ndarray, d: int, n: int, tol: float = 1e-9):
+def _indicator_coset(values: np.ndarray, d: int, n: int):
     """(U, base) with the table row values uniform on the coset U + base
     and 0 elsewhere, or None when it is not such an indicator.
 
     Every support point s lies in U + base, U being spanned by the s - base,
     so the support is the coset exactly when it has d^dim(U) points."""
-    codes = np.flatnonzero(np.abs(values) > tol)
+    codes = np.flatnonzero(np.abs(values) > ATOL_END2END)
     vals = values[codes].tolist()
-    if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
+    if not vals or max(vals) - min(vals) > ATOL_END2END or abs(sum(vals) - 1) > ATOL_END2END:
         return None
     supp = _lex(d, n)[0][codes]
     U = pa.Subspace.from_generators(supp - supp[0], d, n)
@@ -291,9 +285,9 @@ def _indicator_coset(values: np.ndarray, d: int, n: int, tol: float = 1e-9):
     return U, tuple(supp[0].tolist())
 
 
-def is_coset_indicator(table: WignerTable, tol: float = 1e-9) -> bool:
+def is_coset_indicator(table: WignerTable) -> bool:
     """True iff the table is uniform on an affine subspace and 0 elsewhere."""
-    return _indicator_coset(table.values, table.spec.d, table.spec.n, tol) is not None
+    return _indicator_coset(table.values, table.spec.d, table.spec.n) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +313,7 @@ def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
 
 def _covariant(before: np.ndarray, after: np.ndarray, g: pa.AffineSymplectic) -> bool:
     """Every after row equals its before row read at S lam + a."""
-    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], rtol=0, atol=1e-9)
+    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], rtol=0, atol=ATOL_END2END)
 
 
 def _affine_map(codes, d: int, n: int) -> pa.AffineSymplectic | None:
@@ -338,7 +332,7 @@ def _affine_map(codes, d: int, n: int) -> pa.AffineSymplectic | None:
 
 def _fit_guard(before: np.ndarray, after: np.ndarray, spec: WignerSpec) -> list:
     """The candidate list of each basis point b = 0, e_1, ..., e_2n: the
-    lex codes mu with before[:, mu] = after[:, b] within 1e-9 on every row.
+    lex codes mu with before[:, mu] = after[:, b] within ATOL_END2END on every row.
 
     Raises DimensionMismatch for an empty state set, and GuardExceeded
     when the product of the list sizes exceeds pa.AFFINE_ENUM_GUARD."""
@@ -346,7 +340,7 @@ def _fit_guard(before: np.ndarray, after: np.ndarray, spec: WignerSpec) -> list:
         raise DimensionMismatch("state_set must be nonempty")
     _, weights = _lex(spec.d, spec.n)
     lists = [
-        np.flatnonzero(np.abs(before - after[:, [b]]).max(axis=0) <= 1e-9)
+        np.flatnonzero(np.abs(before - after[:, [b]]).max(axis=0) <= ATOL_END2END)
         for b in (0, *weights)
     ]
     total = math.prod(map(len, lists))
@@ -413,12 +407,13 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
     of the stack transported once (U* A(lam) U) only their images are
     matched against the stack: the unique partners give a and the columns
     of S.  One product gives every squared distance between those images
-    and the stack rows; the near rows (a partner within 1e-9 entrywise is
-    far inside 1e-6) are compared entry by entry.  Then U* A(lam) U =
-    A(S lam + a) is checked at every lam at once, which witnesses
-    covariance for *all* states.  Returns None when a basis point has no
-    unique partner, S is not symplectic or the check fails, which does not
-    by itself rule out covariance on the tables of a state set."""
+    and the stack rows; the near rows (squared distance below ATOL_END2END,
+    far above that of a partner within ATOL_END2END entrywise) are compared
+    entry by entry.  Then U* A(lam) U = A(S lam + a) is checked at every
+    lam at once, which witnesses covariance for *all* states.  Returns None
+    when a basis point has no unique partner, S is not symplectic or the
+    check fails, which does not by itself rule out covariance on the tables
+    of a state set."""
     d, n = spec.d, spec.n
     A = _phase_point_stack(spec)
     flat = A.reshape(len(A), -1)
@@ -429,13 +424,13 @@ def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic |
     # conjugation by U keeps each operator's norm
     norms = np.vecdot(flat, flat).real
     dist = norms[basis][:, None] + norms - 2 * (images.conj() @ flat.T).real
-    rows, cols = np.nonzero(dist < 1e-6)
-    hit = np.abs(flat[cols] - images[rows]).max(axis=1) < 1e-9
+    rows, cols = np.nonzero(dist < ATOL_END2END)
+    hit = np.abs(flat[cols] - images[rows]).max(axis=1) < ATOL_END2END
     rows, cols = rows[hit], cols[hit]
     if not np.array_equal(rows, np.arange(len(basis))):
         return None
     g = _affine_map(cols.tolist(), d, n)
-    if g is None or np.abs(moved - A[_image_codes(g.S, g.a, d)]).max() >= 1e-9:
+    if g is None or np.abs(moved - A[_image_codes(g.S, g.a, d)]).max() >= ATOL_END2END:
         return None
     return g
 
@@ -483,9 +478,9 @@ class TransitionMatrix:
     def is_permutation(self) -> bool:
         m = self.matrix
         return (
-            np.all((np.abs(m) < 1e-12) | (np.abs(m - 1) < 1e-12))
-            and np.all(np.abs(m.sum(axis=0) - 1) < 1e-12)
-            and np.all(np.abs(m.sum(axis=1) - 1) < 1e-12)
+            np.all((np.abs(m) < ATOL_CONSTRUCT) | (np.abs(m - 1) < ATOL_CONSTRUCT))
+            and np.all(np.abs(m.sum(axis=0) - 1) < ATOL_CONSTRUCT)
+            and np.all(np.abs(m.sum(axis=1) - 1) < ATOL_CONSTRUCT)
         )
 
 
@@ -527,7 +522,7 @@ def verify_hermitian_criterion(n: int) -> bool:
     restricted = delfosse_rebit_spec(n)
     for lam in pa.all_points(2, n):
         T = weyl(lam, spec)
-        if np.allclose(T, T.conj().T, rtol=0, atol=1e-12) != restricted.label_allowed(lam):
+        if np.allclose(T, T.conj().T, rtol=0, atol=ATOL_CONSTRUCT) != restricted.label_allowed(lam):
             return False
     return True
 
@@ -552,7 +547,7 @@ def verify_hermitian_equivalence(n: int) -> dict:
         "counterexamples": [],
     }
     for i, lam in enumerate(pa.all_points(2, n)):
-        if not np.allclose(Ar[i], hermitian_part(Af[i]), rtol=0, atol=1e-12):
+        if not np.allclose(Ar[i], hermitian_part(Af[i]), rtol=0, atol=ATOL_CONSTRUCT):
             report["operator_identity"] = False
             report["counterexamples"].append({"kind": "operator", "lam": list(lam)})
     from .subtheory import css_states
@@ -561,7 +556,7 @@ def verify_hermitian_equivalence(n: int) -> dict:
     for idx, psi in enumerate(states):
         tr = wigner_of_state(psi, spec_r).values
         tf = wigner_of_state(psi, spec_f).values
-        if not np.allclose(tr, tf, rtol=0, atol=1e-9):
+        if not np.allclose(tr, tf, rtol=0, atol=ATOL_END2END):
             report["table_agreement"] = False
             report["counterexamples"].append({"kind": "table", "state_index": idx})
     report["css_state_count"] = len(states)

@@ -25,7 +25,7 @@ import numpy as np
 from . import dense_oracle as do
 from . import injection as inj
 from . import subtheory as stt
-from .circuits import Step, branch_tree
+from .circuits import ATOL_CONSTRUCT, ATOL_END2END, Step, branch_tree
 from .dense_oracle import pauli_op
 from .errors import DimensionMismatch
 
@@ -74,9 +74,9 @@ class ContextTable:
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.allclose(a, b, rtol=0, atol=1e-12) over the last two axes, elementwise
-    over the leading ones."""
-    return np.isclose(a, b, rtol=0, atol=1e-12).all(axis=(-2, -1))
+    """np.allclose(a, b, rtol=0, atol=ATOL_CONSTRUCT) over the last two axes,
+    elementwise over the leading ones."""
+    return np.isclose(a, b, rtol=0, atol=ATOL_CONSTRUCT).all(axis=(-2, -1))
 
 
 def _line_tables(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +107,6 @@ def standard_square() -> ContextTable:
     )
 
 
-#: most assignments per block of the sweep
-_SWEEP_BLOCK = 1 << 16
-
-
 def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
     """Check every noncontextual +-1 assignment of k values against lines
     [(value indices, sign)], a line holding when its values multiply to its
@@ -121,22 +117,16 @@ def _sweep(k: int, lines) -> tuple[int, int, tuple[int, ...] | None]:
     gives value i the sign (-1)^(bit i), so a line's product is the parity
     of bits & mask, where the line's mask XORs in 1 << i per index (a
     repeated index cancels): the line holds when that parity equals its
-    minus-sign bit.  Assignments run as arrays, _SWEEP_BLOCK at a time.
+    minus-sign bit.  The assignments run as one array.
     """
     masks = np.array([reduce(xor, (1 << i for i in idxs), 0) for idxs, _ in lines], dtype=np.int64)
     minus = np.array([sign < 0 for _, sign in lines], dtype=np.uint8)
-    satisfying = best = 0
-    first = None
-    for lo in range(0, 2**k, _SWEEP_BLOCK):
-        bits = np.arange(lo, min(lo + _SWEEP_BLOCK, 2**k), dtype=np.int64)
-        held = ((np.bitwise_count(bits[:, None] & masks) & 1) == minus).sum(axis=1)
-        every = held == len(masks)
-        satisfying += int(every.sum())
-        if first is None and every.any():
-            first = lo + int(every.argmax())
-        best = max(best, int(held.max()))
-    example = None if first is None else tuple(1 - 2 * ((first >> i) & 1) for i in range(k))
-    return satisfying, best, example
+    bits = np.arange(2**k, dtype=np.int64)
+    held = ((np.bitwise_count(bits[:, None] & masks) & 1) == minus).sum(axis=1)
+    every = held == len(masks)
+    first = int(every.argmax())
+    example = tuple(1 - 2 * ((first >> i) & 1) for i in range(k)) if every[first] else None
+    return int(every.sum()), int(held.max()), example
 
 
 def assignment_search(table: ContextTable) -> dict:
@@ -432,7 +422,7 @@ def ghz_report() -> dict:
         "eigenvalues": eigs,
         "expected": constraints,
         "eigenvalues_match": all(
-            abs(eigs[w] - constraints[w]) < 1e-9 for w in observables
+            abs(eigs[w] - constraints[w]) < ATOL_END2END for w in observables
         ),
         "assignments_checked": 64,
         "satisfying": satisfying,
@@ -460,8 +450,8 @@ def chsh_report() -> dict:
     b0 = T @ Y @ T.conj().T
     b1 = T @ X @ T.conj().T
     conj_checks = {
-        "B0=TYT+=(Y-X)/sqrt2": bool(np.allclose(b0, (Y - X) / math.sqrt(2), rtol=0, atol=1e-12)),
-        "B1=TXT+=(X+Y)/sqrt2": bool(np.allclose(b1, (X + Y) / math.sqrt(2), rtol=0, atol=1e-12)),
+        "B0=TYT+=(Y-X)/sqrt2": bool(_close(b0, (Y - X) / math.sqrt(2))),
+        "B1=TXT+=(X+Y)/sqrt2": bool(_close(b1, (X + Y) / math.sqrt(2))),
     }
     A = {0: Y, 1: X}
     B = {0: b0, 1: b1}

@@ -71,7 +71,7 @@ def test_criterion_02_gross_nonnegativity_and_covariance():
         assert len(states) == {1: 12, 2: 360}[n]
         for psi in states:
             t = wg.wigner_of_state(psi, spec)
-            ok = ok and wg.is_nonnegative(t, TOL)[0] and wg.is_coset_indicator(t, TOL)
+            ok = ok and wg.is_nonnegative(t, TOL)[0] and wg.is_coset_indicator(t)
         gens = [("F", (0,)), ("P", (0,)), ("X", (0,)), ("Z", (0,))]
         if n == 2:
             gens += [("F", (1,)), ("P", (1,)), ("X", (1,)), ("Z", (1,)),

@@ -203,9 +203,9 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
 
         def unreachable(*args):
-            raise AssertionError("Weyl stack built past the guard")
+            raise AssertionError("Weyl operator built past the guard")
 
-        monkeypatch.setattr(wg, "_weyl_stack", unreachable)
+        monkeypatch.setattr(wg, "weyl", unreachable)
         code, out = run_cli(argv)
         assert code == 3 and out == ""
         assert "phase-point stack has 16777216 > 1048576 entries" in capsys.readouterr().err

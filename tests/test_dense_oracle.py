@@ -434,7 +434,7 @@ def ref_label_projectors(lam, d):
 
 
 class TestLabelProjectorCache:
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
     def test_equals_the_per_call_builder(self, d, n):
         for lam in itertools.product(range(d), repeat=2 * n):
             projs = do.label_projectors(lam, d)

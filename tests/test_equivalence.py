@@ -93,7 +93,7 @@ class TestDictionary:
 
 def ref_is_coset_indicator(table, tol=1e-9):
     """is_coset_indicator as it was before the shared coset reader."""
-    supp = table.support(tol)
+    supp = [p for p in pa.all_points(table.spec.d, table.spec.n) if abs(table.value(p)) > tol]
     if not supp:
         return False
     vals = [table.value(p) for p in supp]
@@ -192,6 +192,20 @@ class TestStatisticsStopAtLastMeasurement:
                      [("gate", np.eye(4)), ("measure", do.label_projectors((0, 1), 2))]):
             with pytest.raises(DimensionMismatch, match="on a 4-dim state"):
                 eqv.dense_statistics(psi, head + tail)
+
+    def test_unknown_step_kind_raises_on_both_sides(self):
+        with pytest.raises(DimensionMismatch, match="unknown step kind 'reset'"):
+            eqv.dense_statistics(do.plus_state(1), [("reset", do.label_projectors((0, 1), 2))])
+        host = eqv.host_model("minimal-rebit", 2)
+        pc = eqv.random_paired_circuit(host, np.random.default_rng(0))
+        reset = host.measurement_step((0, 1, 0, 0))
+        for at in (0, len(pc.toy_steps)):
+            with pytest.raises(DimensionMismatch, match="unknown step kind 'reset'"):
+                toy.statistics(pc.epistemic, pc.toy_steps[:at] + [("reset", reset)] + pc.toy_steps[at:])
+            # the kind is checked before any operator's shape
+            dense = pc.dense_steps[:at] + [("reset", np.eye(8))] + pc.dense_steps[at:]
+            with pytest.raises(DimensionMismatch, match="unknown step kind 'reset'"):
+                eqv.dense_statistics(pc.dense_state, dense)
 
 
 class TestTextCircuits:

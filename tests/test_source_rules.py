@@ -15,6 +15,9 @@
   one serialiser.
 * Only dense_oracle calls np.multiply.outer: dense_oracle.append_step is
   the one append of wires to a walker's register.
+* No float constant in (0, 1e-3) outside circuits.py's two assignments of
+  ATOL_CONSTRUCT and ATOL_END2END: every tolerance reads one of the two
+  names.
 """
 
 import ast
@@ -128,6 +131,19 @@ def outer_product_calls(tree):
             and node.func.value.value.id == "np"]
 
 
+TOLERANCES = ("ATOL_CONSTRUCT", "ATOL_END2END")
+
+
+def tolerance_literals(tree, names=()):
+    """Line numbers of float constants in (0, 1e-3), except the value of a
+    module-level assignment to one of names alone."""
+    named = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in names}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < node.value < 1e-3 and id(node) not in named)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -159,6 +175,11 @@ def test_one_register_append(name, tree):
         assert outer_product_calls(tree) == []
 
 
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_tolerances_are_named(name, tree):
+    assert tolerance_literals(tree, TOLERANCES if name == "circuits.py" else ()) == []
+
+
 def test_rules_catch_violations():
     tree = ast.parse(
         "import numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import wigner\n"
@@ -183,6 +204,13 @@ def test_rules_catch_violations():
         "x.multiply.outer(a, b)\ny = [np.multiply.outer(a, s) for s in b]\n"
     )
     assert outer_product_calls(tree) == [1, 6]
+    tree = ast.parse(
+        "ATOL_CONSTRUCT = 1e-12\nATOL_END2END = 1e-9\nnp.allclose(a, b, rtol=0, atol=1e-9)\n"
+        "ok = x < 1e-12\ny = 1 - 1e-9\nz = win > best + 1e-3\nw = v < ATOL_END2END\n"
+        "u = 0.0 + 0.5 + 1e-3 * 2\ndef f():\n    ATOL_END2END = 1e-6\nATOL = ATOL_CONSTRUCT = 1e-8\n"
+    )
+    assert tolerance_literals(tree, TOLERANCES) == [3, 4, 5, 10, 11]
+    assert tolerance_literals(tree) == [1, 2, 3, 4, 5, 10, 11]
 
 
 def test_private_code_is_read():

@@ -415,7 +415,7 @@ def ref_is_nonnegative(table, tol=1e-9):
 
 
 def ref_is_coset_indicator(table, tol=1e-9):
-    supp = table.support(tol)
+    supp = [p for p in pa.all_points(table.spec.d, table.spec.n) if abs(table.value(p)) > tol]
     vals = [table.value(p) for p in supp]
     if not vals or max(vals) - min(vals) > tol or abs(sum(vals) - 1) > tol:
         return False

@@ -94,13 +94,11 @@ class TestStackGuard:
         def unreachable(*args):
             raise AssertionError("stack built past the guard")
 
-        weyl_stack = wg._weyl_stack
         spec = wg.WignerSpec("gross" if d > 2 else "delfosse-rebit", d, n)
-        for owner, attr in ((wg, "_weyl_stack"), (wg, "weyl"), (pa, "all_points")):
+        for owner, attr in ((wg, "weyl"), (pa, "all_points")):
             monkeypatch.setattr(owner, attr, unreachable)
-        for build in (wg._phase_point_stack, weyl_stack):
-            with pytest.raises(GuardExceeded, match="phase-point stack has"):
-                build(spec)
+        with pytest.raises(GuardExceeded, match="phase-point stack has"):
+            wg._phase_point_stack(spec)
 
 
 class TestPhasePoint:

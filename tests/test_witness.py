@@ -154,18 +154,17 @@ def test_sweep_at_k15_with_a_planted_assignment():
     assert got[0] > 0 and got[1] == len(lines)
 
 
-@pytest.mark.parametrize("block", [1, 3, 7, 64])
-def test_sweep_across_block_boundaries(block, monkeypatch):
-    rng = np.random.default_rng(block)
-    cases = [(7, planted_lines(rng, 7, 5)), (7, planted_lines(rng, 7, 9))]
+@pytest.mark.parametrize("k,lines", [
+    (7, planted_lines(np.random.default_rng(5), 7, 5)),
+    (7, planted_lines(np.random.default_rng(9), 7, 9)),
     # only the last assignment (every value -1) holds all lines
-    cases.append((6, [((i,), -1) for i in range(6)]))
-    # no assignment holds: the best count comes from a later block
-    cases.append((5, [((0,), 1), ((0,), -1), ((1, 2), -1), ((3, 4), 1)]))
-    cases.append((0, []))
-    monkeypatch.setattr(wit, "_SWEEP_BLOCK", block)
-    for k, lines in cases:
-        assert wit._sweep(k, lines) == ref_sweep(k, lines), (k, lines)
+    (6, [((i,), -1) for i in range(6)]),
+    # two lines contradict, so no assignment holds every line
+    (5, [((0,), 1), ((0,), -1), ((1, 2), -1), ((3, 4), 1)]),
+    (0, []),
+], ids=["planted-5", "planted-9", "last-only", "none-hold", "no-values"])
+def test_sweep_pinned_cases(k, lines):
+    assert wit._sweep(k, lines) == ref_sweep(k, lines)
 
 
 def ref_s_reachable_words():
