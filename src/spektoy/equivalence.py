@@ -106,18 +106,6 @@ class HostModel:
         self._gate_cache: dict[tuple[str, tuple[int, ...]], pa.AffineSymplectic] = {}
         self._measure_cache: dict[tuple[int, ...], toy.SharpMeasurement] = {}
 
-    @property
-    def d(self) -> int:
-        return self.sub.d
-
-    @property
-    def n(self) -> int:
-        return self.sub.n
-
-    @property
-    def spec(self) -> wg.WignerSpec:
-        return self.sub.spec
-
     def gate_matrix(self, name: str, wires: tuple[int, ...]) -> np.ndarray:
         """The dense matrix of a named gate: the host generator's when
         (name, wires) names one (as for css-rebit's compound H*), else
@@ -128,7 +116,7 @@ class HostModel:
         if key in gens:
             return gens[key]
         try:
-            return do.gate(name, wires, self.n, self.d)
+            return do.gate(name, wires, self.sub.n, self.sub.d)
         except CircuitParseError:
             if any(gen_name == key[0] for gen_name, _ in gens):
                 raise AuditError(f"gate {key[0]!r} of host {self.sub.name!r} "
@@ -143,7 +131,7 @@ class HostModel:
         forward, so the gate acts as g^{-1}."""
         key = (name.upper(), tuple(wires))
         if key not in self._gate_cache:
-            witness = wg.phase_space_action(self.gate_matrix(name, wires), self.spec)
+            witness = wg.phase_space_action(self.gate_matrix(name, wires), self.sub.spec)
             if witness is None:
                 raise AuditError(f"gate {key} has no covariant action")
             self._gate_cache[key] = witness.inverse()
@@ -153,23 +141,14 @@ class HostModel:
         """The toy measurement of label mu: its functional J^T mu, offset by
         c(mu) so that it reads mu's outcome; built once per label."""
         if mu not in self._measure_cache:
-            sigma, c = functional_for_label(mu, self.d), outcome_offset(mu, self.d)
-            self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.d, self.n, (c,))
+            sigma, c = functional_for_label(mu, self.sub.d), outcome_offset(mu, self.sub.d)
+            self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.sub.d, self.sub.n, (c,))
         return self._measure_cache[mu]
-
-    def allowed_gate_names(self) -> set[str]:
-        names = {g.name for g in self.sub.gate_generators}
-        names.add("SWAP")
-        if "SUM" in names:
-            names.add("CNOT")
-        if self.d == 2:
-            names.add("Y")  # X.Z composition up to phase
-        return names
 
     def audit_circuit(self, circuit: Circuit) -> np.ndarray:
         """Raise AuditError naming the first element outside the host;
         return the input state, the all-zero basis state without INIT."""
-        allowed = self.allowed_gate_names()
+        allowed = self.sub.allowed_gate_names
         observables = set(self.sub.observables)
         for ins in circuit.instructions:
             if isinstance(ins, (Gate, Correct)):
@@ -180,7 +159,7 @@ class HostModel:
                     )
             elif isinstance(ins, Measure):
                 try:
-                    lam = do.basis_label(ins.basis, ins.wires, self.n, self.d)
+                    lam = do.basis_label(ins.basis, ins.wires, self.sub.n, self.sub.d)
                 except CircuitParseError as e:
                     raise AuditError(str(e)) from None
                 if lam not in observables:
@@ -189,8 +168,8 @@ class HostModel:
                         f"is not an allowed observable of host {self.sub.name!r}"
                     )
         if circuit.init_spec is None:
-            return do.basis_state([0] * self.n, self.d)
-        psi = do.parse_state_spec(circuit.init_spec, d=self.d, n=self.n)
+            return do.basis_state([0] * self.sub.n, self.sub.d)
+        psi = do.parse_state_spec(circuit.init_spec, d=self.sub.d, n=self.sub.n)
         if stt.state_index(self.sub.states, psi) is None:
             raise AuditError(f"initial state {circuit.init_spec!r} is not an allowed state")
         return psi
@@ -233,7 +212,7 @@ def _random_css_knowledge(n: int, rng) -> pa.Subspace:
 
 
 def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit:
-    d, n = host.d, host.n
+    d, n = host.sub.d, host.sub.n
     if d == 2:
         # rebit hosts: knowledge built from position/momentum functionals
         # (whose duals are the X/Z-split stabilizer groups)
@@ -315,8 +294,8 @@ def check_random_equivalence(
             worst_desc = pc.description
     return {
         "host": host.sub.name,
-        "d": host.d,
-        "n": host.n,
+        "d": host.sub.d,
+        "n": host.sub.n,
         "circuits": n_circuits,
         "max_deviation": worst,
         "worst_circuit": worst_desc,
@@ -333,15 +312,15 @@ def circuit_statistics_both_ways(circuit: Circuit, host: HostModel):
     keys are tuples of per-measurement residue tuples in program order,
     labelled as run_circuit labels them.
     """
-    psi = host.audit_circuit(circuit)
-    d, n = host.d, host.n
+    d, n = host.sub.d, host.sub.n
     if circuit.n_wires > n:
         raise DimensionMismatch(f"circuit needs {circuit.n_wires} wires, host has {n}")
+    psi = host.audit_circuit(circuit)
     for ins in circuit.instructions:
         if isinstance(ins, Correct):
             raise AuditError("classically controlled corrections are not part of "
                              "the equivalence pipeline")
-    epistemic = epistemic_state_for(psi, host.spec)
+    epistemic = epistemic_state_for(psi, host.sub.spec)
 
     toy_steps, dense_steps = [], []
     for ins in circuit.instructions:

@@ -15,6 +15,7 @@ entirely.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -28,9 +29,6 @@ from . import dense_oracle as do
 from . import subtheory as stt
 from .circuits import ATOL_CONSTRUCT, ATOL_END2END, Step, branch_tree
 from .errors import DimensionMismatch
-
-HOST_GATES = frozenset({"CNOT", "X", "Z"})
-HOST_MEAS = frozenset({"Z", "X"})
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,15 +150,15 @@ class InjectionRecord:
 class AuditTrail:
     """Counter of circuit elements plus the tier-2 and off-host ones.
 
-    host_gates/host_meas default to the minimal host; the minimality probe
-    passes reduced sets to show which capability each element carries.
+    host defaults to the two-rebit minimal subtheory, the smallest with
+    CNOT; the minimality probe passes reduced hosts to show which
+    capability each element carries.
     """
 
     elements: Counter = field(default_factory=Counter)
     tier2: Counter = field(default_factory=Counter)
     violations: list = field(default_factory=list)
-    host_gates: frozenset = HOST_GATES
-    host_meas: frozenset = HOST_MEAS
+    host: stt.Subtheory = field(default_factory=lambda: stt.minimal_rebit_subtheory(2))
 
     def use_gate(self, name: str, injected: frozenset = frozenset(), count: int = 1):
         name = name.upper()
@@ -168,7 +166,7 @@ class AuditTrail:
             self.use_gate("CNOT", injected, 3 * count)
             return
         self.elements[name] += count
-        if name in self.host_gates:
+        if name in self.host.allowed_gate_names:
             return
         if name in injected:
             self.tier2[name] += count
@@ -178,7 +176,7 @@ class AuditTrail:
     def use_measurement(self, basis: str):
         key = f"MEAS {basis.upper()}"
         self.elements[key] += 1
-        if basis.upper() not in self.host_meas:
+        if do.basis_label(basis, (0,), self.host.n) not in self.host.observables:
             self.violations.append(key)
 
     def use_resource(self, name: str):
@@ -471,28 +469,28 @@ def clifford_completion_demo() -> dict:
 def minimality_probe() -> dict:
     """Show that each host element carries an injection capability.
 
-    Re-runs the injection constructions with that element removed from the
-    audit whitelist and records the violation that appears: losing any of
-    CNOT, X, Z, the Z measurement, or the X measurement breaks a documented
-    step of the chain.
+    Re-runs the injection constructions against the default host with that
+    element removed and records the violation that appears: losing any of
+    the CNOT, X or Z generators, the Z observables, or the X observables
+    breaks a documented step of the chain.
     """
+    host = AuditTrail().host
     probes = {
-        "CNOT": dict(host_gates=HOST_GATES - {"CNOT"}),
-        "X": dict(host_gates=HOST_GATES - {"X"}),
-        "Z": dict(host_gates=HOST_GATES - {"Z"}),
-        "Z-measurement": dict(host_meas=HOST_MEAS - {"Z"}),
-        "X-observables": dict(host_meas=HOST_MEAS - {"X"}),
+        name: dataclasses.replace(
+            host, gate_generators=tuple(g for g in host.gate_generators if g.name != name))
+        for name in ("CNOT", "X", "Z")
     }
+    for element, letter in (("Z-measurement", "Z"), ("X-observables", "X")):
+        kept = tuple(lam for lam in host.observables if letter not in do.label_name(lam, 2))
+        probes[element] = dataclasses.replace(host, observables=kept)
     out = {}
-    for element, kwargs in probes.items():
-        audit = AuditTrail(**{k: frozenset(v) for k, v in kwargs.items()})
+    for element, reduced in probes.items():
+        audit = AuditTrail(host=reduced)
         if element == "X-observables":
             # the Hadamard construction is the X-measurement consumer
-            branch_tree(
-                do.basis_state([0])[None],
-                [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)],
-            )
+            steps = [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)]
             audit.use_measurement("X")
+            branch_tree(do.basis_state([0])[None], [*steps, do.readout_step(0, "X")])
         elif element == "Z":
             # Z appears in CZ-injection corrections (XZ / ZX branches)
             run_injection(scheme_for("CZ"), do.plus_state(2), audit=audit)

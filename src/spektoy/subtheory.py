@@ -317,8 +317,16 @@ class Subtheory:
     def n(self) -> int:
         return self.spec.n
 
-    def gate_names(self) -> tuple[str, ...]:
-        return tuple(sorted({g.name for g in self.gate_generators}))
+    @cached_property
+    def allowed_gate_names(self) -> frozenset[str]:
+        """Generator names plus SWAP, CNOT where SUM is one, and at d=2 Y
+        (X.Z up to phase) where X and Z both are."""
+        names = {g.name for g in self.gate_generators} | {"SWAP"}
+        if "SUM" in names:
+            names.add("CNOT")
+        if self.d == 2 and {"X", "Z"} <= names:
+            names.add("Y")
+        return frozenset(names)
 
     def manifest(self, certificates: dict | None = None) -> dict:
         return {

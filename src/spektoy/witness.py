@@ -185,10 +185,11 @@ def s_reachable_words() -> dict[str, str]:
     """Two-qubit Pauli words reachable by conjugating X-type host words
     with single-site S gates; maps word -> origin ('host' or 'S'), each
     image read off the S gates' exact Pauli actions."""
-    out = {w: "host" for w in ("IX", "XI", "XX", "IZ", "ZI", "ZZ")}
+    host = stt.minimal_rebit_subtheory(2).observables
+    out = {do.label_name(lam, 2): "host" for lam in host if any(lam)}
     s0, s1 = do.gate("S", (0,), 2), do.gate("S", (1,), 2)
     actions = [do.pauli_action(conj) for conj in (s0, s1, s0 @ s1)]
-    for w in ("IX", "XI", "XX"):
+    for w in [w for w in out if "Z" not in w]:
         for K in actions:
             out.setdefault(do.pauli_image(K, w)[1], "S")
     return out
@@ -414,9 +415,10 @@ def ghz_report() -> dict:
     # multiply to +1 on every assignment while the constraints multiply to -1
     every_index = sum((idxs for idxs, _ in lines), ())
     forced = _sweep(6, [(every_index, 1)])[0] == 2**6
-    gate_audit = {w: "needs S or CZ" if "Y" in w else "host" for w in observables}
-    host_states = stt.minimal_rebit_subtheory(3).states
-    ghz_in_host = stt.state_index(host_states, ghz) is not None
+    host = stt.minimal_rebit_subtheory(3)
+    host_words = {do.label_name(lam, 2) for lam in host.observables}
+    gate_audit = {w: "host" if w in host_words else "needs S or CZ" for w in observables}
+    ghz_in_host = stt.state_index(host.states, ghz) is not None
     return {
         "witness": "ghz",
         "eigenvalues": eigs,

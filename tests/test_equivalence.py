@@ -251,6 +251,14 @@ class TestTextCircuits:
                 parse_circuit("INIT CZ|++>\nMEAS Z 0 -> v\n", n_wires=2), host
             )
 
+    @pytest.mark.parametrize("text", ["MEAS Z 2 -> m\n", "GATE X 2\n"], ids=["meas", "gate"])
+    def test_wire_count_is_checked_before_the_audit(self, text):
+        # a measurement off the register once reached basis_label inside the
+        # audit and raised IndexError; both kinds now name the wire counts
+        host = eqv.host_model("minimal-rebit", 2)
+        with pytest.raises(DimensionMismatch, match="circuit needs 3 wires, host has 2"):
+            eqv.circuit_statistics_both_ways(parse_circuit(text), host)
+
     def test_mixed_separable_measurement_sequence(self):
         host = eqv.host_model("minimal-rebit", 2)
         circ = parse_circuit(
@@ -373,14 +381,14 @@ class TestOutcomeOffset:
 def ref_gate_action(host, U):
     """The gate action as the covariance witness over the host's state
     census, inverted; None where the census admits no witness."""
-    witness, _ = wg.covariance_witness(U, host.spec, host.sub.states)
+    witness, _ = wg.covariance_witness(U, host.sub.spec, host.sub.states)
     return None if witness is None else witness.inverse()
 
 
 def ref_random_paired_circuit(host, rng, depth=5):
     """random_paired_circuit with projectors built per call, gate actions
     read off the state census and each toy measurement built afresh."""
-    d, n = host.d, host.n
+    d, n = host.sub.d, host.sub.n
     if d == 2:
         V = eqv._random_css_knowledge(n, rng)
     else:
@@ -499,7 +507,7 @@ def test_gate_actions_build_no_per_state_table(name, n, d, monkeypatch, no_censu
     monkeypatch.setattr(wg, "_tables", per_state)
     for gen in host.sub.gate_generators:
         host.gate_action(gen.name, gen.wires)
-    for gate in host.allowed_gate_names():
+    for gate in host.sub.allowed_gate_names:
         for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
             host.gate_action(gate, wires)
     assert len(host._gate_cache) > len(host.sub.gate_generators)
@@ -531,7 +539,7 @@ def test_equivalence_mix_runs_without_the_census(name, d, n, no_census):
         toy_dist = toy.statistics(pc.epistemic, pc.toy_steps)
         dense_dist = eqv.dense_statistics(pc.dense_state, pc.dense_steps)
         assert eqv.compare_statistics(toy_dist, dense_dist) <= 1e-9
-    for gate in host.allowed_gate_names():
+    for gate in host.sub.allowed_gate_names:
         for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
             host.gate_action(gate, wires)
     circuit = parse_circuit(_one_gate_per_arity(d, n), n_wires=n)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from spektoy import dense_oracle as do
 from spektoy import injection as inj
+from spektoy import subtheory as stt
 from spektoy import witness as wit
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch
@@ -578,6 +580,37 @@ class TestAudits:
             assert entry["breaks"], element
             assert entry["violations"], element
 
+    def test_default_host_is_certified(self):
+        host = inj.AuditTrail().host
+        assert host is stt.minimal_rebit_subtheory(2)
+        assert stt.is_spekkens_subtheory(host)["passed"]
+
+    def test_probe_hosts_drop_exactly_the_probed_element(self, monkeypatch):
+        hosts = []
+
+        @dataclasses.dataclass
+        class Recorded(inj.AuditTrail):
+            def __post_init__(self):
+                hosts.append(self.host)
+
+        monkeypatch.setattr(inj, "AuditTrail", Recorded)
+        inj.minimality_probe()
+        base = stt.minimal_rebit_subtheory(2)
+        reduced = [h for h in hosts if h is not base]
+        assert len(reduced) == 5
+        labels = [g.label() for g in base.gate_generators]
+        for host, name in zip(reduced, ("CNOT", "X", "Z")):
+            assert (host.name, host.spec) == (base.name, base.spec)
+            assert host.observables is base.observables
+            assert [g.label() for g in host.gate_generators] == [
+                label for label in labels if not label.startswith(f"{name}(")]
+        words = [do.label_name(lam, 2) for lam in base.observables]
+        for host, letter in zip(reduced[3:], ("Z", "X")):
+            assert (host.name, host.spec) == (base.name, base.spec)
+            assert host.gate_generators is base.gate_generators
+            kept = [do.label_name(lam, 2) for lam in host.observables]
+            assert kept == [w for w in words if letter not in w] != words
+
 
 class TestHadamardFromCZ:
     @pytest.mark.parametrize(
@@ -649,3 +682,108 @@ class TestCompletionChain:
         assert rep["unlocked_observables"]["CZ.XI.CZ"]["equals"] == "XZ"
         assert rep["unlocked_observables"]["CZ.IX.CZ"]["equals"] == "ZX"
         assert rep["unlocked_observables"]["CZ.XX.CZ"]["equals"] == "YY"
+
+
+# ---------------------------------------------------------------------------
+# the audit as it was before it read a host: two fixed whitelists
+
+
+WHITELIST_GATES = frozenset({"CNOT", "X", "Z"})
+WHITELIST_MEAS = frozenset({"Z", "X"})
+
+
+@dataclasses.dataclass
+class RefWhitelistAudit(inj.AuditTrail):
+    gates: frozenset = WHITELIST_GATES
+    meas: frozenset = WHITELIST_MEAS
+
+    def use_gate(self, name, injected=frozenset(), count=1):
+        name = name.upper()
+        if name == "SWAP":
+            self.use_gate("CNOT", injected, 3 * count)
+            return
+        self.elements[name] += count
+        if name in self.gates:
+            return
+        if name in injected:
+            self.tier2[name] += count
+        else:
+            self.violations += [name] * count
+
+    def use_measurement(self, basis):
+        key = f"MEAS {basis.upper()}"
+        self.elements[key] += 1
+        if basis.upper() not in self.meas:
+            self.violations.append(key)
+
+
+def ref_minimality_probe():
+    """The probe's constructions audited against whitelists with one
+    element removed: element -> (violations, breaks)."""
+    probes = {
+        "CNOT": dict(gates=WHITELIST_GATES - {"CNOT"}),
+        "X": dict(gates=WHITELIST_GATES - {"X"}),
+        "Z": dict(gates=WHITELIST_GATES - {"Z"}),
+        "Z-measurement": dict(meas=WHITELIST_MEAS - {"Z"}),
+        "X-observables": dict(meas=WHITELIST_MEAS - {"X"}),
+    }
+    out = {}
+    for element, kwargs in probes.items():
+        audit = RefWhitelistAudit(**kwargs)
+        if element == "X-observables":
+            inj.inject_on_wires(inj.scheme_for("CZ"), audit)
+            audit.use_measurement("X")
+        elif element == "Z":
+            inj.run_injection(inj.scheme_for("CZ"), do.plus_state(2), audit=audit)
+        else:
+            inj.run_injection(inj.scheme_for("S"), do.plus_state(1), audit=audit)
+        report = audit.report()
+        out[element] = (report["violations"], not report["clean"])
+    return out
+
+
+class TestAgainstWhitelistAudit:
+    """The host audit reports what the whitelist audit reported on every
+    gadget.  The one deliberate difference is a gate named Y: the certified
+    host allows it (X.Z up to phase) and the whitelist did not, but no
+    gadget emits a Y; the S correction Y runs as its factors X and Z."""
+
+    @pytest.mark.parametrize("name", ["Z", "S", "T", "CZ", "CCZ"])
+    @pytest.mark.parametrize("injected", [frozenset(), frozenset({"CZ"})])
+    def test_run_injection(self, name, injected):
+        scheme = inj.scheme_for(name)
+        rng = np.random.default_rng(len(name) + 10 * len(injected))
+        for _ in range(4):
+            psi = _random_state(rng, 2**scheme.n)
+            audit, ref_audit = inj.AuditTrail(), RefWhitelistAudit()
+            inj.run_injection(scheme, psi, injected=injected, audit=audit)
+            inj.run_injection(scheme, psi, injected=injected, audit=ref_audit)
+            assert audit.report() == ref_audit.report()
+
+    @pytest.mark.parametrize("mode", [False, True])
+    def test_hadamard_via_cz(self, monkeypatch, mode):
+        _, audit = inj.hadamard_via_cz(do.plus_state(1), use_injected_cz=mode)
+        monkeypatch.setattr(inj, "AuditTrail", RefWhitelistAudit)
+        _, ref_audit = inj.hadamard_via_cz(do.plus_state(1), use_injected_cz=mode)
+        assert type(ref_audit) is RefWhitelistAudit
+        assert audit.report() == ref_audit.report()
+
+    @pytest.mark.parametrize("context", sorted(wit.CONTEXT_SELECTORS))
+    @pytest.mark.parametrize("use_injected_cz", [True, False])
+    def test_peres_mermin_contexts(self, monkeypatch, context, use_injected_cz):
+        def audit():
+            return wit.peres_mermin_circuit(do.plus_state(2), context, use_injected_cz)["audit"]
+
+        got = audit()
+        monkeypatch.setattr(inj, "AuditTrail", RefWhitelistAudit)
+        assert got == audit()
+
+    def test_minimality_probe(self):
+        got = {k: (v["violations"], v["breaks"]) for k, v in inj.minimality_probe().items()}
+        assert got == ref_minimality_probe()
+
+    def test_y_is_the_one_difference(self):
+        audit, ref_audit = inj.AuditTrail(), RefWhitelistAudit()
+        for a in (audit, ref_audit):
+            a.use_gate("Y")
+        assert audit.report()["clean"] and ref_audit.report()["violations"] == ["Y"]

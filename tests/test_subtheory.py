@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ class TestMinimalSubtheory:
     def test_n1_contents(self):
         sub = stt.minimal_rebit_subtheory(1)
         assert len(sub.states) == 4
-        assert sub.gate_names() == ("X", "Z")
+        assert {g.name for g in sub.gate_generators} == {"X", "Z"}
 
     def test_n2_swap_reachable_but_not_cz_hh_s(self):
         sub = stt.minimal_rebit_subtheory(2)
@@ -272,6 +274,37 @@ class TestSubtheoryLookup:
         for name, d in [("qudit-stabilizer", 3), ("qudit-stabilizer", 5), ("minimal-rebit", 2),
                         ("css-rebit", 2), ("full-qubit-stabilizer", 2)]:
             assert stt.subtheory_by_name(name, 1, d).spec.d == d
+
+
+def ref_allowed_gate_names(sub):
+    """The host gate-name rule as the circuit audit kept it: generator
+    names, SWAP, CNOT where SUM is one, and Y at every d=2 host."""
+    names = {g.name for g in sub.gate_generators}
+    names.add("SWAP")
+    if "SUM" in names:
+        names.add("CNOT")
+    if sub.d == 2:
+        names.add("Y")
+    return names
+
+
+class TestAllowedGateNames:
+    @pytest.mark.parametrize("name,n,d", [
+        *((name, n, 2) for name in ("minimal-rebit", "css-rebit", "full-qubit-stabilizer")
+          for n in (1, 2, 3)),
+        ("qudit-stabilizer", 1, 3), ("qudit-stabilizer", 2, 3), ("qudit-stabilizer", 1, 5),
+    ])
+    def test_named_hosts_keep_the_audit_rule(self, name, n, d):
+        sub = stt.subtheory_by_name(name, n, d)
+        assert sub.allowed_gate_names == ref_allowed_gate_names(sub)
+
+    @pytest.mark.parametrize("dropped", ["X", "Z"])
+    def test_no_y_without_x_and_z(self, dropped):
+        base = stt.minimal_rebit_subtheory(2)
+        gens = tuple(g for g in base.gate_generators if g.name != dropped)
+        sub = dataclasses.replace(base, gate_generators=gens)
+        assert sub.allowed_gate_names == {"CNOT", "SWAP", *{"X", "Z"} - {dropped}}
+        assert "Y" in base.allowed_gate_names
 
 
 def ref_state_index(states, psi):

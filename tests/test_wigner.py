@@ -543,9 +543,9 @@ class TestStackedCovariance:
         # on every wire tuple: the transported action is the inverted
         # census witness, and an AuditError exactly where there is none
         host = eqv.host_model(name, n, d)
-        spec, states = host.spec, host.sub.states
+        spec, states = host.sub.spec, host.sub.states
         cases = [(g.name, g.wires, g.matrix) for g in host.sub.gate_generators]
-        for gate in sorted(host.allowed_gate_names() - {"H*"}):
+        for gate in sorted(host.sub.allowed_gate_names - {"H*"}):
             for wires in itertools.permutations(range(n), do.gate_arity(gate, d)):
                 cases.append((gate, wires, do.gate(gate, wires, n, d)))
         missing = set()
@@ -808,7 +808,7 @@ class TestTransport:
         host = eqv.host_model.__wrapped__("minimal-rebit", 4)  # fresh gate cache
         for gen in host.sub.gate_generators:
             g = host.gate_action(gen.name, gen.wires)
-            assert g.inverse().key() == ref_phase_space_action(gen.matrix, host.spec).key()
+            assert g.inverse().key() == ref_phase_space_action(gen.matrix, host.sub.spec).key()
         rep = eqv.check_random_equivalence(host, 5, seed=16)
         assert rep["max_deviation"] <= 1e-9, rep
 
