@@ -100,10 +100,6 @@ def compile_expr(expr: str) -> ast.Expression:
     return tree
 
 
-def eval_expr(expr: str, env: dict[str, int], d: int) -> int:
-    return eval_tree(compile_expr(expr), env, d)
-
-
 def eval_tree(tree: ast.Expression, env: dict[str, int], d: int) -> int:
     """The value mod d of an expression compile_expr has checked."""
 
@@ -212,21 +208,6 @@ def parse_circuit(text: str, n_wires: int | None = None) -> Circuit:
     elif inferred > n_wires:
         raise CircuitParseError(f"circuit uses wire {max_wire} but n_wires={n_wires}")
     return Circuit(n_wires, tuple(instructions), init_spec)
-
-
-def format_circuit(circuit: Circuit) -> str:
-    lines = []
-    if circuit.init_spec is not None:
-        lines.append(f"INIT {circuit.init_spec}")
-    for ins in circuit.instructions:
-        wires = " ".join(str(w) for w in ins.wires)
-        if isinstance(ins, Gate):
-            lines.append(f"GATE {ins.name} {wires}")
-        elif isinstance(ins, Measure):
-            lines.append(f"MEAS {ins.basis} {wires} -> {ins.var}")
-        else:
-            lines.append(f"CORR {ins.name} {wires} IF {ins.expr}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

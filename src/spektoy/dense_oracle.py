@@ -439,7 +439,7 @@ def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# measurement
+# circuit execution
 
 def _renormalized_rows(children: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Each row's probability (its squared norm) and the rows normalised.  A
@@ -448,50 +448,6 @@ def _renormalized_rows(children: np.ndarray) -> tuple[list[float], np.ndarray]:
     probs = np.vecdot(children, children).real
     return probs.tolist(), children / np.sqrt(np.maximum(probs, ATOL_CONSTRUCT))[:, None]
 
-
-def born(state: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
-    """Probabilities and renormalized collapsed states for a projective
-    decomposition, as measure_step gives them.  Raises on non-projective
-    input."""
-    dim = state.shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for P in projectors:
-        if not np.allclose(P, P.conj().T, rtol=0, atol=ATOL_CONSTRUCT * dim):
-            raise InvalidGenerators("measurement element not Hermitian")
-        if not np.allclose(P @ P, P, rtol=0, atol=ATOL_CONSTRUCT * dim):
-            raise InvalidGenerators("measurement element not idempotent")
-        total += P
-    if not np.allclose(total, np.eye(dim), rtol=0, atol=ATOL_CONSTRUCT * dim):
-        raise InvalidGenerators("measurement elements do not sum to identity")
-    _, probs, states = measure_step(projectors)([()], state[None])
-    assert abs(sum(probs) - 1.0) < ATOL_CONSTRUCT * dim
-    return list(zip(probs, states))
-
-
-def measure_observable(state: np.ndarray, obs: np.ndarray):
-    """Projective measurement of a Hermitian observable.
-
-    Returns a list of (eigenvalue, probability, post_state) sorted by
-    descending eigenvalue, eigenvalues merged within ATOL_END2END.
-    """
-    dim = obs.shape[0]
-    if not np.allclose(obs, obs.conj().T, rtol=0, atol=ATOL_CONSTRUCT * dim):
-        raise InvalidGenerators("observable is not Hermitian")
-    vals, vecs = np.linalg.eigh(obs)
-    groups: list[tuple[float, list[int]]] = []
-    for i, v in enumerate(vals):
-        if groups and abs(groups[-1][0] - v) < ATOL_END2END:
-            groups[-1][1].append(i)
-        else:
-            groups.append((float(v), [i]))
-    groups.sort(key=lambda g: -g[0])
-    projectors = [sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs) for _, idxs in groups]
-    _, probs, states = measure_step(projectors)([()], state[None])
-    return [(v, p, post) for (v, _), p, post in zip(groups, probs, states)]
-
-
-# ---------------------------------------------------------------------------
-# circuit execution
 
 def gate_step(U: np.ndarray) -> Step:
     """Walker step applying the matrix U to every branch: one product."""

@@ -68,7 +68,14 @@ def outcome_offset(mu, d: int) -> int:
 def quantum_state_for(epistemic: toy.EpistemicState) -> np.ndarray:
     """Dense state matching a maximal-knowledge epistemic state: the joint
     eigenstate of the labels mu = J sigma of V's rows sigma at the outcomes
-    sigma . w - c(mu)."""
+    sigma . w - c(mu).
+
+    It does not call do.stabilizer_state, which gives the same state bit
+    for bit: V is isotropic and in rref, so that function's commutation,
+    independence and trace checks cannot fail here, and they about double
+    the cost of a call (50 -> 107 us at minimal-rebit n=2, 73 -> 155 us at
+    n=3, 69 -> 128 us at qudit d=3 n=2; best of 7, one Xeon core).
+    random_paired_circuit calls it once per drawn circuit."""
     V = epistemic.V
     if V.dim != V.n:
         raise DimensionMismatch("only maximal-knowledge states map to pure states")

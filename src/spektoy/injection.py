@@ -276,28 +276,18 @@ def inject_on_wires(
 # ---------------------------------------------------------------------------
 # named constructions
 
-def hadamard_via_cz(
-    input_state: np.ndarray, use_injected_cz: bool = False
-) -> tuple[list[InjectionRecord], AuditTrail]:
+def hadamard_via_cz(input_state: np.ndarray) -> tuple[list[InjectionRecord], AuditTrail]:
     """Hadamard from one CZ and an X measurement.
 
     Couple |psi> to a |+> ancilla with CZ, measure X on the input wire, and
-    X-correct the ancilla, which then holds H|psi>.  With
-    use_injected_cz=True the CZ itself runs as an injection block (the
-    fully expanded form); otherwise it is applied directly and audited as a
-    previously injected (tier-2) gate.
+    X-correct the ancilla, which then holds H|psi>.  The CZ itself runs as
+    an injection block, so every element is a host one.
     """
     if input_state.shape[0] != 2:
         raise DimensionMismatch("single-qubit construction")
     audit = AuditTrail()
-    injected = frozenset({"CZ"})
     target = do.gate("H", (0,), 1) @ input_state
-    steps = [do.append_step(do.plus_state(1))]
-    if use_injected_cz:
-        steps += inject_on_wires(scheme_for("CZ"), audit)
-    else:
-        audit.use_gate("CZ", injected)
-        steps.append(do.gate_step(do.gate("CZ", (0, 1), 2, 2)))
+    steps = [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)]
     audit.use_measurement("X")
     x_gate = do.gate("X", (0,), 1)
 
@@ -416,7 +406,7 @@ def clifford_completion_demo() -> dict:
         }
     )
 
-    h_records, audit2 = hadamard_via_cz(do.basis_state([0]), use_injected_cz=True)
+    h_records, audit2 = hadamard_via_cz(do.basis_state([0]))
     report["steps"].append(
         {
             "step": "hadamard-from-CZ",

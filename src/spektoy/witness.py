@@ -171,13 +171,6 @@ def peres_mermin_report() -> dict:
     }
 
 
-def control_square_all_plus() -> dict:
-    """Control case: the same grid with every line sign forced to +1 is
-    classically satisfiable (all-ones assignment)."""
-    grid = standard_square().grid
-    return assignment_search(ContextTable.build(grid, (1, 1, 1), (1, 1, 1), validate=False))
-
-
 # ---------------------------------------------------------------------------
 # S-conjugated square
 
@@ -306,11 +299,7 @@ def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
     ]
 
 
-def peres_mermin_circuit(
-    input_state: np.ndarray,
-    context: str,
-    use_injected_cz: bool = True,
-) -> dict:
+def peres_mermin_circuit(input_state: np.ndarray, context: str) -> dict:
     """Run one context of the square on an arbitrary two-qubit input using
     only host elements plus CZ-injection blocks.
 
@@ -346,14 +335,10 @@ def peres_mermin_circuit(
         steps += _parity_block("Z", (0, 1), 2, audit)
         measured["ZZ"] = len(measured)
     cz_count = sum(1 for bit in ("alpha", "beta", "gamma") if bit in sel)
-    cz_scheme = inj.scheme_for("CZ") if (cz_count and use_injected_cz) else None
+    cz_scheme = inj.scheme_for("CZ")
     for _ in range(cz_count):
-        if use_injected_cz:
-            steps += inj.inject_on_wires(cz_scheme, audit)
-        else:
-            audit.use_gate("CZ", frozenset({"CZ"}))
-            steps.append(do.gate_step(do.gate("CZ", (0, 1), 2, 2)))
-    skipped = cz_count * cz_scheme.n if cz_scheme else 0  # injection readouts
+        steps += inj.inject_on_wires(cz_scheme, audit)
+    skipped = cz_count * cz_scheme.n  # injection readouts
     conjugated = cz_count % 2 == 1
     if "e" in sel:
         steps += _parity_block("X", (1,), 2, audit)
@@ -448,7 +433,7 @@ def chsh_report() -> dict:
     """
     psi = do.parse_state_spec("-XX,+ZZ")
     X, Y = pauli_op("X"), pauli_op("Y")
-    T = do._QUBIT_GATES_1["T"]
+    T = do.gate("T", (0,), 1)
     b0 = T @ Y @ T.conj().T
     b1 = T @ X @ T.conj().T
     conj_checks = {

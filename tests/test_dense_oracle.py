@@ -479,33 +479,6 @@ class TestLabelNames:
         assert do.label_name(lam, d) == name
 
 
-class TestBorn:
-    def test_z_on_ground_state(self):
-        out = do.measure_observable(do.basis_state([0]), do.gate("Z", (0,), 1))
-        assert abs(out[0][0] - 1) < 1e-12 and abs(out[0][1] - 1) < 1e-12
-
-    def test_z_on_plus(self):
-        out = do.measure_observable(do.plus_state(1), do.gate("Z", (0,), 1))
-        assert all(abs(p - 0.5) < 1e-12 for _, p, _ in out)
-
-    def test_xx_on_bell(self):
-        bell = do.stabilizer_state(signed_gens("+XX", "+ZZ"))
-        xx = np.kron(do.gate("X", (0,), 1), do.gate("X", (0,), 1))
-        out = do.measure_observable(bell, xx)
-        assert abs(out[0][0] - 1) < 1e-12 and abs(out[0][1] - 1) < 1e-12
-
-    def test_projective_validation(self):
-        bad = [np.eye(2) * 0.5, np.eye(2) * 0.6]
-        with pytest.raises(InvalidGenerators):
-            do.born(do.basis_state([0]), bad)
-
-    def test_born_probabilities_and_collapse(self):
-        projs = do.label_projectors((0, 1), 2)
-        out = do.born(do.plus_state(1), projs)
-        assert abs(sum(p for p, _ in out) - 1) < 1e-12
-        assert np.allclose(out[0][1], [1, 0])
-
-
 class TestRunCircuit:
     def test_empty_circuit(self):
         c = parse_circuit("")

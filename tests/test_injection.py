@@ -311,14 +311,10 @@ def ref_inject_on_wires(scheme, data_wires, n_total, audit, injected=frozenset()
     ]
 
 
-def ref_hadamard_via_cz(input_state, use_injected_cz=False):
+def ref_hadamard_via_cz(input_state):
     audit = inj.AuditTrail()
     target = do.gate("H", (0,), 1) @ input_state
-    if use_injected_cz:
-        steps = ref_inject_on_wires(inj.scheme_for("CZ"), (0, 1), 2, audit)
-    else:
-        audit.use_gate("CZ", frozenset({"CZ"}))
-        steps = [do.gate_step(do.gate("CZ", (0, 1), 2, 2))]
+    steps = ref_inject_on_wires(inj.scheme_for("CZ"), (0, 1), 2, audit)
     audit.use_measurement("X")
     x_gate = do.gate("X", (0,), 1)
 
@@ -380,12 +376,11 @@ class TestAgainstReferenceBuilders:
             assert_same_records(got, ref_run_injection(scheme, psi, injected, ref_audit))
             assert _full_report(audit) == _full_report(ref_audit)
 
-    @pytest.mark.parametrize("mode", [False, True])
-    def test_hadamard_via_cz(self, mode):
+    def test_hadamard_via_cz(self):
         rng = np.random.default_rng(7)
         for psi in (do.basis_state([0]), do.plus_state(1), _random_state(rng, 2)):
-            got, audit = inj.hadamard_via_cz(psi, use_injected_cz=mode)
-            want, ref_audit = ref_hadamard_via_cz(psi, use_injected_cz=mode)
+            got, audit = inj.hadamard_via_cz(psi)
+            want, ref_audit = ref_hadamard_via_cz(psi)
             assert_same_records(got, want)
             assert _full_report(audit) == _full_report(ref_audit)
 
@@ -399,8 +394,7 @@ class TestAgainstReferenceBuilders:
         want += [inj.clifford_completion_demo(), inj.minimality_probe()]
         assert got == want
 
-    @pytest.mark.parametrize("use_injected_cz", [True, False])
-    def test_peres_mermin_contexts(self, monkeypatch, use_injected_cz):
+    def test_peres_mermin_contexts(self, monkeypatch):
         # the reports and every leaf of the walk: outcomes, probability and
         # state
         walks = []
@@ -414,7 +408,7 @@ class TestAgainstReferenceBuilders:
         inputs = [do.plus_state(2), *(_random_state(rng, 4) for _ in range(3))]
 
         def reports():
-            return [wit.peres_mermin_circuit(psi, context, use_injected_cz)
+            return [wit.peres_mermin_circuit(psi, context)
                     for psi in inputs for context in sorted(wit.CONTEXT_SELECTORS)]
 
         got = reports()
@@ -623,9 +617,11 @@ class TestHadamardFromCZ:
         else:
             psi = do.parse_state_spec(spec_str)
         recs, audit = inj.hadamard_via_cz(psi)
-        assert len(recs) == 2
+        # the CZ injection's two readouts and the X readout
+        assert len(recs) == 8
         assert all(r.fidelity >= 1 - 1e-9 for r in recs)
         assert audit.report()["clean"]
+        assert "RESOURCE CZ|+>^2" in audit.report()["elements"]
 
     def test_ground_state_gives_plus(self):
         recs, _ = inj.hadamard_via_cz(do.basis_state([0]))
@@ -636,13 +632,6 @@ class TestHadamardFromCZ:
         recs, _ = inj.hadamard_via_cz(do.plus_state(1))
         for r in recs:
             assert do.states_equal(r.final_state, do.basis_state([0]))
-
-    def test_fully_injected_variant(self):
-        recs, audit = inj.hadamard_via_cz(do.basis_state([0]), use_injected_cz=True)
-        assert len(recs) == 8
-        assert all(r.fidelity >= 1 - 1e-9 for r in recs)
-        assert audit.report()["clean"]
-        assert "RESOURCE CZ|+>^2" in audit.report()["elements"]
 
 
 class TestCCZPipeline:
@@ -760,19 +749,19 @@ class TestAgainstWhitelistAudit:
             inj.run_injection(scheme, psi, injected=injected, audit=ref_audit)
             assert audit.report() == ref_audit.report()
 
-    @pytest.mark.parametrize("mode", [False, True])
-    def test_hadamard_via_cz(self, monkeypatch, mode):
-        _, audit = inj.hadamard_via_cz(do.plus_state(1), use_injected_cz=mode)
+    def test_hadamard_via_cz(self, monkeypatch):
+        _, audit = inj.hadamard_via_cz(do.plus_state(1))
         monkeypatch.setattr(inj, "AuditTrail", RefWhitelistAudit)
-        _, ref_audit = inj.hadamard_via_cz(do.plus_state(1), use_injected_cz=mode)
+        _, ref_audit = inj.hadamard_via_cz(do.plus_state(1))
         assert type(ref_audit) is RefWhitelistAudit
         assert audit.report() == ref_audit.report()
 
-    @pytest.mark.parametrize("context", sorted(wit.CONTEXT_SELECTORS))
-    @pytest.mark.parametrize("use_injected_cz", [True, False])
-    def test_peres_mermin_contexts(self, monkeypatch, context, use_injected_cz):
+    # the ids keep their "True" (the injected-CZ mode, once one of two), so
+    # the tests keep their names
+    @pytest.mark.parametrize("context", sorted(wit.CONTEXT_SELECTORS), ids="True-{}".format)
+    def test_peres_mermin_contexts(self, monkeypatch, context):
         def audit():
-            return wit.peres_mermin_circuit(do.plus_state(2), context, use_injected_cz)["audit"]
+            return wit.peres_mermin_circuit(do.plus_state(2), context)["audit"]
 
         got = audit()
         monkeypatch.setattr(inj, "AuditTrail", RefWhitelistAudit)

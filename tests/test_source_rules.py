@@ -18,15 +18,24 @@
 * No float constant in (0, 1e-3) outside circuits.py's two assignments of
   ATOL_CONSTRUCT and ATOL_END2END: every tolerance reads one of the two
   names.
+* Every public module-level name has a reader outside the tests: the
+  package reads it as a name or an attribute, or scripts/ or perfbench/
+  (the benchmark, not its own tests) name it, as an identifier or as a
+  word of a string, since perfbench hooks functions by "layer.name".  The
+  names only the tests read are TEST_ONLY_PUBLIC, a list that can only
+  shrink.
 """
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "spektoy").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "spektoy").glob("*.py"))
+OUTSIDE = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "spektoy", "__future__"}
 
 
@@ -66,36 +75,62 @@ def foreign_imports(tree):
     return bad
 
 
+def module_level(tree):
+    """(node, names) of each module-level def, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield node, [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def private_definitions(tree):
     """(line, name) of each module-level _name (dunders aside) and of each
     method of a module-level _Class other than its dunders."""
     found = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
+    for node, names in module_level(tree):
         found += [(node.lineno, name) for name in names if name.startswith("_")]
         if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
             found += [(f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
     return [(line, name) for line, name in found if not name.startswith("__")]
 
 
+def read_names(trees):
+    """Every name the named trees read, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_private(trees):
     """(file, line, name) of each private definition of the named trees
     that no tree reads as a name or an attribute."""
-    read = set()
-    for _, tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = read_names(trees)
     return [(file, line, name) for file, tree in trees
             for line, name in private_definitions(tree) if name not in read]
+
+
+def named_words(tree):
+    """The names a tree imports and the words of its string constants."""
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def unread_public(trees, outside):
+    """(file, line, name) of each public module-level name (dunders aside)
+    of the named trees that neither they nor the outside trees read as a
+    name or an attribute, and that no outside tree imports or has as a
+    word of a string."""
+    known = read_names([*trees, *outside]).union(*(named_words(tree) for _, tree in outside))
+    return [(file, node.lineno, name) for file, tree in trees
+            for node, names in module_level(tree)
+            for name in names if not name.startswith("_") and name not in known]
 
 
 def reads_of(tree, name):
@@ -132,6 +167,28 @@ def outer_product_calls(tree):
 
 
 TOLERANCES = ("ATOL_CONSTRUCT", "ATOL_END2END")
+
+# Public names only the tests read.  The list can only shrink: a new name
+# here means code for the tests alone, and a listed name that gains a
+# reader or goes must leave it.
+TEST_ONLY_PUBLIC = {
+    # producers of paper claims that the acceptance criteria read, kept for
+    # a report that would print them
+    "check_random_equivalence",  # criterion 1: sampled operational equivalence
+    "verify_hermitian_equivalence",  # criterion 4: the Hermitian-part identity
+    "transition_matrix",  # criterion 5: gate transition matrices
+    "clifford_completion_demo",  # criterion 8: the CZ -> H -> S chain
+    "minimality_probe",  # each host element's capability, pinned by the walker tests
+    # references the tests compare the package against
+    "run_circuit",  # the dense run of a text circuit, against the toy side
+    "beta",  # the Weyl product phase, checked densely against _beta_table
+    "allowed_gates",  # the closure-and-covariance gate filter
+    "group_contains",  # membership in generated_gate_group's keys
+    "phase_point",  # one phase-point operator of the cached stack
+    "symplectic_product",  # [s1, s2], against the toy model's row form
+    "symplectic_commutant",  # the commutant, against the toy updates
+    "maximally_mixed",  # the no-knowledge state
+}
 
 
 def tolerance_literals(tree, names=()):
@@ -228,4 +285,27 @@ def test_dead_private_rule_catches_violations():
     )
     assert unread_private([("u.py", used), ("m.py", tree)]) == [
         ("m.py", 2, "_unused"), ("m.py", 3, "_unused"), ("m.py", 5, "_dead"), ("m.py", 9, "rref")
+    ]
+
+
+def test_public_code_is_read_outside_the_tests():
+    outside = [(path.name, ast.parse(path.read_text(), str(path))) for path in OUTSIDE]
+    assert {name for _, _, name in unread_public(_trees(), outside)} == TEST_ONLY_PUBLIC
+
+
+def test_unread_public_rule_catches_violations():
+    # a read as an attribute, a "layer.name" hook and a tuple of names all
+    # count; a write, or a definition outside, does not; dunders are not
+    # checked, public constants are
+    package = ast.parse("import m\nprint(m.by_attr)\nm.written = None\n")
+    tree = ast.parse(
+        "LIMIT = 3\n__all__ = []\ndef unread(): pass\ndef by_attr(): pass\ndef hooked(): pass\n"
+        "def listed(): pass\ndef written(): pass\n"
+    )
+    outside = ast.parse(
+        'on("m.hooked", count)\nfor fn in ("listed", "other"):\n    on(f"m.{fn}", count)\n'
+        "def written(): pass\n"
+    )
+    assert unread_public([("u.py", package), ("m.py", tree)], [("o.py", outside)]) == [
+        ("m.py", 1, "LIMIT"), ("m.py", 3, "unread"), ("m.py", 7, "written")
     ]

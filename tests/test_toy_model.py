@@ -1107,6 +1107,25 @@ def test_walker_finishes_nothing_after_the_last_measurement(monkeypatch):
         finished.clear(), shown.clear()
 
 
+@pytest.mark.parametrize("last,calls", [
+    (((0, 1, 0, 0), (0, 0, 1, 0)), [1]),  # both free: one list for the three branches
+    (((1, 0, 0, 0), (0, 0, 1, 0)), [3]),  # q0 determined: one list per branch
+])
+def test_an_all_free_last_measurement_lists_its_outcomes_once(monkeypatch, last, calls):
+    d, n = 3, 2
+    state = tm.maximally_mixed(d, n)
+    steps = [("measure", tm.SharpMeasurement(((1, 0, 0, 0),), d, n)),
+             ("measure", tm.SharpMeasurement(last, d, n))]
+    want = ref_statistics(state, steps)
+    counted, outcomes = [], tm._MeasurementPlan.outcomes
+    monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
+                        lambda plan, values: counted.append(values) or outcomes(plan, values))
+    for _ in range(2):  # plans built, then read from the steps
+        assert list(tm.statistics(state, steps).items()) == list(want.items())
+        assert [len(counted)] == calls
+        counted.clear()
+
+
 # ---------------------------------------------------------------------------
 # The toy step needs V alone
 #

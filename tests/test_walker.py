@@ -22,7 +22,7 @@ from spektoy import equivalence as eqv
 from spektoy import injection as inj
 from spektoy import toy_model as toy
 from spektoy import witness as wit
-from spektoy.circuits import ATOL_CONSTRUCT, ATOL_END2END, branch_tree, eval_expr
+from spektoy.circuits import ATOL_CONSTRUCT, ATOL_END2END, branch_tree, compile_expr, eval_tree
 from spektoy.errors import DimensionMismatch
 from test_equivalence import EQUIVALENCE_MIX_HOSTS
 
@@ -90,7 +90,7 @@ def ref_readout_step(site, basis):
 
 def ref_correct_step(U, expr, names, d):
     def step(outcomes, state):
-        for _ in range(eval_expr(expr, dict(zip(names, outcomes)), d)):
+        for _ in range(eval_tree(compile_expr(expr), dict(zip(names, outcomes)), d)):
             state = U @ state
         return [(None, 1, state)]
 
@@ -263,12 +263,11 @@ def walker_audits() -> dict:
             "total_probability": round(rep["total_probability"], 12),
         }
     psi = np.array([0.6, 0.8j])
-    for mode in (False, True):
-        recs, audit = inj.hadamard_via_cz(psi, use_injected_cz=mode)
-        out["hadamard_via_cz"]["injected" if mode else "direct"] = {
-            "audit": audit.report(),
-            "records": [_record(r) for r in recs],
-        }
+    recs, audit = inj.hadamard_via_cz(psi)
+    out["hadamard_via_cz"]["injected"] = {
+        "audit": audit.report(),
+        "records": [_record(r) for r in recs],
+    }
     inputs = {"S": do.plus_state(1), "CZ": do.plus_state(2), "CCZ": do.plus_state(3)}
     for name, state in inputs.items():
         audit = inj.AuditTrail()

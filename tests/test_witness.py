@@ -12,6 +12,12 @@ from spektoy import witness as wit
 from spektoy.errors import DimensionMismatch
 
 
+def all_plus_control_square() -> dict:
+    """The control case: the standard grid with every line sign +1."""
+    grid = wit.standard_square().grid
+    return wit.assignment_search(wit.ContextTable.build(grid, (1, 1, 1), (1, 1, 1), validate=False))
+
+
 class TestStandardSquare:
     def test_line_structure_validates(self):
         table = wit.standard_square()
@@ -36,14 +42,14 @@ class TestStandardSquare:
         assert rep["enabling_gate"] == "CZ"
 
     def test_control_square_is_satisfiable(self):
-        ctrl = wit.control_square_all_plus()
+        ctrl = all_plus_control_square()
         assert ctrl["satisfying"] > 0
         assert ctrl["example"] is not None
         # the all-plus-one assignment works
         assert all(v == 1 for v in {w: 1 for w in ctrl["example"]}.values())
 
     def test_control_example_is_all_plus_one(self):
-        ctrl = wit.control_square_all_plus()
+        ctrl = all_plus_control_square()
         assert set(ctrl["example"].values()) == {1}
         assert ctrl["max_satisfiable_lines"] == 6
 
@@ -306,12 +312,13 @@ class TestContextCircuit:
         for context in wit.CONTEXT_SELECTORS:
             assert wit.peres_mermin_circuit(do.plus_state(2), context)["product_matches_sign"]
 
-    @pytest.mark.parametrize("context,use_injected_cz,positions,held", [
-        ("col1", True, [0, 3], 4), ("col2", True, [0, 3], 4), ("col3", True, [0, 3, 4], 5),
-        ("row3", True, [6, 7], 8), ("row2", True, [0, 1, 2], 3), ("col1", False, [0, 1], 2),
-    ])
-    def test_readouts_are_read_at_their_positions(self, monkeypatch, context, use_injected_cz,
-                                                  positions, held):
+    # the ids keep their "True" (the injected-CZ mode, once one of two), so
+    # the tests keep their names
+    @pytest.mark.parametrize("context,positions,held", [
+        ("col1", [0, 3], 4), ("col2", [0, 3], 4), ("col3", [0, 3, 4], 5),
+        ("row3", [6, 7], 8), ("row2", [0, 1, 2], 3),
+    ], ids=lambda v: f"{v}-True" if isinstance(v, str) else None)
+    def test_readouts_are_read_at_their_positions(self, monkeypatch, context, positions, held):
         # the CZ stage's injections read their data wires out between the Z
         # and the X parity blocks: each measured word's bit is read at its
         # own position in a leaf's outcomes, none of the injection readouts
@@ -330,7 +337,7 @@ class TestContextCircuit:
             return [(Outcomes(o), p, s) for o, p, s in leaves]
 
         monkeypatch.setattr(wit, "branch_tree", spied)
-        wit.peres_mermin_circuit(do.plus_state(2), context, use_injected_cz)
+        wit.peres_mermin_circuit(do.plus_state(2), context)
         assert lengths == {held} and sorted(set(reads)) == positions
 
     def test_selector_sets_match_documentation(self):
@@ -429,13 +436,6 @@ class TestContextCircuit:
                     assert rep["branches"] == 1 and rep["total_probability"] == 0.5
                     seen.add(rep["product_matches_sign"])
         assert seen == {True, False}
-
-    def test_direct_cz_variant_matches(self):
-        rep = wit.peres_mermin_circuit(do.plus_state(2), "row3", use_injected_cz=False)
-        assert rep["product_matches_sign"]
-        # direct CZ still audits clean because it is marked as injected
-        assert rep["audit"]["clean"]
-        assert rep["audit"]["tier2_gates"].get("CZ", 0) == 3
 
 
 class TestGHZ:
