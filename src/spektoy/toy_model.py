@@ -28,8 +28,11 @@ operation is one XOR and a symplectic product one popcount, as in
 Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
 row updates, O(k dim V 2n); one walk of them on the values lists every
 outcome with its posterior values, and a shorter one the outcomes alone.
-`EpistemicState.support` lists the coset on demand, under
-`phase_algebra.COSET_GUARD`.
+`EpistemicState.support` lists the coset on each read, under
+`phase_algebra.COSET_GUARD`, and the state never keeps it.  Only
+`make_epistemic` and `SharpMeasurement` check isotropy: a symplectic map
+and a row update keep V isotropic by construction (`_transport`,
+`_MeasurementPlan`).
 Distributions are exact rationals; sampling is a thin seeded layer on top.
 
 Measurement update: the posterior known subspace is the measured subspace
@@ -80,10 +83,10 @@ class EpistemicState:
         """The support directions V-perp, computed when `support` is read."""
         return pa.perp(self.V)
 
-    @cached_property
+    @property
     def support(self) -> tuple[tuple[int, ...], ...]:
-        """Every point of V-perp + w in lexicographic order, listed on first
-        read; GuardExceeded past COSET_GUARD points."""
+        """Every point of V-perp + w in lexicographic order, listed on each
+        read, never kept on the state; GuardExceeded past COSET_GUARD points."""
         return pa.coset_members(self.U, self.w)
 
     @property
@@ -237,12 +240,12 @@ def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
     V S^-1, H, c).  sigma is known afterwards exactly when sigma S is known
     before.  Row h of V_new takes the value (h S) . w + h . a, and h S lies
     in V: its coefficients on V's rows are its entries on V's pivots.  So
-    new values = H values + c, H = V_new S on V's pivot columns, c = V_new a."""
+    new values = H values + c, H = V_new S on V's pivot columns, c = V_new a.
+    V_new needs no isotropy check: S^T J S = J, checked when the map was
+    built and S read-only since, so [u S^-1, v S^-1] = [u, v] = 0 on V."""
     if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
     V_new, H, c = _row_form(V.d, V.n).moved(V, g)
-    if not pa.is_isotropic(V_new):
-        raise RestrictionViolation("known-variable subspace is not isotropic")
     assert V_new.dim == V.dim
     return V_new, H, c
 
@@ -296,27 +299,26 @@ Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted out
 
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
-    subspace V alone, shared by every state on V: `updates` and `size`,
-    built on first read; `children` and `after` finish it on V's values."""
+    subspace V alone, shared by every state on V: `updates`, built here,
+    and `size`, on first read; `children` and `after` finish it on V's values.
+
+    updates = (V_new, ops): per functional a of A, one tableau row update of
+    the rref rows g_j the update before left.  With s_j = [g_j, a] and p the
+    last j with s_j != 0, g_j becomes g_j - (s_j/s_p) g_p and g_p goes; the
+    rows left span V within a's commutant, still in rref.  a's residue
+    modulo them is zero (its value is determined) or, led by 1, clears its
+    pivot column from the rows and joins them (a is free).  ops holds the
+    factors and a's offset that `children` and `after` replay.  V_new needs
+    no isotropy check: the kept rows commute with each other and with a,
+    so a's residue, a less a combination of them, commutes with each."""
 
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
             raise DimensionMismatch("measurement and state live on different spaces")
-        self.V, self.A, self.form = V, meas.generators, _row_form(V.d, V.n)
-        self.offsets = meas.offsets
-
-    @cached_property
-    def updates(self) -> tuple[pa.Subspace, list]:
-        """(V_new, ops): per functional a of A, one tableau row update of the
-        rref rows g_j the update before left.  With s_j = [g_j, a] and p the
-        last j with s_j != 0, g_j becomes g_j - (s_j/s_p) g_p and g_p goes;
-        the rows left span V within a's commutant, still in rref.  a's
-        residue modulo them is zero (its value is determined) or, led by 1,
-        clears its pivot column from the rows and joins them (a is free).
-        ops holds the factors and a's offset that `children` and `after` replay."""
-        d, F, pivots, ops = self.V.d, self.form, list(self.V.pivots), []
-        rows = F.of(self.V)
-        for a, off in zip(self.A, self.offsets):
+        self.V, self.A = V, meas.generators
+        d, F, pivots, ops = V.d, _row_form(V.d, V.n), list(V.pivots), []
+        rows = F.of(V)
+        for a, off in zip(self.A, meas.offsets):
             p, moves, inv, clears, at = (None,) * 5
             s = F.products(rows, a)
             if any(s):
@@ -334,9 +336,7 @@ class _MeasurementPlan:
             ops.append((p, moves, coeffs, off, inv, clears, at))
         V_new = F.subspace(rows)
         V_new.__dict__["pivots"] = tuple(pivots)
-        if not pa.is_isotropic(V_new):
-            raise RestrictionViolation("known-variable subspace is not isotropic")
-        return V_new, ops
+        self.updates = V_new, ops
 
     @cached_property
     def size(self) -> int:
@@ -463,7 +463,7 @@ def _measured(plan: _MeasurementPlan, outcomes, level, last=False) -> tuple:
 
 def _plans(op) -> dict:
     """The plans of a step that `_chain` keeps, by known subspace V: a gate's
-    `_transport`, a `_MeasurementPlan` with `updates` and `size` read.
+    `_transport`, a `_MeasurementPlan` with `size` read.
     They live in the step's own __dict__ (as `Subspace.of_bits` seeds
     `bits`), so they go when the step goes."""
     return op.__dict__.setdefault("_plans", {})

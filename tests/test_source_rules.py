@@ -24,6 +24,10 @@
   word of a string, since perfbench hooks functions by "layer.name".  The
   names only the tests read are TEST_ONLY_PUBLIC, a list that can only
   shrink.
+* Only make_epistemic and SharpMeasurement.__post_init__ call
+  is_isotropic, on the subspaces that enter from outside; every toy step
+  keeps V isotropic by construction, so a step that checked again would
+  pay O(dim^2) for nothing.
 """
 
 import ast
@@ -166,6 +170,28 @@ def outer_product_calls(tree):
             and node.func.value.value.id == "np"]
 
 
+def callers_of(tree, name):
+    """(line, enclosing def) of each call to name, bare or as an attribute;
+    the enclosing def is dotted through its classes and defs, or "" at
+    module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+ISOTROPY_CHECKERS = {"make_epistemic", "SharpMeasurement.__post_init__"}
+
 TOLERANCES = ("ATOL_CONSTRUCT", "ATOL_END2END")
 
 # Public names only the tests read.  The list can only shrink: a new name
@@ -237,6 +263,11 @@ def test_tolerances_are_named(name, tree):
     assert tolerance_literals(tree, TOLERANCES if name == "circuits.py" else ()) == []
 
 
+def test_isotropy_is_checked_where_input_enters():
+    callers = {scope for _, tree in _trees() for _, scope in callers_of(tree, "is_isotropic")}
+    assert callers == ISOTROPY_CHECKERS
+
+
 def test_rules_catch_violations():
     tree = ast.parse(
         "import numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import wigner\n"
@@ -268,6 +299,15 @@ def test_rules_catch_violations():
     )
     assert tolerance_literals(tree, TOLERANCES) == [3, 4, 5, 10, 11]
     assert tolerance_literals(tree) == [1, 2, 3, 4, 5, 10, 11]
+    tree = ast.parse(
+        "from .phase_algebra import is_isotropic\ndef make_epistemic(V):\n    pa.is_isotropic(V)\n"
+        "class M:\n    def __post_init__(self):\n        if not is_isotropic(self.V): pass\n"
+        "def step(V):\n    def inner(W): return pa.is_isotropic(W)\n    return inner(V)\n"
+        "ok = is_isotropic(V0)\nf = pa.is_isotropic\ndef is_isotropic(V): pass\n"
+    )
+    assert callers_of(tree, "is_isotropic") == [
+        (3, "make_epistemic"), (6, "M.__post_init__"), (8, "step.inner"), (10, "")
+    ]
 
 
 def test_private_code_is_read():

@@ -40,6 +40,15 @@ class TestMakeEpistemic:
         assert s.weight == Fraction(1, 4)
         assert s.support == ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
 
+    def test_support_is_listed_on_each_read_and_never_kept(self):
+        V = pa.Subspace.from_generators([(1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1)], 3, 3)
+        s = tm.make_epistemic(V, (1, 2, 0, 0, 2, 1))
+        first = s.support
+        assert "support" not in vars(s)
+        assert s.support == first and len(first) == 3**4
+        assert s.to_json()["support"] == [list(p) for p in first]
+        assert "support" not in vars(s)
+
     def test_non_isotropic_rejected(self):
         V = pa.Subspace.from_generators([(1, 0), (0, 1)], 2, 1)
         with pytest.raises(RestrictionViolation):
@@ -1320,6 +1329,53 @@ def test_measurements_run_no_elimination(monkeypatch, d):
         assert outcome == ref_sample(table, seed) and sampled == post[list(table).index(outcome)]
         assert list(sampled_table.items()) == list(table.items())
     assert list(tm.statistics(state, steps).items()) == list(stats.items())
+
+
+def _local_affine(rng, d, n):
+    """A random two-site block of `_random_affine` on two random sites,
+    the identity elsewhere, plus a random shift."""
+    cols = [c for k in rng.choice(n, size=2, replace=False) for c in (2 * k, 2 * k + 1)]
+    S = np.eye(2 * n, dtype=np.int64)
+    S[np.ix_(cols, cols)] = _random_affine(rng, d, 2).S
+    return pa.AffineSymplectic(S, rng.integers(0, d, size=2 * n), d)
+
+
+def _local_measurement(rng, d, n):
+    """One to three jointly knowable functionals, each on one to three
+    random sites, redrawn until they commute."""
+    k = int(rng.integers(1, 4))
+    while True:
+        gens = []
+        for _ in range(k):
+            sigma = np.zeros(2 * n, dtype=np.int64)
+            for site in rng.choice(n, size=int(rng.integers(1, 4)), replace=False):
+                sigma[2 * site : 2 * site + 2] = rng.integers(0, d, size=2)
+            gens.append(tuple(int(x) for x in sigma))
+        if all(any(g) for g in gens):
+            try:
+                return tm.SharpMeasurement(tuple(gens), d, n)
+            except RestrictionViolation:
+                continue
+
+
+@pytest.mark.parametrize("d,n", [(2, 64), (3, 16)])
+def test_steps_keep_the_known_subspace_isotropic(no_coset_listing, d, n):
+    # no step re-checks isotropy, so check it here in full after each step
+    # of a seeded trajectory of local gates and measurements, from a mixed
+    # state, with every posterior repeatable
+    rng = np.random.default_rng([13, d, n])
+    V = pa.Subspace.from_generators(np.eye(2 * n, dtype=np.int64)[1 : n : 2], d, n)
+    state = tm.make_epistemic(V, rng.integers(0, d, size=2 * n))
+    dims = set()
+    for _ in range(40):
+        state = tm.apply_affine(state, _local_affine(rng, d, n))
+        assert pa.is_isotropic(state.V)
+        meas = _local_measurement(rng, d, n)
+        outcome, state, _ = tm.measure_sharp(state, meas, int(rng.integers(0, 2**31)))
+        assert pa.is_isotropic(state.V)
+        assert tm.outcome_distribution(state, meas) == {outcome: Fraction(1)}
+        dims.add(state.V.dim)
+    assert len(dims) > 5
 
 
 @pytest.mark.parametrize("d,n", [(2, 64), (2, 128), (3, 32)])
