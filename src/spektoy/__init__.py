@@ -4,3 +4,15 @@ witnesses verified branch-by-branch.
 """
 
 __version__ = "0.1.0"
+
+from . import (  # noqa: F401
+    circuits,
+    dense_oracle,
+    equivalence,
+    injection,
+    phase_algebra,
+    subtheory,
+    toy_model,
+    wigner,
+    witness,
+)

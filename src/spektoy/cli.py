@@ -25,8 +25,10 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import equivalence as eqv
+from . import injection as inj
 from . import subtheory as stt
 from . import wigner as wg
+from . import witness as wit
 from .circuits import ATOL_END2END, parse_circuit
 from .errors import AuditError, CircuitParseError, GuardExceeded, SpektoyError
 
@@ -226,8 +228,6 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    from . import injection as inj
-
     cfg = RunConfig.from_args(args)
     gate_name = args.gate.upper()
     psi = do.parse_state_spec(args.input, d=2, n=do.gate_arity(gate_name, 2))
@@ -275,8 +275,6 @@ def cmd_inject(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from . import witness as wit
-
     cfg = RunConfig.from_args(args)
     name = args.name
     if args.input is not None and name != "peres-mermin":

@@ -4,8 +4,6 @@ import itertools
 import json
 import math
 import pathlib
-import subprocess
-import sys
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -472,15 +470,3 @@ def test_four_rebit_report_is_pinned():
     code, text = run_cli(["subtheory", "verify", "minimal-rebit", "--n", "4"])
     assert code == 0
     assert text.encode() == (PINNED_DIR / "subtheory_minimal_n4.json").read_bytes()
-
-
-def test_cli_imports_injection_and_witness_only_when_run():
-    # the report commands that need them import them, so the other
-    # commands and the toy model do not pay for their import
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import spektoy.cli, spektoy.toy_model; "
-             "print(sorted({'spektoy.injection', 'spektoy.witness'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"

@@ -24,7 +24,7 @@
   word of a string, since perfbench hooks functions by "layer.name".  The
   names only the tests read are TEST_ONLY_PUBLIC, a list that can only
   shrink.
-* Only make_epistemic and SharpMeasurement.__post_init__ call
+* Only make_epistemic and SharpMeasurement.__post_init__ in toy_model read
   is_isotropic, on the subspaces that enter from outside; every toy step
   keeps V isotropic by construction, so a step that checked again would
   pay O(dim^2) for nothing.
@@ -170,24 +170,13 @@ def outer_product_calls(tree):
             and node.func.value.value.id == "np"]
 
 
-def callers_of(tree, name):
-    """(line, enclosing def) of each call to name, bare or as an attribute;
-    the enclosing def is dotted through its classes and defs, or "" at
-    module level."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                found.append((child.lineno, scope))
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
+def def_lines(tree, dotted):
+    """The lines of the def or class at the dotted path of module-level
+    and class-body names."""
+    node = tree
+    for part in dotted.split("."):
+        node = next(child for child in node.body if getattr(child, "name", None) == part)
+    return range(node.lineno, node.end_lineno + 1)
 
 
 ISOTROPY_CHECKERS = {"make_epistemic", "SharpMeasurement.__post_init__"}
@@ -264,8 +253,13 @@ def test_tolerances_are_named(name, tree):
 
 
 def test_isotropy_is_checked_where_input_enters():
-    callers = {scope for _, tree in _trees() for _, scope in callers_of(tree, "is_isotropic")}
-    assert callers == ISOTROPY_CHECKERS
+    trees = dict(_trees())
+    assert [name for name, tree in trees.items() if reads_of(tree, "is_isotropic")] == [
+        "toy_model.py"]
+    toy = trees["toy_model.py"]
+    owners = [{d for d in ISOTROPY_CHECKERS if line in def_lines(toy, d)}
+              for line in reads_of(toy, "is_isotropic")]
+    assert all(owners) and set().union(*owners) == ISOTROPY_CHECKERS
 
 
 def test_rules_catch_violations():
@@ -300,14 +294,14 @@ def test_rules_catch_violations():
     assert tolerance_literals(tree, TOLERANCES) == [3, 4, 5, 10, 11]
     assert tolerance_literals(tree) == [1, 2, 3, 4, 5, 10, 11]
     tree = ast.parse(
-        "from .phase_algebra import is_isotropic\ndef make_epistemic(V):\n    pa.is_isotropic(V)\n"
-        "class M:\n    def __post_init__(self):\n        if not is_isotropic(self.V): pass\n"
-        "def step(V):\n    def inner(W): return pa.is_isotropic(W)\n    return inner(V)\n"
-        "ok = is_isotropic(V0)\nf = pa.is_isotropic\ndef is_isotropic(V): pass\n"
+        "def make_epistemic(V):\n    pa.is_isotropic(V)\nclass M:\n    x = 1\n"
+        "    def __post_init__(self):\n        check(self.V)\n"
+        "def step(V):\n    f = pa.is_isotropic\n    return f(V)\n"
     )
-    assert callers_of(tree, "is_isotropic") == [
-        (3, "make_epistemic"), (6, "M.__post_init__"), (8, "step.inner"), (10, "")
-    ]
+    # a read through an alias counts, and falls outside both checkers
+    assert sorted(reads_of(tree, "is_isotropic")) == [2, 8]
+    assert (def_lines(tree, "make_epistemic"), def_lines(tree, "M.__post_init__")) == (
+        range(1, 3), range(5, 7))
 
 
 def test_private_code_is_read():
