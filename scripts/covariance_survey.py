@@ -5,7 +5,8 @@ For each (construction, gate) pair, reports whether an affine symplectic
 witness exists on the construction's allowed state set, the witness when
 found, and the exhaustive no-witness certificates (notably S and single-
 site H on the rebit constructions), each with the mode of
-wigner.covariance_witness that decided it (transport or exhaustive).
+wigner.covariance_witness that decided it (transport, exhaustive or
+guard-exceeded).
 
 Usage: python3 scripts/covariance_survey.py [--d 2|3] [--n 1|2]
 """

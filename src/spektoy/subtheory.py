@@ -261,15 +261,14 @@ def state_index(states, psi) -> int | None:
     return None if i < 0 else i
 
 
-def permutes_states(U: np.ndarray, states, conjugated=None) -> tuple[bool, int | None]:
+def permutes_states(U: np.ndarray, states) -> tuple[bool, int | None]:
     """Whether U maps the state set onto itself up to global phase.
-    conjugated is _conjugated(states) when the caller has it.
 
     Returns (ok, index of first counterexample state)."""
     if len(states) == 0:
         return True, None
     stack = np.asarray(states)
-    misses = np.flatnonzero(_first_matches(stack, stack @ U.T, conjugated) < 0)
+    misses = np.flatnonzero(_first_matches(stack, stack @ U.T) < 0)
     return (True, None) if misses.size == 0 else (False, int(misses[0]))
 
 
@@ -423,18 +422,33 @@ def subtheory_by_name(name: str, n: int, d: int = 2) -> Subtheory:
 # ---------------------------------------------------------------------------
 # certificates
 
-def is_closed(sub: Subtheory):
+def is_closed(sub: Subtheory, visit: Callable | None = None):
     """Every generator maps every allowed state to an allowed state.
 
-    Returns (verdict, counterexample) with the counterexample naming the
-    gate and the escaping state index."""
-    stack = np.stack(sub.states)
-    conjugated = _conjugated(stack)
-    for gen in sub.gate_generators:
-        ok, idx = permutes_states(gen.matrix, stack, conjugated)
-        if not ok:
-            return False, {"gate": gen.label(), "state_index": idx}
-    return True, None
+    Returns (verdict, counterexample): the first gate, in generator order,
+    that maps a state outside, and that state's index.  The census is
+    imaged under blocks of generators whose transports (d^{4n} entries
+    each), image tables (d^{2n} per state) and overlaps with the census
+    (one per state pair) fit wg._TABLE_BLOCK, one _first_matches call
+    each; visit(generators, unitaries, images) sees every block."""
+    states = np.stack(sub.states)
+    conjugated, cex = _conjugated(states), None
+    step = max(1, wg._TABLE_BLOCK // max(sub.d ** (2 * sub.n), len(states)) ** 2)
+    for lo in range(0, len(sub.gate_generators), step):
+        gens = sub.gate_generators[lo : lo + step]
+        Us = np.stack([g.matrix for g in gens])
+        images = states @ Us.transpose(0, 2, 1)
+        if cex is None:
+            first = _first_matches(states, images.reshape(-1, images.shape[-1]), conjugated)
+            misses = np.flatnonzero(first < 0)
+            if misses.size:
+                k, idx = divmod(int(misses[0]), len(states))
+                cex = {"gate": gens[k].label(), "state_index": idx}
+        if visit is not None:
+            visit(gens, Us, images)
+        elif cex is not None:
+            break
+    return cex is None, cex
 
 
 def _dual_tables(sub: Subtheory) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
@@ -455,62 +469,49 @@ def is_spekkens_subtheory(sub: Subtheory) -> dict:
     """Run the three certificates: closure, non-negativity (states and
     measurement duals), covariance of every generator.
 
-    The census is tabulated once, as one stack: non-negativity and the
-    coset-indicator rule read its rows, and every generator's covariance
-    check compares its image tables with them.  Covariance comes from
-    wigner.covariance_witness (operator transport, then the exhaustive
-    search within guards); the report records which mode produced each
-    witness or failure.
+    The census is tabulated once: non-negativity and the coset rule
+    (`wg._coset_rows`) read its rows.  Each block of generators that
+    `is_closed` images is tabulated in one call, and one
+    `wg._covariance_witness` call (transport, then the exhaustive search
+    within guards) gives each generator's witness and mode.
     """
     d, n, spec = sub.d, sub.n, sub.spec
-    report: dict = {"name": sub.name, "d": d, "n": n}
-    closed, cex = is_closed(sub)
-    report["closure"] = {"passed": closed, "counterexample": cex}
-
     states = np.stack(sub.states)
     tables, residues = wg._tables(states, spec)
     neg = wg._first_negative(tables, residues, d, n)
     neg_witness = None if neg is None else {"state_index": neg[0], "offending": neg[1][:3]}
-    coset_fail = next(
-        ({"state_index": i} for i, row in enumerate(tables)
-         if wg._indicator_coset(row, d, n) is None),
-        None,
-    )
+    coset = np.flatnonzero(~wg._coset_rows(tables, d, n))
+    coset_fail = {"state_index": int(coset[0])} if coset.size else None
     keys, dual_values, dual_residues = _dual_tables(sub)
     neg = wg._first_negative(dual_values, dual_residues, d, n)
     dual_witness = None
     if neg is not None:
         (name, k), off = keys[neg[0]], neg[1]
         dual_witness = {"observable": name, "outcome": k, "offending": off[:3]}
-    report["nonnegativity"] = {
-        "passed": neg_witness is None and dual_witness is None,
-        "state_witness": neg_witness,
-        "dual_witness": dual_witness,
-        "coset_indicator_failure": coset_fail,
-    }
 
     cov: dict = {"passed": True, "witnesses": {}, "failures": []}
-    for gen in sub.gate_generators:
-        try:
-            witness, how = wg._covariance_witness(gen.matrix, spec, states, tables)
-        except GuardExceeded:
-            witness, how = None, "guard-exceeded"
-        if witness is None:
-            cov["passed"] = False
-            cov["failures"].append({"gate": gen.label(), "mode": how})
-        else:
-            cov["witnesses"][gen.label()] = {
-                "S": witness.S.tolist(),
-                "a": witness.a.tolist(),
-                "mode": how,
-            }
-    report["covariance"] = cov
-    report["passed"] = bool(
-        report["closure"]["passed"]
-        and report["nonnegativity"]["passed"]
-        and cov["passed"]
-    )
-    return report
+
+    def covariance(gens, Us, images):
+        after = wg._tables(images.reshape(-1, images.shape[-1]), spec)[0]
+        found = wg._covariance_witness(Us, spec, tables, after.reshape(len(gens), len(states), -1))
+        for gen, (witness, how) in zip(gens, found):
+            if witness is None:
+                cov["passed"] = False
+                cov["failures"].append({"gate": gen.label(), "mode": how})
+            else:
+                cov["witnesses"][gen.label()] = {
+                    "S": witness.S.tolist(), "a": witness.a.tolist(), "mode": how}
+
+    closed, cex = is_closed(sub, covariance)
+    nonneg = neg_witness is None and dual_witness is None
+    return {
+        "name": sub.name, "d": d, "n": n,
+        "closure": {"passed": closed, "counterexample": cex},
+        "nonnegativity": {"passed": nonneg, "state_witness": neg_witness,
+                          "dual_witness": dual_witness, "coset_indicator_failure": coset_fail},
+        "covariance": cov,
+        "passed": bool(closed and nonneg and cov["passed"]),
+    }
 
 
 # ---------------------------------------------------------------------------

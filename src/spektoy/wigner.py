@@ -268,21 +268,43 @@ def _first_negative(values: np.ndarray, residues: np.ndarray, d: int, n: int):
     return i, _offending(values[i], residues[i], d, n, ATOL_END2END)
 
 
+def _coset_rows(values: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Whether each row of a table stack is uniform on an affine subspace
+    and 0 elsewhere, in one exact pass (`_indicator_coset` decides one row):
+    its support values agree and sum to 1 within ATOL_END2END, and its
+    support less its first point is closed under addition (at prime d, a
+    subspace).  Rows go by size, in blocks of _TABLE_BLOCK pairwise sums."""
+    pts, weights = _lex(d, n)
+    mask = np.abs(values) > ATOL_END2END
+    sizes = mask.sum(axis=1)
+    spread = (values.max(axis=1, where=mask, initial=-np.inf)
+              - values.min(axis=1, where=mask, initial=np.inf))
+    ok = (spread <= ATOL_END2END) & (np.abs(values.sum(axis=1, where=mask) - 1) <= ATOL_END2END)
+    for m in set(sizes[ok].tolist()):
+        rows = np.flatnonzero(ok & (sizes == m))
+        step = max(1, _TABLE_BLOCK // (m * m * 2 * n))
+        for blk in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
+            member = mask[blk]
+            supp = pts[np.nonzero(member)[1].reshape(len(blk), m)]
+            # x + y - base stays in the support for all x, y iff it is a coset
+            sums = ((supp[:, :, None] + supp[:, None] - supp[:, :1, None]) % d) @ weights
+            ok[blk] = member[np.arange(len(blk))[:, None, None], sums].all(axis=(1, 2))
+    return ok
+
+
 def _indicator_coset(values: np.ndarray, d: int, n: int):
     """(U, base) with the table row values uniform on the coset U + base
-    and 0 elsewhere, or None when it is not such an indicator.
-
-    Every support point s lies in U + base, U being spanned by the s - base,
-    so the support is the coset exactly when it has d^dim(U) points."""
+    and 0 elsewhere, or None when it is not such an indicator: the
+    _coset_rows rule read off one row.  U is spanned by the support less
+    base, which is closed under addition exactly when it has d^dim(U)
+    points; U is needed anyway, so its dimension decides."""
     codes = np.flatnonzero(np.abs(values) > ATOL_END2END)
     vals = values[codes].tolist()
     if not vals or max(vals) - min(vals) > ATOL_END2END or abs(sum(vals) - 1) > ATOL_END2END:
         return None
     supp = _lex(d, n)[0][codes]
     U = pa.Subspace.from_generators(supp - supp[0], d, n)
-    if d**U.dim != len(vals):
-        return None
-    return U, tuple(supp[0].tolist())
+    return (U, tuple(supp[0].tolist())) if d**U.dim == len(vals) else None
 
 
 def is_coset_indicator(table: WignerTable) -> bool:
@@ -311,21 +333,22 @@ def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
     return ((pts @ S.T + a) % d) @ weights
 
 
-def _covariant(before: np.ndarray, after: np.ndarray, g: pa.AffineSymplectic) -> bool:
-    """Every after row equals its before row read at S lam + a."""
-    return np.allclose(after, before[:, _image_codes(g.S, g.a, g.d)], rtol=0, atol=ATOL_END2END)
+def _covariant(before: np.ndarray, after: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Whether every after row equals its before row read at codes, the
+    _image_codes of S lam + a: one verdict per map for a stack of maps
+    (after (k, s, size), codes (k, size))."""
+    moved = np.moveaxis(before[:, codes], 0, -2)
+    return np.all(np.abs(after - moved) <= ATOL_END2END, axis=(-2, -1))
 
 
 def _affine_map(codes, d: int, n: int) -> pa.AffineSymplectic | None:
     """The affine map sending 0 to the point of lex code codes[0] and each
     unit point e_j to that of codes[1 + j], or None when its linear part
     is not symplectic: an affine map is fixed by these 2n + 1 images."""
-    pts, _ = _lex(d, n)
-    a = pts[codes[0]]
-    # column j of S is the image of e_j less a
-    S = ((pts[list(codes[1:])] - a) % d).T
+    P = _lex(d, n)[0][list(codes)]
     try:
-        return pa.AffineSymplectic(S, a, d)
+        # column j of S is the image of e_j less a, the image of 0
+        return pa.AffineSymplectic((P[1:] - P[0]).T, P[0], d)
     except DimensionMismatch:
         return None
 
@@ -375,7 +398,8 @@ def _basis_point_search(
         k = len(codes)
         if k == len(lists):
             g = _affine_map(codes, d, n)
-            return g if g is not None and _covariant(before, after, g) else None
+            ok = g is not None and _covariant(before, after, _image_codes(g.S, g.a, d))
+            return g if ok else None
         keep, a = lists[k], pts[codes[0]] if codes else None
         if k > 1:  # column k - 1 of S against the columns before it
             cols, new = (pts[list(codes[1:])] - a) % d, (pts[keep] - a) % d
@@ -400,72 +424,77 @@ def fit_covariance(
     return _basis_point_search(before, _stacked_tables(state_set, spec, U), spec)
 
 
-def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic | None:
-    """Covariance witness read off by transporting phase-point operators.
+def _phase_space_actions(Us: np.ndarray, spec: WignerSpec):
+    """phase_space_action of each unitary of a stack Us (k, D, D), and the
+    _image_codes row of the map each U's partners give.
 
-    An affine map is fixed by the images of 0 and the unit points e_j, so
-    of the stack transported once (U* A(lam) U) only their images are
-    matched against the stack: the unique partners give a and the columns
-    of S.  One product gives every squared distance between those images
-    and the stack rows; the near rows (squared distance below ATOL_END2END,
-    far above that of a partner within ATOL_END2END entrywise) are compared
-    entry by entry.  Then U* A(lam) U = A(S lam + a) is checked at every
-    lam at once, which witnesses covariance for *all* states.  Returns None
-    when a basis point has no unique partner, S is not symplectic or the
-    check fails, which does not by itself rule out covariance on the tables
-    of a state set."""
-    d, n = spec.d, spec.n
-    A = _phase_point_stack(spec)
-    flat = A.reshape(len(A), -1)
-    _, weights = _lex(d, n)
-    basis = [0, *weights]
-    moved = U.conj().T @ A @ U
-    images = moved[basis].reshape(len(basis), -1)
+    The phase-point stack is transported once (U* A(lam) U, k d^{4n}
+    entries).  An affine map is fixed by the images of 0 and the unit
+    points e_j, so only theirs are matched: one product gives every
+    squared distance to the stack rows, and the near rows (below
+    ATOL_END2END, far above a partner's) are compared entry by entry.  A U
+    with one partner per basis image gets its map when S is symplectic and
+    U* A(lam) U = A(S lam + a) at every lam (one check for the stack)."""
+    A, (pts, weights) = _phase_point_stack(spec), _lex(spec.d, spec.n)
+    flat, basis = A.reshape(len(A), -1), [0, *weights]
+    moved = Us.conj().transpose(0, 2, 1)[:, None] @ A @ Us[:, None]
+    images = moved[:, basis].reshape(len(Us) * len(basis), -1)
     # conjugation by U keeps each operator's norm
     norms = np.vecdot(flat, flat).real
-    dist = norms[basis][:, None] + norms - 2 * (images.conj() @ flat.T).real
+    dist = norms[basis * len(Us), None] + norms - 2 * (images.conj() @ flat.T).real
     rows, cols = np.nonzero(dist < ATOL_END2END)
     hit = np.abs(flat[cols] - images[rows]).max(axis=1) < ATOL_END2END
     rows, cols = rows[hit], cols[hit]
-    if not np.array_equal(rows, np.arange(len(basis))):
-        return None
-    g = _affine_map(cols.tolist(), d, n)
-    if g is None or np.abs(moved - A[_image_codes(g.S, g.a, d)]).max() >= ATOL_END2END:
-        return None
-    return g
+    unique = (np.bincount(rows, minlength=len(images)) == 1).reshape(len(Us), -1).all(axis=1)
+    partners = np.zeros((len(Us), len(basis)), dtype=np.intp)
+    partners.flat[rows] = cols
+    # each map's _image_codes: row j of S^T is e_j's partner less 0's, a
+    P = pts[partners]
+    codes = ((pts @ (P[:, 1:] - P[:, :1]) + P[:, :1]) % spec.d) @ weights
+    near = np.abs(moved - A[codes]).max(axis=(1, 2, 3)) < ATOL_END2END
+    return [_affine_map(p, spec.d, spec.n) if ok else None
+            for p, ok in zip(partners.tolist(), (unique & near).tolist())], codes
+
+
+def phase_space_action(U: np.ndarray, spec: WignerSpec) -> pa.AffineSymplectic | None:
+    """Covariance witness for *all* states read off by transporting
+    phase-point operators (`_phase_space_actions` of the one-entry stack).
+    None does not by itself rule out covariance on a state set's tables."""
+    return _phase_space_actions(U[None], spec)[0][0]
 
 
 def covariance_witness(
     U: np.ndarray, spec: WignerSpec, state_set
 ) -> tuple[pa.AffineSymplectic | None, str]:
     """Find (S, a) witnessing covariance on state_set, with the mode that
-    decided: ``"transport"`` or ``"exhaustive"``.
-
-    Tries the operator-transport shortcut first (works at any supported n);
-    the resulting witness is verified on the state tables.  When the
-    shortcut fails, falls back to the exhaustive basis-point search, which
-    can also certify non-existence (witness None) and raises GuardExceeded
-    when its candidates exceed the guard.
-    """
-    return _covariance_witness(U, spec, state_set, _stacked_tables(state_set, spec))
+    decided (the one-entry `_covariance_witness`): the operator transport
+    verified on the state tables ("transport"), else the exhaustive search,
+    which can also certify non-existence (witness None, "exhaustive"), and
+    past its guard (None, "guard-exceeded")."""
+    before, after = _stacked_tables(state_set, spec), _stacked_tables(state_set, spec, U)
+    return _covariance_witness(U[None], spec, before, after[None])[0]
 
 
 def _covariance_witness(
-    U: np.ndarray, spec: WignerSpec, state_set, before: np.ndarray
-) -> tuple[pa.AffineSymplectic | None, str]:
-    """covariance_witness with the tables of state_set given as before: the
-    image tables are built once and shared by the transport check and the
-    exhaustive search."""
-    after = _stacked_tables(state_set, spec, U)
-    g = phase_space_action(U, spec)
-    if g is not None and _covariant(before, after, g):
-        return g, "transport"
-    return _basis_point_search(before, after, spec), "exhaustive"
+    Us: np.ndarray, spec: WignerSpec, before: np.ndarray, after: np.ndarray
+) -> list[tuple[pa.AffineSymplectic | None, str]]:
+    """covariance_witness of each U of a stack Us (k, D, D) on a state set
+    of tables before, with image tables after[i] under Us[i]: one transport
+    and one table check for the stack, then the search for each U left."""
+    found, codes = _phase_space_actions(Us, spec)
+    out = []
+    for g, ok, tables in zip(found, _covariant(before, after, codes), after):
+        try:
+            out.append((g, "transport") if g is not None and ok
+                       else (_basis_point_search(before, tables, spec), "exhaustive"))
+        except GuardExceeded:
+            out.append((None, "guard-exceeded"))
+    return out
 
 
 def verify_covariance(U, spec: WignerSpec, state_set, g: pa.AffineSymplectic) -> bool:
-    before = _stacked_tables(state_set, spec)
-    return _covariant(before, _stacked_tables(state_set, spec, U), g)
+    before, after = _stacked_tables(state_set, spec), _stacked_tables(state_set, spec, U)
+    return bool(_covariant(before, after, _image_codes(g.S, g.a, g.d)))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,73 @@ def ref_epistemic_state_for(psi, spec):
     return toy.make_epistemic(pa.perp(U), tuple(int(x) for x in base))
 
 
+COSET_SPECS = [make(n) for make in (wg.delfosse_rebit_spec, wg.factorisable_rebit_spec)
+               for n in (1, 2, 3)] + [wg.gross_spec(3, n) for n in (1, 2)]
+
+
+def _uniform_row(spec, codes, value):
+    row = np.zeros(spec.d ** (2 * spec.n))
+    row[list(codes)] = value
+    return row
+
+
+def planted_rows(spec):
+    """(row, verdict) pairs: the indicator of a stabilizer state's coset,
+    which the coset rule accepts, then rows it must reject: uniform on a
+    non-affine set, summing to 2, uneven on the coset, and all zero."""
+    d, size = spec.d, spec.d**spec.n
+    pts, weights = wg._lex(d, spec.n)
+    coset = wg.wigner_of_state(stt.all_stabilizer_states(d, spec.n)[0], spec).support()
+    codes = [int(np.dot(p, weights)) for p in coset]
+    # points holding 0 and two unit points but not their sum, so not
+    # affine: d^n of them, or 3 where d^n = 2 (any two points are a line)
+    unit = [int(w) for w in weights[:2]]
+    other = [c for c in range(len(pts)) if c not in (0, *unit, sum(unit))]
+    skew = [0, *unit, *other][:max(size, 3)]
+    uneven = _uniform_row(spec, codes, 1 / size)
+    uneven[codes[0]] += 0.25 / size
+    uneven[codes[1]] -= 0.25 / size
+    return [
+        (_uniform_row(spec, codes, 1 / size), True),
+        (_uniform_row(spec, skew, 1 / len(skew)), False),
+        (_uniform_row(spec, codes, 2 / size), False),
+        (uneven, False),
+        (np.zeros(len(pts)), False),
+    ]
+
+
+class TestCosetRows:
+    @pytest.mark.parametrize("spec", COSET_SPECS, ids=lambda s: f"{s.name}-n{s.n}")
+    def test_census_tables_match_the_reference(self, spec):
+        values, _ = wg._tables(np.stack(stt.all_stabilizer_states(spec.d, spec.n)), spec)
+        got = wg._coset_rows(values, spec.d, spec.n).tolist()
+        assert got == [ref_is_coset_indicator(wg.WignerTable(spec, row)) for row in values]
+        # the one-row read-off decides the same rule
+        assert got == [wg._indicator_coset(row, spec.d, spec.n) is not None for row in values]
+
+    @pytest.mark.parametrize("spec", COSET_SPECS, ids=lambda s: f"{s.name}-n{s.n}")
+    def test_planted_rows(self, spec, monkeypatch):
+        rows, want = zip(*planted_rows(spec))
+        # one stack, support sizes mixed; then blocks of one row each
+        for bound in (wg._TABLE_BLOCK, 1):
+            monkeypatch.setattr(wg, "_TABLE_BLOCK", bound)
+            assert wg._coset_rows(np.stack(rows), spec.d, spec.n).tolist() == list(want)
+        assert [ref_is_coset_indicator(wg.WignerTable(spec, row)) for row in rows] == list(want)
+        assert [wg._indicator_coset(row, spec.d, spec.n) is not None for row in rows] == list(want)
+
+    @pytest.mark.parametrize("spec", [wg.delfosse_rebit_spec(3), wg.gross_spec(3, 2)],
+                             ids=lambda s: f"{s.name}-n{s.n}")
+    def test_epistemic_states_match_the_reference(self, spec):
+        for psi in stt.all_stabilizer_states(spec.d, spec.n)[::7]:
+            try:
+                ref = ref_epistemic_state_for(psi, spec)
+            except DimensionMismatch:
+                with pytest.raises(DimensionMismatch, match="coset indicator"):
+                    eqv.epistemic_state_for(psi, spec)
+                continue
+            assert eqv.epistemic_state_for(psi, spec) == ref
+
+
 class TestRandomEquivalence:
     @pytest.mark.parametrize(
         "host,n,d,seed",

@@ -615,9 +615,9 @@ class TestStackedCertificate:
 
     @pytest.mark.parametrize("guard", [None, 1])
     def test_one_table_stack_per_state_set(self, guard, monkeypatch):
-        # the census and the duals are tabulated once each; each generator
-        # tabulates its images once, before the guard, and past the guard
-        # no candidate is compared
+        # the census and the duals are tabulated once each; the generators'
+        # images are tabulated once per block (here one block of four),
+        # before the guard, and past the guard no candidate is compared
         if guard is not None:
             monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", guard)
         calls, compared = [], []
@@ -627,9 +627,9 @@ class TestStackedCertificate:
             calls.append(states.shape)
             return tables(states, spec)
 
-        def counted_covariant(before, after, g):
-            compared.append(g.key())
-            return covariant(before, after, g)
+        def counted_covariant(before, after, codes):
+            compared.append(codes.shape)
+            return covariant(before, after, codes)
 
         monkeypatch.setattr(wg, "_tables", counted)
         monkeypatch.setattr(wg, "_covariant", counted_covariant)
@@ -639,15 +639,15 @@ class TestStackedCertificate:
         assert modes == {"X(0)": "transport", "Z(0)": "transport", "H(0)": "transport"} | (
             {} if guard else {"S(0)": "exhaustive"}
         )
-        assert calls == [(1, 2), (4, 2, 2)] + [(1, 2)] * 4
-        # one comparison per transport witness, then S(0)'s candidates
-        # only within the guard
+        assert calls == [(1, 2), (4, 2, 2), (4, 2)]
+        # one comparison of the block's transport witnesses, then S(0)'s
+        # candidates one by one only within the guard
         if guard:
-            assert len(compared) == 3
+            assert compared == [(4, 4)]
         else:
-            assert len(compared) > 3
+            assert compared[0] == (4, 4) and set(compared[1:]) == {(4,)}
 
-    def test_one_image_stack_per_generator(self, monkeypatch):
+    def test_one_image_stack_per_block(self, monkeypatch):
         calls = []
         tables = wg._tables
 
@@ -658,4 +658,56 @@ class TestStackedCertificate:
         monkeypatch.setattr(wg, "_tables", counted)
         sub = stt.css_rebit_subtheory(2)
         assert stt.is_spekkens_subtheory(sub)["passed"]
-        assert calls == [(20, 4), (12, 4, 4)] + [(20, 4)] * len(sub.gate_generators)
+        # all seven generators fit one block: 7 x 20 images in one call
+        assert calls == [(20, 4), (12, 4, 4), (20 * len(sub.gate_generators), 4)]
+
+
+def _block_bound(sub, k):
+    """The _TABLE_BLOCK at which is_closed takes k generators per block."""
+    return k * max(sub.d ** (2 * sub.n), len(sub.states)) ** 2
+
+
+class TestCertificateBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_reports_do_not_depend_on_the_block(self, case, k, monkeypatch):
+        sub = CERTIFICATE_CASES[case]()
+        want = _emitted(stt.is_spekkens_subtheory(sub))
+        bound = _block_bound(sub, k)
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", bound)
+        calls, stacks = [], []
+        tables, actions = wg._tables, wg._phase_space_actions
+
+        def counted_tables(states, spec):
+            calls.append(states.shape)
+            return tables(states, spec)
+
+        def counted_actions(Us, spec):
+            stacks.append(len(Us))
+            return actions(Us, spec)
+
+        monkeypatch.setattr(wg, "_tables", counted_tables)
+        monkeypatch.setattr(wg, "_phase_space_actions", counted_actions)
+        assert _emitted(stt.is_spekkens_subtheory(sub)) == want
+        # blocks of k generators in order, the last one possibly shorter;
+        # past the census and dual tables, one image table call per block
+        gens = len(sub.gate_generators)
+        assert stacks == [min(k, gens - lo) for lo in range(0, gens, k)]
+        size = sub.d ** (2 * sub.n)
+        assert calls[2:] == [(m * len(sub.states), sub.d**sub.n) for m in stacks]
+        # per block: the transported stack, the image tables, the overlaps
+        s = len(sub.states)
+        assert all(max(m * size * size, m * s * size, m * s * s) <= bound for m in stacks)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_closure_breaker_second_in_its_block(self, k, monkeypatch):
+        base = stt.minimal_rebit_subtheory(2)
+        h = stt.GateGen("H", (0,), do.gate("H", (0,), 2))
+        sub = dataclasses.replace(
+            base, gate_generators=base.gate_generators[:1] + (h,) + base.gate_generators[1:])
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", _block_bound(sub, k))
+        got, ref = stt.is_spekkens_subtheory(sub), ref_is_spekkens_subtheory(sub)
+        assert got["closure"]["counterexample"]["gate"] == "H(0)"
+        assert got["closure"] == ref["closure"]
+        assert stt.is_closed(sub) == (False, ref["closure"]["counterexample"])
+        assert _emitted(got) == _emitted(ref)

@@ -10,6 +10,7 @@ from spektoy import subtheory as stt
 from spektoy import wigner as wg
 from spektoy.errors import AuditError, DimensionMismatch, GuardExceeded
 from sp_enumeration import symplectic_matrices
+from test_subtheory import CERTIFICATE_CASES
 
 
 I2 = np.eye(2)
@@ -506,13 +507,14 @@ class TestStackedCovariance:
         css = stt.minimal_rebit_subtheory(2).states
         U = do.gate("CNOT", (0, 1), 2)
         g, _ = wg.covariance_witness(U, spec, css)
+        codes = wg._image_codes(g.S, g.a, g.d)
         before, after = wg._stacked_tables(css, spec), wg._stacked_tables(css, spec, U)
         assert np.abs(after).max() == pytest.approx(0.25)
-        assert wg._covariant(before, after, g)
+        assert wg._covariant(before, after, codes)
         row, col = np.unravel_index(np.argmax(np.abs(after)), after.shape)
         off = after.copy()
         off[row, col] += 1e-7
-        assert not wg._covariant(before, off, g)
+        assert not wg._covariant(before, off, codes)
 
     def test_full_qubit_n1_search_finds_no_witness(self):
         sub = stt.full_qubit_stabilizer_subtheory(1)
@@ -611,7 +613,7 @@ def product_order_search(U, spec, states):
     before, after = wg._stacked_tables(states, spec), wg._stacked_tables(states, spec, U)
     for codes in itertools.product(*wg._fit_guard(before, after, spec)):
         g = wg._affine_map(codes, spec.d, spec.n)
-        if g is not None and wg._covariant(before, after, g):
+        if g is not None and wg._covariant(before, after, wg._image_codes(g.S, g.a, g.d)):
             return g
     return None
 
@@ -786,10 +788,12 @@ class TestTransport:
         assert found > 0
 
     def test_searches_the_stack_for_the_basis_points_only(self, monkeypatch):
-        # the 2n + 1 basis images compared entry by entry with their one
-        # near stack row each, then the one stacked check of every
-        # transported operator
+        # for a stack of three gates: the 2n + 1 basis images of each
+        # compared entry by entry with their one near stack row each, then
+        # the one stacked check of every transported operator of the block
         spec = wg.delfosse_rebit_spec(3)
+        gates = [do.gate(name, wires, 3) for name, wires in
+                 (("CNOT", (0, 2)), ("X", (1,)), ("CNOT", (1, 0)))]
         searched = []
         real_abs = np.abs
 
@@ -798,10 +802,10 @@ class TestTransport:
             return real_abs(x, *args, **kwargs)
 
         monkeypatch.setattr(wg.np, "abs", counted_abs)
-        g = wg.phase_space_action(do.gate("CNOT", (0, 2), 3), spec)
+        found, _ = wg._phase_space_actions(np.stack(gates), spec)
         monkeypatch.undo()
-        assert g is not None
-        assert searched == [(2 * 3 + 1, 64), (64, 8, 8)]
+        assert [_key(g) for g in found] == [_key(ref_phase_space_action(U, spec)) for U in gates]
+        assert searched == [(3 * (2 * 3 + 1), 64), (3, 64, 8, 8)]
 
     def test_four_rebit_host_transports_every_generator(self):
         # n=4, where the all-pairs search took about 0.1 s per gate
@@ -811,6 +815,64 @@ class TestTransport:
             assert g.inverse().key() == ref_phase_space_action(gen.matrix, host.sub.spec).key()
         rep = eqv.check_random_equivalence(host, 5, seed=16)
         assert rep["max_deviation"] <= 1e-9, rep
+
+
+def random_unitary(rng, dim):
+    """A Haar-random unitary: not a Clifford, so its transport never closes."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_stack_matches_reference(gates, spec):
+    """Each entry of the stacked transport against the per-gate all-pairs
+    search, and each witness's codes against _image_codes."""
+    found, codes = wg._phase_space_actions(np.stack(gates), spec)
+    assert [_key(g) for g in found] == [_key(ref_phase_space_action(U, spec)) for U in gates]
+    for g, row in zip(found, codes):
+        if g is not None:
+            assert np.array_equal(row, wg._image_codes(g.S, g.a, spec.d))
+    return found
+
+
+POOL_SPECS = [make(n) for make in (wg.delfosse_rebit_spec, wg.factorisable_rebit_spec)
+              for n in (1, 2)] + [wg.gross_spec(3, n) for n in (1, 2)]
+
+
+class TestStackedTransport:
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_every_certificate_generator(self, case):
+        sub = CERTIFICATE_CASES[case]()
+        found = assert_stack_matches_reference([g.matrix for g in sub.gate_generators], sub.spec)
+        # the stack is the one-entry transport, entry by entry
+        for gen, g in zip(sub.gate_generators, found):
+            assert _key(wg.phase_space_action(gen.matrix, sub.spec)) == _key(g)
+
+    @pytest.mark.parametrize("spec", POOL_SPECS, ids=lambda s: f"{s.name}-n{s.n}")
+    def test_named_gate_pool_with_a_random_unitary_inside(self, spec):
+        pool = [gen.matrix for gen in stt.named_gate_pool(spec.d, spec.n)]
+        rng = np.random.default_rng([spec.d, spec.n, len(pool)])
+        mid = len(pool) // 2
+        gates = pool[:mid] + [random_unitary(rng, spec.d**spec.n)] + pool[mid:]
+        found = assert_stack_matches_reference(gates, spec)
+        assert found[mid] is None and any(g is not None for g in found)
+
+    def test_guard_exceeded_is_a_mode(self, monkeypatch):
+        # {|0>} under S: 8 candidates past a guard of 7, decided per gate
+        spec, states = wg.delfosse_rebit_spec(1), [do.basis_state([0])]
+        monkeypatch.setattr(pa, "AFFINE_ENUM_GUARD", 7)
+        S, X = do.gate("S", (0,), 1), do.gate("X", (0,), 1)
+        assert wg.covariance_witness(S, spec, states) == (None, "guard-exceeded")
+        before = wg._stacked_tables(states, spec)
+        after = np.stack([wg._stacked_tables(states, spec, U) for U in (S, X)])
+        (g_s, mode_s), (g_x, mode_x) = wg._covariance_witness(np.stack([S, X]), spec, before, after)
+        assert (g_s, mode_s) == (None, "guard-exceeded")
+        assert mode_x == "transport" and _key(g_x) == _key(ref_phase_space_action(X, spec))
+
+    def test_failing_s_beside_passing_generators(self):
+        spec = wg.delfosse_rebit_spec(1)
+        gates = [do.gate(name, (0,), 1) for name in ("X", "S", "Z")]
+        found = assert_stack_matches_reference(gates, spec)
+        assert [g is None for g in found] == [False, True, False]
 
 
 class TestTransitionMatrices:
