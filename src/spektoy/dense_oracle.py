@@ -419,7 +419,7 @@ def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
         P = np.array([s[k] for s, k in zip(stacks, outcomes[0])])
         if np.abs(P[:, None] @ P - P @ P[:, None]).max() > ATOL_CONSTRUCT * dim:
             raise InvalidGenerators("generators do not commute")
-    if stacks and len(mm.rref_rows([list(lam) for lam in labels], 2 * n, d)[0]) != len(stacks):
+    if stacks and len(mm.rref_bits([mm.pack(lam) for lam in labels], 2 * n, d)) != len(stacks):
         raise InvalidGenerators("dependent generator set")
     states = []
     for ks in outcomes:

@@ -204,16 +204,15 @@ class PairedCircuit:
 def _random_css_knowledge(n: int, rng) -> pa.Subspace:
     """Random maximal isotropic V from position/momentum functionals."""
     raw = rng.integers(0, 2, size=(rng.integers(0, n + 1), n))
-    Q, pivots = mm.rref_rows(raw.tolist(), n, 2)
-    P = mm.complement_rows(Q, pivots, n, 2)
+    Q = mm.rref_bits(map(mm.pack, raw.tolist()), n, 2)
     gens = []
     for q in Q:
         v = np.zeros(2 * n, dtype=np.int64)
-        v[0::2] = q
+        v[0::2] = mm.unpack(q, n)
         gens.append(v)
-    for p in P:
+    for p in mm.complement_bits(Q, n, 2):
         v = np.zeros(2 * n, dtype=np.int64)
-        v[1::2] = p
+        v[1::2] = mm.unpack(p, n)
         gens.append(v)
     return pa.Subspace.from_generators(gens, 2, n)
 

@@ -20,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -118,17 +117,14 @@ class Subspace:
         for r in rows:
             if len(r) != 2 * n:
                 raise DimensionMismatch(f"expected length {2 * n}, got {len(r)}")
-        if d == 2:
-            return cls.of_bits(mm.rref_bits(map(mm.pack, rows)), n)
-        R, _ = mm.rref_rows(rows, 2 * n, d)
-        return cls(tuple(map(tuple, R)), d, n)
+        return cls.of_bits(mm.rref_bits(map(mm.pack, rows), 2 * n, d), d, n)
 
     @classmethod
-    def of_bits(cls, rows, n: int) -> "Subspace":
-        """The d = 2 subspace with these packed rref rows (sorted descending),
-        its `bits` and `pivots` (the rows' lead bytes) filled: the steps
-        build their subspaces so."""
-        V = cls(tuple(mm.unpack(r, 2 * n) for r in rows), 2, n)
+    def of_bits(cls, rows, d: int, n: int) -> "Subspace":
+        """The subspace with these packed rref rows (sorted descending),
+        its `bits` and `pivots` (the rows' lead bytes) filled: every
+        elimination builds its subspace so."""
+        V = cls(tuple(mm.unpack(r, 2 * n) for r in rows), d, n)
         V.__dict__.update(bits=tuple(rows), pivots=tuple(mm.lead_bit(r, 2 * n) for r in rows))
         return V
 
@@ -139,7 +135,8 @@ class Subspace:
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
-        """The rref rows packed (`mm.pack`), in order; d = 2 only."""
+        """The rref rows packed (`mm.pack`), in order: the row form every
+        kernel of `_modmath` takes."""
         return tuple(map(mm.pack, self.gens))
 
     @classmethod
@@ -159,10 +156,8 @@ class Subspace:
         return len(self.gens)
 
     def contains(self, vec) -> bool:
-        v = as_vector(vec, self.d, self.n).tolist()
-        if self.d == 2:
-            return not mm.reduce_bits(mm.pack(v), self.bits)
-        return not any(mm.reduce_row(v, self.gens, self.d))
+        v = mm.pack(as_vector(vec, self.d, self.n).tolist())
+        return not mm.reduce_bits(v, self.bits, 2 * self.n, self.d)
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """All member vectors, lexicographically sorted."""
@@ -175,10 +170,8 @@ class Subspace:
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("subspace sum across different (d, n)")
         # both generator lists are canonical rows already: one elimination
-        if self.d == 2:
-            return Subspace.of_bits(mm.rref_bits(self.bits + other.bits), self.n)
-        R, _ = mm.rref_rows(list(map(list, self.gens + other.gens)), 2 * self.n, self.d)
-        return Subspace(tuple(map(tuple, R)), self.d, self.n)
+        rows = mm.rref_bits(self.bits + other.bits, 2 * self.n, self.d)
+        return Subspace.of_bits(rows, self.d, self.n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
@@ -192,8 +185,7 @@ def perp(V: Subspace) -> Subspace:
     This is *not* the symplectic complement; it is the complement entering
     the coset supports of epistemic states.
     """
-    U = mm.complement_rows(V.gens, V.pivots, 2 * V.n, V.d)
-    return Subspace(tuple(map(tuple, U)), V.d, V.n)
+    return Subspace.of_bits(mm.complement_bits(V.bits, 2 * V.n, V.d), V.d, V.n)
 
 
 def symplectic_commutant(V: Subspace) -> Subspace:
@@ -206,24 +198,13 @@ def is_isotropic(V: Subspace) -> bool:
     """True iff the symplectic product vanishes on all generator pairs.
 
     Each generator b is tested against every earlier one (the form is
-    antisymmetric, so [b, b] = 0 and [b, a] = -[a, b]): at d = 2 on V's
-    packed rows, where a product is the parity of a & Jb, else on its int
-    rows.
+    antisymmetric, so [b, b] = 0 and [b, a] = -[a, b]), on V's packed rows:
+    [a, b] = a . Jb.
     """
-    d = V.d
-    if d == 2:
-        rows = V.bits
-        for j in range(1, len(rows)):
-            Jb = mm.swap_pairs(rows[j], V.n)
-            if any((a & Jb).bit_count() & 1 for a in rows[:j]):
-                return False
-        return True
-    gens = V.gens
-    for j in range(1, len(gens)):
-        Jb = symplectic_row(gens[j])
-        for a in gens[:j]:
-            if sum(map(mul, a, Jb)) % d:
-                return False
+    rows, n, d = V.bits, V.n, V.d
+    for j in range(1, len(rows)):
+        if any(mm.dot_bits(rows[:j], mm.swap_pairs(rows[j], n, d), 2 * n, d)):
+            return False
     return True
 
 
@@ -237,7 +218,8 @@ def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
     coefficients of the rows before it.  So the span's lexicographic
     coefficient order is the points' lexicographic order.
     """
-    wv = mm.reduce_row(as_vector(w, U.d, U.n).tolist(), U.gens, U.d)
+    v = mm.pack(as_vector(w, U.d, U.n).tolist())
+    wv = mm.unpack(mm.reduce_bits(v, U.bits, 2 * U.n, U.d), 2 * U.n)
     if U.d ** U.dim > COSET_GUARD:
         raise GuardExceeded(f"coset has {U.d ** U.dim} > {COSET_GUARD} points")
     return tuple(map(tuple, mm.coset_vectors(U.matrix, wv, U.d).tolist()))
@@ -302,7 +284,7 @@ class AffineSymplectic:
 
     @cached_property
     def Sinv_bits(self) -> tuple[int, ...]:
-        """S^-1's rows packed (`mm.pack`), d = 2 only; computed on first read."""
+        """S^-1's rows packed (`mm.pack`), computed on first read."""
         w, rows = 2 * self.n, self.Sinv.astype(np.uint8).tobytes()
         return tuple(mm.pack(rows[i : i + w]) for i in range(0, w * w, w))
 

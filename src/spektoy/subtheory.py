@@ -210,11 +210,6 @@ def named_gate_pool(d: int, n: int) -> list[GateGen]:
     return list(_gate_gens(("X", "Z", "F", "P"), ("SUM", "SWAP"), n, d))
 
 
-#: most entries of one states x images overlap block; the full d=2, n=4
-#: census (36,720 states) would need 21 GB for its whole Gram matrix
-MATCH_BLOCK_ENTRIES = 1 << 20
-
-
 def _conjugated(states) -> tuple[np.ndarray, np.ndarray]:
     """The conjugated state stack and its row norms: the states' side of
     every overlap block, the same for all images."""
@@ -229,7 +224,8 @@ def _first_matches(states, images: np.ndarray, conjugated=None) -> np.ndarray:
     only to each other.  conjugated is _conjugated(states) when the
     caller has it.
 
-    Images are compared in blocks of at most MATCH_BLOCK_ENTRIES overlaps,
+    Images are compared in blocks of at most wg._TABLE_BLOCK overlaps (the
+    whole Gram matrix of the full d=2, n=4 census would need 21 GB),
     and the scan stops after the first block holding a miss, so the result
     may be shorter than images; a shorter result always ends in a miss.
     """
@@ -238,7 +234,7 @@ def _first_matches(states, images: np.ndarray, conjugated=None) -> np.ndarray:
         return np.full(len(images), -1)
     S, s_norm = _conjugated(states) if conjugated is None else conjugated
     s_zero = s_norm < ATOL_END2END
-    block = max(1, MATCH_BLOCK_ENTRIES // len(S))
+    block = max(1, wg._TABLE_BLOCK // len(S))
     out = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(images), block):
         img = images[start:start + block]

@@ -21,11 +21,10 @@ values.  `statistics` keeps each finished plan on its step object, by V
 circuit and meet few V's at small n, so a plan is built once per (V, step).
 The single-state steps build fresh plans and keep none, because a trajectory
 seldom meets a V twice and there the kept plans would only grow.  Steps
-run on the rows of V in the form of its field (`_row_form`): at odd d the int
-rows of `Subspace.gens`, numpy only for a gate's V S^-1, V_new S and
-V_new a; at d = 2 the packed rows of `Subspace.bits`, where a row
-operation is one XOR and a symplectic product one popcount, as in
-Aaronson-Gottesman's tableau.  A measurement of k functionals is k tableau
+run on the packed rows of V (`Subspace.bits`) at every d, as in
+Aaronson-Gottesman's tableau: a row operation or a symplectic product is
+one `_modmath` kernel over the whole row (`_Rows`), and a gate's V S^-1
+sums S^-1's packed rows.  A measurement of k functionals is k tableau
 row updates, O(k dim V 2n); one walk of them on the values lists every
 outcome with its posterior values, and a shorter one the outcomes alone.
 `EpistemicState.support` lists the coset on each read, under
@@ -48,9 +47,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
-from itertools import chain, compress, product
-from operator import mul, xor
+from functools import cache, cached_property, partial
+from itertools import chain, product
+from operator import mul
 
 import numpy as np
 
@@ -144,95 +143,58 @@ def maximally_mixed(d: int, n: int) -> EpistemicState:
     return make_epistemic(pa.Subspace.zero(d, n), (0,) * (2 * n))
 
 
-class _IntRows:
-    """The row primitives of a step at odd d: rows are int lists (or V's
-    tuples) with entries in [0, d)."""
+class _Rows:
+    """The row primitives of a step on Z_d^{2n}: rows are packed (`mm.pack`,
+    `Subspace.bits`) and every row operation is a `_modmath` kernel."""
 
     def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-
-    def of(self, V: pa.Subspace) -> list:
-        return list(V.gens)
-
-    def subspace(self, rows) -> pa.Subspace:
-        return pa.Subspace(tuple(map(tuple, rows)), self.d, self.n)
-
-    def products(self, rows, a) -> list[int]:  # [g, a] for each row g
-        Ja, d = pa.symplectic_row(a), self.d
-        return [sum(map(mul, g, Ja)) % d for g in rows]
-
-    def reduce(self, a, rows):  # a modulo rref rows
-        return mm.reduce_row(list(a), rows, self.d)
-
-    def led_by_one(self, v):  # (pivot q, 1 / v[q], v scaled by it), None at zero
-        q = next((c for c, x in enumerate(v) if x), None)
-        if q is None:
-            return None
-        inv = pow(v[q], -1, self.d)
-        return q, inv, [x * inv % self.d for x in v]
-
-    def column(self, rows, q) -> list[int]:
-        return [g[q] for g in rows]
-
-    def subtract(self, rows, factors, top):  # rows[j] - factors[j] top; factor 0 keeps rows[j]
-        d = self.d
-        return [[(y - f * z) % d for y, z in zip(g, top)] if f else g for g, f in zip(rows, factors)]
-
-    def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
-        """(V_new = V S^-1, H, c) of `_transport`, H = V_new S on V's
-        pivot columns and c = V_new a."""
-        d = self.d
-        V_new = pa.Subspace.from_generators(V.matrix @ g.Sinv, d, self.n)
-        N = V_new.matrix
-        return V_new, ((N @ g.S)[:, V.pivots] % d).tolist(), (N @ g.a % d).tolist()
-
-
-class _BitRows(_IntRows):
-    """The same primitives at d = 2 on packed rows (`mm.pack`): a row
-    operation is an XOR, a product a popcount parity, and every nonzero
-    entry is 1."""
+        self.d, self.n, self.w = d, n, 2 * n
 
     def of(self, V: pa.Subspace) -> list[int]:
         return list(V.bits)
 
     def subspace(self, rows) -> pa.Subspace:
-        return pa.Subspace.of_bits(rows, self.n)
+        return pa.Subspace.of_bits(rows, self.d, self.n)
 
-    def products(self, rows, a) -> list[int]:
-        Ja = mm.swap_pairs(mm.pack(a), self.n)
-        return [mm.dot_bits(g, Ja) for g in rows]
+    def products(self, rows, a) -> list[int]:  # [g, a] for each row g
+        return mm.dot_bits(rows, mm.swap_pairs(mm.pack(a), self.n, self.d), self.w, self.d)
 
-    def reduce(self, a, rows):
-        return mm.reduce_bits(mm.pack(a), rows)
+    def reduce(self, a, rows):  # a modulo rref rows
+        return mm.reduce_bits(mm.pack(a), rows, self.w, self.d)
 
-    def led_by_one(self, v):
-        return (mm.lead_bit(v, 2 * self.n), 1, v) if v else None
+    def led_by_one(self, v):  # (pivot q, 1 / v[q], v scaled by it), None at zero
+        if not v:
+            return None
+        q, d = mm.lead_bit(v, self.w), self.d
+        inv = pow(v >> 8 * (self.w - 1 - q), -1, d)
+        return q, inv, mm.scale_bits(v, inv, self.w, d)
 
     def column(self, rows, q) -> list[int]:
-        shift = 8 * (2 * self.n - 1 - q)
-        return [g >> shift & 1 for g in rows]
+        shift = 8 * (self.w - 1 - q)
+        return [g >> shift & 255 for g in rows]
 
-    def subtract(self, rows, factors, top):
-        return [g ^ top if f else g for g, f in zip(rows, factors)]
+    def subtract(self, rows, factors, top):  # rows[j] - factors[j] top; factor 0 keeps rows[j]
+        return mm.subtract_bits(rows, factors, top, self.w, self.d)
 
     def moved(self, V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
-        """Each row v S^-1 is the XOR of S^-1's packed rows where v is 1.
-        They are eliminated with their coefficients on V's rows in k extra
-        low bytes: a row h of V_new is sum_j T_j (v_j S^-1), so h S =
-        sum_j T_j v_j, and the row of H for h is T."""
-        w, k = 2 * self.n, V.dim
-        rows = [reduce(xor, compress(g.Sinv_bits, v), 0) << 8 * k | 1 << 8 * (k - 1 - j)
+        """(V_new = V S^-1, H, c) of `_transport`, H = V_new S on V's
+        pivot columns and c = V_new a.  Each row v S^-1 is a sum of S^-1's
+        packed rows.  They are eliminated with their coefficients on V's
+        rows in k extra low bytes: a row h of V_new is sum_j T_j (v_j S^-1),
+        so h S = sum_j T_j v_j, and the row of H for h is T."""
+        d, w, k = self.d, self.w, V.dim
+        rows = [mm.combine_bits(v, g.Sinv_bits, w, d) << 8 * k | 1 << 8 * (k - 1 - j)
                 for j, v in enumerate(V.gens)]
-        R, a = mm.rref_bits(rows), mm.pack(g.a.tolist())
+        R, a = mm.rref_bits(rows, w + k, d), mm.pack(g.a.tolist())
         new, H = [r >> 8 * k for r in R], [list(mm.unpack(r, w + k)[w:]) for r in R]
-        return pa.Subspace.of_bits(new, self.n), H, [mm.dot_bits(h, a) for h in new]
+        return pa.Subspace.of_bits(new, d, self.n), H, mm.dot_bits(new, a, w, d)
 
 
 @cache
-def _row_form(d: int, n: int) -> _IntRows:
+def _row_form(d: int, n: int) -> _Rows:
     """The row primitives of Z_d^{2n}: one shared instance per (d, n), so
     the plans kept on a step (`_plans`) do not each hold their own."""
-    return (_BitRows if d == 2 else _IntRows)(d, n)
+    return _Rows(d, n)
 
 
 def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spektoy import _modmath as mm
+from int_rows import ref_rref_rows
 from spektoy import dense_oracle as do
 from spektoy import phase_algebra as pa
 from spektoy import subtheory as stt
@@ -277,7 +277,7 @@ def ref_stabilizer_state(generators, d, n):
             if not np.allclose(a @ b, b @ a, rtol=0, atol=ATOL_CONSTRUCT * dim):
                 raise InvalidGenerators("generators do not commute")
     rows = [list(lam) for lam, _ in gens]
-    if rows and len(mm.rref_rows(rows, 2 * n, d)[0]) != len(rows):
+    if rows and len(ref_rref_rows(rows, 2 * n, d)[0]) != len(rows):
         raise InvalidGenerators("dependent generator set")
     rho = np.eye(dim, dtype=complex)
     for proj in projs:

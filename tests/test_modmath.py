@@ -1,8 +1,9 @@
-"""The int-row forms of `_modmath` against numpy reference routines.
+"""The packed-row kernels of `_modmath` against reference routines.
 
 The reference functions below are the array implementations the package
 used before elimination moved to Python int rows: `ref_rref` does its row
-operations on int64 arrays, and the others are built on it.
+operations on int64 arrays, and the others are built on it.  The int-row
+form that came between (`int_rows`) is the second reference, at every p.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from int_rows import ref_complement_rows, ref_reduce_row, ref_rref_rows
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 
@@ -128,38 +130,39 @@ def matrices(rows=st.integers(0, 8), cols=st.integers(1, 10)):
 
 
 def rows_of(A, p):
-    """The int rows of an array, reduced mod p: the row forms' input."""
-    return mm.modp(A, p).tolist()
+    """The packed rows of an array, reduced mod p: the kernels' input."""
+    return [mm.pack(r) for r in mm.modp(A, p).tolist()]
 
 
 def assert_same_rows(got, want):
-    assert got == want.tolist()
+    assert [list(mm.unpack(r, want.shape[1])) for r in got] == want.tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), primes)
 def test_rref_matches_reference(A, p):
-    R, pivots = mm.rref_rows(rows_of(A, p), A.shape[1], p)
+    n = A.shape[1]
+    R = mm.rref_bits(rows_of(A, p), n, p)
     R_ref, pivots_ref = ref_rref(A, p)
     assert_same_rows(R, R_ref)
-    assert pivots == pivots_ref
+    assert [mm.lead_bit(r, n) for r in R] == pivots_ref
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(entries, min_size=1, max_size=10), primes)
 def test_rref_of_a_vector_matches_reference(v, p):
-    R, pivots = mm.rref_rows([mm.modp(v, p).tolist()], len(v), p)
+    R = mm.rref_bits(rows_of([v], p), len(v), p)
     R_ref, pivots_ref = ref_rref(np.array(v), p)
     assert_same_rows(R, R_ref)
-    assert pivots == pivots_ref
+    assert [mm.lead_bit(r, len(v)) for r in R] == pivots_ref
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(), primes)
 def test_nullspace_matches_reference(A, p):
     n = A.shape[1]
-    R, pivots = mm.rref_rows(rows_of(A, p), n, p)
-    assert_same_rows(mm.complement_rows(R, pivots, n, p), ref_nullspace(A, p))
+    R = mm.rref_bits(rows_of(A, p), n, p)
+    assert_same_rows(mm.complement_bits(R, n, p), ref_nullspace(A, p))
 
 
 def subspaces(d, n, max_size):
@@ -192,9 +195,10 @@ def test_intersect_with_zero_and_full(d, n):
 @given(matrices(), primes, st.data())
 def test_reduce_mod_rowspace_matches_reference(A, p, data):
     R, _ = ref_rref(A, p)
-    v = np.array(data.draw(st.lists(entries, min_size=A.shape[1], max_size=A.shape[1])))
-    got = mm.reduce_row(mm.modp(v, p).tolist(), R.tolist(), p)
-    assert got == ref_reduce_mod_rowspace(v, R, p).tolist()
+    n = A.shape[1]
+    v = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    got = mm.reduce_bits(mm.pack(mm.modp(v, p).tolist()), rows_of(R, p), n, p)
+    assert mm.unpack(got, n) == tuple(ref_reduce_mod_rowspace(v, R, p).tolist())
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,70 +220,103 @@ def test_span_of_a_vector_matches_reference(v, p):
 
 
 # ---------------------------------------------------------------------------
-# Packed rows at p = 2 against the int-row forms
+# Packed rows against the int-row form, at every p
 
 
-def int_row_product(a, b):
-    """[a, b] over Z_2 on int rows."""
-    return sum(map(mul, a, pa.symplectic_row(b))) % 2
+def int_row_product(a, b, p):
+    """[a, b] over Z_p on int rows."""
+    return sum(map(mul, a, pa.symplectic_row(b))) % p
 
 
 @st.composite
-def bit_rows(draw):
-    """(n, kind, rows, v) at p = 2, n <= 16: rows with the zero row and the unit
-    rows of coordinates 0 and 2n - 1 planted, a full-rank list (row
+def packed_rows(draw, p=None, max_n=16):
+    """(p, n, kind, rows, v), n <= max_n: rows with the zero row and the
+    unit rows of coordinates 0 and 2n - 1 planted, a full-rank list (row
     operations on the identity, then a redundant row), or rows confined to
     one coordinate of each site's pair (an isotropic list)."""
-    n = draw(st.integers(1, 16))
+    p = p or draw(primes)
+    n = draw(st.integers(1, max_n))
     w = 2 * n
-    row = st.lists(st.integers(0, 1), min_size=w, max_size=w).map(tuple)
-    special = st.sampled_from([(0,) * w, (1,) + (0,) * (w - 1), (0,) * (w - 1) + (1,)])
+    row = st.lists(st.integers(0, p - 1), min_size=w, max_size=w).map(tuple)
+    special = st.sampled_from([(0,) * w, (1,) + (0,) * (w - 1), (0,) * (w - 1) + (p - 1,)])
     kind = draw(st.sampled_from(["random", "full rank", "one of each pair"]))
     if kind == "full rank":
         rows = [list(r) for r in draw(st.permutations(np.eye(w, dtype=np.int64).tolist()))]
-        for i, j in draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, w - 1)), max_size=3 * w)):
+        moves = st.tuples(st.integers(0, w - 1), st.integers(0, w - 1), st.integers(1, p - 1))
+        for i, j, f in draw(st.lists(moves, max_size=3 * w)):
             if i != j:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[j])]
+                rows[i] = [(x + f * y) % p for x, y in zip(rows[i], rows[j])]
         rows = [tuple(r) for r in rows] + [draw(row)]
     elif kind == "one of each pair":
         keep = [c for k in range(n) for c in draw(st.permutations([1, 0]))]
-        rows = [tuple(x & m for x, m in zip(r, keep)) for r in draw(st.lists(row, max_size=n + 2))]
+        rows = [tuple(x * m for x, m in zip(r, keep)) for r in draw(st.lists(row, max_size=n + 2))]
     else:
         rows = draw(st.lists(st.one_of(row, special), max_size=w + 2))
-    return n, kind, rows, draw(st.one_of(row, special))
+    return p, n, kind, rows, draw(st.one_of(row, special))
 
 
-@settings(max_examples=200, deadline=None)
-@given(bit_rows())
+@settings(max_examples=300, deadline=None)
+@given(packed_rows())
 def test_packed_rows_match_int_rows(case):
-    n, kind, rows, v = case
+    p, n, kind, rows, v = case
     w = 2 * n
-    R, pivots = mm.rref_rows([list(r) for r in rows], w, 2)
-    bits = mm.rref_bits([mm.pack(r) for r in rows])
-    # rref and pivots
+    R, pivots = ref_rref_rows([list(r) for r in rows], w, p)
+    bits = mm.rref_bits([mm.pack(r) for r in rows], w, p)
+    # elimination and pivots
     assert [mm.unpack(b, w) for b in bits] == [tuple(r) for r in R]
     assert [mm.lead_bit(b, w) for b in bits] == pivots
     # packing the canonical generators gives the packed rref back
-    V = pa.Subspace.from_generators(rows, 2, n)
-    int_V = pa.Subspace(tuple(map(tuple, R)), 2, n)
+    V = pa.Subspace.from_generators(rows, p, n)
+    int_V = pa.Subspace(tuple(map(tuple, R)), p, n)
     assert V == int_V and V.gens == int_V.gens
     assert tuple(map(mm.pack, V.gens)) == V.bits == int_V.bits == tuple(bits)
-    # reduction
-    assert mm.unpack(mm.reduce_bits(mm.pack(v), bits), w) == tuple(mm.reduce_row(list(v), R, 2))
-    assert V.contains(v) == (not any(mm.reduce_row(list(v), R, 2)))
+    # reduction and complement
+    reduced = ref_reduce_row(list(v), R, p)
+    assert mm.unpack(mm.reduce_bits(mm.pack(v), bits, w, p), w) == tuple(reduced)
+    assert V.contains(v) == (not any(reduced))
+    U = ref_complement_rows(R, pivots, w, p)
+    assert [mm.unpack(b, w) for b in mm.complement_bits(bits, w, p)] == [tuple(r) for r in U]
+    assert pa.perp(V).gens == tuple(map(tuple, U))
     # dot and symplectic products, isotropy
     for a in rows + [v]:
-        assert mm.dot_bits(mm.pack(a), mm.pack(v)) == sum(map(mul, a, v)) % 2
-        Ja = mm.swap_pairs(mm.pack(a), n)
-        assert mm.unpack(Ja, w) == tuple(x % 2 for x in pa.symplectic_row(a))
-        for b in rows:
-            assert mm.dot_bits(mm.pack(b), Ja) == int_row_product(b, a)
-    isotropic = all(int_row_product(a, b) == 0 for a, b in itertools.combinations(R, 2))
+        assert mm.dot_bits([mm.pack(a)], mm.pack(v), w, p) == [sum(map(mul, a, v)) % p]
+        Ja = mm.swap_pairs(mm.pack(a), n, p)
+        assert mm.unpack(Ja, w) == tuple(x % p for x in pa.symplectic_row(a))
+        want = [int_row_product(b, a, p) for b in rows]
+        assert mm.dot_bits([mm.pack(b) for b in rows], Ja, w, p) == want
+    isotropic = all(int_row_product(a, b, p) == 0 for a, b in itertools.combinations(R, 2))
     assert pa.is_isotropic(V) == pa.is_isotropic(int_V) == isotropic
     if kind == "one of each pair":
         assert isotropic
     if kind == "full rank":
         assert pivots == list(range(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rows(max_n=8), st.data())
+def test_row_sums_match_int_rows(case, data):
+    # scaled sums, scaled differences and scalings against int rows, with
+    # every factor in [0, p), up to 2n + 2 terms
+    p, n, _, rows, v = case
+    w = 2 * n
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+    want = [sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(w)]
+    assert mm.unpack(mm.combine_bits(coeffs, [mm.pack(r) for r in rows], w, p), w) == tuple(want)
+    got = mm.subtract_bits([mm.pack(r) for r in rows], coeffs, mm.pack(v), w, p)
+    assert [mm.unpack(g, w) for g in got] == [
+        tuple((x - c * y) % p for x, y in zip(r, v)) for r, c in zip(rows, coeffs)]
+    for f in range(1, p):
+        assert mm.unpack(mm.scale_bits(mm.pack(v), f, w, p), w) == tuple(x * f % p for x in v)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_long_sums_fold_every_chunk(p):
+    # 2n = 256 terms, every lane at p - 1 and every factor p - 1: an
+    # unfolded sum would pass 255 in every lane
+    w = 256
+    rows = [mm.pack([p - 1] * w)] * w
+    assert mm.combine_bits([p - 1] * w, rows, w, p) == mm.pack([w * (p - 1) ** 2 % p] * w)
+    assert mm.combine_bits([1] * w, rows, w, p) == mm.pack([w * (p - 1) % p] * w)
 
 
 def test_packed_rows_edge_cases():
@@ -288,13 +325,17 @@ def test_packed_rows_edge_cases():
     assert mm.pack(e0) == 1 << 40 and mm.pack(last) == 1 and mm.pack(zero) == 0
     assert mm.unpack(1 << 40, w) == e0 and mm.unpack(0, w) == zero
     assert mm.lead_bit(mm.pack(e0), w) == 0 and mm.lead_bit(mm.pack(last), w) == w - 1
-    assert mm.rref_bits([0, 0]) == [] and mm.reduce_bits(0, [1 << 40]) == 0
-    # (x_0, p_0) and (x_2, p_2) anticommute; full rank is the identity
-    assert mm.dot_bits(mm.pack(e0), mm.swap_pairs(mm.pack((0, 1, 0, 0, 0, 0)), n)) == 1
-    assert mm.dot_bits(mm.pack(last), mm.swap_pairs(mm.pack((0, 0, 0, 0, 1, 0)), n)) == 1
-    full = mm.rref_bits([mm.pack(r) for r in np.eye(w, dtype=np.int64)[::-1].tolist()])
-    assert [mm.unpack(b, w) for b in full] == [tuple(r) for r in np.eye(w, dtype=np.int64).tolist()]
-    assert not pa.is_isotropic(pa.Subspace.full(2, n))
+    eye = np.eye(w, dtype=np.int64)
+    for p in (2, 3, 5):
+        assert mm.rref_bits([0, 0], w, p) == [] and mm.reduce_bits(0, [1 << 40], w, p) == 0
+        # (x_0, p_0) and (x_2, p_2) anticommute: [e_x0, e_p0] = 1, [e_p2, e_x2] = -1
+        p0, x2 = mm.pack((0, 1, 0, 0, 0, 0)), mm.pack((0, 0, 0, 0, 1, 0))
+        assert mm.dot_bits([mm.pack(e0)], mm.swap_pairs(p0, n, p), w, p) == [1]
+        assert mm.dot_bits([mm.pack(last)], mm.swap_pairs(x2, n, p), w, p) == [p - 1]
+        # full rank is the identity
+        full = mm.rref_bits([mm.pack(r) for r in ((p - 1) * eye[::-1]).tolist()], w, p)
+        assert [mm.unpack(b, w) for b in full] == [tuple(r) for r in eye.tolist()]
+        assert not pa.is_isotropic(pa.Subspace.full(p, n))
 
 
 def test_every_public_function_has_a_package_caller():

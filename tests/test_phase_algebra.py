@@ -123,14 +123,14 @@ def random_subspaces():
 def check_perp(V):
     """perp(V) runs one elimination and agrees with the reference nullspace."""
     calls = []
-    rref_rows = mm.rref_rows
+    rref_bits = mm.rref_bits
 
     def counted(*args):
         calls.append(args)
-        return rref_rows(*args)
+        return rref_bits(*args)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(mm, "rref_rows", counted)
+        monkeypatch.setattr(mm, "rref_bits", counted)
         U = pa.perp(V)
     assert len(calls) == 1
     assert U == pa.Subspace.from_generators(ref_nullspace(V.matrix, V.d), V.d, V.n)
@@ -213,9 +213,12 @@ class TestCosets:
         coeffs = data.draw(st.lists(st.integers(0, d - 1), min_size=U.dim, max_size=U.dim))
         v = np.array(data.draw(vectors(d, n)), dtype=np.int64)
         member = np.array(coeffs, dtype=np.int64) @ U.matrix
-        r = mm.reduce_row(v.tolist(), U.gens, d)
+        def reduced(x):
+            return mm.unpack(mm.reduce_bits(mm.pack(x.tolist()), U.bits, 2 * n, d), 2 * n)
+
+        r = reduced(v)
         assert U.contains(np.array(r) - v)
-        assert mm.reduce_row(((v + member) % d).tolist(), U.gens, d) == r
+        assert reduced((v + member) % d) == r
         assert not any(r[next(i for i, x in enumerate(g) if x)] for g in U.gens)
 
 

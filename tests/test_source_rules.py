@@ -28,6 +28,9 @@
   is_isotropic, on the subspaces that enter from outside; every toy step
   keeps V isotropic by construction, so a step that checked again would
   pay O(dim^2) for nothing.
+* phase_algebra and toy_model compare no d, p or .d (self.d, V.d) with 2:
+  every row is packed at every d, and the p = 2 specialisations of the
+  row kernels live in _modmath alone.
 """
 
 import ast
@@ -170,6 +173,18 @@ def outer_product_calls(tree):
             and node.func.value.value.id == "np"]
 
 
+def field_forks(tree):
+    """Line numbers of comparisons of d, p or an attribute .d with 2."""
+    def is_field(node):
+        return (isinstance(node, ast.Name) and node.id in ("d", "p")
+                or isinstance(node, ast.Attribute) and node.attr == "d")
+
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(isinstance(x, ast.Constant) and x.value == 2
+                          for x in [node.left, *node.comparators])
+                  and any(map(is_field, [node.left, *node.comparators])))
+
+
 def def_lines(tree, dotted):
     """The lines of the def or class at the dotted path of module-level
     and class-body names."""
@@ -252,6 +267,11 @@ def test_tolerances_are_named(name, tree):
     assert tolerance_literals(tree, TOLERANCES if name == "circuits.py" else ()) == []
 
 
+@pytest.mark.parametrize("name", ["phase_algebra.py", "toy_model.py"])
+def test_one_row_form(name):
+    assert field_forks(dict(_trees())[name]) == []
+
+
 def test_isotropy_is_checked_where_input_enters():
     trees = dict(_trees())
     assert [name for name, tree in trees.items() if reads_of(tree, "is_isotropic")] == [
@@ -302,6 +322,11 @@ def test_rules_catch_violations():
     assert sorted(reads_of(tree, "is_isotropic")) == [2, 8]
     assert (def_lines(tree, "make_epistemic"), def_lines(tree, "M.__post_init__")) == (
         range(1, 3), range(5, 7))
+    tree = ast.parse(
+        "if d == 2: pass\nx = 2 != p\ny = self.d == 2\nz = V.d < 2 or g.d >= 2\n"
+        "w = n == 2\nv = d == 3\nu = self.n == 2\nt = 2 * d == 4\ns = d in (2, 3)\n"
+    )
+    assert field_forks(tree) == [1, 2, 3, 4, 4]
 
 
 def test_private_code_is_read():

@@ -332,10 +332,10 @@ MEMBERSHIP_CASES = {
 class TestStateMembership:
     # 1 and 7 force one image per block; 50 gives blocks of 2 to 8 images
     # with a partial last block
-    @pytest.mark.parametrize("bound", [1, 7, 50, stt.MATCH_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("bound", [1, 7, 50, wg._TABLE_BLOCK])
     @pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
     def test_matches_states_equal_scan(self, case, bound, monkeypatch):
-        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", bound)
         sub = MEMBERSHIP_CASES[case]()
         for gen in sub.gate_generators:
             U = gen.matrix
@@ -344,9 +344,9 @@ class TestStateMembership:
                 img = U @ s
                 assert stt.state_index(sub.states, img) == ref_state_index(sub.states, img)
 
-    @pytest.mark.parametrize("bound", [1, 7, 50, stt.MATCH_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("bound", [1, 7, 50, wg._TABLE_BLOCK])
     def test_first_matches_sees_every_image_up_to_a_last_miss(self, bound, monkeypatch):
-        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", bound)
         states = stt.all_stabilizer_states(2, 2)
         tplus = do.parse_state_spec("T|+>")
         foreign = np.kron(tplus, tplus)
@@ -356,10 +356,10 @@ class TestStateMembership:
         assert got.tolist() == [-1 if i is None else i for i in ref]
         assert stt._first_matches(states, images[:-1]).tolist() == ref[:-1]
 
-    @pytest.mark.parametrize("bound", [1, 7, stt.MATCH_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("bound", [1, 7, wg._TABLE_BLOCK])
     @pytest.mark.parametrize("case", ["minimal-rebit-2", "css-rebit-2"])
     def test_s_escapes_at_the_same_first_index(self, case, bound, monkeypatch):
-        monkeypatch.setattr(stt, "MATCH_BLOCK_ENTRIES", bound)
+        monkeypatch.setattr(wg, "_TABLE_BLOCK", bound)
         states = MEMBERSHIP_CASES[case]().states
         S = do.gate("S", (0,), 2)
         ok, idx = stt.permutes_states(S, states)
