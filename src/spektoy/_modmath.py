@@ -11,11 +11,10 @@ coordinate.  The p-specific lane arithmetic lives here alone.  At p = 2 a
 row sum is one XOR and a dot product the parity of one popcount.  At odd p
 the bytes are SWAR lanes: reduced rows and their small multiples add
 without a carry while no lane passes `_LANE_TOP`, `_fold` brings each lane
-back to [0, p), and a dot product counts the common bits of the rows'
-bitplanes.  numpy appears only where arrays are the natural
-output: `modp` reduces an integer array-like in one call, and
-`coset_vectors` lists a coset as an int64 array.  All routines are
-deterministic.
+back to [0, p), and a dot product is the byte sum of the lane products.
+numpy appears only where arrays are the natural output: `modp` reduces an
+integer array-like in one call, and `coset_vectors` lists a coset as an
+int64 array.  All routines are deterministic.
 """
 
 from __future__ import annotations
@@ -203,19 +202,17 @@ def swap_pairs(b: int, n: int, p: int) -> int:
 
 def dot_bits(rows, b: int, n: int, p: int) -> list[int]:
     """a . b mod p for each reduced packed row a of rows, b of length n.
-    At p = 2 the parity of their common coordinates.  At odd p a lane is
-    sum_i 2^i (its bit in bitplane i), so a . b = sum_ij 2^(i + j)
-    |a_i & b_j|."""
+    At p = 2 the parity of their common coordinates.  At odd p the lanes of
+    sum_j (a & B_j) << j, B_j the lanes of b with bit j set, are the
+    products a_c b_c (at most 16: no carry), and an int's byte sum is the
+    int mod 255 (256 = 1), which p divides at p = 3 and 5."""
     if p == 2:
         return [(a & b).bit_count() & 1 for a in rows]
-    L, k = _lanes(n), (p - 1).bit_length()
-    planes = [(b >> j & L, j) for j in range(k)]
+    masks = [(j, (b >> j & _lanes(n)) * 255) for j in range((p - 1).bit_length())]
     out = []
     for a in rows:
         s = 0
-        for i in range(k):
-            ai = a >> i & L
-            for bj, j in planes:
-                s += (ai & bj).bit_count() << i + j
-        out.append(s % p)
+        for j, B in masks:
+            s += (a & B) << j
+        out.append(s % 255 % p)
     return out

@@ -199,11 +199,12 @@ def _tables(states: np.ndarray, spec: WignerSpec) -> tuple[np.ndarray, np.ndarra
 
     Each block of rows is one product of flattened transposed density
     matrices with the flattened phase-point stack, so that no transient
-    outgrows _TABLE_BLOCK entries."""
+    outgrows _TABLE_BLOCK entries: a block keeps its real parts and the
+    largest imaginary part of each row."""
     A = _phase_point_stack(spec)
     size = A.shape[0]  # d^(2n): also the entries of one flattened density matrix
     flat = A.reshape(size, -1)
-    vals = np.empty((len(states), size), dtype=complex)
+    vals, imag = np.empty((len(states), size)), np.empty(len(states))
     step = max(1, _TABLE_BLOCK // size)
     for lo in range(0, len(states), step):
         blk = states[lo : lo + step]
@@ -213,11 +214,13 @@ def _tables(states: np.ndarray, spec: WignerSpec) -> tuple[np.ndarray, np.ndarra
             rho_t = blk.conj()[:, :, None] * blk[:, None, :]
         else:
             rho_t = blk.transpose(0, 2, 1)
-        vals[lo : lo + step] = rho_t.reshape(len(blk), -1) @ flat.T
-    total = vals.real.sum(axis=1)
+        prod = rho_t.reshape(len(blk), -1) @ flat.T
+        vals[lo : lo + step], imag[lo : lo + step] = prod.real, np.abs(prod.imag).max(axis=1)
+    total = vals.sum(axis=1)
     if np.any(np.abs(total) < ATOL_CONSTRUCT):
         raise DimensionMismatch("state table sums to zero")
-    return vals.real / total[:, None], np.abs(vals.imag).max(axis=1) / np.abs(total)
+    vals /= total[:, None]
+    return vals, imag / np.abs(total)
 
 
 def wigner_of_state(rho: np.ndarray, spec: WignerSpec) -> WignerTable:
@@ -336,9 +339,15 @@ def _image_codes(S: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
 def _covariant(before: np.ndarray, after: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Whether every after row equals its before row read at codes, the
     _image_codes of S lam + a: one verdict per map for a stack of maps
-    (after (k, s, size), codes (k, size))."""
-    moved = np.moveaxis(before[:, codes], 0, -2)
-    return np.all(np.abs(after - moved) <= ATOL_END2END, axis=(-2, -1))
+    (after (k, s, size), codes (k, size)), or one for a single map (after
+    (s, size), codes (size,)).  Rows go in blocks of _TABLE_BLOCK entries
+    over all the maps."""
+    ok = np.ones(codes.shape[:-1], dtype=bool)
+    step = max(1, _TABLE_BLOCK // codes.size)
+    for lo in range(0, len(before), step):
+        moved = np.moveaxis(before[lo : lo + step, codes], 0, -2)
+        ok &= np.all(np.abs(after[..., lo : lo + step, :] - moved) <= ATOL_END2END, axis=(-2, -1))
+    return ok
 
 
 def _affine_map(codes, d: int, n: int) -> pa.AffineSymplectic | None:
