@@ -56,12 +56,21 @@ def point(coords, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _pair_swap(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J as index work, read-only: J M = s[:, None] * M[P], M J = (M * s)[:, P],
+    with P the pair swap (0 1)(2 3)... and s = (1, -1, 1, -1, ...)."""
+    P, s = np.arange(2 * n) ^ 1, 1 - 2 * (np.arange(2 * n) & 1)
+    P.setflags(write=False)
+    s.setflags(write=False)
+    return P, s
+
+
+@lru_cache(maxsize=None)
 def symplectic_form(n: int, d: int) -> np.ndarray:
     """Block-diagonal J with per-site blocks [[0, 1], [-1, 0]] mod d."""
+    P, s = _pair_swap(n)
     J = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for k in range(n):
-        J[2 * k, 2 * k + 1] = 1
-        J[2 * k + 1, 2 * k] = (-1) % d
+    J[np.arange(2 * n), P] = s % d
     J.setflags(write=False)
     return J
 
@@ -97,15 +106,20 @@ def symplectic_product(s1, s2, d: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row span of a generator list over Z_d, stored in canonical rref form.
-
-    Equality and hashing go through the canonical form, so set-level
-    assertions on subspaces are exact.
+    """Row span of a generator list over Z_d, stored once: its canonical
+    rref rows packed (`mm.pack`), sorted descending.  Equality, hashing and
+    order read them (packed-int order is lexicographic order), so set-level
+    assertions are exact.  `pivots` is set when the subspace is built;
+    `gens` and `matrix` are unpacked on each read.
     """
 
-    gens: tuple[tuple[int, ...], ...]
+    bits: tuple[int, ...]
     d: int
     n: int
+    pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", tuple([mm.lead_bit(r, 2 * self.n) for r in self.bits]))
 
     @classmethod
     def from_generators(cls, gens, d: int, n: int) -> "Subspace":
@@ -117,27 +131,12 @@ class Subspace:
         for r in rows:
             if len(r) != 2 * n:
                 raise DimensionMismatch(f"expected length {2 * n}, got {len(r)}")
-        return cls.of_bits(mm.rref_bits(map(mm.pack, rows), 2 * n, d), d, n)
+        return cls(tuple(mm.rref_bits(map(mm.pack, rows), 2 * n, d)), d, n)
 
-    @classmethod
-    def of_bits(cls, rows, d: int, n: int) -> "Subspace":
-        """The subspace with these packed rref rows (sorted descending),
-        its `bits` and `pivots` (the rows' lead bytes) filled: every
-        elimination builds its subspace so."""
-        V = cls(tuple(mm.unpack(r, 2 * n) for r in rows), d, n)
-        V.__dict__.update(bits=tuple(rows), pivots=tuple(mm.lead_bit(r, 2 * n) for r in rows))
-        return V
-
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each rref row, in order: each leads with a 1."""
-        return tuple(g.index(1) for g in self.gens)
-
-    @cached_property
-    def bits(self) -> tuple[int, ...]:
-        """The rref rows packed (`mm.pack`), in order: the row form every
-        kernel of `_modmath` takes."""
-        return tuple(map(mm.pack, self.gens))
+    @property
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        """The rref rows as tuples of 2n ints, unpacked on each read."""
+        return tuple(mm.unpack(r, 2 * self.n) for r in self.bits)
 
     @classmethod
     def zero(cls, d: int, n: int) -> "Subspace":
@@ -149,11 +148,11 @@ class Subspace:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.gens, dtype=np.int64).reshape(len(self.gens), 2 * self.n)
+        return np.array(self.gens, dtype=np.int64).reshape(self.dim, 2 * self.n)
 
     @property
     def dim(self) -> int:
-        return len(self.gens)
+        return len(self.bits)
 
     def contains(self, vec) -> bool:
         v = mm.pack(as_vector(vec, self.d, self.n).tolist())
@@ -171,7 +170,7 @@ class Subspace:
             raise DimensionMismatch("subspace sum across different (d, n)")
         # both generator lists are canonical rows already: one elimination
         rows = mm.rref_bits(self.bits + other.bits, 2 * self.n, self.d)
-        return Subspace.of_bits(rows, self.d, self.n)
+        return Subspace(tuple(rows), self.d, self.n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if (self.d, self.n) != (other.d, other.n):
@@ -185,13 +184,14 @@ def perp(V: Subspace) -> Subspace:
     This is *not* the symplectic complement; it is the complement entering
     the coset supports of epistemic states.
     """
-    return Subspace.of_bits(mm.complement_bits(V.bits, 2 * V.n, V.d), V.d, V.n)
+    return Subspace(tuple(mm.complement_bits(V.bits, 2 * V.n, V.d)), V.d, V.n)
 
 
 def symplectic_commutant(V: Subspace) -> Subspace:
     """{sigma : [sigma, tau] = 0 for all tau in V}: the Euclidean perp of
     the rows J tau, since [sigma, tau] = sigma . (J tau)."""
-    return perp(Subspace.from_generators(map(symplectic_row, V.gens), V.d, V.n))
+    rows = [mm.swap_pairs(b, V.n, V.d) for b in V.bits]
+    return perp(Subspace(tuple(mm.rref_bits(rows, 2 * V.n, V.d)), V.d, V.n))
 
 
 def is_isotropic(V: Subspace) -> bool:
@@ -227,9 +227,9 @@ def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
 
 def symplectic_inverse(S: np.ndarray, d: int) -> np.ndarray:
     """Inverse of a symplectic matrix: S^T J S = J and J^2 = -1 give
-    S^-1 = -J S^T J."""
-    J = symplectic_form(S.shape[0] // 2, d)
-    return mm.modp(-(J @ S.T @ J), d)
+    S^-1 = -J S^T J, entry (i, j) of which is s_i s_j S[P j, P i]."""
+    P, s = _pair_swap(S.shape[0] // 2)
+    return mm.modp(np.outer(s, s) * S.T[P][:, P], d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +251,10 @@ class AffineSymplectic:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "n", n)
-        J = symplectic_form(n, self.d)
-        if np.any(mm.modp(S.T @ J @ S - J, self.d)):
+        # S^T J S = J iff S J S^T = J; numpy's int64 product is several times
+        # faster on a row-major left (take's output) and S^T on the right
+        P, s = _pair_swap(n)
+        if np.any(mm.modp((S * s).take(P, axis=1) @ S.T - symplectic_form(n, self.d), self.d)):
             raise DimensionMismatch("matrix does not preserve the symplectic form")
         self.S.setflags(write=False)
         self.a.setflags(write=False)
@@ -337,21 +339,21 @@ def maximal_isotropic_subspaces(d: int, n: int) -> tuple[Subspace, ...]:
     _check_dn(d, n)
     if (count := lagrangian_count(d, n)) > COSET_GUARD:
         raise GuardExceeded(f"{count} > {COSET_GUARD} Lagrangians at d={d}, n={n}")
-    return tuple(sorted(_grown(d, n), key=lambda V: V.gens))
+    return tuple(sorted(_grown(d, n), key=lambda V: V.bits))
 
 
 def _grown(d: int, n: int) -> list[Subspace]:
     """The Lagrangians in growth order, each built once (see above)."""
-    level = [Subspace.zero(d, n)]
+    w, level = 2 * n, [Subspace.zero(d, n)]
     for rest in range(n - 1, -1, -1):
         nxt = []
         for P in level:
-            unit = [[int(c == p) for c in range(2 * n)] for p in P.pivots]
-            W = perp(Subspace.from_generators([symplectic_row(g) for g in P.gens] + unit, d, n))
+            rows = [mm.swap_pairs(b, n, d) for b in P.bits]
+            rows += [1 << 8 * (w - 1 - p) for p in P.pivots]  # unit rows on P's pivots
+            W = perp(Subspace(tuple(mm.rref_bits(rows, w, d)), d, n))
             for i, c in enumerate(W.pivots):
-                if rest <= c < (*P.pivots, 2 * n)[0]:
+                if rest <= c < (*P.pivots, w)[0]:
                     for v in mm.coset_vectors(W.matrix[i + 1 :], W.gens[i], d).tolist():
-                        nxt.append(V := Subspace((tuple(v),) + P.gens, d, n))
-                        V.__dict__["pivots"] = (c,) + P.pivots
+                        nxt.append(Subspace((mm.pack(v),) + P.bits, d, n))
         level = nxt
     return level

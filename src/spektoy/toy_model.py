@@ -21,11 +21,11 @@ values.  `statistics` keeps each finished plan on its step object, by V
 circuit and meet few V's at small n, so a plan is built once per (V, step).
 The single-state steps build fresh plans and keep none, because a trajectory
 seldom meets a V twice and there the kept plans would only grow.  Steps
-run on the packed rows of V (`Subspace.bits`) at every d, as in
-Aaronson-Gottesman's tableau: a row operation or a symplectic product is
-one `_modmath` kernel over the whole row (`_Rows`), and a gate's V S^-1
-sums S^-1's packed rows.  A measurement of k functionals is k tableau
-row updates, O(k dim V 2n); one walk of them on the values lists every
+run on V's packed rows (`Subspace.bits`, its one stored form) at every d,
+as in Aaronson-Gottesman's tableau: a row operation or a product is one
+`_modmath` kernel over the whole row (`_Rows`), and a gate's V S^-1 sums
+S^-1's packed rows.  A measurement of k functionals is k tableau row
+updates, O(k dim V 2n); one walk of them on the values lists every
 outcome with its posterior values, and a shorter one the outcomes alone.
 `EpistemicState.support` lists the coset on each read, under
 `phase_algebra.COSET_GUARD`, and the state never keeps it.  Only
@@ -50,8 +50,6 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, product
 from operator import mul
-
-import numpy as np
 
 from . import _modmath as mm
 from . import phase_algebra as pa
@@ -100,9 +98,11 @@ class EpistemicState:
     def probability(self, lam) -> Fraction:
         """The weight on the support, else 0: lam lies in V-perp + w exactly
         when every known functional takes the same value on lam as on w."""
-        diff = pa.as_vector(lam, self.d, self.n) - np.array(self.w, dtype=np.int64)
-        on_support = not np.any(mm.modp(self.V.matrix @ diff, self.d))
-        return self.weight if on_support else Fraction(0)
+        d, lam = self.d, pa.point(lam, self.d)
+        if len(lam) != 2 * self.n:
+            raise DimensionMismatch(f"expected length {2 * self.n}, got {len(lam)}")
+        diff = mm.pack([(x - y) % d for x, y in zip(lam, self.w)])
+        return Fraction(0) if any(mm.dot_bits(self.V.bits, diff, 2 * self.n, d)) else self.weight
 
     def known_value(self, sigma) -> int:
         """Value of a functional in V (raises if it is not known)."""
@@ -127,7 +127,7 @@ def make_epistemic(V: pa.Subspace, w) -> EpistemicState:
     d, wv = V.d, [int(x) % V.d for x in w]
     if len(wv) != 2 * V.n:
         raise DimensionMismatch(f"expected length {2 * V.n}, got {len(wv)}")
-    return _coset_state(V, [sum(map(mul, g, wv)) % d for g in V.gens])
+    return _coset_state(V, mm.dot_bits(V.bits, mm.pack(wv), 2 * V.n, d))
 
 
 def _coset_state(V: pa.Subspace, values) -> EpistemicState:
@@ -154,7 +154,7 @@ class _Rows:
         return list(V.bits)
 
     def subspace(self, rows) -> pa.Subspace:
-        return pa.Subspace.of_bits(rows, self.d, self.n)
+        return pa.Subspace(tuple(rows), self.d, self.n)
 
     def products(self, rows, a) -> list[int]:  # [g, a] for each row g
         return mm.dot_bits(rows, mm.swap_pairs(mm.pack(a), self.n, self.d), self.w, self.d)
@@ -183,11 +183,11 @@ class _Rows:
         rows in k extra low bytes: a row h of V_new is sum_j T_j (v_j S^-1),
         so h S = sum_j T_j v_j, and the row of H for h is T."""
         d, w, k = self.d, self.w, V.dim
-        rows = [mm.combine_bits(v, g.Sinv_bits, w, d) << 8 * k | 1 << 8 * (k - 1 - j)
-                for j, v in enumerate(V.gens)]
+        rows = [mm.combine_bits(mm.unpack(v, w), g.Sinv_bits, w, d) << 8 * k
+                | 1 << 8 * (k - 1 - j) for j, v in enumerate(V.bits)]
         R, a = mm.rref_bits(rows, w + k, d), mm.pack(g.a.tolist())
         new, H = [r >> 8 * k for r in R], [list(mm.unpack(r, w + k)[w:]) for r in R]
-        return pa.Subspace.of_bits(new, d, self.n), H, mm.dot_bits(new, a, w, d)
+        return pa.Subspace(tuple(new), d, self.n), H, mm.dot_bits(new, a, w, d)
 
 
 @cache
@@ -296,9 +296,7 @@ class _MeasurementPlan:
                 rows = F.subtract(rows, clears, top)
                 rows[at:at], pivots[at:at] = [top], [q]
             ops.append((p, moves, coeffs, off, inv, clears, at))
-        V_new = F.subspace(rows)
-        V_new.__dict__["pivots"] = tuple(pivots)
-        self.updates = V_new, ops
+        self.updates = F.subspace(rows), ops
 
     @cached_property
     def size(self) -> int:
@@ -426,8 +424,7 @@ def _measured(plan: _MeasurementPlan, outcomes, level, last=False) -> tuple:
 def _plans(op) -> dict:
     """The plans of a step that `_chain` keeps, by known subspace V: a gate's
     `_transport`, a `_MeasurementPlan` with `size` read.
-    They live in the step's own __dict__ (as `Subspace.of_bits` seeds
-    `bits`), so they go when the step goes."""
+    They live in the step's own __dict__, so they go when the step goes."""
     return op.__dict__.setdefault("_plans", {})
 
 

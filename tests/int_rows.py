@@ -9,6 +9,7 @@ every p.
 
 from operator import mul
 
+from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 
 
@@ -64,9 +65,10 @@ def ref_reduce_row(v, R, p):
 
 
 def ref_subspace(rows, d, n):
-    """The subspace of these int rows, eliminated by the reference."""
+    """The subspace of these int rows, eliminated by the reference and
+    packed into `Subspace`'s one row form."""
     R, _ = ref_rref_rows([[int(x) % d for x in r] for r in rows], 2 * n, d)
-    return pa.Subspace(tuple(map(tuple, R)), d, n)
+    return pa.Subspace(tuple(map(mm.pack, R)), d, n)
 
 
 class _IntRows:
@@ -80,7 +82,7 @@ class _IntRows:
         return list(V.gens)
 
     def subspace(self, rows):
-        return pa.Subspace(tuple(map(tuple, rows)), self.d, self.n)
+        return pa.Subspace(tuple(map(mm.pack, rows)), self.d, self.n)
 
     def products(self, rows, a):
         Ja, d = pa.symplectic_row(a), self.d

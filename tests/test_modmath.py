@@ -267,7 +267,7 @@ def test_packed_rows_match_int_rows(case):
     assert [mm.lead_bit(b, w) for b in bits] == pivots
     # packing the canonical generators gives the packed rref back
     V = pa.Subspace.from_generators(rows, p, n)
-    int_V = pa.Subspace(tuple(map(tuple, R)), p, n)
+    int_V = pa.Subspace(tuple(map(mm.pack, R)), p, n)
     assert V == int_V and V.gens == int_V.gens
     assert tuple(map(mm.pack, V.gens)) == V.bits == int_V.bits == tuple(bits)
     # reduction and complement

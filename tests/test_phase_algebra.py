@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spektoy import _modmath as mm
 from spektoy import phase_algebra as pa
 from spektoy.errors import DimensionMismatch, GuardExceeded
+from int_rows import ref_rref_rows
 from sp_enumeration import symplectic_matrices
 from test_modmath import ref_nullspace
 
@@ -313,6 +314,7 @@ class TestMaximalIsotropics:
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
     def test_same_tuple_as_the_level_set_growth(self, d, n):
+        # the sort on packed rows orders as the reference's sort on tuples
         got, want = pa.maximal_isotropic_subspaces(d, n), ref_maximal_isotropic_subspaces(d, n)
         assert got == want
         assert [V.gens for V in got] == [V.gens for V in want]
@@ -320,12 +322,12 @@ class TestMaximalIsotropics:
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
     def test_each_lagrangian_is_built_once(self, d, n):
         # no dedup: the growth itself emits every Lagrangian exactly once,
-        # in rref, with its pivots filled as read off its rows
+        # in rref, with its pivots as read off its rows
         grown = pa._grown(d, n)
         assert len(grown) == len(set(grown)) == pa.lagrangian_count(d, n)
         for V in grown:
             assert V == pa.Subspace.from_generators(V.gens, d, n)
-            assert V.__dict__["pivots"] == tuple(g.index(1) for g in V.gens)
+            assert V.pivots == tuple(g.index(1) for g in V.gens)
 
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (5, 4)])
     def test_guard_fires_before_growing(self, d, n, monkeypatch):
@@ -342,3 +344,147 @@ class TestMaximalIsotropics:
             assert pa.lagrangian_count(d, n) == len(ref_maximal_isotropic_subspaces(d, n))
         assert pa.lagrangian_count(2, 5) == 75_735 <= pa.COSET_GUARD < pa.lagrangian_count(2, 6)
         assert pa.lagrangian_count(3, 4) == 91_840 <= pa.COSET_GUARD < pa.lagrangian_count(3, 5)
+
+
+# -- the one row form: packed rref rows, everything else derived ------------
+
+
+def ref_form(rows, d, n):
+    """(rref rows as tuples, pivot columns) of int rows, by the int-row
+    reference elimination."""
+    R, pivots = ref_rref_rows([[int(x) % d for x in r] for r in rows], 2 * n, d)
+    return tuple(map(tuple, R)), tuple(pivots)
+
+
+def recombined(draw, rows, d):
+    """rows shuffled, then rows scaled by units and added to each other: a
+    drawn list spanning the same space."""
+    rows = [list(r) for r in draw(st.permutations(rows))]
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        for i, j, f in draw(st.lists(st.tuples(index, index, st.integers(1, d - 1)), max_size=6)):
+            y = rows[j]
+            if i == j:
+                rows[i] = [x * f % d for x in y]
+            else:
+                rows[i] = [(x + f * z) % d for x, z in zip(rows[i], y)]
+    return rows
+
+
+@st.composite
+def row_lists(draw):
+    """(d, n, rows): up to 2n + 1 drawn rows of Z_d^{2n} at d in {2, 3, 5},
+    n <= 4, zero and repeated rows among them."""
+    d, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    rows = draw(st.lists(row, max_size=2 * n + 1))
+    if rows and draw(st.booleans()):
+        rows += recombined(draw, rows, d)[: draw(st.integers(1, len(rows)))]
+    return d, n, rows
+
+
+def assert_row_form(V, rows):
+    gens, pivots = ref_form(rows, V.d, V.n)
+    assert V.bits == tuple(map(mm.pack, gens))
+    assert V.gens == gens and V.pivots == pivots and V.dim == len(gens)
+    M = V.matrix
+    assert M.dtype == np.int64 and M.shape == (len(gens), 2 * V.n)
+    assert M.tolist() == [list(g) for g in gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_derived_reads_match_the_reference(case):
+    d, n, rows = case
+    assert_row_form(pa.Subspace.from_generators(rows, d, n), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists(), st.data())
+def test_equal_and_hash_equal_exactly_when_the_reference_is(case, data):
+    d, n, rows = case
+    other = data.draw(st.one_of(
+        st.just(recombined(data.draw, rows, d)),
+        st.lists(st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n),
+                 max_size=2 * n + 1),
+    ))
+    V, W = (pa.Subspace.from_generators(r, d, n) for r in (rows, other))
+    same = ref_form(rows, d, n)[0] == ref_form(other, d, n)[0]
+    assert (V == W) == same and len({V, W}) == 2 - same
+    if same:
+        assert hash(V) == hash(W)
+    # the same rows on another space are another subspace
+    wider = pa.Subspace.from_generators([list(r) + [0, 0] for r in rows], d, n + 1)
+    assert V != wider and V != pa.Subspace(V.bits, {2: 3, 3: 5, 5: 2}[d], n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_row_form_at_n64(d):
+    rng, n = np.random.default_rng(d), 64
+    rows = rng.integers(0, d, size=(90, 2 * n))
+    rows[::3, : 2 * n - 20] = 0  # rows led far right, so pivots spread
+    rows = rows.tolist() + [[(x + 2 * y) % d for x, y in zip(rows[0], rows[1])]]
+    V = pa.Subspace.from_generators(rows, d, n)
+    assert_row_form(V, rows)
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    W = pa.Subspace.from_generators(shuffled, d, n)
+    assert V == W and hash(V) == hash(W)
+    fewer = rows[:40]
+    same = ref_form(fewer, d, n) == ref_form(rows, d, n)
+    assert (V == pa.Subspace.from_generators(fewer, d, n)) == same
+
+
+# -- J as a signed pair swap -------------------------------------------------
+
+
+def ref_symplectic_inverse(S, d):
+    """The product form the pair swap replaced: S^-1 = -J S^T J."""
+    J = pa.symplectic_form(S.shape[0] // 2, d)
+    return mm.modp(-(J @ S.T @ J), d)
+
+
+def random_symplectic(rng, n, d, k=6):
+    """A product of k random symplectic transvections x -> x + c [v, x] v."""
+    S, J = np.eye(2 * n, dtype=np.int64), pa.symplectic_form(n, d)
+    for _ in range(k):
+        v, c = rng.integers(0, d, size=2 * n), int(rng.integers(1, d))
+        S = (S + c * np.outer(v, v @ J @ S)) % d
+    return S
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_pair_swap_inverse_matches_the_product_form(d):
+    rng = np.random.default_rng(10 + d)
+    for n in (1, 2, 3, 8, 64):
+        for _ in range(4):
+            S = random_symplectic(rng, n, d)
+            inv = pa.symplectic_inverse(S, d)
+            assert np.array_equal(inv, ref_symplectic_inverse(S, d))
+            assert np.array_equal(inv @ S % d, np.eye(2 * n, dtype=np.int64))
+            g = pa.AffineSymplectic(S, rng.integers(0, d, size=2 * n), d)
+            assert np.array_equal(g.Sinv, inv) and g.compose(g.inverse()).key() == (
+                pa.AffineSymplectic.identity(n, d).key())
+        # -J M^T J is index work on any matrix, symplectic or not
+        M = rng.integers(-d, 2 * d, size=(2 * n, 2 * n))
+        assert np.array_equal(pa.symplectic_inverse(M, d), ref_symplectic_inverse(M, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_only_symplectic_matrices_make_a_map(d):
+    # every 2x2 matrix over Z_d: a map exactly when S^T J S = J (det S = 1)
+    J = pa.symplectic_form(1, d)
+    for entries in itertools.product(range(d), repeat=4):
+        S = np.array(entries, dtype=np.int64).reshape(2, 2)
+        if np.any((S.T @ J @ S - J) % d):
+            with pytest.raises(DimensionMismatch, match="does not preserve the symplectic form"):
+                pa.AffineSymplectic(S, np.zeros(2, dtype=np.int64), d)
+        else:
+            pa.AffineSymplectic(S, np.zeros(2, dtype=np.int64), d)
+    # at n = 3: one entry moved off a symplectic matrix, or x0 and x1 swapped alone
+    rng = np.random.default_rng(d)
+    S = random_symplectic(rng, 3, d)
+    bent = S.copy()
+    bent[2, 4] = (bent[2, 4] + 1) % d
+    for bad in (bent, np.eye(6, dtype=np.int64)[[2, 1, 0, 3, 4, 5]]):
+        with pytest.raises(DimensionMismatch, match="does not preserve the symplectic form"):
+            pa.AffineSymplectic(bad, np.zeros(6, dtype=np.int64), d)

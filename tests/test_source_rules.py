@@ -31,6 +31,9 @@
 * phase_algebra and toy_model compare no d, p or .d (self.d, V.d) with 2:
   every row is packed at every d, and the p = 2 specialisations of the
   row kernels live in _modmath alone.
+* A subspace is stored once, as its packed rows: toy_model reads .gens
+  and .matrix only inside EpistemicState.to_json, and no module writes
+  pivots or bits through an object's __dict__ (or vars()).
 """
 
 import ast
@@ -194,6 +197,40 @@ def def_lines(tree, dotted):
     return range(node.lineno, node.end_lineno + 1)
 
 
+def reads_outside(tree, names, dotted):
+    """Line numbers where the tree reads any of names, bare or as an
+    attribute, outside the def at the dotted path."""
+    inside = def_lines(tree, dotted)
+    return sorted(line for name in names for line in reads_of(tree, name) if line not in inside)
+
+
+def dict_seedings(tree, names=("pivots", "bits")):
+    """Line numbers of writes of names through x.__dict__ or vars(x): a
+    subscript assignment, or update / setdefault / __setitem__ with one of
+    them as a keyword, a first argument or a key of a dict literal."""
+    def is_dict(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and is_dict(node.value)):
+            written = {getattr(node.slice, "value", None)}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "setdefault", "__setitem__")
+                and is_dict(node.func.value)):
+            written = {kw.arg for kw in node.keywords}
+            for arg in node.args[:1]:
+                keys = arg.keys if isinstance(arg, ast.Dict) else [arg]
+                written |= {getattr(k, "value", None) for k in keys}
+        else:
+            continue
+        if written & set(names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 ISOTROPY_CHECKERS = {"make_epistemic", "SharpMeasurement.__post_init__"}
 
 TOLERANCES = ("ATOL_CONSTRUCT", "ATOL_END2END")
@@ -272,6 +309,16 @@ def test_one_row_form(name):
     assert field_forks(dict(_trees())[name]) == []
 
 
+def test_toy_steps_read_the_packed_rows():
+    toy = dict(_trees())["toy_model.py"]
+    assert reads_outside(toy, ("gens", "matrix"), "EpistemicState.to_json") == []
+
+
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_no_dict_seeding(name, tree):
+    assert dict_seedings(tree) == []
+
+
 def test_isotropy_is_checked_where_input_enters():
     trees = dict(_trees())
     assert [name for name, tree in trees.items() if reads_of(tree, "is_isotropic")] == [
@@ -327,6 +374,18 @@ def test_rules_catch_violations():
         "w = n == 2\nv = d == 3\nu = self.n == 2\nt = 2 * d == 4\ns = d in (2, 3)\n"
     )
     assert field_forks(tree) == [1, 2, 3, 4, 4]
+    tree = ast.parse(
+        'V.__dict__["pivots"] = p\nV.__dict__.update(bits=b, x=1)\nV.__dict__.setdefault("bits", b)\n'
+        'op.__dict__.setdefault("_plans", {})\nq = V.__dict__["pivots"]\nvars(V)["bits"] = b\n'
+        'object.__setattr__(self, "pivots", p)\nV.__dict__.update({"pivots": p})\n'
+        'V.__dict__["gens"] = g\nV.__dict__.__setitem__("bits", b)\n'
+    )
+    assert dict_seedings(tree) == [1, 2, 3, 6, 8, 10]
+    tree = ast.parse(
+        "class E:\n    def to_json(self):\n        return self.V.gens, self.V.matrix\n"
+        "def step(V, gens):\n    return V.matrix @ x, V.gens, gens\nV.gens = None\n"
+    )
+    assert reads_outside(tree, ("gens", "matrix"), "E.to_json") == [5, 5, 5]
 
 
 def test_private_code_is_read():

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from spektoy import phase_algebra as pa
 from spektoy import toy_model as tm
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch, GuardExceeded, RestrictionViolation
-from int_rows import ref_int_rows, ref_reduce_row
+from int_rows import ref_int_rows, ref_reduce_row, ref_rref_rows
 from test_modmath import ref_nullspace, ref_rref, ref_solve
 from sp_enumeration import symplectic_matrices
-from test_phase_algebra import affine_symplectics
+from test_phase_algebra import affine_symplectics, recombined
 
 
 def x_known_state(value=0):
@@ -293,6 +295,35 @@ class TestSerialization:
         assert doc["d"] == 2 and doc["n"] == 1
         assert doc["V_generators"] == [[1, 0]]
         assert doc["support"] == [[0, 0], [0, 1]]
+
+
+def ref_to_json(rows, w, d, n):
+    """The report of the state (span of rows, w) from int rows alone: the
+    rref rows by the int-row reference, w canonical (each row's value on
+    its pivot, zero elsewhere) and the support listed by a scan of every
+    point."""
+    gens, pivots = ref_rref_rows([list(g) for g in rows], 2 * n, d)
+    values = [sum(map(mul, g, w)) % d for g in gens]
+    canon = [0] * (2 * n)
+    for p, x in zip(pivots, values):
+        canon[p] = x
+    support = [list(lam) for lam in itertools.product(range(d), repeat=2 * n)
+               if [sum(map(mul, g, lam)) % d for g in gens] == values]
+    return {"d": d, "n": n, "V_generators": gens, "w": canon, "support": support}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_to_json_bytes_match_the_tuple_reference(data):
+    # at d in {2, 3, 5}, every n with d^(2n) <= 6561 points to scan
+    d, n = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                      (3, 4), (5, 1), (5, 2)]))
+    coeffs = st.lists(st.integers(-d, 2 * d), min_size=2 * n, max_size=2 * n)
+    V = _isotropic_of(d, n, data.draw, coeffs, data.draw(st.integers(0, n)))
+    rows = recombined(data.draw, list(V.gens) + [[0] * (2 * n)], d)
+    w = data.draw(coeffs)
+    got = json.dumps(tm.make_epistemic(pa.Subspace.from_generators(rows, d, n), w).to_json())
+    assert got == json.dumps(ref_to_json(rows, [x % d for x in w], d, n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -684,13 +715,12 @@ def test_int_row_step_matches_array_reference(case):
 
 @settings(max_examples=150, deadline=None)
 @given(steps_on_states())
-def test_seeded_pivots_are_the_rows_pivots(case):
-    # the measurement update and of_bits fill pivots without a read
-    state, meas, _ = case
-    V_new = tm._MeasurementPlan(state.V, meas).updates[0]
-    assert V_new.__dict__["pivots"] == tuple(g.index(1) for g in V_new.gens)
-    V = pa.Subspace.of_bits(V_new.bits, state.d, state.n)
-    assert V.__dict__["pivots"] == V_new.pivots and V == V_new
+def test_plan_pivots_are_the_rows_pivots(case):
+    # every plan's V_new holds the pivots of its rows, set when it is built
+    state, meas, g = case
+    for V_new in (tm._MeasurementPlan(state.V, meas).updates[0], tm._transport(state.V, g)[0]):
+        assert V_new.pivots == tuple(r.index(1) for r in V_new.gens)
+        assert V_new == pa.Subspace.from_generators(V_new.gens, state.d, state.n)
 
 
 @settings(max_examples=150, deadline=None)
