@@ -462,21 +462,22 @@ def append_step(state: np.ndarray) -> Step:
     )
 
 
-def measure_step(projectors) -> Step:
-    """Walker step for a projective measurement that keeps the register;
-    outcome k belongs to projectors[k].  The level times the projectors'
-    transposes side by side, [P_0.T | P_1.T | ...], lists every parent's
-    children in outcome order: one product for the whole level.  That
-    matrix is the transpose of the projectors stacked as rows, a view when
-    they come as one (m, dim, dim) array."""
-    projectors = np.asarray(projectors)
-    m, dim = projectors.shape[:2]
-    stacked = projectors.reshape(m * dim, dim).T
+def measure_step(kraus) -> Step:
+    """Walker step for a measurement whose outcome k maps the register by
+    kraus[k], of an (m, d_out, d_in) stack: projectors, which keep the
+    register, or a gadget's Kraus operators, which may change its width.
+    The level times the operators' transposes side by side,
+    [K_0.T | K_1.T | ...], lists every parent's children in outcome order:
+    one product for the whole level.  That matrix is the transpose of the
+    operators stacked as rows, a view when they come as one array."""
+    kraus = np.asarray(kraus)
+    m, d_out, d_in = kraus.shape
+    stacked = kraus.reshape(m * d_out, d_in).T
     ks = list(range(m))
 
     def step(outcomes, level):
         b = len(level)
-        pks, children = _renormalized_rows((level @ stacked).reshape(b * m, dim))
+        pks, children = _renormalized_rows((level @ stacked).reshape(b * m, d_out))
         return ks * b, pks, children
 
     return step

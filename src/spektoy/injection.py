@@ -5,7 +5,9 @@ The gadget for a diagonal n-qubit U: consume the resource U|+>^n, couple it
 to the input with n transversal CNOTs (resource wire controls, input wire
 targets), measure Z on every input wire, and fix the resource register with
 U X^m U* keyed by the outcome bits m.  Every branch then holds U|input> on
-the resource register.
+the resource register.  Every part is fixed, so the gadget is one Kraus
+map, K_m = C_m R_m CNOTs (I (x) resource): each scheme builds that stack
+once, and the walker runs the gadget as one step.
 
 Each outcome's correction is classified as Pauli / Pauli times CZ / other,
 so the audit can tell host-native corrections from ones that need a
@@ -91,6 +93,14 @@ def classify_correction(C: np.ndarray, n: int) -> Correction:
     return Correction(C, "pauli-cz" if edges else "pauli", name, tuple(factors))
 
 
+@functools.cache
+def _outcome_rows(n: int) -> np.ndarray:
+    """The 2^n outcome bit rows of n readouts in product order, read-only."""
+    rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(2**n, n)
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class InjectionScheme:
     gate_name: str
@@ -98,6 +108,29 @@ class InjectionScheme:
     target: np.ndarray = field(repr=False)
     resource_state: np.ndarray = field(repr=False)
     corrections: Mapping = field(repr=False)  # outcome bits -> Correction, read-only
+
+    @functools.cached_property
+    def kraus(self) -> np.ndarray:
+        """The gadget's Kraus stack, built on first use and read-only:
+        K_m = C_m R_{m_{n-1}} ... R_{m_0} CNOTs (I (x) |resource>), one
+        (2^n, 2^n) operator per outcome bits m in product order.
+
+        The resource is appended at the tail, resource wire n+j controls a
+        CNOT onto data wire j, and the Z readouts R of data wires 0..n-1
+        keep row block m of the coupled register, which leaves the resource
+        register.  C_m is the correction operator; the trivial one is not
+        multiplied in."""
+        n, dim = self.n, 2**self.n
+        coupled = np.kron(np.eye(dim), self.resource_state[:, None])
+        for j in range(n):
+            coupled = cnot((n + j, j), 2 * n) @ coupled
+        stack = coupled.reshape(dim, dim, dim)
+        for i, m in enumerate(itertools.product((0, 1), repeat=n)):
+            corr = self.corrections[m]
+            if corr.kind != "pauli" or corr.factors:
+                stack[i] = corr.operator @ stack[i]
+        stack.setflags(write=False)
+        return stack
 
 
 def build_injection(U: np.ndarray, n: int, name: str = "U") -> InjectionScheme:
@@ -191,55 +224,38 @@ class AuditTrail:
         }
 
 
-def _correction_step(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> Step:
-    """Walker step applying the correction keyed by each branch's last
-    scheme.n outcomes to the register, which is the resource register.
+def _gadget(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> Step:
+    """Walker step of the gadget on a register of exactly scheme.n data
+    wires: one product with the scheme's Kraus stack maps each branch to
+    its 2^n children, each with its row of n readout bits, and leaves the
+    resource register, which holds the gate's output.
 
-    The correction U X^m U* is the scheme's operator itself (None for the
-    identity), applied to all branches with outcome m in one product.
-    Clifford host factors multiply to the same operator up to a global
-    phase; the audit counts every factor on every branch, in one call per
-    factor and outcome met.
-    """
-
-    def operator(m):
-        corr = scheme.corrections[m]
-        return None if corr.kind == "pauli" and not corr.factors else corr.operator
-
-    def step(outcomes, level):
-        keys = [o[-scheme.n:] for o in outcomes]
-        for m, count in Counter(keys).items():
-            corr = scheme.corrections[m]
-            if corr.kind == "non-clifford":
-                # still verifiable densely; flagged in the audit
-                audit.violations += [f"non-clifford correction ({corr.name})"] * count
-            for name, _ in corr.factors:
-                audit.use_gate(name, injected, count)
-        return None, None, do.rows_by_key(level, keys, operator)
-
-    return step
-
-
-def _gadget(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> list[Step]:
-    """Walker steps of the gadget on a register of exactly scheme.n data
-    wires; each branch fans out into 2^n branches.
-
-    The resource register is appended at the tail, each resource wire n+j
-    controls a CNOT onto data wire j, and reading wire 0 out n times
-    consumes the data register.  What is left is the resource register,
-    which the correction turns into the gate's output.
+    Every joint outcome has probability exactly 2^-n, because the
+    resource's amplitudes all have modulus 2^(-n/2).  So the walker's prune
+    never drops one, and pruning the joint outcome gives the same tree as
+    pruning each readout.  Every branch thus meets every correction: the
+    audit counts each correction's factors, and a non-Clifford one as a
+    violation, once per outcome and step, times the branches.
     """
     n = scheme.n
     audit.use_resource(f"{scheme.gate_name}|+>^{n}")
     audit.use_gate("CNOT", count=n)
     for _ in range(n):
         audit.use_measurement("Z")
-    return [
-        do.append_step(scheme.resource_state),
-        *(do.gate_step(cnot((n + j, j), 2 * n)) for j in range(n)),
-        *[do.readout_step(0, "Z")] * n,
-        _correction_step(scheme, audit, injected),
-    ]
+    measure, rows = do.measure_step(scheme.kraus), _outcome_rows(n)
+
+    def step(outcomes, level):
+        b = len(level)
+        for corr in scheme.corrections.values() if b else ():
+            if corr.kind == "non-clifford":
+                # still verifiable densely; flagged in the audit
+                audit.violations += [f"non-clifford correction ({corr.name})"] * b
+            for name, _ in corr.factors:
+                audit.use_gate(name, injected, b)
+        _, pks, children = measure(outcomes, level)
+        return np.tile(rows, (b, 1)), pks, children
+
+    return step
 
 
 def run_injection(
@@ -254,7 +270,7 @@ def run_injection(
         raise DimensionMismatch("input dimension mismatch")
     audit = audit if audit is not None else AuditTrail()
     target_out = scheme.target @ input_state
-    branches = branch_tree(input_state[None], _gadget(scheme, audit, injected))
+    branches = branch_tree(input_state[None], [_gadget(scheme, audit, injected)])
     return [
         InjectionRecord(
             m, float(prob), scheme.corrections[m].name, out, do.fidelity(out, target_out)
@@ -267,10 +283,11 @@ def inject_on_wires(
     scheme: InjectionScheme, audit: AuditTrail, injected: frozenset = frozenset()
 ) -> list[Step]:
     """Walker steps applying the injected gate in place to a register of
-    exactly scheme.n wires: the gadget, whose output on the resource
-    register takes the data wires' place, audited as one SWAP per wire."""
+    exactly scheme.n wires: the gadget's one step, whose output on the
+    resource register takes the data wires' place, audited as one SWAP per
+    wire."""
     audit.use_gate("SWAP", count=scheme.n)
-    return _gadget(scheme, audit, injected)
+    return [_gadget(scheme, audit, injected)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +389,13 @@ def ccz_scheme_demo(input_state: np.ndarray) -> dict:
     }
 
 
-def cz_images() -> dict[str, tuple[int, str]]:
+@functools.cache
+def cz_images() -> Mapping[str, tuple[int, str]]:
     """CZ's conjugates of the host words XI, IX, XX, as word -> (s, v) with
-    CZ word CZ = s v: lookups in CZ's exact Pauli action."""
+    CZ word CZ = s v: lookups in CZ's exact Pauli action, read once per
+    process and shared read-only."""
     K = do.pauli_action(do.gate("CZ", (0, 1), 2))
-    return {w: do.pauli_image(K, w) for w in ("XI", "IX", "XX")}
+    return MappingProxyType({w: do.pauli_image(K, w) for w in ("XI", "IX", "XX")})
 
 
 def clifford_completion_demo() -> dict:

@@ -225,11 +225,20 @@ def coset_members(U: Subspace, w) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, mm.coset_vectors(U.matrix, wv, U.d).tolist()))
 
 
+@lru_cache(maxsize=None)
+def _inverse_index(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """-J M^T J as index work, read-only: (np.ix_(P, P), s s^T) of _pair_swap."""
+    P, s = _pair_swap(n)
+    signs = np.outer(s, s)
+    signs.setflags(write=False)
+    return np.ix_(P, P), signs
+
+
 def symplectic_inverse(S: np.ndarray, d: int) -> np.ndarray:
     """Inverse of a symplectic matrix: S^T J S = J and J^2 = -1 give
     S^-1 = -J S^T J, entry (i, j) of which is s_i s_j S[P j, P i]."""
-    P, s = _pair_swap(S.shape[0] // 2)
-    return mm.modp(np.outer(s, s) * S.T[P][:, P], d)
+    block, signs = _inverse_index(S.shape[0] // 2)
+    return signs * S.T[block] % d
 
 
 @dataclass(frozen=True, eq=False)

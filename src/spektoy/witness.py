@@ -283,20 +283,65 @@ def _derivations(measured) -> list[tuple[str, str, str, int]]:
     return []
 
 
-def _parity_block(kind, data_wires, n0, audit) -> list[Step]:
-    """Nondestructive parity readout via an ancilla: Z-type couples the
+@cache
+def _parity_kraus(kind: str, data_wires: tuple[int, ...], n0: int) -> np.ndarray:
+    """The two Kraus operators of a parity readout via an ancilla at site
+    n0, read-only: K_k = R_k CNOTs (I (x) |ancilla>).  Z-type couples the
     data wires into a |0> ancilla with CNOTs and reads Z; X-type couples a
-    |+> ancilla onto the data wires and reads X.  Purely host elements."""
+    |+> ancilla onto the data wires and reads X.  R_k contracts the ancilla
+    with the k-th ket of the readout basis, a row of I or of H."""
+    anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
+    coupled = np.kron(np.eye(2**n0), anc[:, None])
+    for w in data_wires:
+        coupled = inj.cnot((w, n0) if kind == "Z" else (n0, w), n0 + 1) @ coupled
+    bras = np.eye(2) if kind == "Z" else do.gate("H", (0,), 1)
+    stack = np.einsum("ka,iaj->kij", bras, coupled.reshape(2**n0, 2, 2**n0))
+    stack.setflags(write=False)
+    return stack
+
+
+def _parity_block(kind, data_wires, n0, audit) -> Step:
+    """Nondestructive parity readout via an ancilla, as one walker step on
+    its cached Kraus stack.  Purely host elements."""
     for _ in data_wires:
         audit.use_gate("CNOT")
     audit.use_measurement(kind)
-    anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
-    couple = [(w, n0) if kind == "Z" else (n0, w) for w in data_wires]
-    return [
-        do.append_step(anc),
-        *(do.gate_step(inj.cnot(wires, n0 + 1)) for wires in couple),
-        do.readout_step(n0, kind),
-    ]
+    return do.measure_step(_parity_kraus(kind, data_wires, n0))
+
+
+@cache
+def _context_plan(context: str, table: ContextTable) -> tuple:
+    """What a context's run reads that depends on its selector and the
+    square alone, built once per context: its blocks in circuit order,
+    (kind, data wires) per parity readout and None per CZ injection; the
+    measured words in readout order and each one's position among a leaf's
+    outcomes; the line, its sign, and the sign and mask that give the
+    line's value on a leaf as sign * (-1) ** popcount(bits & mask)."""
+    sel = CONTEXT_SELECTORS[context]
+    blocks, measured = [], {}
+    for bit, word, wires in (("a", "IZ", (1,)), ("b", "ZI", (0,)), ("c", "ZZ", (0, 1))):
+        if bit in sel:
+            blocks.append(("Z", wires))
+            measured[word] = len(measured)
+    cz_count = sum(1 for bit in ("alpha", "beta", "gamma") if bit in sel)
+    blocks += [None] * cz_count
+    skipped = cz_count * inj.scheme_for("CZ").n  # injection readouts
+    conjugated = cz_count % 2 == 1
+    for bit, word, wires in (("e", "ZX" if conjugated else "IX", (1,)),
+                             ("d", "XZ" if conjugated else "XI", (0,))):
+        if bit in sel:
+            blocks.append(("X", wires))
+            measured[word] = len(measured) + skipped
+    # the selectors list the contexts in the order lines() yields them
+    words, line_sign = dict(zip(CONTEXT_SELECTORS, table.lines()))[context]
+    # bit i of a leaf's bits is the outcome read for the i-th measured word
+    entries = {w: (1, 1 << i) for i, w in enumerate(measured)}
+    for target, wa, wb, sgn in _derivations(list(measured)):
+        (sa, ma), (sb, mb) = entries[wa], entries[wb]
+        entries[target] = (sgn * sa * sb, ma ^ mb)
+    sign = math.prod(entries[w][0] for w in words)
+    mask = reduce(xor, (entries[w][1] for w in words))
+    return tuple(blocks), tuple(measured), tuple(measured.values()), tuple(words), line_sign, sign, mask
 
 
 def peres_mermin_circuit(input_state: np.ndarray, context: str) -> dict:
@@ -314,60 +359,33 @@ def peres_mermin_circuit(input_state: np.ndarray, context: str) -> dict:
     lines (for col3 the outputs come from blocks 3, 5, 6).  Each measured
     word's bit is read at its position among a leaf's outcomes.  The line's
     mask over those bits is 0 in 5 of the 6 contexts (all but row2), so
-    there product_matches_sign holds by construction.
+    there product_matches_sign holds by construction.  Each parity readout
+    and each CZ injection is one walker step.
     """
     if context not in CONTEXT_SELECTORS:
         raise DimensionMismatch(
             f"unknown context {context!r}; valid: {sorted(CONTEXT_SELECTORS)}"
         )
-    sel = CONTEXT_SELECTORS[context]
+    blocks, measured_words, positions, words, line_sign, sign, mask = _context_plan(
+        context, standard_square())
     audit = inj.AuditTrail()
-    steps: list[Step] = []
-    measured: dict[str, int] = {}  # word -> index in a leaf's outcomes, in readout order
-
-    if "a" in sel:
-        steps += _parity_block("Z", (1,), 2, audit)
-        measured["IZ"] = len(measured)
-    if "b" in sel:
-        steps += _parity_block("Z", (0,), 2, audit)
-        measured["ZI"] = len(measured)
-    if "c" in sel:
-        steps += _parity_block("Z", (0, 1), 2, audit)
-        measured["ZZ"] = len(measured)
-    cz_count = sum(1 for bit in ("alpha", "beta", "gamma") if bit in sel)
     cz_scheme = inj.scheme_for("CZ")
-    for _ in range(cz_count):
-        steps += inj.inject_on_wires(cz_scheme, audit)
-    skipped = cz_count * cz_scheme.n  # injection readouts
-    conjugated = cz_count % 2 == 1
-    if "e" in sel:
-        steps += _parity_block("X", (1,), 2, audit)
-        measured["ZX" if conjugated else "IX"] = len(measured) + skipped
-    if "d" in sel:
-        steps += _parity_block("X", (0,), 2, audit)
-        measured["XZ" if conjugated else "XI"] = len(measured) + skipped
-    measured_words = list(measured)
-
-    # the selectors list the contexts in the order lines() yields them
-    words, line_sign = dict(zip(CONTEXT_SELECTORS, standard_square().lines()))[context]
-    # an entry's value on a leaf is sign * (-1) ** popcount(bits & mask),
-    # bit i of bits being the outcome read for measured_words[i]
-    entries = {w: (1, 1 << i) for i, w in enumerate(measured_words)}
-    for target, wa, wb, sgn in _derivations(measured_words):
-        (sa, ma), (sb, mb) = entries[wa], entries[wb]
-        entries[target] = (sgn * sa * sb, ma ^ mb)
-    sign = math.prod(entries[w][0] for w in words)
-    mask = reduce(xor, (entries[w][1] for w in words))
+    steps: list[Step] = []
+    for block in blocks:
+        if block is None:
+            steps += inj.inject_on_wires(cz_scheme, audit)
+        else:
+            steps.append(_parity_block(*block, 2, audit))
     leaves = branch_tree(input_state.astype(complex)[None], steps)
-    bits = [sum(out[p] << i for i, p in enumerate(measured.values())) for out, _, _ in leaves]
+    bits = [sum(out[p] << i for i, p in enumerate(positions)) for out, _, _ in leaves]
     ok = all(sign * (-1) ** (b & mask).bit_count() == line_sign for b in bits)
     total = sum(float(p) for _, p, _ in leaves)
     return {
         "context": context,
-        "selectors": sorted(sel),
-        "line": words,
+        "selectors": sorted(CONTEXT_SELECTORS[context]),
+        "line": list(words),
         "line_sign": line_sign,
-        "measured_words": measured_words,
+        "measured_words": list(measured_words),
         "branches": len(leaves),
         "total_probability": total,
         "product_matches_sign": bool(ok),

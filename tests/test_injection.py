@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spektoy import dense_oracle as do
 from spektoy import injection as inj
@@ -11,6 +13,7 @@ from spektoy import subtheory as stt
 from spektoy import witness as wit
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch
+from test_walker import assert_same_leaves
 
 
 class TestCorrectionClassification:
@@ -352,11 +355,34 @@ def _random_state(rng, dim):
 
 
 def assert_same_records(got, want):
+    # outcomes and corrections exactly; probability, fidelity and final
+    # state within 1e-12, since a gadget's Kraus stack is a different float
+    # product from the chain of steps
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.outcomes, g.probability, g.correction, g.fidelity) == (
-            w.outcomes, w.probability, w.correction, w.fidelity)
-        assert np.array_equal(g.final_state, w.final_state)
+        assert (g.outcomes, g.correction) == (w.outcomes, w.correction)
+        assert abs(g.probability - w.probability) <= 1e-12
+        assert abs(g.fidelity - w.fidelity) <= 1e-12
+        assert g.final_state.shape == w.final_state.shape
+        assert np.allclose(g.final_state, w.final_state, rtol=0, atol=1e-12)
+
+
+def assert_same_report(got, want):
+    """Reports equal key for key and item for item, floats within 1e-12 and
+    everything else exactly."""
+    assert type(got) is type(want)
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        for k in got:
+            assert_same_report(got[k], want[k])
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+    elif isinstance(got, float):
+        assert abs(got - want) <= 1e-12
+    else:
+        assert got == want
 
 
 def _full_report(audit):
@@ -392,11 +418,11 @@ class TestAgainstReferenceBuilders:
         ref_builders(monkeypatch)
         want = [inj.ccz_scheme_demo(psi) for psi in inputs]
         want += [inj.clifford_completion_demo(), inj.minimality_probe()]
-        assert got == want
+        assert_same_report(got, want)
 
     def test_peres_mermin_contexts(self, monkeypatch):
-        # the reports and every leaf of the walk: outcomes, probability and
-        # state
+        # the reports and every leaf of the walk: outcomes exactly,
+        # probability and state within 1e-12
         walks = []
 
         def recorded(*args):
@@ -414,11 +440,10 @@ class TestAgainstReferenceBuilders:
         got = reports()
         got_walks, walks[:] = walks[:], []
         ref_builders(monkeypatch)
-        assert got == reports()
+        assert_same_report(got, reports())
         assert len(got_walks) == len(walks) == len(got)
         for g, w in zip(got_walks, walks):
-            assert [(o, p) for o, p, _ in g] == [(o, p) for o, p, _ in w]
-            assert all(np.array_equal(gs, ws) for (_, _, gs), (_, _, ws) in zip(g, w))
+            assert_same_leaves(g, w)
 
     def test_reference_placement_is_general(self):
         # the reference still places the gadget on any data wires; on
@@ -432,66 +457,154 @@ class TestAgainstReferenceBuilders:
         assert all(do.states_equal(state, want) for _, _, state in leaves)
 
 
+def _readout_z0(width):
+    """R_k of a Z readout of wire 0 on a width-wire register: <k| (x) I."""
+    return [np.kron(do.basis_state([k])[None], np.eye(2 ** (width - 1))) for k in (0, 1)]
+
+
+def ref_gadget_kraus(scheme, m):
+    """K_m from its parts: the correction (none for the trivial one), the Z
+    readouts of data wires 0..n-1 one after the other, the CNOTs and the
+    resource appended at the tail."""
+    n = scheme.n
+    K = np.kron(np.eye(2**n), scheme.resource_state[:, None])
+    for j in range(n):
+        K = do.gate("CNOT", (n + j, j), 2 * n) @ K
+    for j, mj in enumerate(m):
+        K = _readout_z0(2 * n - j)[mj] @ K
+    corr = scheme.corrections[m]
+    return K if corr.kind == "pauli" and not corr.factors else corr.operator @ K
+
+
+def ref_gadget_steps(scheme, audit, injected):
+    """The gadget as the chain of steps it was before its one Kraus step:
+    append, n CNOTs, n readouts and the correction built per branch."""
+    n = scheme.n
+    audit.use_resource(f"{scheme.gate_name}|+>^{n}")
+    audit.use_gate("CNOT", count=n)
+    for _ in range(n):
+        audit.use_measurement("Z")
+    correct = ref_correction_step(scheme, tuple(range(n)), n, audit, injected)
+
+    def correction(outcomes, level):
+        states = [correct(o, psi)[0][2] for o, psi in zip(outcomes, level)]
+        return None, None, np.stack(states) if states else level
+
+    return [
+        do.append_step(scheme.resource_state),
+        *(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n)) for j in range(n)),
+        *[do.readout_step(0, "Z")] * n,
+        correction,
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["Z", "S", "T", "CZ", "CCZ"]),
+    st.sampled_from([frozenset(), frozenset({"CZ"})]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_gadget_step_matches_the_chain_of_steps(name, injected, branches, seed):
+    scheme = inj.scheme_for(name)
+    n = scheme.n
+    rng = np.random.default_rng(seed)
+    level = np.stack([_random_state(rng, 2**n) for _ in range(branches)])
+    [step] = inj.inject_on_wires(scheme, inj.AuditTrail(), injected)
+    ks, pks, children = step([()] * branches, level)
+    # one row of n readout bits per child, every joint outcome 2^-n likely
+    assert ks.shape == (branches * 2**n, n)
+    assert [tuple(r) for r in ks.tolist()] == list(itertools.product((0, 1), repeat=n)) * branches
+    assert all(abs(p - 2.0**-n) <= 1e-12 for p in pks)
+    assert children.shape == (branches * 2**n, 2**n)
+
+    def root(outcomes, _):  # the level as equally likely branches
+        return list(range(branches)), [1 / branches] * branches, level
+
+    audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
+    ref_audit.use_gate("SWAP", count=n)
+    got = branch_tree(level[:1], [root, *inj.inject_on_wires(scheme, audit, injected)])
+    want = branch_tree(level[:1], [root, *ref_gadget_steps(scheme, ref_audit, injected)])
+    assert [o for o, _, _ in got] == [o for o, _, _ in want]
+    assert len(got) == branches * 2**n
+    for (o, p, state), (_, p_ref, state_ref) in zip(got, want):
+        m = o[1:]
+        assert abs(p - p_ref) <= 1e-12 and abs(p * branches - 2.0**-n) <= 1e-12
+        # the host factors equal the scheme's operator up to a global phase
+        phase = np.vdot(state_ref, state)
+        assert abs(abs(phase) - 1) <= 1e-12
+        assert np.allclose(state, phase * state_ref, rtol=0, atol=1e-12)
+        C = scheme.corrections[m]
+        if not (C.kind == "pauli" and not C.factors):
+            continue
+        assert np.allclose(state, state_ref, rtol=0, atol=1e-12)
+    assert _full_report(audit) == _full_report(ref_audit)
+
+
 class TestCorrectionStep:
+    @pytest.mark.parametrize("name", ["Z", "S", "T", "CZ", "CCZ"])
+    def test_stack_is_the_product_of_its_parts(self, name):
+        scheme = inj.scheme_for(name)
+        stack = scheme.kraus
+        assert stack is scheme.kraus and not stack.flags.writeable
+        rows = list(itertools.product((0, 1), repeat=scheme.n))
+        assert stack.shape == (len(rows), 2**scheme.n, 2**scheme.n)
+        for K, m in zip(stack, rows):
+            assert np.allclose(K, ref_gadget_kraus(scheme, m), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("name", ["CZ", "CCZ", "S", "T"])
     def test_step_local_corrections_match_per_branch_gates(self, name):
-        # the correction acts on the whole register, which holds the
-        # output; every outcome is met by two branches
+        # each operator is the scheme's correction times the uncorrected
+        # one; the host factors applied per branch agree up to a global
+        # phase, and every outcome is met by two branches
         scheme = inj.scheme_for(name)
         n = scheme.n
-        injected = frozenset({"CZ"})
-        audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
-        step = inj._correction_step(scheme, audit, injected)
-        ref = ref_correction_step(scheme, tuple(range(n)), n, ref_audit, injected)
+        ref = ref_correction_step(scheme, tuple(range(n)), n, inj.AuditTrail(), frozenset({"CZ"}))
         rng = np.random.default_rng(len(name))
-        outcomes = [(1, *m) for m in itertools.product((0, 1), repeat=n) for _ in range(2)]
-        level = np.stack([_random_state(rng, 2**n) for _ in outcomes])
-        k, p, out = step(outcomes, level)
-        assert k is None and p is None and out.shape == level.shape
-        for o, psi, got in zip(outcomes, level, out):
-            [(_, _, want)] = ref(o, psi)
-            # equal up to a global phase: U X^m U* and its host factors
-            assert abs(np.linalg.norm(got) - 1) < 1e-12
-            assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
-            # and exactly the scheme's own operator
-            assert np.array_equal(got, scheme.corrections[o[1:]].operator @ psi)
-        assert _full_report(audit) == _full_report(ref_audit)
+        for m, K in zip(itertools.product((0, 1), repeat=n), scheme.kraus):
+            bare = ref_gadget_kraus(dataclasses.replace(scheme, corrections={
+                m: inj.Correction(None, "pauli", "I" * n, ())}), m)
+            for _ in range(2):
+                psi = _random_state(rng, 2**n)
+                got = K @ psi
+                want = scheme.corrections[m].operator @ bare @ psi
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+                [(_, _, host)] = ref((1, *m), bare @ psi)
+                assert abs(abs(np.vdot(host, got)) - np.vdot(got, got).real) <= 1e-12
 
     @pytest.mark.parametrize("name", ["Z", "S", "CZ", "CCZ"])
-    def test_identity_correction_returns_the_input_state(self, name):
+    def test_identity_correction_is_not_multiplied_in(self, name):
+        # the trivial outcome's operator is the uncorrected coupling block,
+        # the same float product as the other blocks before their correction
         scheme = inj.scheme_for(name)
-        zeros = (0,) * scheme.n
+        n, zeros = scheme.n, (0,) * scheme.n
         assert scheme.corrections[zeros].kind == "pauli"
         assert scheme.corrections[zeros].factors == ()
-        audit = inj.AuditTrail()
-        step = inj._correction_step(scheme, audit, frozenset())
-        level = do.plus_state(scheme.n)[None]
-        k, p, out = step([zeros], level)
-        assert (k, p) == (None, None) and out is level
-        assert audit.report() == inj.AuditTrail().report()
+        coupled = np.kron(np.eye(2**n), scheme.resource_state[:, None])
+        for j in range(n):
+            coupled = inj.cnot((n + j, j), 2 * n) @ coupled
+        assert np.array_equal(scheme.kraus[0], coupled[: 2**n])
 
     def test_identity_correction_is_not_embedded(self, monkeypatch):
-        # row3 runs three CZ injections: every correction applied is the
-        # scheme's own operator, the identity none at all, and once
-        # inj.cnot holds the run's CNOTs, the run builds no gate and no
-        # embedding
-        corrections = inj.scheme_for("CZ").corrections
+        # row3 runs three CZ injections: each is one step on the CZ scheme's
+        # own stack, and once inj.cnot holds the run's CNOTs, the run builds
+        # no gate, no embedding and no stack
+        scheme = inj.scheme_for("CZ")
         wit.peres_mermin_circuit(do.plus_state(2), "row3")
-        applied, built = [], []
-        rows_by_key, embed, gate = do.rows_by_key, do.embed, do.gate
+        stacks, built = [], []
+        measure_step, embed, gate = do.measure_step, do.embed, do.gate
 
-        def recorded(level, keys, operator):
-            applied.extend((m, operator(m)) for m in dict.fromkeys(keys))
-            return rows_by_key(level, keys, operator)
+        def recorded(kraus):
+            stacks.append(kraus)
+            return measure_step(kraus)
 
-        monkeypatch.setattr(do, "rows_by_key", recorded)
+        monkeypatch.setattr(do, "measure_step", recorded)
         monkeypatch.setattr(do, "embed", lambda *a: built.append(a) or embed(*a))
         monkeypatch.setattr(do, "gate", lambda *a: built.append(a) or gate(*a))
         assert wit.peres_mermin_circuit(do.plus_state(2), "row3")["product_matches_sign"]
         assert built == []
-        assert len(applied) == 3 * 4
-        for m, U in applied:
-            assert U is (None if m == (0, 0) else corrections[m].operator)
+        gadgets = [K for K in stacks if K is scheme.kraus]
+        assert len(gadgets) == 3 and len(stacks) == 5  # and the two X parity readouts
 
     def test_resource_append_is_the_kronecker_product(self):
         # do.append_step puts the state's wires at the tail of every

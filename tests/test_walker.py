@@ -193,6 +193,74 @@ def test_level_walker_matches_the_per_branch_walker(dn, seed, kinds):
     assert_same_leaves(got, want)
 
 
+def _flat(outcomes):
+    """An outcome tuple with each row of outcomes spliced in."""
+    return tuple(x for o in outcomes for x in (o if isinstance(o, tuple) else (o,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=5),
+)
+def test_rows_of_outcomes_match_the_per_branch_walker(seed, exact, shapes):
+    # a step of c children per branch records a row of r outcomes per
+    # child (r = 0: one outcome, as a list), with probability 1/c as an
+    # int, or a float vector with some children below the prune
+    rng = np.random.default_rng(seed)
+    steps, ref_steps = [], []
+    for c, r in shapes:
+        table = rng.integers(0, 3, size=(c, max(r, 1)))
+        mats = rng.normal(size=(c, 3, 3))
+        if exact:
+            pks = c
+        else:
+            weights = rng.random(c) * (rng.random(c) < 0.8)
+            weights[rng.integers(0, c)] += 1.0
+            pks = (weights / weights.sum()).tolist()
+            pks = [0.5 * ATOL_CONSTRUCT if p < 0.05 else p for p in pks]
+            pks = [p / math.fsum(pks) for p in pks]
+
+        def step(outcomes, level, table=table, mats=mats, pks=pks, r=r):
+            b, c = len(level), len(table)
+            ks = np.tile(table, (b, 1)) if r else np.tile(table[:, 0], b).tolist()
+            children = np.einsum("bj,kij->bki", level, mats).reshape(b * c, 3)
+            return ks, (pks if isinstance(pks, int) else pks * b), children
+
+        def ref_step(outcomes, state, table=table, mats=mats, pks=pks, r=r):
+            return [
+                (tuple(row.tolist()) if r else int(row[0]),
+                 pks if isinstance(pks, int) else pks[k], mats[k] @ state)
+                for k, row in enumerate(table)
+            ]
+
+        steps.append(step)
+        ref_steps.append(ref_step)
+    root = rng.normal(size=3)
+    got, want = run_both(root, steps, ref_steps)
+    assert not isinstance(want, AssertionError), want
+    assert not isinstance(got, AssertionError), got
+    assert [o for o, _, _ in got] == [_flat(o) for o, _, _ in want]
+    for (_, p, state), (_, p_ref, state_ref) in zip(got, want):
+        assert type(p) is type(p_ref)
+        assert p == p_ref if exact else abs(p - p_ref) <= 1e-12
+        assert np.allclose(state, state_ref, rtol=0, atol=1e-12)
+
+
+def test_a_row_below_the_prune_is_dropped_with_its_state():
+    rows = np.array([[0, 1], [1, 0], [1, 1]])
+    pks = [0.5, 0.5 * ATOL_CONSTRUCT, 0.5 - 0.5 * ATOL_CONSTRUCT]
+    states = np.eye(3)
+
+    def step(outcomes, level):
+        return np.tile(rows, (len(level), 1)), pks * len(level), np.tile(states, (len(level), 1))
+
+    leaves = branch_tree(np.ones((1, 3)), [step, do.measure_step(np.eye(3)[:, None] * np.eye(3))])
+    assert [o for o, _, _ in leaves] == [(0, 1, 0), (1, 1, 2)]
+    assert [s.tolist() for _, _, s in leaves] == [[1, 0, 0], [0, 0, 1]]
+
+
 def test_a_walk_without_measurements_keeps_the_int_probability():
     U = do.gate("H", (0,), 1)
     [(outcomes, prob, state)] = branch_tree(do.plus_state(1)[None], [do.gate_step(U)] * 3)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 
@@ -352,18 +354,29 @@ class TestContextCircuit:
         with pytest.raises(DimensionMismatch):
             wit.peres_mermin_circuit(do.plus_state(2), "diag1")
 
-    def test_parity_ancilla_append_is_the_kronecker_product(self):
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        for kind, anc in (("Z", do.basis_state([0])), ("X", do.plus_state(1))):
-            append = wit._parity_block(kind, (0, 1), 2, inj.AuditTrail())[0]
-            _, _, [got] = append([()], psi[None])
-            assert np.array_equal(got, np.kron(psi, anc))
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    @pytest.mark.parametrize("wires", [(0,), (1,), (0, 1)])
+    def test_parity_stack_is_the_product_of_its_parts(self, kind, wires):
+        # K_k = R_k CNOTs (I (x) |ancilla>): the ancilla appended at site 2
+        # as a Kronecker product, the CNOTs embedded, and the readout the
+        # ancilla's contraction with the k-th ket of the Z or X basis
+        anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
+        K = np.kron(np.eye(4), anc[:, None])
+        for w in wires:
+            K = do.gate("CNOT", (w, 2) if kind == "Z" else (2, w), 3) @ K
+        kets = [do.basis_state([0]), do.basis_state([1])] if kind == "Z" else [
+            do.plus_state(1), do.gate("Z", (0,), 1) @ do.plus_state(1)]
+        stack = wit._parity_kraus(kind, wires, 2)
+        assert stack is wit._parity_kraus(kind, wires, 2) and not stack.flags.writeable
+        assert stack.shape == (2, 4, 4)
+        for k, ket in enumerate(kets):
+            R = np.kron(np.eye(4), ket.conj()[None])
+            assert np.allclose(stack[k], R @ K, rtol=0, atol=1e-12)
 
     def test_corrections_are_built_per_outcome_not_per_branch(self, monkeypatch):
         # row3 runs three CZ injections of four outcomes each: though 256
         # branches pass through, the walker builds no gate and no
-        # embedding, since each correction is the scheme's own operator
+        # embedding, since each correction is in the scheme's own stack
         calls, walking = [], [False]
 
         def counted(f):
@@ -387,6 +400,62 @@ class TestContextCircuit:
         rep = wit.peres_mermin_circuit(do.plus_state(2), "row3")
         assert rep["product_matches_sign"] and rep["branches"] == 256
         assert calls == []
+
+    def test_stacks_are_built_once_and_never_in_a_walk(self, monkeypatch):
+        # every context and every inject report, twice: the second round
+        # runs every step on the very stacks of the first and builds none,
+        # and no walk builds a gate, a Pauli operator, a stack or a step
+        from spektoy import cli
+
+        inject = [["inject", "--gate", g, "--input", s]
+                  for g, s in (("S", "+"), ("T", "+"), ("CZ", "++"), ("CCZ", "+++"))]
+        calls, stacks, walking = [], [], [False]
+
+        def counted(f, name):
+            def wrapper(*args, **kwargs):
+                calls.append((name, walking[0]))
+                return f(*args, **kwargs)
+            return wrapper
+
+        def walked(walk):
+            def wrapper(*args):
+                walking[0] = True
+                try:
+                    return walk(*args)
+                finally:
+                    walking[0] = False
+            return wrapper
+
+        def measure_step(kraus, measure_step=do.measure_step):
+            calls.append(("measure_step", walking[0]))
+            stacks[-1].append(kraus)
+            return measure_step(kraus)
+
+        build = inj.InjectionScheme.kraus.func
+        monkeypatch.setattr(inj.InjectionScheme.kraus, "func", counted(build, "kraus"))
+        monkeypatch.setattr(do, "gate", counted(do.gate, "gate"))
+        monkeypatch.setattr(do, "pauli", counted(do.pauli, "pauli"))
+        monkeypatch.setattr(do, "measure_step", measure_step)
+        monkeypatch.setattr(wit, "branch_tree", walked(wit.branch_tree))
+        monkeypatch.setattr(inj, "branch_tree", walked(inj.branch_tree))
+        misses = []
+        for _ in range(2):
+            stacks.append([])
+            for context in sorted(wit.CONTEXT_SELECTORS):
+                assert wit.peres_mermin_circuit(do.plus_state(2), context)["product_matches_sign"]
+            for argv in inject:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(argv)
+            misses.append(wit._parity_kraus.cache_info().misses)
+            builds = [name for name, _ in calls if name == "kraus"]
+            assert len(builds) <= 4
+            assert [c for c in calls if c[1]] == []
+            calls.clear()
+        assert builds == [] and misses[0] == misses[1]
+        # 14 parity blocks, 6 gadgets in the contexts, 5 in the reports
+        assert len(stacks[0]) == len(stacks[1]) == 25
+        assert all(a is b for a, b in zip(*stacks))
+        assert all(not K.flags.writeable for K in stacks[0])
 
     def test_second_run_embeds_no_cnot(self, monkeypatch):
         # every CNOT of the parity blocks and the injections is embedded once
