@@ -441,25 +441,14 @@ def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # circuit execution
 
-def _renormalized_rows(children: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Each row's probability (its squared norm) and the rows normalised.  A
-    row of probability <= ATOL_CONSTRUCT, which the walker drops, is only
-    divided by sqrt(ATOL_CONSTRUCT)."""
-    probs = np.vecdot(children, children).real
-    return probs.tolist(), children / np.sqrt(np.maximum(probs, ATOL_CONSTRUCT))[:, None]
-
-
 def gate_step(U: np.ndarray) -> Step:
     """Walker step applying the matrix U to every branch: one product."""
     return lambda outcomes, level: (None, None, level @ U.T)
 
 
-def append_step(state: np.ndarray) -> Step:
-    """Walker step appending state's wires at the tail of every branch: each
-    row's Kronecker product with state, one broadcast outer product."""
-    return lambda outcomes, level: (
-        None, None, np.multiply.outer(level, state).reshape(len(level), -1)
-    )
+def append_isometry(dim: int, state: np.ndarray) -> np.ndarray:
+    """I_dim (x) |state>: state's wires appended at a register's tail."""
+    return np.kron(np.eye(dim), state[:, None])
 
 
 def measure_step(kraus) -> Step:
@@ -469,48 +458,20 @@ def measure_step(kraus) -> Step:
     The level times the operators' transposes side by side,
     [K_0.T | K_1.T | ...], lists every parent's children in outcome order:
     one product for the whole level.  That matrix is the transpose of the
-    operators stacked as rows, a view when they come as one array."""
+    operators stacked as rows, a view when they come as one array.  Each
+    child's probability is its squared norm; a child of probability <=
+    ATOL_CONSTRUCT, which the walker drops, is only divided by
+    sqrt(ATOL_CONSTRUCT)."""
     kraus = np.asarray(kraus)
     m, d_out, d_in = kraus.shape
     stacked = kraus.reshape(m * d_out, d_in).T
     ks = list(range(m))
 
     def step(outcomes, level):
-        b = len(level)
-        pks, children = _renormalized_rows((level @ stacked).reshape(b * m, d_out))
-        return ks * b, pks, children
-
-    return step
-
-
-def readout_step(site: int, basis: str) -> Step:
-    """Walker step reading one qubit destructively in the Z or X basis,
-    which removes the site from the register.
-
-    With the level reshaped to (branches, left, site, right), Z outcome k is
-    the slice [:, :, k, :] and X outcome k is the signed sum
-    (t0 + (-1)^k t1)/sqrt2 of the two slices: the contraction with the k-th
-    basis ket.
-    """
-    if basis not in ("Z", "X"):
-        raise CircuitParseError(f"readout basis {basis!r} is not Z or X")
-    if site < 0:
-        raise DimensionMismatch(f"readout site {site} is negative")
-
-    def step(outcomes, level):
-        b, dim = level.shape
-        if dim < 2 << site:
-            raise DimensionMismatch(
-                f"readout site {site} outside a {num_sites(dim, 2)}-qubit register"
-            )
-        tensor = level.reshape(b, 2**site, 2, dim >> (site + 1))
-        if basis == "Z":
-            children = tensor.transpose(0, 2, 1, 3)
-        else:
-            t0, t1 = tensor[:, :, 0], tensor[:, :, 1]
-            children = np.stack((t0 + t1, t0 - t1), axis=1) * _SQ2
-        pks, children = _renormalized_rows(children.reshape(2 * b, dim // 2))
-        return [0, 1] * b, pks, children
+        children = (level @ stacked).reshape(len(level) * m, d_out)
+        probs = np.vecdot(children, children).real
+        renormed = children / np.sqrt(np.maximum(probs, ATOL_CONSTRUCT))[:, None]
+        return ks * len(level), probs.tolist(), renormed
 
     return step
 

@@ -121,7 +121,7 @@ class InjectionScheme:
         register.  C_m is the correction operator; the trivial one is not
         multiplied in."""
         n, dim = self.n, 2**self.n
-        coupled = np.kron(np.eye(dim), self.resource_state[:, None])
+        coupled = do.append_isometry(dim, self.resource_state)
         for j in range(n):
             coupled = cnot((n + j, j), 2 * n) @ coupled
         stack = coupled.reshape(dim, dim, dim)
@@ -293,34 +293,50 @@ def inject_on_wires(
 # ---------------------------------------------------------------------------
 # named constructions
 
+@functools.cache
+def _x_readout_kraus() -> np.ndarray:
+    """K_s = X^s (<s|_X (x) I) = <s|_X (x) X^s on two qubits, read-only:
+    the Hadamard's X readout of wire 0, a row of H, and its X correction."""
+    H, X = do.gate("H", (0,), 1), do.gate("X", (0,), 1)
+    stack = np.stack([np.kron(H[:1], np.eye(2)), np.kron(H[1:], X)])
+    stack.setflags(write=False)
+    return stack
+
+
+def _hadamard_from_cz(input_state: np.ndarray, audit: AuditTrail) -> list[tuple]:
+    """The leaves of the Hadamard from CZ on |input>|+>: the injected CZ,
+    then one step on _x_readout_kraus.  After the CZ the register holds
+    a|0>|+> + b|1>|->, so each X outcome has probability exactly 1/2 and
+    the walker never prunes one: one X gate per parent branch counts the X
+    gates of the branches that read s = 1."""
+    steps = inject_on_wires(scheme_for("CZ"), audit)
+    audit.use_measurement("X")
+    measure = do.measure_step(_x_readout_kraus())
+
+    def x_readout(outcomes, level):
+        audit.use_gate("X", count=len(level))
+        return measure(outcomes, level)
+
+    root = do.append_isometry(2, do.plus_state(1)) @ input_state
+    return branch_tree(root[None], [*steps, x_readout])
+
+
 def hadamard_via_cz(input_state: np.ndarray) -> tuple[list[InjectionRecord], AuditTrail]:
     """Hadamard from one CZ and an X measurement.
 
     Couple |psi> to a |+> ancilla with CZ, measure X on the input wire, and
-    X-correct the ancilla, which then holds H|psi>.  The CZ itself runs as
-    an injection block, so every element is a host one.
+    X-correct the ancilla, which then holds H|psi>: a fixed map, one Kraus
+    step after the CZ, which runs as an injection block, so every element
+    is a host one.
     """
     if input_state.shape[0] != 2:
         raise DimensionMismatch("single-qubit construction")
     audit = AuditTrail()
     target = do.gate("H", (0,), 1) @ input_state
-    steps = [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)]
-    audit.use_measurement("X")
-    x_gate = do.gate("X", (0,), 1)
-
-    def x_correction(outcomes, level):
-        flips = [o[-1] for o in outcomes]
-        if sum(flips):
-            audit.use_gate("X", count=sum(flips))
-        return None, None, do.rows_by_key(level, flips, lambda s: x_gate if s else None)
-
-    steps += [do.readout_step(0, "X"), x_correction]
-    branches = branch_tree(input_state[None], steps)
-    records = [
+    return [
         InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
-        for outcomes, prob, out in branches
-    ]
-    return records, audit
+        for outcomes, prob, out in _hadamard_from_cz(input_state, audit)
+    ], audit
 
 
 def ccz_scheme_demo(input_state: np.ndarray) -> dict:
@@ -497,9 +513,7 @@ def minimality_probe() -> dict:
         audit = AuditTrail(host=reduced)
         if element == "X-observables":
             # the Hadamard construction is the X-measurement consumer
-            steps = [do.append_step(do.plus_state(1)), *inject_on_wires(scheme_for("CZ"), audit)]
-            audit.use_measurement("X")
-            branch_tree(do.basis_state([0])[None], [*steps, do.readout_step(0, "X")])
+            _hadamard_from_cz(do.basis_state([0]), audit)
         elif element == "Z":
             # Z appears in CZ-injection corrections (XZ / ZX branches)
             run_injection(scheme_for("CZ"), do.plus_state(2), audit=audit)

@@ -251,7 +251,7 @@ class AffineSymplectic:
     S: np.ndarray
     a: np.ndarray
     d: int
-    n: int = field(default=0)
+    n: int = field(init=False)
 
     def __post_init__(self):
         S = mm.modp(self.S, self.d)

@@ -377,16 +377,17 @@ def qudit_stabilizer_subtheory(d: int, n: int) -> Subtheory:
 
 
 @lru_cache(maxsize=8)
-def full_qubit_stabilizer_subtheory(n: int, spec_name: str = "delfosse-rebit") -> Subtheory:
-    """All qubit stabilizer states and Clifford generators, paired with a
-    rebit construction: the canonical *failing* candidate."""
+def full_qubit_stabilizer_subtheory(n: int) -> Subtheory:
+    """All qubit stabilizer states and Clifford generators, paired with the
+    Delfosse rebit construction: the canonical *failing* candidate."""
+    spec = wg.delfosse_rebit_spec(n)
     return Subtheory(
         name="full-qubit-stabilizer",
-        spec=wg.spec_by_name(spec_name, 2, n),
+        spec=spec,
         census=lambda: all_stabilizer_states(2, n),
         gate_generators=_gate_gens(("X", "Z", "H", "S"), ("CNOT",), n, 2),
         # the Hermitian labels, q.p = 0 mod 2
-        observables=wg.delfosse_rebit_spec(n).labels(),
+        observables=spec.labels(),
     )
 
 

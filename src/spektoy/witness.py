@@ -291,7 +291,7 @@ def _parity_kraus(kind: str, data_wires: tuple[int, ...], n0: int) -> np.ndarray
     |+> ancilla onto the data wires and reads X.  R_k contracts the ancilla
     with the k-th ket of the readout basis, a row of I or of H."""
     anc = do.basis_state([0]) if kind == "Z" else do.plus_state(1)
-    coupled = np.kron(np.eye(2**n0), anc[:, None])
+    coupled = do.append_isometry(2**n0, anc)
     for w in data_wires:
         coupled = inj.cnot((w, n0) if kind == "Z" else (n0, w), n0 + 1) @ coupled
     bras = np.eye(2) if kind == "Z" else do.gate("H", (0,), 1)

@@ -549,6 +549,15 @@ class TestRunCircuit:
             step([(0, 1)], do.basis_state([0])[None])
 
 
+def ref_readout_kraus(site, basis, n):
+    """A destructive readout of qubit site of n as a rectangular (2,
+    2^(n-1), 2^n) stack: I (x) <k| (x) I, <k| the k-th bra of the Z or X
+    basis, a row of I or of H."""
+    bras = np.eye(2) if basis == "Z" else do.gate("H", (0,), 1)
+    return np.stack([np.kron(np.kron(np.eye(2**site), bra[None]), np.eye(2 ** (n - 1 - site)))
+                     for bra in bras])
+
+
 class TestWalkerSteps:
     def test_incomplete_measurement_trips_sum_check(self):
         p0 = do.label_projectors((0, 1), 2)[0]
@@ -558,7 +567,8 @@ class TestWalkerSteps:
     def test_readout_removes_the_site(self):
         # |0>|+> read in X on site 1 leaves |0> with outcome 0 for certain
         branches = branch_tree(
-            np.kron(do.basis_state([0]), do.plus_state(1))[None], [do.readout_step(1, "X")]
+            np.kron(do.basis_state([0]), do.plus_state(1))[None],
+            [do.measure_step(ref_readout_kraus(1, "X", 2))],
         )
         assert len(branches) == 1
         outcomes, prob, state = branches[0]
@@ -585,7 +595,8 @@ class TestWalkerSteps:
                 steps.append(do.measure_step(
                     do.label_projectors(do.basis_label(basis, range(n), n), 2)))
             elif n > 1:
-                steps.append(do.readout_step(int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]))
+                site, basis = int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]
+                steps.append(do.measure_step(ref_readout_kraus(site, basis, n)))
                 n -= 1
         first = branch_tree(state[None], steps)
         second = branch_tree(state[None], steps)
@@ -594,54 +605,6 @@ class TestWalkerSteps:
         for (o1, p1, s1), (o2, p2, s2) in zip(first, second):
             assert o1 == o2 and p1 == p2 and np.array_equal(s1, s2)
             assert s1.shape == (2**n,) and abs(np.linalg.norm(s1) - 1) < 1e-9
-
-
-def ref_readout(site, basis, state):
-    """A destructive one-qubit readout as a tensordot of the reshaped state
-    with each basis ket's conjugate."""
-    kets = {
-        "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-        "X": (np.array([1, 1], dtype=complex) / math.sqrt(2),
-              np.array([1, -1], dtype=complex) / math.sqrt(2)),
-    }[basis]
-    tensor = state.reshape(2**site, 2, -1)
-    out = []
-    for k, ket in enumerate(kets):
-        child = np.tensordot(tensor, ket.conj(), axes=([1], [0])).reshape(-1)
-        prob = float(np.vdot(child, child).real)
-        out.append((k, prob, child / math.sqrt(prob) if prob > 1e-12 else child))
-    return out
-
-
-class TestReadoutStep:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-    def test_slices_match_the_tensordot_readout(self, n, seed):
-        rng = np.random.default_rng(seed)
-        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        state /= np.linalg.norm(state)
-        for site in range(n):
-            for basis in "ZX":
-                got = list(zip(*do.readout_step(site, basis)([()], state[None])))
-                want = ref_readout(site, basis, state)
-                assert [k for k, _, _ in got] == [k for k, _, _ in want]
-                for (_, p, child), (_, p_ref, child_ref) in zip(got, want):
-                    assert abs(p - p_ref) < 1e-12
-                    assert child.shape == (2 ** (n - 1),)
-                    assert np.allclose(child, child_ref, rtol=0, atol=1e-12)
-
-    def test_unknown_basis_is_refused_when_built(self):
-        for basis in ("Y", "z", "ZX"):
-            with pytest.raises(CircuitParseError, match="readout basis"):
-                do.readout_step(0, basis)
-
-    def test_site_outside_the_register_is_refused(self):
-        with pytest.raises(DimensionMismatch, match="negative"):
-            do.readout_step(-1, "Z")
-        step = do.readout_step(2, "X")
-        with pytest.raises(DimensionMismatch, match="outside a 2-qubit register"):
-            step([()], do.plus_state(2)[None])
-        assert len(step([()], do.plus_state(3)[None])[2]) == 2
 
 
 class TestStateSpecLanguage:

@@ -13,7 +13,7 @@ from spektoy import subtheory as stt
 from spektoy import witness as wit
 from spektoy.circuits import branch_tree
 from spektoy.errors import DimensionMismatch
-from test_walker import assert_same_leaves
+from test_walker import assert_same_leaves, ref_level_step, ref_readout_step
 
 
 class TestCorrectionClassification:
@@ -275,7 +275,7 @@ def ref_run_injection(scheme, input_state, injected=frozenset(), audit=None):
         audit.use_gate("CNOT")
         audit.use_measurement("Z")
         steps.append(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n, 2)))
-    steps += [do.readout_step(0, "Z")] * n
+    steps += [ref_level_step(ref_readout_step(0, "Z"))] * n
     steps.append(ref_level_correction_step(scheme, tuple(range(n)), n, audit, injected))
     target_out = scheme.target @ input_state
     branches = branch_tree(np.kron(input_state, scheme.resource_state)[None], steps)
@@ -309,7 +309,7 @@ def ref_inject_on_wires(scheme, data_wires, n_total, audit, injected=frozenset()
         append_resource,
         *(do.gate_step(do.gate("CNOT", (w, n_total + j), big_n, 2))
           for j, w in enumerate(data_wires)),
-        *[do.readout_step(n_total, "Z")] * k,
+        *[ref_level_step(ref_readout_step(n_total, "Z"))] * k,
         ref_level_correction_step(scheme, data_wires, n_total, audit, injected),
     ]
 
@@ -327,7 +327,7 @@ def ref_hadamard_via_cz(input_state):
             audit.use_gate("X")
         return None, None, do.rows_by_key(level, flips, lambda s: x_gate if s else None)
 
-    steps += [do.readout_step(0, "X"), x_correction]
+    steps += [ref_level_step(ref_readout_step(0, "X")), x_correction]
     branches = branch_tree(np.kron(input_state, do.plus_state(1))[None], steps)
     records = [
         inj.InjectionRecord(outcomes, float(prob), "X^s", out, do.fidelity(out, target))
@@ -476,6 +476,12 @@ def ref_gadget_kraus(scheme, m):
     return K if corr.kind == "pauli" and not corr.factors else corr.operator @ K
 
 
+def ref_append_step(state):
+    """The step that appends state's wires at the tail of every branch, one
+    Kronecker product per row."""
+    return lambda outcomes, level: (None, None, np.stack([np.kron(row, state) for row in level]))
+
+
 def ref_gadget_steps(scheme, audit, injected):
     """The gadget as the chain of steps it was before its one Kraus step:
     append, n CNOTs, n readouts and the correction built per branch."""
@@ -491,9 +497,9 @@ def ref_gadget_steps(scheme, audit, injected):
         return None, None, np.stack(states) if states else level
 
     return [
-        do.append_step(scheme.resource_state),
+        ref_append_step(scheme.resource_state),
         *(do.gate_step(do.gate("CNOT", (n + j, j), 2 * n)) for j in range(n)),
-        *[do.readout_step(0, "Z")] * n,
+        *[ref_level_step(ref_readout_step(0, "Z"))] * n,
         correction,
     ]
 
@@ -539,6 +545,54 @@ def test_fused_gadget_step_matches_the_chain_of_steps(name, injected, branches, 
             continue
         assert np.allclose(state, state_ref, rtol=0, atol=1e-12)
     assert _full_report(audit) == _full_report(ref_audit)
+
+
+def test_x_readout_stack_is_the_product_of_its_parts():
+    # K_s = X^s (<s|_X (x) I): wire 0 of two read in the X basis, then the
+    # remaining wire flipped when s = 1; built once and read-only
+    stack = inj._x_readout_kraus()
+    assert stack is inj._x_readout_kraus() and not stack.flags.writeable
+    assert stack.shape == (2, 2, 4)
+    X = do.gate("X", (0,), 1)
+    kets = (do.plus_state(1), do.gate("Z", (0,), 1) @ do.plus_state(1))
+    for s, ket in enumerate(kets):
+        R = np.kron(ket.conj()[None], np.eye(2))
+        assert np.allclose(stack[s], np.linalg.matrix_power(X, s) @ R, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hadamard_step_matches_the_readout_and_keyed_correction(seed):
+    # the Hadamard's one X step against the X readout and the X correction
+    # keyed by its outcome (ref_hadamard_via_cz): leaves, counts and audits
+    # exactly, probabilities and states within 1e-12, and each X outcome
+    # exactly as likely as the other
+    psi = _random_state(np.random.default_rng(seed), 2)
+    x_probs, measure_step = [], do.measure_step
+
+    def recorded(kraus):
+        step = measure_step(kraus)
+        if kraus is not inj._x_readout_kraus():
+            return step
+
+        def x_step(outcomes, level):
+            ks, pks, children = step(outcomes, level)
+            x_probs.extend(pks)
+            return ks, pks, children
+
+        return x_step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(do, "measure_step", recorded)
+        got, audit = inj.hadamard_via_cz(psi)
+    want, ref_audit = ref_hadamard_via_cz(psi)
+    assert [r.outcomes for r in got] == [r.outcomes for r in want]
+    assert len(got) == len(want) == 8
+    assert_same_records(got, want)
+    assert _full_report(audit) == _full_report(ref_audit)
+    assert len(x_probs) == 8 and all(abs(p - 0.5) <= 1e-12 for p in x_probs)
+    target = do.gate("H", (0,), 1) @ psi
+    assert all(do.states_equal(r.final_state, target) for r in got)
 
 
 class TestCorrectionStep:
@@ -607,15 +661,21 @@ class TestCorrectionStep:
         assert len(gadgets) == 3 and len(stacks) == 5  # and the two X parity readouts
 
     def test_resource_append_is_the_kronecker_product(self):
-        # do.append_step puts the state's wires at the tail of every
-        # branch, for any register width, in one exact product per entry
+        # do.append_isometry puts the state's wires at the tail of a
+        # register of any width: column i is exactly |i> (x) |state>, and
+        # a row's product is its Kronecker product with the state, an
+        # isometry's, within 1e-12 (BLAS may fuse the complex products)
         rng = np.random.default_rng(3)
         for width in range(4):
+            dim = 2**width
             for state in (inj.scheme_for("CZ").resource_state, _random_state(rng, 2)):
-                level = np.stack([_random_state(rng, 2**width) for _ in range(3)])
-                k, p, got = do.append_step(state)([()] * 3, level)
-                assert (k, p) == (None, None)
-                assert np.array_equal(got, np.stack([np.kron(row, state) for row in level]))
+                V = do.append_isometry(dim, state)
+                assert V.shape == (dim * len(state), dim)
+                for i, ket in enumerate(np.eye(dim)):
+                    assert np.array_equal(V[:, i], np.kron(ket, state))
+                assert np.allclose(V.conj().T @ V, np.eye(dim), rtol=0, atol=1e-12)
+                for row in (_random_state(rng, dim) for _ in range(3)):
+                    assert np.allclose(V @ row, np.kron(row, state), rtol=0, atol=1e-12)
 
     def test_correction_audit_calls_once_per_outcome_met(self, monkeypatch):
         # in a row3 run the three correction steps meet 256 branches, but

@@ -488,3 +488,14 @@ def test_only_symplectic_matrices_make_a_map(d):
     for bad in (bent, np.eye(6, dtype=np.int64)[[2, 1, 0, 3, 4, 5]]):
         with pytest.raises(DimensionMismatch, match="does not preserve the symplectic form"):
             pa.AffineSymplectic(bad, np.zeros(6, dtype=np.int64), d)
+
+
+def test_map_size_is_read_off_s_alone():
+    # n follows from S; passing it, by position or by name, is refused
+    # rather than silently overwritten
+    S, a = np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    assert pa.AffineSymplectic(S, a, 3).n == 2
+    with pytest.raises(TypeError):
+        pa.AffineSymplectic(S, a, 3, 5)
+    with pytest.raises(TypeError):
+        pa.AffineSymplectic(S, a, 3, n=2)

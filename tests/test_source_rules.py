@@ -13,8 +13,12 @@
   outcome convention.
 * No module calls json.dump or json.dumps: the CLI's report writer is the
   one serialiser.
-* Only dense_oracle calls np.multiply.outer: dense_oracle.append_step is
-  the one append of wires to a walker's register.
+* Only dense_oracle calls np.multiply.outer or np.kron with an np.eye(...)
+  first argument: dense_oracle.append_isometry, I (x) |state>, is the one
+  append of wires to a register.
+* dense_oracle's public *_step builders are exactly gate_step and
+  measure_step: a dense step is a gate (a square operator or an isometry)
+  or a Kraus stack.
 * No float constant in (0, 1e-3) outside circuits.py's two assignments of
   ATOL_CONSTRUCT and ATOL_END2END: every tolerance reads one of the two
   names.
@@ -176,6 +180,24 @@ def outer_product_calls(tree):
             and node.func.value.value.id == "np"]
 
 
+def eye_kron_calls(tree):
+    """Line numbers of calls to np.kron whose first argument is a call to
+    np.eye."""
+    def is_np(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_np(node.func, "kron") and node.args
+            and isinstance(node.args[0], ast.Call) and is_np(node.args[0].func, "eye")]
+
+
+def step_builders(tree):
+    """The public module-level defs whose names end in _step."""
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name.endswith("_step") and not node.name.startswith("_"))
+
+
 def field_forks(tree):
     """Line numbers of comparisons of d, p or an attribute .d with 2."""
     def is_field(node):
@@ -297,6 +319,11 @@ def test_one_serialiser(name, tree):
 def test_one_register_append(name, tree):
     if name != "dense_oracle.py":
         assert outer_product_calls(tree) == []
+        assert eye_kron_calls(tree) == []
+
+
+def test_dense_steps_are_a_gate_or_a_kraus_stack():
+    assert step_builders(dict(_trees())["dense_oracle.py"]) == ["gate_step", "measure_step"]
 
 
 @pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
@@ -353,6 +380,17 @@ def test_rules_catch_violations():
         "x.multiply.outer(a, b)\ny = [np.multiply.outer(a, s) for s in b]\n"
     )
     assert outer_product_calls(tree) == [1, 6]
+    tree = ast.parse(
+        "np.kron(np.eye(4), v[:, None])\nnp.kron(a, np.eye(2))\nnp.kron(np.ones(2), v)\n"
+        "f = np.kron\nx.kron(np.eye(2), v)\ny = [np.kron(np.eye(d), s) for s in b]\n"
+        "np.kron(eye(2), v)\n"
+    )
+    assert eye_kron_calls(tree) == [1, 6]
+    tree = ast.parse(
+        "def gate_step(U): pass\ndef measure_step(K): pass\ndef _correct_step(U): pass\n"
+        "def readout_step(s): pass\nclass A:\n    def append_step(self): pass\nstep = 1\n"
+    )
+    assert step_builders(tree) == ["gate_step", "measure_step", "readout_step"]
     tree = ast.parse(
         "ATOL_CONSTRUCT = 1e-12\nATOL_END2END = 1e-9\nnp.allclose(a, b, rtol=0, atol=1e-9)\n"
         "ok = x < 1e-12\ny = 1 - 1e-9\nz = win > best + 1e-3\nw = v < ATOL_END2END\n"

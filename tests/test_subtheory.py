@@ -526,9 +526,15 @@ def _planted(base, name, states=None, spec=None, observables=None):
     )
 
 
+def _with_spec(sub, construction):
+    """The subtheory with its Wigner construction swapped for the named
+    one, its observables kept."""
+    return dataclasses.replace(sub, spec=wg.spec_by_name(construction, sub.d, sub.n))
+
+
 def _one_state_census(construction="delfosse-rebit"):
     # {|0>} under full-qubit n=1: its one table does not separate points
-    base = stt.full_qubit_stabilizer_subtheory(1, construction)
+    base = _with_spec(stt.full_qubit_stabilizer_subtheory(1), construction)
     return _planted(base, "one-state", states=(do.basis_state([0]),))
 
 
@@ -565,7 +571,8 @@ CERTIFICATE_CASES = {
     **{f"minimal-rebit-{n}": (lambda n=n: stt.minimal_rebit_subtheory(n)) for n in (1, 2, 3)},
     **{f"css-rebit-{n}": (lambda n=n: stt.css_rebit_subtheory(n)) for n in (1, 2)},
     **{f"full-qubit-{n}": (lambda n=n: stt.full_qubit_stabilizer_subtheory(n)) for n in (1, 2)},
-    "full-qubit-1-factorisable": lambda: stt.full_qubit_stabilizer_subtheory(1, "factorisable-rebit"),
+    "full-qubit-1-factorisable": lambda: _with_spec(
+        stt.full_qubit_stabilizer_subtheory(1), "factorisable-rebit"),
     **{f"qudit-d3-{n}": (lambda n=n: stt.qudit_stabilizer_subtheory(3, n)) for n in (1, 2)},
     "negative-state": _negative_state_appended,
     "non-coset-state": _non_coset_state_appended,

@@ -24,6 +24,7 @@ from spektoy import toy_model as toy
 from spektoy import witness as wit
 from spektoy.circuits import ATOL_CONSTRUCT, ATOL_END2END, branch_tree, compile_expr, eval_tree
 from spektoy.errors import DimensionMismatch
+from test_dense_oracle import ref_readout_kraus
 from test_equivalence import EQUIVALENCE_MIX_HOSTS
 
 PINNED = pathlib.Path(__file__).parent / "pinned" / "walker_audits.json"
@@ -84,6 +85,17 @@ def ref_readout_step(site, basis):
         if basis == "X":
             t0, t1 = (t0 + t1) * _SQ2, (t0 - t1) * _SQ2
         return [(0, *ref_renormalized(t0)), (1, *ref_renormalized(t1))]
+
+    return step
+
+
+def ref_level_step(ref_step):
+    """A per-branch reference step that records one outcome per child, run
+    over a whole level branch by branch, its children parent-major."""
+    def step(outcomes, level):
+        ks, pks, children = zip(*(
+            child for o, state in zip(outcomes, level) for child in ref_step(o, state)))
+        return list(ks), list(pks), np.stack(children)
 
     return step
 
@@ -173,7 +185,7 @@ def test_level_walker_matches_the_per_branch_walker(dn, seed, kinds):
             recorded += 1
         elif kind == "readout" and d == 2 and n > 1:
             site, basis = int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)]
-            steps.append(do.readout_step(site, basis))
+            steps.append(do.measure_step(ref_readout_kraus(site, basis, n)))
             ref_steps.append(ref_readout_step(site, basis))
             recorded += 1
             n -= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -575,7 +576,8 @@ def census_search_cases():
         make(n) for make in (stt.minimal_rebit_subtheory, stt.css_rebit_subtheory) for n in (1, 2)
     ]
     hosts += [
-        stt.full_qubit_stabilizer_subtheory(n, name)
+        dataclasses.replace(
+            stt.full_qubit_stabilizer_subtheory(n), spec=wg.spec_by_name(name, 2, n))
         for n in (1, 2) for name in ("delfosse-rebit", "factorisable-rebit")
     ]
     hosts += [stt.qudit_stabilizer_subtheory(3, n) for n in (1, 2)]

@@ -402,8 +402,10 @@ class TestContextCircuit:
         assert calls == []
 
     def test_stacks_are_built_once_and_never_in_a_walk(self, monkeypatch):
-        # every context and every inject report, twice: the second round
-        # runs every step on the very stacks of the first and builds none,
+        # every context, every inject report, the Hadamard from CZ, the
+        # completion chain and the minimality probe, twice: the second
+        # round runs every step on the very stacks of the first and builds
+        # none, the Hadamard's X readout stack is built once per process,
         # and no walk builds a gate, a Pauli operator, a stack or a step
         from spektoy import cli
 
@@ -446,14 +448,20 @@ class TestContextCircuit:
             for argv in inject:
                 with contextlib.redirect_stdout(io.StringIO()):
                     cli.main(argv)
+            assert inj.hadamard_via_cz(do.basis_state([0]))[1].report()["clean"]
+            assert inj.clifford_completion_demo()["passed"]
+            assert all(probe["breaks"] for probe in inj.minimality_probe().values())
+            assert inj._x_readout_kraus.cache_info().misses == 1
             misses.append(wit._parity_kraus.cache_info().misses)
             builds = [name for name, _ in calls if name == "kraus"]
             assert len(builds) <= 4
             assert [c for c in calls if c[1]] == []
             calls.clear()
         assert builds == [] and misses[0] == misses[1]
-        # 14 parity blocks, 6 gadgets in the contexts, 5 in the reports
-        assert len(stacks[0]) == len(stacks[1]) == 25
+        # 14 parity blocks, 6 gadgets in the contexts, 5 in the reports, and
+        # 2 Hadamard, 4 completion-chain and 6 probe stacks (a gadget each,
+        # and the X readout in the Hadamard and in the probe's X case)
+        assert len(stacks[0]) == len(stacks[1]) == 37
         assert all(a is b for a, b in zip(*stacks))
         assert all(not K.flags.writeable for K in stacks[0])
 
