@@ -31,8 +31,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CircuitParseError
 
 ATOL_CONSTRUCT = 1e-12   # construction-level identities
@@ -221,11 +219,12 @@ def parse_circuit(text: str, n_wires: int | None = None) -> Circuit:
 # list of values on the toy side.  It returns (ks, pks, children): the
 # children form the next level, parent-major, every parent with the same
 # number of them; ks is None for a step that records nothing (one child per
-# branch, of probability 1), a sequence of one outcome per child, or a
-# 2-D int array of one row of outcomes per child, for a step that reads
-# several at once (an injection gadget's readouts); pks is one probability
-# per child, or one int for all of them.  A float probability is
-# approximate; an int m means exactly 1/m.
+# branch, of probability 1), else one tuple per child of the outcomes it
+# records, which the walker appends to its parent's: (k,) for one
+# readout, n bits for an injection gadget's n readouts, and on the toy
+# side a 1-tuple holding a measurement's outcome tuple; pks is one
+# probability per child, or one int for all of them.  A float probability
+# is approximate; an int m means exactly 1/m.
 Step = Callable[[list[tuple], object], tuple]
 
 
@@ -251,25 +250,16 @@ def branch_tree(level, steps: list[Step]) -> list[tuple]:
         if ks is None:
             continue
         fan = len(ks) // (len(outcomes) or 1)
-        rows = isinstance(ks, np.ndarray)
-        if rows:  # one row of outcomes per child, its entries appended in order
-            ks = list(map(tuple, ks.tolist()))
         if isinstance(pks, int) and probs is None:
             common *= pks
-            outcomes = (
-                [outcomes[i // fan] + k for i, k in enumerate(ks)] if rows
-                else [outcomes[i // fan] + (k,) for i, k in enumerate(ks)]
-            )
+            outcomes = [outcomes[i // fan] + k for i, k in enumerate(ks)]
             continue
         probs = [common] * len(outcomes) if probs is None else probs
         pks = [pks] * len(ks) if isinstance(pks, int) else pks
         keep = [i for i, pk in enumerate(pks) if isinstance(pk, int) or pk > ATOL_CONSTRUCT]
         if len(keep) < len(ks):
             level = [level[i] for i in keep] if isinstance(level, list) else level[keep]
-        outcomes = (
-            [outcomes[i // fan] + ks[i] for i in keep] if rows
-            else [outcomes[i // fan] + (ks[i],) for i in keep]
-        )
+        outcomes = [outcomes[i // fan] + ks[i] for i in keep]
         probs = [probs[i // fan] * pks[i] for i in keep]
     probs = [common] * len(outcomes) if probs is None else probs
     if all(isinstance(m, int) for m in probs):

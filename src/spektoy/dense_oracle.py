@@ -40,7 +40,7 @@ from .errors import (
     GuardExceeded,
     InvalidGenerators,
 )
-from .phase_algebra import COSET_GUARD
+from .phase_algebra import COSET_GUARD, symplectic_product
 
 MAX_QUDITS = {2: 6, 3: 4, 5: 3}
 
@@ -132,12 +132,12 @@ _CCZ = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
 def _qudit_gate_matrix(name: str, d: int) -> np.ndarray:
     if d == 2:
         table = {
-            **{k: (v, 1) for k, v in _QUBIT_GATES_1.items()},
-            "CNOT": (_CNOT, 2),
-            "CX": (_CNOT, 2),
-            "CZ": (_CZ, 2),
-            "SWAP": (_SWAP, 2),
-            "CCZ": (_CCZ, 3),
+            **_QUBIT_GATES_1,
+            "CNOT": _CNOT,
+            "CX": _CNOT,
+            "CZ": _CZ,
+            "SWAP": _SWAP,
+            "CCZ": _CCZ,
         }
     else:
         fourier = np.array(
@@ -153,18 +153,17 @@ def _qudit_gate_matrix(name: str, d: int) -> np.ndarray:
             for b in range(d):
                 swap[b * d + a, a * d + b] = 1.0
         table = {
-            "X": (shift_x(1, d), 1),
-            "Z": (phase_z(1, d), 1),
-            "F": (fourier, 1),
-            "P": (shear, 1),
-            "SUM": (summ, 2),
-            "CNOT": (summ, 2),
-            "SWAP": (swap, 2),
+            "X": shift_x(1, d),
+            "Z": phase_z(1, d),
+            "F": fourier,
+            "P": shear,
+            "SUM": summ,
+            "CNOT": summ,
+            "SWAP": swap,
         }
     if name not in table:
         raise CircuitParseError(f"unknown gate {name!r} for d={d}")
-    mat, arity = table[name]
-    out = np.array(mat, dtype=complex)
+    out = np.array(table[name], dtype=complex)
     out.setflags(write=False)
     return out
 
@@ -394,9 +393,12 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
 
     Each generator is a pair (label, k): an interleaved point and the
     outcome k of label_projectors (d=2: k = 1 for eigenvalue -1 of the
-    Hermitian word).  Returns the unique joint eigenvector; raises
-    InvalidGenerators for anticommuting, dependent, inconsistent or
-    under-determining sets.
+    Hermitian word).  Returns the unique joint eigenvector.  This is where
+    labels enter from outside (the state-spec language), so it checks them
+    exactly before stabilizer_states builds the state: InvalidGenerators
+    for labels of another width, and for anticommuting ([lam_i, lam_j] != 0
+    mod d), dependent or under-determining sets; an inconsistent set trips
+    the builder's trace backstop.
     """
     gens = [(tuple(int(x) % d for x in lam), int(k) % d) for lam, k in generators]
     if n is None:
@@ -405,22 +407,24 @@ def stabilizer_state(generators, d: int = 2, n: int | None = None) -> np.ndarray
         n = len(gens[0][0]) // 2
     if widths := sorted({len(lam) // 2 for lam, _ in gens} - {n}):
         raise InvalidGenerators(f"generator labels span {widths} sites, not {n}")
-    return stabilizer_states([lam for lam, _ in gens], [[k for _, k in gens]], d, n)[0]
+    labels = [lam for lam, _ in gens]
+    if any(symplectic_product(a, b, d) for a, b in itertools.combinations(labels, 2)):
+        raise InvalidGenerators("generators do not commute")
+    if len(mm.rref_bits([mm.pack(lam) for lam in labels], 2 * n, d)) != len(labels):
+        raise InvalidGenerators("dependent generator set")
+    if len(labels) < n:
+        raise InvalidGenerators("generator string under-determines the state; add generators")
+    return stabilizer_states(labels, [[k for _, k in gens]], d, n)[0]
 
 
 def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
-    """stabilizer_state of the n-site labels (reduced mod d) with each tuple
-    of the non-empty list outcomes, in order, with one independence check
-    and one commutation check, on the first tuple's projectors: one outcome
-    projector each of two Weyl operators commutes when the operators do."""
+    """The joint eigenstate of n commuting independent n-site labels with
+    each tuple of outcomes, in order.  The labels are not checked: they are
+    a census Lagrangian's, the J V rows of an isotropic V, or passed
+    stabilizer_state's checks.  A float trace check and a rank-one check
+    stay as backstops (InvalidGenerators)."""
     stacks = [label_projectors(lam, d) for lam in labels]
     dim = d**n
-    if stacks:
-        P = np.array([s[k] for s, k in zip(stacks, outcomes[0])])
-        if np.abs(P[:, None] @ P - P @ P[:, None]).max() > ATOL_CONSTRUCT * dim:
-            raise InvalidGenerators("generators do not commute")
-    if stacks and len(mm.rref_bits([mm.pack(lam) for lam in labels], 2 * n, d)) != len(stacks):
-        raise InvalidGenerators("dependent generator set")
     states = []
     for ks in outcomes:
         rho = np.eye(dim, dtype=complex)
@@ -429,8 +433,6 @@ def stabilizer_states(labels, outcomes, d: int, n: int) -> list[np.ndarray]:
         tr = float(np.trace(rho).real)
         if abs(tr - dim / d ** len(stacks)) > ATOL_CONSTRUCT * dim:
             raise InvalidGenerators(f"inconsistent generator signs (trace {tr})")
-        if len(stacks) < n:
-            raise InvalidGenerators("generator string under-determines the state; add generators")
         vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
         if abs(vals[-1] - 1.0) > ATOL_END2END:
             raise InvalidGenerators("projector is not rank one")
@@ -465,7 +467,7 @@ def measure_step(kraus) -> Step:
     kraus = np.asarray(kraus)
     m, d_out, d_in = kraus.shape
     stacked = kraus.reshape(m * d_out, d_in).T
-    ks = list(range(m))
+    ks = [(k,) for k in range(m)]
 
     def step(outcomes, level):
         children = (level @ stacked).reshape(len(level) * m, d_out)

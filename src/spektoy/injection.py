@@ -94,11 +94,9 @@ def classify_correction(C: np.ndarray, n: int) -> Correction:
 
 
 @functools.cache
-def _outcome_rows(n: int) -> np.ndarray:
-    """The 2^n outcome bit rows of n readouts in product order, read-only."""
-    rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(2**n, n)
-    rows.setflags(write=False)
-    return rows
+def _outcome_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 2^n outcome bit tuples of n readouts in product order."""
+    return tuple(itertools.product((0, 1), repeat=n))
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ class AuditTrail:
 def _gadget(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> Step:
     """Walker step of the gadget on a register of exactly scheme.n data
     wires: one product with the scheme's Kraus stack maps each branch to
-    its 2^n children, each with its row of n readout bits, and leaves the
+    its 2^n children, each with its tuple of n readout bits, and leaves the
     resource register, which holds the gate's output.
 
     Every joint outcome has probability exactly 2^-n, because the
@@ -253,7 +251,7 @@ def _gadget(scheme: InjectionScheme, audit: AuditTrail, injected: frozenset) -> 
             for name, _ in corr.factors:
                 audit.use_gate(name, injected, b)
         _, pks, children = measure(outcomes, level)
-        return np.tile(rows, (b, 1)), pks, children
+        return rows * b, pks, children
 
     return step
 
@@ -279,15 +277,13 @@ def run_injection(
     ]
 
 
-def inject_on_wires(
-    scheme: InjectionScheme, audit: AuditTrail, injected: frozenset = frozenset()
-) -> list[Step]:
+def inject_on_wires(scheme: InjectionScheme, audit: AuditTrail) -> list[Step]:
     """Walker steps applying the injected gate in place to a register of
     exactly scheme.n wires: the gadget's one step, whose output on the
     resource register takes the data wires' place, audited as one SWAP per
     wire."""
     audit.use_gate("SWAP", count=scheme.n)
-    return [_gadget(scheme, audit, injected)]
+    return [_gadget(scheme, audit, frozenset())]
 
 
 # ---------------------------------------------------------------------------

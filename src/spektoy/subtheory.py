@@ -55,11 +55,10 @@ def beta(lam, lam2, spec: wg.WignerSpec) -> int:
 def _beta_table(spec: wg.WignerSpec) -> np.ndarray:
     """beta over all label pairs, computed in bulk (no dense check)."""
     d, n = spec.d, spec.n
-    pts = np.array(pa.all_points(d, n), dtype=np.int64)
+    pts, weights = wg._lex(d, n)
     gamma = np.array([spec.gamma_exp(tuple(l)) for l in pts], dtype=np.int64)
     qdotp = pts[:, 0::2] @ pts[:, 1::2].T
     sums = (pts[:, None, :] + pts[None, :, :]) % d
-    weights = d ** np.arange(2 * n - 1, -1, -1)
     sum_codes = sums @ weights
     gamma_sum = gamma[sum_codes]
     return (gamma[:, None] + gamma[None, :] - gamma_sum + qdotp) % d
@@ -70,7 +69,7 @@ def allowed_observables(spec: wg.WignerSpec) -> tuple[tuple[int, ...], ...]:
     d, n = spec.d, spec.n
     if d ** (4 * n) > 1 << 26:
         raise GuardExceeded("observable enumeration too large")
-    pts = np.array(pa.all_points(d, n), dtype=np.int64)
+    pts = wg._lex(d, n)[0]
     J = pa.symplectic_form(n, d)
     commuting = (pts @ J @ pts.T) % d == 0
     bt = _beta_table(spec)

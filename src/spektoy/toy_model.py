@@ -408,17 +408,18 @@ ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMe
 def _measured(plan: _MeasurementPlan, outcomes, level, last=False) -> tuple:
     """Walker finish of a measurement on a level of V's values: one child
     per outcome that can occur, with V_new's values, every one of
-    probability 1/m, given as the int m.  The last measurement of a circuit
+    probability 1/m, given as the int m; each child records its outcome
+    tuple as one entry, (outcome,).  The last measurement of a circuit
     lists its outcomes alone: no leaf reads the values after it; when every
     measured functional is free, that list is the same on every branch."""
     if last:
         if plan.size == plan.V.d ** len(plan.A):
-            ks = plan.outcomes(level[0]) * len(level)
+            ks = [(k,) for k in plan.outcomes(level[0])] * len(level)
         else:
-            ks = list(chain.from_iterable(map(plan.outcomes, level)))
+            ks = [(k,) for k in chain.from_iterable(map(plan.outcomes, level))]
         return ks, plan.size, [()] * len(ks)
     ks, values = zip(*chain.from_iterable(map(plan.children, level)))
-    return ks, plan.size, list(values)
+    return [(k,) for k in ks], plan.size, list(values)
 
 
 def _plans(op) -> dict:

@@ -117,9 +117,8 @@ def _phase_point_stack(spec: WignerSpec) -> np.ndarray:
     """A(lam) for every lam (lex order), each of unit trace."""
     _stack_guard(spec)
     d, n = spec.d, spec.n
-    pts = pa.all_points(d, n)
+    pts, codes = pa.all_points(d, n), _lex(d, n)[0]
     J = pa.symplectic_form(n, d)
-    codes = np.array(pts, dtype=np.int64)
     # chi([lam, lam']) for all pairs
     sympl = (codes @ J @ codes.T) % d
     phases = np.exp(2j * np.pi * sympl / d)

@@ -471,12 +471,7 @@ def chsh_report() -> dict:
         + correlators["A1B0"]
         - correlators["A1B1"]
     ) / 4
-    win = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            corr = correlators[f"A{x}B{y}"]
-            win += (1 + (1 if x * y == 0 else -1) * corr) / 2
-    win /= 4
+    win = (1 + game_value) / 2
     # values A0 A1 B0 B1: question pair (x, y) is won when A_x B_y = (-1)^{xy}
     questions = [((x, 2 + y), (-1) ** (x * y)) for x in (0, 1) for y in (0, 1)]
     _, classical_best, _ = _sweep(4, questions)

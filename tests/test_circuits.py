@@ -92,10 +92,10 @@ def test_explicit_wire_count_guard():
 
 
 def _split(probs):
-    """Step giving every branch one child per probability; the state counts
-    the steps."""
+    """Step giving every branch one child per probability, each recording
+    its index; the state counts the steps."""
     return lambda outcomes, level: (
-        list(range(len(probs))) * len(level),
+        [(k,) for k in range(len(probs))] * len(level),
         list(probs) * len(level),
         [state + 1 for state in level for _ in probs],
     )
@@ -120,7 +120,7 @@ def test_branch_tree_multiplies_and_records_in_order():
 
 def test_branch_tree_reads_one_int_for_equally_likely_children():
     def halves(outcomes, level):
-        return [0, 1] * len(level), 2, [state + 1 for state in level for _ in range(2)]
+        return [(0,), (1,)] * len(level), 2, [state + 1 for state in level for _ in range(2)]
 
     per_child = branch_tree([0], [_split([2, 2]), _split([2, 2])])
     for steps in ([halves, halves], [halves, _split([2, 2])], [_split([2, 2]), halves]):

@@ -293,7 +293,30 @@ def ref_stabilizer_state(generators, d, n):
     return do.canonical_phase(vecs[:, -1])
 
 
+def ref_commutes(labels, ks, d, n):
+    """The dense rule stabilizer_states held before the label check: the
+    outcome projectors at ks commute pairwise, at ATOL_CONSTRUCT * dim."""
+    P = np.array([do.label_projectors(lam, d)[k] for lam, k in zip(labels, ks)])
+    return bool(np.abs(P[:, None] @ P - P @ P[:, None]).max() <= ATOL_CONSTRUCT * d**n)
+
+
 class TestStabilizerStates:
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (5, 1)])
+    def test_label_commutation_is_the_dense_rule(self, d, n):
+        # on every label pair and outcome pair: [a, b] = 0 mod d exactly
+        # when the dense projectors commute, and stabilizer_state refuses
+        # the pair as anticommuting exactly when they do not
+        for a, b in itertools.product(pa.all_points(d, n), repeat=2):
+            commute = pa.symplectic_product(a, b, d) == 0
+            for ks in itertools.product(range(d), repeat=2):
+                assert ref_commutes([a, b], ks, d, n) == commute
+            try:
+                do.stabilizer_state([(a, 0), (b, 0)], d=d, n=n)
+                refused = False
+            except InvalidGenerators as e:
+                refused = "do not commute" in str(e)
+            assert refused == (not commute)
+
     def test_plus_z_gives_ground_state(self):
         assert np.allclose(do.stabilizer_state(signed_gens("+Z")), [1, 0])
 
@@ -331,23 +354,30 @@ class TestStabilizerStates:
         (signed_gens("+ZI"), 2, 2, "under-determines the state"),
         ([((0, 1, 0, 2), 0)], 3, 2, "under-determines the state"),
     ])
-    def test_invalid_sets_rejected_by_both_calls(self, generators, d, n, message):
+    def test_invalid_sets_rejected_by_both_calls(self, generators, d, n, message, monkeypatch):
         with pytest.raises(InvalidGenerators, match=message):
             do.stabilizer_state(generators, d=d, n=n)
-        labels, ks = zip(*generators)
+        # the rejection is exact label arithmetic at the entry: it comes
+        # before the builder, and before any projector is built
+        def unreached(*args):
+            raise AssertionError("an invalid set reached the dense builder")
+
+        monkeypatch.setattr(do, "stabilizer_states", unreached)
+        monkeypatch.setattr(do, "label_projectors", unreached)
         with pytest.raises(InvalidGenerators, match=message):
-            do.stabilizer_states(labels, [ks], d, n)
+            do.stabilizer_state(generators, d=d, n=n)
 
     def test_inconsistent_signs_rejected(self, monkeypatch):
         # commuting independent Weyl labels admit every outcome tuple, so the
-        # trace check is a backstop: projectors with an empty product (X's
-        # label handed Z's projectors, outcome 1 against Z's outcome 0) trip it
+        # builder's trace check is a backstop: projectors with an empty
+        # product (X's label handed Z's projectors, outcome 1 against Z's
+        # outcome 0) trip it
         real = do.label_projectors
         monkeypatch.setattr(
             do, "label_projectors", lambda lam, d: real((0, 1) if tuple(lam) == (1, 0) else lam, d)
         )
         with pytest.raises(InvalidGenerators, match="inconsistent generator signs"):
-            do.stabilizer_state([((1, 0), 1), ((0, 1), 0)])
+            do.stabilizer_states([(1, 0), (0, 1)], [(1, 0)], 2, 1)
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
     def test_per_lagrangian_states_equal_the_one_state_call(self, d, n):

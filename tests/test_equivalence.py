@@ -589,6 +589,28 @@ EQUIVALENCE_MIX_HOSTS = [
 ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EQUIVALENCE_MIX_HOSTS), st.integers(0, 2**32 - 1))
+def test_toy_states_are_the_checked_stabilizer_states(host, seed):
+    # a random maximal-knowledge state e, drawn as random_paired_circuit
+    # draws it: quantum_state_for(e) is the checked do.stabilizer_state on
+    # the same (label, outcome) pairs bit for bit, and its Wigner table
+    # reads e back
+    name, d, n = host
+    rng = np.random.default_rng(seed)
+    if d == 2:
+        V = eqv._random_css_knowledge(n, rng)
+    else:
+        isos = pa.maximal_isotropic_subspaces(d, n)
+        V = isos[int(rng.integers(0, len(isos)))]
+    e = toy.make_epistemic(V, tuple(int(x) for x in rng.integers(0, d, size=2 * n)))
+    labels = [eqv.label_for_functional(sigma, d) for sigma in V.gens]
+    ks = [pa.evaluate(sigma, e.w, d) - eqv.outcome_offset(mu, d) for sigma, mu in zip(V.gens, labels)]
+    psi = eqv.quantum_state_for(e)
+    assert np.array_equal(psi, do.stabilizer_state(list(zip(labels, ks)), d=d, n=n))
+    assert eqv.epistemic_state_for(psi, eqv.host_model(name, n, d).sub.spec) == e
+
+
 def _one_gate_per_arity(d, n):
     text = "GATE X 0\n"
     if n > 1:

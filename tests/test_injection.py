@@ -287,7 +287,7 @@ def ref_run_injection(scheme, input_state, injected=frozenset(), audit=None):
     ]
 
 
-def ref_inject_on_wires(scheme, data_wires, n_total, audit, injected=frozenset()):
+def ref_inject_on_wires(scheme, data_wires, n_total, audit):
     k = scheme.n
     big_n = n_total + k
     audit.use_resource(f"{scheme.gate_name}|+>^{k}")
@@ -310,7 +310,7 @@ def ref_inject_on_wires(scheme, data_wires, n_total, audit, injected=frozenset()
         *(do.gate_step(do.gate("CNOT", (w, n_total + j), big_n, 2))
           for j, w in enumerate(data_wires)),
         *[ref_level_step(ref_readout_step(n_total, "Z"))] * k,
-        ref_level_correction_step(scheme, data_wires, n_total, audit, injected),
+        ref_level_correction_step(scheme, data_wires, n_total, audit, frozenset()),
     ]
 
 
@@ -344,8 +344,7 @@ def ref_builders(monkeypatch):
     monkeypatch.setattr(inj, "hadamard_via_cz", ref_hadamard_via_cz)
     monkeypatch.setattr(
         inj, "inject_on_wires",
-        lambda scheme, audit, injected=frozenset(): ref_inject_on_wires(
-            scheme, (0, 1), 2, audit, injected),
+        lambda scheme, audit: ref_inject_on_wires(scheme, (0, 1), 2, audit),
     )
 
 
@@ -504,6 +503,22 @@ def ref_gadget_steps(scheme, audit, injected):
     ]
 
 
+def assert_same_gadget_leaves(got, want, scheme, branches):
+    # outcomes exactly; probabilities within 1e-12, every joint outcome
+    # 2^-n likely; states equal the host factors' up to a global phase,
+    # and exactly those of a trivial correction within 1e-12
+    assert [o for o, _, _ in got] == [o for o, _, _ in want]
+    assert len(got) == branches * 2**scheme.n
+    for (o, p, state), (_, p_ref, state_ref) in zip(got, want):
+        assert abs(p - p_ref) <= 1e-12 and abs(p * branches - 2.0**-scheme.n) <= 1e-12
+        phase = np.vdot(state_ref, state)
+        assert abs(abs(phase) - 1) <= 1e-12
+        assert np.allclose(state, phase * state_ref, rtol=0, atol=1e-12)
+        C = scheme.corrections[o[-scheme.n:]]
+        if C.kind == "pauli" and not C.factors:
+            assert np.allclose(state, state_ref, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["Z", "S", "T", "CZ", "CCZ"]),
@@ -516,34 +531,29 @@ def test_fused_gadget_step_matches_the_chain_of_steps(name, injected, branches, 
     n = scheme.n
     rng = np.random.default_rng(seed)
     level = np.stack([_random_state(rng, 2**n) for _ in range(branches)])
-    [step] = inj.inject_on_wires(scheme, inj.AuditTrail(), injected)
+    [step] = inj.inject_on_wires(scheme, inj.AuditTrail())
     ks, pks, children = step([()] * branches, level)
-    # one row of n readout bits per child, every joint outcome 2^-n likely
-    assert ks.shape == (branches * 2**n, n)
-    assert [tuple(r) for r in ks.tolist()] == list(itertools.product((0, 1), repeat=n)) * branches
+    # one tuple of n readout bits per child, every joint outcome 2^-n likely
+    assert list(ks) == list(itertools.product((0, 1), repeat=n)) * branches
     assert all(abs(p - 2.0**-n) <= 1e-12 for p in pks)
     assert children.shape == (branches * 2**n, 2**n)
 
     def root(outcomes, _):  # the level as equally likely branches
-        return list(range(branches)), [1 / branches] * branches, level
+        return [(i,) for i in range(branches)], [1 / branches] * branches, level
 
     audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
     ref_audit.use_gate("SWAP", count=n)
-    got = branch_tree(level[:1], [root, *inj.inject_on_wires(scheme, audit, injected)])
-    want = branch_tree(level[:1], [root, *ref_gadget_steps(scheme, ref_audit, injected)])
-    assert [o for o, _, _ in got] == [o for o, _, _ in want]
-    assert len(got) == branches * 2**n
-    for (o, p, state), (_, p_ref, state_ref) in zip(got, want):
-        m = o[1:]
-        assert abs(p - p_ref) <= 1e-12 and abs(p * branches - 2.0**-n) <= 1e-12
-        # the host factors equal the scheme's operator up to a global phase
-        phase = np.vdot(state_ref, state)
-        assert abs(abs(phase) - 1) <= 1e-12
-        assert np.allclose(state, phase * state_ref, rtol=0, atol=1e-12)
-        C = scheme.corrections[m]
-        if not (C.kind == "pauli" and not C.factors):
-            continue
-        assert np.allclose(state, state_ref, rtol=0, atol=1e-12)
+    got = branch_tree(level[:1], [root, *inj.inject_on_wires(scheme, audit)])
+    want = branch_tree(level[:1], [root, *ref_gadget_steps(scheme, ref_audit, frozenset())])
+    assert_same_gadget_leaves(got, want, scheme, branches)
+    assert _full_report(audit) == _full_report(ref_audit)
+    # with the injected gates counted as tier 2: run_injection, one walk per row
+    audit, ref_audit = inj.AuditTrail(), inj.AuditTrail()
+    for psi in level:
+        got = [(r.outcomes, r.probability, r.final_state)
+               for r in inj.run_injection(scheme, psi, injected, audit)]
+        want = branch_tree(psi[None], ref_gadget_steps(scheme, ref_audit, injected))
+        assert_same_gadget_leaves(got, want, scheme, 1)
     assert _full_report(audit) == _full_report(ref_audit)
 
 

@@ -13,6 +13,9 @@
   outcome convention.
 * No module calls json.dump or json.dumps: the CLI's report writer is the
   one serialiser.
+* Only dense_oracle reads np.linalg.eigh: dense_oracle.stabilizer_states
+  is the one eigenstate builder, for the census and the toy side's
+  maximal-knowledge states alike.
 * Only dense_oracle calls np.multiply.outer or np.kron with an np.eye(...)
   first argument: dense_oracle.append_isometry, I (x) |state>, is the one
   append of wires to a register.
@@ -274,7 +277,6 @@ TEST_ONLY_PUBLIC = {
     "allowed_gates",  # the closure-and-covariance gate filter
     "group_contains",  # membership in generated_gate_group's keys
     "phase_point",  # one phase-point operator of the cached stack
-    "symplectic_product",  # [s1, s2], against the toy model's row form
     "symplectic_commutant",  # the commutant, against the toy updates
     "maximally_mixed",  # the no-knowledge state
 }
@@ -313,6 +315,12 @@ def test_one_outcome_convention(name, tree):
 @pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
 def test_one_serialiser(name, tree):
     assert json_dump_calls(tree) == []
+
+
+@pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
+def test_one_eigenstate_builder(name, tree):
+    if name != "dense_oracle.py":
+        assert reads_of(tree, "eigh") == []
 
 
 @pytest.mark.parametrize("name,tree", _trees(), ids=lambda x: x if isinstance(x, str) else "")
@@ -375,6 +383,11 @@ def test_rules_catch_violations():
         "dd(x)\njson.loads(s)\nloads(s)\nother.dumps(x)\nencode_basestring_ascii(s)\n"
     )
     assert json_dump_calls(tree) == [5, 6, 7]
+    tree = ast.parse(
+        "vals, vecs = np.linalg.eigh(rho)\nfrom numpy.linalg import eigh\neigh(rho)\n"
+        "np.linalg.eig(rho)\nnp.linalg.eigvalsh(rho)\n"
+    )
+    assert reads_of(tree, "eigh") == [1, 3]
     tree = ast.parse(
         "np.multiply.outer(a, b)\nf = np.multiply.outer\nnp.outer(a, b)\nnp.add.outer(a, b)\n"
         "x.multiply.outer(a, b)\ny = [np.multiply.outer(a, s) for s in b]\n"

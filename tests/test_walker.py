@@ -95,7 +95,7 @@ def ref_level_step(ref_step):
     def step(outcomes, level):
         ks, pks, children = zip(*(
             child for o, state in zip(outcomes, level) for child in ref_step(o, state)))
-        return list(ks), list(pks), np.stack(children)
+        return [(k,) for k in ks], list(pks), np.stack(children)
 
     return step
 
@@ -206,8 +206,8 @@ def test_level_walker_matches_the_per_branch_walker(dn, seed, kinds):
 
 
 def _flat(outcomes):
-    """An outcome tuple with each row of outcomes spliced in."""
-    return tuple(x for o in outcomes for x in (o if isinstance(o, tuple) else (o,)))
+    """An outcome tuple with each child's tuple of outcomes spliced in."""
+    return tuple(x for o in outcomes for x in o)
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,13 +217,14 @@ def _flat(outcomes):
     st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=5),
 )
 def test_rows_of_outcomes_match_the_per_branch_walker(seed, exact, shapes):
-    # a step of c children per branch records a row of r outcomes per
-    # child (r = 0: one outcome, as a list), with probability 1/c as an
-    # int, or a float vector with some children below the prune
+    # a step of c children per branch records a tuple of r = 0, 1 or more
+    # outcomes per child, with probability 1/c as an int, or a float
+    # vector with some children below the prune; the per-branch walker
+    # keeps each child's tuple as one entry
     rng = np.random.default_rng(seed)
     steps, ref_steps = [], []
     for c, r in shapes:
-        table = rng.integers(0, 3, size=(c, max(r, 1)))
+        table = [tuple(row) for row in rng.integers(0, 3, size=(c, r)).tolist()]
         mats = rng.normal(size=(c, 3, 3))
         if exact:
             pks = c
@@ -234,16 +235,14 @@ def test_rows_of_outcomes_match_the_per_branch_walker(seed, exact, shapes):
             pks = [0.5 * ATOL_CONSTRUCT if p < 0.05 else p for p in pks]
             pks = [p / math.fsum(pks) for p in pks]
 
-        def step(outcomes, level, table=table, mats=mats, pks=pks, r=r):
+        def step(outcomes, level, table=table, mats=mats, pks=pks):
             b, c = len(level), len(table)
-            ks = np.tile(table, (b, 1)) if r else np.tile(table[:, 0], b).tolist()
             children = np.einsum("bj,kij->bki", level, mats).reshape(b * c, 3)
-            return ks, (pks if isinstance(pks, int) else pks * b), children
+            return table * b, (pks if isinstance(pks, int) else pks * b), children
 
-        def ref_step(outcomes, state, table=table, mats=mats, pks=pks, r=r):
+        def ref_step(outcomes, state, table=table, mats=mats, pks=pks):
             return [
-                (tuple(row.tolist()) if r else int(row[0]),
-                 pks if isinstance(pks, int) else pks[k], mats[k] @ state)
+                (row, pks if isinstance(pks, int) else pks[k], mats[k] @ state)
                 for k, row in enumerate(table)
             ]
 
@@ -261,12 +260,12 @@ def test_rows_of_outcomes_match_the_per_branch_walker(seed, exact, shapes):
 
 
 def test_a_row_below_the_prune_is_dropped_with_its_state():
-    rows = np.array([[0, 1], [1, 0], [1, 1]])
+    rows = [(0, 1), (1, 0), (1, 1)]
     pks = [0.5, 0.5 * ATOL_CONSTRUCT, 0.5 - 0.5 * ATOL_CONSTRUCT]
     states = np.eye(3)
 
     def step(outcomes, level):
-        return np.tile(rows, (len(level), 1)), pks * len(level), np.tile(states, (len(level), 1))
+        return rows * len(level), pks * len(level), np.tile(states, (len(level), 1))
 
     leaves = branch_tree(np.ones((1, 3)), [step, do.measure_step(np.eye(3)[:, None] * np.eye(3))])
     assert [o for o, _, _ in leaves] == [(0, 1, 0), (1, 1, 2)]
