@@ -216,7 +216,8 @@ def parse_circuit(text: str, n_wires: int | None = None) -> Circuit:
 # A step maps a whole level, every branch at one depth, to the next one.
 # It is called as step(outcomes, level) with the branches' outcome tuples
 # and their states: a (branches, dim) complex array on the dense side, a
-# list of values on the toy side.  It returns (ks, pks, children): the
+# list of value codes on the toy side (one int per branch, standing for the
+# values of the known subspace's rows).  It returns (ks, pks, children): the
 # children form the next level, parent-major, every parent with the same
 # number of them; ks is None for a step that records nothing (one child per
 # branch, of probability 1), else one tuple per child of the outcomes it
@@ -240,7 +241,8 @@ def branch_tree(level, steps: list[Step]) -> list[tuple]:
     reads the same either way, and a float makes the product a float.  Float
     children of probability <= ATOL_CONSTRUCT are dropped; int children
     never are, since exact steps list only outcomes that can occur.  The
-    leaves must sum to 1: exactly for ints, within ATOL_END2END for floats.
+    leaves must sum to 1: exactly for ints (m leaves of 1/m each when every
+    step gave equally likely children), within ATOL_END2END for floats.
     """
     # while every step has given equally likely exact children (one int
     # pks), every branch has the probability 1/common and probs is None
@@ -261,7 +263,9 @@ def branch_tree(level, steps: list[Step]) -> list[tuple]:
             level = [level[i] for i in keep] if isinstance(level, list) else level[keep]
         outcomes = [outcomes[i // fan] + ks[i] for i in keep]
         probs = [probs[i // fan] * pks[i] for i in keep]
-    probs = [common] * len(outcomes) if probs is None else probs
+    if probs is None:  # len(outcomes) leaves of probability 1/common each
+        assert len(outcomes) == common, f"branch probabilities sum to {len(outcomes)}/{common}"
+        return list(zip(outcomes, [common] * len(outcomes), level))
     if all(isinstance(m, int) for m in probs):
         L = math.lcm(*probs)
         total = sum(L // m for m in probs)

@@ -101,6 +101,10 @@ class HostModel:
     def __post_init__(self):
         self._gate_cache: dict[tuple[str, tuple[int, ...]], pa.AffineSymplectic] = {}
         self._measure_cache: dict[tuple[int, ...], toy.SharpMeasurement] = {}
+        self._generators = {(g.name, g.wires): g.matrix for g in self.sub.gate_generators}
+        # the labels random_paired_circuit draws a measurement from
+        self._nontrivial = [lam for lam in self.sub.observables if any(lam)]
+        self._draws: dict[tuple[str, int], tuple] = {}
 
     def gate_matrix(self, name: str, wires: tuple[int, ...]) -> np.ndarray:
         """The dense matrix of a named gate: the host generator's when
@@ -108,13 +112,12 @@ class HostModel:
         do.gate's.  AuditError for a host generator name on other wires
         that do.gate does not know."""
         key = (name.upper(), tuple(wires))
-        gens = {(g.name, g.wires): g.matrix for g in self.sub.gate_generators}
-        if key in gens:
-            return gens[key]
+        if key in self._generators:
+            return self._generators[key]
         try:
             return do.gate(name, wires, self.sub.n, self.sub.d)
         except CircuitParseError:
-            if any(gen_name == key[0] for gen_name, _ in gens):
+            if any(gen_name == key[0] for gen_name, _ in self._generators):
                 raise AuditError(f"gate {key[0]!r} of host {self.sub.name!r} "
                                  f"does not act on wires {key[1]}") from None
             raise
@@ -140,6 +143,23 @@ class HostModel:
             sigma, c = functional_for_label(mu, self.sub.d), outcome_offset(mu, self.sub.d)
             self._measure_cache[mu] = toy.SharpMeasurement((sigma,), self.sub.d, self.sub.n, (c,))
         return self._measure_cache[mu]
+
+    def _drawn(self, kind: str, i: int) -> tuple:
+        """(toy step, dense step, description) of the i-th gate generator or
+        nontrivial observable, built on its first draw and shared by every
+        circuit that draws it."""
+        key = (kind, i)
+        if key not in self._draws:
+            if kind == "gate":
+                g = self.sub.gate_generators[i]
+                toy_step, dense_step = self.gate_action(g.name, g.wires), g.matrix
+                label = g.label()
+            else:
+                lam, d = self._nontrivial[i], self.sub.d
+                toy_step, dense_step = self.measurement_step(lam), do.label_projectors(lam, d)
+                label = f"M[{do.label_name(lam, d)}]"
+            self._draws[key] = ((kind, toy_step), (kind, dense_step), label)
+        return self._draws[key]
 
     def audit_circuit(self, circuit: Circuit) -> np.ndarray:
         """Raise AuditError naming the first element outside the host;
@@ -220,21 +240,15 @@ def random_paired_circuit(host: HostModel, rng, depth: int = 5) -> PairedCircuit
     dense_state = quantum_state_for(epistemic)
 
     toy_steps, dense_steps, description = [], [], []
-    gens = host.sub.gate_generators
-    nontrivial = [lam for lam in host.sub.observables if any(lam)]
-    n_meas = 0
+    n_gens, n_labels, n_meas = len(host.sub.gate_generators), len(host._nontrivial), 0
     for _ in range(depth):
         if rng.random() < 0.55 or n_meas >= 3:
-            g = gens[int(rng.integers(0, len(gens)))]
-            toy_steps.append(("gate", host.gate_action(g.name, g.wires)))
-            dense_steps.append(("gate", g.matrix))
-            description.append(g.label())
+            drawn = host._drawn("gate", int(rng.integers(0, n_gens)))
         else:
-            lam = nontrivial[int(rng.integers(0, len(nontrivial)))]
-            toy_steps.append(("measure", host.measurement_step(lam)))
-            dense_steps.append(("measure", do.label_projectors(lam, d)))
-            description.append(f"M[{do.label_name(lam, d)}]")
+            drawn = host._drawn("measure", int(rng.integers(0, n_labels)))
             n_meas += 1
+        for out, x in zip((toy_steps, dense_steps, description), drawn):
+            out.append(x)
     return PairedCircuit(epistemic, dense_state, toy_steps, dense_steps, description)
 
 
@@ -256,7 +270,7 @@ def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
         for kind, op in steps[:cut]
     ]
     return {
-        tuple((k,) for k in outcomes): float(prob)
+        tuple(zip(outcomes)): float(prob)
         for outcomes, prob, _ in branch_tree(state[None], walker_steps)
     }
 
@@ -264,11 +278,19 @@ def dense_statistics(state: np.ndarray, steps) -> dict[tuple, float]:
 def compare_statistics(
     toy_dist: dict[tuple, Fraction], dense_dist: dict[tuple, float]
 ) -> float:
-    """Largest absolute probability deviation over the union of outcomes."""
-    keys = set(toy_dist) | set(dense_dist)
-    dev = 0.0
-    for k in keys:
-        dev = max(dev, abs(float(toy_dist.get(k, 0)) - dense_dist.get(k, 0.0)))
+    """Largest absolute probability deviation over the union of outcomes.
+    Each toy probability is converted to a float where it differs from the
+    one before: `toy_model.statistics` gives every outcome the same one."""
+    dev, last, p = 0.0, None, 0.0
+    for k, q in toy_dist.items():
+        if q is not last:
+            last, p = q, float(q)
+        x = abs(p - dense_dist.get(k, 0.0))
+        if x > dev:
+            dev = x
+    for k, x in dense_dist.items():
+        if k not in toy_dist:
+            dev = max(dev, abs(x))
     return dev
 
 

@@ -9,24 +9,31 @@ points: weights, point probabilities, outcome tables, updates and affine
 evolution are closed forms, linear algebra over Z_d polynomial in n.  As in
 a stabilizer tableau, the state is V's rref rows and their values: the
 canonical w is zero off V's pivot columns and holds each row's value on its
-pivot.  Each step is a plan on V alone (a gate's `_transport`, a
+pivot.  Each step is a plan on V alone (a gate's `_GatePlan`, a
 `_MeasurementPlan`) and a cheap finish mapping old values to new ones; no
 step needs V-perp.  V after a step depends on V before it and the step
 alone, never on the values or an outcome, so `statistics` builds one chain
-of plans per call and its branches carry only values; every leaf has the
-same probability 1/m, a product of measurement factors alone: the walk
-stops at the last measurement, which lists its outcomes without posterior
-values.  `statistics` keeps each finished plan on its step object, by V
-(`_plans`): the hosts of `equivalence` hand the same step objects to every
-circuit and meet few V's at small n, so a plan is built once per (V, step).
-The single-state steps build fresh plans and keep none, because a trajectory
-seldom meets a V twice and there the kept plans would only grow.  Steps
-run on V's packed rows (`Subspace.bits`, its one stored form) at every d,
-as in Aaronson-Gottesman's tableau: a row operation or a product is one
-`_modmath` kernel over the whole row (`_Rows`), and a gate's V S^-1 sums
-S^-1's packed rows.  A measurement of k functionals is k tableau row
-updates, O(k dim V 2n); one walk of them on the values lists every
-outcome with its posterior values, and a shorter one the outcomes alone.
+of plans per call and its branches carry only values, each branch's as one
+int code (`_code`, sum_i v_i d^i); every leaf has the same probability 1/m,
+a product of measurement factors alone: the walk stops at the last
+measurement, which lists its outcomes without posterior values.
+`statistics` keeps each finished plan on its step object, by V (`_plans`):
+the hosts of `equivalence` hand the same step objects to every circuit and
+meet few V's at small n, so a plan is built once per (V, step).  A kept
+plan tabulates its finish by value code on first use (`_Table`, at most
+d^(dim V) entries): a gate maps a code to V_new's code, a measurement to
+its children's outcomes and codes, or, as a circuit's last one, to its
+outcomes, so on steps met before a circuit's walk is a chain of dict
+lookups.  Kept plans hold one object per subspace (`_interned`).  The
+single-state steps build fresh plans and keep none, and no table, because
+a trajectory seldom meets a V twice and there the kept plans would only
+grow.  Steps run on V's packed rows (`Subspace.bits`, its one stored
+form) at every d, as in Aaronson-Gottesman's tableau: a row operation or a
+product is one `_modmath` kernel over the whole row (`_Rows`), and a gate's
+V S^-1 sums S^-1's packed rows.  A measurement of k functionals is k
+tableau row updates, O(k dim V 2n); one walk of them on the values lists
+every outcome with its posterior values, and a shorter one the outcomes
+alone.
 `EpistemicState.support` lists the coset on each read, under
 `phase_algebra.COSET_GUARD`, and the state never keeps it.  Only
 `make_epistemic` and `SharpMeasurement` check isotropy: a symplectic map
@@ -47,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache
 from itertools import chain, product
 from operator import mul
 
@@ -197,32 +204,94 @@ def _row_form(d: int, n: int) -> _Rows:
     return _Rows(d, n)
 
 
-def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> tuple:
-    """The plan of a gate lam -> S lam + a, whatever the shift: (V_new =
-    V S^-1, H, c).  sigma is known afterwards exactly when sigma S is known
-    before.  Row h of V_new takes the value (h S) . w + h . a, and h S lies
-    in V: its coefficients on V's rows are its entries on V's pivots.  So
-    new values = H values + c, H = V_new S on V's pivot columns, c = V_new a.
-    V_new needs no isotropy check: S^T J S = J, checked when the map was
-    built and S read-only since, so [u S^-1, v S^-1] = [u, v] = 0 on V."""
+class _Table(dict):
+    """A kept plan's finish, tabulated lazily by value code: the entry of a
+    code is filled on its first read, as fill(plan, code), and kept.  A
+    code stands for V's values (`_code`), so a table holds at most
+    d^(dim V) entries."""
+
+    __slots__ = ("fill", "plan")
+
+    def __init__(self, fill, plan):
+        super().__init__()
+        self.fill, self.plan = fill, plan
+
+    def __missing__(self, code):
+        self[code] = entry = self.fill(self.plan, code)
+        return entry
+
+
+@lru_cache(maxsize=4096)
+def _records(outcomes: tuple) -> tuple:
+    """The walker's records of a measurement's outcomes, (outcome,) each:
+    one tuple per outcome list, shared by every table that lists it."""
+    return tuple((k,) for k in outcomes)
+
+
+def _code(values, d: int) -> int:
+    """The value code sum_i v_i d^i of V's values v: one int, small at small
+    n, the key of a kept plan's tables and the walker's form of a branch."""
+    code = 0
+    for v in reversed(values):
+        code = code * d + v
+    return code
+
+
+def _values(code: int, d: int, k: int) -> list[int]:
+    """The k values of a value code, as `_code` packed them."""
+    values = []
+    for _ in range(k):
+        code, v = divmod(code, d)
+        values.append(v)
+    return values
+
+
+class _GatePlan:
+    """A gate's plan on V (`_transport`): V_new = V S^-1, H and c, finished
+    on V's values by `_shifted`.  Kept on its step by `_chain`, it is the
+    walker's step on a level of value codes, its finish tabulated in
+    `table`."""
+
+    __slots__ = ("V", "V_new", "H", "c", "table")
+
+    def __init__(self, V: pa.Subspace, V_new: pa.Subspace, H, c):
+        self.V, self.V_new, self.H, self.c, self.table = V, V_new, H, c, None
+
+    def _finish_code(self, code: int) -> int:
+        d = self.V.d
+        return _code(_shifted(self, _values(code, d, self.V.dim)), d)
+
+    def __call__(self, outcomes, level) -> tuple:
+        return None, None, list(map(self.table.__getitem__, level))
+
+
+def _transport(V: pa.Subspace, g: pa.AffineSymplectic) -> _GatePlan:
+    """The plan of a gate lam -> S lam + a, whatever the shift: V_new =
+    V S^-1, H and c.  sigma is known afterwards exactly when sigma S is known
+    before.  Row h of V_new takes
+    the value (h S) . w + h . a, and h S lies in V: its coefficients on V's
+    rows are its entries on V's pivots.  So new values = H values + c,
+    H = V_new S on V's pivot columns, c = V_new a.  V_new needs no isotropy
+    check: S^T J S = J, checked when the map was built and S read-only
+    since, so [u S^-1, v S^-1] = [u, v] = 0 on V."""
     if (g.d, g.n) != (V.d, V.n):
         raise DimensionMismatch("map and state live on different spaces")
     V_new, H, c = _row_form(V.d, V.n).moved(V, g)
     assert V_new.dim == V.dim
-    return V_new, H, c
+    return _GatePlan(V, V_new, H, c)
 
 
-def _shifted(plan: tuple, values) -> list[int]:
+def _shifted(plan: _GatePlan, values) -> list[int]:
     """The finish of a gate on V's values: V_new's values H values + c."""
-    d, (_, H, c) = plan[0].d, plan
-    return [(sum(map(mul, h, values)) + x) % d for h, x in zip(H, c)]
+    d = plan.V.d
+    return [(sum(map(mul, h, values)) + x) % d for h, x in zip(plan.H, plan.c)]
 
 
 def apply_affine(state: EpistemicState, g: pa.AffineSymplectic) -> EpistemicState:
     """Push the distribution through lam -> S lam + a: the image of V-perp + w
     is (S V-perp) + (S w + a)."""
     plan = _transport(state.V, g)
-    return _coset_state(plan[0], _shifted(plan, state.values))
+    return _coset_state(plan.V_new, _shifted(plan, state.values))
 
 
 @dataclass(frozen=True)
@@ -261,10 +330,10 @@ Table = dict[tuple[int, ...], Fraction]  # outcome -> probability, in sorted out
 
 class _MeasurementPlan:
     """What measuring A = meas.generators needs of the prior's known
-    subspace V alone, shared by every state on V: `updates`, built here,
+    subspace V alone, shared by every state on V: V_new and ops, built here,
     and `size`, on first read; `children` and `after` finish it on V's values.
 
-    updates = (V_new, ops): per functional a of A, one tableau row update of
+    Per functional a of A, one tableau row update of
     the rref rows g_j the update before left.  With s_j = [g_j, a] and p the
     last j with s_j != 0, g_j becomes g_j - (s_j/s_p) g_p and g_p goes; the
     rows left span V within a's commutant, still in rref.  a's residue
@@ -272,7 +341,12 @@ class _MeasurementPlan:
     pivot column from the rows and joins them (a is free).  ops holds the
     factors and a's offset that `children` and `after` replay.  V_new needs
     no isotropy check: the kept rows commute with each other and with a,
-    so a's residue, a less a combination of them, commutes with each."""
+    so a's residue, a less a combination of them, commutes with each.
+
+    Kept on its step by `_chain`, the plan is the walker's step on a level
+    of value codes (`__call__`, or `last` for a circuit's last measurement),
+    each finish tabulated by code on first use: a code's children (their
+    outcomes and codes) in `_child_table`, its outcomes in `_outcome_table`."""
 
     def __init__(self, V: pa.Subspace, meas: SharpMeasurement):
         if (meas.d, meas.n) != (V.d, V.n):
@@ -296,7 +370,7 @@ class _MeasurementPlan:
                 rows = F.subtract(rows, clears, top)
                 rows[at:at], pivots[at:at] = [top], [q]
             ops.append((p, moves, coeffs, off, inv, clears, at))
-        self.updates = F.subspace(rows), ops
+        self.V_new, self.ops = F.subspace(rows), ops
 
     @cached_property
     def size(self) -> int:
@@ -306,7 +380,7 @@ class _MeasurementPlan:
         zero exactly when a lies in V + span(earlier functionals), for if
         a = v + e so, v = a - e lies in V, commutes with every measured
         functional and so survives each row drop."""
-        size = self.V.d ** sum(op[4] is not None for op in self.updates[1])
+        size = self.V.d ** sum(op[4] is not None for op in self.ops)
         if size > pa.COSET_GUARD:
             raise GuardExceeded(f"outcome table has {size} > {pa.COSET_GUARD} entries")
         return size
@@ -338,7 +412,7 @@ class _MeasurementPlan:
         first `upto` of them), a determined functional showing its outcome,
         a free one each of 0..d-1."""
         d, level = self.V.d, [((), values)]
-        for op in self.updates[1][:upto]:
+        for op in self.ops[:upto]:
             nxt = []
             for k, vals in level:
                 vals, known = self._drop(op, vals)
@@ -352,7 +426,7 @@ class _MeasurementPlan:
         Being free depends on V alone, and a free functional shows each of
         0..d-1 on every branch: those after the last determined one need no
         walk, and the walk stops at that one's outcome, with no row update."""
-        d, ops = self.V.d, self.updates[1]
+        d, ops = self.V.d, self.ops
         cut = len(ops)  # ops[cut:] are free, ops[cut - 1] determined
         while cut and ops[cut - 1][4] is not None:
             cut -= 1
@@ -365,13 +439,52 @@ class _MeasurementPlan:
         DimensionMismatch when a determined functional would show another
         outcome than its own, so the outcome has probability zero."""
         vals, d = values, self.V.d
-        for op, x in zip(self.updates[1], outcome):
+        for op, x in zip(self.ops, outcome):
             vals, known = self._drop(op, vals)
             x = (int(x) - known) % d
             if op[4] is None and x:
                 raise DimensionMismatch(f"outcome {outcome} has probability zero")
             vals = self._show(op, vals, x)
         return vals
+
+    @cached_property
+    def _child_table(self) -> _Table:
+        return _Table(_MeasurementPlan._children_of, self)
+
+    @cached_property
+    def _outcome_table(self) -> _Table:
+        return _Table(_MeasurementPlan._outcomes_of, self)
+
+    def _children_of(self, code: int) -> tuple[tuple, tuple]:
+        d = self.V.d
+        children = self.children(_values(code, d, self.V.dim))
+        codes = tuple(_code(vals, d) for _, vals in children)
+        return _records(tuple(k for k, _ in children)), codes
+
+    def _outcomes_of(self, code: int) -> tuple:
+        return _records(tuple(self.outcomes(_values(code, self.V.d, self.V.dim))))
+
+    def __call__(self, outcomes, level) -> tuple:
+        """The walker's step: one child per outcome that can occur, with
+        V_new's value code, every one of probability 1/m, given as the int
+        m; each child records its outcome tuple as one entry, (outcome,)."""
+        table, ks, codes = self._child_table, [], []
+        for code in level:
+            k, c = table[code]
+            ks += k
+            codes += c
+        return ks, self.size, codes
+
+    def last(self, outcomes, level) -> tuple:
+        """The walker's step for a circuit's last measurement, which lists
+        its outcomes alone: no leaf reads the values after it.  When every
+        measured functional is free, that list is the same on every branch."""
+        table = self._outcome_table
+        if self.size == self.V.d ** len(self.A):
+            ks = table[level[0]] * len(level)
+        else:
+            ks = list(chain.from_iterable(map(table.__getitem__, level)))
+        return ks, self.size, [()] * len(ks)
 
 
 def outcome_distribution(state: EpistemicState, meas: SharpMeasurement) -> Table:
@@ -385,7 +498,7 @@ def posterior(state: EpistemicState, meas: SharpMeasurement, outcome: tuple) -> 
     plan, k = _MeasurementPlan(state.V, meas), len(meas.generators)
     if len(outcome) != k:
         raise DimensionMismatch(f"outcome {outcome} does not match {k} functionals")
-    return _coset_state(plan.updates[0], plan.after(state.values, outcome))
+    return _coset_state(plan.V_new, plan.after(state.values, outcome))
 
 
 def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int = 0):
@@ -398,64 +511,55 @@ def measure_sharp(state: EpistemicState, meas: SharpMeasurement, rng_seed: int =
         acc += float(p)
         if r < acc:
             break
-    after = _coset_state(plan.updates[0], plan.after(values, outcome))
+    after = _coset_state(plan.V_new, plan.after(values, outcome))
     return outcome, after, dict.fromkeys(outcomes, p)
 
 
 ToyStep = tuple[str, object]  # ("gate", AffineSymplectic) | ("measure", SharpMeasurement)
 
 
-def _measured(plan: _MeasurementPlan, outcomes, level, last=False) -> tuple:
-    """Walker finish of a measurement on a level of V's values: one child
-    per outcome that can occur, with V_new's values, every one of
-    probability 1/m, given as the int m; each child records its outcome
-    tuple as one entry, (outcome,).  The last measurement of a circuit
-    lists its outcomes alone: no leaf reads the values after it; when every
-    measured functional is free, that list is the same on every branch."""
-    if last:
-        if plan.size == plan.V.d ** len(plan.A):
-            ks = [(k,) for k in plan.outcomes(level[0])] * len(level)
-        else:
-            ks = [(k,) for k in chain.from_iterable(map(plan.outcomes, level))]
-        return ks, plan.size, [()] * len(ks)
-    ks, values = zip(*chain.from_iterable(map(plan.children, level)))
-    return [(k,) for k in ks], plan.size, list(values)
-
-
 def _plans(op) -> dict:
-    """The plans of a step that `_chain` keeps, by known subspace V: a gate's
-    `_transport`, a `_MeasurementPlan` with `size` read.
-    They live in the step's own __dict__, so they go when the step goes."""
+    """The plans of a step that `_chain` keeps, by known subspace V: a
+    `_GatePlan`, a `_MeasurementPlan` with `size` read, each with the
+    tables of its finish.  They live in the step's own __dict__, so they go
+    when the step goes."""
     return op.__dict__.setdefault("_plans", {})
 
 
+@lru_cache(maxsize=4096)
+def _interned(V: pa.Subspace) -> pa.Subspace:
+    """The first subspace equal to V that a kept plan met, while it stays
+    among the last 4096: kept plans then hold one object per subspace, and
+    the next step's `_plans` lookup finds its key by identity."""
+    return V
+
+
 def _chain(V: pa.Subspace, steps: list[ToyStep]) -> tuple[list[Step], pa.Subspace]:
-    """The walker steps of a circuit on levels (one list of values of V's
-    rows per depth), and the known subspace after the last one.  It
+    """The walker steps of a circuit on levels (one list of value codes of
+    V's rows per depth), and the known subspace after the last one.  It
     depends on the one before and the step alone, so every branch at one
-    depth shares it: one plan per step, built
-    in step order on the last V_new, or read from the step's `_plans` when
-    the step has met this V before.  Only a finished plan is kept, so a
-    step that raises keeps nothing and raises again on the next call."""
+    depth shares it: one plan per step, built in step order on the last
+    V_new, or read from the step's `_plans` when the step has met this V
+    before.  Only a finished plan is kept, so a step that raises keeps
+    nothing and raises again on the next call."""
     if bad := [kind for kind, _ in steps if kind not in ("gate", "measure")]:
         raise DimensionMismatch(f"unknown step kind {bad[0]!r}")
     walker = []
     for kind, op in steps:
         plans = _plans(op)
         plan = plans.get(V)
-        if kind == "gate":
-            if plan is None:
-                plan = plans[V] = _transport(V, op)
-            walker.append(lambda outcomes, level, plan=plan: (
-                None, None, [_shifted(plan, values) for values in level]))
-            V = plan[0]
-        else:
-            if plan is None:
+        if plan is None:
+            V = _interned(V)
+            if kind == "gate":
+                plan = _transport(V, op)
+                plan.table = _Table(_GatePlan._finish_code, plan)
+            else:
                 plan = _MeasurementPlan(V, op)
                 plan.size  # the outcome guard fires before any outcome is listed
-                plans[V] = plan
-            walker.append(partial(_measured, plan))
-            V = plan.updates[0]
+            plan.V_new = _interned(plan.V_new)
+            plans[V] = plan
+        walker.append(plan)
+        V = plan.V_new
     return walker, V
 
 
@@ -464,14 +568,16 @@ def statistics(
 ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
     """Exact distribution over outcome-tuple sequences for a circuit of
     affine maps and sharp measurements, with no sampling: every branch with
-    nonzero probability is expanded, carrying only its values.  A step's
-    outcome count does not depend on them, so each leaf has probability 1/m.
-    Every step's plan is read from, or kept in, its `_plans`, so every step
-    is checked, but the walk stops at the last measurement: a leaf's
-    probability is a product of measurement factors alone."""
+    nonzero probability is expanded, carrying only its values' code.  A
+    step's outcome count does not depend on them, so each leaf has
+    probability 1/m.  Every step's plan is read from, or kept in, its
+    `_plans`, so every step is checked, but the walk stops at the last
+    measurement: a leaf's probability is a product of measurement factors
+    alone.  Each walked finish is read from, or filled into, its plan's
+    tables."""
     walker, _ = _chain(state.V, steps)
     cut = max((j + 1 for j, (kind, _) in enumerate(steps) if kind == "measure"), default=0)
     if cut:
-        walker[cut - 1] = partial(walker[cut - 1], last=True)
-    leaves = branch_tree([state.values], walker[:cut])
+        walker[cut - 1] = walker[cut - 1].last
+    leaves = branch_tree([_code(state.values, state.d)], walker[:cut])
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))

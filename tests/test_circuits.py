@@ -169,6 +169,17 @@ def test_branch_tree_leaking_step_trips_sum_check(probs):
         branch_tree([0], [_split(probs)])
 
 
+@pytest.mark.parametrize("count,m", [(1, 2), (3, 2), (2, 4)])
+def test_equally_likely_children_are_counted_against_their_int(count, m):
+    # a step of one int m and `count` children per branch: the leaves sum
+    # to count/m, checked without a per-leaf sum
+    def step(outcomes, level):
+        return [(k,) for k in range(count)] * len(level), m, [s for s in level for _ in range(count)]
+
+    with pytest.raises(AssertionError, match=f"sum to {count * count}/{m * m}"):
+        branch_tree([0], [step, step])
+
+
 def test_branch_tree_float_sum_check_uses_end_to_end_tolerance():
     # a float rounding error far below the tolerance is accepted
     branches = branch_tree([0], [_split([0.5, 0.5 - 1e-12])])

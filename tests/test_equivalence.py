@@ -589,6 +589,48 @@ EQUIVALENCE_MIX_HOSTS = [
 ]
 
 
+def ref_dense_statistics(state, steps):
+    """dense_statistics on well-formed steps, each key built one 1-tuple
+    (k,) at a time."""
+    cut = max((j + 1 for j, (kind, _) in enumerate(steps) if kind != "gate"), default=0)
+    walker = [do.gate_step(op) if kind == "gate" else do.measure_step(op) for kind, op in steps[:cut]]
+    return {tuple((k,) for k in outcomes): float(prob)
+            for outcomes, prob, _ in branch_tree(state[None], walker)}
+
+
+def ref_compare_statistics(toy_dist, dense_dist):
+    """compare_statistics over the key union, each toy probability
+    converted on its own."""
+    dev = 0.0
+    for k in set(toy_dist) | set(dense_dist):
+        dev = max(dev, abs(float(toy_dist.get(k, 0)) - dense_dist.get(k, 0.0)))
+    return dev
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EQUIVALENCE_MIX_HOSTS), st.integers(0, 2**32 - 1))
+def test_leaf_paths_match_the_references(host, seed):
+    # the keys of dense_statistics and the deviation of compare_statistics
+    # bit for bit, also with keys missing on either side and with toy
+    # probabilities that are distinct objects or differ
+    name, d, n = host
+    pc = eqv.random_paired_circuit(eqv.host_model(name, n, d), np.random.default_rng(seed))
+    toy_dist = toy.statistics(pc.epistemic, pc.toy_steps)
+    dense_dist = eqv.dense_statistics(pc.dense_state, pc.dense_steps)
+    assert list(dense_dist.items()) == list(ref_dense_statistics(pc.dense_state, pc.dense_steps).items())
+    first, last = next(iter(toy_dist)), next(reversed(toy_dist))
+    variants = [
+        (toy_dist, dense_dist),
+        ({k: p for k, p in toy_dist.items() if k != last}, dense_dist),
+        (toy_dist, {k: p for k, p in dense_dist.items() if k != first}),
+        ({k: Fraction(p.numerator, p.denominator) for k, p in toy_dist.items()}, dense_dist),
+        ({**toy_dist, last: Fraction(1, 7)}, dense_dist),
+        ({**toy_dist, ((d,),): Fraction(1, 3)}, {**dense_dist, ((d + 1,),): 0.25}),
+    ]
+    for t, q in variants:
+        assert eqv.compare_statistics(t, q) == ref_compare_statistics(t, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(EQUIVALENCE_MIX_HOSTS), st.integers(0, 2**32 - 1))
 def test_toy_states_are_the_checked_stabilizer_states(host, seed):

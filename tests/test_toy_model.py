@@ -426,8 +426,9 @@ def test_measure_step_children_are_posteriors(case):
     state, meas = case
     table = tm.outcome_distribution(state, meas)
     [step], V_new = tm._chain(state.V, [("measure", meas)])
-    ks, m, level = step([()], [state.values])
-    children = [(k, Fraction(1, m), tm._coset_state(V_new, vals)) for (k,), vals in zip(ks, level)]
+    ks, m, level = step([()], [tm._code(state.values, state.d)])
+    children = [(k, Fraction(1, m), tm._coset_state(V_new, tm._values(code, state.d, V_new.dim)))
+                for (k,), code in zip(ks, level)]
     assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
     assert [s for _, _, s in children] == [tm.posterior(state, meas, k) for k in table]
     d, r = state.d, len(meas.generators)
@@ -632,7 +633,7 @@ def plan_update(state, meas):
     """The measurement plan's finish at the state's values, as a map
     outcome -> posterior state."""
     plan = tm._MeasurementPlan(state.V, meas)
-    return lambda outcome: tm._coset_state(plan.updates[0], plan.after(state.values, outcome))
+    return lambda outcome: tm._coset_state(plan.V_new, plan.after(state.values, outcome))
 
 
 def assert_same_table(state, meas):
@@ -718,7 +719,7 @@ def test_int_row_step_matches_array_reference(case):
 def test_plan_pivots_are_the_rows_pivots(case):
     # every plan's V_new holds the pivots of its rows, set when it is built
     state, meas, g = case
-    for V_new in (tm._MeasurementPlan(state.V, meas).updates[0], tm._transport(state.V, g)[0]):
+    for V_new in (tm._MeasurementPlan(state.V, meas).V_new, tm._transport(state.V, g).V_new):
         assert V_new.pivots == tuple(r.index(1) for r in V_new.gens)
         assert V_new == pa.Subspace.from_generators(V_new.gens, state.d, state.n)
 
@@ -731,11 +732,11 @@ def test_packed_plans_match_int_row_plans(case):
     state, meas, g = case
     d, n = state.d, state.n
     assert tm._row_form(d, n).moved(state.V, g) == ref_int_rows(d, n).moved(state.V, g)
-    got = tm._MeasurementPlan(state.V, meas).updates
+    got = tm._MeasurementPlan(state.V, meas)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tm, "_row_form", ref_int_rows)
-        want = tm._MeasurementPlan(state.V, meas).updates
-    assert got == want
+        want = tm._MeasurementPlan(state.V, meas)
+    assert (got.V_new, got.ops) == (want.V_new, want.ops)
 
 
 @settings(max_examples=150, deadline=None)
@@ -941,8 +942,9 @@ def test_walker_matches_per_branch_reference(case):
                              lambda *a: list(ref_statistics(*a).items()), prior, steps)
     if result[0] == "value":  # and every leaf state, in expansion order
         walker, V = tm._chain(prior.V, steps)
-        leaves = branch_tree([prior.values], walker)
-        got = [(o, Fraction(1, m), V, tm._coset_state(V, vals).w) for o, m, vals in leaves]
+        leaves = branch_tree([tm._code(prior.values, prior.d)], walker)
+        got = [(o, Fraction(1, m), V, tm._coset_state(V, tm._values(code, V.d, V.dim)).w)
+               for o, m, code in leaves]
         assert got == [(o, p, s.V, s.w) for o, p, s in ref_walk(prior, steps)]
 
 
@@ -1049,9 +1051,18 @@ def test_outcome_guard_through_the_walker(monkeypatch):
     assert tm._plans(meas) == {} and len(tm._plans(first)) == len(tm._plans(g)) == 1
 
 
-def test_single_state_steps_keep_no_plan():
-    # only the walker keeps plans on its steps: a trajectory's gates and
-    # measurements build fresh ones
+def test_single_state_steps_keep_no_plan(monkeypatch):
+    # only the walker keeps plans on its steps, and tabulates their
+    # finishes: a trajectory's gates and measurements build fresh plans
+    # and no table
+    tables = []
+
+    class CountingTable(tm._Table):
+        def __init__(self, *args):
+            tables.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tm, "_Table", CountingTable)
     d, n = 3, 2
     rng = np.random.default_rng(31)
     g, meas = _random_affine(rng, d, n), tm.SharpMeasurement(((0, 1, 0, 0),), d, n)
@@ -1062,9 +1073,10 @@ def test_single_state_steps_keep_no_plan():
         outcome, posterior, _ = tm.measure_sharp(state, meas, seed)
         state = tm.posterior(state, meas, outcome)
         assert state == posterior and outcome in table
-    assert "_plans" not in vars(g) and "_plans" not in vars(meas)
+    assert "_plans" not in vars(g) and "_plans" not in vars(meas) and tables == []
     tm.statistics(state, [("gate", g), ("measure", meas)])
     assert len(tm._plans(g)) == len(tm._plans(meas)) == 1
+    assert [len(t) for t in tables] == [1, 1]  # the gate's and the last measurement's
 
 
 def test_step_plans_are_kept_per_known_subspace():
@@ -1079,10 +1091,10 @@ def test_step_plans_are_kept_per_known_subspace():
         transport, plan = tm._transport(V, g), tm._MeasurementPlan(V, meas)
         for w in shifts:
             state = ref_make_epistemic(V, w)
-            moved = tm._coset_state(transport[0], tm._shifted(transport, state.values))
+            moved = tm._coset_state(transport.V_new, tm._shifted(transport, state.values))
             want = ref_apply_affine(state, g)
             assert (moved.V, moved.w) == (want.V, want.w)
-            children = [(k, Fraction(1, plan.size), tm._coset_state(plan.updates[0], vals))
+            children = [(k, Fraction(1, plan.size), tm._coset_state(plan.V_new, vals))
                         for k, vals in plan.children(state.values)]
             table = ref_outcome_distribution(state, meas)
             assert children == [(k, p, ref_posterior(state, meas, k)) for k, p in table.items()]
@@ -1124,6 +1136,11 @@ def test_trailing_steps_still_raise():
         for _ in range(2):  # the raising step keeps no plan and raises again
             with pytest.raises(DimensionMismatch, match="live on different spaces"):
                 tm.statistics(state, head + tail)
+        assert tm._plans(tail[-1][1]) == {}
+    # the chain raised before the walk: the steps before it kept their
+    # plans, and no finish was tabulated
+    [gate_plan], [meas_plan] = (tm._plans(op).values() for _, op in head)
+    assert gate_plan.table == {} and not {"_child_table", "_outcome_table"} & set(vars(meas_plan))
     with pytest.raises(DimensionMismatch, match="unknown step kind 'reset'"):
         tm.statistics(state, head + [("reset", _random_affine(rng, d, n))])
 
@@ -1151,12 +1168,15 @@ def test_walker_finishes_nothing_after_the_last_measurement(monkeypatch):
     monkeypatch.setattr(tm, "_shifted", lambda plan, values: finished.append(plan) or shifted(plan, values))
     monkeypatch.setattr(tm._MeasurementPlan, "_show",
                         lambda plan, *args: shown.append(plan) or show(plan, *args))
-    for _ in range(2):  # plans built, then read from the steps
+    for warm in (False, True):  # plans built, then read from the steps, their finishes from the tables
         assert list(tm.statistics(state, steps).items()) == list(want.items())
         [last_plan] = tm._plans(last).values()
         assert [len(tm._plans(op)) for _, op in steps] == [1] * len(steps)
-        assert finished and {id(plan) for plan in finished} == {id(*tm._plans(steps[1][1]).values())}
-        assert shown and last_plan not in shown
+        if warm:
+            assert finished == shown == []
+        else:
+            assert finished and {id(plan) for plan in finished} == {id(*tm._plans(steps[1][1]).values())}
+            assert shown and last_plan not in shown
         assert len(want) == 3 * 3 * 3  # both earlier measurements free, and tau free
         finished.clear(), shown.clear()
 
@@ -1174,9 +1194,9 @@ def test_an_all_free_last_measurement_lists_its_outcomes_once(monkeypatch, last,
     counted, outcomes = [], tm._MeasurementPlan.outcomes
     monkeypatch.setattr(tm._MeasurementPlan, "outcomes",
                         lambda plan, values: counted.append(values) or outcomes(plan, values))
-    for _ in range(2):  # plans built, then read from the steps
+    for listed in (calls, [0]):  # plans built, then read from the steps, their lists from the tables
         assert list(tm.statistics(state, steps).items()) == list(want.items())
-        assert [len(counted)] == calls
+        assert [len(counted)] == listed
         counted.clear()
 
 
@@ -1299,7 +1319,7 @@ def ref_measure_sharp(state, meas, rng_seed=0):
         if r < acc:
             break
     table = dict.fromkeys((k for k, _ in children), p)
-    return outcome, tm._coset_state(plan.updates[0], values), table
+    return outcome, tm._coset_state(plan.V_new, values), table
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (5, 2)])

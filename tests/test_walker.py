@@ -116,13 +116,13 @@ def ref_toy_statistics(state, steps):
         if kind == "gate":
             plan = toy._transport(V, op)
             walker.append(lambda o, values, plan=plan: [(None, 1, toy._shifted(plan, values))])
-            V = plan[0]
+            V = plan.V_new
         else:
             plan = toy._MeasurementPlan(V, op)
             walker.append(
                 lambda o, values, plan=plan: [(k, plan.size, v) for k, v in plan.children(values)]
             )
-            V = plan.updates[0]
+            V = plan.V_new
     leaves = ref_branch_tree(state.values, walker)
     return dict.fromkeys(sorted(o for o, _, _ in leaves), Fraction(1, leaves[0][1]))
 
@@ -312,6 +312,71 @@ def test_paired_circuits_match_the_per_branch_walker(name, d, n):
         assert list(got) == [tuple((k,) for k in o) for o, _, _ in ref]
         for p, (_, p_ref, _) in zip(got.values(), ref):
             assert abs(p - p_ref) <= 1e-12
+
+
+def kept_tables(plan):
+    """The tables of a kept plan's finish that the walker has made."""
+    if isinstance(plan, toy._GatePlan):
+        return [plan.table]
+    return [vars(plan)[name] for name in ("_child_table", "_outcome_table") if name in vars(plan)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EQUIVALENCE_MIX_HOSTS), st.integers(0, 2**32 - 1))
+def test_tabulated_walk_matches_the_per_branch_walker(host, seed):
+    # a batch of paired circuits walked on value codes, the steps' plans
+    # and tables dropped first: the first pass fills the tables (later
+    # circuits read what earlier ones filled), the second reads them; both
+    # against the per-branch walker on plans built afresh
+    name, d, n = host
+    host, rng = eqv.host_model(name, n, d), np.random.default_rng(seed)
+    circuits = [eqv.random_paired_circuit(host, rng) for _ in range(8)]
+    wants = [list(ref_toy_statistics(pc.epistemic, pc.toy_steps).items()) for pc in circuits]
+    for pc in circuits:
+        for _, op in pc.toy_steps:
+            vars(op).pop("_plans", None)
+    for _ in range(2):
+        for pc, want in zip(circuits, wants):
+            assert list(toy.statistics(pc.epistemic, pc.toy_steps).items()) == want
+
+
+@pytest.mark.parametrize("name,d,n", EQUIVALENCE_MIX_HOSTS)
+def test_a_table_holds_at_most_one_entry_per_value_tuple(name, d, n):
+    # a table is keyed by the code of V's values, d^(dim V) of them, and a
+    # gate's entries are codes of V_new's values
+    host, rng = eqv.host_model(name, n, d), np.random.default_rng([37, d, n])
+    steps = {}
+    for _ in range(80):
+        pc = eqv.random_paired_circuit(host, rng)
+        toy.statistics(pc.epistemic, pc.toy_steps)
+        steps.update((id(op), op) for _, op in pc.toy_steps)
+    sizes = []
+    for op in steps.values():
+        for plan in toy._plans(op).values():
+            codes = range(d ** plan.V.dim)
+            for table in kept_tables(plan):
+                assert set(table) <= set(codes)
+                sizes.append((len(table), len(codes)))
+            if isinstance(plan, toy._GatePlan):
+                assert set(plan.table.values()) <= set(range(d ** plan.V_new.dim))
+    assert sizes and max(size for size, _ in sizes) > 1
+    assert any(size == bound > 1 for size, bound in sizes)  # the bound is met
+
+
+@pytest.mark.parametrize("name,d,n", [("minimal-rebit", 2, 3), ("qudit-stabilizer", 3, 2)])
+def test_kept_plans_hold_one_object_per_subspace(name, d, n):
+    # a fresh host's steps, walked with the intern cache emptied: every
+    # subspace a kept plan holds or is keyed on is one object per value
+    host, rng = eqv.host_model.__wrapped__(name, n, d), np.random.default_rng([41, d, n])
+    toy._interned.cache_clear()
+    steps = {}
+    for _ in range(80):
+        pc = eqv.random_paired_circuit(host, rng)
+        toy.statistics(pc.epistemic, pc.toy_steps)
+        steps.update((id(op), op) for _, op in pc.toy_steps)
+    held = [V for op in steps.values() for key, plan in toy._plans(op).items()
+            for V in (key, plan.V, plan.V_new)]
+    assert len({id(V) for V in held}) == len(set(held)) > 1
 
 
 # ---------------------------------------------------------------------------
